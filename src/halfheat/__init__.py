@@ -58,6 +58,7 @@ from .solver import (
     evolve,
     kernel_column,
     kernel_columns,
+    kernel_slices,
     slice_to_field,
 )
 from .special import bessel_i_scaled, log_gamma

@@ -1,7 +1,7 @@
 """Batch front door: validate operator configs, compute kernels, verify.
 
 Config files are plain text `key = value` lines with `#` comments.
-Recognized keys:
+The keys below are the only ones accepted, each at most once:
 
     N          spatial x-dimension (integer)
     A.row.i    i-th row of A, comma-separated (i = 1 .. N+1)
@@ -30,21 +30,20 @@ from . import sab as sab_mod
 from . import verify as V
 from .errors import HalfheatError, SolveFailure, StructuralError
 from .geometry import EnvelopeParams, doubling_check, envelope_equivalence_window
-from .kernels import KernelSlice, exact_slice
+from .kernels import exact_slice
 from .operators import (
     GeneralOperatorSpec,
     ModelOperatorSpec,
-    general_kernel_exact,
-    inverse_map_point,
-    map_kernel_value,
-    map_point,
     reduce_to_model,
     validate_general,
 )
-from .solver import GridSpec, assemble, kernel_column
+from .solver import GridSpec, assemble, kernel_column, kernel_slices
 
 SCHEMA_VERSION = 1
 DEFAULT_SEED = 20240901
+
+#: config keys besides the rows A.row.1 .. A.row.N+1
+KNOWN_KEYS = {"N", "v.d", "v.c", "grid.Rx", "grid.Ry", "grid.nx", "grid.ny", "t.list", "sources"}
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
@@ -66,6 +65,8 @@ def parse_config(path) -> dict:
         if "=" not in line:
             raise StructuralError(f"{path}:{lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key in raw:
+            raise StructuralError(f"{path}:{lineno}: repeated key {key!r}")
         raw[key] = value
     return raw
 
@@ -82,6 +83,10 @@ def operator_from_config(cfg: dict) -> GeneralOperatorSpec:
         n = int(cfg["N"])
     except (KeyError, ValueError) as exc:
         raise StructuralError("config needs integer key N") from exc
+    known = KNOWN_KEYS | {f"A.row.{i}" for i in range(1, n + 2)}
+    unknown = sorted(set(cfg) - known)
+    if unknown:
+        raise StructuralError(f"unknown config keys: {', '.join(unknown)}")
     rows = []
     for i in range(1, n + 2):
         key = f"A.row.{i}"
@@ -96,16 +101,6 @@ def operator_from_config(cfg: dict) -> GeneralOperatorSpec:
         raise StructuralError(f"v.d needs {n} entries, got {len(d)}")
     c = float(cfg.get("v.c", "0"))
     return GeneralOperatorSpec(n=n, a_matrix=np.array(rows), drift=np.array(d + [c]))
-
-
-def grid_from_config(cfg: dict, c: float) -> GridSpec:
-    return GridSpec(
-        rx=float(cfg.get("grid.Rx", "8")),
-        ry=float(cfg.get("grid.Ry", "8")),
-        nx=int(cfg.get("grid.nx", "128")),
-        ny=int(cfg.get("grid.ny", "128")),
-        c=c,
-    )
 
 
 def _emit(report: dict, out_dir: Path | None, name: str) -> None:
@@ -133,8 +128,6 @@ def cmd_kernel(args) -> int:
     if not report.passed:
         print(json.dumps({"error": "invalid operator", **report.as_dict()}))
         return EXIT_CHECK_FAILED
-    red = reduce_to_model(spec)
-    model = red.model
     ts = _floats(cfg.get("t.list", "1.0"))
     sources = []
     for tok in cfg.get("sources", "0,1").split(";"):
@@ -145,65 +138,28 @@ def cmd_kernel(args) -> int:
     out_dir = Path(args.out) if args.out else Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    is_reduced = red.shear is not None or not np.allclose(
-        red.x_change, np.sqrt(red.time_scale) * np.eye(spec.n)
-    ) or red.time_scale != 1.0
-    use_exact = model.a_norm == 0.0 and not args.force_numeric
-    grid = grid_from_config(cfg, model.c)
-
+    slices = kernel_slices(
+        spec, ts, sources, numeric=args.force_numeric,
+        rx=float(cfg.get("grid.Rx", "8")), ry=float(cfg.get("grid.Ry", "8")),
+        nx=int(cfg.get("grid.nx", "128")), ny=int(cfg.get("grid.ny", "128")))
     written = []
-    for t in ts:
-        for z2 in sources:
-            tag = f"t{t:g}_x{z2[0]:g}_y{z2[1]:g}".replace("-", "m").replace(".", "p")
-            path = out_dir / f"kernel_{tag}.csv"
-            if use_exact:
-                y1 = np.geomspace(grid.hy / 2, grid.ry, grid.ny)
-                dx = np.linspace(-grid.rx, grid.rx, grid.nx)
-                yy, xx = np.meshgrid(y1, dx, indexing="ij")
-                pts = np.column_stack([xx.ravel(), yy.ravel()])
-                if is_reduced:
-                    vals = general_kernel_exact(red, t, pts, z2)
-                    slc = KernelSlice(t=t, source=z2, points=pts,
-                                      values=np.atleast_1d(vals), c=model.c)
-                    method = "exact-reduced"
-                else:
-                    slc = exact_slice(model, t, z2, pts)
-                    method = "exact"
-            else:
-                op = assemble(model, grid)
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    z2m = map_point(red, z2) if is_reduced else z2
-                    slc = kernel_column(op, red.time_scale * t, z2m)
-                defect = abs(slc.mass() - 1.0)
-                if defect > args.mass_tol:
-                    print(json.dumps({
-                        "error": "grid too small for requested time",
-                        "t": t, "mass_defect": defect, "tolerance": args.mass_tol,
-                    }))
-                    return EXIT_CHECK_FAILED
-                if is_reduced:
-                    # map the model column back to the original coordinates
-                    pts = inverse_map_point(red, slc.points)
-                    vals = map_kernel_value(red, t, pts, np.broadcast_to(
-                        z2, pts.shape), slc.values)
-                    slc = KernelSlice(t=t, source=z2, points=pts, values=vals,
-                                      c=model.c, method="solver-reduced")
-                    method = "solver-reduced"
-                else:
-                    method = "solver"
-                slc.meta["mass_defect"] = defect
-                slc.meta["grid_cells"] = [grid.nx, grid.ny]
-            slc.meta["method"] = method
-            slc.meta.pop("grid", None)
-            slc.to_csv(str(path))
-            entry = {"file": str(path), "t": t, "source": z2.tolist(),
-                     "method": method}
-            entry.update({k: v for k, v in slc.meta.items() if k != "method"})
-            written.append(entry)
+    for slc in slices:
+        defect = slc.meta.get("mass_defect", 0.0)
+        if defect > args.mass_tol:
+            print(json.dumps({
+                "error": "grid too small for requested time",
+                "t": slc.t, "mass_defect": defect, "tolerance": args.mass_tol,
+            }))
+            return EXIT_CHECK_FAILED
+        x2, y2 = slc.meta["source"]
+        tag = f"t{slc.t:g}_x{x2:g}_y{y2:g}".replace("-", "m").replace(".", "p")
+        path = out_dir / f"kernel_{tag}.csv"
+        slc.to_csv(str(path))
+        written.append({"file": str(path), "t": slc.t, **slc.meta})
+    red = reduce_to_model(spec)
     _emit({"schema_version": SCHEMA_VERSION, "command": "kernel",
            "reduction": {"time_scale": red.time_scale,
-                          "a": model.a.tolist(), "c": model.c},
+                          "a": red.model.a.tolist(), "c": red.model.c},
            "outputs": written}, out_dir, "kernel_index.json")
     return EXIT_PASS
 

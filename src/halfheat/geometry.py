@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ParameterError
+from .kernels import write_csv
 from .special import log_gamma
 
 __all__ = [
@@ -171,18 +172,12 @@ def envelope_sweep_csv(params: EnvelopeParams, t, z1, z2, c: float, n: int,
     t = np.atleast_1d(np.asarray(t, dtype=float))
     z1 = np.atleast_2d(np.asarray(z1, dtype=float))
     z2 = np.atleast_2d(np.asarray(z2, dtype=float))
-    vals = envelope_eval(params, t, z1, z2, c, n)
-    own = isinstance(path_or_buf, (str, bytes))
-    fh = open(path_or_buf, "w", newline="") if own else path_or_buf
-    try:
-        fh.write("t,x1,y1,x2,y2,envelope,form,side\n")
-        for ti, p1, p2, v in zip(t, z1, z2, np.atleast_1d(vals)):
-            fh.write(f"{ti:.17g},{p1[0]:.17g},{p1[1]:.17g},"
-                     f"{p2[0]:.17g},{p2[1]:.17g},{v:.17g},"
-                     f"{params.form},{params.side}\n")
-    finally:
-        if own:
-            fh.close()
+    vals = np.atleast_1d(envelope_eval(params, t, z1, z2, c, n))
+    m = len(vals)
+    table = np.column_stack([np.broadcast_to(t, m), np.broadcast_to(z1, (m, 2)),
+                             np.broadcast_to(z2, (m, 2)), vals])
+    write_csv(path_or_buf, "t,x1,y1,x2,y2,envelope,form,side", table,
+              f",{params.form},{params.side}")
 
 
 def doubling_check(c: float, n: int,

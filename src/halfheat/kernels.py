@@ -10,7 +10,7 @@ weighted measure y^c dz, the convention used everywhere in this package
 
 from __future__ import annotations
 
-import csv
+import contextlib
 import io
 from dataclasses import dataclass, field
 
@@ -29,6 +29,12 @@ __all__ = [
 ]
 
 WEIGHTED_CONVENTION = "y^c dz"
+
+#: largest |a| treated as zero: reductions of a = 0 operators leave round-off
+A_ZERO_TOL = 1e-13
+
+#: rows formatted per write, so the text buffer stays small for large tables
+CSV_CHUNK_ROWS = 2048
 
 
 def _check_time(t):
@@ -83,7 +89,7 @@ def product_kernel(model, t: float, z1, z2):
     reductions are accepted): no closed form exists then and the caller
     must use the finite-difference solver.
     """
-    if np.linalg.norm(model.a) > 1e-13:
+    if np.linalg.norm(model.a) > A_ZERO_TOL:
         raise WrongOperatorError(
             "closed-form kernel requires a = 0; use the finite-difference solver"
         )
@@ -157,45 +163,22 @@ class KernelSlice:
         """Write `t,x1,y1,x2,y2,p,convention` rows at full double precision."""
         if self.n != 1:
             raise DomainError("CSV slice format is defined for N = 1")
-        own = isinstance(path_or_buf, (str, bytes))
-        fh = open(path_or_buf, "w", newline="") if own else path_or_buf
-        try:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "x1", "y1", "x2", "y2", "p", "convention"])
-            x2, y2 = self.source
-            for (x1, y1), p in zip(self.points, self.values):
-                writer.writerow(
-                    [
-                        f"{self.t:.17g}",
-                        f"{x1:.17g}",
-                        f"{y1:.17g}",
-                        f"{x2:.17g}",
-                        f"{y2:.17g}",
-                        f"{p:.17g}",
-                        self.convention,
-                    ]
-                )
-        finally:
-            if own:
-                fh.close()
+        m = len(self.values)
+        table = np.column_stack([np.full(m, self.t), self.points,
+                                 np.broadcast_to(self.source, (m, 2)), self.values])
+        write_csv(path_or_buf, "t,x1,y1,x2,y2,p,convention", table, "," + self.convention)
 
     @classmethod
     def from_csv(cls, path_or_buf, c: float, **kw) -> "KernelSlice":
+        """Read a slice written by to_csv (columns by position)."""
         own = isinstance(path_or_buf, (str, bytes))
-        fh = open(path_or_buf, newline="") if own else path_or_buf
-        try:
-            rows = list(csv.DictReader(fh))
-        finally:
-            if own:
-                fh.close()
-        if not rows:
+        with open(path_or_buf) if own else contextlib.nullcontext(path_or_buf) as fh:
+            lines = fh.read().splitlines()[1:]
+        if not lines:
             raise DomainError("empty slice file")
-        t = float(rows[0]["t"])
-        source = np.array([float(rows[0]["x2"]), float(rows[0]["y2"])])
-        pts = np.array([[float(r["x1"]), float(r["y1"])] for r in rows])
-        vals = np.array([float(r["p"]) for r in rows])
-        return cls(t=t, source=source, points=pts, values=vals, c=c,
-                   convention=rows[0]["convention"], **kw)
+        table = np.loadtxt(lines, delimiter=",", usecols=range(6), ndmin=2)
+        return cls(t=float(table[0, 0]), source=table[0, 3:5], points=table[:, 1:3],
+                   values=table[:, 5], c=c, convention=lines[0].rsplit(",", 1)[1], **kw)
 
     def csv_text(self) -> str:
         buf = io.StringIO()
@@ -212,3 +195,20 @@ def exact_slice(model, t: float, z2, points, weights=None) -> KernelSlice:
         t=t, source=z2, points=points, values=np.atleast_1d(vals),
         c=model.c, weights=weights, method="exact",
     )
+
+
+def write_csv(path_or_buf, header: str, table, suffix: str = "") -> None:
+    """Write `header` and the rows of a 2-D float table, one CSV line each.
+
+    Numbers use `%.17g`, which round-trips doubles bit-exactly; `suffix`
+    is appended to every row (constant text columns).  A path is opened
+    and closed here; an open text buffer is written in place.
+    """
+    table = np.asarray(table, dtype=float)
+    fmt = ",".join(["%.17g"] * table.shape[1]) + suffix.replace("%", "%%") + "\n"
+    own = isinstance(path_or_buf, (str, bytes))
+    with open(path_or_buf, "w", newline="") if own else contextlib.nullcontext(path_or_buf) as fh:
+        fh.write(header + "\n")
+        for start in range(0, len(table), CSV_CHUNK_ROWS):
+            rows = table[start:start + CSV_CHUNK_ROWS].tolist()
+            fh.write("".join(fmt % tuple(row) for row in rows))

@@ -74,10 +74,6 @@ class GeneralOperatorSpec:
         object.__setattr__(self, "drift", _freeze(v))
 
     @property
-    def q_block(self) -> np.ndarray:
-        return self.a_matrix[: self.n, : self.n]
-
-    @property
     def q_vec(self) -> np.ndarray:
         return self.a_matrix[: self.n, self.n]
 
@@ -211,6 +207,12 @@ class ReductionResult:
         object.__setattr__(self, "tilde_a", _freeze(self.tilde_a))
         if self.shear is not None:
             object.__setattr__(self, "shear", _freeze(self.shear))
+
+    @property
+    def is_identity(self) -> bool:
+        """True when no variable and no time is changed: the map is exact."""
+        return (self.shear is None and self.time_scale == 1.0
+                and np.array_equal(self.x_change, np.eye(self.model.n)))
 
     @property
     def det_x_change(self) -> float:

@@ -25,8 +25,16 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from .errors import DomainError, ParameterError, StructuralError, SolveFailure, WrongOperatorError
-from .kernels import WEIGHTED_CONVENTION, KernelSlice
-from .operators import GeneralOperatorSpec, ModelOperatorSpec, validate_general
+from .kernels import A_ZERO_TOL, WEIGHTED_CONVENTION, KernelSlice, exact_slice, write_csv
+from .operators import (
+    GeneralOperatorSpec,
+    ModelOperatorSpec,
+    inverse_map_point,
+    map_kernel_value,
+    map_point,
+    reduce_to_model,
+    validate_general,
+)
 
 __all__ = [
     "GridSpec",
@@ -37,6 +45,7 @@ __all__ = [
     "evolve",
     "kernel_column",
     "kernel_columns",
+    "kernel_slices",
     "discrete_gradient",
     "slice_to_field",
 ]
@@ -160,16 +169,8 @@ class Field:
 
     def to_csv(self, path_or_buf) -> None:
         """Rows `x,y,value` at full double precision."""
-        own = isinstance(path_or_buf, (str, bytes))
-        fh = open(path_or_buf, "w", newline="") if own else path_or_buf
-        try:
-            fh.write("x,y,value\n")
-            pts = self.grid.points()
-            for (x, y), v in zip(pts, self.values.ravel()):
-                fh.write(f"{x:.17g},{y:.17g},{v:.17g}\n")
-        finally:
-            if own:
-                fh.close()
+        write_csv(path_or_buf, "x,y,value",
+                  np.column_stack([self.grid.points(), self.values.ravel()]))
 
 
 def _form_matrix(grid: GridSpec, bmat: np.ndarray) -> sparse.csr_matrix:
@@ -223,28 +224,20 @@ def _form_matrix(grid: GridSpec, bmat: np.ndarray) -> sparse.csr_matrix:
     # as (face D_y u) * (centered average of D_x v); the (u_x, v_y) pairing
     # is its exact transpose, so a symmetric B yields a symmetric matrix.
     if bmat[0, 1] != 0.0 or bmat[1, 0] != 0.0:
+        # the average of D_x v over the two cells of a face, one-sided at the
+        # x-walls: im..ip spans 2 cells inside and 1 at either wall
+        i = ii[:, None]
+        j = jj[None, :-1]
+        ip, im = np.minimum(i + 1, nx - 1), np.maximum(i - 1, 0)
+        face_w = hx * hy * yf[1:-1] ** c
+        denom = 2.0 * hx * (ip - im)
         xr, xc, xv = [], [], []
-        for i in range(nx):
-            j = jj[:-1]
-            face_w = hx * hy * yf[1:-1] ** c
-            u_pairs = ((k(i, j + 1), 1.0 / hy), (k(i, j), -1.0 / hy))
-            if 0 < i < nx - 1:
-                v_pts = [(k(i + 1, j), 1.0), (k(i - 1, j), -1.0),
-                         (k(i + 1, j + 1), 1.0), (k(i - 1, j + 1), -1.0)]
-                denom = 4.0 * hx
-            elif i == 0:
-                v_pts = [(k(1, j), 1.0), (k(0, j), -1.0),
-                         (k(1, j + 1), 1.0), (k(0, j + 1), -1.0)]
-                denom = 2.0 * hx
-            else:
-                v_pts = [(k(i, j), 1.0), (k(i - 1, j), -1.0),
-                         (k(i, j + 1), 1.0), (k(i - 1, j + 1), -1.0)]
-                denom = 2.0 * hx
-            for vk, sv in v_pts:
-                for uk, su in u_pairs:
-                    xr.append(np.asarray(vk).ravel())
-                    xc.append(np.asarray(uk).ravel())
-                    xv.append(np.asarray(face_w * sv * su / denom).ravel())
+        for vk, sv in ((k(ip, j), 1.0), (k(im, j), -1.0),
+                       (k(ip, j + 1), 1.0), (k(im, j + 1), -1.0)):
+            for uk, su in ((k(i, j + 1), 1.0 / hy), (k(i, j), -1.0 / hy)):
+                xr.append(vk.ravel())
+                xc.append(uk.ravel())
+                xv.append((face_w * sv * su / denom).ravel())
         xr = np.concatenate(xr)
         xc = np.concatenate(xc)
         xv = np.concatenate(xv)
@@ -348,8 +341,10 @@ def _solve_checked(lu, a_mat, rhs):
     out = lu.solve(rhs)
     num = np.linalg.norm(a_mat @ out - rhs, np.inf)
     den = np.linalg.norm(rhs, np.inf)
-    if den > 0.0 and num > SOLVE_RTOL * den:
-        raise SolveFailure(f"linear step residual {num / den:.3e} exceeds {SOLVE_RTOL:.0e}")
+    # NaN or inf in the data or the solution leaves a non-finite residual
+    if not np.isfinite(num) or (den > 0.0 and num > SOLVE_RTOL * den):
+        raise SolveFailure(f"linear step residual {num:.3e} exceeds "
+                           f"{SOLVE_RTOL:.0e} x |rhs| = {den:.3e}")
     return out
 
 
@@ -365,7 +360,8 @@ def evolve(op: DiscreteOperator, f: Field, t: float, steps: int | None = None,
 
     Runs uniform steps per segment between checkpoints (all of one size
     within a segment, which keeps the step propagator identical across
-    a run and the adjoint relation exact).  The first `rannacher` CN
+    a run and the adjoint relation exact); segments with the same step
+    size share one factorization.  The first `rannacher` CN
     steps are replaced by pairs of backward-Euler half-steps to damp the
     non-smooth modes of rough data; both schemes conserve the discrete
     mass identically because constants annihilate S on the test side.
@@ -386,6 +382,7 @@ def evolve(op: DiscreteOperator, f: Field, t: float, steps: int | None = None,
     u = f.values.ravel().copy()
     outputs = []
     t_prev = 0.0
+    ht_lu = None
     remaining_rannacher = max(rannacher, 0)
     for t_next in times:
         seg = t_next - t_prev
@@ -393,9 +390,13 @@ def evolve(op: DiscreteOperator, f: Field, t: float, steps: int | None = None,
             raise StructuralError("checkpoints must be strictly increasing")
         n = steps if (steps and len(times) == 1) else _segment_steps(op.grid, seg)
         ht = seg / n
-        a_cn = (wmat + (0.5 * ht) * op.form).tocsc()
-        lu = splu(a_cn)
-        a_csr = a_cn.tocsr()
+        if ht != ht_lu:
+            # one factorization per step size; release the old one first
+            lu = a_csr = None
+            a_cn = (wmat + (0.5 * ht) * op.form).tocsc()
+            lu = splu(a_cn)
+            a_csr = a_cn.tocsr()
+            ht_lu = ht
         for _ in range(n):
             if remaining_rannacher > 0:
                 # two backward-Euler half steps share the CN matrix
@@ -445,6 +446,56 @@ def kernel_column(op: DiscreteOperator, t: float, z2, strict: bool = False,
                   rannacher: int = 2) -> KernelSlice:
     """Single-time kernel column; see kernel_columns."""
     return kernel_columns(op, [t], z2, strict=strict, rannacher=rannacher)[0]
+
+
+def kernel_slices(spec: GeneralOperatorSpec, ts, sources, rx: float, ry: float,
+                  nx: int, ny: int, numeric: bool = False) -> list[KernelSlice]:
+    """Kernel slices p(t, ., z2) of a general operator, t-major over ts x sources.
+
+    One reduction and one model grid on [-rx, rx] x (0, ry] serve every
+    slice, which samples the model cell centres mapped back once.  The
+    closed form is used when |a| <= A_ZERO_TOL unless `numeric`; otherwise
+    one assembly, and one evolution per source through all model times
+    time_scale * t.  Values are mapped back by map_kernel_value, which is
+    exact for the identity reduction.  A slice's `source` is the point its
+    column came from (for the solver, the snapped cell, mapped back); meta
+    holds the method, the requested source, the snap offset in model
+    cells and, for solver columns, the mass defect.
+    """
+    red = reduce_to_model(spec)
+    model = red.model
+    if model.n != 1:
+        raise StructuralError("kernel slices are defined for N = 1")
+    grid = GridSpec(rx=rx, ry=ry, nx=nx, ny=ny, c=model.c)
+    cells = grid.points()
+    points = inverse_map_point(red, cells)
+    exact = model.a_norm <= A_ZERO_TOL and not numeric
+    method = ("exact" if exact else "solver") + ("" if red.is_identity else "-reduced")
+    model_ts = sorted({red.time_scale * float(t) for t in ts})
+    op = None if exact else assemble(model, grid)
+    columns = []
+    for z2 in sources:
+        z2m = map_point(red, z2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the snap is recorded in meta
+            cols = ([exact_slice(model, mt, z2m, cells) for mt in model_ts]
+                    if exact else kernel_columns(op, model_ts, z2m))
+        columns.append((z2, z2m, dict(zip(model_ts, cols))))
+    out = []
+    for t in ts:
+        for z2, z2m, cols in columns:
+            col = cols[red.time_scale * float(t)]
+            used = inverse_map_point(red, col.source)
+            snap = np.hypot(*((col.source - z2m) / (grid.hx, grid.hy)))
+            meta = {"method": method, "source": [float(v) for v in z2],
+                    "source_used": used.tolist(), "snap_offset_cells": float(snap),
+                    "grid_cells": [nx, ny]}
+            if col.weights is not None:
+                meta["mass_defect"] = abs(col.mass() - 1.0)
+            out.append(KernelSlice(t=float(t), source=used, points=points, c=model.c,
+                                   values=map_kernel_value(red, t, points, used, col.values),
+                                   method=method, meta=meta))
+    return out
 
 
 def slice_to_field(slc: KernelSlice) -> Field:

@@ -20,11 +20,10 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize as _optimize
 
 from .errors import DomainError, FitUnderdeterminedError, ParameterError, StructuralError
 from .geometry import EnvelopeParams, ball_volume, envelope_eval
-from .kernels import KernelSlice, exact_slice, product_kernel
+from .kernels import KernelSlice, exact_slice, product_kernel, write_csv
 from .operators import ModelOperatorSpec
 from .quadrature import halfspace_nodes
 from .solver import DiscreteOperator, discrete_gradient, kernel_column, kernel_columns
@@ -127,18 +126,9 @@ class FitReport:
         """Per-sample ratio map `t,x1,y1,x2,y2,ratio_up,ratio_low` for plotting."""
         if self.sample_t is None or self.n != 1:
             raise StructuralError("report carries no N = 1 sample coordinates")
-        own = isinstance(path_or_buf, (str, bytes))
-        fh = open(path_or_buf, "w", newline="") if own else path_or_buf
-        try:
-            fh.write("t,x1,y1,x2,y2,ratio_up,ratio_low\n")
-            for t, z1, z2, ru, rl in zip(self.sample_t, self.sample_z1,
-                                         self.sample_z2, self.ratios_up,
-                                         self.ratios_low):
-                fh.write(f"{t:.17g},{z1[0]:.17g},{z1[1]:.17g},"
-                         f"{z2[0]:.17g},{z2[1]:.17g},{ru:.17g},{rl:.17g}\n")
-        finally:
-            if own:
-                fh.close()
+        table = np.column_stack([self.sample_t, self.sample_z1, self.sample_z2,
+                                 self.ratios_up, self.ratios_low])
+        write_csv(path_or_buf, "t,x1,y1,x2,y2,ratio_up,ratio_low", table)
 
 
 def _gather_samples(slices):
@@ -410,11 +400,10 @@ def gaussian_normalizer(alpha: float, c: float, n: int) -> float:
 def normalizing_alpha(c: float, n: int) -> float:
     """The alpha making the weighted Gaussian a probability measure.
 
-    Found by monotone root-finding on the closed form (the normalizer
-    is strictly decreasing in alpha).
+    The normalizer is K alpha^{-(N+1+c)/2} with K its value at alpha = 1,
+    so alpha = K^{2/(N+1+c)} = (pi^{N/2} Gamma((c+1)/2) / 2)^{2/(N+1+c)}.
     """
-    fn = lambda a: gaussian_normalizer(a, c, n) - 1.0
-    return float(_optimize.brentq(fn, 1e-8, 1e8, rtol=1e-14))
+    return gaussian_normalizer(1.0, c, n) ** (2.0 / (n + 1 + c))
 
 
 @dataclass

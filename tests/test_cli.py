@@ -2,8 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from halfheat import solver
 from halfheat.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG_ERROR,
@@ -13,6 +15,13 @@ from halfheat.cli import (
     parse_config,
 )
 from halfheat.errors import StructuralError
+from halfheat.operators import (
+    general_kernel_exact,
+    inverse_map_point,
+    map_point,
+    reduce_to_model,
+)
+from halfheat.solver import GridSpec
 
 IDENTITY_CFG = """\
 # identity operator
@@ -68,6 +77,18 @@ class TestConfigGrammar:
         spec = operator_from_config(cfg)
         assert spec.n == 1
         assert spec.gamma == 1.0
+
+    def test_repeated_key(self, tmp_path):
+        path = write(tmp_path, "op.cfg", IDENTITY_CFG + "v.c = 1\n")
+        with pytest.raises(StructuralError, match="repeated key 'v.c'"):
+            parse_config(path)
+        assert main(["kernel", path, "--out", str(tmp_path / "out")]) == EXIT_CONFIG_ERROR
+
+    def test_unknown_key(self, tmp_path, capsys):
+        path = write(tmp_path, "op.cfg", IDENTITY_CFG + "grid.NX = 64\n")
+        assert main(["validate", path]) == EXIT_CONFIG_ERROR
+        assert main(["kernel", path, "--out", str(tmp_path / "out")]) == EXIT_CONFIG_ERROR
+        assert "grid.NX" in capsys.readouterr().out
 
     def test_malformed_matrix_row(self, tmp_path):
         cfg = parse_config(write(tmp_path, "op.cfg", "N = 1\nA.row.1 = 1, zebra\nA.row.2 = 0, 1\n"))
@@ -138,6 +159,34 @@ class TestKernelCommand:
         z2 = np.array([float(row[3]), float(row[4])])
         assert float(row[5]) == product_kernel(m, float(row[0]), z1, z2)
 
+    def test_exact_and_numeric_share_sample_points(self, tmp_path):
+        path = write(tmp_path, "op.cfg", IDENTITY_CFG)
+        columns = []
+        for extra in ([], ["--force-numeric"]):
+            out_dir = tmp_path / ("numeric" if extra else "exact")
+            assert main(["kernel", path, "--out", str(out_dir), *extra]) == EXIT_PASS
+            index = json.loads((out_dir / "kernel_index.json").read_text())
+            lines = open(index["outputs"][0]["file"]).read().splitlines()[1:]
+            columns.append([line.split(",")[1:3] for line in lines])
+        assert len(columns[0]) == 32 * 32
+        assert columns[0] == columns[1]
+
+    def test_one_assembly_and_one_evolution_per_source(self, tmp_path, monkeypatch):
+        cfg = MIXED_CFG.replace("t.list = 0.25", "t.list = 0.25, 0.5").replace(
+            "sources = 0,1", "sources = 0,1 ; 0.5,1.5")
+        path = write(tmp_path, "op.cfg", cfg)
+        calls = {"assemble": 0, "kernel_columns": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(solver, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(solver, name, counted)
+        out_dir = tmp_path / "out"
+        assert main(["kernel", path, "--out", str(out_dir)]) == EXIT_PASS
+        index = json.loads((out_dir / "kernel_index.json").read_text())
+        assert len(index["outputs"]) == 4
+        assert calls == {"assemble": 1, "kernel_columns": 2}
+
 
 class TestVerifyCommand:
     def test_smoke_passes(self, tmp_path, capsys):
@@ -186,10 +235,48 @@ class TestGeneralOperatorRoute:
         assert entry["method"] == "solver-reduced"
         assert entry["mass_defect"] < 1e-10
         assert index["reduction"]["a"][0] != 0.0
-        # the CSV source column is the requested general-coordinates point
+        # the CSV source column is the snapped model cell centre, mapped back;
+        # the index keeps the requested general-coordinates point
+        red = reduce_to_model(operator_from_config(parse_config(path)))
+        grid = GridSpec(rx=4.0, ry=4.0, nx=32, ny=32, c=red.model.c)
+        with pytest.warns(UserWarning, match="snapped"):
+            i, j = grid.locate(map_point(red, [0.2, 1.0]))
+        snapped = inverse_map_point(red, [grid.x_centers[i], grid.y_centers[j]])
         csv_lines = open(entry["file"]).readlines()
         x2, y2 = csv_lines[1].split(",")[3:5]
-        assert float(x2) == 0.2 and float(y2) == 1.0
+        assert [float(x2), float(y2)] == snapped.tolist()
+        assert entry["source"] == [0.2, 1.0]
+
+
+DIVERGENCE_CFG = """\
+N = 1
+A.row.1 = 2, 0.7
+A.row.2 = 0.7, 1.2
+v.d = 0.35
+v.c = 0.6
+grid.nx = 32
+grid.ny = 32
+grid.Rx = 4
+grid.Ry = 4
+t.list = 0.25, 0.5
+sources = 0.1,1.0
+"""
+
+
+def test_divergence_form_takes_the_closed_form(tmp_path):
+    # d = (c/gamma) q reduces to a = 0 up to round-off
+    path = write(tmp_path, "div.cfg", DIVERGENCE_CFG)
+    out_dir = tmp_path / "out"
+    assert main(["kernel", path, "--out", str(out_dir)]) == EXIT_PASS
+    index = json.loads((out_dir / "kernel_index.json").read_text())
+    red = reduce_to_model(operator_from_config(parse_config(path)))
+    assert abs(red.model.a[0]) <= 1e-13
+    for entry in index["outputs"]:
+        assert entry["method"] == "exact-reduced"
+        assert entry["snap_offset_cells"] == 0.0
+        rows = np.loadtxt(entry["file"], delimiter=",", skiprows=1, usecols=range(6))
+        want = general_kernel_exact(red, rows[0, 0], rows[:, 1:3], rows[0, 3:5])
+        assert np.max(np.abs(rows[:, 5] - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_desk_sweep_passes(tmp_path):

@@ -5,7 +5,14 @@ import warnings
 import numpy as np
 import pytest
 
-from halfheat.errors import DomainError, ParameterError, StructuralError, WrongOperatorError
+from halfheat import solver
+from halfheat.errors import (
+    DomainError,
+    ParameterError,
+    SolveFailure,
+    StructuralError,
+    WrongOperatorError,
+)
 from halfheat.kernels import exact_slice, product_kernel
 from halfheat.operators import GeneralOperatorSpec, ModelOperatorSpec
 from halfheat.solver import (
@@ -154,6 +161,31 @@ class TestEvolve:
         solo = evolve(op, f, 0.5)
         assert a.values == pytest.approx(solo.values, rel=1e-10, abs=1e-14)
         assert b.values.shape == solo.values.shape
+
+    def test_nan_data_fails_the_step_check(self):
+        _, grid, op = make(0.5, 1.0, n=16, r=2.0)
+        f = Field.constant(grid)
+        f.values[3, 4] = np.nan
+        with pytest.raises(SolveFailure):
+            evolve(op, f, 0.1)
+
+    def test_one_factorization_per_step_size(self, monkeypatch):
+        # hx = hy = 1/16, so every checkpoint segment gets ht = h^2 = 2^-8
+        grid = GridSpec(rx=1.0, ry=1.0, nx=32, ny=16, c=0.5)
+        op = assemble(ModelOperatorSpec(n=1, a=np.array([0.3]), c=0.5), grid)
+        calls = []
+        real_splu = solver.splu
+
+        def counting_splu(mat, *args, **kwargs):
+            calls.append(mat.shape)
+            return real_splu(mat, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "splu", counting_splu)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            cols = kernel_columns(op, (0.25, 0.5, 1.0), np.array([0.0, 0.5]))
+        assert len(cols) == 3
+        assert len(calls) == 1
 
     def test_time_errors(self):
         _, grid, op = make()
