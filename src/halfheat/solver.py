@@ -9,15 +9,16 @@ operator exactly at the discrete level.
 
 The assembled object is the pair (S, w): a sparse form matrix with
 S[v, u] ~ a(u, v) and the vector of weighted cell masses, giving the
-semi-discrete evolution w du/dt = -S u.  Constants are annihilated by
-S on both sides (every entry of S comes from a difference), so constant
-states are exactly stationary and total mass Sum(w u) is conserved to
-solver round-off by each Crank-Nicolson step.
+semi-discrete evolution w du/dt = -S u.  S is a sum of Kronecker
+products of 1-D difference, averaging and weight operators in x and
+in y (see _form_matrix).  Constants are annihilated by S on both sides
+(every entry of S comes from a difference), so constant states are
+exactly stationary and total mass Sum(w u) is conserved to solver
+round-off by each Crank-Nicolson step.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -52,6 +53,9 @@ __all__ = [
 
 #: relative residual above which a linear solve is declared failed
 SOLVE_RTOL = 1e-9
+
+#: leading CN steps replaced by pairs of backward-Euler half-steps
+RANNACHER_STEPS = 2
 
 
 @dataclass(frozen=True)
@@ -115,19 +119,20 @@ class GridSpec:
         return replace(self, rx=s * self.rx, ry=s * self.ry)
 
     def locate(self, z, strict: bool = False):
-        """Cell indices (i, j) of the cell containing z, with snapping."""
+        """Cell indices (i, j) of the cell containing z.
+
+        A point off a cell centre snaps to the centre of its cell; callers
+        record the snapped point.  With `strict` it raises DomainError.
+        """
         x, y = float(z[0]), float(z[1])
         if not (0.0 < y <= self.ry) or not (-self.rx <= x <= self.rx):
             raise DomainError(f"point {z} outside the grid domain")
         i = min(max(int((x + self.rx) / self.hx), 0), self.nx - 1)
         j = min(max(int(y / self.hy), 0), self.ny - 1)
-        snapped = np.array([self.x_centers[i], self.y_centers[j]])
-        off = np.hypot(*(snapped - np.array([x, y])))
-        if off > 1e-12 * max(self.hx, self.hy):
-            msg = f"source {z} snapped to cell center {snapped}"
-            if strict:
-                raise DomainError(msg)
-            warnings.warn(msg, stacklevel=2)
+        if strict:
+            snapped = np.array([self.x_centers[i], self.y_centers[j]])
+            if np.hypot(*(snapped - np.array([x, y]))) > 1e-12 * max(self.hx, self.hy):
+                raise DomainError(f"source {z} is off the cell center {snapped}")
         return i, j
 
 
@@ -173,83 +178,49 @@ class Field:
                   np.column_stack([self.grid.points(), self.values.ravel()]))
 
 
+def _face_difference(n: int) -> sparse.csr_matrix:
+    """(n-1) x n differences across the interior faces of a row of n cells."""
+    ones = np.ones(n - 1)
+    return sparse.diags([-ones, ones], [0, 1], shape=(n - 1, n), format="csr")
+
+
 def _form_matrix(grid: GridSpec, bmat: np.ndarray) -> sparse.csr_matrix:
     """Assemble the discrete form for a(u,v) = int <B grad u, grad v> y^c.
 
     B is the 2x2 constant coefficient matrix in the (x, y) gradient
     pairing: B[0,0] u_x v_x + B[0,1] u_y v_x + B[1,0] u_x v_y +
-    B[1,1] u_y v_y.  Diagonal terms live on faces, cross terms pair a
-    face gradient with the centered average of transverse face
-    gradients; every entry is a product of differences, so constants
-    are in the kernel of both the matrix and its transpose.
+    B[1,1] u_y v_y.  With x as the major index (k = i*ny + j) the form is
+
+        (B00/hx) Dx'Dx (x) Z  +  B11 (hx/hy) I (x) Dy' Y Dy  +  B01 C + B10 C',
+        C = Gx' (x) Ay' (hx Y) Dy,
+
+    with Dx, Dy the face differences, Z = diag(cell y-masses), Y = diag(y^c)
+    on the interior y-faces, Ay the two-cell face average in y and Gx the
+    centred cell gradient in x (one-sided at the walls).  Every term carries
+    a difference on each side, so constants are in the kernel of both the
+    matrix and its transpose.
     """
-    nx, ny, hx, hy, c = grid.nx, grid.ny, grid.hx, grid.hy, grid.c
-    zeta = grid.cell_y_masses()            # (ny,)
-    yf = grid.y_faces                      # (ny+1,)
-
-    def k(i, j):
-        return i * ny + j
-
-    rows, cols, vals = [], [], []
-
-    def add(r, cl, v):
-        rows.append(np.asarray(r).ravel())
-        cols.append(np.asarray(cl).ravel())
-        vals.append(np.asarray(v).ravel())
-
-    ii = np.arange(nx)
-    jj = np.arange(ny)
-
-    # x-face Dirichlet term: B00 * sum_faces (Du)(Dv) zeta_j / hx
+    nx, ny, hx, hy = grid.nx, grid.ny, grid.hx, grid.hy
+    dx, dy = _face_difference(nx), _face_difference(ny)
+    yc = sparse.diags(grid.y_faces[1:-1] ** grid.c)
+    mat = sparse.csr_matrix((nx * ny, nx * ny))
     if bmat[0, 0] != 0.0:
-        i = ii[:-1][:, None]
-        j = jj[None, :]
-        g = np.broadcast_to(bmat[0, 0] * zeta[None, :] / hx, (nx - 1, ny))
-        k1 = np.broadcast_to(k(i, j), g.shape)
-        k2 = np.broadcast_to(k(i + 1, j), g.shape)
-        for (r, cl, sgn) in ((k1, k1, 1.0), (k2, k2, 1.0), (k1, k2, -1.0), (k2, k1, -1.0)):
-            add(r, cl, sgn * g)
-
-    # y-face Dirichlet term: B11 * sum_faces (Du)(Dv) hx * Y^c / hy
+        zeta = sparse.diags(grid.cell_y_masses())
+        mat = mat + (bmat[0, 0] / hx) * sparse.kron(dx.T @ dx, zeta)
     if bmat[1, 1] != 0.0:
-        i = ii[:, None]
-        j = jj[:-1][None, :]
-        g = np.broadcast_to(bmat[1, 1] * hx * yf[1:-1] ** c / hy, (nx, ny - 1))
-        k1 = np.broadcast_to(k(i, j), g.shape)
-        k2 = np.broadcast_to(k(i, j + 1), g.shape)
-        for (r, cl, sgn) in ((k1, k1, 1.0), (k2, k2, 1.0), (k1, k2, -1.0), (k2, k1, -1.0)):
-            add(r, cl, sgn * g)
-
-    # cross terms: the (u_y, v_x) pairing is discretized on interior y-faces
-    # as (face D_y u) * (centered average of D_x v); the (u_x, v_y) pairing
-    # is its exact transpose, so a symmetric B yields a symmetric matrix.
+        mat = mat + (bmat[1, 1] * hx / hy) * sparse.kron(sparse.identity(nx), dy.T @ yc @ dy)
+    # the (u_y, v_x) pairing sits on interior y-faces as (face D_y u) times
+    # the face average of the cell gradient of v; (u_x, v_y) is its transpose,
+    # so a symmetric B yields a symmetric matrix
     if bmat[0, 1] != 0.0 or bmat[1, 0] != 0.0:
-        # the average of D_x v over the two cells of a face, one-sided at the
-        # x-walls: im..ip spans 2 cells inside and 1 at either wall
-        i = ii[:, None]
-        j = jj[None, :-1]
-        ip, im = np.minimum(i + 1, nx - 1), np.maximum(i - 1, 0)
-        face_w = hx * hy * yf[1:-1] ** c
-        denom = 2.0 * hx * (ip - im)
-        xr, xc, xv = [], [], []
-        for vk, sv in ((k(ip, j), 1.0), (k(im, j), -1.0),
-                       (k(ip, j + 1), 1.0), (k(im, j + 1), -1.0)):
-            for uk, su in ((k(i, j + 1), 1.0 / hy), (k(i, j), -1.0 / hy)):
-                xr.append(vk.ravel())
-                xc.append(uk.ravel())
-                xv.append((face_w * sv * su / denom).ravel())
-        xr = np.concatenate(xr)
-        xc = np.concatenate(xc)
-        xv = np.concatenate(xv)
+        # cell gradient: the mean of the cell's one or two face differences
+        near = abs(dx).T
+        gx = sparse.diags(1.0 / (hx * np.asarray(near.sum(axis=1)).ravel())) @ near @ dx
+        cross = sparse.kron(gx.T, (0.5 * abs(dy)).T @ (hx * yc) @ dy)
         if bmat[0, 1] != 0.0:
-            add(xr, xc, bmat[0, 1] * xv)
+            mat = mat + bmat[0, 1] * cross
         if bmat[1, 0] != 0.0:
-            add(xc, xr, bmat[1, 0] * xv)
-
-    mat = sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(nx * ny, nx * ny),
-    ).tocsr()
+            mat = mat + bmat[1, 0] * cross.T
     # every face adds +g/-g to each touched row, so row sums vanish in exact
     # arithmetic; fold the summation round-off into the diagonal so constants
     # are annihilated exactly (and the transposed operator conserves exactly)
@@ -354,14 +325,13 @@ def _segment_steps(grid: GridSpec, duration: float) -> int:
     return max(int(np.ceil(duration / target)), 1)
 
 
-def evolve(op: DiscreteOperator, f: Field, t: float, steps: int | None = None,
-           checkpoints=None, rannacher: int = 2):
+def evolve(op: DiscreteOperator, f: Field, t: float, checkpoints=None):
     """Crank-Nicolson evolution of a field under the discrete semigroup.
 
     Runs uniform steps per segment between checkpoints (all of one size
     within a segment, which keeps the step propagator identical across
     a run and the adjoint relation exact); segments with the same step
-    size share one factorization.  The first `rannacher` CN
+    size share one factorization.  The first RANNACHER_STEPS CN
     steps are replaced by pairs of backward-Euler half-steps to damp the
     non-smooth modes of rough data; both schemes conserve the discrete
     mass identically because constants annihilate S on the test side.
@@ -383,12 +353,12 @@ def evolve(op: DiscreteOperator, f: Field, t: float, steps: int | None = None,
     outputs = []
     t_prev = 0.0
     ht_lu = None
-    remaining_rannacher = max(rannacher, 0)
+    remaining_rannacher = RANNACHER_STEPS
     for t_next in times:
         seg = t_next - t_prev
         if seg <= 0.0:
             raise StructuralError("checkpoints must be strictly increasing")
-        n = steps if (steps and len(times) == 1) else _segment_steps(op.grid, seg)
+        n = _segment_steps(op.grid, seg)
         ht = seg / n
         if ht != ht_lu:
             # one factorization per step size; release the old one first
@@ -411,8 +381,7 @@ def evolve(op: DiscreteOperator, f: Field, t: float, steps: int | None = None,
     return outputs if checkpoints else outputs[0]
 
 
-def kernel_columns(op: DiscreteOperator, ts, z2, strict: bool = False,
-                   rannacher: int = 2) -> list[KernelSlice]:
+def kernel_columns(op: DiscreteOperator, ts, z2, strict: bool = False) -> list[KernelSlice]:
     """Kernel slices p(t, ., z2) for several times from one evolution.
 
     The initial state is the discrete delta 1/w at the source cell, so
@@ -427,7 +396,7 @@ def kernel_columns(op: DiscreteOperator, ts, z2, strict: bool = False,
     w = grid.masses()
     init = np.zeros((grid.nx, grid.ny))
     init[i, j] = 1.0 / w[i, j]
-    fields = evolve(op, Field(grid, init), ts[-1], checkpoints=ts, rannacher=rannacher)
+    fields = evolve(op, Field(grid, init), ts[-1], checkpoints=ts)
     slices = []
     for t, fld in zip(ts, fields):
         slices.append(
@@ -442,10 +411,9 @@ def kernel_columns(op: DiscreteOperator, ts, z2, strict: bool = False,
     return slices
 
 
-def kernel_column(op: DiscreteOperator, t: float, z2, strict: bool = False,
-                  rannacher: int = 2) -> KernelSlice:
+def kernel_column(op: DiscreteOperator, t: float, z2, strict: bool = False) -> KernelSlice:
     """Single-time kernel column; see kernel_columns."""
-    return kernel_columns(op, [t], z2, strict=strict, rannacher=rannacher)[0]
+    return kernel_columns(op, [t], z2, strict=strict)[0]
 
 
 def kernel_slices(spec: GeneralOperatorSpec, ts, sources, rx: float, ry: float,
@@ -460,7 +428,8 @@ def kernel_slices(spec: GeneralOperatorSpec, ts, sources, rx: float, ry: float,
     exact for the identity reduction.  A slice's `source` is the point its
     column came from (for the solver, the snapped cell, mapped back); meta
     holds the method, the requested source, the snap offset in model
-    cells and, for solver columns, the mass defect.
+    cells and, for solver columns, the mass defect.  A source whose model
+    image lies outside the model grid raises DomainError on either route.
     """
     red = reduce_to_model(spec)
     model = red.model
@@ -469,17 +438,17 @@ def kernel_slices(spec: GeneralOperatorSpec, ts, sources, rx: float, ry: float,
     grid = GridSpec(rx=rx, ry=ry, nx=nx, ny=ny, c=model.c)
     cells = grid.points()
     points = inverse_map_point(red, cells)
+    mapped = [map_point(red, z2) for z2 in sources]
+    for z2m in mapped:
+        grid.locate(z2m)  # either route rejects a source outside the model grid
     exact = model.a_norm <= A_ZERO_TOL and not numeric
     method = ("exact" if exact else "solver") + ("" if red.is_identity else "-reduced")
     model_ts = sorted({red.time_scale * float(t) for t in ts})
     op = None if exact else assemble(model, grid)
     columns = []
-    for z2 in sources:
-        z2m = map_point(red, z2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # the snap is recorded in meta
-            cols = ([exact_slice(model, mt, z2m, cells) for mt in model_ts]
-                    if exact else kernel_columns(op, model_ts, z2m))
+    for z2, z2m in zip(sources, mapped):
+        cols = ([exact_slice(model, mt, z2m, cells) for mt in model_ts]
+                if exact else kernel_columns(op, model_ts, z2m))
         columns.append((z2, z2m, dict(zip(model_ts, cols))))
     out = []
     for t in ts:

@@ -16,7 +16,6 @@ frozen constants on enlarged probe sets is what can break them.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +25,7 @@ from .geometry import EnvelopeParams, ball_volume, envelope_eval
 from .kernels import KernelSlice, exact_slice, product_kernel, write_csv
 from .operators import ModelOperatorSpec
 from .quadrature import halfspace_nodes
-from .solver import DiscreteOperator, discrete_gradient, kernel_column, kernel_columns
+from .solver import DiscreteOperator, assemble, discrete_gradient, kernel_column, kernel_columns
 from .special import log_gamma
 
 __all__ = [
@@ -36,7 +35,6 @@ __all__ = [
     "fit_envelope_constants",
     "envelope_verdict",
     "check_conservation",
-    "check_identities",
     "check_identities_exact",
     "check_identities_solver",
     "gaussian_normalizer",
@@ -299,8 +297,6 @@ def check_identities_solver(op: DiscreteOperator, t: float, s: float,
     operator's column at z1; Chapman-Kolmogorov composes a forward and
     an adjoint column through the discrete weighted sum.
     """
-    from .solver import assemble  # local import to avoid cycle at module load
-
     if op.label != "model" or op.is_adjoint:
         raise StructuralError("identity checks re-assemble and need a forward model operator")
     grid = op.grid
@@ -312,38 +308,36 @@ def check_identities_solver(op: DiscreteOperator, t: float, s: float,
     z1 = np.array([grid.x_centers[z1_index[0]], grid.y_centers[z1_index[1]]])
     z2 = np.array([grid.x_centers[z2_index[0]], grid.y_centers[z2_index[1]]])
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        col_t = kernel_column(op, t, z2)
-        col_s = kernel_column(op, s, z2)
-        col_ts = kernel_column(op, t + s, z2)
-        adj_t = kernel_column(op.adjoint(), t, z1)
+    col_t = kernel_column(op, t, z2)
+    col_s = kernel_column(op, s, z2)
+    col_ts = kernel_column(op, t + s, z2)
+    adj_t = kernel_column(op.adjoint(), t, z1)
 
-        # (a) scaling against the solve on the scaled grid
-        lam = scale
-        model = ModelOperatorSpec(n=1, a=np.array([op.meta.get("a", 0.0)]), c=grid.c)
-        op_sc = assemble(model, grid.scaled(lam))
-        col_sc = kernel_column(op_sc, lam * lam * t, lam * z2)
-        mapped = lam ** (-(2.0 + grid.c)) * col_t.values
-        scaling = float(np.max(np.abs(col_sc.values - mapped)) / np.max(np.abs(mapped)))
+    # (a) scaling against the solve on the scaled grid
+    lam = scale
+    model = ModelOperatorSpec(n=1, a=np.array([op.meta.get("a", 0.0)]), c=grid.c)
+    op_sc = assemble(model, grid.scaled(lam))
+    col_sc = kernel_column(op_sc, lam * lam * t, lam * z2)
+    mapped = lam ** (-(2.0 + grid.c)) * col_t.values
+    scaling = float(np.max(np.abs(col_sc.values - mapped)) / np.max(np.abs(mapped)))
 
-        # (b) x-translation by whole cells; the comparison trims a diffusion
-        # margin at the x-walls where the truncated domain breaks invariance
-        if x0_cells == 0:
-            translation = float(
-                np.max(np.abs(kernel_column(op, t, z2).values - col_t.values))
-            )
-        else:
-            z2_shift = z2 + np.array([x0_cells * grid.hx, 0.0])
-            col_sh = kernel_column(op, t, z2_shift)
-            a = col_t.values.reshape(grid.nx, ny)
-            b = col_sh.values.reshape(grid.nx, ny)
-            margin = abs(x0_cells) + int(np.ceil(4.0 * np.sqrt(t) / grid.hx))
-            lo, hi = margin, grid.nx - margin - abs(x0_cells)
-            if hi <= lo:
-                raise StructuralError("grid too small for the translation check")
-            diff = b[lo + x0_cells: hi + x0_cells, :] - a[lo:hi, :]
-            translation = float(np.max(np.abs(diff)) / np.max(np.abs(a)))
+    # (b) x-translation by whole cells; the comparison trims a diffusion
+    # margin at the x-walls where the truncated domain breaks invariance
+    if x0_cells == 0:
+        translation = float(
+            np.max(np.abs(kernel_column(op, t, z2).values - col_t.values))
+        )
+    else:
+        z2_shift = z2 + np.array([x0_cells * grid.hx, 0.0])
+        col_sh = kernel_column(op, t, z2_shift)
+        a = col_t.values.reshape(grid.nx, ny)
+        b = col_sh.values.reshape(grid.nx, ny)
+        margin = abs(x0_cells) + int(np.ceil(4.0 * np.sqrt(t) / grid.hx))
+        lo, hi = margin, grid.nx - margin - abs(x0_cells)
+        if hi <= lo:
+            raise StructuralError("grid too small for the translation check")
+        diff = b[lo + x0_cells: hi + x0_cells, :] - a[lo:hi, :]
+        translation = float(np.max(np.abs(diff)) / np.max(np.abs(a)))
 
     # (c) adjoint duality at the discrete level
     v_fwd = col_t.values[flat(z1_index)]
@@ -359,15 +353,6 @@ def check_identities_solver(op: DiscreteOperator, t: float, s: float,
 
     return {"scaling": scaling, "translation": translation,
             "adjoint": float(adjoint), "chapman_kolmogorov": float(chapman)}
-
-
-def check_identities(source, **kw) -> dict:
-    """Dispatch to the exact or solver identity checks."""
-    if isinstance(source, ModelOperatorSpec):
-        return check_identities_exact(source, **kw)
-    if isinstance(source, DiscreteOperator):
-        return check_identities_solver(source, **kw)
-    raise StructuralError(f"cannot check identities for {type(source)!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -454,9 +439,7 @@ def compute_G(source, z2, theta: float, alpha: float, t_grid) -> GTrace:
     """Build the slices (solver column snapshots or quadrature grids) and trace G."""
     t_grid = sorted(float(t) for t in np.atleast_1d(t_grid))
     if isinstance(source, DiscreteOperator):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            slices = kernel_columns(source, t_grid, z2)
+        slices = kernel_columns(source, t_grid, z2)
     elif isinstance(source, ModelOperatorSpec):
         slices = [exact_quadrature_slice(source, t, z2) for t in t_grid]
     else:

@@ -6,8 +6,6 @@ envelope, gradient, floor, and G-function criteria all read from the
 same columns.
 """
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -29,9 +27,7 @@ def solver_slices():
         grid = GridSpec(c=c, **SOLVER_GRID)
         op = assemble(ModelOperatorSpec(n=1, a=np.array([SOLVER_A]), c=c), grid)
         for y2 in SOURCE_YS:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                cols = kernel_columns(op, CHECKPOINTS, np.array([0.0, y2]))
+            cols = kernel_columns(op, CHECKPOINTS, np.array([0.0, y2]))
             for slc in cols:
                 out[(c, float(y2), float(slc.t))] = slc
     return out

@@ -6,7 +6,6 @@ Desk scale throughout: N = 1, grids <= 512 x 512.
 """
 
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -44,8 +43,6 @@ from halfheat.verify import (
 )
 
 from conftest import SOLVER_CS, SOURCE_YS
-
-warnings.filterwarnings("ignore", message="source .* snapped")
 
 
 def model(c, a=0.0):

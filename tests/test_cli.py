@@ -1,6 +1,7 @@
 """CLI: config grammar, routing, exit codes, artifact formats."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,6 +51,21 @@ grid.Rx = 4
 grid.Ry = 4
 t.list = 0.25
 sources = 0,1
+"""
+
+OUTSIDE_CFG = """\
+# identity operator; the source x = 5 lies outside the 2 x 2 domain
+N = 1
+A.row.1 = 1, 0
+A.row.2 = 0, 1
+v.d = 0
+v.c = 0.5
+grid.nx = 16
+grid.ny = 16
+grid.Rx = 2
+grid.Ry = 2
+t.list = 0.5
+sources = 5,1
 """
 
 
@@ -102,7 +118,7 @@ class TestValidateCommand:
         assert main(["validate", path]) == EXIT_PASS
         out = json.loads(capsys.readouterr().out)
         assert out["passed"] is True
-        assert out["schema_version"] == 1
+        assert out["schema_version"] == 2
 
     def test_degeneracy_failure_names_invariant(self, tmp_path, capsys):
         bad = IDENTITY_CFG.replace("v.c = 0", "v.c = -1.5")
@@ -136,6 +152,14 @@ class TestKernelCommand:
         assert index["outputs"][0]["method"] == "solver"
         assert index["reduction"]["a"] == pytest.approx([0.5])
 
+    @pytest.mark.parametrize("flags", [[], ["--force-numeric"]])
+    def test_source_outside_grid_rejected_on_both_routes(self, tmp_path, capsys, flags):
+        path = write(tmp_path, "op.cfg", OUTSIDE_CFG)
+        out_dir = tmp_path / "out"
+        assert main(["kernel", path, "--out", str(out_dir), *flags]) == EXIT_CONFIG_ERROR
+        assert json.loads(capsys.readouterr().out)["error"] == "DomainError"
+        assert not (out_dir / "kernel_index.json").exists()
+
     def test_force_numeric(self, tmp_path):
         path = write(tmp_path, "op.cfg", IDENTITY_CFG)
         out_dir = tmp_path / "out"
@@ -148,7 +172,7 @@ class TestKernelCommand:
         out_dir = tmp_path / "out"
         main(["kernel", path, "--out", str(out_dir)])
         index = json.loads((out_dir / "kernel_index.json").read_text())
-        lines = open(index["outputs"][0]["file"]).readlines()[1:]
+        lines = Path(index["outputs"][0]["file"]).read_text().splitlines()[1:]
         # kernel values round-trip bit-exactly through the 17-digit format
         import numpy as np
         from halfheat.kernels import product_kernel
@@ -166,7 +190,7 @@ class TestKernelCommand:
             out_dir = tmp_path / ("numeric" if extra else "exact")
             assert main(["kernel", path, "--out", str(out_dir), *extra]) == EXIT_PASS
             index = json.loads((out_dir / "kernel_index.json").read_text())
-            lines = open(index["outputs"][0]["file"]).read().splitlines()[1:]
+            lines = Path(index["outputs"][0]["file"]).read_text().splitlines()[1:]
             columns.append([line.split(",")[1:3] for line in lines])
         assert len(columns[0]) == 32 * 32
         assert columns[0] == columns[1]
@@ -194,7 +218,8 @@ class TestVerifyCommand:
         assert main(["verify", "--probe-set", "smoke", "--out", str(out_dir)]) == EXIT_PASS
         bundle = json.loads((out_dir / "verify.json").read_text())
         assert bundle["passed"] is True
-        assert bundle["seed"] == 20240901
+        assert bundle["schema_version"] == 2
+        assert "seed" not in bundle
         names = {c["name"] for c in bundle["checks"]}
         assert {"conservation_exact", "scaling_exact", "envelope_exact"} <= names
 
@@ -239,10 +264,9 @@ class TestGeneralOperatorRoute:
         # the index keeps the requested general-coordinates point
         red = reduce_to_model(operator_from_config(parse_config(path)))
         grid = GridSpec(rx=4.0, ry=4.0, nx=32, ny=32, c=red.model.c)
-        with pytest.warns(UserWarning, match="snapped"):
-            i, j = grid.locate(map_point(red, [0.2, 1.0]))
+        i, j = grid.locate(map_point(red, [0.2, 1.0]))
         snapped = inverse_map_point(red, [grid.x_centers[i], grid.y_centers[j]])
-        csv_lines = open(entry["file"]).readlines()
+        csv_lines = Path(entry["file"]).read_text().splitlines()
         x2, y2 = csv_lines[1].split(",")[3:5]
         assert [float(x2), float(y2)] == snapped.tolist()
         assert entry["source"] == [0.2, 1.0]

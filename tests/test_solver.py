@@ -1,7 +1,5 @@
 """Discretization, evolution, kernel columns, and discrete identities."""
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -35,9 +33,7 @@ def make(a=0.0, c=0.0, n=48, r=5.0):
 
 
 def column(op, t, z2, **kw):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return kernel_column(op, t, np.asarray(z2, dtype=float), **kw)
+    return kernel_column(op, t, np.asarray(z2, dtype=float), **kw)
 
 
 class TestAssembly:
@@ -181,9 +177,7 @@ class TestEvolve:
             return real_splu(mat, *args, **kwargs)
 
         monkeypatch.setattr(solver, "splu", counting_splu)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            cols = kernel_columns(op, (0.25, 0.5, 1.0), np.array([0.0, 0.5]))
+        cols = kernel_columns(op, (0.25, 0.5, 1.0), np.array([0.0, 0.5]))
         assert len(cols) == 3
         assert len(calls) == 1
 
@@ -258,10 +252,11 @@ class TestKernelColumn:
         resid = np.abs(scaled.values - mapped).max() / np.abs(mapped).max()
         assert resid < 1e-12
 
-    def test_snap_warning_and_strict(self):
+    def test_snap_recorded_and_strict(self):
         _, grid, op = make(n=16, r=2.0)
-        with pytest.warns(UserWarning):
-            kernel_column(op, 0.1, np.array([0.1234, 0.9876]))
+        slc = kernel_column(op, 0.1, np.array([0.1234, 0.9876]))
+        # h = 1/4 in x and 1/8 in y: the centre of cell (8, 7)
+        assert slc.source.tolist() == [0.125, 0.9375]
         with pytest.raises(DomainError):
             kernel_column(op, 0.1, np.array([0.1234, 0.9876]), strict=True)
 

@@ -13,7 +13,6 @@ from halfheat.verify import (
     GTrace,
     check_conservation,
     check_G_monotone,
-    check_identities,
     check_identities_exact,
     check_identities_solver,
     compute_G,
@@ -170,12 +169,10 @@ class TestIdentities:
                                       z1_index=(8, 8), z2_index=(14, 12))
         assert res["translation"] == 0.0
 
-    def test_dispatch(self):
-        res = check_identities(model(0.0), t=0.5, s=0.5, x0=1.0, scale=2.0,
-                               z1=np.array([0.0, 1.0]), z2=np.array([0.0, 0.5]))
+    def test_result_keys(self):
+        res = check_identities_exact(model(0.0), t=0.5, s=0.5, x0=1.0, scale=2.0,
+                                     z1=np.array([0.0, 1.0]), z2=np.array([0.0, 0.5]))
         assert set(res) == {"scaling", "translation", "adjoint", "chapman_kolmogorov"}
-        with pytest.raises(StructuralError):
-            check_identities(object())
 
 
 class TestGTrace:
