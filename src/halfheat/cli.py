@@ -152,7 +152,7 @@ def cmd_kernel(args) -> int:
         x2, y2 = slc.meta["source"]
         tag = f"t{slc.t:g}_x{x2:g}_y{y2:g}".replace("-", "m").replace(".", "p")
         path = out_dir / f"kernel_{tag}.csv"
-        slc.to_csv(str(path))
+        slc.to_csv(path)
         written.append({"file": str(path), "t": slc.t, **slc.meta})
     red = reduce_to_model(spec)
     _emit({"schema_version": SCHEMA_VERSION, "command": "kernel",

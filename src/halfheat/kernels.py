@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -171,7 +172,7 @@ class KernelSlice:
     @classmethod
     def from_csv(cls, path_or_buf, c: float, **kw) -> "KernelSlice":
         """Read a slice written by to_csv (columns by position)."""
-        own = isinstance(path_or_buf, (str, bytes))
+        own = isinstance(path_or_buf, (str, bytes, os.PathLike))
         with open(path_or_buf) if own else contextlib.nullcontext(path_or_buf) as fh:
             lines = fh.read().splitlines()[1:]
         if not lines:
@@ -206,7 +207,7 @@ def write_csv(path_or_buf, header: str, table, suffix: str = "") -> None:
     """
     table = np.asarray(table, dtype=float)
     fmt = ",".join(["%.17g"] * table.shape[1]) + suffix.replace("%", "%%") + "\n"
-    own = isinstance(path_or_buf, (str, bytes))
+    own = isinstance(path_or_buf, (str, bytes, os.PathLike))
     with open(path_or_buf, "w", newline="") if own else contextlib.nullcontext(path_or_buf) as fh:
         fh.write(header + "\n")
         for start in range(0, len(table), CSV_CHUNK_ROWS):

@@ -191,9 +191,9 @@ def shear_transform(spec: GeneralOperatorSpec):
 class ReductionResult:
     """Change-of-variable data mapping the general operator to model form.
 
-    model coordinates: (x', y) = (M (x - shear y), y); model time is
-    t / time_scale... the map multiplies time by time_scale = gamma, so
-    a model kernel at (gamma t) corresponds to the general kernel at t.
+    model coordinates: (x', y) = (M (x - shear y), y); the map multiplies
+    time by time_scale = gamma, so the model kernel at gamma t
+    corresponds to the general kernel at t.
     """
 
     model: ModelOperatorSpec

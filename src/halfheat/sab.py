@@ -18,7 +18,9 @@ weight's singularity.
 
 Since the x-directions only contribute a Gaussian convolution that is
 uniformly bounded on every L^p, the norm ladder works in the pure
-y-variable (N = 0, M = 1); scale homogeneity 2 reduces every t to t = 1.
+y-variable (N = 0, M = 1) at t = 1: scale homogeneity 2 reduces every t
+to t = 1 (sab_scale_identity_residual checks it).  Each ladder level
+builds one quadrature rule, shared by all of that level's bumps.
 """
 
 from __future__ import annotations
@@ -39,6 +41,12 @@ __all__ = [
     "sab_norm_estimate",
     "sab_scale_identity_residual",
 ]
+
+#: octaves of refinement toward y = 0 added per norm-ladder level
+LADDER_OCTAVES = 4
+
+#: Gauss-Legendre nodes per dyadic panel of the norm ladder
+LADDER_GAUSS = 16
 
 
 @dataclass(frozen=True)
@@ -115,21 +123,6 @@ def sab_apply_bump(spec: SabSpec, t: float, bump: tuple, y_out,
     return t ** (-0.5 * spec.m_dim) * _in_weight(y_out, t, spec.alpha) * integral
 
 
-def _lp_weighted_norm(fn, exponent: float, p: float, lo: float, hi: float,
-                      n_gauss: int = 16) -> float:
-    """(integral |fn(y)|^p y^exponent dy)^{1/p} over dyadic panels of [lo, hi]."""
-    total = 0.0
-    e_lo = int(np.floor(np.log2(lo)))
-    e_hi = int(np.ceil(np.log2(hi)))
-    for e in range(e_lo, e_hi):
-        a, b = 2.0 ** e, min(2.0 ** (e + 1), hi)
-        if a >= hi:
-            break
-        y, w = legendre_panel(max(a, lo), b, n_gauss)
-        total += float(np.dot(w, np.abs(fn(y)) ** p * y ** exponent))
-    return total ** (1.0 / p)
-
-
 def _bump_norm(bump: tuple, m: float, p: float) -> float:
     a, b = bump
     if m == -1.0:
@@ -137,31 +130,31 @@ def _bump_norm(bump: tuple, m: float, p: float) -> float:
     return ((b ** (m + 1.0) - a ** (m + 1.0)) / (m + 1.0)) ** (1.0 / p)
 
 
-def sab_norm_estimate(spec: SabSpec, t: float = 1.0, levels: int = 4,
-                      base_octaves: int = 6, octaves_per_level: int = 4,
-                      n_gauss: int = 16) -> list[float]:
-    """Empirical norm ladder of S(t): L^p_m -> L^p_{m - p theta}.
+def sab_norm_estimate(spec: SabSpec, levels: int = 4,
+                      base_octaves: int = 6) -> list[float]:
+    """Empirical norm ladder of S(1): L^p_m -> L^p_{m - p theta}.
 
     Level l takes the adversarial family of dyadic indicator bumps with
-    supports from 2^{-(base + l*step)} up to 2^4 (concentrating at the
-    boundary and spreading outward) and measures the output norm down to
-    the same cutoff.  Criterion-true parameters give a stabilizing
-    sequence; criterion-false ones grow without bound as l increases.
+    supports from 2^{-depth}, depth = base + LADDER_OCTAVES * l, up to
+    2^5 (concentrating at the boundary and spreading outward) and
+    measures the output norm on [2^{-depth}, 2^6].  One rule per level:
+    LADDER_GAUSS Gauss-Legendre nodes on each dyadic panel of that
+    window, with the output weight folded in, serves all of the level's
+    bumps.  Criterion-true parameters give a stabilizing sequence;
+    criterion-false ones grow without bound as l increases.
     """
     out = []
     for level in range(levels):
-        depth = base_octaves + octaves_per_level * level
-        lo = 2.0 ** (-depth)
-        hi = 2.0 ** 6
+        depth = base_octaves + LADDER_OCTAVES * level
+        y, w = np.concatenate([legendre_panel(2.0 ** e, 2.0 ** (e + 1), LADDER_GAUSS)
+                               for e in range(-depth, 6)], axis=1)
+        dens = w * y ** (spec.m - spec.p * spec.theta)
         best = 0.0
         for e in range(-depth, 5):
             bump = (2.0 ** e, 2.0 ** (e + 1))
-            num = _lp_weighted_norm(
-                lambda y: sab_apply_bump(spec, t, bump, y, n_gauss=n_gauss),
-                spec.m - spec.p * spec.theta, spec.p, lo, hi, n_gauss=n_gauss,
-            )
-            den = _bump_norm(bump, spec.m, spec.p)
-            best = max(best, num / den)
+            f = sab_apply_bump(spec, 1.0, bump, y, n_gauss=LADDER_GAUSS)
+            num = float(np.dot(dens, np.abs(f) ** spec.p)) ** (1.0 / spec.p)
+            best = max(best, num / _bump_norm(bump, spec.m, spec.p))
         out.append(best)
     return out
 

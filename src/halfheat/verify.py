@@ -25,7 +25,7 @@ from .geometry import EnvelopeParams, ball_volume, envelope_eval
 from .kernels import KernelSlice, exact_slice, product_kernel, write_csv
 from .operators import ModelOperatorSpec
 from .quadrature import halfspace_nodes
-from .solver import DiscreteOperator, assemble, discrete_gradient, kernel_column, kernel_columns
+from .solver import DiscreteOperator, assemble, discrete_gradient, kernel_column
 from .special import log_gamma
 
 __all__ = [
@@ -323,21 +323,16 @@ def check_identities_solver(op: DiscreteOperator, t: float, s: float,
 
     # (b) x-translation by whole cells; the comparison trims a diffusion
     # margin at the x-walls where the truncated domain breaks invariance
-    if x0_cells == 0:
-        translation = float(
-            np.max(np.abs(kernel_column(op, t, z2).values - col_t.values))
-        )
-    else:
-        z2_shift = z2 + np.array([x0_cells * grid.hx, 0.0])
-        col_sh = kernel_column(op, t, z2_shift)
-        a = col_t.values.reshape(grid.nx, ny)
-        b = col_sh.values.reshape(grid.nx, ny)
-        margin = abs(x0_cells) + int(np.ceil(4.0 * np.sqrt(t) / grid.hx))
-        lo, hi = margin, grid.nx - margin - abs(x0_cells)
-        if hi <= lo:
-            raise StructuralError("grid too small for the translation check")
-        diff = b[lo + x0_cells: hi + x0_cells, :] - a[lo:hi, :]
-        translation = float(np.max(np.abs(diff)) / np.max(np.abs(a)))
+    z2_shift = z2 + np.array([x0_cells * grid.hx, 0.0])
+    col_sh = kernel_column(op, t, z2_shift)
+    a = col_t.values.reshape(grid.nx, ny)
+    b = col_sh.values.reshape(grid.nx, ny)
+    margin = abs(x0_cells) + int(np.ceil(4.0 * np.sqrt(t) / grid.hx))
+    lo, hi = margin, grid.nx - margin - abs(x0_cells)
+    if hi <= lo:
+        raise StructuralError("grid too small for the translation check")
+    diff = b[lo + x0_cells: hi + x0_cells, :] - a[lo:hi, :]
+    translation = float(np.max(np.abs(diff)) / np.max(np.abs(a)))
 
     # (c) adjoint duality at the discrete level
     v_fwd = col_t.values[flat(z1_index)]
@@ -435,15 +430,9 @@ def compute_G_from_slices(slices, theta: float, alpha: float) -> GTrace:
                   ts=np.array(ts), values=np.array(vals))
 
 
-def compute_G(source, z2, theta: float, alpha: float, t_grid) -> GTrace:
-    """Build the slices (solver column snapshots or quadrature grids) and trace G."""
-    t_grid = sorted(float(t) for t in np.atleast_1d(t_grid))
-    if isinstance(source, DiscreteOperator):
-        slices = kernel_columns(source, t_grid, z2)
-    elif isinstance(source, ModelOperatorSpec):
-        slices = [exact_quadrature_slice(source, t, z2) for t in t_grid]
-    else:
-        raise StructuralError(f"cannot compute G for {type(source)!r}")
+def compute_G(model: ModelOperatorSpec, z2, theta: float, alpha: float, t_grid) -> GTrace:
+    """Trace G on closed-form quadrature slices at the times t_grid."""
+    slices = [exact_quadrature_slice(model, float(t), z2) for t in np.atleast_1d(t_grid)]
     return compute_G_from_slices(slices, theta, alpha)
 
 

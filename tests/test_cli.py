@@ -10,6 +10,7 @@ from halfheat import solver
 from halfheat.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG_ERROR,
+    EXIT_NUMERICAL,
     EXIT_PASS,
     main,
     operator_from_config,
@@ -66,6 +67,21 @@ grid.Rx = 2
 grid.Ry = 2
 t.list = 0.5
 sources = 5,1
+"""
+
+LONG_CFG = """\
+# identity operator; h = 1/128 makes t = 10 need 163,840 steps
+N = 1
+A.row.1 = 1, 0
+A.row.2 = 0, 1
+v.d = 0
+v.c = 0
+grid.nx = 128
+grid.ny = 128
+grid.Rx = 0.5
+grid.Ry = 1
+t.list = 10
+sources = 0,0.5
 """
 
 
@@ -158,6 +174,14 @@ class TestKernelCommand:
         out_dir = tmp_path / "out"
         assert main(["kernel", path, "--out", str(out_dir), *flags]) == EXIT_CONFIG_ERROR
         assert json.loads(capsys.readouterr().out)["error"] == "DomainError"
+        assert not (out_dir / "kernel_index.json").exists()
+
+    def test_step_budget_exits_3(self, tmp_path, capsys):
+        path = write(tmp_path, "op.cfg", LONG_CFG)
+        out_dir = tmp_path / "out"
+        assert main(["kernel", path, "--out", str(out_dir), "--force-numeric"]) == EXIT_NUMERICAL
+        detail = json.loads(capsys.readouterr().out)["detail"]
+        assert "163840" in detail and str(solver.MAX_STEPS) in detail
         assert not (out_dir / "kernel_index.json").exists()
 
     def test_force_numeric(self, tmp_path):

@@ -143,6 +143,15 @@ class TestKernelSlice:
         assert back.values == pytest.approx(slc.values, rel=0, abs=0)  # bit-exact
         assert back.convention == "y^c dz"
 
+    def test_csv_path_round_trip(self, tmp_path):
+        slc = self._slice()
+        path = tmp_path / "slice.csv"
+        slc.to_csv(path)
+        assert path.read_text() == slc.csv_text()
+        back = KernelSlice.from_csv(path, c=slc.c)
+        assert back.source.tolist() == slc.source.tolist()
+        assert back.values == pytest.approx(slc.values, rel=0, abs=0)
+
     def test_invariants(self):
         with pytest.raises(DomainError):
             KernelSlice(t=-1.0, source=np.array([0.0, 1.0]),

@@ -8,7 +8,7 @@ from halfheat.geometry import EnvelopeParams
 from halfheat.kernels import exact_slice
 from halfheat.operators import ModelOperatorSpec
 from halfheat.quadrature import integrate_y_weighted, legendre_panel
-from halfheat.solver import Field, GridSpec, assemble
+from halfheat.solver import Field, GridSpec, assemble, kernel_columns
 from halfheat.verify import (
     GTrace,
     check_conservation,
@@ -199,7 +199,8 @@ class TestGTrace:
         grid = GridSpec(rx=6.0, ry=6.0, nx=64, ny=64, c=c)
         op = assemble(model(c, a=0.5), grid)
         alpha = normalizing_alpha(c, 1)
-        tr = compute_G(op, np.array([0.0, 0.5]), 0.5, alpha, [0.5, 0.75, 1.0])
+        slices = kernel_columns(op, [0.5, 0.75, 1.0], np.array([0.0, 0.5]))
+        tr = compute_G_from_slices(slices, 0.5, alpha)
         assert np.all(tr.values <= 1e-8)
         assert np.all(np.isfinite(tr.values))
 
