@@ -33,7 +33,6 @@ from .kernels import exact_slice
 from .operators import (
     GeneralOperatorSpec,
     ModelOperatorSpec,
-    reduce_to_model,
     validate_general,
 )
 from .solver import GridSpec, assemble, kernel_column, kernel_slices
@@ -153,12 +152,12 @@ def cmd_kernel(args) -> int:
         tag = f"t{slc.t:g}_x{x2:g}_y{y2:g}".replace("-", "m").replace(".", "p")
         path = out_dir / f"kernel_{tag}.csv"
         slc.to_csv(path)
-        written.append({"file": str(path), "t": slc.t, **slc.meta})
-    red = reduce_to_model(spec)
+        written.append({"file": str(path), "t": slc.t,
+                        **{k: v for k, v in slc.meta.items() if k != "reduction"}})
+    # every slice of the run carries the same reduction
     _emit({"schema_version": SCHEMA_VERSION, "command": "kernel",
-           "reduction": {"time_scale": red.time_scale,
-                          "a": red.model.a.tolist(), "c": red.model.c},
-           "outputs": written}, out_dir, "kernel_index.json")
+           "reduction": slices[0].meta["reduction"], "outputs": written},
+          out_dir, "kernel_index.json")
     return EXIT_PASS
 
 

@@ -9,6 +9,8 @@ combine these y-rules with Gauss-Legendre panels in x.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from scipy import integrate as _integrate
 from scipy import special as _sp
@@ -40,9 +42,18 @@ def jacobi_panel(upper: float, c: float, n: int = 32):
     return y, wy
 
 
+@functools.lru_cache(maxsize=None)
+def _legendre_reference(n: int):
+    """Read-only n-point Gauss-Legendre nodes/weights on [-1, 1], built once per n."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def legendre_panel(a: float, b: float, n: int = 32):
     """Plain Gauss-Legendre nodes/weights on [a, b]."""
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = _legendre_reference(n)
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 

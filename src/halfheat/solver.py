@@ -19,6 +19,7 @@ round-off by each Crank-Nicolson step.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -59,6 +60,9 @@ RANNACHER_STEPS = 2
 
 #: most time steps one evolution may take, summed over its segments
 MAX_STEPS = 16384
+
+#: the evolution stats kernel_columns puts in a solver slice's meta
+SOLVE_STATS = ("steps", "ht", "factorizations", "lu_nnz", "max_step_residual")
 
 
 @dataclass(frozen=True)
@@ -307,15 +311,34 @@ def assemble_divergence_form(spec: GeneralOperatorSpec, grid: GridSpec) -> Discr
     )
 
 
+def _apply_columns(mat, block: np.ndarray) -> np.ndarray:
+    """mat @ block for an (n, k) block, one sparse product per column.
+
+    scipy's multi-vector product copies a Fortran-ordered block to C order
+    and costs more than k single products (0.34 against 2 x 0.10 ms for
+    k = 2 at 96^2 on a 2-vCPU Xeon); the result is Fortran-ordered, like
+    lu.solve's.
+    """
+    return np.array([mat @ col for col in block.T]).T
+
+
 def _solve_checked(lu, a_mat, rhs):
+    """Solve a_mat x = rhs for a block rhs of shape (n, k).
+
+    Returns x and the k relative residuals.  Each column is held to its
+    own |rhs|: a residual above SOLVE_RTOL times it, or a non-finite one,
+    raises SolveFailure.
+    """
     out = lu.solve(rhs)
-    num = np.linalg.norm(a_mat @ out - rhs, np.inf)
-    den = np.linalg.norm(rhs, np.inf)
+    num = np.abs(_apply_columns(a_mat, out) - rhs).max(axis=0)
+    den = np.abs(rhs).max(axis=0)
     # NaN or inf in the data or the solution leaves a non-finite residual
-    if not np.isfinite(num) or (den > 0.0 and num > SOLVE_RTOL * den):
-        raise SolveFailure(f"linear step residual {num:.3e} exceeds "
-                           f"{SOLVE_RTOL:.0e} x |rhs| = {den:.3e}")
-    return out
+    bad = ~np.isfinite(num) | ((den > 0.0) & (num > SOLVE_RTOL * den))
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        raise SolveFailure(f"linear step residual {num[k]:.3e} in column {k} exceeds "
+                           f"{SOLVE_RTOL:.0e} x |rhs| = {den[k]:.3e}")
+    return out, np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
 
 
 def _segment_steps(grid: GridSpec, duration: float) -> int:
@@ -324,16 +347,74 @@ def _segment_steps(grid: GridSpec, duration: float) -> int:
     return max(int(np.ceil(duration / target)), 1)
 
 
+def _evolve_block(op: DiscreteOperator, u: np.ndarray, times):
+    """Crank-Nicolson steps of the k columns of u, shape (n, k), through `times`.
+
+    The one stepping loop: each checkpoint segment takes uniform steps, a
+    factorization of W + (ht/2) S (minimum-degree ordering on the pattern
+    of A' + A) serves every segment with a bitwise-equal ht and is
+    released before the next one is built, and every step is one
+    multi-right-hand-side solve for the whole block.  Returns the (n, k)
+    states at `times` and the run's stats: total `steps`, the `ht` of
+    each segment, `factorizations`, the largest `lu_nnz` (the entries
+    SuperLU stores for L and U) and, per column, the worst relative step
+    residual `max_step_residual`.
+    """
+    segs = [b - a for a, b in zip([0.0] + times[:-1], times)]
+    if min(segs) <= 0.0:
+        raise StructuralError("checkpoints must be strictly increasing")
+    counts = [_segment_steps(op.grid, seg) for seg in segs]
+    if sum(counts) > MAX_STEPS:
+        raise SolveFailure(f"evolution needs {sum(counts)} time steps, over the "
+                           f"budget of MAX_STEPS = {MAX_STEPS}")
+
+    w = op.w[:, None]
+    wmat = sparse.diags(op.w)
+    worst = np.zeros(u.shape[1])
+    stats = {"steps": sum(counts), "ht": [], "factorizations": 0, "lu_nnz": 0}
+    states = []
+    ht_lu = None
+    remaining_rannacher = RANNACHER_STEPS
+    for seg, n in zip(segs, counts):
+        ht = seg / n
+        stats["ht"].append(ht)
+        if ht != ht_lu:
+            # one factorization per step size; release the old one first
+            lu = a_csr = None
+            a_cn = (wmat + (0.5 * ht) * op.form).tocsc()
+            lu = splu(a_cn, permc_spec="MMD_AT_PLUS_A")
+            a_csr = a_cn.tocsr()
+            ht_lu = ht
+            stats["factorizations"] += 1
+            stats["lu_nnz"] = max(stats["lu_nnz"], lu.nnz)
+        for _ in range(n):
+            if remaining_rannacher > 0:
+                # two backward-Euler half steps share the CN matrix
+                u, res = _solve_checked(lu, a_csr, w * u)
+                np.maximum(worst, res, out=worst)
+                u, res = _solve_checked(lu, a_csr, w * u)
+                remaining_rannacher -= 1
+            else:
+                rhs = w * u - (0.5 * ht) * _apply_columns(op.form, u)
+                u, res = _solve_checked(lu, a_csr, rhs)
+            np.maximum(worst, res, out=worst)
+        states.append(u)
+    stats["max_step_residual"] = worst
+    return states, stats
+
+
 def evolve(op: DiscreteOperator, f: Field, t: float, checkpoints=None):
     """Crank-Nicolson evolution of a field under the discrete semigroup.
 
     Runs uniform steps per segment between checkpoints (all of one size
     within a segment, which keeps the step propagator identical across
     a run and the adjoint relation exact); segments with the same step
-    size share one factorization.  The first RANNACHER_STEPS CN
-    steps are replaced by pairs of backward-Euler half-steps to damp the
-    non-smooth modes of rough data; both schemes conserve the discrete
-    mass identically because constants annihilate S on the test side.
+    size share one LU, factored with a minimum-degree ordering and freed
+    when the evolution ends.  The first RANNACHER_STEPS CN steps are
+    replaced by pairs of backward-Euler half-steps to damp the non-smooth
+    modes of rough data; both schemes conserve the discrete mass
+    identically because constants annihilate S on the test side.  This
+    is the one-column case of the block stepping kernel_columns uses.
 
     More than MAX_STEPS steps in all raises SolveFailure before any factorization.
 
@@ -347,69 +428,47 @@ def evolve(op: DiscreteOperator, f: Field, t: float, checkpoints=None):
     times = sorted(checkpoints) if checkpoints else [t]
     if abs(times[-1] - t) > 1e-12 * t:
         raise StructuralError("checkpoints must end at the evolution time")
-    segs = [b - a for a, b in zip([0.0] + times[:-1], times)]
-    if min(segs) <= 0.0:
-        raise StructuralError("checkpoints must be strictly increasing")
-    counts = [_segment_steps(op.grid, seg) for seg in segs]
-    if sum(counts) > MAX_STEPS:
-        raise SolveFailure(f"evolution needs {sum(counts)} time steps, over the "
-                           f"budget of MAX_STEPS = {MAX_STEPS}")
-
-    w = op.w
-    wmat = sparse.diags(w)
-    u = f.values.ravel().copy()
-    outputs = []
-    ht_lu = None
-    remaining_rannacher = RANNACHER_STEPS
-    for seg, n in zip(segs, counts):
-        ht = seg / n
-        if ht != ht_lu:
-            # one factorization per step size; release the old one first
-            lu = a_csr = None
-            a_cn = (wmat + (0.5 * ht) * op.form).tocsc()
-            lu = splu(a_cn)
-            a_csr = a_cn.tocsr()
-            ht_lu = ht
-        for _ in range(n):
-            if remaining_rannacher > 0:
-                # two backward-Euler half steps share the CN matrix
-                u = _solve_checked(lu, a_csr, w * u)
-                u = _solve_checked(lu, a_csr, w * u)
-                remaining_rannacher -= 1
-            else:
-                rhs = w * u - (0.5 * ht) * (op.form @ u)
-                u = _solve_checked(lu, a_csr, rhs)
-        outputs.append(Field(op.grid, u.reshape(op.grid.nx, op.grid.ny).copy()))
+    states, _ = _evolve_block(op, f.values.reshape(-1, 1), times)
+    outputs = [Field(op.grid, u.reshape(op.grid.nx, op.grid.ny)) for u in states]
     return outputs if checkpoints else outputs[0]
 
 
 def kernel_columns(op: DiscreteOperator, ts, z2) -> list[KernelSlice]:
-    """Kernel slices p(t, ., z2) for several times from one evolution.
+    """Kernel slices p(t, ., z2) for several times and sources from one evolution.
 
-    The initial state is the discrete delta 1/w at the source cell, so
-    the computed column is already in the y^c dz convention.
+    `z2` is one source point, shape (2,), or k of them, shape (k, 2).  The
+    initial state holds the discrete delta 1/w at each source cell as one
+    column of an (n, k) block, so the computed columns are already in the
+    y^c dz convention; the block is stepped once, with one LU per distinct
+    step size and one multi-right-hand-side solve per step.  Returns the
+    k * len(ts) slices source-major (all times of the first source, then
+    the next), each with the evolution's stats in `meta` and its own
+    column's worst step residual.
     """
     grid = op.grid
     ts = sorted(float(t) for t in np.atleast_1d(ts))
-    if ts[0] <= 0.0:
-        raise DomainError("kernel times must be positive")
-    i, j = grid.locate(z2)
-    source = np.array([grid.x_centers[i], grid.y_centers[j]])
-    w = grid.masses()
-    init = np.zeros((grid.nx, grid.ny))
-    init[i, j] = 1.0 / w[i, j]
-    fields = evolve(op, Field(grid, init), ts[-1], checkpoints=ts)
+    if not ts or ts[0] <= 0.0:
+        raise DomainError("kernel times must be given and positive")
+    cells = [grid.locate(z) for z in np.atleast_2d(z2)]
+    w = grid.masses().ravel()
+    flat = [i * grid.ny + j for i, j in cells]
+    init = np.zeros((w.size, len(flat)), order="F")
+    init[flat, range(len(flat))] = 1.0 / w[flat]
+    states, stats = _evolve_block(op, init, ts)
+    points = grid.points()
     slices = []
-    for t, fld in zip(ts, fields):
-        slices.append(
-            KernelSlice(
-                t=t, source=source, points=grid.points(),
-                values=fld.values.ravel(), c=grid.c,
-                convention=WEIGHTED_CONVENTION, weights=w.ravel(),
-                method="solver",
-                meta={"grid": grid, "adjoint": op.is_adjoint, "label": op.label},
+    for col, (i, j) in enumerate(cells):
+        source = np.array([grid.x_centers[i], grid.y_centers[j]])
+        meta = {"grid": grid, "adjoint": op.is_adjoint, "label": op.label, **stats,
+                "max_step_residual": float(stats["max_step_residual"][col])}
+        for t, u in zip(ts, states):
+            slices.append(
+                KernelSlice(
+                    t=t, source=source, points=points, values=u[:, col],
+                    c=grid.c, convention=WEIGHTED_CONVENTION, weights=w,
+                    method="solver", meta=dict(meta),
+                )
             )
-        )
     return slices
 
 
@@ -425,14 +484,19 @@ def kernel_slices(spec: GeneralOperatorSpec, ts, sources, rx: float, ry: float,
     One reduction and one model grid on [-rx, rx] x (0, ry] serve every
     slice, which samples the model cell centres mapped back once.  The
     closed form is used when |a| <= A_ZERO_TOL unless `numeric`; otherwise
-    one assembly, and one evolution per source through all model times
-    time_scale * t.  Values are mapped back by map_kernel_value, which is
-    exact for the identity reduction.  A slice's `source` is the point its
-    column came from (for the solver, the snapped cell, mapped back); meta
-    holds the method, the requested source, the snap offset in model
-    cells and, for solver columns, the mass defect.  A source whose model
-    image lies outside the model grid raises DomainError on either route.
+    one assembly and one kernel_columns call, which evolves all sources
+    together through all model times time_scale * t.  Values are mapped
+    back by map_kernel_value, which is exact for the identity reduction.
+    A slice's `source` is the point its column came from (for the solver,
+    the snapped cell, mapped back); meta holds the method, the requested
+    source, the snap offset in model cells, the reduction (`time_scale`
+    and the model's `a` and `c`) and, for solver columns, the mass defect
+    and the SOLVE_STATS of the evolution (`ht` in model time).  A source
+    whose model image lies outside the model grid raises DomainError on
+    either route, and so does an empty `ts`.
     """
+    if len(ts) == 0:
+        raise DomainError("no kernel times given")
     red = reduce_to_model(spec)
     model = red.model
     if model.n != 1:
@@ -445,24 +509,24 @@ def kernel_slices(spec: GeneralOperatorSpec, ts, sources, rx: float, ry: float,
         grid.locate(z2m)  # either route rejects a source outside the model grid
     exact = model.a_norm <= A_ZERO_TOL and not numeric
     method = ("exact" if exact else "solver") + ("" if red.is_identity else "-reduced")
+    reduction = {"time_scale": red.time_scale, "a": model.a.tolist(), "c": model.c}
     model_ts = sorted({red.time_scale * float(t) for t in ts})
-    op = None if exact else assemble(model, grid)
-    columns = []
-    for z2, z2m in zip(sources, mapped):
-        cols = ([exact_slice(model, mt, z2m, cells) for mt in model_ts]
-                if exact else kernel_columns(op, model_ts, z2m))
-        columns.append((z2, z2m, dict(zip(model_ts, cols))))
+    # source-major, like kernel_columns
+    cols = ([exact_slice(model, mt, z2m, cells) for z2m in mapped for mt in model_ts]
+            if exact else kernel_columns(assemble(model, grid), model_ts, np.array(mapped)))
+    by_key = dict(zip(itertools.product(range(len(sources)), model_ts), cols))
     out = []
     for t in ts:
-        for z2, z2m, cols in columns:
-            col = cols[red.time_scale * float(t)]
+        for k, (z2, z2m) in enumerate(zip(sources, mapped)):
+            col = by_key[k, red.time_scale * float(t)]
             used = inverse_map_point(red, col.source)
             snap = np.hypot(*((col.source - z2m) / (grid.hx, grid.hy)))
             meta = {"method": method, "source": [float(v) for v in z2],
                     "source_used": used.tolist(), "snap_offset_cells": float(snap),
-                    "grid_cells": [nx, ny]}
+                    "grid_cells": [nx, ny], "reduction": reduction}
             if col.weights is not None:
                 meta["mass_defect"] = abs(col.mass() - 1.0)
+                meta.update((key, col.meta[key]) for key in SOLVE_STATS)
             out.append(KernelSlice(t=float(t), source=used, points=points, c=model.c,
                                    values=map_kernel_value(red, t, points, used, col.values),
                                    method=method, meta=meta))

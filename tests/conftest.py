@@ -1,9 +1,9 @@
 """Shared fixtures: the expensive solver runs are computed once per session.
 
-The desk-scale probe matrix (a = 0.5, c in {-0.5, 1}) evolves one
-discrete delta per source through all checkpoint times, so conservation,
-envelope, gradient, floor, and G-function criteria all read from the
-same columns.
+The desk-scale probe matrix (a = 0.5, c in {-0.5, 1}) evolves the
+discrete deltas of all sources as one block through all checkpoint
+times, so conservation, envelope, gradient, floor, and G-function
+criteria all read from the same columns.
 """
 
 import numpy as np
@@ -26,10 +26,11 @@ def solver_slices():
     for c in SOLVER_CS:
         grid = GridSpec(c=c, **SOLVER_GRID)
         op = assemble(ModelOperatorSpec(n=1, a=np.array([SOLVER_A]), c=c), grid)
-        for y2 in SOURCE_YS:
-            cols = kernel_columns(op, CHECKPOINTS, np.array([0.0, y2]))
-            for slc in cols:
-                out[(c, float(y2), float(slc.t))] = slc
+        sources = np.array([[0.0, y2] for y2 in SOURCE_YS])
+        # one block evolution for all sources, returned source-major
+        cols = kernel_columns(op, CHECKPOINTS, sources)
+        for slc, y2 in zip(cols, np.repeat(SOURCE_YS, len(CHECKPOINTS))):
+            out[(c, float(y2), float(slc.t))] = slc
     return out
 
 

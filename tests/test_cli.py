@@ -165,8 +165,21 @@ class TestKernelCommand:
         out_dir = tmp_path / "out"
         assert main(["kernel", path, "--out", str(out_dir)]) == EXIT_PASS
         index = json.loads((out_dir / "kernel_index.json").read_text())
-        assert index["outputs"][0]["method"] == "solver"
+        entry = index["outputs"][0]
+        assert entry["method"] == "solver"
         assert index["reduction"]["a"] == pytest.approx([0.5])
+        # the evolution's stats ride along; the reduction is listed once
+        assert entry["factorizations"] == 1 and len(entry["ht"]) == 1
+        assert entry["steps"] >= 64 and entry["lu_nnz"] > 0
+        assert 0.0 < entry["max_step_residual"] < solver.SOLVE_RTOL
+        assert "reduction" not in entry
+
+    @pytest.mark.parametrize("flags", [[], ["--force-numeric"]])
+    def test_empty_time_list_rejected(self, tmp_path, capsys, flags):
+        path = write(tmp_path, "op.cfg", IDENTITY_CFG.replace("t.list = 0.5", "t.list ="))
+        out_dir = tmp_path / "out"
+        assert main(["kernel", path, "--out", str(out_dir), *flags]) == EXIT_CONFIG_ERROR
+        assert json.loads(capsys.readouterr().out)["error"] == "DomainError"
 
     @pytest.mark.parametrize("flags", [[], ["--force-numeric"]])
     def test_source_outside_grid_rejected_on_both_routes(self, tmp_path, capsys, flags):
@@ -219,7 +232,7 @@ class TestKernelCommand:
         assert len(columns[0]) == 32 * 32
         assert columns[0] == columns[1]
 
-    def test_one_assembly_and_one_evolution_per_source(self, tmp_path, monkeypatch):
+    def test_one_assembly_and_one_evolution_per_run(self, tmp_path, monkeypatch):
         cfg = MIXED_CFG.replace("t.list = 0.25", "t.list = 0.25, 0.5").replace(
             "sources = 0,1", "sources = 0,1 ; 0.5,1.5")
         path = write(tmp_path, "op.cfg", cfg)
@@ -233,7 +246,7 @@ class TestKernelCommand:
         assert main(["kernel", path, "--out", str(out_dir)]) == EXIT_PASS
         index = json.loads((out_dir / "kernel_index.json").read_text())
         assert len(index["outputs"]) == 4
-        assert calls == {"assemble": 1, "kernel_columns": 2}
+        assert calls == {"assemble": 1, "kernel_columns": 1}
 
 
 class TestVerifyCommand:

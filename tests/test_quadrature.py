@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from halfheat import quadrature
 from halfheat.errors import ParameterError
 from halfheat.quadrature import (
     halfspace_nodes,
@@ -31,6 +32,20 @@ def test_jacobi_panel_rejects_divergent_weight():
 def test_legendre_panel():
     y, w = legendre_panel(-1.0, 3.0, n=8)
     assert np.dot(w, y ** 3) == pytest.approx((3.0 ** 4 - 1.0) / 4.0, rel=1e-13)
+
+
+def test_legendre_reference_cached_read_only():
+    x1, w1 = quadrature._legendre_reference(16)
+    x2, w2 = quadrature._legendre_reference(16)
+    assert x1 is x2 and w1 is w2
+    assert np.array_equal(x1, np.polynomial.legendre.leggauss(16)[0])
+    for arr in (x1, w1):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    # panels are fresh arrays: writing one leaves the cached rule intact
+    y, _ = legendre_panel(0.0, 2.0, n=16)
+    y[0] = -1.0
+    assert np.array_equal(quadrature._legendre_reference(16)[0], x2)
 
 
 def test_composite_gaussian_moment():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse.linalg import splu
 
 from halfheat import solver
 from halfheat.errors import (
@@ -22,6 +24,7 @@ from halfheat.solver import (
     evolve,
     kernel_column,
     kernel_columns,
+    kernel_slices,
     slice_to_field,
 )
 
@@ -181,6 +184,28 @@ class TestEvolve:
         assert len(cols) == 3
         assert len(calls) == 1
 
+    def test_block_residual_guard_is_per_column(self):
+        _, grid, op = make(0.5, 1.0, n=16, r=2.0)
+        a_cn = (sparse.diags(op.w) + 0.01 * op.form).tocsc()
+        lu = splu(a_cn)
+        rhs = np.column_stack([op.w, op.w])
+        out, res = solver._solve_checked(lu, a_cn.tocsr(), rhs)
+        assert out.shape == (grid.nx * grid.ny, 2)
+        assert np.all(res < solver.SOLVE_RTOL)
+        rhs[5, 1] = np.nan
+        with pytest.raises(SolveFailure, match="in column 1"):
+            solver._solve_checked(lu, a_cn.tocsr(), rhs)
+
+    def test_minimum_degree_fill(self):
+        # 64 x 48 cells, a = 0.5: the LU of W + (ht/2) S against COLAMD's
+        op = assemble(ModelOperatorSpec(n=1, a=np.array([0.5]), c=1.0),
+                      GridSpec(rx=5.0, ry=5.0, nx=64, ny=48, c=1.0))
+        meta = kernel_column(op, 0.25, np.array([0.0, 1.0])).meta
+        assert meta["factorizations"] == 1 and len(meta["ht"]) == 1
+        a_cn = (sparse.diags(op.w) + (0.5 * meta["ht"][0]) * op.form).tocsc()
+        colamd = splu(a_cn, permc_spec="COLAMD")
+        assert meta["lu_nnz"] < 0.8 * colamd.nnz
+
     def test_step_budget(self, monkeypatch):
         # ht = h^2 = 1/64 on both segments: 9,600 + 9,600 steps, over MAX_STEPS
         _, grid, op = make(n=16, r=2.0)
@@ -258,6 +283,38 @@ class TestKernelColumn:
         mapped = s ** (-(2.0 + grid.c)) * base.values
         resid = np.abs(scaled.values - mapped).max() / np.abs(mapped).max()
         assert resid < 1e-12
+
+    @pytest.mark.parametrize("adjoint", [False, True])
+    def test_block_matches_one_source_at_a_time(self, adjoint):
+        _, grid, op = make(0.5, 1.0, n=32, r=4.0)
+        op = op.adjoint() if adjoint else op
+        ts = (0.25, 0.5)
+        sources = np.array([[0.0, 0.3], [0.7, 1.0], [-1.2, 2.5]])
+        block = kernel_columns(op, ts, sources)
+        single = [slc for z2 in sources for slc in kernel_columns(op, ts, z2)]
+        assert len(block) == len(single) == 6
+        for b, s in zip(block, single):
+            assert (b.t, b.source.tolist()) == (s.t, s.source.tolist())
+            err = np.abs(b.values - s.values).max() / np.abs(s.values).max()
+            assert err <= 1e-14
+            assert b.meta["factorizations"] == 1
+
+    def test_kernel_slices_one_factorization_for_all_sources(self, monkeypatch):
+        spec = GeneralOperatorSpec(n=1, a_matrix=np.array([[1.0, 0.5], [0.5, 1.0]]),
+                                   drift=np.array([0.0, 1.0]))
+        calls = {"splu": 0, "kernel_columns": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(solver, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(solver, name, counted)
+        out = kernel_slices(spec, [0.25, 0.5], [np.array([0.0, 1.0]), np.array([0.5, 1.5])],
+                            rx=4.0, ry=4.0, nx=32, ny=32)
+        assert calls == {"splu": 1, "kernel_columns": 1}
+        # t-major over ts x sources
+        assert [(s.t, s.meta["source"]) for s in out] == [
+            (0.25, [0.0, 1.0]), (0.25, [0.5, 1.5]), (0.5, [0.0, 1.0]), (0.5, [0.5, 1.5])]
+        assert all(s.meta["factorizations"] == 1 for s in out)
 
     def test_snap_recorded(self):
         _, grid, op = make(n=16, r=2.0)
