@@ -1,26 +1,29 @@
-"""Crank-Nicolson step cost under two column orderings, with the oracle error beside it.
+"""Crank-Nicolson step cost: x-Fourier modes against a 2-D sparse LU, with the oracle error beside it.
 
-    python3 bench/cn_solve.py [--out BENCH_cn_solve.json] [--repeats 15]
+    python3 bench/cn_solve.py [--out BENCH_cn_solve.json] [--repeats 3]
 
-Every kernel column is a run of Crank-Nicolson steps, each one sparse LU
-solve with W + (ht/2) S.  For three operators (the 128^2 a = 0 model and
-the 112^2 cross-term divergence-form operator of the perfbench `columns`
-workload, and the 224x192 a = 0.5 operator of the acceptance fixture)
-this script factors that matrix under COLAMD and under the minimum-degree
-ordering on A' + A (MMD_AT_PLUS_A, the one halfheat uses) and records the
-fill (`lu_nnz`, the entries SuperLU stores for L and U, as in a solver
-slice's meta, and `l_plus_u_nnz`, the nonzeros of L and U), the factor
-time and the time of one solve with 1 and with 4 right-hand sides.  Times are medians over --repeats calls.
+halfheat steps every kernel column in x-Fourier modes: x is periodic, so
+an rfft along x splits W + (ht/2) S into one tridiagonal y-block per
+mode, factored once per step size.  This script runs that path
+(`kernel_columns`) beside a script-local reference that takes the same
+Crank-Nicolson steps (step counts, Rannacher start-up, per-column
+residual guard) with one 2-D sparse LU of W + (ht/2) S on the same
+periodic `op.form`, ordered by minimum degree on A' + A, with one sparse
+product per column as the package did before the mode path.  The package
+has no option for the reference path.
 
-Beside every time it records accuracy under the same ordering: each case
-evolves a kernel column with `kernel_columns`, giving its wall time, its
-error against the case's closed form where one exists (criterion-1
-metric, max |p - p_exact| / max p_exact over the times) and its largest
-difference from the other ordering's column; and the criterion-1 setting
-itself (a = 0, c = 1, 8 x 8 domain, 128^2 and 256^2, t = 1) is run once
-per ordering.  The ordering is swapped by wrapping `halfheat.solver.splu`
-inside this script; the package has no option for it.  The JSON also
-holds the environment (python, numpy, scipy, CPU count and model).
+Cases: the 128^2 a = 0 model and the 112^2 cross-term divergence-form
+operator of the perfbench `columns` workload, and the 224x192 a = 0.5
+operator of the acceptance fixture, each to t = 1 with checkpoints
+(0.25, 0.5, 1).  For each path and for k = 1 and k = 4 sources it records
+`lu_nnz` (the entries SuperLU stores for L and U), the factor time, the
+time per step (median over --repeats evolutions), the oracle error
+(max |p - p_exact| / max p_exact over the checkpoints, where a closed
+form exists), and the largest difference between the two paths' columns
+relative to each column's maximum.  Criterion 1 (a = 0, c = 1, 8 x 8
+domain, 128^2 and 256^2, t = 1, source (0, 1)) is run on both paths,
+with err256 and err128/err256.  The JSON also holds the environment
+(python, numpy, scipy, CPU count and model).
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from halfheat import solver  # noqa: E402
+from halfheat.errors import SolveFailure  # noqa: E402
 from halfheat.kernels import exact_slice  # noqa: E402
 from halfheat.operators import (  # noqa: E402
     GeneralOperatorSpec,
@@ -51,7 +55,6 @@ from halfheat.operators import (  # noqa: E402
     reduce_to_model,
 )
 
-ORDERINGS = ("COLAMD", "MMD_AT_PLUS_A")
 TS = (0.25, 0.5, 1.0)
 SOURCES = np.array([[0.0, 0.3], [0.5, 1.0], [-1.0, 3.0], [0.0, 0.05]])
 
@@ -61,11 +64,11 @@ def model(a: float, c: float) -> ModelOperatorSpec:
 
 
 def cases():
-    """(name, operator, column times, oracle(slice) -> values or None)."""
+    """(name, operator, oracle(t, source, points) -> values or None)."""
     m128 = model(0.0, 0.5)
     yield ("model_128x128_a0_c0.5",
            solver.assemble(m128, solver.GridSpec(rx=8.0, ry=8.0, nx=128, ny=128, c=0.5)),
-           TS, lambda s: exact_slice(m128, s.t, s.source, s.points).values)
+           lambda t, z2, pts: exact_slice(m128, t, z2, pts).values)
     q, cg = 0.5, 0.6
     spec = GeneralOperatorSpec(n=1, a_matrix=np.array([[2.0, q], [q, 1.0]]),
                                drift=np.array([cg * q, cg]))
@@ -73,97 +76,144 @@ def cases():
     yield ("cross_112x112_q0.5_c0.6",
            solver.assemble_divergence_form(
                spec, solver.GridSpec(rx=8.0, ry=8.0, nx=112, ny=112, c=cg)),
-           TS, lambda s: general_kernel_exact(red, s.t, s.points, s.source))
+           lambda t, z2, pts: general_kernel_exact(red, t, pts, z2))
     yield ("model_224x192_a0.5_c1",
            solver.assemble(model(0.5, 1.0),
                            solver.GridSpec(rx=14.0, ry=12.0, nx=224, ny=192, c=1.0)),
-           (0.25,), None)
+           None)
 
 
-def median_time(fn, repeats: int) -> float:
-    times = []
-    for _ in range(repeats):
+def lu_columns(op, ts, sources):
+    """The same CN steps as kernel_columns with a 2-D sparse LU on op.form.
+
+    Returns the (n, k) states at ts, the snapped sources and the stats
+    (`steps`, `lu_nnz`, `factor_s`, `solve_s`, `max_step_residual`).
+    """
+    grid = op.grid
+    w = op.w[:, None]
+    cells = [grid.locate(z) for z in sources]
+    u = np.zeros((op.w.size, len(cells)), order="F")
+    for k, (i, j) in enumerate(cells):
+        u[i * grid.ny + j, k] = 1.0 / op.w[i * grid.ny + j]
+
+    def solve_checked(lu, a_mat, rhs):
+        out = lu.solve(rhs)
+        num = np.abs(np.array([a_mat @ col for col in out.T]).T - rhs).max(axis=0)
+        den = np.abs(rhs).max(axis=0)
+        if not np.all(num <= solver.SOLVE_RTOL * den):
+            raise SolveFailure(f"reference step residual {num.max():.3e}")
+        return out, num / den
+
+    stats = {"steps": 0, "lu_nnz": 0, "factor_s": 0.0, "solve_s": 0.0,
+             "max_step_residual": 0.0}
+    states, start, ht_lu, rannacher = [], 0.0, None, solver.RANNACHER_STEPS
+    for t in ts:
+        steps = solver._segment_steps(grid, t - start)
+        ht, start = (t - start) / steps, t
+        stats["steps"] += steps
+        if ht != ht_lu:
+            t0 = time.perf_counter()
+            lu = a_mat = None
+            a_cn = (sparse.diags(op.w) + (0.5 * ht) * op.form).tocsc()
+            lu = splu(a_cn, permc_spec="MMD_AT_PLUS_A")
+            a_mat = a_cn.tocsr()
+            explicit = (sparse.diags(op.w) - (0.5 * ht) * op.form).tocsr()
+            stats["factor_s"] += time.perf_counter() - t0
+            stats["lu_nnz"] = max(stats["lu_nnz"], lu.nnz)
+            ht_lu = ht
         t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    return statistics.median(times)
+        for _ in range(steps):
+            if rannacher > 0:
+                u, res = solve_checked(lu, a_mat, w * u)
+                u, res = solve_checked(lu, a_mat, w * u)
+                rannacher -= 1
+            else:
+                rhs = np.array([explicit @ col for col in u.T]).T
+                u, res = solve_checked(lu, a_mat, rhs)
+            stats["max_step_residual"] = max(stats["max_step_residual"], float(res.max()))
+        stats["solve_s"] += time.perf_counter() - t0
+        states.append(u)
+    snapped = [np.array([grid.x_centers[i], grid.y_centers[j]]) for i, j in cells]
+    return states, snapped, stats
 
 
-def with_ordering(ordering: str, fn, *args):
-    """Call fn with halfheat.solver factoring under `ordering`."""
-    real = solver.splu
-    solver.splu = lambda mat, **kwargs: real(mat, permc_spec=ordering)
-    try:
-        return fn(*args)
-    finally:
-        solver.splu = real
+def fourier_columns(op, ts, sources):
+    """kernel_columns, reshaped like lu_columns's output."""
+    cols = solver.kernel_columns(op, ts, sources)
+    states = [np.column_stack([cols[k * len(ts) + n].values for k in range(len(sources))])
+              for n in range(len(ts))]
+    meta = cols[0].meta
+    stats = {key: meta[key] for key in ("steps", "lu_nnz", "factor_s", "solve_s",
+                                        "transform_s")}
+    stats["max_step_residual"] = max(s.meta["max_step_residual"] for s in cols)
+    return states, [cols[k * len(ts)].source for k in range(len(sources))], stats
 
 
 def relative_error(values, ref) -> float:
     return float(np.abs(values - ref).max() / np.abs(ref).max())
 
 
-def factor_record(op, ht: float, ordering: str, repeats: int) -> dict:
-    a_cn = (sparse.diags(op.w) + (0.5 * ht) * op.form).tocsc()
-    lu = splu(a_cn, permc_spec=ordering)
-    rng = np.random.default_rng(0)
-    rhs1 = rng.standard_normal(a_cn.shape[0])
-    rhs4 = np.asfortranarray(rng.standard_normal((a_cn.shape[0], 4)))
-    return {
-        "ht": ht,
-        "lu_nnz": int(lu.nnz),
-        "l_plus_u_nnz": int(lu.L.nnz + lu.U.nnz),
-        "factor_s": median_time(lambda: splu(a_cn, permc_spec=ordering), max(repeats // 5, 3)),
-        "solve_1rhs_s": median_time(lambda: lu.solve(rhs1), repeats),
-        "solve_4rhs_s": median_time(lambda: lu.solve(rhs4), repeats),
-    }
+def path_record(run, op, ts, sources, oracle, repeats: int):
+    """Median timings of `repeats` evolutions and the last one's states."""
+    step_ms, factor_s = [], []
+    for _ in range(repeats):
+        states, snapped, stats = run(op, ts, sources)
+        step_ms.append(1e3 * stats["solve_s"] / stats["steps"])
+        factor_s.append(stats["factor_s"])
+    rec = {"steps": stats["steps"], "lu_nnz": int(stats["lu_nnz"]),
+           "factor_s": statistics.median(factor_s),
+           "step_ms": statistics.median(step_ms),
+           "max_step_residual": stats["max_step_residual"]}
+    if "transform_s" in stats:
+        rec["transform_s"] = stats["transform_s"]
+    points = op.grid.points()
+    rec["oracle_err"] = (max(relative_error(u[:, k], oracle(t, z2, points))
+                             for t, u in zip(ts, states) for k, z2 in enumerate(snapped))
+                         if oracle else None)
+    return rec, states
 
 
-def case_record(name, op, ts, oracle, repeats: int) -> dict:
-    rec = {"unknowns": op.form.shape[0], "form_nnz": int(op.form.nnz), "orderings": {}}
-    columns = {}
-    for ordering in ORDERINGS:
-        t0 = time.perf_counter()
-        cols = with_ordering(ordering, solver.kernel_columns, op, ts, SOURCES)
-        block_s = time.perf_counter() - t0
-        # the matrix of the evolution's first checkpoint segment
-        out = factor_record(op, cols[0].meta["ht"][0], ordering, repeats)
-        out["column_block_s"] = block_s
-        out["column_sources"] = len(SOURCES)
-        out["column_times"] = list(ts)
-        out["max_step_residual"] = max(s.meta["max_step_residual"] for s in cols)
-        out["oracle_err"] = (max(relative_error(s.values, oracle(s)) for s in cols)
-                             if oracle else None)
-        columns[ordering] = cols
-        rec["orderings"][ordering] = out
-        print(f"{name:26s} {ordering:14s} lu_nnz {out['lu_nnz']:>9,d}  "
-              f"factor {out['factor_s']:.3f} s  solve {1e3 * out['solve_1rhs_s']:.2f} / "
-              f"{1e3 * out['solve_4rhs_s']:.2f} ms (1 / 4 rhs)  "
-              f"block {out['column_block_s']:.2f} s  oracle_err {out['oracle_err']}",
+def case_record(name, op, oracle, repeats: int) -> dict:
+    rec = {"unknowns": op.form.shape[0], "form_nnz": int(op.form.nnz),
+           "modes": op.grid.nx // 2 + 1, "column_times": list(TS)}
+    for k in (1, 4):
+        sources = SOURCES[:k]
+        fourier, f_states = path_record(fourier_columns, op, TS, sources, oracle, repeats)
+        lu, l_states = path_record(lu_columns, op, TS, sources, oracle, repeats)
+        diff = max(relative_error(f[:, c], l[:, c])
+                   for f, l in zip(f_states, l_states) for c in range(k))
+        rec[f"k{k}"] = {"fourier": fourier, "lu": lu,
+                        "step_speedup": lu["step_ms"] / fourier["step_ms"],
+                        "paths_max_rel_diff": diff}
+        print(f"{name:24s} k={k}  lu_nnz {fourier['lu_nnz']:>7,d} / {lu['lu_nnz']:>9,d}  "
+              f"step {fourier['step_ms']:.2f} / {lu['step_ms']:.2f} ms "
+              f"({lu['step_ms'] / fourier['step_ms']:.1f}x)  "
+              f"oracle_err {fourier['oracle_err']} / {lu['oracle_err']}  diff {diff:.1e}",
               flush=True)
-    rec["orderings_max_rel_diff"] = max(
-        relative_error(a.values, b.values) for a, b in zip(*columns.values()))
     if oracle is None:
-        rec["oracle_note"] = ("a = 0.5 has no closed form; see criterion_1 for the "
-                              "oracle error under each ordering")
+        rec["oracle_note"] = ("a = 0.5 has no closed form; the paths' difference stands "
+                              "for equal accuracy, and criterion_1 gives the oracle error")
     return rec
 
 
-def criterion_1(ordering: str) -> dict:
+def criterion_1() -> dict:
     """Criterion-1 oracle error (a = 0, c = 1, t = 1, source (0, 1)) at 128^2 and 256^2."""
     m = model(0.0, 1.0)
     out = {}
-    for n in (128, 256):
-        t0 = time.perf_counter()
-        op = solver.assemble(m, solver.GridSpec(rx=8.0, ry=8.0, nx=n, ny=n, c=1.0))
-        slc = with_ordering(ordering, solver.kernel_column, op, 1.0, np.array([0.0, 1.0]))
-        out[f"column_{n}_s"] = time.perf_counter() - t0
-        out[f"err{n}"] = relative_error(
-            slc.values, exact_slice(m, 1.0, slc.source, slc.points).values)
-    out["err128_over_err256"] = out["err128"] / out["err256"]
-    print(f"criterion 1 {ordering:14s} err256 {out['err256']:.4e} "
-          f"ratio {out['err128_over_err256']:.3f} column256 {out['column_256_s']:.2f} s",
-          flush=True)
+    for path, run in (("fourier", fourier_columns), ("lu", lu_columns)):
+        rec = {}
+        for n in (128, 256):
+            op = solver.assemble(m, solver.GridSpec(rx=8.0, ry=8.0, nx=n, ny=n, c=1.0))
+            t0 = time.perf_counter()
+            states, snapped, _ = run(op, [1.0], np.array([[0.0, 1.0]]))
+            rec[f"column_{n}_s"] = time.perf_counter() - t0
+            rec[f"err{n}"] = relative_error(
+                states[0][:, 0], exact_slice(m, 1.0, snapped[0], op.grid.points()).values)
+        rec["err128_over_err256"] = rec["err128"] / rec["err256"]
+        out[path] = rec
+        print(f"criterion 1 {path:8s} err256 {rec['err256']:.4e} "
+              f"ratio {rec['err128_over_err256']:.3f} column256 {rec['column_256_s']:.2f} s",
+              flush=True)
     return out
 
 
@@ -180,7 +230,7 @@ def cpu_model() -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default=str(ROOT / "BENCH_cn_solve.json"))
-    parser.add_argument("--repeats", type=int, default=15)
+    parser.add_argument("--repeats", type=int, default=3)
     args = parser.parse_args(argv)
     report = {
         "environment": {
@@ -188,9 +238,9 @@ def main(argv=None) -> int:
             "scipy": scipy.__version__, "nproc": os.cpu_count(), "cpu": cpu_model(),
         },
         "repeats": args.repeats,
-        "cases": {name: case_record(name, op, ts, oracle, args.repeats)
-                  for name, op, ts, oracle in cases()},
-        "criterion_1": {ordering: criterion_1(ordering) for ordering in ORDERINGS},
+        "cases": {name: case_record(name, op, oracle, args.repeats)
+                  for name, op, oracle in cases()},
+        "criterion_1": criterion_1(),
     }
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {args.out}")

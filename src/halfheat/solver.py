@@ -2,24 +2,31 @@
 
 The generator is discretized from its sesquilinear form on a staggered
 tensor grid: y-cells never touch y = 0 (centers at (j+1/2) h_y), the
-no-flux closure of the form encodes the natural boundary condition
-lim y^c D_y u = 0 without ghost points, and the mixed term is kept
-inside the same form matrix so that transposing it realizes the adjoint
-operator exactly at the discrete level.
+no-flux closure of the form in y encodes the natural boundary condition
+lim y^c D_y u = 0 without ghost points, x is closed periodically, and
+the mixed term is kept inside the same form matrix so that transposing
+it realizes the adjoint operator exactly at the discrete level.
 
 The assembled object is the pair (S, w): a sparse form matrix with
 S[v, u] ~ a(u, v) and the vector of weighted cell masses, giving the
 semi-discrete evolution w du/dt = -S u.  S is a sum of Kronecker
 products of 1-D difference, averaging and weight operators in x and
-in y (see _form_matrix).  Constants are annihilated by S on both sides
-(every entry of S comes from a difference), so constant states are
-exactly stationary and total mass Sum(w u) is conserved to solver
-round-off by each Crank-Nicolson step.
+in y (see _form_matrix); its x factors are circulant.  Constants are
+annihilated by S on both sides (every entry of S comes from a
+difference), so constant states are exactly stationary and total mass
+Sum(w u) is conserved to solver round-off by each Crank-Nicolson step.
+
+The coefficients do not depend on x, so the stepping loop never uses S
+itself: an rfft along x splits W + (ht/2) S into one tridiagonal y-block
+per x-mode (fast diagonalization), each step runs per mode, and the step
+residual is checked in mode space.  The adjoint stays exact to FFT
+round-off relative to the column maximum.
 """
 
 from __future__ import annotations
 
 import itertools
+import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -62,7 +69,8 @@ RANNACHER_STEPS = 2
 MAX_STEPS = 16384
 
 #: the evolution stats kernel_columns puts in a solver slice's meta
-SOLVE_STATS = ("steps", "ht", "factorizations", "lu_nnz", "max_step_residual")
+SOLVE_STATS = ("steps", "ht", "factorizations", "lu_nnz", "max_step_residual",
+               "transform_s", "factor_s", "solve_s")
 
 
 @dataclass(frozen=True)
@@ -187,43 +195,54 @@ def _face_difference(n: int) -> sparse.csr_matrix:
     return sparse.diags([-ones, ones], [0, 1], shape=(n - 1, n), format="csr")
 
 
+def _kron_form(grid: GridSpec, bmat: np.ndarray, lap_x, grad_x) -> sparse.csr_matrix:
+    """Sum of Kronecker products of x factors and the grid's 1-D y-operators.
+
+        (B00/hx) lap_x (x) Z  +  B11 (hx/hy) I (x) Dy' Y Dy
+            +  B01 grad_x^H (x) Cy  +  B10 grad_x (x) Cy',    Cy = Ay' (hx Y) Dy,
+
+    with Dy the interior face differences, Z = diag(cell y-masses),
+    Y = diag(y^c) on the interior y-faces and Ay the two-cell face average
+    in y.  In cell space lap_x = Dx'Dx and grad_x is the cell gradient; in
+    x-Fourier modes both are diagonal (their symbols), which gives the
+    mode blocks of the same form.  Zero-coefficient terms are skipped.
+    """
+    nx, ny, hx, hy = lap_x.shape[0], grid.ny, grid.hx, grid.hy  # nx cells or modes
+    dy = _face_difference(ny)
+    yc = sparse.diags(grid.y_faces[1:-1] ** grid.c)
+    mat = sparse.csr_matrix((nx * ny, nx * ny), dtype=grad_x.dtype)  # complex per mode
+    if bmat[0, 0] != 0.0:
+        mat = mat + (bmat[0, 0] / hx) * sparse.kron(lap_x, sparse.diags(grid.cell_y_masses()))
+    if bmat[1, 1] != 0.0:
+        mat = mat + (bmat[1, 1] * hx / hy) * sparse.kron(sparse.identity(nx), dy.T @ yc @ dy)
+    # the (u_y, v_x) pairing sits on interior y-faces as (face D_y u) times
+    # the face average of the cell gradient of v; (u_x, v_y) is its transpose,
+    # so a symmetric B yields a symmetric (Hermitian, per mode) matrix
+    cy = (0.5 * abs(dy)).T @ (hx * yc) @ dy
+    if bmat[0, 1] != 0.0:
+        mat = mat + bmat[0, 1] * sparse.kron(grad_x.conj().T, cy)
+    if bmat[1, 0] != 0.0:
+        mat = mat + bmat[1, 0] * sparse.kron(grad_x, cy.T)
+    return mat.tocsr()
+
+
 def _form_matrix(grid: GridSpec, bmat: np.ndarray) -> sparse.csr_matrix:
     """Assemble the discrete form for a(u,v) = int <B grad u, grad v> y^c.
 
     B is the 2x2 constant coefficient matrix in the (x, y) gradient
     pairing: B[0,0] u_x v_x + B[0,1] u_y v_x + B[1,0] u_x v_y +
-    B[1,1] u_y v_y.  With x as the major index (k = i*ny + j) the form is
-
-        (B00/hx) Dx'Dx (x) Z  +  B11 (hx/hy) I (x) Dy' Y Dy  +  B01 C + B10 C',
-        C = Gx' (x) Ay' (hx Y) Dy,
-
-    with Dx, Dy the face differences, Z = diag(cell y-masses), Y = diag(y^c)
-    on the interior y-faces, Ay the two-cell face average in y and Gx the
-    centred cell gradient in x (one-sided at the walls).  Every term carries
-    a difference on each side, so constants are in the kernel of both the
+    B[1,1] u_y v_y.  With x the major index (k = i*ny + j) the form is the
+    _kron_form sum with lap_x = Dx'Dx and grad_x = Gx, where x is closed
+    periodically: Dx is the circulant face difference (face i between
+    cells i and i+1 mod nx) and Gx = |Dx|' Dx / (2 hx) the centred cell
+    gradient, so both x factors are circulant.  Every term carries a
+    difference on each side, so constants are in the kernel of both the
     matrix and its transpose.
     """
-    nx, ny, hx, hy = grid.nx, grid.ny, grid.hx, grid.hy
-    dx, dy = _face_difference(nx), _face_difference(ny)
-    yc = sparse.diags(grid.y_faces[1:-1] ** grid.c)
-    mat = sparse.csr_matrix((nx * ny, nx * ny))
-    if bmat[0, 0] != 0.0:
-        zeta = sparse.diags(grid.cell_y_masses())
-        mat = mat + (bmat[0, 0] / hx) * sparse.kron(dx.T @ dx, zeta)
-    if bmat[1, 1] != 0.0:
-        mat = mat + (bmat[1, 1] * hx / hy) * sparse.kron(sparse.identity(nx), dy.T @ yc @ dy)
-    # the (u_y, v_x) pairing sits on interior y-faces as (face D_y u) times
-    # the face average of the cell gradient of v; (u_x, v_y) is its transpose,
-    # so a symmetric B yields a symmetric matrix
-    if bmat[0, 1] != 0.0 or bmat[1, 0] != 0.0:
-        # cell gradient: the mean of the cell's one or two face differences
-        near = abs(dx).T
-        gx = sparse.diags(1.0 / (hx * np.asarray(near.sum(axis=1)).ravel())) @ near @ dx
-        cross = sparse.kron(gx.T, (0.5 * abs(dy)).T @ (hx * yc) @ dy)
-        if bmat[0, 1] != 0.0:
-            mat = mat + bmat[0, 1] * cross
-        if bmat[1, 0] != 0.0:
-            mat = mat + bmat[1, 0] * cross.T
+    nx = grid.nx
+    # face i lies between cells i and i+1 mod nx
+    dx = sparse.eye(nx, k=1) + sparse.eye(nx, k=1 - nx) - sparse.eye(nx)
+    mat = _kron_form(grid, bmat, dx.T @ dx, (0.5 / grid.hx) * abs(dx).T @ dx)
     # every face adds +g/-g to each touched row, so row sums vanish in exact
     # arithmetic; fold the summation round-off into the diagonal so constants
     # are annihilated exactly (and the transposed operator conserves exactly)
@@ -231,18 +250,36 @@ def _form_matrix(grid: GridSpec, bmat: np.ndarray) -> sparse.csr_matrix:
     return mat.tocsr()
 
 
+def _mode_form(grid: GridSpec, bmat: np.ndarray) -> sparse.csr_matrix:
+    """The form in x-Fourier modes: nx//2 + 1 tridiagonal ny x ny blocks.
+
+    Mode m (theta = 2 pi m / nx, the rfft index) takes the symbols
+    2 - 2 cos theta of Dx'Dx and i sin(theta) / hx of Gx; the block
+    diagonal is indexed m * ny + j.  sin(theta) is set to 0 at the
+    Nyquist mode, where the centred gradient of (-1)^i vanishes exactly.
+    """
+    theta = 2.0 * np.pi * np.arange(grid.nx // 2 + 1) / grid.nx
+    sin = np.sin(theta)
+    if grid.nx % 2 == 0:
+        sin[-1] = 0.0
+    return _kron_form(grid, bmat, sparse.diags(4.0 * np.sin(0.5 * theta) ** 2),
+                      sparse.diags(1j * sin / grid.hx))
+
+
 @dataclass
 class DiscreteOperator:
     """Assembled generator: sparse form matrix, masses, and provenance tags.
 
     The semi-discrete law is w du/dt = -(S u); `apply` returns du/dt.
-    The adjoint operator shares masses and transposes S, realizing
-    a*(u, v) = a(v, u) exactly.
+    `bmat` is the 2x2 coefficient matrix S was built from; the stepping
+    loop builds its x-mode blocks from it.  The adjoint operator shares
+    masses and transposes S and bmat, realizing a*(u, v) = a(v, u) exactly.
     """
 
     grid: GridSpec
     form: sparse.csr_matrix
     w: np.ndarray
+    bmat: np.ndarray
     is_adjoint: bool = False
     label: str = "model"
     meta: dict = field(default_factory=dict)
@@ -255,7 +292,7 @@ class DiscreteOperator:
 
     def adjoint(self) -> "DiscreteOperator":
         return DiscreteOperator(
-            grid=self.grid, form=self.form.T.tocsr(), w=self.w,
+            grid=self.grid, form=self.form.T.tocsr(), w=self.w, bmat=self.bmat.T,
             is_adjoint=not self.is_adjoint, label=self.label + "*",
             meta=dict(self.meta),
         )
@@ -277,9 +314,8 @@ def assemble(model: ModelOperatorSpec, grid: GridSpec) -> DiscreteOperator:
             f"grid weight c={grid.c} does not match operator c={model.c}"
         )
     bmat = np.array([[1.0, 2.0 * float(model.a[0])], [0.0, 1.0]])
-    form = _form_matrix(grid, bmat)
     return DiscreteOperator(
-        grid=grid, form=form, w=grid.masses().ravel(),
+        grid=grid, form=_form_matrix(grid, bmat), w=grid.masses().ravel(), bmat=bmat,
         label="model", meta={"a": float(model.a[0]), "c": model.c},
     )
 
@@ -304,34 +340,25 @@ def assemble_divergence_form(spec: GeneralOperatorSpec, grid: GridSpec) -> Discr
         )
     if grid.c != m:
         raise StructuralError(f"grid weight c={grid.c} must equal c/gamma={m}")
-    form = _form_matrix(grid, np.asarray(spec.a_matrix, dtype=float))
+    bmat = np.asarray(spec.a_matrix, dtype=float)
     return DiscreteOperator(
-        grid=grid, form=form, w=grid.masses().ravel(),
+        grid=grid, form=_form_matrix(grid, bmat), w=grid.masses().ravel(), bmat=bmat,
         label="general", meta={"gamma": spec.gamma, "m": m},
     )
 
 
-def _apply_columns(mat, block: np.ndarray) -> np.ndarray:
-    """mat @ block for an (n, k) block, one sparse product per column.
+def _solve_checked(lu, a_k, rhs):
+    """Solve the k systems of rhs, shape (k, n), with the factor lu of one n x n matrix.
 
-    scipy's multi-vector product copies a Fortran-ordered block to C order
-    and costs more than k single products (0.34 against 2 x 0.10 ms for
-    k = 2 at 96^2 on a 2-vCPU Xeon); the result is Fortran-ordered, like
-    lu.solve's.
+    a_k is the block diagonal of k copies of that matrix, so one sparse
+    product gives every row's residual.  Returns x, shape (k, n), and the
+    k relative residuals.  Each system is held to its own |rhs|: a
+    residual above SOLVE_RTOL times it, or a non-finite one, raises
+    SolveFailure naming its column of the source block.
     """
-    return np.array([mat @ col for col in block.T]).T
-
-
-def _solve_checked(lu, a_mat, rhs):
-    """Solve a_mat x = rhs for a block rhs of shape (n, k).
-
-    Returns x and the k relative residuals.  Each column is held to its
-    own |rhs|: a residual above SOLVE_RTOL times it, or a non-finite one,
-    raises SolveFailure.
-    """
-    out = lu.solve(rhs)
-    num = np.abs(_apply_columns(a_mat, out) - rhs).max(axis=0)
-    den = np.abs(rhs).max(axis=0)
+    out = lu.solve(rhs.T).T
+    num = np.abs(a_k @ out.ravel() - rhs.ravel()).reshape(rhs.shape).max(axis=1)
+    den = np.abs(rhs).max(axis=1)
     # NaN or inf in the data or the solution leaves a non-finite residual
     bad = ~np.isfinite(num) | ((den > 0.0) & (num > SOLVE_RTOL * den))
     if np.any(bad):
@@ -350,15 +377,23 @@ def _segment_steps(grid: GridSpec, duration: float) -> int:
 def _evolve_block(op: DiscreteOperator, u: np.ndarray, times):
     """Crank-Nicolson steps of the k columns of u, shape (n, k), through `times`.
 
-    The one stepping loop: each checkpoint segment takes uniform steps, a
-    factorization of W + (ht/2) S (minimum-degree ordering on the pattern
-    of A' + A) serves every segment with a bitwise-equal ht and is
-    released before the next one is built, and every step is one
-    multi-right-hand-side solve for the whole block.  Returns the (n, k)
-    states at `times` and the run's stats: total `steps`, the `ht` of
-    each segment, `factorizations`, the largest `lu_nnz` (the entries
-    SuperLU stores for L and U) and, per column, the worst relative step
-    residual `max_step_residual`.
+    The one stepping loop.  x is periodic and the coefficients do not
+    depend on x, so one rfft along x splits W + (ht/2) S into nx//2 + 1
+    tridiagonal ny x ny blocks, one per x-mode (built by _mode_form from
+    the operator's bmat; op.form is not read).  The block is stepped
+    entirely in mode space and brought back by irfft only at the
+    checkpoints.  Each checkpoint segment takes uniform steps; one
+    factorization of the block-diagonal mode matrix (natural order, no
+    fill) serves every segment with a bitwise-equal ht and is released
+    before the next one is built; every step is one sparse product for
+    the explicit half and one multi-right-hand-side solve, whose residual
+    is checked in mode space.  Returns the (n, k) states at `times` and
+    the run's stats: total `steps`, the `ht` of each segment,
+    `factorizations`, the largest `lu_nnz` (the entries SuperLU stores
+    for L and U), per column the worst relative step residual
+    `max_step_residual`, and the wall time of each phase: `transform_s`
+    (rfft and irfft), `factor_s` (mode matrices and factorizations) and
+    `solve_s` (the steps).
     """
     segs = [b - a for a, b in zip([0.0] + times[:-1], times)]
     if min(segs) <= 0.0:
@@ -368,10 +403,20 @@ def _evolve_block(op: DiscreteOperator, u: np.ndarray, times):
         raise SolveFailure(f"evolution needs {sum(counts)} time steps, over the "
                            f"budget of MAX_STEPS = {MAX_STEPS}")
 
-    w = op.w[:, None]
-    wmat = sparse.diags(op.w)
-    worst = np.zeros(u.shape[1])
-    stats = {"steps": sum(counts), "ht": [], "factorizations": 0, "lu_nnz": 0}
+    grid, k = op.grid, u.shape[1]
+    clock = time.perf_counter
+    stats = {"steps": sum(counts), "ht": [], "factorizations": 0, "lu_nnz": 0,
+             "transform_s": 0.0, "factor_s": 0.0, "solve_s": 0.0}
+    t0 = clock()
+    # source-major: row c of u holds the modes of source c, index m * ny + j
+    u = np.fft.rfft(u.T.reshape(k, grid.nx, grid.ny), axis=1).reshape(k, -1)
+    stats["transform_s"] += clock() - t0
+    t0 = clock()
+    s_modes = _mode_form(grid, op.bmat)
+    w = np.tile(grid.hx * grid.cell_y_masses(), grid.nx // 2 + 1)
+    wmat, blocks = sparse.diags(w), sparse.identity(k)
+    stats["factor_s"] += clock() - t0
+    worst = np.zeros(k)
     states = []
     ht_lu = None
     remaining_rannacher = RANNACHER_STEPS
@@ -380,25 +425,34 @@ def _evolve_block(op: DiscreteOperator, u: np.ndarray, times):
         stats["ht"].append(ht)
         if ht != ht_lu:
             # one factorization per step size; release the old one first
-            lu = a_csr = None
-            a_cn = (wmat + (0.5 * ht) * op.form).tocsc()
-            lu = splu(a_cn, permc_spec="MMD_AT_PLUS_A")
-            a_csr = a_cn.tocsr()
+            t0 = clock()
+            lu = a_k = explicit_k = None
+            a_mat = wmat + (0.5 * ht) * s_modes
+            # tridiagonal blocks in natural order: no fill; relax=1 keeps SuperLU
+            # from padding supernodes, so lu_nnz counts only L and U
+            lu = splu(a_mat.tocsc(), permc_spec="NATURAL", relax=1)
+            a_k = sparse.kron(blocks, a_mat, format="csr")
+            explicit_k = sparse.kron(blocks, wmat - (0.5 * ht) * s_modes, format="csr")
             ht_lu = ht
             stats["factorizations"] += 1
             stats["lu_nnz"] = max(stats["lu_nnz"], lu.nnz)
+            stats["factor_s"] += clock() - t0
+        t0 = clock()
         for _ in range(n):
             if remaining_rannacher > 0:
                 # two backward-Euler half steps share the CN matrix
-                u, res = _solve_checked(lu, a_csr, w * u)
+                u, res = _solve_checked(lu, a_k, w * u)
                 np.maximum(worst, res, out=worst)
-                u, res = _solve_checked(lu, a_csr, w * u)
+                u, res = _solve_checked(lu, a_k, w * u)
                 remaining_rannacher -= 1
             else:
-                rhs = w * u - (0.5 * ht) * _apply_columns(op.form, u)
-                u, res = _solve_checked(lu, a_csr, rhs)
+                u, res = _solve_checked(lu, a_k, (explicit_k @ u.ravel()).reshape(k, -1))
             np.maximum(worst, res, out=worst)
-        states.append(u)
+        stats["solve_s"] += clock() - t0
+        t0 = clock()
+        states.append(np.fft.irfft(u.reshape(k, -1, grid.ny), n=grid.nx, axis=1)
+                      .reshape(k, -1).T)
+        stats["transform_s"] += clock() - t0
     stats["max_step_residual"] = worst
     return states, stats
 
@@ -408,13 +462,15 @@ def evolve(op: DiscreteOperator, f: Field, t: float, checkpoints=None):
 
     Runs uniform steps per segment between checkpoints (all of one size
     within a segment, which keeps the step propagator identical across
-    a run and the adjoint relation exact); segments with the same step
-    size share one LU, factored with a minimum-degree ordering and freed
-    when the evolution ends.  The first RANNACHER_STEPS CN steps are
-    replaced by pairs of backward-Euler half-steps to damp the non-smooth
-    modes of rough data; both schemes conserve the discrete mass
-    identically because constants annihilate S on the test side.  This
-    is the one-column case of the block stepping kernel_columns uses.
+    a run and the adjoint relation exact).  x is periodic, so the field
+    is stepped per x-mode on tridiagonal y-blocks, with the residual
+    checked in mode space; segments with the same step size share one
+    factorization of those blocks, freed when the evolution ends.  The
+    first RANNACHER_STEPS CN steps are replaced by pairs of backward-Euler
+    half-steps to damp the non-smooth modes of rough data; both schemes
+    conserve the discrete mass identically because constants annihilate S
+    on the test side.  This is the one-column case of the block stepping
+    kernel_columns uses.
 
     More than MAX_STEPS steps in all raises SolveFailure before any factorization.
 
@@ -439,11 +495,15 @@ def kernel_columns(op: DiscreteOperator, ts, z2) -> list[KernelSlice]:
     `z2` is one source point, shape (2,), or k of them, shape (k, 2).  The
     initial state holds the discrete delta 1/w at each source cell as one
     column of an (n, k) block, so the computed columns are already in the
-    y^c dz convention; the block is stepped once, with one LU per distinct
-    step size and one multi-right-hand-side solve per step.  Returns the
-    k * len(ts) slices source-major (all times of the first source, then
-    the next), each with the evolution's stats in `meta` and its own
-    column's worst step residual.
+    y^c dz convention.  x is periodic: the block is taken to x-modes once,
+    stepped per mode on tridiagonal y-blocks (one factorization per
+    distinct step size, one multi-right-hand-side solve per step, the
+    residual checked in mode space) and brought back at the checkpoints;
+    the adjoint is exact to FFT round-off relative to the column maximum.
+    Returns the k * len(ts) slices source-major (all times of the first
+    source, then the next), each with the evolution's stats in `meta`
+    (SOLVE_STATS, with the phase wall times) and its own column's worst
+    step residual.
     """
     grid = op.grid
     ts = sorted(float(t) for t in np.atleast_1d(ts))

@@ -134,7 +134,7 @@ class TestValidateCommand:
         assert main(["validate", path]) == EXIT_PASS
         out = json.loads(capsys.readouterr().out)
         assert out["passed"] is True
-        assert out["schema_version"] == 2
+        assert out["schema_version"] == 3
 
     def test_degeneracy_failure_names_invariant(self, tmp_path, capsys):
         bad = IDENTITY_CFG.replace("v.c = 0", "v.c = -1.5")
@@ -255,7 +255,7 @@ class TestVerifyCommand:
         assert main(["verify", "--probe-set", "smoke", "--out", str(out_dir)]) == EXIT_PASS
         bundle = json.loads((out_dir / "verify.json").read_text())
         assert bundle["passed"] is True
-        assert bundle["schema_version"] == 2
+        assert bundle["schema_version"] == 3
         assert "seed" not in bundle
         names = {c["name"] for c in bundle["checks"]}
         assert {"conservation_exact", "scaling_exact", "envelope_exact"} <= names

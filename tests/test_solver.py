@@ -1,5 +1,7 @@
 """Discretization, evolution, kernel columns, and discrete identities."""
 
+import time
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -186,25 +188,34 @@ class TestEvolve:
 
     def test_block_residual_guard_is_per_column(self):
         _, grid, op = make(0.5, 1.0, n=16, r=2.0)
-        a_cn = (sparse.diags(op.w) + 0.01 * op.form).tocsc()
-        lu = splu(a_cn)
-        rhs = np.column_stack([op.w, op.w])
-        out, res = solver._solve_checked(lu, a_cn.tocsr(), rhs)
-        assert out.shape == (grid.nx * grid.ny, 2)
-        assert np.all(res < solver.SOLVE_RTOL)
-        rhs[5, 1] = np.nan
+        u = np.ones((grid.nx * grid.ny, 2))
+        states, stats = solver._evolve_block(op, u, [0.1])
+        assert states[0].shape == u.shape
+        assert np.all(stats["max_step_residual"] < solver.SOLVE_RTOL)
+        u[5, 1] = np.nan
         with pytest.raises(SolveFailure, match="in column 1"):
-            solver._solve_checked(lu, a_cn.tocsr(), rhs)
+            solver._evolve_block(op, u, [0.1])
 
-    def test_minimum_degree_fill(self):
-        # 64 x 48 cells, a = 0.5: the LU of W + (ht/2) S against COLAMD's
+    def test_mode_factorization_has_no_fill(self):
+        # 64 x 48 cells, a = 0.5: the mode LU against COLAMD on the 2-D W + (ht/2) S
         op = assemble(ModelOperatorSpec(n=1, a=np.array([0.5]), c=1.0),
                       GridSpec(rx=5.0, ry=5.0, nx=64, ny=48, c=1.0))
         meta = kernel_column(op, 0.25, np.array([0.0, 1.0])).meta
         assert meta["factorizations"] == 1 and len(meta["ht"]) == 1
+        assert meta["lu_nnz"] <= 6 * (64 // 2 + 1) * 48
         a_cn = (sparse.diags(op.w) + (0.5 * meta["ht"][0]) * op.form).tocsc()
         colamd = splu(a_cn, permc_spec="COLAMD")
-        assert meta["lu_nnz"] < 0.8 * colamd.nnz
+        assert meta["lu_nnz"] < 0.1 * colamd.nnz
+
+    def test_phase_times(self):
+        _, grid, op = make(0.5, 1.0, n=32, r=3.0)
+        t0 = time.perf_counter()
+        cols = kernel_columns(op, (0.25, 0.5), np.array([[0.0, 1.0], [0.5, 1.5]]))
+        wall = time.perf_counter() - t0
+        for slc in cols:
+            phases = [slc.meta[key] for key in ("transform_s", "factor_s", "solve_s")]
+            assert all(np.isfinite(p) and p >= 0.0 for p in phases)
+            assert sum(phases) <= wall
 
     def test_step_budget(self, monkeypatch):
         # ht = h^2 = 1/64 on both segments: 9,600 + 9,600 steps, over MAX_STEPS
@@ -298,6 +309,40 @@ class TestKernelColumn:
             err = np.abs(b.values - s.values).max() / np.abs(s.values).max()
             assert err <= 1e-14
             assert b.meta["factorizations"] == 1
+
+    @pytest.mark.parametrize("nx", [48, 27])
+    @pytest.mark.parametrize("adjoint", [False, True])
+    def test_modes_match_sparse_lu_steps(self, adjoint, nx):
+        # the same CN steps as a 2-D sparse LU of W + (ht/2) S on the periodic
+        # op.form; an odd nx has no Nyquist mode
+        op = assemble(ModelOperatorSpec(n=1, a=np.array([0.5]), c=1.0),
+                      GridSpec(rx=4.0, ry=4.0, nx=nx, ny=40, c=1.0))
+        op = op.adjoint() if adjoint else op
+        ts = (0.25, 0.5)
+        sources = np.array([[0.0, 0.5], [1.0, 1.5]])
+        cols = kernel_columns(op, ts, sources)
+        w = op.w[:, None]
+        u = np.zeros((w.size, len(sources)))
+        for k, z2 in enumerate(sources):
+            i, j = op.grid.locate(z2)
+            u[i * op.grid.ny + j, k] = 1.0 / w[i * op.grid.ny + j, 0]
+        ref, start, rannacher = [], 0.0, solver.RANNACHER_STEPS
+        for t in ts:
+            steps = solver._segment_steps(op.grid, t - start)
+            ht, start = (t - start) / steps, t
+            lu = splu((sparse.diags(op.w) + (0.5 * ht) * op.form).tocsc())
+            explicit = sparse.diags(op.w) - (0.5 * ht) * op.form
+            for _ in range(steps):
+                if rannacher > 0:
+                    u = lu.solve(w * lu.solve(w * u))
+                    rannacher -= 1
+                else:
+                    u = lu.solve(explicit @ u)
+            ref.append(u)
+        for k in range(len(sources)):
+            for n, u in enumerate(ref):
+                got = cols[k * len(ts) + n].values
+                assert np.abs(got - u[:, k]).max() <= 1e-12 * np.abs(u[:, k]).max()
 
     def test_kernel_slices_one_factorization_for_all_sources(self, monkeypatch):
         spec = GeneralOperatorSpec(n=1, a_matrix=np.array([[1.0, 0.5], [0.5, 1.0]]),

@@ -160,7 +160,7 @@ class TestIdentities:
         assert res["scaling"] <= 1e-12
         assert res["adjoint"] <= 1e-12
         assert res["chapman_kolmogorov"] <= 1e-3
-        assert res["translation"] <= 1e-3
+        assert res["translation"] <= 1e-12
 
     def test_solver_zero_shift(self):
         grid = GridSpec(rx=3.0, ry=3.0, nx=24, ny=24, c=0.0)
