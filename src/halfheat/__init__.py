@@ -34,7 +34,6 @@ from .kernels import (
     bessel_heat_kernel,
     exact_slice,
     product_kernel,
-    to_lebesgue,
 )
 from .operators import (
     GeneralOperatorSpec,

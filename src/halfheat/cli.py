@@ -69,10 +69,28 @@ def parse_config(path) -> dict:
 
 
 def _floats(text: str) -> list[float]:
+    """The comma-separated numbers of a config value; each must be finite."""
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        values = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise StructuralError(f"malformed number list: {text!r}") from exc
+    if not np.all(np.isfinite(values)):
+        raise StructuralError(f"non-finite number in {text!r}")
+    return values
+
+
+def _scalar(cfg: dict, key: str, default: str) -> float:
+    values = _floats(cfg.get(key, default))
+    if len(values) != 1:
+        raise StructuralError(f"{key} needs one number, got {cfg[key]!r}")
+    return values[0]
+
+
+def _count(cfg: dict, key: str, default: str) -> int:
+    try:
+        return int(cfg.get(key, default))
+    except ValueError as exc:
+        raise StructuralError(f"{key} needs an integer, got {cfg[key]!r}") from exc
 
 
 def operator_from_config(cfg: dict) -> GeneralOperatorSpec:
@@ -96,7 +114,7 @@ def operator_from_config(cfg: dict) -> GeneralOperatorSpec:
     d = _floats(cfg.get("v.d", ",".join(["0"] * n)))
     if len(d) != n:
         raise StructuralError(f"v.d needs {n} entries, got {len(d)}")
-    c = float(cfg.get("v.c", "0"))
+    c = _scalar(cfg, "v.c", "0")
     return GeneralOperatorSpec(n=n, a_matrix=np.array(rows), drift=np.array(d + [c]))
 
 
@@ -137,8 +155,8 @@ def cmd_kernel(args) -> int:
 
     slices = kernel_slices(
         spec, ts, sources, numeric=args.force_numeric,
-        rx=float(cfg.get("grid.Rx", "8")), ry=float(cfg.get("grid.Ry", "8")),
-        nx=int(cfg.get("grid.nx", "128")), ny=int(cfg.get("grid.ny", "128")))
+        rx=_scalar(cfg, "grid.Rx", "8"), ry=_scalar(cfg, "grid.Ry", "8"),
+        nx=_count(cfg, "grid.nx", "128"), ny=_count(cfg, "grid.ny", "128"))
     written = []
     for slc in slices:
         defect = slc.meta.get("mass_defect", 0.0)
@@ -148,8 +166,9 @@ def cmd_kernel(args) -> int:
                 "t": slc.t, "mass_defect": defect, "tolerance": args.mass_tol,
             }))
             return EXIT_CHECK_FAILED
-        x2, y2 = slc.meta["source"]
-        tag = f"t{slc.t:g}_x{x2:g}_y{y2:g}".replace("-", "m").replace(".", "p")
+        # shortest round-trip digits, so distinct values get distinct names
+        t, x2, y2 = (str(float(v)).removesuffix(".0") for v in (slc.t, *slc.meta["source"]))
+        tag = f"t{t}_x{x2}_y{y2}".replace("-", "m").replace(".", "p")
         path = out_dir / f"kernel_{tag}.csv"
         slc.to_csv(path)
         written.append({"file": str(path), "t": slc.t,
@@ -258,13 +277,7 @@ def _probe_slices(model, ts, y2s):
 
 
 def cmd_verify(args) -> int:
-    if args.probe_set not in PROBE_SETS:
-        raise StructuralError(f"probe set must be one of {PROBE_SETS}")
-    try:
-        checks, ok = _verify_checks(args.probe_set, k_break=args.break_rate)
-    except SolveFailure as exc:
-        print(json.dumps({"error": "numerical failure", "detail": str(exc)}))
-        return EXIT_NUMERICAL
+    checks, ok = _verify_checks(args.probe_set, k_break=args.break_rate)
     bundle = {
         "schema_version": SCHEMA_VERSION,
         "command": "verify",

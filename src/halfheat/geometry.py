@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ParameterError
-from .kernels import write_csv
 from .special import log_gamma
 
 __all__ = [
@@ -27,7 +26,6 @@ __all__ = [
     "envelope_eval",
     "gradient_envelope",
     "envelope_equivalence_window",
-    "envelope_sweep_csv",
     "doubling_check",
 ]
 
@@ -140,11 +138,11 @@ def gradient_envelope(t, z1, z2, c: float, n: int, amplitude: float, rate: float
     return val if np.ndim(val) else float(val)
 
 
-def envelope_equivalence_window(c: float, n: int, eps: float,
-                                y_max: float = 50.0, samples: int = 400):
+def envelope_equivalence_window(c: float, n: int, eps: float):
     """Observed window for swapping the boundary weight between arguments.
 
-    Over a dense grid (y1, y2) in (0, y_max]^2 the ratio
+    Over a dense grid (y1, y2) in [1e-3, 50]^2 (400 geometric samples
+    per axis) the ratio
 
         f(y1) / (f(y2) exp(eps |y1 - y2|^2)),   f(y) = y^{-c/2}(1 ^ y)^{c/2}
 
@@ -155,53 +153,31 @@ def envelope_equivalence_window(c: float, n: int, eps: float,
     """
     if eps <= 0.0:
         raise ParameterError("eps must be positive")
-    y = np.geomspace(1e-3, y_max, samples)
+    y = np.geomspace(1e-3, 50.0, 400)
     f = y ** (-0.5 * c) * np.minimum(1.0, y) ** (0.5 * c)
     ratio = f[:, None] / (f[None, :] * np.exp(eps * (y[:, None] - y[None, :]) ** 2))
     return float(ratio.min()), float(ratio.max()), eps
 
 
-def envelope_sweep_csv(params: EnvelopeParams, t, z1, z2, c: float, n: int,
-                       path_or_buf) -> None:
-    """Dump an envelope evaluation sweep as `t,x1,y1,x2,y2,envelope,form,side`.
-
-    Only the N = 1 layout is serialized.
-    """
-    if n != 1:
-        raise DomainError("CSV sweep format is defined for N = 1")
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    z1 = np.atleast_2d(np.asarray(z1, dtype=float))
-    z2 = np.atleast_2d(np.asarray(z2, dtype=float))
-    vals = np.atleast_1d(envelope_eval(params, t, z1, z2, c, n))
-    m = len(vals)
-    table = np.column_stack([np.broadcast_to(t, m), np.broadcast_to(z1, (m, 2)),
-                             np.broadcast_to(z2, (m, 2)), vals])
-    write_csv(path_or_buf, "t,x1,y1,x2,y2,envelope,form,side", table,
-              f",{params.form},{params.side}")
-
-
-def doubling_check(c: float, n: int,
-                   y0_probes=(0.0, 0.01, 0.1, 1.0, 10.0),
-                   r_grid=None) -> dict:
-    """Worst-case V(z0, 2r)/V(z0, r) over the probe set.
+def doubling_check(c: float, n: int) -> dict:
+    """Worst-case V(z0, 2r)/V(z0, r) over y0 in {0, 0.01, 0.1, 1, 10}, r in [1e-2, 1e2].
 
     The measure is doubling: the worst ratio must stay below the shape
     C (s/r)^N (1 v s/r)^{1+c^+} with s = 2r, i.e. below C 2^{N+1+c^+}.
     Returns the observed worst case and the shape bound it is compared
     against (with C = 1 it is an exact bound for y0 = 0).
     """
-    if r_grid is None:
-        r_grid = np.geomspace(1e-2, 1e2, 41)
+    r = np.geomspace(1e-2, 1e2, 41)
     worst = 0.0
     worst_at = None
-    for y0 in y0_probes:
-        v2 = ball_volume(np.full_like(r_grid, y0), 2.0 * r_grid, c, n)
-        v1 = ball_volume(np.full_like(r_grid, y0), r_grid, c, n)
+    for y0 in (0.0, 0.01, 0.1, 1.0, 10.0):
+        v2 = ball_volume(np.full_like(r, y0), 2.0 * r, c, n)
+        v1 = ball_volume(np.full_like(r, y0), r, c, n)
         ratios = v2 / v1
         i = int(np.argmax(ratios))
         if ratios[i] > worst:
             worst = float(ratios[i])
-            worst_at = (float(y0), float(r_grid[i]))
+            worst_at = (float(y0), float(r[i]))
     shape = 2.0 ** n * 2.0 ** (1.0 + max(c, 0.0))
     return {
         "worst_ratio": worst,

@@ -11,7 +11,6 @@ weighted measure y^c dz, the convention used everywhere in this package
 from __future__ import annotations
 
 import contextlib
-import io
 import os
 from dataclasses import dataclass, field
 
@@ -24,7 +23,6 @@ __all__ = [
     "WEIGHTED_CONVENTION",
     "bessel_heat_kernel",
     "product_kernel",
-    "to_lebesgue",
     "KernelSlice",
     "exact_slice",
 ]
@@ -109,15 +107,6 @@ def product_kernel(model, t: float, z1, z2):
     return float(val[0]) if val.shape == (1,) else val
 
 
-def to_lebesgue(value, y2, c: float):
-    """Convert kernel values from the y^c dz convention to Lebesgue dz.
-
-    Not used internally; provided so exported data can be compared with
-    unweighted references.
-    """
-    return value * np.asarray(y2, dtype=float) ** c
-
-
 @dataclass
 class KernelSlice:
     """Sampled kernel values p(t, ., z2) with their sampling metadata.
@@ -150,9 +139,9 @@ class KernelSlice:
     def n(self) -> int:
         return self.points.shape[1] - 1
 
-    def clamped_values(self, floor: float = 0.0) -> np.ndarray:
-        """Values with small negative discretization noise clamped."""
-        return np.maximum(self.values, floor)
+    def clamped_values(self) -> np.ndarray:
+        """Values with small negative discretization noise clamped to 0."""
+        return np.maximum(self.values, 0.0)
 
     def mass(self) -> float:
         """Discrete integral of the slice against y^c dz."""
@@ -161,30 +150,23 @@ class KernelSlice:
         return float(np.dot(self.weights, self.values))
 
     def to_csv(self, path_or_buf) -> None:
-        """Write `t,x1,y1,x2,y2,p,convention` rows at full double precision."""
+        """Write `t,x1,y1,x2,y2,p,convention` rows at full double precision.
+
+        Numbers use `%.17g`, which round-trips doubles bit-exactly.  A path
+        is opened and closed here; an open text buffer is written in place.
+        """
         if self.n != 1:
             raise DomainError("CSV slice format is defined for N = 1")
         m = len(self.values)
         table = np.column_stack([np.full(m, self.t), self.points,
                                  np.broadcast_to(self.source, (m, 2)), self.values])
-        write_csv(path_or_buf, "t,x1,y1,x2,y2,p,convention", table, "," + self.convention)
-
-    @classmethod
-    def from_csv(cls, path_or_buf, c: float, **kw) -> "KernelSlice":
-        """Read a slice written by to_csv (columns by position)."""
+        fmt = ",".join(["%.17g"] * 6) + "," + self.convention.replace("%", "%%") + "\n"
         own = isinstance(path_or_buf, (str, bytes, os.PathLike))
-        with open(path_or_buf) if own else contextlib.nullcontext(path_or_buf) as fh:
-            lines = fh.read().splitlines()[1:]
-        if not lines:
-            raise DomainError("empty slice file")
-        table = np.loadtxt(lines, delimiter=",", usecols=range(6), ndmin=2)
-        return cls(t=float(table[0, 0]), source=table[0, 3:5], points=table[:, 1:3],
-                   values=table[:, 5], c=c, convention=lines[0].rsplit(",", 1)[1], **kw)
-
-    def csv_text(self) -> str:
-        buf = io.StringIO()
-        self.to_csv(buf)
-        return buf.getvalue()
+        with open(path_or_buf, "w", newline="") if own else contextlib.nullcontext(path_or_buf) as fh:
+            fh.write("t,x1,y1,x2,y2,p,convention\n")
+            for start in range(0, m, CSV_CHUNK_ROWS):
+                rows = table[start:start + CSV_CHUNK_ROWS].tolist()
+                fh.write("".join(fmt % tuple(row) for row in rows))
 
 
 def exact_slice(model, t: float, z2, points, weights=None) -> KernelSlice:
@@ -196,20 +178,3 @@ def exact_slice(model, t: float, z2, points, weights=None) -> KernelSlice:
         t=t, source=z2, points=points, values=np.atleast_1d(vals),
         c=model.c, weights=weights, method="exact",
     )
-
-
-def write_csv(path_or_buf, header: str, table, suffix: str = "") -> None:
-    """Write `header` and the rows of a 2-D float table, one CSV line each.
-
-    Numbers use `%.17g`, which round-trips doubles bit-exactly; `suffix`
-    is appended to every row (constant text columns).  A path is opened
-    and closed here; an open text buffer is written in place.
-    """
-    table = np.asarray(table, dtype=float)
-    fmt = ",".join(["%.17g"] * table.shape[1]) + suffix.replace("%", "%%") + "\n"
-    own = isinstance(path_or_buf, (str, bytes, os.PathLike))
-    with open(path_or_buf, "w", newline="") if own else contextlib.nullcontext(path_or_buf) as fh:
-        fh.write(header + "\n")
-        for start in range(0, len(table), CSV_CHUNK_ROWS):
-            rows = table[start:start + CSV_CHUNK_ROWS].tolist()
-            fh.write("".join(fmt % tuple(row) for row in rows))

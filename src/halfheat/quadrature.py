@@ -3,8 +3,9 @@
 The weight is integrable but not smooth at y = 0 when c is not a
 nonnegative integer, so the first panel uses Gauss-Jacobi nodes (which
 absorb the y^c factor exactly) and the rest of the axis is covered by
-adaptive QUADPACK panels.  Tensor grids for half-space integrals
-combine these y-rules with Gauss-Legendre panels in x.
+geometrically growing Gauss-Legendre panels.  Tensor grids for
+half-space integrals combine these y-rules with Gauss-Legendre panels
+in x.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-from scipy import integrate as _integrate
 from scipy import special as _sp
 
 from .errors import DomainError, ParameterError
@@ -21,7 +21,6 @@ __all__ = [
     "jacobi_panel",
     "legendre_panel",
     "y_weighted_nodes",
-    "integrate_y_weighted",
     "halfspace_nodes",
 ]
 
@@ -57,68 +56,26 @@ def legendre_panel(a: float, b: float, n: int = 32):
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 
-def y_weighted_nodes(c: float, upper: float, n_panel: int = 32,
-                     split: float | None = None, growth: float = 2.0):
+def y_weighted_nodes(c: float, upper: float, n_panel: int = 32):
     """Composite rule for integrals of f(y) y^c dy over (0, upper].
 
-    One Jacobi panel handles (0, split]; geometrically growing Legendre
-    panels cover the rest, with the y^c weight folded into the weights.
+    One Jacobi panel handles (0, h], h = min(1, upper/4); Legendre panels
+    of widths h, 2h, 4h, ... cover the rest, with the y^c weight folded
+    into the weights.
     """
-    if split is None:
-        split = min(1.0, upper / 4.0)
-    split = min(split, upper)
-    ys, ws = jacobi_panel(split, c, n_panel)
+    width = min(1.0, upper / 4.0)
+    ys, ws = jacobi_panel(width, c, n_panel)
     nodes = [ys]
     weights = [ws]
-    a = split
-    width = split
+    a = width
     while a < upper:
         b = min(a + width, upper)
         y, w = legendre_panel(a, b, n_panel)
         nodes.append(y)
         weights.append(w * y ** c)
         a = b
-        width *= growth
+        width *= 2.0
     return np.concatenate(nodes), np.concatenate(weights)
-
-
-def _jacobi_integral(f, c: float, upper: float, n: int) -> float:
-    y, w = jacobi_panel(upper, c, n)
-    try:
-        v = np.asarray(f(y), dtype=float)
-        if v.shape != y.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        v = np.array([float(f(yi)) for yi in y])
-    return float(np.dot(w, v))
-
-
-def integrate_y_weighted(f, c: float, upper: float, rtol: float = 1e-10,
-                         points=None) -> float:
-    """Adaptive integral of f(y) y^c dy over (0, upper].
-
-    The endpoint panel uses nested Gauss-Jacobi rules (open nodes, so f
-    is never evaluated at y = 0) and shrinks geometrically until they
-    agree to rtol; the smooth remainder goes to QUADPACK.
-    """
-    if not c + 1.0 > 0.0:
-        raise ParameterError(f"weight exponent must satisfy c+1 > 0, got c={c}")
-    if upper <= 0.0:
-        raise DomainError("upper bound must be positive")
-    delta = min(0.5, upper / 2.0)
-    d = delta
-    while True:
-        coarse = _jacobi_integral(f, c, d, 24)
-        fine = _jacobi_integral(f, c, d, 48)
-        if abs(fine - coarse) <= rtol * max(abs(fine), 1e-300) or d <= 1e-13 * delta:
-            head = fine
-            break
-        d /= 4.0
-    pts = sorted({p for p in [*(points or []), delta] if d < p < upper})
-    tail, _ = _integrate.quad(lambda y: f(y) * y ** c, d, upper,
-                              epsabs=0.0, epsrel=rtol, limit=400,
-                              points=pts or None)
-    return head + tail
 
 
 def halfspace_nodes(c: float, x_extent: float, y_extent: float,

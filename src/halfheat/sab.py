@@ -19,8 +19,9 @@ weight's singularity.
 Since the x-directions only contribute a Gaussian convolution that is
 uniformly bounded on every L^p, the norm ladder works in the pure
 y-variable (N = 0, M = 1) at t = 1: scale homogeneity 2 reduces every t
-to t = 1 (sab_scale_identity_residual checks it).  Each ladder level
-builds one quadrature rule, shared by all of that level's bumps.
+to t = 1 (the test-suite checks the identity with sab_apply_bump).  Each
+ladder level builds one quadrature rule, shared by all of that level's
+bumps.
 """
 
 from __future__ import annotations
@@ -31,15 +32,12 @@ import numpy as np
 
 from .errors import DomainError, ParameterError, StructuralError
 from .quadrature import legendre_panel
-from .solver import Field
 
 __all__ = [
     "SabSpec",
     "sab_criterion",
-    "sab_apply",
     "sab_apply_bump",
     "sab_norm_estimate",
-    "sab_scale_identity_residual",
 ]
 
 #: octaves of refinement toward y = 0 added per norm-ladder level
@@ -85,38 +83,18 @@ def _in_weight(y, t, beta):
     return np.minimum(np.abs(y) / np.sqrt(t), 1.0) ** (-beta)
 
 
-def sab_apply(spec: SabSpec, t: float, f: Field) -> Field:
-    """Apply S(t) to a grid field (N = 1 in x plus M = 1 in y).
-
-    The integral uses the field's Lebesgue cell areas (the family is
-    defined against dz, not the weighted measure).  The Gaussian factor
-    separates, so the double sum runs as two dense mat-muls.
-    """
-    if t <= 0.0:
-        raise DomainError("t must be positive")
-    g = f.grid
-    x, y = g.x_centers, g.y_centers
-    gx = np.exp(-((x[:, None] - x[None, :]) ** 2) / (spec.kappa * t))
-    gy = np.exp(-((y[:, None] - y[None, :]) ** 2) / (spec.kappa * t))
-    inner = f.values * _in_weight(y, t, spec.beta)[None, :]
-    conv = gx @ inner @ gy.T * (g.hx * g.hy)
-    out = t ** (-0.5 * (1 + spec.m_dim)) * _in_weight(y, t, spec.alpha)[None, :] * conv
-    return Field(g, out)
-
-
-def sab_apply_bump(spec: SabSpec, t: float, bump: tuple, y_out,
-                   n_gauss: int = 24) -> np.ndarray:
+def sab_apply_bump(spec: SabSpec, t: float, bump: tuple, y_out) -> np.ndarray:
     """S(t) applied to the indicator of [bump[0], bump[1]], sampled at y_out.
 
     Pure y-variable form (N = 0): the inner integral runs over the bump
-    support with Gauss nodes, exact enough because the weight is a
-    smooth power there.
+    support with LADDER_GAUSS Gauss nodes, exact enough because the
+    weight is a smooth power there.
     """
     a, b = bump
     if not 0.0 < a < b:
         raise DomainError("bump must satisfy 0 < a < b")
     y_out = np.asarray(y_out, dtype=float)
-    yn, wn = legendre_panel(a, b, n_gauss)
+    yn, wn = legendre_panel(a, b, LADDER_GAUSS)
     inner = _in_weight(yn, t, spec.beta)
     ker = np.exp(-((y_out[:, None] - yn[None, :]) ** 2) / (spec.kappa * t))
     integral = ker @ (inner * wn)
@@ -152,26 +130,8 @@ def sab_norm_estimate(spec: SabSpec, levels: int = 4,
         best = 0.0
         for e in range(-depth, 5):
             bump = (2.0 ** e, 2.0 ** (e + 1))
-            f = sab_apply_bump(spec, 1.0, bump, y, n_gauss=LADDER_GAUSS)
+            f = sab_apply_bump(spec, 1.0, bump, y)
             num = float(np.dot(dens, np.abs(f) ** spec.p)) ** (1.0 / spec.p)
             best = max(best, num / _bump_norm(bump, spec.m, spec.p))
         out.append(best)
     return out
-
-
-def sab_scale_identity_residual(spec: SabSpec, t: float, bump: tuple,
-                                y_out, n_gauss: int = 32) -> float:
-    """Residual of S(t) f = I_{1/sqrt t} ( S(1) I_{sqrt t} f ).
-
-    With f an indicator bump, I_{sqrt t} f is the rescaled indicator,
-    so both sides are computable by the same quadrature; the identity
-    carries the scale factor of the Lebesgue integral, which is what it
-    verifies.
-    """
-    y_out = np.asarray(y_out, dtype=float)
-    st = np.sqrt(t)
-    lhs = sab_apply_bump(spec, t, bump, y_out, n_gauss=n_gauss)
-    scaled_bump = (bump[0] / st, bump[1] / st)
-    rhs = sab_apply_bump(spec, 1.0, scaled_bump, y_out / st, n_gauss=n_gauss)
-    denom = np.max(np.abs(lhs))
-    return float(np.max(np.abs(lhs - rhs)) / denom)

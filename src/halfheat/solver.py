@@ -34,7 +34,7 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from .errors import DomainError, ParameterError, StructuralError, SolveFailure, WrongOperatorError
-from .kernels import A_ZERO_TOL, WEIGHTED_CONVENTION, KernelSlice, exact_slice, write_csv
+from .kernels import A_ZERO_TOL, WEIGHTED_CONVENTION, KernelSlice, exact_slice
 from .operators import (
     GeneralOperatorSpec,
     ModelOperatorSpec,
@@ -171,22 +171,8 @@ class Field:
     def constant(cls, grid: GridSpec, value: float = 1.0) -> "Field":
         return cls(grid, np.full((grid.nx, grid.ny), value))
 
-    def copy(self) -> "Field":
-        return Field(self.grid, self.values.copy())
-
     def mass(self) -> float:
         return float(np.sum(self.grid.masses() * self.values))
-
-    def norm_l1(self) -> float:
-        return float(np.sum(self.grid.masses() * np.abs(self.values)))
-
-    def norm_l2(self) -> float:
-        return float(np.sqrt(np.sum(self.grid.masses() * self.values ** 2)))
-
-    def to_csv(self, path_or_buf) -> None:
-        """Rows `x,y,value` at full double precision."""
-        write_csv(path_or_buf, "x,y,value",
-                  np.column_stack([self.grid.points(), self.values.ravel()]))
 
 
 def _face_difference(n: int) -> sparse.csr_matrix:
@@ -270,7 +256,7 @@ def _mode_form(grid: GridSpec, bmat: np.ndarray) -> sparse.csr_matrix:
 class DiscreteOperator:
     """Assembled generator: sparse form matrix, masses, and provenance tags.
 
-    The semi-discrete law is w du/dt = -(S u); `apply` returns du/dt.
+    The semi-discrete law is w du/dt = -(S u), with S = `form`.
     `bmat` is the 2x2 coefficient matrix S was built from; the stepping
     loop builds its x-mode blocks from it.  The adjoint operator shares
     masses and transposes S and bmat, realizing a*(u, v) = a(v, u) exactly.
@@ -284,23 +270,12 @@ class DiscreteOperator:
     label: str = "model"
     meta: dict = field(default_factory=dict)
 
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        """Discrete generator applied to a (nx, ny) or flat array."""
-        shape = values.shape
-        out = -(self.form @ values.ravel()) / self.w
-        return out.reshape(shape)
-
     def adjoint(self) -> "DiscreteOperator":
         return DiscreteOperator(
             grid=self.grid, form=self.form.T.tocsr(), w=self.w, bmat=self.bmat.T,
             is_adjoint=not self.is_adjoint, label=self.label + "*",
             meta=dict(self.meta),
         )
-
-    def quadratic_form(self, u: np.ndarray, v: np.ndarray | None = None) -> float:
-        """a(u, v) evaluated discretely (v defaults to u)."""
-        v = u if v is None else v
-        return float(v.ravel() @ (self.form @ u.ravel()))
 
 
 def assemble(model: ModelOperatorSpec, grid: GridSpec) -> DiscreteOperator:
@@ -507,8 +482,8 @@ def kernel_columns(op: DiscreteOperator, ts, z2) -> list[KernelSlice]:
     """
     grid = op.grid
     ts = sorted(float(t) for t in np.atleast_1d(ts))
-    if not ts or ts[0] <= 0.0:
-        raise DomainError("kernel times must be given and positive")
+    if not ts or not all(0.0 < t < np.inf for t in ts):  # NaN fails both
+        raise DomainError("kernel times must be given, positive and finite")
     cells = [grid.locate(z) for z in np.atleast_2d(z2)]
     w = grid.masses().ravel()
     flat = [i * grid.ny + j for i, j in cells]

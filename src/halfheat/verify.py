@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DomainError, FitUnderdeterminedError, ParameterError, StructuralError
 from .geometry import EnvelopeParams, ball_volume, envelope_eval
-from .kernels import KernelSlice, exact_slice, product_kernel, write_csv
+from .kernels import KernelSlice, exact_slice, product_kernel
 from .operators import ModelOperatorSpec
 from .quadrature import halfspace_nodes
 from .solver import DiscreteOperator, assemble, discrete_gradient, kernel_column
@@ -48,16 +48,19 @@ __all__ = [
 
 NOISE_FLOOR_REL = 1e-12
 
+#: relative margin by which the fitted upper/lower Gaussian rates bracket the fitted one
+RATE_MARGIN = 0.15
+
 
 # ---------------------------------------------------------------------------
 # slices on quadrature grids (integration-capable closed-form slices)
 
 
-def exact_quadrature_slice(model: ModelOperatorSpec, t: float, z2,
-                           x_pad: float = 12.0, y_pad: float = 12.0,
-                           n_x: int = 160, n_panel: int = 32) -> KernelSlice:
+def exact_quadrature_slice(model: ModelOperatorSpec, t: float, z2) -> KernelSlice:
     """Closed-form slice sampled on a tensor quadrature grid.
 
+    The grid reaches 12 sqrt(t) either side of the source in x and
+    12 sqrt(t) above it in y, with 160 x-nodes and 32-point y-panels.
     The returned slice carries the y^c dz quadrature weights, so its
     mass() is the conservation integral to quadrature accuracy.
     """
@@ -67,9 +70,9 @@ def exact_quadrature_slice(model: ModelOperatorSpec, t: float, z2,
     st = np.sqrt(t)
     x, y, w = halfspace_nodes(
         model.c,
-        x_extent=x_pad * st,
-        y_extent=float(z2[1]) + y_pad * st,
-        n_x=n_x, n_panel=n_panel, x_center=float(z2[0]),
+        x_extent=12.0 * st,
+        y_extent=float(z2[1]) + 12.0 * st,
+        n_x=160, n_panel=32, x_center=float(z2[0]),
     )
     pts = np.column_stack([x, y])
     return exact_slice(model, t, z2, pts, weights=w)
@@ -100,9 +103,6 @@ class FitReport:
     ratios_low: np.ndarray
     verdict: bool
     worst: dict = field(default_factory=dict)
-    sample_t: np.ndarray | None = None
-    sample_z1: np.ndarray | None = None
-    sample_z2: np.ndarray | None = None
 
     def params_up(self) -> EnvelopeParams:
         return EnvelopeParams(self.c_up, self.k_up, form=self.form, side="upper")
@@ -120,14 +120,6 @@ class FitReport:
             "worst": self.worst,
         }
 
-    def residuals_to_csv(self, path_or_buf) -> None:
-        """Per-sample ratio map `t,x1,y1,x2,y2,ratio_up,ratio_low` for plotting."""
-        if self.sample_t is None or self.n != 1:
-            raise StructuralError("report carries no N = 1 sample coordinates")
-        table = np.column_stack([self.sample_t, self.sample_z1, self.sample_z2,
-                                 self.ratios_up, self.ratios_low])
-        write_csv(path_or_buf, "t,x1,y1,x2,y2,ratio_up,ratio_low", table)
-
 
 def _gather_samples(slices):
     ts, z1s, z2s, ps = [], [], [], []
@@ -141,14 +133,13 @@ def _gather_samples(slices):
 
 
 def fit_envelope_constants(slices, form: str, c: float, n: int,
-                           rate_margin: float = 0.15,
                            noise_floor_rel: float = NOISE_FLOOR_REL) -> FitReport:
     """Fit (C_up, k_up, C_low, k_low) of the chosen envelope form.
 
     The Gaussian rate is fitted first, by least squares of log p against
     |z1-z2|^2/t on far-field samples (|z1-z2| >= 2 sqrt(t)) with the
     form's weight factors divided out; the upper/lower rates bracket the
-    fitted one by `rate_margin`.  Amplitudes are then the extremal
+    fitted one by RATE_MARGIN.  Amplitudes are then the extremal
     sample ratios, making the verdict tight on the given probe set.
     """
     t, z1, z2, p = _gather_samples(slices)
@@ -175,8 +166,8 @@ def fit_envelope_constants(slices, form: str, c: float, n: int,
         raise FitUnderdeterminedError("far field does not decay; cannot fit a rate")
     k_fit = -1.0 / slope
 
-    k_up = k_fit * (1.0 + rate_margin)
-    k_low = k_fit / (1.0 + rate_margin)
+    k_up = k_fit * (1.0 + RATE_MARGIN)
+    k_low = k_fit / (1.0 + RATE_MARGIN)
     env_up = base * np.exp(-rho / k_up)
     env_low = base * np.exp(-rho / k_low)
     c_up = float(np.max(p / env_up))
@@ -196,7 +187,7 @@ def fit_envelope_constants(slices, form: str, c: float, n: int,
         form=form, c=c, n=n,
         c_up=c_up, k_up=k_up, c_low=c_low, k_low=k_low, k_fit=k_fit,
         n_samples=len(p), ratios_up=ratios_up, ratios_low=ratios_low,
-        verdict=ok, sample_t=t, sample_z1=z1, sample_z2=z2,
+        verdict=ok,
         worst={
             "upper": {"ratio": float(ratios_up[iw_up]), "t": float(t[iw_up]),
                       "z1": z1[iw_up].tolist(), "z2": z2[iw_up].tolist()},
@@ -243,12 +234,12 @@ def check_conservation(slc: KernelSlice) -> float:
 
 
 def check_identities_exact(model: ModelOperatorSpec, t: float, s: float,
-                           x0: float, scale: float, z1, z2,
-                           ck_pad: float = 10.0) -> dict:
+                           x0: float, scale: float, z1, z2) -> dict:
     """Residuals of the four kernel identities for the closed form (a = 0).
 
     Chapman-Kolmogorov integrates the product of kernels over a
-    truncated quadrature grid, everything else is direct evaluation.
+    quadrature grid truncated 10 sqrt(max(t, s)) beyond both points,
+    everything else is direct evaluation.
     """
     z1 = np.asarray(z1, dtype=float)
     z2 = np.asarray(z2, dtype=float)
@@ -270,8 +261,8 @@ def check_identities_exact(model: ModelOperatorSpec, t: float, s: float,
     xmid = 0.5 * (z1[0] + z2[0])
     x, y, w = halfspace_nodes(
         model.c,
-        x_extent=abs(z1[0] - z2[0]) / 2 + ck_pad * st,
-        y_extent=max(z1[-1], z2[-1]) + ck_pad * st,
+        x_extent=abs(z1[0] - z2[0]) / 2 + 10.0 * st,
+        y_extent=max(z1[-1], z2[-1]) + 10.0 * st,
         n_x=200, n_panel=32, x_center=float(xmid),
     )
     mid = np.column_stack([x, y])
@@ -431,15 +422,12 @@ def compute_G(model: ModelOperatorSpec, z2, theta: float, alpha: float, t_grid) 
     return compute_G_from_slices(slices, theta, alpha)
 
 
-def check_G_monotone(trace: GTrace, a_probe: float | None = None) -> dict:
+def check_G_monotone(trace: GTrace) -> dict:
     """Smallest A making G(t) + A t nondecreasing on the sample grid."""
     dg = np.diff(trace.values)
     dt = np.diff(trace.ts)
     a_req = float(max(0.0, np.max(-dg / dt))) if len(dg) else 0.0
-    out = {"A_required": a_req, "finite": bool(np.isfinite(a_req))}
-    if a_probe is not None:
-        out["monotone_with_probe"] = bool(a_probe >= a_req)
-    return out
+    return {"A_required": a_req, "finite": bool(np.isfinite(a_req))}
 
 
 # ---------------------------------------------------------------------------

@@ -189,6 +189,33 @@ class TestKernelCommand:
         assert json.loads(capsys.readouterr().out)["error"] == "DomainError"
         assert not (out_dir / "kernel_index.json").exists()
 
+    @pytest.mark.parametrize("old,new,flags", [
+        ("t.list = 0.5", "t.list = inf", []),
+        ("t.list = 0.5", "t.list = nan", ["--force-numeric"]),
+        ("grid.Rx = 5", "grid.Rx = inf", []),
+        ("v.c = 0", "v.c = inf", []),
+        ("grid.nx = 32", "grid.nx = inf", []),
+    ], ids=["t_inf", "t_nan_numeric", "Rx_inf", "vc_inf", "nx_inf"])
+    def test_non_finite_numbers_rejected(self, tmp_path, capsys, old, new, flags):
+        path = write(tmp_path, "op.cfg", IDENTITY_CFG.replace(old, new))
+        out_dir = tmp_path / "out"
+        assert main(["kernel", path, "--out", str(out_dir), *flags]) == EXIT_CONFIG_ERROR
+        assert json.loads(capsys.readouterr().out)["error"] == "config error"
+        assert not (out_dir / "kernel_index.json").exists()
+
+    def test_close_times_write_distinct_files(self, tmp_path):
+        # 0.5 and 0.5000001 agree to the 6 digits of :g
+        cfg = IDENTITY_CFG.replace("t.list = 0.5", "t.list = 0.5, 0.5000001").replace(
+            "sources = 0,1", "sources = 0,1 ; 0.5,1.5")
+        path = write(tmp_path, "op.cfg", cfg)
+        out_dir = tmp_path / "out"
+        assert main(["kernel", path, "--out", str(out_dir)]) == EXIT_PASS
+        index = json.loads((out_dir / "kernel_index.json").read_text())
+        files = sorted(Path(entry["file"]).name for entry in index["outputs"])
+        assert len(files) == 4
+        assert sorted(p.name for p in out_dir.glob("*.csv")) == files
+        assert "kernel_t0p5_x0_y1.csv" in files
+
     def test_step_budget_exits_3(self, tmp_path, capsys):
         path = write(tmp_path, "op.cfg", LONG_CFG)
         out_dir = tmp_path / "out"

@@ -187,20 +187,3 @@ def test_boundary_weight_regimes():
     assert boundary_weight(0.3, t, c) == pytest.approx(t ** (-c / 4))
     assert boundary_weight(7.0, t, c) == pytest.approx(7.0 ** (-c / 2))
 
-
-def test_envelope_sweep_csv(tmp_path):
-    from halfheat.geometry import envelope_sweep_csv
-    p = EnvelopeParams(1.0, 4.0, form="product", side="upper")
-    t = np.array([0.5, 1.0])
-    z1 = np.array([[0.0, 1.0], [0.5, 2.0]])
-    z2 = np.array([[0.0, 0.5], [0.0, 0.5]])
-    path = tmp_path / "sweep.csv"
-    envelope_sweep_csv(p, t, z1, z2, 1.0, 1, str(path))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "t,x1,y1,x2,y2,envelope,form,side"
-    assert len(lines) == 3
-    assert lines[1].endswith("product,upper")
-    got = float(lines[1].split(",")[5])
-    assert got == pytest.approx(
-        envelope_eval(p, 0.5, z1[0], z2[0], 1.0, 1), rel=1e-15
-    )

@@ -7,7 +7,6 @@ from halfheat import quadrature
 from halfheat.errors import ParameterError
 from halfheat.quadrature import (
     halfspace_nodes,
-    integrate_y_weighted,
     jacobi_panel,
     legendre_panel,
     y_weighted_nodes,
@@ -55,13 +54,6 @@ def test_composite_gaussian_moment():
         got = np.dot(w, np.exp(-y ** 2))
         exact = 0.5 * np.exp(log_gamma(0.5 * (c + 1.0)))
         assert got == pytest.approx(exact, rel=1e-12)
-
-
-def test_adaptive_weighted_integral():
-    for c in (-0.9, -0.5, 0.0, 2.0):
-        got = integrate_y_weighted(lambda y: np.exp(-y * y), c, 40.0)
-        exact = 0.5 * np.exp(log_gamma(0.5 * (c + 1.0)))
-        assert got == pytest.approx(exact, rel=1e-9)
 
 
 def test_halfspace_tensor_rule():

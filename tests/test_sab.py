@@ -6,13 +6,10 @@ import pytest
 from halfheat.errors import ParameterError, StructuralError
 from halfheat.sab import (
     SabSpec,
-    sab_apply,
     sab_apply_bump,
     sab_criterion,
     sab_norm_estimate,
-    sab_scale_identity_residual,
 )
-from halfheat.solver import Field, GridSpec
 
 # the 12-case matrix: both sides of each inequality of the criterion,
 # p in {1, 2, 4}, failures driven by alpha, beta, theta and m
@@ -67,37 +64,15 @@ def test_ladder_follows_criterion(spec, expected):
 
 
 def test_scale_identity():
+    # S(t) f = I_{1/sqrt t} S(1) I_{sqrt t} f, with I_s f = f(s .): for an
+    # indicator bump the right side is S(1) on the rescaled bump at y / sqrt t
     spec = SabSpec(alpha=0.0, beta=-1.0, m=1.0, p=2.0)
     y_out = np.geomspace(0.02, 8.0, 30)
     for t in (0.25, 4.0, 2.7):
-        res = sab_scale_identity_residual(spec, t, (0.5, 1.0), y_out)
-        assert res <= 1e-12
-
-
-def test_apply_on_field_matches_bump_quadrature():
-    # grid application vs the quadrature path on a y-only profile
-    spec = SabSpec(alpha=0.5, beta=-0.5, m=0.0, p=2.0)
-    grid = GridSpec(rx=6.0, ry=8.0, nx=96, ny=256, c=0.0)
-    a, b = 1.0, 2.0
-    f = Field.from_function(grid, lambda x, y: ((y >= a) & (y <= b)).astype(float))
-    out = sab_apply(spec, 1.0, f)
-    # compare at the mid-column against the 1-D route times the x-factor
-    i = grid.nx // 2
-    x = grid.x_centers
-    x_factor = np.sum(
-        np.exp(-((x[i] - x) ** 2) / spec.kappa) * grid.hx
-    )
-    ref = sab_apply_bump(spec, 1.0, (a, b), grid.y_centers, n_gauss=48)
-    got = out.values[i, :] / x_factor
-    sel = grid.y_centers < 6.0  # stay clear of the y-truncation edge
-    assert got[sel] == pytest.approx(ref[sel], rel=0.02)
-
-
-def test_apply_time_domain_error():
-    spec = SabSpec(alpha=0.0, beta=0.0)
-    grid = GridSpec(rx=2.0, ry=2.0, nx=8, ny=8, c=0.0)
-    with pytest.raises(Exception):
-        sab_apply(spec, -1.0, Field.constant(grid))
+        st = np.sqrt(t)
+        lhs = sab_apply_bump(spec, t, (0.5, 1.0), y_out)
+        rhs = sab_apply_bump(spec, 1.0, (0.5 / st, 1.0 / st), y_out / st)
+        assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(lhs))
 
 
 def test_section6_family_passes_all_p():

@@ -7,7 +7,7 @@ from halfheat.errors import DomainError, FitUnderdeterminedError, StructuralErro
 from halfheat.geometry import EnvelopeParams
 from halfheat.kernels import exact_slice
 from halfheat.operators import ModelOperatorSpec
-from halfheat.quadrature import integrate_y_weighted, legendre_panel
+from halfheat.quadrature import legendre_panel, y_weighted_nodes
 from halfheat.solver import Field, GridSpec, assemble, kernel_columns
 from halfheat.verify import (
     GTrace,
@@ -50,9 +50,8 @@ class TestGaussianNormalizer:
             closed = gaussian_normalizer(alpha, c, n)
             x, wx = legendre_panel(-40.0 / np.sqrt(alpha), 40.0 / np.sqrt(alpha), 400)
             xint = float(np.dot(wx, np.exp(-alpha * x ** 2))) ** n
-            yint = integrate_y_weighted(
-                lambda y: np.exp(-alpha * y * y), c, 50.0 / np.sqrt(alpha)
-            )
+            y, wy = y_weighted_nodes(c, 50.0 / np.sqrt(alpha))
+            yint = float(np.dot(wy, np.exp(-alpha * y * y)))
             assert closed == pytest.approx(xint * yint, rel=1e-9)
 
     def test_spot_value(self):
@@ -192,7 +191,7 @@ class TestGTrace:
         assert np.all(tr.values <= 1e-8)
         mono = check_G_monotone(tr)
         assert mono["finite"]
-        assert check_G_monotone(tr, a_probe=mono["A_required"] + 0.1)["monotone_with_probe"]
+        assert np.all(np.diff(tr.values + mono["A_required"] * tr.ts) >= -1e-15)
 
     def test_solver_trace(self):
         c = 1.0
@@ -293,13 +292,3 @@ class TestFloors:
             ))
         assert res["far_floor"] == pytest.approx(min(direct), rel=1e-12)
 
-
-def test_fit_report_residual_csv(tmp_path):
-    import io
-    c = 1.0
-    rep = fit_envelope_constants(probe_slices(model(c)), "product", c, 1)
-    buf = io.StringIO()
-    rep.residuals_to_csv(buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "t,x1,y1,x2,y2,ratio_up,ratio_low"
-    assert len(lines) == rep.n_samples + 1
