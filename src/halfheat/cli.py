@@ -13,7 +13,7 @@ The keys below are the only ones accepted, each at most once:
 
 Exit codes: 0 pass, 1 check failed, 2 config/structural error,
 3 numerical failure.  Every command is deterministic: the same config
-and options give the same output.
+and options give the same output, apart from the wall times it reports.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +38,7 @@ from .operators import (
 )
 from .solver import GridSpec, assemble, kernel_column, kernel_slices
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 #: config keys besides the rows A.row.1 .. A.row.N+1
 KNOWN_KEYS = {"N", "v.d", "v.c", "grid.Rx", "grid.Ry", "grid.nx", "grid.ny", "t.list", "sources"}
@@ -184,14 +185,25 @@ PROBE_SETS = ("smoke", "desk", "full")
 
 
 def _verify_checks(probe_set: str, k_break: float = 1.0):
-    """Run the deterministic verification sweep; returns (checks, all_passed)."""
-    checks = []
+    """Run the deterministic verification sweep; returns (checks, all_passed).
 
-    def record(name, residual, tol, passed, **params):
-        checks.append({
-            "name": name, "residual": residual, "tolerance": tol,
-            "passed": bool(passed), "params": params,
-        })
+    Each check carries `wall_s`, the time since the previous check was
+    recorded (so a check read off the same computation as the one before
+    it shows about 0), and each solver check the `solve` stats of its
+    evolutions.
+    """
+    checks = []
+    start = time.perf_counter()
+
+    def record(name, residual, tol, passed, solve=None, **params):
+        nonlocal start
+        now = time.perf_counter()
+        check = {"name": name, "residual": residual, "tolerance": tol,
+                 "passed": bool(passed), "params": params, "wall_s": now - start}
+        if solve is not None:
+            check["solve"] = solve
+        checks.append(check)
+        start = now
 
     # --- closed-form layer (always) ---
     model0 = hh_model(0.0, 0.0)
@@ -238,15 +250,16 @@ def _verify_checks(probe_set: str, k_break: float = 1.0):
         op = assemble(model, grid)
         col = kernel_column(op, 1.0, np.array([0.0, 1.0]))
         defect = V.check_conservation(col)
-        record(f"conservation_solver_a{a}_c{c}", defect, 1e-3, defect <= 1e-3)
+        record(f"conservation_solver_a{a}_c{c}", defect, 1e-3, defect <= 1e-3,
+               solve=V.solve_stats([col]))
 
         ids = V.check_identities_solver(op, t=0.5, s=0.5, x0_cells=4, scale=2.0,
                                         z1_index=(n_cells // 2, n_cells // 4),
                                         z2_index=(n_cells // 2 + 6, n_cells // 3))
         record(f"adjoint_solver_a{a}_c{c}", ids["adjoint"], 1e-12,
-               ids["adjoint"] <= 1e-12)
+               ids["adjoint"] <= 1e-12, solve=ids["solve"])
         record(f"chapman_solver_a{a}_c{c}", ids["chapman_kolmogorov"], 1e-3,
-               ids["chapman_kolmogorov"] <= 1e-3)
+               ids["chapman_kolmogorov"] <= 1e-3, solve=ids["solve"])
 
     sab_spec = sab_mod.SabSpec(alpha=0.0, beta=-1.0, m=1.0, p=2.0)
     ladder = sab_mod.sab_norm_estimate(sab_spec, levels=3)

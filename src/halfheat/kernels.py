@@ -37,8 +37,9 @@ CSV_CHUNK_ROWS = 2048
 
 
 def _check_time(t):
-    if not np.all(np.asarray(t) > 0.0):
-        raise DomainError("kernel time must be positive")
+    t = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(t) & (t > 0.0)):  # NaN fails both
+        raise DomainError("kernel time must be positive and finite")
 
 
 def bessel_heat_kernel(c: float, t: float, y1, y2):

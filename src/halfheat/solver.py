@@ -13,14 +13,19 @@ semi-discrete evolution w du/dt = -S u.  S is a sum of Kronecker
 products of 1-D difference, averaging and weight operators in x and
 in y (see _form_matrix); its x factors are circulant.  Constants are
 annihilated by S on both sides (every entry of S comes from a
-difference), so constant states are exactly stationary and total mass
-Sum(w u) is conserved to solver round-off by each Crank-Nicolson step.
+difference), so constant states are stationary and total mass Sum(w u)
+is conserved by the semi-discrete law.
 
-The coefficients do not depend on x, so the stepping loop never uses S
-itself: an rfft along x splits W + (ht/2) S into one tridiagonal y-block
-per x-mode (fast diagonalization), each step runs per mode, and the step
-residual is checked in mode space.  The adjoint stays exact to FFT
-round-off relative to the column maximum.
+The evolution exp(-t W^{-1} S) is evaluated, not stepped: the trapezoid
+rule on a hyperbolic Bromwich contour (Weideman & Trefethen 2007) needs
+one shifted solve (zW + S)^{-1} per node, shared by every checkpoint of
+a window [t0, 4 t0].  The coefficients do not depend on x, so an fft
+along x makes each zW + S tridiagonal (one y-block per x-mode, fast
+diagonalization) and LAPACK's gttrf/gttrs factor and solve it.  The rule
+is normalized at lambda = 0, so constants stay and mass is conserved to
+round-off; a second rule with 3/2 as many nodes guards the time error.
+The adjoint is the same rational function of S', exact to round-off
+relative to the column maximum.
 """
 
 from __future__ import annotations
@@ -31,7 +36,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import splu
+from scipy.linalg.blas import zaxpy
+from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .errors import DomainError, ParameterError, StructuralError, SolveFailure, WrongOperatorError
 from .kernels import A_ZERO_TOL, WEIGHTED_CONVENTION, KernelSlice, exact_slice
@@ -62,14 +68,27 @@ __all__ = [
 #: relative residual above which a linear solve is declared failed
 SOLVE_RTOL = 1e-9
 
-#: leading CN steps replaced by pairs of backward-Euler half-steps
-RANNACHER_STEPS = 2
+#: nodes of the contour rule that is checked; the returned rule has 3/2 as many
+CONTOUR_NODES = 20
 
-#: most time steps one evolution may take, summed over its segments
-MAX_STEPS = 16384
+#: largest relative difference allowed between the two contour rules
+CONTOUR_TOL = 1e-8
+
+#: checkpoints t0 <= t <= WINDOW_RATIO t0 share one contour
+WINDOW_RATIO = 4.0
+
+#: Weideman & Trefethen (2007), Sec. 4, for a spectrum on the negative real
+#: axis: the hyperbola's angle maximizes the convergence rate
+#: (pi^2 - 2 pi alpha) / a(alpha), and h = CONTOUR_SPAN / N = a(alpha) / N
+#: and mu = CONTOUR_MU N / t0 follow in closed form
+CONTOUR_ALPHA = 1.0969
+CONTOUR_SPAN = float(np.arccosh(
+    ((np.pi - 2.0 * CONTOUR_ALPHA) * WINDOW_RATIO + 4.0 * CONTOUR_ALPHA - np.pi)
+    / ((4.0 * CONTOUR_ALPHA - np.pi) * np.sin(CONTOUR_ALPHA))))
+CONTOUR_MU = (4.0 * CONTOUR_ALPHA - np.pi) * np.pi / (WINDOW_RATIO * CONTOUR_SPAN)
 
 #: the evolution stats kernel_columns puts in a solver slice's meta
-SOLVE_STATS = ("steps", "ht", "factorizations", "lu_nnz", "max_step_residual",
+SOLVE_STATS = ("windows", "nodes", "factorizations", "contour_err", "max_solve_residual",
                "transform_s", "factor_s", "solve_s")
 
 
@@ -237,17 +256,18 @@ def _form_matrix(grid: GridSpec, bmat: np.ndarray) -> sparse.csr_matrix:
 
 
 def _mode_form(grid: GridSpec, bmat: np.ndarray) -> sparse.csr_matrix:
-    """The form in x-Fourier modes: nx//2 + 1 tridiagonal ny x ny blocks.
+    """The form in x-Fourier modes: nx tridiagonal ny x ny blocks.
 
-    Mode m (theta = 2 pi m / nx, the rfft index) takes the symbols
+    Mode m (theta = 2 pi m / nx, the fft index) takes the symbols
     2 - 2 cos theta of Dx'Dx and i sin(theta) / hx of Gx; the block
-    diagonal is indexed m * ny + j.  sin(theta) is set to 0 at the
-    Nyquist mode, where the centred gradient of (-1)^i vanishes exactly.
+    diagonal is indexed m * ny + j, so it is tridiagonal as a whole.
+    sin(theta) is set to 0 at the Nyquist mode, where the centred
+    gradient of (-1)^i vanishes exactly.
     """
-    theta = 2.0 * np.pi * np.arange(grid.nx // 2 + 1) / grid.nx
+    theta = 2.0 * np.pi * np.arange(grid.nx) / grid.nx
     sin = np.sin(theta)
     if grid.nx % 2 == 0:
-        sin[-1] = 0.0
+        sin[grid.nx // 2] = 0.0
     return _kron_form(grid, bmat, sparse.diags(4.0 * np.sin(0.5 * theta) ** 2),
                       sparse.diags(1j * sin / grid.hx))
 
@@ -257,8 +277,8 @@ class DiscreteOperator:
     """Assembled generator: sparse form matrix, masses, and provenance tags.
 
     The semi-discrete law is w du/dt = -(S u), with S = `form`.
-    `bmat` is the 2x2 coefficient matrix S was built from; the stepping
-    loop builds its x-mode blocks from it.  The adjoint operator shares
+    `bmat` is the 2x2 coefficient matrix S was built from; the evolution
+    builds its x-mode blocks from it.  The adjoint operator shares
     masses and transposes S and bmat, realizing a*(u, v) = a(v, u) exactly.
     """
 
@@ -322,132 +342,152 @@ def assemble_divergence_form(spec: GeneralOperatorSpec, grid: GridSpec) -> Discr
     )
 
 
-def _solve_checked(lu, a_k, rhs):
-    """Solve the k systems of rhs, shape (k, n), with the factor lu of one n x n matrix.
+def _contour(n: int, t0: float):
+    """Nodes z_k and weights c_k of the n-node rule for the window [t0, WINDOW_RATIO t0].
 
-    a_k is the block diagonal of k copies of that matrix, so one sparse
-    product gives every row's residual.  Returns x, shape (k, n), and the
-    k relative residuals.  Each system is held to its own |rhs|: a
-    residual above SOLVE_RTOL times it, or a non-finite one, raises
-    SolveFailure naming its column of the source block.
+    Midpoint nodes u_k = (k + 1/2) h, k < n, h = CONTOUR_SPAN / n, on the
+    upper half of z(u) = mu (1 + sin(iu - CONTOUR_ALPHA)), mu = CONTOUR_MU n / t0.
+    The lower half is the complex conjugate, so a real result is
+    Re sum_k c_k e^{z_k t} F(z_k) with c_k = h z'(u_k) / (pi i).
     """
-    out = lu.solve(rhs.T).T
-    num = np.abs(a_k @ out.ravel() - rhs.ravel()).reshape(rhs.shape).max(axis=1)
-    den = np.abs(rhs).max(axis=1)
-    # NaN or inf in the data or the solution leaves a non-finite residual
-    bad = ~np.isfinite(num) | ((den > 0.0) & (num > SOLVE_RTOL * den))
-    if np.any(bad):
-        k = int(np.argmax(bad))
-        raise SolveFailure(f"linear step residual {num[k]:.3e} in column {k} exceeds "
-                           f"{SOLVE_RTOL:.0e} x |rhs| = {den[k]:.3e}")
-    return out, np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
+    h = CONTOUR_SPAN / n
+    u = (np.arange(n) + 0.5) * h
+    mu = CONTOUR_MU * n / t0
+    z = mu * (1.0 + np.sin(1j * u - CONTOUR_ALPHA))
+    return z, (h * mu / np.pi) * np.cos(1j * u - CONTOUR_ALPHA)
 
 
-def _segment_steps(grid: GridSpec, duration: float) -> int:
-    h = min(grid.hx, grid.hy)
-    target = min(h * h, duration / 64.0)
-    return max(int(np.ceil(duration / target)), 1)
+def _windows(times):
+    """Sorted times grouped greedily into windows [t0, WINDOW_RATIO t0]."""
+    out = []
+    for t in times:
+        if out and t <= WINDOW_RATIO * out[-1][0]:
+            out[-1].append(t)
+        else:
+            out.append([t])
+    return out
+
+
+def _contour_sum(bands, w, rhs, window, n, stats, worst):
+    """The n-node rule in mode space for every time of one window.
+
+    `bands` are the sub-, main and super-diagonal of S in x-modes: each
+    node's matrix z W + S_m is tridiagonal over the whole index m * ny + j,
+    so it is factored once (zgttrf) and solved for all k columns of rhs,
+    shape (nx * ny, k), at once (zgttrs).  The residual is formed from the
+    three diagonals and held per column to its own |rhs|: above SOLVE_RTOL
+    times it, or non-finite, it raises SolveFailure naming the column.
+    Returns the mode sums per time, shape (k, nx * ny), each divided by the
+    rule's own value at lambda = 0, which is what makes mass exact.
+    """
+    lower, diag, upper = bands
+    clock = time.perf_counter
+    z, c = _contour(n, window[0])
+    den = np.abs(rhs).max(axis=0)
+    acc = np.zeros((len(window), rhs.shape[1], rhs.shape[0]), dtype=complex)
+    for zk, ck in zip(z, c):
+        t0 = clock()
+        d = zk * w + diag
+        factors = zgttrf(lower, d, upper)
+        stats["factorizations"] += 1
+        stats["factor_s"] += clock() - t0
+        if factors[-1] != 0:
+            raise SolveFailure(f"contour node z = {zk:.4g}: singular mode matrix")
+        t0 = clock()
+        x, _ = zgttrs(*factors[:-1], rhs)
+        res = d[:, None] * x - rhs
+        res[1:] += lower[:, None] * x[:-1]
+        res[:-1] += upper[:, None] * x[1:]
+        num = np.abs(res).max(axis=0)
+        # NaN or inf in the data or the solution leaves a non-finite residual
+        bad = ~np.isfinite(num) | ((den > 0.0) & (num > SOLVE_RTOL * den))
+        if np.any(bad):
+            j = int(np.argmax(bad))
+            raise SolveFailure(f"linear solve residual {num[j]:.3e} in column {j} exceeds "
+                               f"{SOLVE_RTOL:.0e} x |rhs| = {den[j]:.3e}")
+        np.maximum(worst, np.divide(num, den, out=np.zeros_like(num), where=den > 0.0),
+                   out=worst)
+        for i, t in enumerate(window):
+            zaxpy(x.T.ravel(), acc[i].ravel(), a=ck * np.exp(zk * t))  # in place
+        stats["solve_s"] += clock() - t0
+    return [a / np.real(np.sum(c * np.exp(z * t) / z)) for a, t in zip(acc, window)]
 
 
 def _evolve_block(op: DiscreteOperator, u: np.ndarray, times):
-    """Crank-Nicolson steps of the k columns of u, shape (n, k), through `times`.
+    """exp(-t W^{-1} S) of the k columns of u, shape (n, k), at each of `times`.
 
-    The one stepping loop.  x is periodic and the coefficients do not
-    depend on x, so one rfft along x splits W + (ht/2) S into nx//2 + 1
-    tridiagonal ny x ny blocks, one per x-mode (built by _mode_form from
-    the operator's bmat; op.form is not read).  The block is stepped
-    entirely in mode space and brought back by irfft only at the
-    checkpoints.  Each checkpoint segment takes uniform steps; one
-    factorization of the block-diagonal mode matrix (natural order, no
-    fill) serves every segment with a bitwise-equal ht and is released
-    before the next one is built; every step is one sparse product for
-    the explicit half and one multi-right-hand-side solve, whose residual
-    is checked in mode space.  Returns the (n, k) states at `times` and
-    the run's stats: total `steps`, the `ht` of each segment,
-    `factorizations`, the largest `lu_nnz` (the entries SuperLU stores
-    for L and U), per column the worst relative step residual
-    `max_step_residual`, and the wall time of each phase: `transform_s`
-    (rfft and irfft), `factor_s` (mode matrices and factorizations) and
-    `solve_s` (the steps).
+    The one evolution path: the trapezoid rule on a hyperbolic Bromwich
+    contour, u(t) = (1/2 pi i) int e^{zt} (zW + S)^{-1} W u0 dz (Weideman &
+    Trefethen 2007; see _contour).  x is periodic and the coefficients do
+    not depend on x, so one fft along x splits every zW + S into its
+    x-modes, and the matrix of all modes (built by _mode_form from the
+    operator's bmat; op.form is not read) is tridiagonal.  Checkpoints are
+    grouped into windows [t0, WINDOW_RATIO t0]; one set of shifted solves
+    serves every time of a window.  Each window is evaluated with
+    CONTOUR_NODES and 3/2 as many nodes; the finer result is returned,
+    and a relative difference above CONTOUR_TOL raises SolveFailure.
+    Both rules are normalized by their value at lambda = 0, so constants
+    stay and mass is conserved to round-off: 1'S = 0 gives
+    mass(t) = r(0) mass(0) for the rule's rational function r.
+
+    Returns the (n, k) states at `times` and the run's stats: `windows`,
+    `nodes` (of the returned rule, per window), `factorizations`, per
+    column the relative difference of the two rules `contour_err` and
+    the worst relative solve residual `max_solve_residual`, and the wall
+    time of each phase: `transform_s` (fft and ifft), `factor_s` (mode
+    diagonals and factorizations) and `solve_s` (solves, residuals and
+    sums).
     """
-    segs = [b - a for a, b in zip([0.0] + times[:-1], times)]
-    if min(segs) <= 0.0:
+    if min(np.diff(times, prepend=0.0)) <= 0.0:
         raise StructuralError("checkpoints must be strictly increasing")
-    counts = [_segment_steps(op.grid, seg) for seg in segs]
-    if sum(counts) > MAX_STEPS:
-        raise SolveFailure(f"evolution needs {sum(counts)} time steps, over the "
-                           f"budget of MAX_STEPS = {MAX_STEPS}")
-
     grid, k = op.grid, u.shape[1]
+    coarse, fine = CONTOUR_NODES, 3 * CONTOUR_NODES // 2
     clock = time.perf_counter
-    stats = {"steps": sum(counts), "ht": [], "factorizations": 0, "lu_nnz": 0,
+    stats = {"windows": 0, "nodes": fine, "factorizations": 0,
              "transform_s": 0.0, "factor_s": 0.0, "solve_s": 0.0}
     t0 = clock()
-    # source-major: row c of u holds the modes of source c, index m * ny + j
-    u = np.fft.rfft(u.T.reshape(k, grid.nx, grid.ny), axis=1).reshape(k, -1)
+    # column c of rhs holds the x-modes of source c, index m * ny + j
+    rhs = np.fft.fft(u.T.reshape(k, grid.nx, grid.ny), axis=1).reshape(k, -1).T
     stats["transform_s"] += clock() - t0
     t0 = clock()
     s_modes = _mode_form(grid, op.bmat)
-    w = np.tile(grid.hx * grid.cell_y_masses(), grid.nx // 2 + 1)
-    wmat, blocks = sparse.diags(w), sparse.identity(k)
+    bands = [s_modes.diagonal(i) for i in (-1, 0, 1)]
+    w = np.tile(grid.hx * grid.cell_y_masses(), grid.nx)
+    rhs = np.asfortranarray(w[:, None] * rhs)
     stats["factor_s"] += clock() - t0
-    worst = np.zeros(k)
+    worst, err = np.zeros(k), np.zeros(k)
     states = []
-    ht_lu = None
-    remaining_rannacher = RANNACHER_STEPS
-    for seg, n in zip(segs, counts):
-        ht = seg / n
-        stats["ht"].append(ht)
-        if ht != ht_lu:
-            # one factorization per step size; release the old one first
-            t0 = clock()
-            lu = a_k = explicit_k = None
-            a_mat = wmat + (0.5 * ht) * s_modes
-            # tridiagonal blocks in natural order: no fill; relax=1 keeps SuperLU
-            # from padding supernodes, so lu_nnz counts only L and U
-            lu = splu(a_mat.tocsc(), permc_spec="NATURAL", relax=1)
-            a_k = sparse.kron(blocks, a_mat, format="csr")
-            explicit_k = sparse.kron(blocks, wmat - (0.5 * ht) * s_modes, format="csr")
-            ht_lu = ht
-            stats["factorizations"] += 1
-            stats["lu_nnz"] = max(stats["lu_nnz"], lu.nnz)
-            stats["factor_s"] += clock() - t0
+    for window in _windows(times):
+        stats["windows"] += 1
+        sums = {n: _contour_sum(bands, w, rhs, window, n, stats, worst) for n in (coarse, fine)}
         t0 = clock()
-        for _ in range(n):
-            if remaining_rannacher > 0:
-                # two backward-Euler half steps share the CN matrix
-                u, res = _solve_checked(lu, a_k, w * u)
-                np.maximum(worst, res, out=worst)
-                u, res = _solve_checked(lu, a_k, w * u)
-                remaining_rannacher -= 1
-            else:
-                u, res = _solve_checked(lu, a_k, (explicit_k @ u.ravel()).reshape(k, -1))
-            np.maximum(worst, res, out=worst)
-        stats["solve_s"] += clock() - t0
-        t0 = clock()
-        states.append(np.fft.irfft(u.reshape(k, -1, grid.ny), n=grid.nx, axis=1)
-                      .reshape(k, -1).T)
+        for a, b in zip(sums[coarse], sums[fine]):
+            a, b = (np.fft.ifft(v.reshape(k, grid.nx, grid.ny), axis=1).real.reshape(k, -1)
+                    for v in (a, b))
+            top = np.abs(b).max(axis=1)
+            diff = np.divide(np.abs(a - b).max(axis=1), top, out=np.zeros(k), where=top > 0.0)
+            np.maximum(err, diff, out=err)
+            states.append(b.T)
         stats["transform_s"] += clock() - t0
-    stats["max_step_residual"] = worst
+    if not np.all(err <= CONTOUR_TOL):
+        j = int(np.argmax(~(err <= CONTOUR_TOL)))
+        raise SolveFailure(f"contour rules of {coarse} and {fine} nodes differ by {err[j]:.3e} "
+                           f"in column {j}, over CONTOUR_TOL = {CONTOUR_TOL:.0e}")
+    stats["contour_err"] = err
+    stats["max_solve_residual"] = worst
     return states, stats
 
 
 def evolve(op: DiscreteOperator, f: Field, t: float, checkpoints=None):
-    """Crank-Nicolson evolution of a field under the discrete semigroup.
+    """Evolution of a field under the discrete semigroup, exp(-t W^{-1} S) f.
 
-    Runs uniform steps per segment between checkpoints (all of one size
-    within a segment, which keeps the step propagator identical across
-    a run and the adjoint relation exact).  x is periodic, so the field
-    is stepped per x-mode on tridiagonal y-blocks, with the residual
-    checked in mode space; segments with the same step size share one
-    factorization of those blocks, freed when the evolution ends.  The
-    first RANNACHER_STEPS CN steps are replaced by pairs of backward-Euler
-    half-steps to damp the non-smooth modes of rough data; both schemes
-    conserve the discrete mass identically because constants annihilate S
-    on the test side.  This is the one-column case of the block stepping
-    kernel_columns uses.
-
-    More than MAX_STEPS steps in all raises SolveFailure before any factorization.
+    Evaluated on a Bromwich contour in x-modes, one tridiagonal
+    factorization per contour node; checkpoints within a factor
+    WINDOW_RATIO of each other share the nodes.  Constants are
+    stationary and mass is conserved to round-off (the rule is
+    normalized at lambda = 0); the time error is that of the contour,
+    guarded by comparing two rules (CONTOUR_TOL, else SolveFailure).
+    This is the one-column case of the block evolution kernel_columns uses.
 
     Returns the final Field, or a list of Fields at the checkpoint times
     (which must then include t as their maximum).
@@ -470,15 +510,16 @@ def kernel_columns(op: DiscreteOperator, ts, z2) -> list[KernelSlice]:
     `z2` is one source point, shape (2,), or k of them, shape (k, 2).  The
     initial state holds the discrete delta 1/w at each source cell as one
     column of an (n, k) block, so the computed columns are already in the
-    y^c dz convention.  x is periodic: the block is taken to x-modes once,
-    stepped per mode on tridiagonal y-blocks (one factorization per
-    distinct step size, one multi-right-hand-side solve per step, the
-    residual checked in mode space) and brought back at the checkpoints;
-    the adjoint is exact to FFT round-off relative to the column maximum.
+    y^c dz convention.  x is periodic: the block is taken to x-modes once
+    and evaluated on a Bromwich contour per window of checkpoints (one
+    tridiagonal factorization per node, shared by all sources, one
+    multi-right-hand-side solve, the residual checked in mode space); the
+    adjoint is exact to round-off relative to the column maximum.
     Returns the k * len(ts) slices source-major (all times of the first
     source, then the next), each with the evolution's stats in `meta`
-    (SOLVE_STATS, with the phase wall times) and its own column's worst
-    step residual.
+    (SOLVE_STATS, with the phase wall times) and its own column's
+    `contour_err` and worst solve residual.  A contour error above
+    CONTOUR_TOL raises SolveFailure.
     """
     grid = op.grid
     ts = sorted(float(t) for t in np.atleast_1d(ts))
@@ -495,7 +536,7 @@ def kernel_columns(op: DiscreteOperator, ts, z2) -> list[KernelSlice]:
     for col, (i, j) in enumerate(cells):
         source = np.array([grid.x_centers[i], grid.y_centers[j]])
         meta = {"grid": grid, "adjoint": op.is_adjoint, "label": op.label, **stats,
-                "max_step_residual": float(stats["max_step_residual"][col])}
+                **{key: float(stats[key][col]) for key in ("contour_err", "max_solve_residual")}}
         for t, u in zip(ts, states):
             slices.append(
                 KernelSlice(
@@ -526,7 +567,7 @@ def kernel_slices(spec: GeneralOperatorSpec, ts, sources, rx: float, ry: float,
     the snapped cell, mapped back); meta holds the method, the requested
     source, the snap offset in model cells, the reduction (`time_scale`
     and the model's `a` and `c`) and, for solver columns, the mass defect
-    and the SOLVE_STATS of the evolution (`ht` in model time).  A source
+    and the SOLVE_STATS of the evolution.  A source
     whose model image lies outside the model grid raises DomainError on
     either route, and so does an empty `ts`.
     """

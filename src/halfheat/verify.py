@@ -25,7 +25,7 @@ from .geometry import EnvelopeParams, ball_volume, envelope_eval
 from .kernels import KernelSlice, exact_slice, product_kernel
 from .operators import ModelOperatorSpec
 from .quadrature import halfspace_nodes
-from .solver import DiscreteOperator, assemble, discrete_gradient, kernel_column
+from .solver import SOLVE_STATS, DiscreteOperator, assemble, discrete_gradient, kernel_column
 from .special import log_gamma
 
 __all__ = [
@@ -37,6 +37,7 @@ __all__ = [
     "check_conservation",
     "check_identities_exact",
     "check_identities_solver",
+    "solve_stats",
     "gaussian_normalizer",
     "normalizing_alpha",
     "compute_G",
@@ -287,7 +288,8 @@ def check_identities_solver(op: DiscreteOperator, t: float, s: float,
     along the periodic x-axis, over the whole grid;
     adjoint compares the forward column at z2 against the transposed
     operator's column at z1; Chapman-Kolmogorov composes a forward and
-    an adjoint column through the discrete weighted sum.
+    an adjoint column through the discrete weighted sum.  `solve` holds
+    the solve_stats of the six evolutions.
     """
     if op.label != "model" or op.is_adjoint:
         raise StructuralError("identity checks re-assemble and need a forward model operator")
@@ -333,7 +335,19 @@ def check_identities_solver(op: DiscreteOperator, t: float, s: float,
     chapman = abs(composed - direct) / abs(direct)
 
     return {"scaling": scaling, "translation": translation,
-            "adjoint": float(adjoint), "chapman_kolmogorov": float(chapman)}
+            "adjoint": float(adjoint), "chapman_kolmogorov": float(chapman),
+            "solve": solve_stats([col_t, col_s, col_ts, adj_t, col_sc, col_sh])}
+
+
+def solve_stats(slices) -> dict:
+    """SOLVE_STATS of the evolutions behind solver slices, one slice each.
+
+    Counts and phase times add up; `nodes`, `contour_err` and
+    `max_solve_residual` are the largest.
+    """
+    worst = ("nodes", "contour_err", "max_solve_residual")
+    return {key: (max if key in worst else sum)(s.meta[key] for s in slices)
+            for key in SOLVE_STATS}
 
 
 # ---------------------------------------------------------------------------

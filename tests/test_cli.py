@@ -69,21 +69,6 @@ t.list = 0.5
 sources = 5,1
 """
 
-LONG_CFG = """\
-# identity operator; h = 1/128 makes t = 10 need 163,840 steps
-N = 1
-A.row.1 = 1, 0
-A.row.2 = 0, 1
-v.d = 0
-v.c = 0
-grid.nx = 128
-grid.ny = 128
-grid.Rx = 0.5
-grid.Ry = 1
-t.list = 10
-sources = 0,0.5
-"""
-
 
 def write(tmp_path, name, text):
     path = tmp_path / name
@@ -134,7 +119,7 @@ class TestValidateCommand:
         assert main(["validate", path]) == EXIT_PASS
         out = json.loads(capsys.readouterr().out)
         assert out["passed"] is True
-        assert out["schema_version"] == 3
+        assert out["schema_version"] == 4
 
     def test_degeneracy_failure_names_invariant(self, tmp_path, capsys):
         bad = IDENTITY_CFG.replace("v.c = 0", "v.c = -1.5")
@@ -169,9 +154,11 @@ class TestKernelCommand:
         assert entry["method"] == "solver"
         assert index["reduction"]["a"] == pytest.approx([0.5])
         # the evolution's stats ride along; the reduction is listed once
-        assert entry["factorizations"] == 1 and len(entry["ht"]) == 1
-        assert entry["steps"] >= 64 and entry["lu_nnz"] > 0
-        assert 0.0 < entry["max_step_residual"] < solver.SOLVE_RTOL
+        assert set(solver.SOLVE_STATS) <= set(entry)
+        assert entry["windows"] == 1 and entry["nodes"] == 3 * solver.CONTOUR_NODES // 2
+        assert entry["factorizations"] == solver.CONTOUR_NODES + entry["nodes"]
+        assert 0.0 < entry["contour_err"] <= solver.CONTOUR_TOL
+        assert 0.0 < entry["max_solve_residual"] < solver.SOLVE_RTOL
         assert "reduction" not in entry
 
     @pytest.mark.parametrize("flags", [[], ["--force-numeric"]])
@@ -216,12 +203,14 @@ class TestKernelCommand:
         assert sorted(p.name for p in out_dir.glob("*.csv")) == files
         assert "kernel_t0p5_x0_y1.csv" in files
 
-    def test_step_budget_exits_3(self, tmp_path, capsys):
-        path = write(tmp_path, "op.cfg", LONG_CFG)
+    def test_contour_guard_exits_3(self, tmp_path, capsys, monkeypatch):
+        # 4 and 6 contour nodes disagree far beyond CONTOUR_TOL
+        monkeypatch.setattr(solver, "CONTOUR_NODES", 4)
+        path = write(tmp_path, "op.cfg", MIXED_CFG)
         out_dir = tmp_path / "out"
-        assert main(["kernel", path, "--out", str(out_dir), "--force-numeric"]) == EXIT_NUMERICAL
+        assert main(["kernel", path, "--out", str(out_dir)]) == EXIT_NUMERICAL
         detail = json.loads(capsys.readouterr().out)["detail"]
-        assert "163840" in detail and str(solver.MAX_STEPS) in detail
+        assert "4 and 6 nodes" in detail and "CONTOUR_TOL" in detail
         assert not (out_dir / "kernel_index.json").exists()
 
     def test_force_numeric(self, tmp_path):
@@ -282,8 +271,9 @@ class TestVerifyCommand:
         assert main(["verify", "--probe-set", "smoke", "--out", str(out_dir)]) == EXIT_PASS
         bundle = json.loads((out_dir / "verify.json").read_text())
         assert bundle["passed"] is True
-        assert bundle["schema_version"] == 3
+        assert bundle["schema_version"] == 4
         assert "seed" not in bundle
+        assert all(np.isfinite(c["wall_s"]) and c["wall_s"] >= 0.0 for c in bundle["checks"])
         names = {c["name"] for c in bundle["checks"]}
         assert {"conservation_exact", "scaling_exact", "envelope_exact"} <= names
 
@@ -375,3 +365,9 @@ def test_desk_sweep_passes(tmp_path):
     names = {c["name"] for c in bundle["checks"]}
     assert any(n.startswith("adjoint_solver") for n in names)
     assert "sab_sec6_stable" in names
+    # solver checks carry the stats of their evolutions, the others none
+    for check in bundle["checks"]:
+        assert ("solve" in check) == ("_solver_" in check["name"])
+        if "solve" in check:
+            assert set(check["solve"]) == set(solver.SOLVE_STATS)
+            assert 0.0 < check["solve"]["contour_err"] <= solver.CONTOUR_TOL

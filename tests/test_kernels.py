@@ -98,6 +98,14 @@ class TestProductKernel:
         with pytest.raises(WrongOperatorError):
             product_kernel(model(0.0, a=0.5), 1.0, np.array([0, 1.0]), np.array([0, 1.0]))
 
+    @pytest.mark.parametrize("t", [np.inf, np.nan, -np.inf])
+    def test_non_finite_time_rejected(self, t):
+        z1, z2 = np.array([[0.0, 1.0], [0.5, 2.0]]), np.array([0.0, 1.0])
+        with pytest.raises(DomainError, match="finite"):
+            product_kernel(model(0.5), t, z1, z2)
+        with pytest.raises(DomainError, match="finite"):
+            exact_slice(model(0.5), t, z2, z1)
+
     def test_n2_supported(self):
         m = model(1.0, n=2)
         z1 = np.array([0.1, -0.2, 0.5])

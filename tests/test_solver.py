@@ -1,11 +1,11 @@
 """Discretization, evolution, kernel columns, and discrete identities."""
 
+import itertools
 import time
 
 import numpy as np
 import pytest
-from scipy import sparse
-from scipy.sparse.linalg import splu
+from scipy.linalg import expm
 
 from halfheat import solver
 from halfheat.errors import (
@@ -44,6 +44,11 @@ def column(op, t, z2, **kw):
 def generator(op, values):
     """du/dt = -W^{-1} S u of the semi-discrete law, for a (nx, ny) or flat array."""
     return (-(op.form @ values.ravel()) / op.w).reshape(values.shape)
+
+
+def per_window():
+    """Factorizations per checkpoint window: both contour rules' nodes."""
+    return solver.CONTOUR_NODES + 3 * solver.CONTOUR_NODES // 2
 
 
 def weighted_norm(f, p):
@@ -180,42 +185,51 @@ class TestEvolve:
         with pytest.raises(SolveFailure):
             evolve(op, f, 0.1)
 
-    def test_one_factorization_per_step_size(self, monkeypatch):
-        # hx = hy = 1/16, so every checkpoint segment gets ht = h^2 = 2^-8
+    def test_one_factorization_per_node(self, monkeypatch):
+        # (0.25, 0.5, 1.0) is one window and 2.0 a second; the two sources
+        # share every node's factorization of the 32 * 16 mode unknowns
         grid = GridSpec(rx=1.0, ry=1.0, nx=32, ny=16, c=0.5)
         op = assemble(ModelOperatorSpec(n=1, a=np.array([0.3]), c=0.5), grid)
         calls = []
-        real_splu = solver.splu
+        real_zgttrf = solver.zgttrf
 
-        def counting_splu(mat, *args, **kwargs):
-            calls.append(mat.shape)
-            return real_splu(mat, *args, **kwargs)
+        def counting_zgttrf(lower, diag, upper):
+            calls.append(diag.shape)
+            return real_zgttrf(lower, diag, upper)
 
-        monkeypatch.setattr(solver, "splu", counting_splu)
-        cols = kernel_columns(op, (0.25, 0.5, 1.0), np.array([0.0, 0.5]))
-        assert len(cols) == 3
-        assert len(calls) == 1
+        monkeypatch.setattr(solver, "zgttrf", counting_zgttrf)
+        cols = kernel_columns(op, (0.25, 0.5, 1.0, 2.0), np.array([[0.0, 0.5], [0.5, 0.25]]))
+        assert len(cols) == 8
+        assert calls == [(32 * 16,)] * (2 * per_window())
+        assert cols[0].meta["windows"] == 2
+        assert cols[0].meta["factorizations"] == 2 * per_window()
 
     def test_block_residual_guard_is_per_column(self):
         _, grid, op = make(0.5, 1.0, n=16, r=2.0)
         u = np.ones((grid.nx * grid.ny, 2))
         states, stats = solver._evolve_block(op, u, [0.1])
         assert states[0].shape == u.shape
-        assert np.all(stats["max_step_residual"] < solver.SOLVE_RTOL)
+        assert np.all(stats["max_solve_residual"] < solver.SOLVE_RTOL)
         u[5, 1] = np.nan
         with pytest.raises(SolveFailure, match="in column 1"):
             solver._evolve_block(op, u, [0.1])
 
-    def test_mode_factorization_has_no_fill(self):
-        # 64 x 48 cells, a = 0.5: the mode LU against COLAMD on the 2-D W + (ht/2) S
-        op = assemble(ModelOperatorSpec(n=1, a=np.array([0.5]), c=1.0),
-                      GridSpec(rx=5.0, ry=5.0, nx=64, ny=48, c=1.0))
-        meta = kernel_column(op, 0.25, np.array([0.0, 1.0])).meta
-        assert meta["factorizations"] == 1 and len(meta["ht"]) == 1
-        assert meta["lu_nnz"] <= 6 * (64 // 2 + 1) * 48
-        a_cn = (sparse.diags(op.w) + (0.5 * meta["ht"][0]) * op.form).tocsc()
-        colamd = splu(a_cn, permc_spec="COLAMD")
-        assert meta["lu_nnz"] < 0.1 * colamd.nnz
+    @pytest.mark.parametrize("nx", [12, 11])
+    @pytest.mark.parametrize("bmat", [[[1.0, 1.0], [0.0, 1.0]], [[2.0, 0.5], [0.5, 1.0]]],
+                             ids=["model", "cross"])
+    def test_mode_matrix_is_tridiagonal(self, bmat, nx):
+        # the model B (a = 0.5) and a symmetric cross-term B: the x-modes of the
+        # periodic form are one tridiagonal matrix over the index m * ny + j,
+        # equal to the fft along x of op.form
+        ny = 10
+        grid = GridSpec(rx=3.0, ry=2.0, nx=nx, ny=ny, c=1.0)
+        modes = solver._mode_form(grid, np.array(bmat)).tocoo()
+        assert np.abs(modes.row - modes.col).max() == 1
+        assert not np.any((modes.row // ny != modes.col // ny) & (modes.data != 0))
+        fourier = np.kron(np.fft.fft(np.eye(nx), axis=0), np.eye(ny))
+        form = solver._form_matrix(grid, np.array(bmat)).toarray()
+        ref = fourier @ form @ np.linalg.inv(fourier)
+        assert np.abs(modes.toarray() - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_phase_times(self):
         _, grid, op = make(0.5, 1.0, n=32, r=3.0)
@@ -227,12 +241,14 @@ class TestEvolve:
             assert all(np.isfinite(p) and p >= 0.0 for p in phases)
             assert sum(phases) <= wall
 
-    def test_step_budget(self, monkeypatch):
-        # ht = h^2 = 1/64 on both segments: 9,600 + 9,600 steps, over MAX_STEPS
-        _, grid, op = make(n=16, r=2.0)
-        monkeypatch.setattr(solver, "splu", lambda *a, **k: pytest.fail("factorized"))
-        with pytest.raises(SolveFailure, match="19200 time steps.*MAX_STEPS = 16384"):
-            evolve(op, Field.constant(grid), 300.0, checkpoints=[150.0, 300.0])
+    def test_contour_guard(self, monkeypatch):
+        # 4 and 6 nodes cannot resolve a window; the default rules can
+        _, grid, op = make(0.5, 1.0, n=16, r=2.0)
+        z2 = np.array([0.0, 0.5])
+        assert 0.0 < kernel_column(op, 0.5, z2).meta["contour_err"] <= solver.CONTOUR_TOL
+        monkeypatch.setattr(solver, "CONTOUR_NODES", 4)
+        with pytest.raises(SolveFailure, match="rules of 4 and 6 nodes.*CONTOUR_TOL = 1e-08"):
+            kernel_column(op, 0.5, z2)
 
     def test_time_errors(self):
         _, grid, op = make()
@@ -321,46 +337,34 @@ class TestKernelColumn:
             assert (b.t, b.source.tolist()) == (s.t, s.source.tolist())
             err = np.abs(b.values - s.values).max() / np.abs(s.values).max()
             assert err <= 1e-14
-            assert b.meta["factorizations"] == 1
+            assert b.meta["factorizations"] == per_window()
 
-    @pytest.mark.parametrize("nx", [48, 27])
+    @pytest.mark.parametrize("nx", [24, 23])
     @pytest.mark.parametrize("adjoint", [False, True])
-    def test_modes_match_sparse_lu_steps(self, adjoint, nx):
-        # the same CN steps as a 2-D sparse LU of W + (ht/2) S on the periodic
-        # op.form; an odd nx has no Nyquist mode
-        op = assemble(ModelOperatorSpec(n=1, a=np.array([0.5]), c=1.0),
-                      GridSpec(rx=4.0, ry=4.0, nx=nx, ny=40, c=1.0))
-        op = op.adjoint() if adjoint else op
-        ts = (0.25, 0.5)
-        sources = np.array([[0.0, 0.5], [1.0, 1.5]])
-        cols = kernel_columns(op, ts, sources)
-        w = op.w[:, None]
-        u = np.zeros((w.size, len(sources)))
-        for k, z2 in enumerate(sources):
-            i, j = op.grid.locate(z2)
-            u[i * op.grid.ny + j, k] = 1.0 / w[i * op.grid.ny + j, 0]
-        ref, start, rannacher = [], 0.0, solver.RANNACHER_STEPS
-        for t in ts:
-            steps = solver._segment_steps(op.grid, t - start)
-            ht, start = (t - start) / steps, t
-            lu = splu((sparse.diags(op.w) + (0.5 * ht) * op.form).tocsc())
-            explicit = sparse.diags(op.w) - (0.5 * ht) * op.form
-            for _ in range(steps):
-                if rannacher > 0:
-                    u = lu.solve(w * lu.solve(w * u))
-                    rannacher -= 1
-                else:
-                    u = lu.solve(explicit @ u)
-            ref.append(u)
-        for k in range(len(sources)):
-            for n, u in enumerate(ref):
-                got = cols[k * len(ts) + n].values
-                assert np.abs(got - u[:, k]).max() <= 1e-12 * np.abs(u[:, k]).max()
+    def test_matches_dense_expm(self, adjoint, nx):
+        # exp(-t W^{-1} S) of the periodic op.form by dense expm, over two
+        # windows; an odd nx has no Nyquist mode
+        ts = (0.05, 0.2, 1.0)
+        sources = np.array([[0.0, 0.2], [1.0, 1.5]])
+        for a, c in itertools.product((0.5, 0.9), (-0.5, 1.0)):
+            op = assemble(ModelOperatorSpec(n=1, a=np.array([a]), c=c),
+                          GridSpec(rx=3.0, ry=3.0, nx=nx, ny=20, c=c))
+            op = op.adjoint() if adjoint else op
+            cols = kernel_columns(op, ts, sources)
+            u = np.zeros((op.w.size, len(sources)))
+            for k, z2 in enumerate(sources):
+                i, j = op.grid.locate(z2)
+                u[i * op.grid.ny + j, k] = 1.0 / op.w[i * op.grid.ny + j]
+            for n, t in enumerate(ts):
+                ref = expm(-t * (op.form.toarray() / op.w[:, None])) @ u
+                for k in range(len(sources)):
+                    got = cols[k * len(ts) + n].values
+                    assert np.abs(got - ref[:, k]).max() <= 1e-8 * np.abs(ref[:, k]).max()
 
     def test_kernel_slices_one_factorization_for_all_sources(self, monkeypatch):
         spec = GeneralOperatorSpec(n=1, a_matrix=np.array([[1.0, 0.5], [0.5, 1.0]]),
                                    drift=np.array([0.0, 1.0]))
-        calls = {"splu": 0, "kernel_columns": 0}
+        calls = {"zgttrf": 0, "kernel_columns": 0}
         for name in calls:
             def counted(*args, _fn=getattr(solver, name), _name=name, **kwargs):
                 calls[_name] += 1
@@ -368,11 +372,18 @@ class TestKernelColumn:
             monkeypatch.setattr(solver, name, counted)
         out = kernel_slices(spec, [0.25, 0.5], [np.array([0.0, 1.0]), np.array([0.5, 1.5])],
                             rx=4.0, ry=4.0, nx=32, ny=32)
-        assert calls == {"splu": 1, "kernel_columns": 1}
+        assert calls == {"zgttrf": per_window(), "kernel_columns": 1}
         # t-major over ts x sources
         assert [(s.t, s.meta["source"]) for s in out] == [
             (0.25, [0.0, 1.0]), (0.25, [0.5, 1.5]), (0.5, [0.0, 1.0]), (0.5, [0.5, 1.5])]
-        assert all(s.meta["factorizations"] == 1 for s in out)
+        assert all(s.meta["factorizations"] == per_window() for s in out)
+
+    @pytest.mark.parametrize("t", [np.inf, np.nan])
+    def test_kernel_slices_closed_form_rejects_non_finite_time(self, t):
+        spec = GeneralOperatorSpec(n=1, a_matrix=np.eye(2), drift=np.array([0.0, 0.5]))
+        with pytest.raises(DomainError, match="finite"):
+            kernel_slices(spec, [0.5, t], [np.array([0.0, 1.0])],
+                          rx=2.0, ry=2.0, nx=16, ny=16)
 
     def test_snap_recorded(self):
         _, grid, op = make(n=16, r=2.0)
