@@ -8,8 +8,8 @@ The keys below are the only ones accepted, each at most once:
     v.d        tangential drift, comma-separated (N entries)
     v.c        normal drift coefficient
     grid.Rx, grid.Ry, grid.nx, grid.ny
-    t.list     comma-separated kernel times
-    sources    semicolon-separated source points, each "x,y"
+    t.list     comma-separated kernel times, no time twice
+    sources    semicolon-separated source points, each "x,y", no point twice
 
 Exit codes: 0 pass, 1 check failed, 2 config/structural error,
 3 numerical failure.  Every command is deterministic: the same config
@@ -30,7 +30,7 @@ from . import sab as sab_mod
 from . import verify as V
 from .errors import HalfheatError, SolveFailure, StructuralError
 from .geometry import EnvelopeParams, doubling_check, envelope_equivalence_window
-from .kernels import exact_slice
+from .kernels import exact_slice, write_csv
 from .operators import (
     GeneralOperatorSpec,
     ModelOperatorSpec,
@@ -38,7 +38,7 @@ from .operators import (
 )
 from .solver import GridSpec, assemble, kernel_column, kernel_slices
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 #: config keys besides the rows A.row.1 .. A.row.N+1
 KNOWN_KEYS = {"N", "v.d", "v.c", "grid.Rx", "grid.Ry", "grid.nx", "grid.ny", "t.list", "sources"}
@@ -145,20 +145,26 @@ def cmd_kernel(args) -> int:
         print(json.dumps({"error": "invalid operator", **report.as_dict()}))
         return EXIT_CHECK_FAILED
     ts = _floats(cfg.get("t.list", "1.0"))
+    if len(set(ts)) != len(ts):
+        raise StructuralError(f"t.list repeats a time: {cfg['t.list']!r}")
     sources = []
     for tok in cfg.get("sources", "0,1").split(";"):
         pt = _floats(tok)
         if len(pt) != spec.n + 1:
             raise StructuralError(f"source {tok!r} needs {spec.n + 1} coordinates")
         sources.append(np.array(pt))
+    if len({tuple(z) for z in sources}) != len(sources):
+        raise StructuralError(f"sources repeats a point: {cfg['sources']!r}")
     out_dir = Path(args.out) if args.out else Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    clock = time.perf_counter
+    start = clock()
     slices = kernel_slices(
         spec, ts, sources, numeric=args.force_numeric,
         rx=_scalar(cfg, "grid.Rx", "8"), ry=_scalar(cfg, "grid.Ry", "8"),
         nx=_count(cfg, "grid.nx", "128"), ny=_count(cfg, "grid.ny", "128"))
-    written = []
+    evaluate_s = clock() - start
     for slc in slices:
         defect = slc.meta.get("mass_defect", 0.0)
         if defect > args.mass_tol:
@@ -167,16 +173,22 @@ def cmd_kernel(args) -> int:
                 "t": slc.t, "mass_defect": defect, "tolerance": args.mass_tol,
             }))
             return EXIT_CHECK_FAILED
+    paths = []
+    for slc in slices:
         # shortest round-trip digits, so distinct values get distinct names
         t, x2, y2 = (str(float(v)).removesuffix(".0") for v in (slc.t, *slc.meta["source"]))
         tag = f"t{t}_x{x2}_y{y2}".replace("-", "m").replace(".", "p")
-        path = out_dir / f"kernel_{tag}.csv"
-        slc.to_csv(path)
-        written.append({"file": str(path), "t": slc.t,
-                        **{k: v for k, v in slc.meta.items() if k != "reduction"}})
+        paths.append(out_dir / f"kernel_{tag}.csv")
+    start = clock()
+    write_csv(slices, paths)
+    write_s = clock() - start
+    written = [{"file": str(path), "t": slc.t,
+                **{k: v for k, v in slc.meta.items() if k != "reduction"}}
+               for slc, path in zip(slices, paths)]
     # every slice of the run carries the same reduction
     _emit({"schema_version": SCHEMA_VERSION, "command": "kernel",
-           "reduction": slices[0].meta["reduction"], "outputs": written},
+           "reduction": slices[0].meta["reduction"],
+           "evaluate_s": evaluate_s, "write_s": write_s, "outputs": written},
           out_dir, "kernel_index.json")
     return EXIT_PASS
 

@@ -6,6 +6,10 @@ Bessel function; the full-space kernel is its product with the standard
 N-dimensional Gaussian.  All values are taken with respect to the
 weighted measure y^c dz, the convention used everywhere in this package
 (conservation reads: integral of p against y^c dz equals 1).
+
+Slices are written by one CSV writer, write_csv, which builds the text
+column by column: the sample points once per call, the time and source
+once per file, the values once per chunk of rows.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ __all__ = [
     "product_kernel",
     "KernelSlice",
     "exact_slice",
+    "write_csv",
 ]
 
 WEIGHTED_CONVENTION = "y^c dz"
@@ -151,23 +156,47 @@ class KernelSlice:
         return float(np.dot(self.weights, self.values))
 
     def to_csv(self, path_or_buf) -> None:
-        """Write `t,x1,y1,x2,y2,p,convention` rows at full double precision.
+        """Write this slice as CSV; see write_csv."""
+        write_csv([self], [path_or_buf])
 
-        Numbers use `%.17g`, which round-trips doubles bit-exactly.  A path
-        is opened and closed here; an open text buffer is written in place.
-        """
-        if self.n != 1:
+
+def _chunks(fmt: str, values):
+    """`fmt % row` for the rows of `values`, one `%` and one text per CSV_CHUNK_ROWS rows.
+
+    Rows are joined by newlines, with none after the last.
+    """
+    values = np.asarray(values, dtype=float)
+    for start in range(0, len(values), CSV_CHUNK_ROWS):
+        rows = values[start:start + CSV_CHUNK_ROWS]
+        yield "\n".join([fmt] * len(rows)) % tuple(rows.ravel().tolist())
+
+
+def write_csv(slices, targets) -> None:
+    """Write slices[k] to targets[k] as `t,x1,y1,x2,y2,p,convention` rows.
+
+    Numbers use `%.17g`, which round-trips doubles bit-exactly.  The text
+    is built column by column: the `x1,y1` column once per distinct
+    `points` array of the call (all slices of one kernel_slices call
+    share one), `t` and `x2,y2` once per slice, and `p` with one `%` per
+    CSV_CHUNK_ROWS rows, the unit in which rows are written.  A path is
+    opened and closed here; an open text buffer is written in place.
+    """
+    xy_chunks = {}  # id(points) -> its x1,y1 texts; the slices keep the arrays alive
+    for slc, target in zip(slices, targets, strict=True):
+        if slc.n != 1:
             raise DomainError("CSV slice format is defined for N = 1")
-        m = len(self.values)
-        table = np.column_stack([np.full(m, self.t), self.points,
-                                 np.broadcast_to(self.source, (m, 2)), self.values])
-        fmt = ",".join(["%.17g"] * 6) + "," + self.convention.replace("%", "%%") + "\n"
-        own = isinstance(path_or_buf, (str, bytes, os.PathLike))
-        with open(path_or_buf, "w", newline="") if own else contextlib.nullcontext(path_or_buf) as fh:
+        xy = xy_chunks.get(id(slc.points))
+        if xy is None:
+            xy = xy_chunks[id(slc.points)] = list(_chunks("%.17g,%.17g", slc.points))
+        head = "%.17g," % float(slc.t)
+        mid = ",%.17g,%.17g," % tuple(slc.source.tolist())
+        tail = "," + slc.convention + "\n"
+        own = isinstance(target, (str, bytes, os.PathLike))
+        with open(target, "w", newline="") if own else contextlib.nullcontext(target) as fh:
             fh.write("t,x1,y1,x2,y2,p,convention\n")
-            for start in range(0, m, CSV_CHUNK_ROWS):
-                rows = table[start:start + CSV_CHUNK_ROWS].tolist()
-                fh.write("".join(fmt % tuple(row) for row in rows))
+            for xy_text, p_text in zip(xy, _chunks("%.17g", slc.values)):
+                fh.write("".join([f"{head}{a}{mid}{b}{tail}" for a, b in
+                                  zip(xy_text.split("\n"), p_text.split("\n"))]))
 
 
 def exact_slice(model, t: float, z2, points, weights=None) -> KernelSlice:

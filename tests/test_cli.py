@@ -119,7 +119,7 @@ class TestValidateCommand:
         assert main(["validate", path]) == EXIT_PASS
         out = json.loads(capsys.readouterr().out)
         assert out["passed"] is True
-        assert out["schema_version"] == 4
+        assert out["schema_version"] == 5
 
     def test_degeneracy_failure_names_invariant(self, tmp_path, capsys):
         bad = IDENTITY_CFG.replace("v.c = 0", "v.c = -1.5")
@@ -141,6 +141,8 @@ class TestKernelCommand:
         assert main(["kernel", path, "--out", str(out_dir)]) == EXIT_PASS
         index = json.loads((out_dir / "kernel_index.json").read_text())
         assert index["outputs"][0]["method"] == "exact"
+        assert index["schema_version"] == 5
+        assert all(np.isfinite(index[k]) and index[k] >= 0.0 for k in ("evaluate_s", "write_s"))
         csv_file = out_dir / index["outputs"][0]["file"].split("/")[-1]
         header = csv_file.read_text().splitlines()[0]
         assert header == "t,x1,y1,x2,y2,p,convention"
@@ -202,6 +204,19 @@ class TestKernelCommand:
         assert len(files) == 4
         assert sorted(p.name for p in out_dir.glob("*.csv")) == files
         assert "kernel_t0p5_x0_y1.csv" in files
+
+    @pytest.mark.parametrize("old,new", [
+        ("t.list = 0.5", "t.list = 0.5, 0.50"),
+        ("sources = 0,1", "sources = 0,1 ; 0.0,1.0"),
+    ], ids=["time", "source"])
+    def test_repeats_rejected(self, tmp_path, capsys, old, new):
+        # one file per (t, source): a repeat would write the same file twice
+        path = write(tmp_path, "op.cfg", IDENTITY_CFG.replace(old, new))
+        out_dir = tmp_path / "out"
+        assert main(["kernel", path, "--out", str(out_dir)]) == EXIT_CONFIG_ERROR
+        assert "repeats" in json.loads(capsys.readouterr().out)["detail"]
+        assert not (out_dir / "kernel_index.json").exists()
+        assert not list(out_dir.glob("*.csv"))
 
     def test_contour_guard_exits_3(self, tmp_path, capsys, monkeypatch):
         # 4 and 6 contour nodes disagree far beyond CONTOUR_TOL
@@ -271,7 +286,7 @@ class TestVerifyCommand:
         assert main(["verify", "--probe-set", "smoke", "--out", str(out_dir)]) == EXIT_PASS
         bundle = json.loads((out_dir / "verify.json").read_text())
         assert bundle["passed"] is True
-        assert bundle["schema_version"] == 4
+        assert bundle["schema_version"] == 5
         assert "seed" not in bundle
         assert all(np.isfinite(c["wall_s"]) and c["wall_s"] >= 0.0 for c in bundle["checks"])
         names = {c["name"] for c in bundle["checks"]}

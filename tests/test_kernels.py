@@ -5,12 +5,14 @@ import io
 import numpy as np
 import pytest
 
+from halfheat import kernels
 from halfheat.errors import DomainError, ParameterError, WrongOperatorError
 from halfheat.kernels import (
     KernelSlice,
     bessel_heat_kernel,
     exact_slice,
     product_kernel,
+    write_csv,
 )
 from halfheat.operators import ModelOperatorSpec
 from halfheat.quadrature import halfspace_nodes, y_weighted_nodes
@@ -163,6 +165,44 @@ class TestKernelSlice:
         table = np.loadtxt(path, delimiter=",", skiprows=1, usecols=range(6), ndmin=2)
         assert table[:, 3:5].tolist() == [slc.source.tolist()] * len(slc.values)
         assert table[:, 5].tolist() == slc.values.tolist()
+
+    @staticmethod
+    def _per_row(slc):
+        """The CSV text built one `%.17g` row at a time."""
+        rows = ["t,x1,y1,x2,y2,p,convention\n"]
+        for (x1, y1), p in zip(slc.points.tolist(), slc.values.tolist()):
+            rows.append("%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%s\n"
+                        % (slc.t, x1, y1, *slc.source.tolist(), p, slc.convention))
+        return "".join(rows)
+
+    def test_write_csv_matches_per_row_reference(self, tmp_path, monkeypatch):
+        # extreme doubles in every column kind; 2-row chunks cross chunk edges
+        monkeypatch.setattr(kernels, "CSV_CHUNK_ROWS", 2)
+        pts = np.array([[-0.0, 5e-324], [1e-300, 1.7976931348623157e308],
+                        [-2.5, 0.1], [1.0 / 3.0, 1e-300], [0.0, 7.0]])
+        vals = np.array([-0.0, 5e-324, 1e-300, 1.7976931348623157e308, -3.0e-17])
+        first = KernelSlice(t=0.5, source=np.array([-0.0, 5e-324]), points=pts,
+                            values=vals, c=1.0)
+        second = KernelSlice(t=1.7976931348623157e308, source=np.array([-1e-300, 2.0]),
+                             points=pts, values=vals[::-1].copy(), c=1.0)
+        bufs = [io.StringIO(), io.StringIO()]
+        paths = [tmp_path / "first.csv", tmp_path / "second.csv"]
+        write_csv([first, second], bufs)
+        write_csv([first, second], paths)
+        for slc, buf, path in zip((first, second), bufs, paths):
+            want = self._per_row(slc)
+            assert buf.getvalue() == want
+            assert path.read_bytes() == want.encode()
+            assert self._written(slc) == want  # the one-slice call
+
+    def test_write_csv_rejects_n2_and_length_mismatch(self):
+        slc = self._slice()
+        n2 = KernelSlice(t=0.5, source=np.array([0.0, 0.0, 1.0]), points=np.ones((2, 3)),
+                         values=np.ones(2), c=1.0)
+        with pytest.raises(DomainError):
+            write_csv([n2], [io.StringIO()])
+        with pytest.raises(ValueError):
+            write_csv([slc, slc], [io.StringIO()])
 
     def test_invariants(self):
         with pytest.raises(DomainError):

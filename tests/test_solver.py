@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from halfheat import solver
+from halfheat import kernels, solver
 from halfheat.errors import (
     DomainError,
     ParameterError,
@@ -16,7 +16,13 @@ from halfheat.errors import (
     WrongOperatorError,
 )
 from halfheat.kernels import exact_slice, product_kernel
-from halfheat.operators import GeneralOperatorSpec, ModelOperatorSpec
+from halfheat.operators import (
+    GeneralOperatorSpec,
+    ModelOperatorSpec,
+    map_kernel_value,
+    map_point,
+    reduce_to_model,
+)
 from halfheat.solver import (
     Field,
     GridSpec,
@@ -377,6 +383,35 @@ class TestKernelColumn:
         assert [(s.t, s.meta["source"]) for s in out] == [
             (0.25, [0.0, 1.0]), (0.25, [0.5, 1.5]), (0.5, [0.0, 1.0]), (0.5, [0.5, 1.5])]
         assert all(s.meta["factorizations"] == per_window() for s in out)
+
+    @pytest.mark.parametrize("a_matrix,drift", [
+        ([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.5]),
+        ([[2.0, 0.7], [0.7, 1.2]], [0.35, 0.6]),  # sheared and scaled, a = 0 to round-off
+    ], ids=["identity", "sheared"])
+    def test_kernel_slices_closed_form_is_product_kernel(self, monkeypatch, a_matrix, drift):
+        spec = GeneralOperatorSpec(n=1, a_matrix=np.array(a_matrix), drift=np.array(drift))
+        red = reduce_to_model(spec)
+        nx, ny = 24, 16
+        grid = GridSpec(rx=2.0, ry=1.0, nx=nx, ny=ny, c=red.model.c)
+        # the second source sits in the first y-cell: at t = 8, xi = y1 y2 / (2t)
+        # drops below 1e-4 near y = 0, where bessel_heat_kernel takes its series
+        ts, sources = [0.25, 8.0], [np.array([0.1, 0.5]), np.array([0.0, 0.5 * grid.hy])]
+        xi = grid.y_centers * sources[1][1] / (2.0 * red.time_scale * ts[1])
+        assert np.any(xi < 1e-4) and not np.all(xi < 1e-4)
+        sizes = []
+
+        def counted(nu, x, _fn=kernels.bessel_i_scaled):
+            sizes.append(np.size(x))
+            return _fn(nu, x)
+        monkeypatch.setattr(kernels, "bessel_i_scaled", counted)
+        out = kernel_slices(spec, ts, sources, rx=2.0, ry=1.0, nx=nx, ny=ny)
+        assert sizes == [ny] * (len(ts) * len(sources))  # not nx * ny per slice
+        cells = grid.points()
+        for slc in out:
+            want = product_kernel(red.model, red.time_scale * slc.t, cells,
+                                  map_point(red, slc.meta["source"]))
+            want = map_kernel_value(red, slc.t, slc.points, slc.source, want)
+            assert np.array_equal(slc.values, want)  # bit for bit
 
     @pytest.mark.parametrize("t", [np.inf, np.nan])
     def test_kernel_slices_closed_form_rejects_non_finite_time(self, t):
