@@ -1,17 +1,20 @@
-"""The `halfheat kernel` output path beside the per-row code it replaced, with the oracle error.
+"""The closed-form and `halfheat kernel` output paths beside the code they replaced, with the oracle error.
 
     python3 bench/kernel_out.py [--out BENCH_kernel_out.json] [--repeats 3]
 
 `halfheat kernel` is one kernel_slices call followed by one write_csv
 call.  write_csv builds the CSV text column by column (the `x1,y1`
 column once per run, `t` and `x2,y2` once per file, `p` with one `%`
-per chunk of rows); on the closed-form route kernel_slices evaluates the
-a = 0 kernel on the tensor grid as an outer product of nx Gaussians and
-ny Bessel values (solver._closed_form_column).  This script times both
-next to script-local copies of what they replaced: the per-row writer
-(six `%.17g` numbers formatted per row) and exact_slice on all nx * ny
-cell centres (nx * ny Bessel evaluations).  The package has no option
-for the old paths.
+per chunk of rows).  On every tensor grid the a = 0 kernel is one
+kernels.tensor_kernel call: the outer product of nx Gaussians and ny
+Bessel values.  kernel_slices uses it on the cell centres, and
+verify.exact_quadrature_slice and the Chapman-Kolmogorov integral of
+verify.check_identities_exact on the two 1-D rules of halfspace_nodes.
+This script times each next to script-local copies of what it replaced:
+the per-row writer (six `%.17g` numbers formatted per row), exact_slice
+on all nx * ny cell centres, and product_kernel on every node of the
+flattened quadrature grid (one Bessel value per node).  The package has
+no option for the old paths.
 
 Cases: the README example (128^2, solver-reduced route) and the three
 configs of the perfbench `kernel_cli` workload at their nominal values,
@@ -34,6 +37,17 @@ which reduces to a = 0 up to round-off: exact-reduced) and `diagonal`
                      operators.general_kernel_exact (closed-form cases)
     contour_err, mass_defect  (solver cases, which have no closed form)
                      the contour rules' difference and the mass defect
+
+The `quadrature` section covers the acceptance criterion-2 set
+(c in {-0.5, 0, 1, 2} x t in {0.5, 1, 2}, source (0.1, 0.7)) and, per c,
+check_identities_exact at the `verify` sweep's arguments.  Per entry:
+
+    new_s / old_s    exact_quadrature_slice (or check_identities_exact)
+                     and the all-nodes product_kernel copy
+    identical        values, points and weights (or the identities
+                     dict) compare == between the two
+    mass_defect      |mass - 1| of the slice (slices), or
+    chapman_kolmogorov  the CK residual (identities)
 
 Times are medians over --repeats.  The JSON also holds the environment.
 """
@@ -58,14 +72,23 @@ import scipy
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from halfheat import cli, solver  # noqa: E402
-from halfheat.kernels import CSV_CHUNK_ROWS, exact_slice, write_csv  # noqa: E402
+from halfheat import cli, solver, verify  # noqa: E402
+from halfheat.kernels import (  # noqa: E402
+    CSV_CHUNK_ROWS,
+    KernelSlice,
+    exact_slice,
+    product_kernel,
+    tensor_kernel,
+    write_csv,
+)
 from halfheat.operators import (  # noqa: E402
     GeneralOperatorSpec,
+    ModelOperatorSpec,
     general_kernel_exact,
     map_point,
     reduce_to_model,
 )
+from halfheat.quadrature import halfspace_nodes  # noqa: E402
 
 #: (name, A, d, c, sources, t.list, grid.Rx = grid.Ry, cells per direction)
 README_CASE = ("readme_128", [[2.0, 0.7], [0.7, 1.0]], 0.3, 0.6,
@@ -76,6 +99,12 @@ KERNEL_CLI = [  # perfbench kernel_cli at its nominal values
     ("diagonal", [[2.0, 0.0], [0.0, 1.0]], 0.0, 0.6, [(0.0, 1.0), (0.0, 0.5)]),
 ]
 KERNEL_CLI_TS = [0.25, 0.5]
+#: acceptance criterion 2 (conservation of closed-form quadrature slices)
+QUADRATURE_CS = [-0.5, 0.0, 1.0, 2.0]
+QUADRATURE_TS = [0.5, 1.0, 2.0]
+QUADRATURE_SOURCE = (0.1, 0.7)
+#: the arguments of the closed-form identities check in `halfheat verify`
+IDENTITY_ARGS = dict(t=0.5, s=0.5, x0=1.3, scale=2.0, z1=(0.2, 1.1), z2=(-0.3, 0.6))
 
 
 def cases():
@@ -112,6 +141,48 @@ def old_write(slc, path) -> None:
         for start in range(0, m, CSV_CHUNK_ROWS):
             rows = table[start:start + CSV_CHUNK_ROWS].tolist()
             fh.write("".join(fmt % tuple(row) for row in rows))
+
+
+def flat_rule(x_rule, y_rule):
+    """Nodes (x-major) and weights of the tensor rule, flattened."""
+    (xs, wx), (ys, wy) = x_rule, y_rule
+    x, y = np.meshgrid(xs, ys, indexing="ij")
+    return np.column_stack([x.ravel(), y.ravel()]), np.outer(wx, wy).ravel()
+
+
+def old_quadrature_slice(model, t, z2) -> KernelSlice:
+    """exact_quadrature_slice as it was: product_kernel at every node of the flat grid."""
+    z2 = np.asarray(z2, dtype=float)
+    st = np.sqrt(t)
+    pts, w = flat_rule(*halfspace_nodes(model.c, x_extent=12.0 * st,
+                                        y_extent=float(z2[1]) + 12.0 * st,
+                                        n_x=160, n_panel=32, x_center=float(z2[0])))
+    return exact_slice(model, t, z2, pts, weights=w)
+
+
+def old_identities_exact(model, t, s, x0, scale, z1, z2) -> dict:
+    """check_identities_exact as it was: the CK factors by product_kernel at every node."""
+    z1 = np.asarray(z1, dtype=float)
+    z2 = np.asarray(z2, dtype=float)
+    n = model.n
+    p_ref = product_kernel(model, t, z1, z2)
+    p_sc = product_kernel(model, scale * scale * t, scale * z1, scale * z2)
+    scaling = abs(p_sc - scale ** (-(n + 1 + model.c)) * p_ref) / abs(p_ref)
+    shift = np.zeros(n + 1)
+    shift[0] = x0
+    translation = abs(product_kernel(model, t, z1 + shift, z2 + shift) - p_ref) / abs(p_ref)
+    adjoint = abs(product_kernel(model, t, z2, z1) - p_ref) / abs(p_ref)
+    st = np.sqrt(max(t, s))
+    mid, w = flat_rule(*halfspace_nodes(
+        model.c, x_extent=abs(z1[0] - z2[0]) / 2 + 10.0 * st,
+        y_extent=max(z1[-1], z2[-1]) + 10.0 * st,
+        n_x=200, n_panel=32, x_center=float(0.5 * (z1[0] + z2[0]))))
+    p_comp = float(np.dot(w, product_kernel(model, t, z1[None, :], mid)
+                          * product_kernel(model, s, mid, z2[None, :])))
+    p_sum = product_kernel(model, t + s, z1, z2)
+    chapman = abs(p_comp - p_sum) / abs(p_sum)
+    return {"scaling": float(scaling), "translation": float(translation),
+            "adjoint": float(adjoint), "chapman_kolmogorov": float(chapman)}
 
 
 def median_time(fn, repeats: int):
@@ -157,8 +228,8 @@ def case_record(case, repeats: int, tmp: Path) -> dict:
         red = reduce_to_model(spec)
         grid = solver.GridSpec(rx=r, ry=r, nx=n, ny=n, c=red.model.c)
         pairs = [(red.time_scale * t, map_point(red, z)) for t in ts for z in sources]
-        tensor_s, tensor = median_time(lambda: [solver._closed_form_column(
-            red.model, grid, mt, z2m) for mt, z2m in pairs], repeats)
+        tensor_s, tensor = median_time(lambda: [tensor_kernel(
+            red.model, mt, z2m, grid.x_centers, grid.y_centers) for mt, z2m in pairs], repeats)
         points_s, points = median_time(lambda: [exact_slice(
             red.model, mt, z2m, grid.points()).values for mt, z2m in pairs], repeats)
         rec["tensor_per_slice_s"] = tensor_s / len(pairs)
@@ -190,6 +261,40 @@ def case_record(case, repeats: int, tmp: Path) -> dict:
     return rec
 
 
+def same_slice(u: KernelSlice, v: KernelSlice) -> bool:
+    return all(np.array_equal(getattr(u, k), getattr(v, k)) for k in ("values", "points", "weights"))
+
+
+def quadrature_record(repeats: int) -> dict:
+    """Quadrature slices and the closed-form identities, tensor against all-nodes."""
+    out = {"slices": {}, "identities": {}}
+    for c in QUADRATURE_CS:
+        m = ModelOperatorSpec(n=1, a=np.array([0.0]), c=c)
+        for t in QUADRATURE_TS:
+            new_s, new = median_time(
+                lambda: verify.exact_quadrature_slice(m, t, QUADRATURE_SOURCE), repeats)
+            old_s, old = median_time(
+                lambda: old_quadrature_slice(m, t, QUADRATURE_SOURCE), repeats)
+            rec = {"nodes": len(new.values), "new_s": new_s, "old_s": old_s,
+                   "speedup": old_s / new_s, "identical": same_slice(new, old),
+                   "mass_defect": verify.check_conservation(new)}
+            out["slices"][f"c={c!r},t={t!r}"] = rec
+            print(f"quadrature slice c={c:<5} t={t:<4} {new_s * 1e3:6.2f} / {old_s * 1e3:6.2f} ms"
+                  f"  identical {rec['identical']}  mass_defect {rec['mass_defect']:.1e}",
+                  flush=True)
+        new_s, new = median_time(lambda: verify.check_identities_exact(m, **IDENTITY_ARGS), repeats)
+        old_s, old = median_time(lambda: old_identities_exact(m, **IDENTITY_ARGS), repeats)
+        rec = {"new_s": new_s, "old_s": old_s, "speedup": old_s / new_s,
+               "identical": new == old, "chapman_kolmogorov": new["chapman_kolmogorov"]}
+        out["identities"][f"c={c!r}"] = rec
+        print(f"identities_exact c={c:<5}        {new_s * 1e3:6.2f} / {old_s * 1e3:6.2f} ms"
+              f"  identical {rec['identical']}  chapman_kolmogorov "
+              f"{rec['chapman_kolmogorov']:.1e}", flush=True)
+    out["identity_args"] = IDENTITY_ARGS
+    out["source"] = QUADRATURE_SOURCE
+    return out
+
+
 def cpu_model() -> str:
     try:
         for line in Path("/proc/cpuinfo").read_text().splitlines():
@@ -216,9 +321,12 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for case in cases():
             report["cases"][case[0]] = case_record(case, args.repeats, Path(tmp))
+    report["quadrature"] = quadrature_record(args.repeats)
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     ok = all(rec["bytes_identical"] and rec.get("values_identical", True)
              for rec in report["cases"].values())
+    ok = ok and all(rec["identical"] for section in ("slices", "identities")
+                    for rec in report["quadrature"][section].values())
     return 0 if ok else 1
 
 

@@ -34,6 +34,7 @@ from .kernels import (
     bessel_heat_kernel,
     exact_slice,
     product_kernel,
+    tensor_kernel,
     write_csv,
 )
 from .operators import (

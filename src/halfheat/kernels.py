@@ -7,6 +7,10 @@ N-dimensional Gaussian.  All values are taken with respect to the
 weighted measure y^c dz, the convention used everywhere in this package
 (conservation reads: integral of p against y^c dz equals 1).
 
+On a tensor grid the a = 0 kernel is evaluated once per axis by
+tensor_kernel: Gaussians at the x-nodes, Bessel values at the y-nodes,
+and their outer product, bit-identical to product_kernel at every node.
+
 Slices are written by one CSV writer, write_csv, which builds the text
 column by column: the sample points once per call, the time and source
 once per file, the values once per chunk of rows.
@@ -27,6 +31,7 @@ __all__ = [
     "WEIGHTED_CONVENTION",
     "bessel_heat_kernel",
     "product_kernel",
+    "tensor_kernel",
     "KernelSlice",
     "exact_slice",
     "write_csv",
@@ -61,8 +66,9 @@ def bessel_heat_kernel(c: float, t: float, y1, y2):
     _check_time(t)
     y1 = np.asarray(y1, dtype=float)
     y2 = np.asarray(y2, dtype=float)
-    if np.any(y1 <= 0.0) or np.any(y2 <= 0.0):
-        raise DomainError("bessel_heat_kernel requires y > 0")
+    if not (np.all(np.isfinite(y1) & (y1 > 0.0))
+            and np.all(np.isfinite(y2) & (y2 > 0.0))):  # NaN fails both
+        raise DomainError("bessel_heat_kernel requires finite y > 0")
     nu = 0.5 * (c - 1.0)
     xi = y1 * y2 / (2.0 * t)
     small = xi < 1e-4
@@ -85,6 +91,14 @@ def bessel_heat_kernel(c: float, t: float, y1, y2):
     return val if np.ndim(val) else float(val)
 
 
+def _check_commuting(model, t):
+    if np.linalg.norm(model.a) > A_ZERO_TOL:
+        raise WrongOperatorError(
+            "closed-form kernel requires a = 0; use the finite-difference solver"
+        )
+    _check_time(t)
+
+
 def product_kernel(model, t: float, z1, z2):
     """Full kernel for the model operator with a = 0, w.r.t. y^c dz.
 
@@ -94,11 +108,7 @@ def product_kernel(model, t: float, z1, z2):
     reductions are accepted): no closed form exists then and the caller
     must use the finite-difference solver.
     """
-    if np.linalg.norm(model.a) > A_ZERO_TOL:
-        raise WrongOperatorError(
-            "closed-form kernel requires a = 0; use the finite-difference solver"
-        )
-    _check_time(t)
+    _check_commuting(model, t)
     z1 = np.atleast_2d(np.asarray(z1, dtype=float))
     z2 = np.atleast_2d(np.asarray(z2, dtype=float))
     n = model.n
@@ -111,6 +121,27 @@ def product_kernel(model, t: float, z1, z2):
     )
     val = gauss * bessel_heat_kernel(model.c, t, y1, y2)
     return float(val[0]) if val.shape == (1,) else val
+
+
+def tensor_kernel(model, t: float, z2, xs, ys) -> np.ndarray:
+    """The a = 0 kernel p(t, (xs[i], ys[j]), z2) at entry i * len(ys) + j (N = 1).
+
+    The kernel is a Gaussian in x times the Bessel kernel in y, so the
+    len(xs) Gaussians and len(ys) Bessel values give every value of the
+    tensor grid xs x ys by an outer product: len(ys) scaled-Bessel
+    evaluations, not len(xs) * len(ys).  Each entry is the product of the
+    same two doubles that product_kernel forms at that point, with the
+    grid point as either argument, so the values are bit-identical to it.
+    Rejects a != 0 (WrongOperatorError) as product_kernel does.
+    """
+    _check_commuting(model, t)
+    if model.n != 1:
+        raise DomainError("tensor grids are defined for N = 1")
+    z2 = np.asarray(z2, dtype=float)
+    xs = np.asarray(xs, dtype=float)
+    bessel = bessel_heat_kernel(model.c, t, ys, z2[1])
+    gauss = (4.0 * np.pi * t) ** -0.5 * np.exp(-((xs - z2[0]) ** 2) / (4.0 * t))
+    return np.outer(gauss, bessel).ravel()
 
 
 @dataclass
@@ -136,8 +167,9 @@ class KernelSlice:
         self.source = np.asarray(self.source, dtype=float)
         self.points = np.asarray(self.points, dtype=float)
         self.values = np.asarray(self.values, dtype=float)
-        if self.t <= 0.0 or self.source[-1] <= 0.0:
-            raise DomainError("KernelSlice requires t > 0 and source y > 0")
+        _check_time(self.t)
+        if not (np.all(np.isfinite(self.source)) and self.source[-1] > 0.0):
+            raise DomainError("KernelSlice requires a finite source with y > 0")
         if self.points.shape[0] != self.values.shape[0]:
             raise DomainError("points/values length mismatch")
 

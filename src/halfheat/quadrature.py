@@ -3,9 +3,10 @@
 The weight is integrable but not smooth at y = 0 when c is not a
 nonnegative integer, so the first panel uses Gauss-Jacobi nodes (which
 absorb the y^c factor exactly) and the rest of the axis is covered by
-geometrically growing Gauss-Legendre panels.  Tensor grids for
-half-space integrals combine these y-rules with Gauss-Legendre panels
-in x.
+geometrically growing Gauss-Legendre panels.  Half-space integrals
+use the tensor product of a Gauss-Legendre rule in x with such a y-rule;
+halfspace_nodes returns the two 1-D rules, so integrands that factor
+(the a = 0 kernel, see kernels.tensor_kernel) are evaluated per axis.
 """
 
 from __future__ import annotations
@@ -63,6 +64,8 @@ def y_weighted_nodes(c: float, upper: float, n_panel: int = 32):
     of widths h, 2h, 4h, ... cover the rest, with the y^c weight folded
     into the weights.
     """
+    if not 0.0 < upper < np.inf:  # NaN fails too
+        raise DomainError("y-rule upper bound must be positive and finite")
     width = min(1.0, upper / 4.0)
     ys, ws = jacobi_panel(width, c, n_panel)
     nodes = [ys]
@@ -80,14 +83,15 @@ def y_weighted_nodes(c: float, upper: float, n_panel: int = 32):
 
 def halfspace_nodes(c: float, x_extent: float, y_extent: float,
                     n_x: int = 120, n_panel: int = 24, x_center: float = 0.0):
-    """Tensor quadrature grid over [x0-Lx, x0+Lx] x (0, Ly] with weight y^c.
+    """Tensor quadrature rule over [x0-Lx, x0+Lx] x (0, Ly] with weight y^c.
 
-    Returns flat arrays (x, y, w) with w containing the full measure
-    y^c dx dy.  Only N = 1 in x is supported here; the callers that need
-    other dimensions integrate factorized forms instead.
+    Returns the two 1-D rules `(xs, wx), (ys, wy)`: Gauss-Legendre in x
+    and y_weighted_nodes in y, whose wy carry the y^c factor.  Node
+    (xs[i], ys[j]) has the weight wx[i] * wy[j] of the full measure
+    y^c dx dy; flattened x-major (index i * len(ys) + j) the weights are
+    np.outer(wx, wy).ravel() and the nodes np.meshgrid(xs, ys,
+    indexing="ij").  Only N = 1 in x is supported here; the callers that
+    need other dimensions integrate factorized forms instead.
     """
-    xs, wxs = legendre_panel(x_center - x_extent, x_center + x_extent, n_x)
-    ys, wys = y_weighted_nodes(c, y_extent, n_panel=n_panel)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    W = np.outer(wxs, wys)
-    return X.ravel(), Y.ravel(), W.ravel()
+    return (legendre_panel(x_center - x_extent, x_center + x_extent, n_x),
+            y_weighted_nodes(c, y_extent, n_panel=n_panel))

@@ -40,7 +40,7 @@ from scipy.linalg.blas import zaxpy
 from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .errors import DomainError, ParameterError, StructuralError, SolveFailure, WrongOperatorError
-from .kernels import A_ZERO_TOL, WEIGHTED_CONVENTION, KernelSlice, bessel_heat_kernel
+from .kernels import A_ZERO_TOL, WEIGHTED_CONVENTION, KernelSlice, tensor_kernel
 from .operators import (
     GeneralOperatorSpec,
     ModelOperatorSpec,
@@ -553,21 +553,6 @@ def kernel_column(op: DiscreteOperator, t: float, z2) -> KernelSlice:
     return kernel_columns(op, [t], z2)[0]
 
 
-def _closed_form_column(model: ModelOperatorSpec, grid: GridSpec, t: float, z2) -> np.ndarray:
-    """The a = 0 closed form at every cell centre of `grid`, index i * ny + j.
-
-    The kernel is a Gaussian in x times the Bessel kernel in y, and the
-    grid is a tensor grid, so the nx Gaussians at the x-centres and the ny
-    Bessel values at the y-centres give all nx * ny values by an outer
-    product.  Entry i * ny + j is the product of the same two doubles that
-    product_kernel forms at grid.points()[i * ny + j], so the values are
-    bit-identical to it, from ny scaled-Bessel evaluations, not nx * ny.
-    """
-    bessel = bessel_heat_kernel(model.c, t, grid.y_centers, z2[1])  # rejects a bad t first
-    gauss = (4.0 * np.pi * t) ** -0.5 * np.exp(-((grid.x_centers - z2[0]) ** 2) / (4.0 * t))
-    return np.outer(gauss, bessel).ravel()
-
-
 def kernel_slices(spec: GeneralOperatorSpec, ts, sources, rx: float, ry: float,
                   nx: int, ny: int, numeric: bool = False) -> list[KernelSlice]:
     """Kernel slices p(t, ., z2) of a general operator, t-major over ts x sources.
@@ -575,7 +560,7 @@ def kernel_slices(spec: GeneralOperatorSpec, ts, sources, rx: float, ry: float,
     One reduction and one model grid on [-rx, rx] x (0, ry] serve every
     slice, which samples the model cell centres mapped back once.  The
     closed form is used when |a| <= A_ZERO_TOL unless `numeric`, evaluated
-    on the tensor grid by _closed_form_column (bit-identical to
+    on the tensor grid of cell centres by tensor_kernel (bit-identical to
     product_kernel at the cell centres); otherwise one assembly and one
     kernel_columns call, which evolves all sources together through all
     model times time_scale * t.  All slices share one `points` array, so
@@ -607,7 +592,7 @@ def kernel_slices(spec: GeneralOperatorSpec, ts, sources, rx: float, ry: float,
     model_ts = sorted({red.time_scale * float(t) for t in ts})
     # source-major, like kernel_columns
     cols = ([KernelSlice(t=mt, source=z2m, points=cells, c=model.c,
-                         values=_closed_form_column(model, grid, mt, z2m))
+                         values=tensor_kernel(model, mt, z2m, grid.x_centers, grid.y_centers))
              for z2m in mapped for mt in model_ts]
             if exact else kernel_columns(assemble(model, grid), model_ts, np.array(mapped)))
     by_key = dict(zip(itertools.product(range(len(sources)), model_ts), cols))

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DomainError, FitUnderdeterminedError, ParameterError, StructuralError
 from .geometry import EnvelopeParams, ball_volume, envelope_eval
-from .kernels import KernelSlice, exact_slice, product_kernel
+from .kernels import KernelSlice, _check_time, product_kernel, tensor_kernel
 from .operators import ModelOperatorSpec
 from .quadrature import halfspace_nodes
 from .solver import SOLVE_STATS, DiscreteOperator, assemble, discrete_gradient, kernel_column
@@ -62,21 +62,27 @@ def exact_quadrature_slice(model: ModelOperatorSpec, t: float, z2) -> KernelSlic
 
     The grid reaches 12 sqrt(t) either side of the source in x and
     12 sqrt(t) above it in y, with 160 x-nodes and 32-point y-panels.
-    The returned slice carries the y^c dz quadrature weights, so its
-    mass() is the conservation integral to quadrature accuracy.
+    The values come from tensor_kernel on the two 1-D rules of
+    halfspace_nodes (one Bessel value per y-node); points and weights are
+    the same rules flattened x-major.  The returned slice carries the
+    y^c dz quadrature weights, so its mass() is the conservation integral
+    to quadrature accuracy.
     """
     z2 = np.asarray(z2, dtype=float)
     if model.n != 1:
         raise StructuralError("quadrature slices are built for N = 1")
+    _check_time(t)  # before the grid, which is scaled by sqrt(t)
     st = np.sqrt(t)
-    x, y, w = halfspace_nodes(
+    (xs, wx), (ys, wy) = halfspace_nodes(
         model.c,
         x_extent=12.0 * st,
         y_extent=float(z2[1]) + 12.0 * st,
         n_x=160, n_panel=32, x_center=float(z2[0]),
     )
-    pts = np.column_stack([x, y])
-    return exact_slice(model, t, z2, pts, weights=w)
+    x, y = np.meshgrid(xs, ys, indexing="ij")
+    return KernelSlice(t=t, source=z2, points=np.column_stack([x.ravel(), y.ravel()]),
+                       values=tensor_kernel(model, t, z2, xs, ys), c=model.c,
+                       weights=np.outer(wx, wy).ravel(), method="exact")
 
 
 # ---------------------------------------------------------------------------
@@ -238,9 +244,11 @@ def check_identities_exact(model: ModelOperatorSpec, t: float, s: float,
                            x0: float, scale: float, z1, z2) -> dict:
     """Residuals of the four kernel identities for the closed form (a = 0).
 
-    Chapman-Kolmogorov integrates the product of kernels over a
-    quadrature grid truncated 10 sqrt(max(t, s)) beyond both points,
-    everything else is direct evaluation.
+    Chapman-Kolmogorov integrates p(t, z1, w) p(s, w, z2) over a tensor
+    quadrature grid truncated 10 sqrt(max(t, s)) beyond both points; both
+    factors come from tensor_kernel with the grid node as the first point
+    (the closed form is symmetric in its two points to the last bit).
+    Everything else is direct evaluation.
     """
     z1 = np.asarray(z1, dtype=float)
     z2 = np.asarray(z2, dtype=float)
@@ -260,16 +268,15 @@ def check_identities_exact(model: ModelOperatorSpec, t: float, s: float,
 
     st = np.sqrt(max(t, s))
     xmid = 0.5 * (z1[0] + z2[0])
-    x, y, w = halfspace_nodes(
+    (xs, wx), (ys, wy) = halfspace_nodes(
         model.c,
         x_extent=abs(z1[0] - z2[0]) / 2 + 10.0 * st,
         y_extent=max(z1[-1], z2[-1]) + 10.0 * st,
         n_x=200, n_panel=32, x_center=float(xmid),
     )
-    mid = np.column_stack([x, y])
-    pk1 = product_kernel(model, t, z1[None, :], mid)
-    pk2 = product_kernel(model, s, mid, z2[None, :])
-    p_comp = float(np.dot(w, pk1 * pk2))
+    pk1 = tensor_kernel(model, t, z1, xs, ys)
+    pk2 = tensor_kernel(model, s, z2, xs, ys)
+    p_comp = float(np.dot(np.outer(wx, wy).ravel(), pk1 * pk2))
     p_sum = product_kernel(model, t + s, z1, z2)
     chapman = abs(p_comp - p_sum) / abs(p_sum)
 

@@ -12,6 +12,7 @@ from halfheat.kernels import (
     bessel_heat_kernel,
     exact_slice,
     product_kernel,
+    tensor_kernel,
     write_csv,
 )
 from halfheat.operators import ModelOperatorSpec
@@ -63,6 +64,14 @@ class TestBesselKernel:
             bessel_heat_kernel(0.0, -1.0, 1.0, 1.0)
         with pytest.raises(DomainError):
             bessel_heat_kernel(0.0, 1.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("side", ["y1", "y2"])
+    def test_non_finite_y_rejected(self, bad, side):
+        ys = {"y1": np.array([0.5, 1.0]), "y2": 1.0}
+        ys[side] = np.array([0.5, bad]) if side == "y1" else bad
+        with pytest.raises(DomainError, match="finite"):
+            bessel_heat_kernel(0.5, 1.0, ys["y1"], ys["y2"])
 
 
 class TestProductKernel:
@@ -124,18 +133,60 @@ class TestProductKernel:
         for _ in range(10):
             z1 = np.array([rng.uniform(-1, 1), rng.uniform(0.1, 2.0)])
             z2 = np.array([rng.uniform(-1, 1), rng.uniform(0.1, 2.0)])
-            x, y, w = halfspace_nodes(
+            (xs, wx), (ys, wy) = halfspace_nodes(
                 m.c, x_extent=10 * st, y_extent=max(z1[1], z2[1]) + 10 * st,
                 n_x=160, n_panel=28, x_center=0.5 * (z1[0] + z2[0]),
             )
-            mid = np.column_stack([x, y])
-            comp = np.dot(w, product_kernel(m, t, z1[None, :], mid)
+            x, y = np.meshgrid(xs, ys, indexing="ij")
+            mid = np.column_stack([x.ravel(), y.ravel()])
+            comp = np.dot(np.outer(wx, wy).ravel(), product_kernel(m, t, z1[None, :], mid)
                           * product_kernel(m, s, mid, z2[None, :]))
             direct = product_kernel(m, t + s, z1, z2)
             assert comp == pytest.approx(direct, rel=1e-6)
 
 
+class TestTensorKernel:
+    @pytest.mark.parametrize("c", [-0.5, 0.0, 1.7])
+    @pytest.mark.parametrize("t,z2", [
+        (0.5, (0.2, 0.7)),
+        (2.0, (-0.3, 1e-3)),  # xi = y y2 / (2t) < 1e-4 near y = 0: the series branch
+    ])
+    def test_equals_product_kernel(self, c, t, z2):
+        m = model(c)
+        z2 = np.array(z2)
+        (xs, _), (ys, _) = halfspace_nodes(c, x_extent=6.0, y_extent=8.0, n_x=40,
+                                           n_panel=16, x_center=z2[0])
+        xi = ys * z2[1] / (2.0 * t)
+        assert z2[1] > 0.01 or (np.any(xi < 1e-4) and not np.all(xi < 1e-4))
+        x, y = np.meshgrid(xs, ys, indexing="ij")
+        pts = np.column_stack([x.ravel(), y.ravel()])
+        got = tensor_kernel(m, t, z2, xs, ys)
+        # bit for bit, with the grid node as either argument
+        assert np.array_equal(got, product_kernel(m, t, pts, z2[None, :]))
+        assert np.array_equal(got, product_kernel(m, t, z2[None, :], pts))
+
+    def test_guards(self):
+        xs, ys = np.array([0.0, 0.5]), np.array([0.5, 1.0])
+        with pytest.raises(WrongOperatorError):
+            tensor_kernel(model(0.0, a=0.5), 1.0, np.array([0.0, 1.0]), xs, ys)
+        with pytest.raises(DomainError, match="finite"):
+            tensor_kernel(model(0.0), np.nan, np.array([0.0, 1.0]), xs, ys)
+        with pytest.raises(DomainError, match="finite"):
+            tensor_kernel(model(0.0), 1.0, np.array([0.0, np.nan]), xs, ys)
+        with pytest.raises(DomainError, match="N = 1"):
+            tensor_kernel(model(0.0, n=2), 1.0, np.array([0.0, 0.0, 1.0]), xs, ys)
+
+
 class TestKernelSlice:
+    @pytest.mark.parametrize("t,source", [
+        (np.nan, [0.0, 1.0]), (np.inf, [0.0, 1.0]), (0.0, [0.0, 1.0]),
+        (1.0, [np.nan, 1.0]), (1.0, [0.0, np.nan]), (1.0, [np.inf, 1.0]), (1.0, [0.0, 0.0]),
+    ], ids=["t-nan", "t-inf", "t-zero", "x-nan", "y-nan", "x-inf", "y-zero"])
+    def test_rejects_bad_time_or_source(self, t, source):
+        with pytest.raises(DomainError):
+            KernelSlice(t=t, source=np.array(source), points=np.array([[0.0, 1.0]]),
+                        values=np.array([1.0]), c=0.0)
+
     def _slice(self):
         m = model(1.0)
         pts = np.column_stack([np.linspace(-1, 1, 7), np.linspace(0.1, 2.0, 7)])

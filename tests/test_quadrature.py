@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from halfheat import quadrature
-from halfheat.errors import ParameterError
+from halfheat.errors import DomainError, ParameterError
 from halfheat.quadrature import (
     halfspace_nodes,
     jacobi_panel,
@@ -26,6 +26,12 @@ def test_jacobi_panel_moments():
 def test_jacobi_panel_rejects_divergent_weight():
     with pytest.raises(ParameterError):
         jacobi_panel(1.0, -1.0)
+
+
+@pytest.mark.parametrize("upper", [np.inf, np.nan, 0.0])
+def test_y_rule_rejects_bad_upper_bound(upper):
+    with pytest.raises(DomainError, match="finite"):
+        y_weighted_nodes(0.5, upper)
 
 
 def test_legendre_panel():
@@ -59,7 +65,9 @@ def test_composite_gaussian_moment():
 def test_halfspace_tensor_rule():
     # integral over x in R, y in (0, inf) of y^c e^{-|z|^2}
     c = 1.0
-    x, y, w = halfspace_nodes(c, x_extent=8.0, y_extent=12.0)
-    got = np.dot(w, np.exp(-(x ** 2 + y ** 2)))
+    (xs, wx), (ys, wy) = halfspace_nodes(c, x_extent=8.0, y_extent=12.0)
+    assert np.array_equal(ys, y_weighted_nodes(c, 12.0, n_panel=24)[0])
+    x, y = np.meshgrid(xs, ys, indexing="ij")
+    got = np.dot(np.outer(wx, wy).ravel(), np.exp(-(x.ravel() ** 2 + y.ravel() ** 2)))
     exact = np.sqrt(np.pi) * 0.5  # sqrt(pi) * Gamma(1)/2
     assert got == pytest.approx(exact, rel=1e-10)

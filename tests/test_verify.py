@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+from halfheat import kernels
 from halfheat.errors import DomainError, FitUnderdeterminedError, StructuralError
 from halfheat.geometry import EnvelopeParams
-from halfheat.kernels import exact_slice
+from halfheat.kernels import exact_slice, product_kernel
 from halfheat.operators import ModelOperatorSpec
-from halfheat.quadrature import legendre_panel, y_weighted_nodes
+from halfheat.quadrature import halfspace_nodes, legendre_panel, y_weighted_nodes
 from halfheat.solver import Field, GridSpec, assemble, kernel_columns
 from halfheat.verify import (
     GTrace,
@@ -29,6 +30,18 @@ from halfheat.verify import (
 
 def model(c, a=0.0):
     return ModelOperatorSpec(n=1, a=np.array([a]), c=c)
+
+
+@pytest.fixture
+def bessel_sizes(monkeypatch):
+    """The number of points of each kernels.bessel_i_scaled call, in order."""
+    sizes = []
+
+    def counted(nu, x, _fn=kernels.bessel_i_scaled):
+        sizes.append(np.size(x))
+        return _fn(nu, x)
+    monkeypatch.setattr(kernels, "bessel_i_scaled", counted)
+    return sizes
 
 
 def probe_slices(m, ts=(0.25, 1.0), y2s=(0.1, 1.0), n_y=14, n_x=8):
@@ -82,6 +95,34 @@ class TestConservation:
     def test_exact_slices(self, c, t):
         slc = exact_quadrature_slice(model(c), t, np.array([0.2, 0.7]))
         assert check_conservation(slc) <= 1e-8
+
+    @pytest.mark.parametrize("c,t,z2", [
+        (-0.5, 0.5, (0.2, 0.7)),
+        (1.0, 2.0, (0.1, 1e-3)),  # xi < 1e-4 in the first y-panel: the series branch
+    ])
+    def test_slice_is_product_kernel_on_the_rule(self, bessel_sizes, c, t, z2):
+        z2 = np.array(z2)
+        slc = exact_quadrature_slice(model(c), t, z2)
+        st = np.sqrt(t)
+        (xs, wx), (ys, wy) = halfspace_nodes(c, x_extent=12.0 * st, y_extent=z2[1] + 12.0 * st,
+                                             n_x=160, n_panel=32, x_center=z2[0])
+        assert bessel_sizes == [len(ys)]  # one Bessel value per y-node, not per node
+        x, y = np.meshgrid(xs, ys, indexing="ij")
+        pts = np.column_stack([x.ravel(), y.ravel()])
+        assert np.array_equal(slc.points, pts)
+        assert np.array_equal(slc.weights, np.outer(wx, wy).ravel())
+        assert np.array_equal(slc.values, product_kernel(model(c), t, pts, z2[None, :]))
+
+    @pytest.mark.parametrize("bad", [[np.nan, 1.0], [0.0, np.nan], [0.0, np.inf]],
+                             ids=["x-nan", "y-nan", "y-inf"])
+    def test_non_finite_source_rejected(self, bad):
+        with pytest.raises(DomainError, match="finite"):
+            exact_quadrature_slice(model(0.5), 1.0, np.array(bad))
+
+    @pytest.mark.parametrize("t", [-1.0, np.inf])
+    def test_bad_time_rejected_before_the_grid(self, t):
+        with pytest.raises(DomainError, match="kernel time"):
+            exact_quadrature_slice(model(0.5), t, np.array([0.0, 1.0]))
 
     def test_rejects_other_conventions(self):
         slc = exact_quadrature_slice(model(0.0), 1.0, np.array([0.0, 1.0]))
@@ -167,6 +208,26 @@ class TestIdentities:
         res = check_identities_solver(op, t=0.25, s=0.25, x0_cells=0, scale=2.0,
                                       z1_index=(8, 8), z2_index=(14, 12))
         assert res["translation"] == 0.0
+
+    @pytest.mark.parametrize("c,z1,z2", [
+        (-0.5, (0.2, 1.1), (-0.3, 0.6)),
+        (1.0, (0.0, 1e-3), (0.4, 2e-3)),  # sources near y = 0: the series branch
+    ])
+    def test_chapman_exact_is_product_kernel(self, bessel_sizes, c, z1, z2):
+        m, z1, z2, t, s = model(c), np.array(z1), np.array(z2), 0.5, 0.35
+        res = check_identities_exact(m, t=t, s=s, x0=1.3, scale=2.0, z1=z1, z2=z2)
+        st = np.sqrt(max(t, s))
+        (xs, wx), (ys, wy) = halfspace_nodes(
+            c, x_extent=abs(z1[0] - z2[0]) / 2 + 10.0 * st,
+            y_extent=max(z1[1], z2[1]) + 10.0 * st,
+            n_x=200, n_panel=32, x_center=0.5 * (z1[0] + z2[0]))
+        assert max(bessel_sizes) == len(ys)  # the CK factors take one Bessel value per y-node
+        x, y = np.meshgrid(xs, ys, indexing="ij")
+        mid = np.column_stack([x.ravel(), y.ravel()])
+        comp = float(np.dot(np.outer(wx, wy).ravel(), product_kernel(m, t, z1[None, :], mid)
+                            * product_kernel(m, s, mid, z2[None, :])))
+        direct = product_kernel(m, t + s, z1, z2)
+        assert res["chapman_kolmogorov"] == abs(comp - direct) / abs(direct)
 
     def test_result_keys(self):
         res = check_identities_exact(model(0.0), t=0.5, s=0.5, x0=1.0, scale=2.0,
