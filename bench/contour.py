@@ -108,8 +108,10 @@ def cn_columns(op, ts, sources):
     u, snapped = deltas(op, sources)
     k, modes = u.shape[1], grid.nx // 2 + 1
     # the rfft half of the x-modes: the first nx//2 + 1 blocks of the fft modes
-    s_modes = solver._mode_form(grid, op.bmat)[:modes * grid.ny, :modes * grid.ny]
-    w = np.tile(grid.hx * grid.cell_y_masses(), modes)
+    n = modes * grid.ny
+    lower, diag, upper = solver._mode_bands(grid, op.bmat)
+    s_modes = sparse.diags([lower[:n - 1], diag[:n], upper[:n - 1]], [-1, 0, 1], format="csr")
+    w = op.w[:n]
     wmat, blocks = sparse.diags(w), sparse.identity(k)
 
     def solve_checked(lu, a_k, rhs):
@@ -196,7 +198,7 @@ def path_record(run, op, ts, sources, oracle, repeats: int):
 
 
 def case_record(name, op, oracle, repeats: int) -> dict:
-    rec = {"unknowns": op.form.shape[0], "column_times": list(TS)}
+    rec = {"unknowns": op.w.size, "column_times": list(TS)}
     for k in (1, 4):
         sources = SOURCES[:k]
         contour, c_states = path_record(contour_columns, op, TS, sources, oracle, repeats)

@@ -56,11 +56,9 @@ from .solver import (
     assemble,
     assemble_divergence_form,
     discrete_gradient,
-    evolve,
     kernel_column,
     kernel_columns,
     kernel_slices,
-    slice_to_field,
 )
 from .special import bessel_i_scaled, log_gamma
 

@@ -4,26 +4,27 @@ The generator is discretized from its sesquilinear form on a staggered
 tensor grid: y-cells never touch y = 0 (centers at (j+1/2) h_y), the
 no-flux closure of the form in y encodes the natural boundary condition
 lim y^c D_y u = 0 without ghost points, x is closed periodically, and
-the mixed term is kept inside the same form matrix so that transposing
-it realizes the adjoint operator exactly at the discrete level.
+the mixed term is kept inside the same form so that transposing its
+coefficient matrix realizes the adjoint operator exactly at the
+discrete level.
 
-The assembled object is the pair (S, w): a sparse form matrix with
-S[v, u] ~ a(u, v) and the vector of weighted cell masses, giving the
-semi-discrete evolution w du/dt = -S u.  S is a sum of Kronecker
-products of 1-D difference, averaging and weight operators in x and
-in y (see _form_matrix); its x factors are circulant.  Constants are
-annihilated by S on both sides (every entry of S comes from a
-difference), so constant states are stationary and total mass Sum(w u)
-is conserved by the semi-discrete law.
+The assembled object is the pair (bmat, w): the 2x2 coefficient matrix
+of the form a(u, v) = int <B grad u, grad v> y^c and the vector of
+weighted cell masses, giving the semi-discrete evolution w du/dt = -S u.
+The coefficients do not depend on x, so S is one tridiagonal y-block per
+x-Fourier mode (fast diagonalization); _mode_bands builds the blocks of
+all modes as three bands with numpy.  Constants are annihilated by S on
+both sides (mode 0 is a pure y-difference form), so constant states are
+stationary and total mass Sum(w u) is conserved by the semi-discrete law.
 
 The evolution exp(-t W^{-1} S) is evaluated, not stepped: the trapezoid
 rule on a hyperbolic Bromwich contour (Weideman & Trefethen 2007) needs
 one shifted solve (zW + S)^{-1} per node, shared by every checkpoint of
-a window [t0, 4 t0].  The coefficients do not depend on x, so an fft
-along x makes each zW + S tridiagonal (one y-block per x-mode, fast
-diagonalization) and LAPACK's gttrf/gttrs factor and solve it.  The rule
-is normalized at lambda = 0, so constants stay and mass is conserved to
-round-off; a second rule with 3/2 as many nodes guards the time error.
+a window [t0, 4 t0].  An fft along x takes the data to x-modes, where
+each zW + S is tridiagonal and LAPACK's gttrf/gttrs factor and solve
+it.  The rule is normalized at lambda = 0, so constants stay and mass is
+conserved to round-off; a second rule with 3/2 as many nodes guards the
+time error.
 The adjoint is the same rational function of S', exact to round-off
 relative to the column maximum.
 """
@@ -31,11 +32,11 @@ relative to the column maximum.
 from __future__ import annotations
 
 import itertools
+import numbers
 import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import sparse
 from scipy.linalg.blas import zaxpy
 from scipy.linalg.lapack import zgttrf, zgttrs
 
@@ -57,12 +58,10 @@ __all__ = [
     "DiscreteOperator",
     "assemble",
     "assemble_divergence_form",
-    "evolve",
     "kernel_column",
     "kernel_columns",
     "kernel_slices",
     "discrete_gradient",
-    "slice_to_field",
 ]
 
 #: relative residual above which a linear solve is declared failed
@@ -107,10 +106,13 @@ class GridSpec:
     c: float
 
     def __post_init__(self):
-        if self.rx <= 0.0 or self.ry <= 0.0:
-            raise StructuralError("grid extents must be positive")
-        if self.nx < 8 or self.ny < 8:
-            raise StructuralError("grids need at least 8 cells per direction")
+        if not (0.0 < self.rx < np.inf and 0.0 < self.ry < np.inf):  # NaN fails both
+            raise StructuralError(f"grid extents must be finite and positive, got "
+                                  f"rx={self.rx}, ry={self.ry}")
+        if not all(isinstance(n, numbers.Integral) and n >= 8
+                   for n in (self.nx, self.ny)):
+            raise StructuralError(f"grids need an integer count of at least 8 cells per "
+                                  f"direction, got nx={self.nx!r}, ny={self.ny!r}")
         if not self.c + 1.0 > 0.0:
             raise ParameterError(f"weight exponent must satisfy c+1 > 0, got c={self.c}")
 
@@ -194,96 +196,69 @@ class Field:
         return float(np.sum(self.grid.masses() * self.values))
 
 
-def _face_difference(n: int) -> sparse.csr_matrix:
-    """(n-1) x n differences across the interior faces of a row of n cells."""
-    ones = np.ones(n - 1)
-    return sparse.diags([-ones, ones], [0, 1], shape=(n - 1, n), format="csr")
+def _mode_bands(grid: GridSpec, bmat: np.ndarray):
+    """The discrete form in x-Fourier modes: (lower, diag, upper) bands.
 
+    For a(u,v) = int <B grad u, grad v> y^c, B the 2x2 constant coefficient
+    matrix in the (x, y) gradient pairing (B[0,1] pairs u_y with v_x), x
+    closed periodically and y on the staggered grid, mode m of the fft
+    along x (theta = 2 pi m / nx) is one tridiagonal ny x ny block
+    (fast diagonalization, Lynch, Rice & Thomas 1964).  The x symbols are
+    2 - 2 cos theta for the circulant Dx'Dx and g = i sin(theta) / hx for
+    the centred gradient; sin(theta) is set to 0 at the Nyquist mode,
+    where the centred gradient of (-1)^i vanishes exactly.  With yf the
+    weight y^c on the interior y-faces, yl / yr the face weight below /
+    above each cell (0 at the ends), Z the cell integrals of y^c,
+    cross = B01 conj(g) + B10 g and skew = B01 conj(g) - B10 g:
 
-def _kron_form(grid: GridSpec, bmat: np.ndarray, lap_x, grad_x) -> sparse.csr_matrix:
-    """Sum of Kronecker products of x factors and the grid's 1-D y-operators.
+        diag  = (B00/hx)(2 - 2 cos theta) Z + B11 (hx/hy)(yl + yr)
+                + hx/2 cross (yl - yr)
+        upper = -B11 (hx/hy) yf + hx/2 skew yf
+        lower = -B11 (hx/hy) yf - hx/2 skew yf
 
-        (B00/hx) lap_x (x) Z  +  B11 (hx/hy) I (x) Dy' Y Dy
-            +  B01 grad_x^H (x) Cy  +  B10 grad_x (x) Cy',    Cy = Ay' (hx Y) Dy,
-
-    with Dy the interior face differences, Z = diag(cell y-masses),
-    Y = diag(y^c) on the interior y-faces and Ay the two-cell face average
-    in y.  In cell space lap_x = Dx'Dx and grad_x is the cell gradient; in
-    x-Fourier modes both are diagonal (their symbols), which gives the
-    mode blocks of the same form.  Zero-coefficient terms are skipped.
+    These are the fft along x of the cell-space Kronecker sum (README,
+    "Numerical notes"): the (u_y, v_x) pairing sits on the interior
+    y-faces as the face difference of u times the face average of the
+    x-gradient of v, and (u_x, v_y) is its transpose, so a symmetric B
+    gives Hermitian blocks.  The bands run over the index m * ny + j, so
+    the blocks of all modes are one tridiagonal matrix; lower and upper
+    are 0 between blocks.
+    Every row and column of mode 0 sums to 0, so constants are stationary
+    and mass is conserved; transposing B conjugate-transposes every block.
     """
-    nx, ny, hx, hy = lap_x.shape[0], grid.ny, grid.hx, grid.hy  # nx cells or modes
-    dy = _face_difference(ny)
-    yc = sparse.diags(grid.y_faces[1:-1] ** grid.c)
-    mat = sparse.csr_matrix((nx * ny, nx * ny), dtype=grad_x.dtype)  # complex per mode
-    if bmat[0, 0] != 0.0:
-        mat = mat + (bmat[0, 0] / hx) * sparse.kron(lap_x, sparse.diags(grid.cell_y_masses()))
-    if bmat[1, 1] != 0.0:
-        mat = mat + (bmat[1, 1] * hx / hy) * sparse.kron(sparse.identity(nx), dy.T @ yc @ dy)
-    # the (u_y, v_x) pairing sits on interior y-faces as (face D_y u) times
-    # the face average of the cell gradient of v; (u_x, v_y) is its transpose,
-    # so a symmetric B yields a symmetric (Hermitian, per mode) matrix
-    cy = (0.5 * abs(dy)).T @ (hx * yc) @ dy
-    if bmat[0, 1] != 0.0:
-        mat = mat + bmat[0, 1] * sparse.kron(grad_x.conj().T, cy)
-    if bmat[1, 0] != 0.0:
-        mat = mat + bmat[1, 0] * sparse.kron(grad_x, cy.T)
-    return mat.tocsr()
-
-
-def _form_matrix(grid: GridSpec, bmat: np.ndarray) -> sparse.csr_matrix:
-    """Assemble the discrete form for a(u,v) = int <B grad u, grad v> y^c.
-
-    B is the 2x2 constant coefficient matrix in the (x, y) gradient
-    pairing: B[0,0] u_x v_x + B[0,1] u_y v_x + B[1,0] u_x v_y +
-    B[1,1] u_y v_y.  With x the major index (k = i*ny + j) the form is the
-    _kron_form sum with lap_x = Dx'Dx and grad_x = Gx, where x is closed
-    periodically: Dx is the circulant face difference (face i between
-    cells i and i+1 mod nx) and Gx = |Dx|' Dx / (2 hx) the centred cell
-    gradient, so both x factors are circulant.  Every term carries a
-    difference on each side, so constants are in the kernel of both the
-    matrix and its transpose.
-    """
-    nx = grid.nx
-    # face i lies between cells i and i+1 mod nx
-    dx = sparse.eye(nx, k=1) + sparse.eye(nx, k=1 - nx) - sparse.eye(nx)
-    mat = _kron_form(grid, bmat, dx.T @ dx, (0.5 / grid.hx) * abs(dx).T @ dx)
-    # every face adds +g/-g to each touched row, so row sums vanish in exact
-    # arithmetic; fold the summation round-off into the diagonal so constants
-    # are annihilated exactly (and the transposed operator conserves exactly)
-    mat = mat - sparse.diags(np.asarray(mat.sum(axis=1)).ravel())
-    return mat.tocsr()
-
-
-def _mode_form(grid: GridSpec, bmat: np.ndarray) -> sparse.csr_matrix:
-    """The form in x-Fourier modes: nx tridiagonal ny x ny blocks.
-
-    Mode m (theta = 2 pi m / nx, the fft index) takes the symbols
-    2 - 2 cos theta of Dx'Dx and i sin(theta) / hx of Gx; the block
-    diagonal is indexed m * ny + j, so it is tridiagonal as a whole.
-    sin(theta) is set to 0 at the Nyquist mode, where the centred
-    gradient of (-1)^i vanishes exactly.
-    """
-    theta = 2.0 * np.pi * np.arange(grid.nx) / grid.nx
+    nx, ny, hx, hy = grid.nx, grid.ny, grid.hx, grid.hy
+    theta = 2.0 * np.pi * np.arange(nx) / nx
     sin = np.sin(theta)
-    if grid.nx % 2 == 0:
-        sin[grid.nx // 2] = 0.0
-    return _kron_form(grid, bmat, sparse.diags(4.0 * np.sin(0.5 * theta) ** 2),
-                      sparse.diags(1j * sin / grid.hx))
+    if nx % 2 == 0:
+        sin[nx // 2] = 0.0
+    g = (1j * sin / hx)[:, None]
+    cross = bmat[0, 1] * g.conj() + bmat[1, 0] * g
+    skew = bmat[0, 1] * g.conj() - bmat[1, 0] * g
+    yf = grid.y_faces[1:-1] ** grid.c
+    yl, yr = np.append(0.0, yf), np.append(yf, 0.0)
+    diag = ((bmat[0, 0] / hx) * (4.0 * np.sin(0.5 * theta) ** 2)[:, None] * grid.cell_y_masses()
+            + bmat[1, 1] * (hx / hy) * (yl + yr) + 0.5 * hx * cross * (yl - yr))
+    # coupling of cell j to cell j + 1 of the same mode; none across modes
+    stiff, half_skew = -bmat[1, 1] * (hx / hy) * yf, 0.5 * hx * skew * yf
+    off = np.zeros((2, nx, ny), dtype=complex)
+    off[0, :, :-1] = stiff - half_skew
+    off[1, :, :-1] = stiff + half_skew
+    lower, upper = (band.ravel()[:-1] for band in off)
+    return lower, diag.ravel(), upper
 
 
 @dataclass
 class DiscreteOperator:
-    """Assembled generator: sparse form matrix, masses, and provenance tags.
+    """Assembled generator (bmat, w): coefficients, masses, and provenance tags.
 
-    The semi-discrete law is w du/dt = -(S u), with S = `form`.
-    `bmat` is the 2x2 coefficient matrix S was built from; the evolution
-    builds its x-mode blocks from it.  The adjoint operator shares
-    masses and transposes S and bmat, realizing a*(u, v) = a(v, u) exactly.
+    The semi-discrete law is w du/dt = -(S u), where S is the discrete
+    form of the 2x2 coefficient matrix `bmat`, one tridiagonal y-block
+    per x-Fourier mode (_mode_bands).  The adjoint operator shares the
+    masses and transposes bmat, which conjugate-transposes every mode
+    block and realizes a*(u, v) = a(v, u) exactly.
     """
 
     grid: GridSpec
-    form: sparse.csr_matrix
     w: np.ndarray
     bmat: np.ndarray
     is_adjoint: bool = False
@@ -291,11 +266,8 @@ class DiscreteOperator:
     meta: dict = field(default_factory=dict)
 
     def adjoint(self) -> "DiscreteOperator":
-        return DiscreteOperator(
-            grid=self.grid, form=self.form.T.tocsr(), w=self.w, bmat=self.bmat.T,
-            is_adjoint=not self.is_adjoint, label=self.label + "*",
-            meta=dict(self.meta),
-        )
+        return replace(self, bmat=self.bmat.T, is_adjoint=not self.is_adjoint,
+                       label=self.label + "*", meta=dict(self.meta))
 
 
 def assemble(model: ModelOperatorSpec, grid: GridSpec) -> DiscreteOperator:
@@ -310,8 +282,8 @@ def assemble(model: ModelOperatorSpec, grid: GridSpec) -> DiscreteOperator:
         )
     bmat = np.array([[1.0, 2.0 * float(model.a[0])], [0.0, 1.0]])
     return DiscreteOperator(
-        grid=grid, form=_form_matrix(grid, bmat), w=grid.masses().ravel(), bmat=bmat,
-        label="model", meta={"a": float(model.a[0]), "c": model.c},
+        grid=grid, w=grid.masses().ravel(), bmat=bmat, label="model",
+        meta={"a": float(model.a[0]), "c": model.c},
     )
 
 
@@ -337,8 +309,8 @@ def assemble_divergence_form(spec: GeneralOperatorSpec, grid: GridSpec) -> Discr
         raise StructuralError(f"grid weight c={grid.c} must equal c/gamma={m}")
     bmat = np.asarray(spec.a_matrix, dtype=float)
     return DiscreteOperator(
-        grid=grid, form=_form_matrix(grid, bmat), w=grid.masses().ravel(), bmat=bmat,
-        label="general", meta={"gamma": spec.gamma, "m": m},
+        grid=grid, w=grid.masses().ravel(), bmat=bmat, label="general",
+        meta={"gamma": spec.gamma, "m": m},
     )
 
 
@@ -420,8 +392,8 @@ def _evolve_block(op: DiscreteOperator, u: np.ndarray, times):
     contour, u(t) = (1/2 pi i) int e^{zt} (zW + S)^{-1} W u0 dz (Weideman &
     Trefethen 2007; see _contour).  x is periodic and the coefficients do
     not depend on x, so one fft along x splits every zW + S into its
-    x-modes, and the matrix of all modes (built by _mode_form from the
-    operator's bmat; op.form is not read) is tridiagonal.  Checkpoints are
+    x-modes, and the matrix of all modes (the bands _mode_bands builds
+    from the operator's bmat) is tridiagonal.  Checkpoints are
     grouped into windows [t0, WINDOW_RATIO t0]; one set of shifted solves
     serves every time of a window.  Each window is evaluated with
     CONTOUR_NODES and 3/2 as many nodes; the finer result is returned,
@@ -450,9 +422,8 @@ def _evolve_block(op: DiscreteOperator, u: np.ndarray, times):
     rhs = np.fft.fft(u.T.reshape(k, grid.nx, grid.ny), axis=1).reshape(k, -1).T
     stats["transform_s"] += clock() - t0
     t0 = clock()
-    s_modes = _mode_form(grid, op.bmat)
-    bands = [s_modes.diagonal(i) for i in (-1, 0, 1)]
-    w = np.tile(grid.hx * grid.cell_y_masses(), grid.nx)
+    bands = _mode_bands(grid, op.bmat)
+    w = op.w  # constant along x, so the same weight for every x-mode
     rhs = np.asfortranarray(w[:, None] * rhs)
     stats["factor_s"] += clock() - t0
     worst, err = np.zeros(k), np.zeros(k)
@@ -478,32 +449,6 @@ def _evolve_block(op: DiscreteOperator, u: np.ndarray, times):
     return states, stats
 
 
-def evolve(op: DiscreteOperator, f: Field, t: float, checkpoints=None):
-    """Evolution of a field under the discrete semigroup, exp(-t W^{-1} S) f.
-
-    Evaluated on a Bromwich contour in x-modes, one tridiagonal
-    factorization per contour node; checkpoints within a factor
-    WINDOW_RATIO of each other share the nodes.  Constants are
-    stationary and mass is conserved to round-off (the rule is
-    normalized at lambda = 0); the time error is that of the contour,
-    guarded by comparing two rules (CONTOUR_TOL, else SolveFailure).
-    This is the one-column case of the block evolution kernel_columns uses.
-
-    Returns the final Field, or a list of Fields at the checkpoint times
-    (which must then include t as their maximum).
-    """
-    if t <= 0.0:
-        raise DomainError("evolution time must be positive")
-    if f.grid != op.grid:
-        raise StructuralError("field grid does not match operator grid")
-    times = sorted(checkpoints) if checkpoints else [t]
-    if abs(times[-1] - t) > 1e-12 * t:
-        raise StructuralError("checkpoints must end at the evolution time")
-    states, _ = _evolve_block(op, f.values.reshape(-1, 1), times)
-    outputs = [Field(op.grid, u.reshape(op.grid.nx, op.grid.ny)) for u in states]
-    return outputs if checkpoints else outputs[0]
-
-
 def kernel_columns(op: DiscreteOperator, ts, z2) -> list[KernelSlice]:
     """Kernel slices p(t, ., z2) for several times and sources from one evolution.
 
@@ -526,7 +471,7 @@ def kernel_columns(op: DiscreteOperator, ts, z2) -> list[KernelSlice]:
     if not ts or not all(0.0 < t < np.inf for t in ts):  # NaN fails both
         raise DomainError("kernel times must be given, positive and finite")
     cells = [grid.locate(z) for z in np.atleast_2d(z2)]
-    w = grid.masses().ravel()
+    w = op.w
     flat = [i * grid.ny + j for i, j in cells]
     init = np.zeros((w.size, len(flat)), order="F")
     init[flat, range(len(flat))] = 1.0 / w[flat]
@@ -612,13 +557,6 @@ def kernel_slices(spec: GeneralOperatorSpec, ts, sources, rx: float, ry: float,
                                    values=map_kernel_value(red, t, points, used, col.values),
                                    method=method, meta=meta))
     return out
-
-
-def slice_to_field(slc: KernelSlice) -> Field:
-    grid = slc.meta.get("grid")
-    if grid is None:
-        raise StructuralError("slice does not carry its grid")
-    return Field(grid, slc.values.reshape(grid.nx, grid.ny).copy())
 
 
 def discrete_gradient(f: Field):

@@ -29,11 +29,9 @@ from halfheat.solver import (
     assemble,
     assemble_divergence_form,
     discrete_gradient,
-    evolve,
     kernel_column,
     kernel_columns,
     kernel_slices,
-    slice_to_field,
 )
 
 
@@ -47,9 +45,49 @@ def column(op, t, z2, **kw):
     return kernel_column(op, t, np.asarray(z2, dtype=float), **kw)
 
 
+def form_factors(grid, bmat):
+    """The cell-space form S as (coefficient, x factor, y factor) Kronecker terms.
+
+    An independent reference for solver._mode_bands: with x the major
+    index, S = (B00/hx) Dx'Dx (x) Z + B11 (hx/hy) I (x) Dy' Y Dy
+    + B01 Gx' (x) Cy + B10 Gx (x) Cy', Cy = Ay' (hx Y) Dy, where Dx is the
+    circulant face difference (face i between cells i and i+1 mod nx),
+    Gx = |Dx|' Dx / (2 hx) the centred cell gradient, Dy the differences
+    across the interior y-faces, Ay = |Dy| / 2 the two-cell face average,
+    Y = diag(y^c) on the interior y-faces and Z the cell integrals of y^c.
+    """
+    nx, ny, hx, hy = grid.nx, grid.ny, grid.hx, grid.hy
+    dx = np.roll(np.eye(nx), 1, axis=1) - np.eye(nx)
+    gx = np.abs(dx).T @ dx / (2.0 * hx)
+    dy = np.eye(ny - 1, ny, k=1) - np.eye(ny - 1, ny)
+    yc = np.diag(grid.y_faces[1:-1] ** grid.c)
+    cy = (0.5 * np.abs(dy)).T @ (hx * yc) @ dy
+    return [(bmat[0, 0] / hx, dx.T @ dx, np.diag(grid.cell_y_masses())),
+            (bmat[1, 1] * hx / hy, np.eye(nx), dy.T @ yc @ dy),
+            (bmat[0, 1], gx.T, cy), (bmat[1, 0], gx, cy.T)]
+
+
+def dense_form(grid, bmat):
+    """The cell-space form matrix S, dense: the np.kron sum of form_factors."""
+    return sum(coef * np.kron(fx, fy) for coef, fx, fy in form_factors(grid, bmat))
+
+
 def generator(op, values):
-    """du/dt = -W^{-1} S u of the semi-discrete law, for a (nx, ny) or flat array."""
-    return (-(op.form @ values.ravel()) / op.w).reshape(values.shape)
+    """du/dt = -W^{-1} S u of the semi-discrete law, for a (nx, ny) or flat array.
+
+    Applies each term of form_factors as fx U fy' on U = u.reshape(nx, ny),
+    which is its np.kron matrix times u without forming it.
+    """
+    grid = op.grid
+    u = values.reshape(grid.nx, grid.ny)
+    su = sum(coef * (fx @ u @ fy.T) for coef, fx, fy in form_factors(grid, op.bmat))
+    return (-su.ravel() / op.w).reshape(values.shape)
+
+
+def evolve(op, f, times):
+    """exp(-t W^{-1} S) f at each of `times` by solver._evolve_block, as Fields."""
+    states, _ = solver._evolve_block(op, f.values.reshape(-1, 1), times)
+    return [Field(op.grid, u.reshape(op.grid.nx, op.grid.ny)) for u in states]
 
 
 def per_window():
@@ -88,10 +126,11 @@ class TestAssembly:
         model, grid, op = make(0.5, 1.0, n=24, r=3.0)
         _, _, dirichlet_op = make(0.0, 1.0, n=24, r=3.0)
         rng = np.random.default_rng(8)
+        form, dirichlet = dense_form(grid, op.bmat), dense_form(grid, dirichlet_op.bmat)
         for _ in range(50):
             u = rng.standard_normal(grid.nx * grid.ny)
-            qa = u @ (op.form @ u)
-            qd = u @ (dirichlet_op.form @ u)
+            qa = u @ (form @ u)
+            qd = u @ (dirichlet @ u)
             assert qa >= (1.0 - 0.5) * qd - 1e-12 * abs(qd)
 
     def test_refuses_bad_coefficients(self):
@@ -131,20 +170,20 @@ class TestAssembly:
 class TestEvolve:
     def test_constant_is_stationary(self):
         _, grid, op = make(0.5, 1.0, n=24, r=3.0)
-        out = evolve(op, Field.constant(grid, 1.0), 2.0)
+        (out,) = evolve(op, Field.constant(grid, 1.0), [2.0])
         assert out.values == pytest.approx(np.ones_like(out.values), abs=1e-12)
 
     def test_mass_conserved(self):
         _, grid, op = make(0.5, -0.5, n=24, r=3.0)
         f = Field.from_function(grid, lambda x, y: np.exp(-(x ** 2 + (y - 1) ** 2)))
         m0 = f.mass()
-        out = evolve(op, f, 1.0)
+        (out,) = evolve(op, f, [1.0])
         assert abs(out.mass() - m0) <= 1e-10 * abs(m0)
 
     def test_l2_contraction_selfadjoint(self):
         _, grid, op = make(0.0, 1.0, n=24, r=3.0)
         f = Field.from_function(grid, lambda x, y: np.sin(x) * np.exp(-y))
-        out = evolve(op, f, 0.5)
+        (out,) = evolve(op, f, [0.5])
         assert weighted_norm(out, 2) <= weighted_norm(f, 2) + 1e-12
 
     def test_l1_contraction_positive_data(self):
@@ -155,17 +194,17 @@ class TestEvolve:
             f = Field.from_function(
                 grid, lambda x, y: np.exp(-((x - x0) ** 2 + (y - y0) ** 2))
             )
-            out = evolve(op, f, 0.7)
+            (out,) = evolve(op, f, [0.7])
             assert weighted_norm(out, 1) <= weighted_norm(f, 1) + 1e-8
 
     def test_matches_exact_convolution(self):
-        # a = 0: evolve(f) equals the weighted convolution with the kernel
+        # a = 0: the evolution of f equals the weighted convolution with the kernel
         model, grid, op = make(0.0, 1.0, n=48, r=6.0)
         f = Field.from_function(
             grid, lambda x, y: np.exp(-((x - 0.5) ** 2 + (y - 1.0) ** 2))
         )
         t = 0.5
-        out = evolve(op, f, t)
+        (out,) = evolve(op, f, [t])
         pts = grid.points()
         w = grid.masses().ravel()
         fv = f.values.ravel()
@@ -179,8 +218,8 @@ class TestEvolve:
     def test_checkpoints_match_single_runs(self):
         _, grid, op = make(0.3, 1.0, n=24, r=3.0)
         f = Field.from_function(grid, lambda x, y: np.exp(-(x ** 2 + (y - 1) ** 2)))
-        a, b = evolve(op, f, 1.0, checkpoints=[0.5, 1.0])
-        solo = evolve(op, f, 0.5)
+        a, b = evolve(op, f, [0.5, 1.0])
+        (solo,) = evolve(op, f, [0.5])
         assert a.values == pytest.approx(solo.values, rel=1e-10, abs=1e-14)
         assert b.values.shape == solo.values.shape
 
@@ -189,7 +228,7 @@ class TestEvolve:
         f = Field.constant(grid)
         f.values[3, 4] = np.nan
         with pytest.raises(SolveFailure):
-            evolve(op, f, 0.1)
+            evolve(op, f, [0.1])
 
     def test_one_factorization_per_node(self, monkeypatch):
         # (0.25, 0.5, 1.0) is one window and 2.0 a second; the two sources
@@ -226,16 +265,16 @@ class TestEvolve:
     def test_mode_matrix_is_tridiagonal(self, bmat, nx):
         # the model B (a = 0.5) and a symmetric cross-term B: the x-modes of the
         # periodic form are one tridiagonal matrix over the index m * ny + j,
-        # equal to the fft along x of op.form
+        # equal to the fft along x of the cell-space form
         ny = 10
         grid = GridSpec(rx=3.0, ry=2.0, nx=nx, ny=ny, c=1.0)
-        modes = solver._mode_form(grid, np.array(bmat)).tocoo()
-        assert np.abs(modes.row - modes.col).max() == 1
-        assert not np.any((modes.row // ny != modes.col // ny) & (modes.data != 0))
+        lower, diag, upper = solver._mode_bands(grid, np.array(bmat))
+        boundary = np.arange(1, nx) * ny - 1  # last cell of one mode to first of the next
+        assert np.all(lower[boundary] == 0.0) and np.all(upper[boundary] == 0.0)
+        modes = np.diag(lower, -1) + np.diag(diag) + np.diag(upper, 1)
         fourier = np.kron(np.fft.fft(np.eye(nx), axis=0), np.eye(ny))
-        form = solver._form_matrix(grid, np.array(bmat)).toarray()
-        ref = fourier @ form @ np.linalg.inv(fourier)
-        assert np.abs(modes.toarray() - ref).max() <= 1e-12 * np.abs(ref).max()
+        ref = fourier @ dense_form(grid, np.array(bmat)) @ np.linalg.inv(fourier)
+        assert np.abs(modes - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_phase_times(self):
         _, grid, op = make(0.5, 1.0, n=32, r=3.0)
@@ -258,11 +297,6 @@ class TestEvolve:
 
     def test_time_errors(self):
         _, grid, op = make()
-        f = Field.constant(grid)
-        with pytest.raises(DomainError):
-            evolve(op, f, -1.0)
-        with pytest.raises(StructuralError):
-            evolve(op, f, 1.0, checkpoints=[0.5])
         for ts in ([0.5, np.inf], [np.nan], [0.0, 1.0]):
             with pytest.raises(DomainError, match="finite"):
                 kernel_columns(op, ts, np.array([0.0, 1.0]))
@@ -348,7 +382,7 @@ class TestKernelColumn:
     @pytest.mark.parametrize("nx", [24, 23])
     @pytest.mark.parametrize("adjoint", [False, True])
     def test_matches_dense_expm(self, adjoint, nx):
-        # exp(-t W^{-1} S) of the periodic op.form by dense expm, over two
+        # exp(-t W^{-1} S) of the periodic cell-space form by dense expm, over two
         # windows; an odd nx has no Nyquist mode
         ts = (0.05, 0.2, 1.0)
         sources = np.array([[0.0, 0.2], [1.0, 1.5]])
@@ -362,7 +396,7 @@ class TestKernelColumn:
                 i, j = op.grid.locate(z2)
                 u[i * op.grid.ny + j, k] = 1.0 / op.w[i * op.grid.ny + j]
             for n, t in enumerate(ts):
-                ref = expm(-t * (op.form.toarray() / op.w[:, None])) @ u
+                ref = expm(-t * (dense_form(op.grid, op.bmat) / op.w[:, None])) @ u
                 for k in range(len(sources)):
                     got = cols[k * len(ts) + n].values
                     assert np.abs(got - ref[:, k]).max() <= 1e-8 * np.abs(ref[:, k]).max()
@@ -426,13 +460,6 @@ class TestKernelColumn:
         # h = 1/4 in x and 1/8 in y: the centre of cell (8, 7)
         assert slc.source.tolist() == [0.125, 0.9375]
 
-    def test_slice_to_field_round_trip(self):
-        _, grid, op = make(n=16, r=2.0)
-        slc = column(op, 0.2, [grid.x_centers[8], grid.y_centers[8]])
-        fld = slice_to_field(slc)
-        assert fld.values.ravel() == pytest.approx(slc.values)
-        assert fld.mass() == pytest.approx(slc.mass())
-
 
 class TestDivergenceForm:
     def test_requires_divergence_drift(self):
@@ -482,3 +509,12 @@ def test_grid_invariants():
     with pytest.raises(ParameterError):
         GridSpec(rx=1.0, ry=1.0, nx=16, ny=16, c=-2.0)
 
+
+
+@pytest.mark.parametrize("bad", [
+    {"rx": np.nan}, {"ry": np.nan}, {"rx": np.inf}, {"ry": np.inf},
+    {"nx": 16.5}, {"ny": 16.0}, {"nx": 7}, {"ny": True},
+], ids=["rx-nan", "ry-nan", "rx-inf", "ry-inf", "nx-fraction", "ny-float", "nx-7", "ny-bool"])
+def test_grid_refuses_non_finite_extents_and_non_integer_counts(bad):
+    with pytest.raises(StructuralError):
+        GridSpec(**{"rx": 1.0, "ry": 1.0, "nx": 16, "ny": 16, "c": 0.0, **bad})
