@@ -75,6 +75,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from halfheat import cli, solver, verify  # noqa: E402
 from halfheat.kernels import (  # noqa: E402
     CSV_CHUNK_ROWS,
+    WEIGHTED_CONVENTION,
     KernelSlice,
     exact_slice,
     product_kernel,
@@ -135,7 +136,7 @@ def old_write(slc, path) -> None:
     m = len(slc.values)
     table = np.column_stack([np.full(m, slc.t), slc.points,
                              np.broadcast_to(slc.source, (m, 2)), slc.values])
-    fmt = ",".join(["%.17g"] * 6) + "," + slc.convention.replace("%", "%%") + "\n"
+    fmt = ",".join(["%.17g"] * 6) + "," + WEIGHTED_CONVENTION.replace("%", "%%") + "\n"
     with open(path, "w", newline="") as fh:
         fh.write("t,x1,y1,x2,y2,p,convention\n")
         for start in range(0, m, CSV_CHUNK_ROWS):

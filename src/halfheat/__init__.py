@@ -56,7 +56,6 @@ from .solver import (
     assemble,
     assemble_divergence_form,
     discrete_gradient,
-    kernel_column,
     kernel_columns,
     kernel_slices,
 )

@@ -36,7 +36,7 @@ from .operators import (
     ModelOperatorSpec,
     validate_general,
 )
-from .solver import GridSpec, assemble, kernel_column, kernel_slices
+from .solver import GridSpec, assemble, kernel_columns, kernel_slices
 
 SCHEMA_VERSION = 5
 
@@ -260,7 +260,7 @@ def _verify_checks(probe_set: str, k_break: float = 1.0):
         model = hh_model(a, c)
         grid = GridSpec(rx=6.0, ry=6.0, nx=n_cells, ny=n_cells, c=c)
         op = assemble(model, grid)
-        col = kernel_column(op, 1.0, np.array([0.0, 1.0]))
+        col = kernel_columns(op, [1.0], np.array([0.0, 1.0]))[0]
         defect = V.check_conservation(col)
         record(f"conservation_solver_a{a}_c{c}", defect, 1e-3, defect <= 1e-3,
                solve=V.solve_stats([col]))
@@ -268,6 +268,10 @@ def _verify_checks(probe_set: str, k_break: float = 1.0):
         ids = V.check_identities_solver(op, t=0.5, s=0.5, x0_cells=4, scale=2.0,
                                         z1_index=(n_cells // 2, n_cells // 4),
                                         z2_index=(n_cells // 2 + 6, n_cells // 3))
+        record(f"scaling_solver_a{a}_c{c}", ids["scaling"], 1e-10,
+               ids["scaling"] <= 1e-10, solve=ids["solve"])
+        record(f"translation_solver_a{a}_c{c}", ids["translation"], 1e-12,
+               ids["translation"] <= 1e-12, solve=ids["solve"])
         record(f"adjoint_solver_a{a}_c{c}", ids["adjoint"], 1e-12,
                ids["adjoint"] <= 1e-12, solve=ids["solve"])
         record(f"chapman_solver_a{a}_c{c}", ids["chapman_kolmogorov"], 1e-3,

@@ -119,23 +119,11 @@ def envelope_eval(params: EnvelopeParams, t, z1, z2, c: float, n: int):
 def gradient_envelope(t, z1, z2, c: float, n: int, amplitude: float, rate: float):
     """Envelope for |grad_{z1} p|: exponent (N+2)/2 and source-side weight.
 
-    C t^{-(N+2)/2} y2^{-c} (1 ^ y2/sqrt t)^c exp(-|z1-z2|^2/(k t)).
+    C t^{-(N+2)/2} y2^{-c} (1 ^ y2/sqrt t)^c exp(-|z1-z2|^2/(k t)), the
+    one-sided-2 envelope times t^{-1/2}.
     """
-    t = np.asarray(t, dtype=float)
-    if np.any(t <= 0.0):
-        raise DomainError("envelope time must be positive")
-    x1, y1 = _split(z1, n)
-    x2, y2 = _split(z2, n)
-    if np.any(y1 <= 0.0) or np.any(y2 <= 0.0):
-        raise DomainError("envelope points must satisfy y > 0")
-    dist2 = np.sum((x1 - x2) ** 2, axis=-1) + (y1 - y2) ** 2
-    val = (
-        amplitude
-        * t ** (-0.5 * (n + 2))
-        * boundary_weight(y2, t, c) ** 2
-        * np.exp(-dist2 / (rate * t))
-    )
-    return val if np.ndim(val) else float(val)
+    params = EnvelopeParams(amplitude, rate, form="one-sided-2")
+    return envelope_eval(params, t, z1, z2, c, n) / np.sqrt(t)
 
 
 def envelope_equivalence_window(c: float, n: int, eps: float):

@@ -148,6 +148,9 @@ def tensor_kernel(model, t: float, z2, xs, ys) -> np.ndarray:
 class KernelSlice:
     """Sampled kernel values p(t, ., z2) with their sampling metadata.
 
+    Values are densities against y^c dz (WEIGHTED_CONVENTION), the one
+    convention of the package and of the CSV files.
+
     `weights` carries the y^c dz quadrature/cell masses of the sample
     points when the slice is integration-capable (solver columns,
     quadrature grids); probe-only slices leave it None.
@@ -158,9 +161,7 @@ class KernelSlice:
     points: np.ndarray
     values: np.ndarray
     c: float
-    convention: str = WEIGHTED_CONVENTION
     weights: np.ndarray | None = None
-    method: str = "exact"
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -214,6 +215,7 @@ def write_csv(slices, targets) -> None:
     opened and closed here; an open text buffer is written in place.
     """
     xy_chunks = {}  # id(points) -> its x1,y1 texts; the slices keep the arrays alive
+    tail = "," + WEIGHTED_CONVENTION + "\n"
     for slc, target in zip(slices, targets, strict=True):
         if slc.n != 1:
             raise DomainError("CSV slice format is defined for N = 1")
@@ -222,7 +224,6 @@ def write_csv(slices, targets) -> None:
             xy = xy_chunks[id(slc.points)] = list(_chunks("%.17g,%.17g", slc.points))
         head = "%.17g," % float(slc.t)
         mid = ",%.17g,%.17g," % tuple(slc.source.tolist())
-        tail = "," + slc.convention + "\n"
         own = isinstance(target, (str, bytes, os.PathLike))
         with open(target, "w", newline="") if own else contextlib.nullcontext(target) as fh:
             fh.write("t,x1,y1,x2,y2,p,convention\n")
@@ -236,7 +237,5 @@ def exact_slice(model, t: float, z2, points, weights=None) -> KernelSlice:
     z2 = np.asarray(z2, dtype=float)
     points = np.atleast_2d(np.asarray(points, dtype=float))
     vals = product_kernel(model, t, points, z2[None, :])
-    return KernelSlice(
-        t=t, source=z2, points=points, values=np.atleast_1d(vals),
-        c=model.c, weights=weights, method="exact",
-    )
+    return KernelSlice(t=t, source=z2, points=points, values=np.atleast_1d(vals),
+                       c=model.c, weights=weights)

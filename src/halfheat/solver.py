@@ -8,9 +8,10 @@ the mixed term is kept inside the same form so that transposing its
 coefficient matrix realizes the adjoint operator exactly at the
 discrete level.
 
-The assembled object is the pair (bmat, w): the 2x2 coefficient matrix
-of the form a(u, v) = int <B grad u, grad v> y^c and the vector of
-weighted cell masses, giving the semi-discrete evolution w du/dt = -S u.
+The assembled object is the pair (grid, bmat): the grid and the 2x2
+coefficient matrix of the form a(u, v) = int <B grad u, grad v> y^c.
+The grid gives the vector w of weighted cell masses and with it the
+semi-discrete evolution w du/dt = -S u.
 The coefficients do not depend on x, so S is one tridiagonal y-block per
 x-Fourier mode (fast diagonalization); _mode_bands builds the blocks of
 all modes as three bands with numpy.  Constants are annihilated by S on
@@ -34,14 +35,14 @@ from __future__ import annotations
 import itertools
 import numbers
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg.blas import zaxpy
 from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .errors import DomainError, ParameterError, StructuralError, SolveFailure, WrongOperatorError
-from .kernels import A_ZERO_TOL, WEIGHTED_CONVENTION, KernelSlice, tensor_kernel
+from .kernels import A_ZERO_TOL, KernelSlice, tensor_kernel
 from .operators import (
     GeneralOperatorSpec,
     ModelOperatorSpec,
@@ -58,7 +59,6 @@ __all__ = [
     "DiscreteOperator",
     "assemble",
     "assemble_divergence_form",
-    "kernel_column",
     "kernel_columns",
     "kernel_slices",
     "discrete_gradient",
@@ -249,25 +249,26 @@ def _mode_bands(grid: GridSpec, bmat: np.ndarray):
 
 @dataclass
 class DiscreteOperator:
-    """Assembled generator (bmat, w): coefficients, masses, and provenance tags.
+    """Assembled generator (grid, bmat): the grid and the 2x2 coefficients.
 
     The semi-discrete law is w du/dt = -(S u), where S is the discrete
     form of the 2x2 coefficient matrix `bmat`, one tridiagonal y-block
-    per x-Fourier mode (_mode_bands).  The adjoint operator shares the
-    masses and transposes bmat, which conjugate-transposes every mode
-    block and realizes a*(u, v) = a(v, u) exactly.
+    per x-Fourier mode (_mode_bands), and w the grid's weighted cell
+    masses.  The adjoint operator shares the grid and transposes bmat,
+    which conjugate-transposes every mode block and realizes
+    a*(u, v) = a(v, u) exactly.
     """
 
     grid: GridSpec
-    w: np.ndarray
     bmat: np.ndarray
-    is_adjoint: bool = False
-    label: str = "model"
-    meta: dict = field(default_factory=dict)
+
+    @property
+    def w(self) -> np.ndarray:
+        """Weighted cell masses, flat over the index i * ny + j."""
+        return self.grid.masses().ravel()
 
     def adjoint(self) -> "DiscreteOperator":
-        return replace(self, bmat=self.bmat.T, is_adjoint=not self.is_adjoint,
-                       label=self.label + "*", meta=dict(self.meta))
+        return replace(self, bmat=self.bmat.T)
 
 
 def assemble(model: ModelOperatorSpec, grid: GridSpec) -> DiscreteOperator:
@@ -280,11 +281,7 @@ def assemble(model: ModelOperatorSpec, grid: GridSpec) -> DiscreteOperator:
         raise StructuralError(
             f"grid weight c={grid.c} does not match operator c={model.c}"
         )
-    bmat = np.array([[1.0, 2.0 * float(model.a[0])], [0.0, 1.0]])
-    return DiscreteOperator(
-        grid=grid, w=grid.masses().ravel(), bmat=bmat, label="model",
-        meta={"a": float(model.a[0]), "c": model.c},
-    )
+    return DiscreteOperator(grid, np.array([[1.0, 2.0 * float(model.a[0])], [0.0, 1.0]]))
 
 
 def assemble_divergence_form(spec: GeneralOperatorSpec, grid: GridSpec) -> DiscreteOperator:
@@ -307,11 +304,7 @@ def assemble_divergence_form(spec: GeneralOperatorSpec, grid: GridSpec) -> Discr
         )
     if grid.c != m:
         raise StructuralError(f"grid weight c={grid.c} must equal c/gamma={m}")
-    bmat = np.asarray(spec.a_matrix, dtype=float)
-    return DiscreteOperator(
-        grid=grid, w=grid.masses().ravel(), bmat=bmat, label="general",
-        meta={"gamma": spec.gamma, "m": m},
-    )
+    return DiscreteOperator(grid, np.asarray(spec.a_matrix, dtype=float))
 
 
 def _contour(n: int, t0: float):
@@ -480,22 +473,14 @@ def kernel_columns(op: DiscreteOperator, ts, z2) -> list[KernelSlice]:
     slices = []
     for col, (i, j) in enumerate(cells):
         source = np.array([grid.x_centers[i], grid.y_centers[j]])
-        meta = {"grid": grid, "adjoint": op.is_adjoint, "label": op.label, **stats,
+        meta = {"grid": grid, **stats,
                 **{key: float(stats[key][col]) for key in ("contour_err", "max_solve_residual")}}
         for t, u in zip(ts, states):
             slices.append(
-                KernelSlice(
-                    t=t, source=source, points=points, values=u[:, col],
-                    c=grid.c, convention=WEIGHTED_CONVENTION, weights=w,
-                    method="solver", meta=dict(meta),
-                )
+                KernelSlice(t=t, source=source, points=points, values=u[:, col],
+                            c=grid.c, weights=w, meta=dict(meta))
             )
     return slices
-
-
-def kernel_column(op: DiscreteOperator, t: float, z2) -> KernelSlice:
-    """Single-time kernel column; see kernel_columns."""
-    return kernel_columns(op, [t], z2)[0]
 
 
 def kernel_slices(spec: GeneralOperatorSpec, ts, sources, rx: float, ry: float,
@@ -555,7 +540,7 @@ def kernel_slices(spec: GeneralOperatorSpec, ts, sources, rx: float, ry: float,
                 meta.update((key, col.meta[key]) for key in SOLVE_STATS)
             out.append(KernelSlice(t=float(t), source=used, points=points, c=model.c,
                                    values=map_kernel_value(red, t, points, used, col.values),
-                                   method=method, meta=meta))
+                                   meta=meta))
     return out
 
 

@@ -378,7 +378,8 @@ def test_desk_sweep_passes(tmp_path):
     bundle = json.loads((out_dir / "verify.json").read_text())
     assert bundle["passed"] is True
     names = {c["name"] for c in bundle["checks"]}
-    assert any(n.startswith("adjoint_solver") for n in names)
+    for kind in ("adjoint", "scaling", "translation"):
+        assert {f"{kind}_solver_a0.5_c-0.5", f"{kind}_solver_a0.5_c1.0"} <= names
     assert "sab_sec6_stable" in names
     # solver checks carry the stats of their evolutions, the others none
     for check in bundle["checks"]:

@@ -8,6 +8,7 @@ import pytest
 from halfheat import kernels
 from halfheat.errors import DomainError, ParameterError, WrongOperatorError
 from halfheat.kernels import (
+    WEIGHTED_CONVENTION,
     KernelSlice,
     bessel_heat_kernel,
     exact_slice,
@@ -223,7 +224,7 @@ class TestKernelSlice:
         rows = ["t,x1,y1,x2,y2,p,convention\n"]
         for (x1, y1), p in zip(slc.points.tolist(), slc.values.tolist()):
             rows.append("%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%s\n"
-                        % (slc.t, x1, y1, *slc.source.tolist(), p, slc.convention))
+                        % (slc.t, x1, y1, *slc.source.tolist(), p, WEIGHTED_CONVENTION))
         return "".join(rows)
 
     def test_write_csv_matches_per_row_reference(self, tmp_path, monkeypatch):

@@ -29,7 +29,6 @@ from halfheat.solver import (
     assemble,
     assemble_divergence_form,
     discrete_gradient,
-    kernel_column,
     kernel_columns,
     kernel_slices,
 )
@@ -41,8 +40,8 @@ def make(a=0.0, c=0.0, n=48, r=5.0):
     return model, grid, assemble(model, grid)
 
 
-def column(op, t, z2, **kw):
-    return kernel_column(op, t, np.asarray(z2, dtype=float), **kw)
+def column(op, t, z2):
+    return kernel_columns(op, [t], np.asarray(z2, dtype=float))[0]
 
 
 def form_factors(grid, bmat):
@@ -290,10 +289,10 @@ class TestEvolve:
         # 4 and 6 nodes cannot resolve a window; the default rules can
         _, grid, op = make(0.5, 1.0, n=16, r=2.0)
         z2 = np.array([0.0, 0.5])
-        assert 0.0 < kernel_column(op, 0.5, z2).meta["contour_err"] <= solver.CONTOUR_TOL
+        assert 0.0 < kernel_columns(op, [0.5], z2)[0].meta["contour_err"] <= solver.CONTOUR_TOL
         monkeypatch.setattr(solver, "CONTOUR_NODES", 4)
         with pytest.raises(SolveFailure, match="rules of 4 and 6 nodes.*CONTOUR_TOL = 1e-08"):
-            kernel_column(op, 0.5, z2)
+            kernel_columns(op, [0.5], z2)
 
     def test_time_errors(self):
         _, grid, op = make()
@@ -456,7 +455,7 @@ class TestKernelColumn:
 
     def test_snap_recorded(self):
         _, grid, op = make(n=16, r=2.0)
-        slc = kernel_column(op, 0.1, np.array([0.1234, 0.9876]))
+        slc = kernel_columns(op, [0.1], np.array([0.1234, 0.9876]))[0]
         # h = 1/4 in x and 1/8 in y: the centre of cell (8, 7)
         assert slc.source.tolist() == [0.125, 0.9375]
 

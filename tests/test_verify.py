@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from halfheat import kernels
-from halfheat.errors import DomainError, FitUnderdeterminedError, StructuralError
+from halfheat import kernels, solver
+from halfheat.errors import DomainError, FitUnderdeterminedError
 from halfheat.geometry import EnvelopeParams
 from halfheat.kernels import exact_slice, product_kernel
-from halfheat.operators import ModelOperatorSpec
+from halfheat.operators import GeneralOperatorSpec, ModelOperatorSpec
 from halfheat.quadrature import halfspace_nodes, legendre_panel, y_weighted_nodes
-from halfheat.solver import Field, GridSpec, assemble, kernel_columns
+from halfheat.solver import Field, GridSpec, assemble, assemble_divergence_form, kernel_columns
 from halfheat.verify import (
     GTrace,
     check_conservation,
@@ -124,12 +124,6 @@ class TestConservation:
         with pytest.raises(DomainError, match="kernel time"):
             exact_quadrature_slice(model(0.5), t, np.array([0.0, 1.0]))
 
-    def test_rejects_other_conventions(self):
-        slc = exact_quadrature_slice(model(0.0), 1.0, np.array([0.0, 1.0]))
-        slc.convention = "dz"
-        with pytest.raises(StructuralError):
-            check_conservation(slc)
-
 
 class TestEnvelopeFit:
     def test_exact_kernel_two_sided(self):
@@ -192,15 +186,32 @@ class TestIdentities:
         assert res["adjoint"] <= 1e-12
         assert res["chapman_kolmogorov"] <= 1e-6
 
-    def test_solver(self):
-        grid = GridSpec(rx=6.0, ry=6.0, nx=56, ny=56, c=1.0)
-        op = assemble(model(1.0, a=0.5), grid)
-        res = check_identities_solver(op, t=0.5, s=0.5, x0_cells=4, scale=2.0,
+    @staticmethod
+    def identity_operator(kind):
+        """The a = 0.5 model operator, its adjoint, or a divergence-form operator."""
+        if kind == "divergence":
+            # d = (c / gamma) q: a pure weighted divergence with weight y^(c / gamma)
+            spec = GeneralOperatorSpec(n=1, a_matrix=np.array([[2.0, 0.7], [0.7, 1.2]]),
+                                       drift=np.array([0.6 * 0.7 / 1.2, 0.6]))
+            grid = GridSpec(rx=6.0, ry=6.0, nx=56, ny=56, c=0.5)
+            return assemble_divergence_form(spec, grid)
+        op = assemble(model(1.0, a=0.5), GridSpec(rx=6.0, ry=6.0, nx=56, ny=56, c=1.0))
+        return op.adjoint() if kind == "adjoint" else op
+
+    @pytest.mark.parametrize("t,s", [(0.5, 0.5), (0.3, 0.7)])
+    @pytest.mark.parametrize("kind", ["model", "adjoint", "divergence"])
+    def test_solver(self, kind, t, s):
+        op = self.identity_operator(kind)
+        res = check_identities_solver(op, t=t, s=s, x0_cells=4, scale=2.0,
                                       z1_index=(22, 12), z2_index=(30, 18))
         assert res["scaling"] <= 1e-12
         assert res["adjoint"] <= 1e-12
         assert res["chapman_kolmogorov"] <= 1e-3
         assert res["translation"] <= 1e-12
+        # s, t and t + s share one window: forward, adjoint and scaled
+        # evolutions make both contour rules' factorizations once each
+        per_window = solver.CONTOUR_NODES + 3 * solver.CONTOUR_NODES // 2
+        assert res["solve"]["factorizations"] == 3 * per_window
 
     def test_solver_zero_shift(self):
         grid = GridSpec(rx=3.0, ry=3.0, nx=24, ny=24, c=0.0)
