@@ -1,32 +1,39 @@
-"""Bromwich-contour kernel columns against Crank-Nicolson steps, with the oracle error beside them.
+"""Bromwich-contour kernel columns on the live x-modes against all x-modes, with the oracle error beside them.
 
     python3 bench/contour.py [--out BENCH_contour.json] [--repeats 3]
 
 halfheat evaluates every kernel column as exp(-t W^{-1} S) u0 with the
 trapezoid rule on a hyperbolic Bromwich contour, one tridiagonal
 factorization (LAPACK gttrf) of the x-modes of zW + S per node, and a
-second rule with 3/2 as many nodes as a guard (`contour_err`).  This
-script times that path (`kernel_columns`) beside a script-local copy of
-the Crank-Nicolson loop it replaced: the same x-modes (the rfft half),
-uniform steps of min(h^2, segment/64) per checkpoint segment, two
-Rannacher start-up steps, one SuperLU factorization of W + (ht/2) S per
-step size and a per-column step residual check.  The package has no
-option for the reference path.
+second rule with 3/2 as many nodes as a guard (`contour_err`).  Per
+checkpoint window [t0, 4 t0] it solves only the live x-modes: a mode
+whose logarithmic-norm bound has taken it below machine epsilon times
+the column maximum by t0 is left at 0 (solver._live_modes).  This
+script times that path (`kernel_columns`) beside the same call with
+_live_modes replaced by one that keeps every mode; the package has no
+option for the all-modes path.
 
 Cases: the 128^2 a = 0 model and the 112^2 cross-term divergence-form
 operator of the perfbench `columns` workload, and the 224x192 a = 0.5
 operator of the acceptance fixture, each through the fixture's
-checkpoints (0.25, 0.5, 0.75, 1, 2, 4), which make two contour windows.
-For k = 1 and k = 4 sources each path records its time per call (median
-over --repeats), the oracle error (max |p - p_exact| / max p_exact over
-the checkpoints, where a closed form exists) and its mass defect; the
-contour adds its stats (`contour_err`, the worst solve residual, the
-factorizations and the phase times), and the pair the largest
-difference of their columns relative to each column's maximum (CN's
-time error, as the contour's is below 1e-8).  `self_convergence` lists,
-at k = 4, the relative difference of the N- and 3N/2-node rules for
-N = 8 .. 24 (the package uses N = solver.CONTOUR_NODES; the guard is
+checkpoints (0.25, 0.5, 0.75, 1, 2, 4), which make the two contour
+windows [0.25, 1] and [2, 4].  For k = 1 and k = 4 sources and for each
+window, both paths record their time per call (median over --repeats),
+the live modes of the pruned path, the oracle error (max |p - p_exact| /
+max p_exact over the window's checkpoints, where a closed form exists),
+`contour_err` and the mass defect; the pair adds the largest difference
+of their columns relative to each column's maximum, and
+`all_modes_dead_rule_gap`, the all-modes run's coarse-minus-fine rule
+difference on the dropped modes alone, which is that run's own error
+there (their exact values are below eps times the column maximum).
+`self_convergence`
+lists, at k = 4, the relative difference of the N- and 3N/2-node rules
+for N = 8 .. 24 (the package uses N = solver.CONTOUR_NODES; the guard is
 lifted for this table only).  The JSON also holds the environment.
+
+The exit code is 1 when a pruned column differs from the all-modes one
+by more than DIFF_TOL times its maximum, or its mass defect exceeds
+MASS_TOL; the JSON is written either way.
 """
 
 from __future__ import annotations
@@ -43,14 +50,11 @@ from pathlib import Path
 
 import numpy as np
 import scipy
-from scipy import sparse
-from scipy.sparse.linalg import splu
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from halfheat import solver  # noqa: E402
-from halfheat.errors import SolveFailure  # noqa: E402
 from halfheat.kernels import exact_slice  # noqa: E402
 from halfheat.operators import (  # noqa: E402
     GeneralOperatorSpec,
@@ -62,6 +66,11 @@ from halfheat.operators import (  # noqa: E402
 TS = (0.25, 0.5, 0.75, 1.0, 2.0, 4.0)
 SOURCES = np.array([[0.0, 0.3], [0.5, 1.0], [-1.0, 3.0], [0.0, 0.05]])
 SELF_CONVERGENCE_NODES = (8, 12, 16, 20, 24)
+
+#: largest pruned-minus-all-modes difference, relative to the column maximum
+DIFF_TOL = 1e-12
+#: largest mass defect of a pruned column
+MASS_TOL = 1e-12
 
 
 def model(a: float, c: float) -> ModelOperatorSpec:
@@ -88,81 +97,15 @@ def cases():
            None)
 
 
-def deltas(op, sources):
-    """The (n, k) block of discrete deltas 1/w at the source cells, and the snapped sources."""
-    grid = op.grid
-    cells = [grid.locate(z) for z in sources]
-    u = np.zeros((op.w.size, len(cells)))
-    for k, (i, j) in enumerate(cells):
-        u[i * grid.ny + j, k] = 1.0 / op.w[i * grid.ny + j]
-    return u, [np.array([grid.x_centers[i], grid.y_centers[j]]) for i, j in cells]
-
-
-def cn_columns(op, ts, sources):
-    """Crank-Nicolson steps of the source deltas in x-modes, as halfheat took them before.
-
-    Returns the (n, k) states at ts, the snapped sources and the stats
-    (`steps`, `max_step_residual`).
-    """
-    grid = op.grid
-    u, snapped = deltas(op, sources)
-    k, modes = u.shape[1], grid.nx // 2 + 1
-    # the rfft half of the x-modes: the first nx//2 + 1 blocks of the fft modes
-    n = modes * grid.ny
-    lower, diag, upper = solver._mode_bands(grid, op.bmat)
-    s_modes = sparse.diags([lower[:n - 1], diag[:n], upper[:n - 1]], [-1, 0, 1], format="csr")
-    w = op.w[:n]
-    wmat, blocks = sparse.diags(w), sparse.identity(k)
-
-    def solve_checked(lu, a_k, rhs):
-        out = lu.solve(rhs.T).T
-        num = np.abs(a_k @ out.ravel() - rhs.ravel()).reshape(rhs.shape).max(axis=1)
-        den = np.abs(rhs).max(axis=1)
-        if not np.all(num <= solver.SOLVE_RTOL * den):
-            raise SolveFailure(f"reference step residual {num.max():.3e}")
-        return out, float((num / den).max())
-
-    u = np.fft.rfft(u.T.reshape(k, grid.nx, grid.ny), axis=1).reshape(k, -1)
-    stats = {"steps": 0, "max_step_residual": 0.0}
-    states, start, ht_lu, rannacher = [], 0.0, None, 2
-    for t in ts:
-        seg = t - start
-        h = min(grid.hx, grid.hy)
-        steps = max(int(np.ceil(seg / min(h * h, seg / 64.0))), 1)
-        ht, start = seg / steps, t
-        stats["steps"] += steps
-        if ht != ht_lu:
-            lu = a_k = explicit_k = None
-            a_mat = wmat + (0.5 * ht) * s_modes
-            lu = splu(a_mat.tocsc(), permc_spec="NATURAL", relax=1)
-            a_k = sparse.kron(blocks, a_mat, format="csr")
-            explicit_k = sparse.kron(blocks, wmat - (0.5 * ht) * s_modes, format="csr")
-            ht_lu = ht
-        for _ in range(steps):
-            if rannacher > 0:
-                u, res = solve_checked(lu, a_k, w * u)
-                stats["max_step_residual"] = max(stats["max_step_residual"], res)
-                u, res = solve_checked(lu, a_k, w * u)
-                rannacher -= 1
-            else:
-                u, res = solve_checked(lu, a_k, (explicit_k @ u.ravel()).reshape(k, -1))
-            stats["max_step_residual"] = max(stats["max_step_residual"], res)
-        states.append(np.fft.irfft(u.reshape(k, -1, grid.ny), n=grid.nx, axis=1)
-                      .reshape(k, -1).T)
-    return states, snapped, stats
-
-
-def contour_columns(op, ts, sources):
-    """kernel_columns, reshaped like cn_columns's output, with its stats."""
-    cols = solver.kernel_columns(op, ts, sources)
-    states = [np.column_stack([cols[k * len(ts) + n].values for k in range(len(sources))])
-              for n in range(len(ts))]
-    meta = cols[0].meta
-    stats = {key: meta[key] for key in ("windows", "nodes", "factorizations",
-                                        "factor_s", "solve_s", "transform_s")}
-    for key in ("contour_err", "max_solve_residual"):
-        stats[key] = max(s.meta[key] for s in cols)
-    return states, [cols[k * len(ts)].source for k in range(len(sources))], stats
+@contextlib.contextmanager
+def all_modes():
+    """The package's evolution with every x-mode live."""
+    saved = solver._live_modes
+    solver._live_modes = lambda bands, w, rhs, t0, nx: np.ones(nx, dtype=bool)
+    try:
+        yield
+    finally:
+        solver._live_modes = saved
 
 
 @contextlib.contextmanager
@@ -180,48 +123,103 @@ def relative_error(values, ref) -> float:
     return float(np.abs(values - ref).max() / np.abs(ref).max())
 
 
-def path_record(run, op, ts, sources, oracle, repeats: int):
-    """Median time of `repeats` calls, the last call's stats, oracle error and mass defect."""
+def path_record(op, ts, sources, oracle, repeats: int):
+    """Median time of `repeats` kernel_columns calls and the last call's record and slices."""
     times = []
     for _ in range(repeats):
         t0 = time.perf_counter()
-        states, snapped, stats = run(op, ts, sources)
+        cols = solver.kernel_columns(op, ts, sources)
         times.append(time.perf_counter() - t0)
-    rec = {"time_s": statistics.median(times), **stats}
-    points = op.grid.points()
-    rec["oracle_err"] = (max(relative_error(u[:, k], oracle(t, z2, points))
-                             for t, u in zip(ts, states) for k, z2 in enumerate(snapped))
-                         if oracle else None)
-    rec["mass_defect"] = max(abs(op.w @ u[:, k] - 1.0) for u in states
-                             for k in range(len(snapped)))
-    return rec, states
+    meta = cols[0].meta
+    rec = {"time_s": statistics.median(times),
+           **{key: meta[key] for key in ("live_modes", "factorizations", "factor_s",
+                                         "solve_s", "transform_s")},
+           "contour_err": max(s.meta["contour_err"] for s in cols),
+           "max_solve_residual": max(s.meta["max_solve_residual"] for s in cols),
+           "mass_defect": max(abs(s.mass() - 1.0) for s in cols),
+           "oracle_err": (max(relative_error(s.values, oracle(s.t, s.source, s.points))
+                              for s in cols) if oracle else None)}
+    return rec, cols
 
 
-def case_record(name, op, oracle, repeats: int) -> dict:
+def dead_mode_rule_gap(op, ts, sources, cols) -> float:
+    """How far the all-modes run's two contour rules differ on the dead modes alone.
+
+    The contour sums of the modes _live_modes drops, by the coarse and
+    the fine rule, as solver._evolve_block forms them; the largest
+    difference relative to each column's maximum in `cols`.  The dead
+    modes' exact values are below eps times the column maximum, so the
+    gap measures the all-modes run's own error there, which is what the
+    pruned run differs from it by.
+    """
+    grid, k = op.grid, len(sources)
+    u = np.zeros((op.w.size, k))
+    for col, z2 in enumerate(sources):
+        i, j = grid.locate(z2)
+        u[i * grid.ny + j, col] = 1.0 / op.w[i * grid.ny + j]
+    rhs = op.w[:, None] * np.fft.fft(u.T.reshape(k, grid.nx, grid.ny), axis=1).reshape(k, -1).T
+    lower, diag, upper = bands = solver._mode_bands(grid, op.bmat)
+    dead = ~solver._live_modes(bands, op.w, rhs, ts[0], grid.nx)
+    rows = np.flatnonzero(np.repeat(dead, grid.ny))
+    if rows.size == 0:
+        return 0.0
+    sub = (lower[rows[:-1]], diag[rows], upper[rows[:-1]])
+    stats = {"factorizations": 0, "factor_s": 0.0, "solve_s": 0.0}
+    coarse, fine = (solver._contour_sum(sub, op.w[rows], np.asfortranarray(rhs[rows]), ts, n,
+                                        stats, np.zeros(k))
+                    for n in (solver.CONTOUR_NODES, 3 * solver.CONTOUR_NODES // 2))
+    tops = [np.abs(cols[col * len(ts) + n].values).max() for n in range(len(ts))
+            for col in range(k)]
+    gaps = [np.abs(solver._to_space(a, dead, grid.ny) - solver._to_space(b, dead, grid.ny))
+            .max(axis=1) for a, b in zip(coarse, fine)]
+    return float(max(g / top for g, top in zip(np.concatenate(gaps), tops)))
+
+
+def window_record(op, ts, sources, oracle, repeats: int) -> dict:
+    pruned, p_cols = path_record(op, ts, sources, oracle, repeats)
+    with all_modes():
+        full, f_cols = path_record(op, ts, sources, oracle, repeats)
+    diff = max(relative_error(p.values, f.values) for p, f in zip(p_cols, f_cols))
+    return {"times": list(ts), "modes": op.grid.nx, "live_modes": pruned["live_modes"],
+            "pruned": pruned, "all_modes": full,
+            "speedup": full["time_s"] / pruned["time_s"],
+            "pruned_minus_all_modes_max_rel": diff,
+            "all_modes_dead_rule_gap": dead_mode_rule_gap(op, ts, sources, f_cols)}
+
+
+def case_record(name, op, oracle, repeats: int, failures: list) -> dict:
     rec = {"unknowns": op.w.size, "column_times": list(TS)}
     for k in (1, 4):
-        sources = SOURCES[:k]
-        contour, c_states = path_record(contour_columns, op, TS, sources, oracle, repeats)
-        cn, n_states = path_record(cn_columns, op, TS, sources, oracle, repeats)
-        diff = max(relative_error(n[:, c], f[:, c])
-                   for f, n in zip(c_states, n_states) for c in range(k))
-        rec[f"k{k}"] = {"contour": contour, "cn": cn,
-                        "speedup": cn["time_s"] / contour["time_s"],
-                        "cn_minus_contour_max_rel": diff}
-        print(f"{name:24s} k={k}  time {contour['time_s']:.3f} / {cn['time_s']:.3f} s "
-              f"({cn['time_s'] / contour['time_s']:.1f}x)  oracle_err {contour['oracle_err']} "
-              f"/ {cn['oracle_err']}  contour_err {contour['contour_err']:.1e}  "
-              f"cn-contour {diff:.1e}", flush=True)
+        windows = []
+        for ts in solver._windows(TS):
+            win = window_record(op, ts, SOURCES[:k], oracle, repeats)
+            p, f = win["pruned"], win["all_modes"]
+            diff = win["pruned_minus_all_modes_max_rel"]
+            print(f"{name:24s} k={k} t0={ts[0]:<5g} live {win['live_modes']:3d}/{win['modes']}  "
+                  f"time {p['time_s']:.3f} / {f['time_s']:.3f} s ({win['speedup']:.2f}x)  "
+                  f"diff {diff:.1e} (dead-mode rule gap {win['all_modes_dead_rule_gap']:.1e})  "
+                  f"mass {p['mass_defect']:.1e}  "
+                  f"contour_err {p['contour_err']:.1e} / {f['contour_err']:.1e}  "
+                  f"oracle_err {p['oracle_err']} / {f['oracle_err']}", flush=True)
+            if not diff <= DIFF_TOL:
+                failures.append(f"{name} k={k} t0={ts[0]}: pruned minus all modes {diff:.3e}")
+            if not p["mass_defect"] <= MASS_TOL:
+                failures.append(f"{name} k={k} t0={ts[0]}: mass defect {p['mass_defect']:.3e}")
+            windows.append(win)
+        rec[f"k{k}"] = {"windows": windows,
+                        "pruned_time_s": sum(w["pruned"]["time_s"] for w in windows),
+                        "all_modes_time_s": sum(w["all_modes"]["time_s"] for w in windows)}
     table = {}
     for n in SELF_CONVERGENCE_NODES:
         with contour_nodes(n):
-            table[str(n)] = contour_columns(op, TS, SOURCES)[2]["contour_err"]
+            cols = solver.kernel_columns(op, TS, SOURCES)
+        table[str(n)] = max(s.meta["contour_err"] for s in cols)
     rec["self_convergence"] = table
     print(f"{name:24s} N vs 3N/2: " + "  ".join(f"{n}: {e:.1e}" for n, e in table.items()),
           flush=True)
     if oracle is None:
-        rec["oracle_note"] = ("a = 0.5 has no closed form; contour_err and the CN difference "
-                              "stand for the time error, and the other cases give the oracle error")
+        rec["oracle_note"] = ("a = 0.5 has no closed form; contour_err stands for the time "
+                              "error, and the other cases give the oracle error")
     return rec
 
 
@@ -240,6 +238,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=str(ROOT / "BENCH_contour.json"))
     parser.add_argument("--repeats", type=int, default=3)
     args = parser.parse_args(argv)
+    failures = []
     report = {
         "environment": {
             "python": platform.python_version(), "numpy": np.__version__,
@@ -249,12 +248,16 @@ def main(argv=None) -> int:
         "contour": {"nodes": solver.CONTOUR_NODES, "alpha": solver.CONTOUR_ALPHA,
                     "span": solver.CONTOUR_SPAN, "mu_t0_per_node": solver.CONTOUR_MU,
                     "window_ratio": solver.WINDOW_RATIO, "tolerance": solver.CONTOUR_TOL},
-        "cases": {name: case_record(name, op, oracle, args.repeats)
+        "gates": {"pruned_minus_all_modes_max_rel": DIFF_TOL, "mass_defect": MASS_TOL},
+        "cases": {name: case_record(name, op, oracle, args.repeats, failures)
                   for name, op, oracle in cases()},
     }
+    report["failures"] = failures
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {args.out}")
-    return 0
+    for line in failures:
+        print("FAIL", line)
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

@@ -23,7 +23,10 @@ rule on a hyperbolic Bromwich contour (Weideman & Trefethen 2007) needs
 one shifted solve (zW + S)^{-1} per node, shared by every checkpoint of
 a window [t0, 4 t0].  An fft along x takes the data to x-modes, where
 each zW + S is tridiagonal and LAPACK's gttrf/gttrs factor and solve
-it.  The rule is normalized at lambda = 0, so constants stay and mass is
+it.  Only the live modes are solved: a mode whose logarithmic-norm
+bound e^{-kappa_m t0} has taken it below round-off of the column
+maximum by the window's first time is left at 0 (_live_modes).  The
+rule is normalized at lambda = 0, so constants stay and mass is
 conserved to round-off; a second rule with 3/2 as many nodes guards the
 time error.
 The adjoint is the same rational function of S', exact to round-off
@@ -87,8 +90,8 @@ CONTOUR_SPAN = float(np.arccosh(
 CONTOUR_MU = (4.0 * CONTOUR_ALPHA - np.pi) * np.pi / (WINDOW_RATIO * CONTOUR_SPAN)
 
 #: the evolution stats kernel_columns puts in a solver slice's meta
-SOLVE_STATS = ("windows", "nodes", "factorizations", "contour_err", "max_solve_residual",
-               "transform_s", "factor_s", "solve_s")
+SOLVE_STATS = ("windows", "nodes", "factorizations", "live_modes", "contour_err",
+               "max_solve_residual", "transform_s", "factor_s", "solve_s")
 
 
 @dataclass(frozen=True)
@@ -378,6 +381,59 @@ def _contour_sum(bands, w, rhs, window, n, stats, worst):
     return [a / np.real(np.sum(c * np.exp(z * t) / z)) for a, t in zip(acc, window)]
 
 
+def _live_modes(bands, w, rhs, t0: float, nx: int) -> np.ndarray:
+    """The x-modes of rhs that can still move a value at some t >= t0, shape (nx,).
+
+    `rhs` holds W U_m(0) over the index m * ny + j, as _evolve_block
+    builds it.  Re<S_m v, v> = <H_m v, v> for H_m the Hermitian part of
+    the mode block (the block of (B + B')/2: the skew part of B gives
+    skew-Hermitian blocks), so |U_m(t)|_W <= e^{-kappa_m t} |U_m(0)|_W
+    with kappa_m the least eigenvalue of the pencil (H_m, W) (the
+    logarithmic norm, Soederlind 2006).  Mode m is dead when
+    H_m - K_m W is positive definite, tested by the signs of the LDL'
+    pivots of that Hermitian tridiagonal for all modes at once, with
+
+        K_m = log(sum(w) max_col(|U_m(0)|_W / |mass|) / (eps sqrt(min w))) / t0.
+
+    Then one dead mode moves no value at t >= t0 by more than
+    eps |mass| / (nx sum(w)) (the ifft divides by nx), the at most nx
+    dead modes together by eps |mass| / sum(w), and mass conservation
+    makes that at most eps times the column maximum.  Mode 0 (the mass)
+    is always live; zero-mass or non-finite data keeps every mode, so
+    the residual guard still sees it.
+    """
+    lower, diag, upper = bands
+    ny = w.size // nx
+    wy = w[:ny]  # the same weights for every mode
+    modes = rhs.T.reshape(-1, nx, ny)
+    mass = modes[:, 0].real.sum(axis=1)
+    live = np.ones(nx, dtype=bool)
+    if not (np.all(np.isfinite(modes)) and np.all(mass != 0.0)):
+        return live
+    norm = np.sqrt(np.abs(modes) ** 2 @ (1.0 / wy))  # |U_m(0)|_W, shape (k, nx)
+    ratio = (norm / np.abs(mass)[:, None]).max(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # K_m = -inf for a mode without data
+        rate = np.log(w.sum() * ratio / (np.finfo(float).eps * np.sqrt(wy.min()))) / t0  # K_m
+        shifted = diag.real.reshape(nx, ny) - rate[:, None] * wy  # diagonal of H_m - K_m W
+        # |off-diagonal|^2 of H_m; 0 after each mode's last cell
+        off2 = np.append(np.abs(0.5 * (upper + lower.conj())) ** 2, 0.0).reshape(nx, ny)
+        pivot = shifted[:, 0]
+        dead = pivot > 0.0
+        for j in range(1, ny):
+            pivot = shifted[:, j] - off2[:, j - 1] / pivot
+            dead &= pivot > 0.0
+    live[1:] = ~dead[1:]
+    return live
+
+
+def _to_space(sums, live, ny: int) -> np.ndarray:
+    """Cell values, shape (k, nx * ny), of mode sums over the live modes' rows, the dead modes 0."""
+    k = sums.shape[0]
+    modes = np.zeros((k, live.size, ny), dtype=complex)
+    modes[:, live] = sums.reshape(k, -1, ny)
+    return np.fft.ifft(modes, axis=1).real.reshape(k, -1)
+
+
 def _evolve_block(op: DiscreteOperator, u: np.ndarray, times):
     """exp(-t W^{-1} S) of the k columns of u, shape (n, k), at each of `times`.
 
@@ -388,7 +444,11 @@ def _evolve_block(op: DiscreteOperator, u: np.ndarray, times):
     x-modes, and the matrix of all modes (the bands _mode_bands builds
     from the operator's bmat) is tridiagonal.  Checkpoints are
     grouped into windows [t0, WINDOW_RATIO t0]; one set of shifted solves
-    serves every time of a window.  Each window is evaluated with
+    serves every time of a window.  Per window only the live modes
+    (_live_modes) are solved: their rows of the bands, the weights and
+    rhs are gathered, and the sums are scattered into zero mode arrays
+    before the ifft, so the dropped modes move no value by more than
+    machine epsilon times the column maximum.  Each window is evaluated with
     CONTOUR_NODES and 3/2 as many nodes; the finer result is returned,
     and a relative difference above CONTOUR_TOL raises SolveFailure.
     Both rules are normalized by their value at lambda = 0, so constants
@@ -396,38 +456,50 @@ def _evolve_block(op: DiscreteOperator, u: np.ndarray, times):
     mass(t) = r(0) mass(0) for the rule's rational function r.
 
     Returns the (n, k) states at `times` and the run's stats: `windows`,
-    `nodes` (of the returned rule, per window), `factorizations`, per
+    `nodes` (of the returned rule, per window), `factorizations`,
+    `live_modes` (the x-modes solved, summed over windows), per
     column the relative difference of the two rules `contour_err` and
     the worst relative solve residual `max_solve_residual`, and the wall
     time of each phase: `transform_s` (fft and ifft), `factor_s` (mode
-    diagonals and factorizations) and `solve_s` (solves, residuals and
-    sums).
+    diagonals, the live-mode test and factorizations) and `solve_s`
+    (solves, residuals and sums).
     """
     if min(np.diff(times, prepend=0.0)) <= 0.0:
         raise StructuralError("checkpoints must be strictly increasing")
     grid, k = op.grid, u.shape[1]
+    nx, ny = grid.nx, grid.ny
     coarse, fine = CONTOUR_NODES, 3 * CONTOUR_NODES // 2
     clock = time.perf_counter
-    stats = {"windows": 0, "nodes": fine, "factorizations": 0,
+    stats = {"windows": 0, "nodes": fine, "factorizations": 0, "live_modes": 0,
              "transform_s": 0.0, "factor_s": 0.0, "solve_s": 0.0}
     t0 = clock()
     # column c of rhs holds the x-modes of source c, index m * ny + j
-    rhs = np.fft.fft(u.T.reshape(k, grid.nx, grid.ny), axis=1).reshape(k, -1).T
+    rhs = np.fft.fft(u.T.reshape(k, nx, ny), axis=1).reshape(k, -1).T
     stats["transform_s"] += clock() - t0
     t0 = clock()
     bands = _mode_bands(grid, op.bmat)
     w = op.w  # constant along x, so the same weight for every x-mode
-    rhs = np.asfortranarray(w[:, None] * rhs)
+    rhs = w[:, None] * rhs
+    lower, diag, upper = bands
     stats["factor_s"] += clock() - t0
     worst, err = np.zeros(k), np.zeros(k)
     states = []
     for window in _windows(times):
         stats["windows"] += 1
-        sums = {n: _contour_sum(bands, w, rhs, window, n, stats, worst) for n in (coarse, fine)}
+        t0 = clock()
+        live = _live_modes(bands, w, rhs, window[0], nx)
+        rows = np.flatnonzero(np.repeat(live, ny))
+        # the coupling of consecutive live rows: the band entry, or the 0
+        # between blocks where a live mode ends
+        sub = (lower[rows[:-1]], diag[rows], upper[rows[:-1]])
+        sub_w, sub_rhs = w[rows], rhs.T[:, rows].T  # Fortran order, as zgttrs takes it
+        stats["live_modes"] += int(live.sum())
+        stats["factor_s"] += clock() - t0
+        sums = {n: _contour_sum(sub, sub_w, sub_rhs, window, n, stats, worst)
+                for n in (coarse, fine)}
         t0 = clock()
         for a, b in zip(sums[coarse], sums[fine]):
-            a, b = (np.fft.ifft(v.reshape(k, grid.nx, grid.ny), axis=1).real.reshape(k, -1)
-                    for v in (a, b))
+            a, b = (_to_space(v, live, ny) for v in (a, b))
             top = np.abs(b).max(axis=1)
             diff = np.divide(np.abs(a - b).max(axis=1), top, out=np.zeros(k), where=top > 0.0)
             np.maximum(err, diff, out=err)
@@ -445,17 +517,20 @@ def _evolve_block(op: DiscreteOperator, u: np.ndarray, times):
 def kernel_columns(op: DiscreteOperator, ts, z2) -> list[KernelSlice]:
     """Kernel slices p(t, ., z2) for several times and sources from one evolution.
 
-    `z2` is one source point, shape (2,), or k of them, shape (k, 2).  The
+    `z2` is one source point, shape (2,), or k of them, shape (k, 2); no
+    source raises DomainError and any other shape StructuralError.  The
     initial state holds the discrete delta 1/w at each source cell as one
     column of an (n, k) block, so the computed columns are already in the
     y^c dz convention.  x is periodic: the block is taken to x-modes once
     and evaluated on a Bromwich contour per window of checkpoints (one
-    tridiagonal factorization per node, shared by all sources, one
-    multi-right-hand-side solve, the residual checked in mode space); the
-    adjoint is exact to round-off relative to the column maximum.
+    tridiagonal factorization of the live x-modes per node, shared by all
+    sources, one multi-right-hand-side solve, the residual checked in mode
+    space); the modes left out move no value by more than machine epsilon
+    times the column maximum, and the adjoint is exact to round-off
+    relative to the column maximum.
     Returns the k * len(ts) slices source-major (all times of the first
     source, then the next), each with the evolution's stats in `meta`
-    (SOLVE_STATS, with the phase wall times) and its own column's
+    (SOLVE_STATS, with the phase wall times and the live modes) and its own column's
     `contour_err` and worst solve residual.  A contour error above
     CONTOUR_TOL raises SolveFailure.
     """
@@ -463,7 +538,12 @@ def kernel_columns(op: DiscreteOperator, ts, z2) -> list[KernelSlice]:
     ts = sorted(float(t) for t in np.atleast_1d(ts))
     if not ts or not all(0.0 < t < np.inf for t in ts):  # NaN fails both
         raise DomainError("kernel times must be given, positive and finite")
-    cells = [grid.locate(z) for z in np.atleast_2d(z2)]
+    sources = np.asarray(z2, dtype=float)
+    if sources.size == 0:
+        raise DomainError("no kernel sources given")
+    if sources.ndim not in (1, 2) or sources.shape[-1] != 2:
+        raise StructuralError(f"sources must have shape (2,) or (k, 2), got {sources.shape}")
+    cells = [grid.locate(z) for z in np.atleast_2d(sources)]
     w = op.w
     flat = [i * grid.ny + j for i, j in cells]
     init = np.zeros((w.size, len(flat)), order="F")
@@ -502,14 +582,19 @@ def kernel_slices(spec: GeneralOperatorSpec, ts, sources, rx: float, ry: float,
     and the model's `a` and `c`) and, for solver columns, the mass defect
     and the SOLVE_STATS of the evolution.  A source
     whose model image lies outside the model grid raises DomainError on
-    either route, and so does an empty `ts`.
+    either route, and so does an empty `ts` or `sources`; a source that
+    is not one point (x, y) raises StructuralError.
     """
     if len(ts) == 0:
         raise DomainError("no kernel times given")
+    if len(sources) == 0:
+        raise DomainError("no kernel sources given")
     red = reduce_to_model(spec)
     model = red.model
     if model.n != 1:
         raise StructuralError("kernel slices are defined for N = 1")
+    if any(np.shape(z2) != (2,) for z2 in sources):
+        raise StructuralError("each kernel source must be one point (x, y)")
     grid = GridSpec(rx=rx, ry=ry, nx=nx, ny=ny, c=model.c)
     cells = grid.points()
     points = inverse_map_point(red, cells)

@@ -119,7 +119,7 @@ class TestValidateCommand:
         assert main(["validate", path]) == EXIT_PASS
         out = json.loads(capsys.readouterr().out)
         assert out["passed"] is True
-        assert out["schema_version"] == 5
+        assert out["schema_version"] == 6
 
     def test_degeneracy_failure_names_invariant(self, tmp_path, capsys):
         bad = IDENTITY_CFG.replace("v.c = 0", "v.c = -1.5")
@@ -141,7 +141,7 @@ class TestKernelCommand:
         assert main(["kernel", path, "--out", str(out_dir)]) == EXIT_PASS
         index = json.loads((out_dir / "kernel_index.json").read_text())
         assert index["outputs"][0]["method"] == "exact"
-        assert index["schema_version"] == 5
+        assert index["schema_version"] == 6
         assert all(np.isfinite(index[k]) and index[k] >= 0.0 for k in ("evaluate_s", "write_s"))
         csv_file = out_dir / index["outputs"][0]["file"].split("/")[-1]
         header = csv_file.read_text().splitlines()[0]
@@ -159,6 +159,7 @@ class TestKernelCommand:
         assert set(solver.SOLVE_STATS) <= set(entry)
         assert entry["windows"] == 1 and entry["nodes"] == 3 * solver.CONTOUR_NODES // 2
         assert entry["factorizations"] == solver.CONTOUR_NODES + entry["nodes"]
+        assert 0 < entry["live_modes"] <= 32  # one window of the 32 x-modes
         assert 0.0 < entry["contour_err"] <= solver.CONTOUR_TOL
         assert 0.0 < entry["max_solve_residual"] < solver.SOLVE_RTOL
         assert "reduction" not in entry
@@ -286,7 +287,7 @@ class TestVerifyCommand:
         assert main(["verify", "--probe-set", "smoke", "--out", str(out_dir)]) == EXIT_PASS
         bundle = json.loads((out_dir / "verify.json").read_text())
         assert bundle["passed"] is True
-        assert bundle["schema_version"] == 5
+        assert bundle["schema_version"] == 6
         assert "seed" not in bundle
         assert all(np.isfinite(c["wall_s"]) and c["wall_s"] >= 0.0 for c in bundle["checks"])
         names = {c["name"] for c in bundle["checks"]}
@@ -387,3 +388,4 @@ def test_desk_sweep_passes(tmp_path):
         if "solve" in check:
             assert set(check["solve"]) == set(solver.SOLVE_STATS)
             assert 0.0 < check["solve"]["contour_err"] <= solver.CONTOUR_TOL
+            assert 0 < check["solve"]["live_modes"] <= 96 * check["solve"]["windows"]

@@ -89,6 +89,16 @@ def evolve(op, f, times):
     return [Field(op.grid, u.reshape(op.grid.nx, op.grid.ny)) for u in states]
 
 
+def deltas(grid, sources):
+    """The (n, k) block of discrete deltas 1/w at the source cells."""
+    w = grid.masses().ravel()
+    u = np.zeros((w.size, len(sources)))
+    for k, z2 in enumerate(sources):
+        i, j = grid.locate(z2)
+        u[i * grid.ny + j, k] = 1.0 / w[i * grid.ny + j]
+    return u
+
+
 def per_window():
     """Factorizations per checkpoint window: both contour rules' nodes."""
     return solver.CONTOUR_NODES + 3 * solver.CONTOUR_NODES // 2
@@ -231,7 +241,8 @@ class TestEvolve:
 
     def test_one_factorization_per_node(self, monkeypatch):
         # (0.25, 0.5, 1.0) is one window and 2.0 a second; the two sources
-        # share every node's factorization of the 32 * 16 mode unknowns
+        # share every node's factorization of the live modes' unknowns,
+        # fewer than the 32 * 16 of all modes
         grid = GridSpec(rx=1.0, ry=1.0, nx=32, ny=16, c=0.5)
         op = assemble(ModelOperatorSpec(n=1, a=np.array([0.3]), c=0.5), grid)
         calls = []
@@ -244,7 +255,11 @@ class TestEvolve:
         monkeypatch.setattr(solver, "zgttrf", counting_zgttrf)
         cols = kernel_columns(op, (0.25, 0.5, 1.0, 2.0), np.array([[0.0, 0.5], [0.5, 0.25]]))
         assert len(cols) == 8
-        assert calls == [(32 * 16,)] * (2 * per_window())
+        first, second = calls[:per_window()], calls[per_window():]
+        assert len(calls) == 2 * per_window() and len(set(first)) == len(set(second)) == 1
+        sizes = first[0][0], second[0][0]
+        assert all(n % 16 == 0 and n < 32 * 16 for n in sizes)
+        assert sum(sizes) == 16 * cols[0].meta["live_modes"]
         assert cols[0].meta["windows"] == 2
         assert cols[0].meta["factorizations"] == 2 * per_window()
 
@@ -390,10 +405,7 @@ class TestKernelColumn:
                           GridSpec(rx=3.0, ry=3.0, nx=nx, ny=20, c=c))
             op = op.adjoint() if adjoint else op
             cols = kernel_columns(op, ts, sources)
-            u = np.zeros((op.w.size, len(sources)))
-            for k, z2 in enumerate(sources):
-                i, j = op.grid.locate(z2)
-                u[i * op.grid.ny + j, k] = 1.0 / op.w[i * op.grid.ny + j]
+            u = deltas(op.grid, sources)
             for n, t in enumerate(ts):
                 ref = expm(-t * (dense_form(op.grid, op.bmat) / op.w[:, None])) @ u
                 for k in range(len(sources)):
@@ -458,6 +470,126 @@ class TestKernelColumn:
         slc = kernel_columns(op, [0.1], np.array([0.1234, 0.9876]))[0]
         # h = 1/4 in x and 1/8 in y: the centre of cell (8, 7)
         assert slc.source.tolist() == [0.125, 0.9375]
+
+    @pytest.mark.parametrize("z2,error", [
+        (np.array([]), DomainError), (np.zeros((0, 2)), DomainError),
+        (np.array([0.0, 1.0, 0.5]), StructuralError),
+        (np.array([[0.0, 1.0, 0.5], [0.5, 1.0, 0.5]]), StructuralError),
+        (np.zeros((1, 1, 2)), StructuralError),
+    ], ids=["empty", "empty-k2", "three-coordinates", "k-by-3", "three-axes"])
+    def test_rejects_bad_sources(self, z2, error):
+        _, _, op = make(n=16, r=2.0)
+        with pytest.raises(error, match="source"):
+            kernel_columns(op, [0.5], z2)
+
+    @pytest.mark.parametrize("a_matrix", [[[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.5], [0.5, 1.0]]],
+                             ids=["closed-form", "solver"])
+    def test_kernel_slices_rejects_bad_sources(self, a_matrix):
+        spec = GeneralOperatorSpec(n=1, a_matrix=np.array(a_matrix), drift=np.array([0.0, 0.5]))
+        with pytest.raises(DomainError, match="no kernel sources"):
+            kernel_slices(spec, [0.5], [], rx=2.0, ry=2.0, nx=16, ny=16)
+        with pytest.raises(StructuralError, match="one point"):
+            kernel_slices(spec, [0.5], [np.array([0.0, 1.0, 7.0])],
+                          rx=2.0, ry=2.0, nx=16, ny=16)
+
+
+MODEL_B = [[1.0, 1.0], [0.0, 1.0]]  # the model operator at a = 0.5
+CROSS_B = [[2.0, 0.5], [0.5, 1.0]]  # a symmetric cross term
+
+
+def all_modes(bands, w, rhs, t0, nx):
+    """Stand-in for solver._live_modes that keeps every x-mode: the all-modes run."""
+    return np.ones(nx, dtype=bool)
+
+
+def record_live_modes(monkeypatch):
+    """Patch solver._live_modes to record each window's live mask; returns the list."""
+    masks = []
+    real = solver._live_modes
+
+    def recording(*args):
+        masks.append(real(*args))
+        return masks[-1]
+    monkeypatch.setattr(solver, "_live_modes", recording)
+    return masks
+
+
+class TestLiveModes:
+    @pytest.mark.parametrize("bmat", [MODEL_B, CROSS_B], ids=["a0.5", "cross"])
+    def test_matches_all_modes(self, monkeypatch, bmat):
+        # two windows, [0.5, 2] and [3, 12], each with dead modes
+        grid = GridSpec(rx=4.0, ry=4.0, nx=48, ny=40, c=0.6)
+        op = solver.DiscreteOperator(grid, np.array(bmat))
+        ts, sources = (0.5, 2.0, 3.0, 12.0), np.array([[0.0, 0.5], [1.0, 1.5]])
+        masks = record_live_modes(monkeypatch)
+        pruned = kernel_columns(op, ts, sources)
+        monkeypatch.setattr(solver, "_live_modes", all_modes)
+        full = kernel_columns(op, ts, sources)
+        assert len(masks) == pruned[0].meta["windows"] == 2
+        assert all(0 < m.sum() < grid.nx for m in masks)
+        assert pruned[0].meta["live_modes"] == sum(m.sum() for m in masks)
+        assert full[0].meta["live_modes"] == 2 * grid.nx
+        for p, f in zip(pruned, full):
+            assert np.abs(p.values - f.values).max() <= 1e-12 * np.abs(f.values).max()
+            assert abs(p.mass() - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("bmat", [MODEL_B, CROSS_B], ids=["a0.5", "cross"])
+    def test_dead_modes_below_round_off_by_expm(self, bmat):
+        # each dead mode's exact block evolution to t0, by dense expm, moves a
+        # value by at most its modulus / nx; together they stay below eps
+        # times the column maximum of the exact evolution
+        grid = GridSpec(rx=1.0, ry=1.5, nx=16, ny=12, c=0.5)
+        op = solver.DiscreteOperator(grid, np.array(bmat))
+        nx, ny, t0 = grid.nx, grid.ny, 0.3
+        u = deltas(grid, np.array([[0.0, 0.4], [0.3, 1.0]]))
+        w = op.w
+        modes = np.fft.fft(u.T.reshape(-1, nx, ny), axis=1)  # (k, nx, ny)
+        bands = solver._mode_bands(grid, op.bmat)
+        live = solver._live_modes(bands, w, w[:, None] * modes.reshape(2, -1).T, t0, nx)
+        assert live[0] and 0 < np.sum(~live)
+        lower, diag, upper = bands
+        s_modes = np.diag(lower, -1) + np.diag(diag) + np.diag(upper, 1)
+        cols = expm(-t0 * (dense_form(grid, op.bmat) / w[:, None])) @ u
+        moved = np.zeros(2)
+        for m in np.flatnonzero(~live):
+            block = s_modes[m * ny:(m + 1) * ny, m * ny:(m + 1) * ny]
+            evolved = expm(-t0 * (block / w[:ny, None])) @ modes[:, m].T
+            moved += np.abs(evolved).max(axis=0) / nx
+        assert np.all(moved <= np.finfo(float).eps * np.abs(cols).max(axis=0))
+
+    def test_dead_set_invariant(self, monkeypatch):
+        # the operator, its adjoint, a source shifted by whole x-cells and the
+        # grid scaled by 2 at 4 t drop the same modes
+        model, grid, op = make(0.5, 1.0, n=32, r=2.0)
+        z2, t, lam = np.array([grid.x_centers[12], grid.y_centers[5]]), 0.4, 2.0
+        masks = record_live_modes(monkeypatch)
+        kernel_columns(op, [t], z2)
+        kernel_columns(op.adjoint(), [t], z2)
+        kernel_columns(op, [t], z2 + np.array([3 * grid.hx, 0.0]))
+        kernel_columns(assemble(model, grid.scaled(lam)), [lam * lam * t], lam * z2)
+        assert len(masks) == 4 and masks[0][0] and 0 < np.sum(~masks[0])
+        for mask in masks[1:]:
+            assert np.array_equal(mask, masks[0])
+
+    def test_mode_zero_live_and_bad_data_keeps_every_mode(self, monkeypatch):
+        _, grid, op = make(0.5, 1.0, n=16, r=2.0)
+        n, nx = grid.nx * grid.ny, grid.nx
+        masks = record_live_modes(monkeypatch)
+        # constant data: mode 0 carries all of it and is the one mode solved
+        states, stats = solver._evolve_block(op, np.ones((n, 1)), [0.5])
+        assert masks[-1].tolist() == [True] + [False] * (nx - 1)
+        assert stats["live_modes"] == 1
+        assert states[0] == pytest.approx(np.ones((n, 1)), abs=1e-12)
+        # zero mass: a dipole of two deltas
+        dipole = deltas(grid, np.array([[0.0, 0.5], [0.5, 1.0]]))
+        solver._evolve_block(op, (dipole[:, 0] - dipole[:, 1])[:, None], [0.5])
+        assert masks[-1].all()
+        # NaN data: every mode stays, and the residual guard names the column
+        u = np.ones((n, 2))
+        u[5, 1] = np.nan
+        with pytest.raises(SolveFailure, match="in column 1"):
+            solver._evolve_block(op, u, [0.5])
+        assert masks[-1].all()
 
 
 class TestDivergenceForm:
