@@ -231,8 +231,7 @@ def _verify_checks(probe_set: str, k_break: float = 1.0):
 
     sls = _probe_slices(model0, ts=(0.25, 1.0), y2s=(0.1, 1.0))
     rep = V.fit_envelope_constants(sls, "product", 0.0, 1)
-    params_up = EnvelopeParams(rep.c_up, rep.k_up * k_break,
-                               form=rep.form, side="upper")
+    params_up = EnvelopeParams(rep.c_up, rep.k_up * k_break, form=rep.form)
     verdict = V.envelope_verdict(sls, params_up, rep.params_low(), 0.0, 1)
     env_ok = rep.verdict and verdict["upper_holds"] and verdict["lower_holds"]
     record("envelope_exact", 1.0 - min(verdict["worst_upper_ratio"], 1.0), 0.0,
@@ -247,7 +246,7 @@ def _verify_checks(probe_set: str, k_break: float = 1.0):
     dbl = doubling_check(0.0, 1)
     record("doubling", dbl["worst_ratio"], dbl["shape_bound"], dbl["within_shape"])
 
-    win = envelope_equivalence_window(2.0, 1, 0.1)
+    win = envelope_equivalence_window(2.0, 0.1)
     record("equivalence_window", win[1], np.inf, np.isfinite(win[1]))
 
     if probe_set == "smoke":

@@ -34,20 +34,22 @@ FORMS = ("product", "one-sided-1", "one-sided-2", "volume")
 
 @dataclass(frozen=True)
 class EnvelopeParams:
-    """Amplitude/rate constants plus which equivalent shape is in force."""
+    """Amplitude/rate constants plus which equivalent shape is in force.
+
+    The same constants serve an upper or a lower bound; which one is the
+    caller's choice.  Both must be finite and positive.
+    """
 
     amplitude: float
     rate: float
     form: str = "product"
-    side: str = "upper"
 
     def __post_init__(self):
-        if self.amplitude <= 0.0 or self.rate <= 0.0:
-            raise ParameterError("envelope constants C, k must be positive")
+        if not (0.0 < self.amplitude < np.inf and 0.0 < self.rate < np.inf):  # NaN fails both
+            raise ParameterError(f"envelope constants C, k must be finite and positive, "
+                                 f"got C={self.amplitude}, k={self.rate}")
         if self.form not in FORMS:
             raise ParameterError(f"unknown envelope form {self.form!r}")
-        if self.side not in ("upper", "lower"):
-            raise ParameterError(f"side must be 'upper' or 'lower', got {self.side!r}")
 
 
 def unit_ball_volume(n: int) -> float:
@@ -126,7 +128,7 @@ def gradient_envelope(t, z1, z2, c: float, n: int, amplitude: float, rate: float
     return envelope_eval(params, t, z1, z2, c, n) / np.sqrt(t)
 
 
-def envelope_equivalence_window(c: float, n: int, eps: float):
+def envelope_equivalence_window(c: float, eps: float):
     """Observed window for swapping the boundary weight between arguments.
 
     Over a dense grid (y1, y2) in [1e-3, 50]^2 (400 geometric samples

@@ -18,8 +18,6 @@ once per file, the values once per chunk of rows.
 
 from __future__ import annotations
 
-import contextlib
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -188,10 +186,6 @@ class KernelSlice:
             raise DomainError("slice carries no integration weights")
         return float(np.dot(self.weights, self.values))
 
-    def to_csv(self, path_or_buf) -> None:
-        """Write this slice as CSV; see write_csv."""
-        write_csv([self], [path_or_buf])
-
 
 def _chunks(fmt: str, values):
     """`fmt % row` for the rows of `values`, one `%` and one text per CSV_CHUNK_ROWS rows.
@@ -204,19 +198,18 @@ def _chunks(fmt: str, values):
         yield "\n".join([fmt] * len(rows)) % tuple(rows.ravel().tolist())
 
 
-def write_csv(slices, targets) -> None:
-    """Write slices[k] to targets[k] as `t,x1,y1,x2,y2,p,convention` rows.
+def write_csv(slices, paths) -> None:
+    """Write slices[k] to the file paths[k] as `t,x1,y1,x2,y2,p,convention` rows.
 
     Numbers use `%.17g`, which round-trips doubles bit-exactly.  The text
     is built column by column: the `x1,y1` column once per distinct
     `points` array of the call (all slices of one kernel_slices call
     share one), `t` and `x2,y2` once per slice, and `p` with one `%` per
-    CSV_CHUNK_ROWS rows, the unit in which rows are written.  A path is
-    opened and closed here; an open text buffer is written in place.
+    CSV_CHUNK_ROWS rows, the unit in which rows are written.
     """
     xy_chunks = {}  # id(points) -> its x1,y1 texts; the slices keep the arrays alive
     tail = "," + WEIGHTED_CONVENTION + "\n"
-    for slc, target in zip(slices, targets, strict=True):
+    for slc, path in zip(slices, paths, strict=True):
         if slc.n != 1:
             raise DomainError("CSV slice format is defined for N = 1")
         xy = xy_chunks.get(id(slc.points))
@@ -224,8 +217,7 @@ def write_csv(slices, targets) -> None:
             xy = xy_chunks[id(slc.points)] = list(_chunks("%.17g,%.17g", slc.points))
         head = "%.17g," % float(slc.t)
         mid = ",%.17g,%.17g," % tuple(slc.source.tolist())
-        own = isinstance(target, (str, bytes, os.PathLike))
-        with open(target, "w", newline="") if own else contextlib.nullcontext(target) as fh:
+        with open(path, "w", newline="") as fh:
             fh.write("t,x1,y1,x2,y2,p,convention\n")
             for xy_text, p_text in zip(xy, _chunks("%.17g", slc.values)):
                 fh.write("".join([f"{head}{a}{mid}{b}{tail}" for a, b in

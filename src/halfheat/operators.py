@@ -191,27 +191,25 @@ def shear_transform(spec: GeneralOperatorSpec):
 class ReductionResult:
     """Change-of-variable data mapping the general operator to model form.
 
-    model coordinates: (x', y) = (M (x - shear y), y); the map multiplies
-    time by time_scale = gamma, so the model kernel at gamma t
-    corresponds to the general kernel at t.
+    model coordinates: (x', y) = (M (x - shear y), y) with shear = d/c,
+    an (N,) array of zeros when d = 0 (x - y 0 is x exactly); the map
+    multiplies time by time_scale = gamma, so the model kernel at
+    gamma t corresponds to the general kernel at t.
     """
 
     model: ModelOperatorSpec
-    shear: np.ndarray | None
+    shear: np.ndarray
     x_change: np.ndarray
     time_scale: float
-    tilde_a: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "x_change", _freeze(self.x_change))
-        object.__setattr__(self, "tilde_a", _freeze(self.tilde_a))
-        if self.shear is not None:
-            object.__setattr__(self, "shear", _freeze(self.shear))
+        object.__setattr__(self, "shear", _freeze(self.shear))
 
     @property
     def is_identity(self) -> bool:
         """True when no variable and no time is changed: the map is exact."""
-        return (self.shear is None and self.time_scale == 1.0
+        return (not self.shear.any() and self.time_scale == 1.0
                 and np.array_equal(self.x_change, np.eye(self.model.n)))
 
     @property
@@ -245,9 +243,8 @@ def reduce_to_model(spec: GeneralOperatorSpec) -> ReductionResult:
 
     a_model = inv_sqrt @ qv_t / np.sqrt(gamma)
     model = ModelOperatorSpec(n=n, a=a_model, c=c / gamma)
-    shear = None if np.all(spec.d == 0.0) else spec.d / spec.c
-    return ReductionResult(model=model, shear=shear, x_change=m,
-                           time_scale=gamma, tilde_a=tilde)
+    shear = np.zeros(n) if np.all(spec.d == 0.0) else spec.d / spec.c
+    return ReductionResult(model=model, shear=shear, x_change=m, time_scale=gamma)
 
 
 def map_point(red: ReductionResult, z) -> np.ndarray:
@@ -257,8 +254,7 @@ def map_point(red: ReductionResult, z) -> np.ndarray:
     x, y = z[..., :n], z[..., n]
     if np.any(y <= 0.0):
         raise DomainError("points must lie in the open half-space y > 0")
-    if red.shear is not None:
-        x = x - np.multiply.outer(y, red.shear)
+    x = x - np.multiply.outer(y, red.shear)
     xp = x @ red.x_change.T
     return np.concatenate([xp, y[..., None]], axis=-1)
 
@@ -271,8 +267,7 @@ def inverse_map_point(red: ReductionResult, z) -> np.ndarray:
     if np.any(y <= 0.0):
         raise DomainError("points must lie in the open half-space y > 0")
     x = xp @ np.linalg.inv(red.x_change).T
-    if red.shear is not None:
-        x = x + np.multiply.outer(y, red.shear)
+    x = x + np.multiply.outer(y, red.shear)
     return np.concatenate([x, y[..., None]], axis=-1)
 
 

@@ -22,6 +22,9 @@ y-variable (N = 0, M = 1) at t = 1: scale homogeneity 2 reduces every t
 to t = 1 (the test-suite checks the identity with sab_apply_bump).  Each
 ladder level builds one quadrature rule, shared by all of that level's
 bumps.
+
+The desk scale fixes one y-variable, M = M_DIM = 1, and the Gaussian
+rate kappa = KAPPA = 1; both are module constants, not SabSpec fields.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ParameterError, StructuralError
+from .errors import DomainError, ParameterError
 from .quadrature import legendre_panel
 
 __all__ = [
@@ -46,6 +49,12 @@ LADDER_OCTAVES = 4
 #: Gauss-Legendre nodes per dyadic panel of the norm ladder
 LADDER_GAUSS = 16
 
+#: dimension M of the y-variable
+M_DIM = 1
+
+#: Gaussian rate kappa of the operator family
+KAPPA = 1.0
+
 
 @dataclass(frozen=True)
 class SabSpec:
@@ -56,27 +65,20 @@ class SabSpec:
     theta: float = 0.0
     m: float = 0.0
     p: float = 2.0
-    m_dim: int = 1
-    kappa: float = 1.0
 
     def __post_init__(self):
         if self.p < 1.0:
             raise ParameterError("p must lie in [1, infinity)")
         if self.theta < 0.0:
             raise ParameterError("smoothing order theta must be >= 0")
-        if self.kappa <= 0.0:
-            raise ParameterError("kappa must be positive")
-        if self.m_dim != 1:
-            raise StructuralError("desk scale supports y-dimension M = 1 only")
 
 
 def sab_criterion(spec: SabSpec) -> bool:
     """Closed-form boundedness predicate L^p_m -> L^p_{m - p theta}."""
-    big_m = spec.m_dim
-    mid = (big_m + spec.m) / spec.p
+    mid = (M_DIM + spec.m) / spec.p
     if spec.p > 1.0:
-        return spec.alpha + spec.theta < mid < big_m - spec.beta
-    return spec.alpha + spec.theta < big_m + spec.m <= big_m - spec.beta
+        return spec.alpha + spec.theta < mid < M_DIM - spec.beta
+    return spec.alpha + spec.theta < M_DIM + spec.m <= M_DIM - spec.beta
 
 
 def _in_weight(y, t, beta):
@@ -96,9 +98,9 @@ def sab_apply_bump(spec: SabSpec, t: float, bump: tuple, y_out) -> np.ndarray:
     y_out = np.asarray(y_out, dtype=float)
     yn, wn = legendre_panel(a, b, LADDER_GAUSS)
     inner = _in_weight(yn, t, spec.beta)
-    ker = np.exp(-((y_out[:, None] - yn[None, :]) ** 2) / (spec.kappa * t))
+    ker = np.exp(-((y_out[:, None] - yn[None, :]) ** 2) / (KAPPA * t))
     integral = ker @ (inner * wn)
-    return t ** (-0.5 * spec.m_dim) * _in_weight(y_out, t, spec.alpha) * integral
+    return t ** (-0.5 * M_DIM) * _in_weight(y_out, t, spec.alpha) * integral
 
 
 def _bump_norm(bump: tuple, m: float, p: float) -> float:

@@ -191,10 +191,6 @@ class Field:
         x, y = np.meshgrid(grid.x_centers, grid.y_centers, indexing="ij")
         return cls(grid, fn(x, y))
 
-    @classmethod
-    def constant(cls, grid: GridSpec, value: float = 1.0) -> "Field":
-        return cls(grid, np.full((grid.nx, grid.ny), value))
-
     def mass(self) -> float:
         return float(np.sum(self.grid.masses() * self.values))
 

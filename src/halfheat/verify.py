@@ -16,7 +16,7 @@ frozen constants on enlarged probe sets is what can break them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -91,10 +91,12 @@ def exact_quadrature_slice(model: ModelOperatorSpec, t: float, z2) -> KernelSlic
 
 @dataclass
 class FitReport:
-    """Fitted two-sided envelope constants with per-sample residual maps.
+    """Fitted two-sided envelope constants of one form and their verdict.
 
-    ratios_up = envelope_up / p  (>= 1 when the upper bound holds);
-    ratios_low = envelope_low / p (<= 1 when the lower bound holds).
+    `verdict` says that envelope_verdict finds both bounds holding on the
+    fitting samples, where the extremal amplitudes make them tight by
+    construction.  It is False, and envelope_verdict is not called, when
+    a constant is not finite and positive or k_low >= k_up.
     """
 
     form: str
@@ -105,20 +107,21 @@ class FitReport:
     c_low: float
     k_low: float
     k_fit: float
-    n_samples: int
-    ratios_up: np.ndarray
-    ratios_low: np.ndarray
     verdict: bool
-    worst: dict = field(default_factory=dict)
 
     def params_up(self) -> EnvelopeParams:
-        return EnvelopeParams(self.c_up, self.k_up, form=self.form, side="upper")
+        return EnvelopeParams(self.c_up, self.k_up, form=self.form)
 
     def params_low(self) -> EnvelopeParams:
-        return EnvelopeParams(self.c_low, self.k_low, form=self.form, side="lower")
+        return EnvelopeParams(self.c_low, self.k_low, form=self.form)
 
 
-def _gather_samples(slices):
+def _gather_samples(slices, noise_floor_rel: float):
+    """(t, z1, z2, p) of all slices' samples above noise_floor_rel times the peak.
+
+    No such sample (all values zero, negative or NaN) raises
+    FitUnderdeterminedError.
+    """
     ts, z1s, z2s, ps = [], [], [], []
     for s in slices:
         m = len(s.values)
@@ -126,7 +129,11 @@ def _gather_samples(slices):
         z1s.append(s.points)
         z2s.append(np.broadcast_to(s.source, s.points.shape))
         ps.append(s.values)
-    return (np.concatenate(ts), np.vstack(z1s), np.vstack(z2s), np.concatenate(ps))
+    p = np.concatenate(ps)
+    keep = p > noise_floor_rel * p.max(initial=0.0)
+    if not np.any(keep):
+        raise FitUnderdeterminedError("no kernel samples above the noise floor")
+    return np.concatenate(ts)[keep], np.vstack(z1s)[keep], np.vstack(z2s)[keep], p[keep]
 
 
 def fit_envelope_constants(slices, form: str, c: float, n: int,
@@ -139,12 +146,7 @@ def fit_envelope_constants(slices, form: str, c: float, n: int,
     fitted one by RATE_MARGIN.  Amplitudes are then the extremal
     sample ratios, making the verdict tight on the given probe set.
     """
-    t, z1, z2, p = _gather_samples(slices)
-    peak = float(p.max(initial=0.0))
-    if peak <= 0.0:
-        raise FitUnderdeterminedError("no positive kernel samples")
-    keep = p > noise_floor_rel * peak
-    t, z1, z2, p = t[keep], z1[keep], z2[keep], p[keep]
+    t, z1, z2, p = _gather_samples(slices, noise_floor_rel)
 
     dist2 = np.sum((z1 - z2) ** 2, axis=-1)
     rho = dist2 / t
@@ -165,33 +167,14 @@ def fit_envelope_constants(slices, form: str, c: float, n: int,
 
     k_up = k_fit * (1.0 + RATE_MARGIN)
     k_low = k_fit / (1.0 + RATE_MARGIN)
-    env_up = base * np.exp(-rho / k_up)
-    env_low = base * np.exp(-rho / k_low)
-    c_up = float(np.max(p / env_up))
-    c_low = float(np.min(p / env_low))
-
-    ratios_up = c_up * env_up / p
-    ratios_low = c_low * env_low / p
-    ok = (
-        np.isfinite(c_up) and np.isfinite(c_low)
-        and c_up > 0.0 and c_low > 0.0 and k_low < k_up
-        and bool(np.all(ratios_up >= 1.0 - 1e-9))
-        and bool(np.all(ratios_low <= 1.0 + 1e-9))
-    )
-    iw_up = int(np.argmin(ratios_up))
-    iw_low = int(np.argmax(ratios_low))
-    return FitReport(
-        form=form, c=c, n=n,
-        c_up=c_up, k_up=k_up, c_low=c_low, k_low=k_low, k_fit=k_fit,
-        n_samples=len(p), ratios_up=ratios_up, ratios_low=ratios_low,
-        verdict=ok,
-        worst={
-            "upper": {"ratio": float(ratios_up[iw_up]), "t": float(t[iw_up]),
-                      "z1": z1[iw_up].tolist(), "z2": z2[iw_up].tolist()},
-            "lower": {"ratio": float(ratios_low[iw_low]), "t": float(t[iw_low]),
-                      "z1": z1[iw_low].tolist(), "z2": z2[iw_low].tolist()},
-        },
-    )
+    c_up = float(np.max(p / (base * np.exp(-rho / k_up))))
+    c_low = float(np.min(p / (base * np.exp(-rho / k_low))))
+    rep = FitReport(form=form, c=c, n=n, c_up=c_up, k_up=k_up, c_low=c_low, k_low=k_low,
+                    k_fit=k_fit, verdict=False)
+    if 0.0 < c_up < np.inf and 0.0 < c_low < np.inf and k_low < k_up:
+        v = envelope_verdict(slices, rep.params_up(), rep.params_low(), c, n, noise_floor_rel)
+        rep.verdict = v["upper_holds"] and v["lower_holds"]
+    return rep
 
 
 def envelope_verdict(slices, params_up: EnvelopeParams, params_low: EnvelopeParams,
@@ -200,12 +183,12 @@ def envelope_verdict(slices, params_up: EnvelopeParams, params_low: EnvelopePara
     """Re-evaluate frozen envelope constants on a (possibly new) probe set.
 
     Adding samples can only break a fitted bound, never create one; this
-    is the monotone direction the harness checks.
+    is the monotone direction the harness checks.  A bound holds when
+    every sample's envelope-to-kernel ratio is on its side of 1 to
+    within 1e-9.  No sample above the noise floor raises
+    FitUnderdeterminedError.
     """
-    t, z1, z2, p = _gather_samples(slices)
-    peak = float(p.max(initial=0.0))
-    keep = p > noise_floor_rel * peak
-    t, z1, z2, p = t[keep], z1[keep], z2[keep], p[keep]
+    t, z1, z2, p = _gather_samples(slices, noise_floor_rel)
     up = envelope_eval(params_up, t, z1, z2, c, n)
     low = envelope_eval(params_low, t, z1, z2, c, n)
     worst_up = float(np.min(up / p))
@@ -392,8 +375,6 @@ class GTrace:
     """Samples of G(t) = integral log(theta p + 1 - theta) d(nu)."""
 
     theta: float
-    z2: np.ndarray
-    alpha: float
     ts: np.ndarray
     values: np.ndarray
 
@@ -426,9 +407,7 @@ def compute_G_from_slices(slices, theta: float, alpha: float) -> GTrace:
         envn = np.exp(-alpha * np.sum(s.points ** 2, axis=-1))
         ts.append(s.t)
         vals.append(float(np.dot(s.weights, envn * np.log(u))))
-    first = sorted(slices, key=lambda s: s.t)[0]
-    return GTrace(theta=theta, z2=first.source, alpha=alpha,
-                  ts=np.array(ts), values=np.array(vals))
+    return GTrace(theta=theta, ts=np.array(ts), values=np.array(vals))
 
 
 def compute_G(model: ModelOperatorSpec, z2, theta: float, alpha: float, t_grid) -> GTrace:

@@ -379,7 +379,7 @@ def test_criterion_10_reduction_round_trip(acceptance_log):
         drift=np.array([0.25, 0.5]),
     )
     red = reduce_to_model(spec)
-    assert red.shear is not None and spec.c != 0.0
+    assert red.shear.any() and spec.c != 0.0
     m_weight = spec.c / spec.gamma
     grid = GridSpec(rx=6.0, ry=6.0, nx=96, ny=96, c=m_weight)
     op = assemble_divergence_form(spec, grid)

@@ -300,6 +300,12 @@ class TestVerifyCommand:
         failed = [c["name"] for c in bundle["checks"] if not c["passed"]]
         assert "envelope_exact" in failed
 
+    @pytest.mark.parametrize("rate", ["nan", "inf"])
+    def test_non_finite_break_rate_rejected(self, capsys, rate):
+        assert main(["verify", "--probe-set", "smoke", "--break-rate", rate]) \
+            == EXIT_CONFIG_ERROR
+        assert "finite" in json.loads(capsys.readouterr().out)["detail"]
+
     def test_unknown_probe_set_rejected(self):
         with pytest.raises(SystemExit):
             main(["verify", "--probe-set", "bogus"])

@@ -129,8 +129,9 @@ class TestEnvelope:
             EnvelopeParams(-1.0, 4.0)
         with pytest.raises(ParameterError):
             EnvelopeParams(1.0, 4.0, form="bogus")
-        with pytest.raises(ParameterError):
-            EnvelopeParams(1.0, 4.0, side="middle")
+        for amplitude, rate in ((1.0, np.nan), (np.nan, 4.0), (1.0, np.inf), (np.inf, 4.0)):
+            with pytest.raises(ParameterError, match="finite"):
+                EnvelopeParams(amplitude, rate)
 
 
 class TestEquivalenceWindow:
@@ -142,18 +143,18 @@ class TestEquivalenceWindow:
         assert ratio == pytest.approx(np.ones_like(y))
 
     def test_c0_trivial(self):
-        lo, hi, shift = envelope_equivalence_window(0.0, 1, 0.1)
+        lo, hi, shift = envelope_equivalence_window(0.0, 0.1)
         assert hi <= 1.0 + 1e-12
         assert shift == 0.1
 
     def test_c2_bounded(self):
-        lo, hi, _ = envelope_equivalence_window(2.0, 1, 0.1)
+        lo, hi, _ = envelope_equivalence_window(2.0, 0.1)
         assert np.isfinite(hi) and hi > 1.0
         assert 0.0 < lo <= 1.0
 
     def test_needs_positive_eps(self):
         with pytest.raises(ParameterError):
-            envelope_equivalence_window(1.0, 1, 0.0)
+            envelope_equivalence_window(1.0, 0.0)
 
 
 class TestDoubling:

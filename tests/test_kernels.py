@@ -1,7 +1,5 @@
 """Closed-form kernel identities, conservation, and slice round-trips."""
 
-import io
-
 import numpy as np
 import pytest
 
@@ -194,14 +192,13 @@ class TestKernelSlice:
         return exact_slice(m, 0.5, np.array([0.0, 1.0]), pts)
 
     @staticmethod
-    def _written(slc):
-        buf = io.StringIO()
-        slc.to_csv(buf)
-        return buf.getvalue()
+    def _written(slc, path):
+        write_csv([slc], [path])
+        return path.read_bytes().decode()
 
-    def test_csv_round_trip(self):
+    def test_csv_round_trip(self, tmp_path):
         slc = self._slice()
-        lines = self._written(slc).splitlines()
+        lines = self._written(slc, tmp_path / "slice.csv").splitlines()
         assert lines[0] == "t,x1,y1,x2,y2,p,convention"
         assert all(line.endswith(",y^c dz") for line in lines[1:])
         table = np.loadtxt(lines[1:], delimiter=",", usecols=range(6), ndmin=2)
@@ -212,8 +209,7 @@ class TestKernelSlice:
     def test_csv_path_round_trip(self, tmp_path):
         slc = self._slice()
         path = tmp_path / "slice.csv"
-        slc.to_csv(path)
-        assert path.read_text() == self._written(slc)
+        assert self._written(slc, path) == self._per_row(slc)
         table = np.loadtxt(path, delimiter=",", skiprows=1, usecols=range(6), ndmin=2)
         assert table[:, 3:5].tolist() == [slc.source.tolist()] * len(slc.values)
         assert table[:, 5].tolist() == slc.values.tolist()
@@ -237,24 +233,21 @@ class TestKernelSlice:
                             values=vals, c=1.0)
         second = KernelSlice(t=1.7976931348623157e308, source=np.array([-1e-300, 2.0]),
                              points=pts, values=vals[::-1].copy(), c=1.0)
-        bufs = [io.StringIO(), io.StringIO()]
         paths = [tmp_path / "first.csv", tmp_path / "second.csv"]
-        write_csv([first, second], bufs)
         write_csv([first, second], paths)
-        for slc, buf, path in zip((first, second), bufs, paths):
+        for k, (slc, path) in enumerate(zip((first, second), paths)):
             want = self._per_row(slc)
-            assert buf.getvalue() == want
             assert path.read_bytes() == want.encode()
-            assert self._written(slc) == want  # the one-slice call
+            assert self._written(slc, tmp_path / f"one{k}.csv") == want  # the one-slice call
 
-    def test_write_csv_rejects_n2_and_length_mismatch(self):
+    def test_write_csv_rejects_n2_and_length_mismatch(self, tmp_path):
         slc = self._slice()
         n2 = KernelSlice(t=0.5, source=np.array([0.0, 0.0, 1.0]), points=np.ones((2, 3)),
                          values=np.ones(2), c=1.0)
         with pytest.raises(DomainError):
-            write_csv([n2], [io.StringIO()])
+            write_csv([n2], [tmp_path / "n2.csv"])
         with pytest.raises(ValueError):
-            write_csv([slc, slc], [io.StringIO()])
+            write_csv([slc, slc], [tmp_path / "one.csv"])
 
     def test_invariants(self):
         with pytest.raises(DomainError):

@@ -95,7 +95,7 @@ class TestReduction:
         assert red.model.c == pytest.approx(c0)
         assert red.time_scale == pytest.approx(1.0)
         assert red.x_change == pytest.approx(np.eye(1))
-        assert red.shear is None
+        assert red.shear.shape == (1,) and not red.shear.any()
 
     def test_worked_example(self):
         # Q~=1, gamma=1, q~=0.5, c=1 -> a=0.5, c=1
@@ -116,11 +116,12 @@ class TestReduction:
             d = rng.uniform(-0.5, 0.5, n) if c != 0.0 else np.zeros(n)
             s = spec(a, [*d, c], n=n)
             red = reduce_to_model(s)
-            mqm = red.x_change @ red.tilde_a[:n, :n] @ red.x_change.T
+            tilde, _ = shear_transform(s)
+            mqm = red.x_change @ tilde[:n, :n] @ red.x_change.T
             assert mqm == pytest.approx(red.time_scale * np.eye(n), rel=1e-12, abs=1e-12)
             # |a|^2 = q~^T Q~^{-1} q~ / gamma
-            qt = red.tilde_a[:n, n]
-            expected = qt @ np.linalg.solve(red.tilde_a[:n, :n], qt) / red.time_scale
+            qt = tilde[:n, n]
+            expected = qt @ np.linalg.solve(tilde[:n, :n], qt) / red.time_scale
             assert red.model.a_norm ** 2 == pytest.approx(expected, rel=1e-12, abs=1e-12)
             assert red.model.a_norm < 1.0
 
@@ -146,6 +147,14 @@ class TestPointMapping:
         z = np.column_stack([rng.uniform(-5, 5, 50), rng.uniform(0.01, 10, 50)])
         back = inverse_map_point(red, map_point(red, z))
         assert back == pytest.approx(z, rel=1e-12, abs=1e-12)
+
+    def test_round_trip_without_drift(self):
+        # d = 0: the shear is a zero array, and the map is the x-change alone
+        red = reduce_to_model(spec([[2.0, 0.5], [0.5, 1.0]], [0.0, 0.5]))
+        assert red.shear.shape == (1,) and not red.shear.any()
+        z = np.array([[1.3, 0.7], [-2.0, 4.5]])
+        assert map_point(red, z)[:, :1] == pytest.approx(z[:, :1] @ red.x_change.T)
+        assert inverse_map_point(red, map_point(red, z)) == pytest.approx(z, rel=1e-12)
 
     def test_y_preserved(self):
         red = self._red()
@@ -200,7 +209,7 @@ class TestKernelMapping:
         # invariant when both points slide along the sheared direction
         # (q = (gamma/c) d makes the reduced model commutative, a = 0)
         red = reduce_to_model(spec([[2.0, 0.5], [0.5, 1.0]], [1.0, 2.0]))
-        assert red.shear is not None
+        assert red.shear.any()
         assert red.model.a_norm == pytest.approx(0.0, abs=1e-14)
         z1, z2 = np.array([0.2, 0.9]), np.array([0.5, 0.9])
         shift = np.array([1.7, 0.0])

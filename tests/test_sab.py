@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from halfheat.errors import ParameterError, StructuralError
+from halfheat.errors import ParameterError
 from halfheat.sab import (
     SabSpec,
     sab_apply_bump,
@@ -48,8 +48,6 @@ def test_spec_validation():
         SabSpec(alpha=0.0, beta=0.0, p=0.5)
     with pytest.raises(ParameterError):
         SabSpec(alpha=0.0, beta=0.0, theta=-0.1)
-    with pytest.raises(StructuralError):
-        SabSpec(alpha=0.0, beta=0.0, m_dim=2)
 
 
 @pytest.mark.parametrize("spec,expected", CASE_MATRIX[:2] + CASE_MATRIX[7:10])

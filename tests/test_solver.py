@@ -179,7 +179,7 @@ class TestAssembly:
 class TestEvolve:
     def test_constant_is_stationary(self):
         _, grid, op = make(0.5, 1.0, n=24, r=3.0)
-        (out,) = evolve(op, Field.constant(grid, 1.0), [2.0])
+        (out,) = evolve(op, Field(grid, np.full((grid.nx, grid.ny), 1.0)), [2.0])
         assert out.values == pytest.approx(np.ones_like(out.values), abs=1e-12)
 
     def test_mass_conserved(self):
@@ -234,7 +234,7 @@ class TestEvolve:
 
     def test_nan_data_fails_the_step_check(self):
         _, grid, op = make(0.5, 1.0, n=16, r=2.0)
-        f = Field.constant(grid)
+        f = Field(grid, np.full((grid.nx, grid.ny), 1.0))
         f.values[3, 4] = np.nan
         with pytest.raises(SolveFailure):
             evolve(op, f, [0.1])
@@ -621,7 +621,7 @@ class TestDivergenceForm:
 class TestGradient:
     def test_constant_zero(self):
         _, grid, _ = make(n=16, r=2.0)
-        gx, gy = discrete_gradient(Field.constant(grid, 3.0))
+        gx, gy = discrete_gradient(Field(grid, np.full((grid.nx, grid.ny), 3.0)))
         assert np.max(np.abs(gx.values)) == 0.0
         assert np.max(np.abs(gy.values)) == 0.0
 

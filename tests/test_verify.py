@@ -133,8 +133,9 @@ class TestEnvelopeFit:
             assert rep.k_low < rep.k_fit < rep.k_up
             # true Gaussian rate is 4 in this normalization
             assert rep.k_low < 4.0 < rep.k_up
-            assert np.all(rep.ratios_up >= 1.0 - 1e-9)
-            assert np.all(rep.ratios_low <= 1.0 + 1e-9)
+            v = envelope_verdict(probe_slices(model(c)), rep.params_up(), rep.params_low(), c, 1)
+            assert v["worst_upper_ratio"] >= 1.0 - 1e-9
+            assert v["worst_lower_ratio"] <= 1.0 + 1e-9
             assert rep.c_low <= rep.c_up
 
     def test_forms_change_amplitude_not_verdict(self):
@@ -152,6 +153,13 @@ class TestEnvelopeFit:
         slc = exact_slice(m, 1.0, np.array([0.0, 1.0]), pts)
         with pytest.raises(FitUnderdeterminedError):
             fit_envelope_constants([slc], "product", 1.0, 1)
+
+    def test_verdict_without_samples_is_underdetermined(self):
+        slc = probe_slices(model(1.0))[0]
+        slc.values = np.zeros_like(slc.values)
+        params = EnvelopeParams(1.0, 4.0)
+        with pytest.raises(FitUnderdeterminedError):
+            envelope_verdict([slc], params, params, 1.0, 1)
 
     def test_monotone_under_enlargement(self):
         # constants fitted on a small probe set can only break, never
@@ -172,7 +180,7 @@ class TestEnvelopeFit:
         c = 0.0
         sls = probe_slices(model(c))
         rep = fit_envelope_constants(sls, "product", c, 1)
-        broken = EnvelopeParams(rep.c_up, rep.k_up / 2.0, form="product", side="upper")
+        broken = EnvelopeParams(rep.c_up, rep.k_up / 2.0, form="product")
         v = envelope_verdict(sls, broken, rep.params_low(), c, 1)
         assert not v["upper_holds"]
 
@@ -277,8 +285,7 @@ class TestGTrace:
 
     def test_theta_range_enforced(self):
         with pytest.raises(Exception):
-            GTrace(theta=0.2, z2=np.array([0.0, 1.0]), alpha=1.0,
-                   ts=np.array([1.0]), values=np.array([0.0]))
+            GTrace(theta=0.2, ts=np.array([1.0]), values=np.array([0.0]))
 
 
 class TestPoincare:
@@ -316,12 +323,12 @@ class TestPoincare:
     def test_constant_excluded(self):
         c = 1.0
         grid = self._grid(c)
-        fields = [Field.constant(grid, 2.0),
+        fields = [Field(grid, np.full((grid.nx, grid.ny), 2.0)),
                   Field.from_function(grid, lambda x, y: x)]
         res = poincare_ratio(fields, 1.0, c)
         assert res["skipped_constant"] == 1
         with pytest.raises(DomainError):
-            poincare_ratio([Field.constant(grid, 1.0)], 1.0, c)
+            poincare_ratio([Field(grid, np.full((grid.nx, grid.ny), 1.0))], 1.0, c)
 
 
 class TestFloors:
