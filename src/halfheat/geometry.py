@@ -70,7 +70,7 @@ def ball_volume(y0, r, c: float, n: int):
         raise ParameterError(f"measure diverges unless c+1 > 0, got c={c}")
     y0 = np.asarray(y0, dtype=float)
     r = np.asarray(r, dtype=float)
-    if np.any(y0 < 0.0) or np.any(r <= 0.0):
+    if not (np.all(y0 >= 0.0) and np.all(r > 0.0)):  # NaN fails both
         raise DomainError("ball_volume requires y0 >= 0 and r > 0")
     vol = unit_ball_volume(n) * r ** n * ((y0 + r) ** (c + 1.0) - y0 ** (c + 1.0)) / (c + 1.0)
     return vol if np.ndim(vol) else float(vol)
@@ -96,11 +96,11 @@ def envelope_eval(params: EnvelopeParams, t, z1, z2, c: float, n: int):
       volume      -- t^{(N+1)/2} / sqrt(V(z1, sqrt t) V(z2, sqrt t))
     """
     t = np.asarray(t, dtype=float)
-    if np.any(t <= 0.0):
+    if not np.all(t > 0.0):  # NaN fails too
         raise DomainError("envelope time must be positive")
     x1, y1 = _split(z1, n)
     x2, y2 = _split(z2, n)
-    if np.any(y1 <= 0.0) or np.any(y2 <= 0.0):
+    if not (np.all(y1 > 0.0) and np.all(y2 > 0.0)):  # NaN fails both
         raise DomainError("envelope points must satisfy y > 0")
     dist2 = np.sum((x1 - x2) ** 2, axis=-1) + (y1 - y2) ** 2
     gauss = np.exp(-dist2 / (params.rate * t))
@@ -141,8 +141,8 @@ def envelope_equivalence_window(c: float, eps: float):
     (min_ratio, max_ratio, rate_shift) where rate_shift is the additive
     change of 1/k absorbed by the exp(eps |y1-y2|^2) factor.
     """
-    if eps <= 0.0:
-        raise ParameterError("eps must be positive")
+    if not 0.0 < eps < np.inf:  # NaN fails both
+        raise ParameterError(f"eps must be positive and finite, got {eps}")
     y = np.geomspace(1e-3, 50.0, 400)
     f = y ** (-0.5 * c) * np.minimum(1.0, y) ** (0.5 * c)
     ratio = f[:, None] / (f[None, :] * np.exp(eps * (y[:, None] - y[None, :]) ** 2))

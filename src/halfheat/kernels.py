@@ -224,10 +224,9 @@ def write_csv(slices, paths) -> None:
                                   zip(xy_text.split("\n"), p_text.split("\n"))]))
 
 
-def exact_slice(model, t: float, z2, points, weights=None) -> KernelSlice:
-    """Evaluate the a = 0 closed form on given sample points as a slice."""
+def exact_slice(model, t: float, z2, points) -> KernelSlice:
+    """Evaluate the a = 0 closed form on given sample points as a probe-only slice."""
     z2 = np.asarray(z2, dtype=float)
     points = np.atleast_2d(np.asarray(points, dtype=float))
     vals = product_kernel(model, t, points, z2[None, :])
-    return KernelSlice(t=t, source=z2, points=points, values=np.atleast_1d(vals),
-                       c=model.c, weights=weights)
+    return KernelSlice(t=t, source=z2, points=points, values=np.atleast_1d(vals), c=model.c)

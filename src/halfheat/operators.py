@@ -247,13 +247,18 @@ def reduce_to_model(spec: GeneralOperatorSpec) -> ReductionResult:
     return ReductionResult(model=model, shear=shear, x_change=m, time_scale=gamma)
 
 
+def _check_half_space(*ys) -> None:
+    """Raise DomainError unless every y given is > 0 (NaN fails)."""
+    if not all(np.all(y > 0.0) for y in ys):
+        raise DomainError("points must lie in the open half-space y > 0")
+
+
 def map_point(red: ReductionResult, z) -> np.ndarray:
     """General-operator coordinates -> model coordinates (y unchanged)."""
     z = np.asarray(z, dtype=float)
     n = red.model.n
     x, y = z[..., :n], z[..., n]
-    if np.any(y <= 0.0):
-        raise DomainError("points must lie in the open half-space y > 0")
+    _check_half_space(y)
     x = x - np.multiply.outer(y, red.shear)
     xp = x @ red.x_change.T
     return np.concatenate([xp, y[..., None]], axis=-1)
@@ -264,8 +269,7 @@ def inverse_map_point(red: ReductionResult, z) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     n = red.model.n
     xp, y = z[..., :n], z[..., n]
-    if np.any(y <= 0.0):
-        raise DomainError("points must lie in the open half-space y > 0")
+    _check_half_space(y)
     x = xp @ np.linalg.inv(red.x_change).T
     x = x + np.multiply.outer(y, red.shear)
     return np.concatenate([x, y[..., None]], axis=-1)
@@ -280,12 +284,9 @@ def map_kernel_value(red: ReductionResult, t: float, z1, z2, p_model_value):
     since c_model = c/gamma) picks up the x-volume Jacobian |det M|;
     the shear and y are measure-preserving.
     """
-    if t <= 0.0:
-        raise DomainError("kernel time must be positive")
-    z1 = np.asarray(z1, dtype=float)
-    z2 = np.asarray(z2, dtype=float)
-    if np.any(z1[..., -1] <= 0.0) or np.any(z2[..., -1] <= 0.0):
-        raise DomainError("points must lie in the open half-space y > 0")
+    if not 0.0 < t < np.inf:  # NaN fails both
+        raise DomainError("kernel time must be positive and finite")
+    _check_half_space(np.asarray(z1, dtype=float)[..., -1], np.asarray(z2, dtype=float)[..., -1])
     return red.det_x_change * np.asarray(p_model_value)
 
 

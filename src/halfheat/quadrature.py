@@ -34,8 +34,8 @@ def jacobi_panel(upper: float, c: float, n: int = 32):
     """
     if not c + 1.0 > 0.0:
         raise ParameterError(f"weight exponent must satisfy c+1 > 0, got c={c}")
-    if upper <= 0.0:
-        raise DomainError("panel upper bound must be positive")
+    if not 0.0 < upper < np.inf:  # NaN fails both
+        raise DomainError(f"panel upper bound must be positive and finite, got {upper}")
     x, w = _sp.roots_jacobi(n, 0.0, c)
     y = 0.5 * upper * (1.0 + x)
     wy = (0.5 * upper) ** (c + 1.0) * w

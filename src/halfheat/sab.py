@@ -67,10 +67,10 @@ class SabSpec:
     p: float = 2.0
 
     def __post_init__(self):
-        if self.p < 1.0:
-            raise ParameterError("p must lie in [1, infinity)")
-        if self.theta < 0.0:
-            raise ParameterError("smoothing order theta must be >= 0")
+        if not 1.0 <= self.p < np.inf:  # NaN fails both
+            raise ParameterError(f"p must lie in [1, infinity), got {self.p}")
+        if not 0.0 <= self.theta < np.inf:
+            raise ParameterError(f"smoothing order theta must be finite and >= 0, got {self.theta}")
 
 
 def sab_criterion(spec: SabSpec) -> bool:

@@ -35,7 +35,6 @@ relative to the column maximum.
 
 from __future__ import annotations
 
-import itertools
 import numbers
 import time
 from dataclasses import dataclass, replace
@@ -274,8 +273,6 @@ def assemble(model: ModelOperatorSpec, grid: GridSpec) -> DiscreteOperator:
     """Discrete generator for the model operator on the given grid."""
     if model.n != 1:
         raise StructuralError("the desk-scale solver supports N = 1 only")
-    if not model.a_norm < 1.0:
-        raise ParameterError("assembly refused: |a| >= 1 loses coercivity")
     if grid.c != model.c:
         raise StructuralError(
             f"grid weight c={grid.c} does not match operator c={model.c}"
@@ -431,7 +428,7 @@ def _to_space(sums, live, ny: int) -> np.ndarray:
 
 
 def _evolve_block(op: DiscreteOperator, u: np.ndarray, times):
-    """exp(-t W^{-1} S) of the k columns of u, shape (n, k), at each of `times`.
+    """exp(-t W^{-1} S) of the k columns of u, shape (n, k), at each of the increasing `times`.
 
     The one evolution path: the trapezoid rule on a hyperbolic Bromwich
     contour, u(t) = (1/2 pi i) int e^{zt} (zW + S)^{-1} W u0 dz (Weideman &
@@ -460,8 +457,6 @@ def _evolve_block(op: DiscreteOperator, u: np.ndarray, times):
     diagonals, the live-mode test and factorizations) and `solve_s`
     (solves, residuals and sums).
     """
-    if min(np.diff(times, prepend=0.0)) <= 0.0:
-        raise StructuralError("checkpoints must be strictly increasing")
     grid, k = op.grid, u.shape[1]
     nx, ny = grid.nx, grid.ny
     coarse, fine = CONTOUR_NODES, 3 * CONTOUR_NODES // 2
@@ -510,52 +505,66 @@ def _evolve_block(op: DiscreteOperator, u: np.ndarray, times):
     return states, stats
 
 
+def _request(ts, sources):
+    """The checked times (floats) and sources (shape (k, 2)) of a kernel request.
+
+    No time, a time that is not positive and finite, or no source raises
+    DomainError.  `sources` is one point (x, y) or a sequence of them,
+    checked one by one, so a ragged list raises StructuralError naming the
+    source that is not one point, like any other such source.
+    """
+    ts = [float(t) for t in np.atleast_1d(ts)]
+    if not ts or not all(0.0 < t < np.inf for t in ts):  # NaN fails both
+        raise DomainError("kernel times must be given, positive and finite")
+    sources = list(sources) if np.iterable(sources) else [sources]
+    if not sources:
+        raise DomainError("no kernel sources given")
+    if all(np.ndim(v) == 0 for v in sources):  # one point
+        sources = [sources]
+    for z in sources:
+        if np.shape(z) != (2,):
+            raise StructuralError(f"kernel source {np.asarray(z).tolist()} is not one point (x, y)")
+    return ts, np.array(sources, dtype=float)
+
+
 def kernel_columns(op: DiscreteOperator, ts, z2) -> list[KernelSlice]:
     """Kernel slices p(t, ., z2) for several times and sources from one evolution.
 
-    `z2` is one source point, shape (2,), or k of them, shape (k, 2); no
-    source raises DomainError and any other shape StructuralError.  The
-    initial state holds the discrete delta 1/w at each source cell as one
-    column of an (n, k) block, so the computed columns are already in the
-    y^c dz convention.  x is periodic: the block is taken to x-modes once
-    and evaluated on a Bromwich contour per window of checkpoints (one
-    tridiagonal factorization of the live x-modes per node, shared by all
-    sources, one multi-right-hand-side solve, the residual checked in mode
-    space); the modes left out move no value by more than machine epsilon
-    times the column maximum, and the adjoint is exact to round-off
-    relative to the column maximum.
-    Returns the k * len(ts) slices source-major (all times of the first
-    source, then the next), each with the evolution's stats in `meta`
-    (SOLVE_STATS, with the phase wall times and the live modes) and its own column's
+    `z2` is one source point (x, y) or a sequence of k of them (_request
+    checks them and the times).  The initial state holds the discrete
+    delta 1/w at each source cell as one column of an (n, k) block, so the
+    computed columns are already in the y^c dz convention.  x is periodic:
+    the block is taken to x-modes once and each distinct time is evaluated
+    once, on a Bromwich contour per window of checkpoints (one tridiagonal
+    factorization of the live x-modes per node, shared by all sources, one
+    multi-right-hand-side solve, the residual checked in mode space); the
+    modes left out move no value by more than machine epsilon times the
+    column maximum, and the adjoint is exact to round-off relative to the
+    column maximum.  Returns the k * len(ts) slices source-major, each
+    source's times in the caller's order (a repeated time repeats its
+    column), each with the evolution's stats in `meta` (SOLVE_STATS, with
+    the phase wall times and the live modes) and its own column's
     `contour_err` and worst solve residual.  A contour error above
     CONTOUR_TOL raises SolveFailure.
     """
     grid = op.grid
-    ts = sorted(float(t) for t in np.atleast_1d(ts))
-    if not ts or not all(0.0 < t < np.inf for t in ts):  # NaN fails both
-        raise DomainError("kernel times must be given, positive and finite")
-    sources = np.asarray(z2, dtype=float)
-    if sources.size == 0:
-        raise DomainError("no kernel sources given")
-    if sources.ndim not in (1, 2) or sources.shape[-1] != 2:
-        raise StructuralError(f"sources must have shape (2,) or (k, 2), got {sources.shape}")
-    cells = [grid.locate(z) for z in np.atleast_2d(sources)]
+    ts, sources = _request(ts, z2)
+    times = np.unique(ts)
+    cells = [grid.locate(z) for z in sources]
     w = op.w
     flat = [i * grid.ny + j for i, j in cells]
     init = np.zeros((w.size, len(flat)), order="F")
     init[flat, range(len(flat))] = 1.0 / w[flat]
-    states, stats = _evolve_block(op, init, ts)
+    states, stats = _evolve_block(op, init, times.tolist())
+    states = [states[n] for n in np.searchsorted(times, ts)]
     points = grid.points()
     slices = []
     for col, (i, j) in enumerate(cells):
         source = np.array([grid.x_centers[i], grid.y_centers[j]])
         meta = {"grid": grid, **stats,
                 **{key: float(stats[key][col]) for key in ("contour_err", "max_solve_residual")}}
-        for t, u in zip(ts, states):
-            slices.append(
-                KernelSlice(t=t, source=source, points=points, values=u[:, col],
-                            c=grid.c, weights=w, meta=dict(meta))
-            )
+        slices += [KernelSlice(t=t, source=source, points=points, values=u[:, col], c=grid.c,
+                               weights=w, meta=dict(meta)) for t, u in zip(ts, states)]
     return slices
 
 
@@ -563,34 +572,29 @@ def kernel_slices(spec: GeneralOperatorSpec, ts, sources, rx: float, ry: float,
                   nx: int, ny: int, numeric: bool = False) -> list[KernelSlice]:
     """Kernel slices p(t, ., z2) of a general operator, t-major over ts x sources.
 
-    One reduction and one model grid on [-rx, rx] x (0, ry] serve every
-    slice, which samples the model cell centres mapped back once.  The
-    closed form is used when |a| <= A_ZERO_TOL unless `numeric`, evaluated
-    on the tensor grid of cell centres by tensor_kernel (bit-identical to
-    product_kernel at the cell centres); otherwise one assembly and one
-    kernel_columns call, which evolves all sources together through all
-    model times time_scale * t.  All slices share one `points` array, so
-    write_csv formats it once per run.  Values are mapped
-    back by map_kernel_value, which is exact for the identity reduction.
-    A slice's `source` is the point its column came from (for the solver,
-    the snapped cell, mapped back); meta holds the method, the requested
-    source, the snap offset in model cells, the reduction (`time_scale`
-    and the model's `a` and `c`) and, for solver columns, the mass defect
-    and the SOLVE_STATS of the evolution.  A source
-    whose model image lies outside the model grid raises DomainError on
-    either route, and so does an empty `ts` or `sources`; a source that
-    is not one point (x, y) raises StructuralError.
+    The times keep the caller's order (a repeated time repeats its
+    slices); _request checks them and the sources.  One reduction and one
+    model grid on [-rx, rx] x (0, ry] serve every slice, which samples the
+    model cell centres mapped back once.  The closed form is used when
+    |a| <= A_ZERO_TOL unless `numeric`, evaluated on the tensor grid of
+    cell centres by tensor_kernel (bit-identical to product_kernel at the
+    cell centres); otherwise one assembly and one kernel_columns call,
+    which evolves all sources together through all model times
+    time_scale * t.  All slices share one `points` array, so write_csv
+    formats it once per run.  Values are mapped back by map_kernel_value,
+    which is exact for the identity reduction.  A slice's `source` is the
+    point its column came from (for the solver, the snapped cell, mapped
+    back); meta holds the method, the requested source, the snap offset in
+    model cells, the reduction (`time_scale` and the model's `a` and `c`)
+    and, for solver columns, the mass defect and the SOLVE_STATS of the
+    evolution.  A source whose model image lies outside the model grid
+    raises DomainError on either route.
     """
-    if len(ts) == 0:
-        raise DomainError("no kernel times given")
-    if len(sources) == 0:
-        raise DomainError("no kernel sources given")
+    ts, sources = _request(ts, sources)
     red = reduce_to_model(spec)
     model = red.model
     if model.n != 1:
         raise StructuralError("kernel slices are defined for N = 1")
-    if any(np.shape(z2) != (2,) for z2 in sources):
-        raise StructuralError("each kernel source must be one point (x, y)")
     grid = GridSpec(rx=rx, ry=ry, nx=nx, ny=ny, c=model.c)
     cells = grid.points()
     points = inverse_map_point(red, cells)
@@ -600,17 +604,16 @@ def kernel_slices(spec: GeneralOperatorSpec, ts, sources, rx: float, ry: float,
     exact = model.a_norm <= A_ZERO_TOL and not numeric
     method = ("exact" if exact else "solver") + ("" if red.is_identity else "-reduced")
     reduction = {"time_scale": red.time_scale, "a": model.a.tolist(), "c": model.c}
-    model_ts = sorted({red.time_scale * float(t) for t in ts})
+    model_ts = [red.time_scale * t for t in ts]
     # source-major, like kernel_columns
     cols = ([KernelSlice(t=mt, source=z2m, points=cells, c=model.c,
                          values=tensor_kernel(model, mt, z2m, grid.x_centers, grid.y_centers))
              for z2m in mapped for mt in model_ts]
             if exact else kernel_columns(assemble(model, grid), model_ts, np.array(mapped)))
-    by_key = dict(zip(itertools.product(range(len(sources)), model_ts), cols))
     out = []
-    for t in ts:
+    for i, t in enumerate(ts):
         for k, (z2, z2m) in enumerate(zip(sources, mapped)):
-            col = by_key[k, red.time_scale * float(t)]
+            col = cols[k * len(ts) + i]
             used = inverse_map_point(red, col.source)
             snap = np.hypot(*((col.source - z2m) / (grid.hx, grid.hy)))
             meta = {"method": method, "source": [float(v) for v in z2],
@@ -619,7 +622,7 @@ def kernel_slices(spec: GeneralOperatorSpec, ts, sources, rx: float, ry: float,
             if col.weights is not None:
                 meta["mass_defect"] = abs(col.mass() - 1.0)
                 meta.update((key, col.meta[key]) for key in SOLVE_STATS)
-            out.append(KernelSlice(t=float(t), source=used, points=points, c=model.c,
+            out.append(KernelSlice(t=t, source=used, points=points, c=model.c,
                                    values=map_kernel_value(red, t, points, used, col.values),
                                    meta=meta))
     return out

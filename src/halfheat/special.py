@@ -27,7 +27,7 @@ def bessel_i_scaled(nu: float, x):
     if not nu > -1.0:
         raise ParameterError(f"Bessel order must exceed -1, got nu={nu}")
     x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0):
+    if not np.all(x >= 0.0):  # NaN fails too
         raise DomainError("bessel_i_scaled requires x >= 0")
     out = _sp.ive(nu, x)
     # ive(nu, 0) = 0^nu/(2^nu Gamma(nu+1)): 1 at nu=0, 0 for nu>0, inf guard for nu<0.
@@ -39,7 +39,7 @@ def bessel_i_scaled(nu: float, x):
 def log_gamma(x):
     """log Gamma(x) for x > 0."""
     x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
+    if not np.all(x > 0.0):  # NaN fails too
         raise DomainError("log_gamma requires x > 0")
     out = _sp.gammaln(x)
     return out if out.ndim else float(out)

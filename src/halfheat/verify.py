@@ -260,7 +260,7 @@ def check_identities_solver(op: DiscreteOperator, t: float, s: float,
                             z1_index: tuple, z2_index: tuple) -> dict:
     """Residuals of the four identities for the solver kernels of any operator.
 
-    Three evolutions share the times ts = {s, t, t + s}, so they run on
+    Three evolutions share the times ts = (t, s, t + s), so they run on
     the same contour windows: the forward block holds the columns at z2
     and at z2 shifted by x0_cells cells, the adjoint evolution the column
     at z1, and the scaled one the column at scale z2 on the scaled grid
@@ -282,16 +282,15 @@ def check_identities_solver(op: DiscreteOperator, t: float, s: float,
 
     z1 = np.array([grid.x_centers[z1_index[0]], grid.y_centers[z1_index[1]]])
     z2 = np.array([grid.x_centers[z2_index[0]], grid.y_centers[z2_index[1]]])
-    ts = sorted({s, t, t + s})
+    ts = [t, s, t + s]
     lam = scale
 
     fwd = kernel_columns(op, ts, [z2, z2 + np.array([x0_cells * grid.hx, 0.0])])
     adj = kernel_columns(op.adjoint(), ts, z1)
     scaled = kernel_columns(replace(op, grid=grid.scaled(lam)), [lam * lam * u for u in ts],
                             lam * z2)
-    i = ts.index(t)
-    col_t, col_sh, adj_t, col_sc = fwd[i], fwd[len(ts) + i], adj[i], scaled[i]
-    col = dict(zip(ts, fwd))  # the columns at z2, by time
+    col_t, col_s, col_ts, col_sh = fwd[:4]  # z2 at t, s and t + s; the shifted source at t
+    adj_t, col_sc = adj[0], scaled[0]
 
     # (a) scaling against the solve on the scaled grid
     mapped = lam ** (-(2.0 + grid.c)) * col_t.values
@@ -311,8 +310,8 @@ def check_identities_solver(op: DiscreteOperator, t: float, s: float,
     # (d) Chapman-Kolmogorov through the discrete weighted sum:
     # p(t+s, z1, z2) = sum_w p(t, z1, w) p(s, w, z2) mass(w), with the
     # row p(t, z1, .) realized as the adjoint column at z1.
-    composed = float(np.dot(col[s].weights, adj_t.values * col[s].values))
-    direct = col[t + s].values[flat(z1_index)]
+    composed = float(np.dot(col_s.weights, adj_t.values * col_s.values))
+    direct = col_ts.values[flat(z1_index)]
     chapman = abs(composed - direct) / abs(direct)
 
     solve = solve_stats([fwd[0], adj[0], scaled[0]])
@@ -347,8 +346,8 @@ def gaussian_normalizer(alpha: float, c: float, n: int) -> float:
     The half-line y-factor carries the 1/2; the value is quadrature-
     verified in the test-suite.
     """
-    if alpha <= 0.0:
-        raise ParameterError("alpha must be positive")
+    if not 0.0 < alpha < np.inf:  # NaN fails both
+        raise ParameterError(f"alpha must be positive and finite, got {alpha}")
     if not c + 1.0 > 0.0:
         raise ParameterError("weight requires c + 1 > 0")
     if n < 0:

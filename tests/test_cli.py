@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from halfheat import solver
+from halfheat import verify as V
 from halfheat.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG_ERROR,
@@ -219,6 +220,38 @@ class TestKernelCommand:
         assert not (out_dir / "kernel_index.json").exists()
         assert not list(out_dir.glob("*.csv"))
 
+    @pytest.mark.parametrize("old,new,key", [
+        ("sources = 0,1", "sources = 0,,1", "sources"),
+        ("A.row.1 = 1, 0", "A.row.1 = 1,, 0", "A.row.1"),
+        ("t.list = 0.5", "t.list = 0.5,", "t.list"),
+    ], ids=["sources", "row", "trailing"])
+    def test_empty_list_entry_rejected(self, tmp_path, capsys, old, new, key):
+        path = write(tmp_path, "op.cfg", IDENTITY_CFG.replace(old, new))
+        out_dir = tmp_path / "out"
+        assert main(["kernel", path, "--out", str(out_dir)]) == EXIT_CONFIG_ERROR
+        detail = json.loads(capsys.readouterr().out)["detail"]
+        assert detail.startswith(f"{key}: malformed number list")
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("sources", ["0,1,2", "0,1 ; 0,1,2"], ids=["one", "ragged"])
+    def test_source_not_one_point_rejected(self, tmp_path, capsys, sources):
+        cfg = IDENTITY_CFG.replace("sources = 0,1", f"sources = {sources}")
+        path = write(tmp_path, "op.cfg", cfg)
+        out_dir = tmp_path / "out"
+        assert main(["kernel", path, "--out", str(out_dir)]) == EXIT_CONFIG_ERROR
+        assert "[0.0, 1.0, 2.0] is not one point" in json.loads(capsys.readouterr().out)["detail"]
+        assert not (out_dir / "kernel_index.json").exists()
+        assert not list(out_dir.glob("*.csv"))
+
+    def test_inadmissible_operator_exits_1(self, tmp_path, capsys):
+        path = write(tmp_path, "op.cfg", IDENTITY_CFG.replace("v.c = 0", "v.c = -1.5"))
+        out_dir = tmp_path / "out"
+        assert main(["kernel", path, "--out", str(out_dir)]) == EXIT_CHECK_FAILED
+        report = json.loads(capsys.readouterr().out)
+        assert report["error"] == "invalid operator"
+        assert [c["name"] for c in report["checks"] if not c["passed"]] == ["degeneracy"]
+        assert not out_dir.exists()
+
     def test_contour_guard_exits_3(self, tmp_path, capsys, monkeypatch):
         # 4 and 6 contour nodes disagree far beyond CONTOUR_TOL
         monkeypatch.setattr(solver, "CONTOUR_NODES", 4)
@@ -299,6 +332,16 @@ class TestVerifyCommand:
         bundle = json.loads(capsys.readouterr().out)
         failed = [c["name"] for c in bundle["checks"] if not c["passed"]]
         assert "envelope_exact" in failed
+
+    @pytest.mark.parametrize("residual", [1.0, np.nan])
+    def test_residual_over_tolerance_fails(self, capsys, monkeypatch, residual):
+        # a check without its own verdict passes only when residual <= tolerance
+        real = V.check_identities_exact
+        monkeypatch.setattr(V, "check_identities_exact",
+                            lambda *args, **kw: {**real(*args, **kw), "scaling": residual})
+        assert main(["verify", "--probe-set", "smoke"]) == EXIT_CHECK_FAILED
+        bundle = json.loads(capsys.readouterr().out)
+        assert [c["name"] for c in bundle["checks"] if not c["passed"]] == ["scaling_exact"]
 
     @pytest.mark.parametrize("rate", ["nan", "inf"])
     def test_non_finite_break_rate_rejected(self, capsys, rate):

@@ -52,6 +52,9 @@ class TestBallVolume:
             ball_volume(-0.1, 1.0, 0.0, 1)
         with pytest.raises(DomainError):
             ball_volume(0.0, 0.0, 0.0, 1)
+        for y0, r in ((np.nan, 1.0), (0.5, np.nan), (np.array([0.5, np.nan]), 1.0)):
+            with pytest.raises(DomainError):
+                ball_volume(y0, r, 0.5, 1)
 
 
 class TestEnvelope:
@@ -124,6 +127,15 @@ class TestEnvelope:
         rhs = s ** -(n + 1 + c) * envelope_eval(p, 1.0, z1, z2, c, n)
         assert lhs == pytest.approx(rhs, rel=1e-13)
 
+    @pytest.mark.parametrize("t,y1,y2", [(np.nan, 1.0, 1.0), (1.0, np.nan, 1.0),
+                                         (1.0, 1.0, np.nan)], ids=["t", "y1", "y2"])
+    def test_nan_rejected(self, t, y1, y2):
+        z1, z2 = np.array([0.0, y1]), np.array([0.3, y2])
+        with pytest.raises(DomainError):
+            envelope_eval(EnvelopeParams(1.0, 4.0), t, z1, z2, 0.5, 1)
+        with pytest.raises(DomainError):
+            gradient_envelope(t, z1, z2, 0.5, 1, 1.0, 4.0)
+
     def test_param_validation(self):
         with pytest.raises(ParameterError):
             EnvelopeParams(-1.0, 4.0)
@@ -153,8 +165,9 @@ class TestEquivalenceWindow:
         assert 0.0 < lo <= 1.0
 
     def test_needs_positive_eps(self):
-        with pytest.raises(ParameterError):
-            envelope_equivalence_window(1.0, 0.0)
+        for eps in (0.0, np.nan, np.inf):
+            with pytest.raises(ParameterError, match="positive and finite"):
+                envelope_equivalence_window(1.0, eps)
 
 
 class TestDoubling:

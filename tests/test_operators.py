@@ -167,6 +167,13 @@ class TestPointMapping:
             map_point(red, np.array([0.0, -1.0]))
         with pytest.raises(DomainError):
             map_kernel_value(red, 1.0, np.array([0.0, -1.0]), np.array([0.0, 1.0]), 1.0)
+        for fn in (map_point, inverse_map_point):
+            with pytest.raises(DomainError, match="y > 0"):
+                fn(red, np.array([[0.0, 1.0], [0.0, np.nan]]))
+        for t, y1, y2 in ((np.nan, 1.0, 1.0), (np.inf, 1.0, 1.0), (0.0, 1.0, 1.0),
+                          (1.0, np.nan, 1.0), (1.0, 1.0, np.nan)):
+            with pytest.raises(DomainError):
+                map_kernel_value(red, t, np.array([0.0, y1]), np.array([0.0, y2]), 1.0)
 
 
 class TestKernelMapping:

@@ -32,6 +32,8 @@ def test_jacobi_panel_rejects_divergent_weight():
 def test_y_rule_rejects_bad_upper_bound(upper):
     with pytest.raises(DomainError, match="finite"):
         y_weighted_nodes(0.5, upper)
+    with pytest.raises(DomainError, match="finite"):
+        jacobi_panel(upper, 0.5)
 
 
 def test_legendre_panel():

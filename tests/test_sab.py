@@ -48,6 +48,10 @@ def test_spec_validation():
         SabSpec(alpha=0.0, beta=0.0, p=0.5)
     with pytest.raises(ParameterError):
         SabSpec(alpha=0.0, beta=0.0, theta=-0.1)
+    # a NaN p once gave sab_criterion a True verdict
+    for bad in ({"p": np.nan}, {"p": np.inf}, {"theta": np.nan}, {"theta": np.inf}):
+        with pytest.raises(ParameterError):
+            SabSpec(alpha=0.0, beta=0.0, **bad)
 
 
 @pytest.mark.parametrize("spec,expected", CASE_MATRIX[:2] + CASE_MATRIX[7:10])

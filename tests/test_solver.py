@@ -311,9 +311,38 @@ class TestEvolve:
 
     def test_time_errors(self):
         _, grid, op = make()
-        for ts in ([0.5, np.inf], [np.nan], [0.0, 1.0]):
+        for ts in ([0.5, np.inf], [np.nan], [0.0, 1.0], []):
             with pytest.raises(DomainError, match="finite"):
                 kernel_columns(op, ts, np.array([0.0, 1.0]))
+
+    def test_times_in_caller_order(self):
+        _, grid, op = make(0.5, 1.0, n=16, r=2.0)
+        sources = np.array([[0.0, 1.0], [0.5, 0.5]])
+        fwd = kernel_columns(op, [0.5, 1.0], sources)
+        rev = kernel_columns(op, [1.0, 0.5], sources)
+        assert [s.t for s in rev] == [1.0, 0.5, 1.0, 0.5]
+        for k, slc in enumerate(rev):  # source-major: swap the two times of each source
+            assert np.array_equal(slc.values, fwd[k ^ 1].values)
+
+    def test_repeated_time_repeats_the_column(self, monkeypatch):
+        _, grid, op = make(0.5, 1.0, n=16, r=2.0)
+        z2 = np.array([0.0, 1.0])
+        calls = []
+        real_zgttrf = solver.zgttrf
+
+        def counting_zgttrf(*args):
+            calls.append(1)
+            return real_zgttrf(*args)
+
+        monkeypatch.setattr(solver, "zgttrf", counting_zgttrf)
+        once = kernel_columns(op, [0.5, 1.0], z2)
+        n_once = len(calls)
+        repeated = kernel_columns(op, [1.0, 0.5, 1.0], z2)
+        assert len(calls) - n_once == n_once
+        assert repeated[0].meta["factorizations"] == once[0].meta["factorizations"]
+        assert [s.t for s in repeated] == [1.0, 0.5, 1.0]
+        for slc, ref in zip(repeated, (once[1], once[0], once[1])):
+            assert np.array_equal(slc.values, ref.values)
 
 
 class TestKernelColumn:
@@ -476,11 +505,29 @@ class TestKernelColumn:
         (np.array([0.0, 1.0, 0.5]), StructuralError),
         (np.array([[0.0, 1.0, 0.5], [0.5, 1.0, 0.5]]), StructuralError),
         (np.zeros((1, 1, 2)), StructuralError),
-    ], ids=["empty", "empty-k2", "three-coordinates", "k-by-3", "three-axes"])
+        (5.0, StructuralError),
+    ], ids=["empty", "empty-k2", "three-coordinates", "k-by-3", "three-axes", "scalar"])
     def test_rejects_bad_sources(self, z2, error):
         _, _, op = make(n=16, r=2.0)
         with pytest.raises(error, match="source"):
             kernel_columns(op, [0.5], z2)
+
+    def test_ragged_sources_name_the_point(self):
+        _, _, op = make(n=16, r=2.0)
+        with pytest.raises(StructuralError, match=r"kernel source \[0, 1, 7\] is not one point"):
+            kernel_columns(op, [0.5], [[0, 1], [0, 1, 7]])
+
+    @pytest.mark.parametrize("a_matrix", [[[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.5], [0.5, 1.0]]],
+                             ids=["closed-form", "solver"])
+    def test_kernel_slices_keep_the_caller_time_order(self, a_matrix):
+        spec = GeneralOperatorSpec(n=1, a_matrix=np.array(a_matrix), drift=np.array([0.0, 0.5]))
+        sources = [np.array([0.0, 1.0]), np.array([0.5, 1.5])]
+        ref = kernel_slices(spec, [0.25, 0.5], sources, rx=2.0, ry=2.0, nx=16, ny=16)
+        out = kernel_slices(spec, [0.5, 0.25, 0.5], sources, rx=2.0, ry=2.0, nx=16, ny=16)
+        want = [ref[2], ref[3], ref[0], ref[1], ref[2], ref[3]]  # t-major
+        assert [(s.t, s.meta["source"]) for s in out] == [(s.t, s.meta["source"]) for s in want]
+        for slc, r in zip(out, want):
+            assert np.array_equal(slc.values, r.values)
 
     @pytest.mark.parametrize("a_matrix", [[[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.5], [0.5, 1.0]]],
                              ids=["closed-form", "solver"])
@@ -490,6 +537,9 @@ class TestKernelColumn:
             kernel_slices(spec, [0.5], [], rx=2.0, ry=2.0, nx=16, ny=16)
         with pytest.raises(StructuralError, match="one point"):
             kernel_slices(spec, [0.5], [np.array([0.0, 1.0, 7.0])],
+                          rx=2.0, ry=2.0, nx=16, ny=16)
+        with pytest.raises(StructuralError, match=r"\[0\.0, 1\.0, 7\.0\]"):
+            kernel_slices(spec, [0.5], [[0.0, 1.0], [0.0, 1.0, 7.0]],
                           rx=2.0, ry=2.0, nx=16, ny=16)
 
 

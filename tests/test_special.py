@@ -111,8 +111,9 @@ def test_order_out_of_range():
 
 
 def test_negative_argument_rejected():
-    with pytest.raises(DomainError):
-        bessel_i_scaled(0.5, -1.0)
+    for x in (-1.0, np.nan, np.array([1.0, np.nan])):
+        with pytest.raises(DomainError):
+            bessel_i_scaled(0.5, x)
 
 
 @pytest.mark.parametrize("x", sorted(LOG_GAMMA_VALUES))
@@ -135,6 +136,8 @@ def test_log_gamma_domain():
         log_gamma(0.0)
     with pytest.raises(DomainError):
         log_gamma(-3.0)
+    with pytest.raises(DomainError):
+        log_gamma(np.nan)
 
 
 def test_log_gamma_mpmath_sweep():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from halfheat import kernels, solver
-from halfheat.errors import DomainError, FitUnderdeterminedError
+from halfheat.errors import DomainError, FitUnderdeterminedError, ParameterError
 from halfheat.geometry import EnvelopeParams
 from halfheat.kernels import exact_slice, product_kernel
 from halfheat.operators import GeneralOperatorSpec, ModelOperatorSpec
@@ -79,6 +79,11 @@ class TestGaussianNormalizer:
             assert gaussian_normalizer(alpha, 0.0, 0) == pytest.approx(
                 np.sqrt(np.pi) / (2.0 * np.sqrt(alpha)), rel=1e-14
             )
+
+    @pytest.mark.parametrize("alpha", [0.0, np.nan, np.inf])
+    def test_bad_alpha_rejected(self, alpha):
+        with pytest.raises(ParameterError, match="finite"):
+            gaussian_normalizer(alpha, 0.5, 1)
 
     def test_normalizing_alpha(self):
         # N = 1, c = 1:   pi^{1/2} alpha^{-3/2} / 2 = 1
