@@ -3,9 +3,9 @@
     python3 bench/contour.py [--out BENCH_contour.json] [--repeats 3]
 
 halfheat evaluates every kernel column as exp(-t W^{-1} S) u0 with the
-trapezoid rule on a hyperbolic Bromwich contour, one tridiagonal
-factorization (LAPACK gttrf) of the x-modes of zW + S per node, and a
-second rule with 3/2 as many nodes as a guard (`contour_err`).  Per
+trapezoid rule on a hyperbolic Bromwich contour, one fused tridiagonal
+factor-solve (LAPACK gtsv) of the x-modes of zW + S per node, and a
+coarser guard rule of solver.CONTOUR_NODES nodes (`contour_err`).  Per
 checkpoint window [t0, 4 t0] it solves only the live x-modes: a mode
 whose logarithmic-norm bound has taken it below machine epsilon times
 the column maximum by t0 is left at 0 (solver._live_modes).  This
@@ -27,10 +27,12 @@ pruned path drops (a dense expm per mode block), the largest difference
 of their columns, and `all_modes_dead_rule_gap`, the all-modes run's
 coarse-minus-fine rule difference on the dropped modes alone, which is
 that run's own error there; all three relative to each column's maximum.
-`self_convergence`
-lists, at k = 4, the relative difference of the N- and 3N/2-node rules
-for N = 8 .. 24 (the package uses N = solver.CONTOUR_NODES; the guard is
-lifted for this table only).  The JSON also holds the environment.
+`self_convergence` lists, at k = 4, the error of the N-node rule for
+N = 8 .. 28 against a fixed REFERENCE_NODES-node rule, both through
+solver._contour_sum on the live modes of each window, relative to each
+column's maximum (the package guards CONTOUR_NODES and returns the rule
+its `nodes` stat names, so the table shows the returned rule's own
+error).  The JSON also holds the environment.
 
 The exit code is 1 when the dropped modes' exact values exceed DIFF_TOL
 times a column's maximum, or a pruned column's mass defect exceeds
@@ -69,7 +71,9 @@ from halfheat.operators import (  # noqa: E402
 
 TS = (0.25, 0.5, 0.75, 1.0, 2.0, 4.0)
 SOURCES = np.array([[0.0, 0.3], [0.5, 1.0], [-1.0, 3.0], [0.0, 0.05]])
-SELF_CONVERGENCE_NODES = (8, 12, 16, 20, 24)
+SELF_CONVERGENCE_NODES = (8, 12, 16, 20, 24, 28)
+#: nodes of the reference rule of the self-convergence table
+REFERENCE_NODES = 36
 
 #: largest exact value of the dropped modes, relative to the column maximum
 DIFF_TOL = 1e-12
@@ -112,17 +116,6 @@ def all_modes():
         solver._live_modes = saved
 
 
-@contextlib.contextmanager
-def contour_nodes(n: int):
-    """The package's contour with n coarse nodes and no guard, for the self-convergence table."""
-    saved = solver.CONTOUR_NODES, solver.CONTOUR_TOL
-    solver.CONTOUR_NODES, solver.CONTOUR_TOL = n, np.inf
-    try:
-        yield
-    finally:
-        solver.CONTOUR_NODES, solver.CONTOUR_TOL = saved
-
-
 def relative_error(values, ref) -> float:
     return float(np.abs(values - ref).max() / np.abs(ref).max())
 
@@ -136,7 +129,7 @@ def path_record(op, ts, sources, oracle, repeats: int):
         times.append(time.perf_counter() - t0)
     meta = cols[0].meta
     rec = {"time_s": statistics.median(times),
-           **{key: meta[key] for key in ("live_modes", "factorizations", "factor_s",
+           **{key: meta[key] for key in ("nodes", "live_modes", "factorizations", "factor_s",
                                          "solve_s", "transform_s")},
            "contour_err": max(s.meta["contour_err"] for s in cols),
            "max_solve_residual": max(s.meta["max_solve_residual"] for s in cols),
@@ -196,31 +189,59 @@ def dropped_modes_exact(op, ts, sources, cols) -> float:
     return float(max(v / top for v, top in zip(values, column_tops(cols, k, len(ts)))))
 
 
+def rule_sums(op, ts, sources, modes, n: int):
+    """The n-node contour sums of the x-modes in `modes` (a mask, shape (nx,)) in cell space.
+
+    The rows, bands, weights and right-hand sides are the ones
+    solver._evolve_block gathers for the window ts; returns one
+    (k, nx * ny) array per time, the other modes 0.
+    """
+    grid, k = op.grid, len(sources)
+    data, (lower, diag, upper), _ = dead_modes(op, ts[0], sources)
+    rhs = op.w[:, None] * data.reshape(k, -1).T
+    rows = np.flatnonzero(np.repeat(modes, grid.ny))
+    sub = (lower[rows[:-1]], diag[rows], upper[rows[:-1]])
+    stats = {"factorizations": 0, "factor_s": 0.0, "solve_s": 0.0}
+    sums = solver._contour_sum(sub, op.w[rows], np.asfortranarray(rhs[rows]), ts, n, stats,
+                               np.zeros(k))
+    return [solver._to_space(v, modes, grid.ny) for v in sums]
+
+
 def dead_mode_rule_gap(op, ts, sources, cols) -> float:
     """How far the all-modes run's two contour rules differ on the dead modes alone.
 
-    The contour sums of the modes _live_modes drops, by the coarse and
-    the fine rule, as solver._evolve_block forms them; the largest
-    difference relative to each column's maximum in `cols`.  Beside
-    dropped_modes_exact this is the all-modes run's own error there,
-    which is what the pruned run differs from it by.
+    The contour sums of the modes _live_modes drops, by the guard rule
+    (solver.CONTOUR_NODES) and the returned rule (the `nodes` stat of
+    `cols`); the largest difference relative to each column's maximum in
+    `cols`.  Beside dropped_modes_exact this is the all-modes run's own
+    error there, which is what the pruned run differs from it by.
     """
-    grid, k = op.grid, len(sources)
-    modes, bands, dead = dead_modes(op, ts[0], sources)
-    lower, diag, upper = bands
-    rhs = op.w[:, None] * modes.reshape(k, -1).T
-    rows = np.flatnonzero(np.repeat(dead, grid.ny))
-    if rows.size == 0:
+    dead = dead_modes(op, ts[0], sources)[2]
+    if not dead.any():
         return 0.0
-    sub = (lower[rows[:-1]], diag[rows], upper[rows[:-1]])
-    stats = {"factorizations": 0, "factor_s": 0.0, "solve_s": 0.0}
-    coarse, fine = (solver._contour_sum(sub, op.w[rows], np.asfortranarray(rhs[rows]), ts, n,
-                                        stats, np.zeros(k))
-                    for n in (solver.CONTOUR_NODES, 3 * solver.CONTOUR_NODES // 2))
-    gaps = [np.abs(solver._to_space(a, dead, grid.ny) - solver._to_space(b, dead, grid.ny))
-            .max(axis=1) for a, b in zip(coarse, fine)]
+    coarse, fine = (rule_sums(op, ts, sources, dead, n)
+                    for n in (solver.CONTOUR_NODES, cols[0].meta["nodes"]))
+    gaps = [np.abs(a - b).max(axis=1) for a, b in zip(coarse, fine)]
     return float(max(g / top for g, top in zip(np.concatenate(gaps),
-                                               column_tops(cols, k, len(ts)))))
+                                               column_tops(cols, len(sources), len(ts)))))
+
+
+def self_convergence(op, sources) -> dict:
+    """Error of the N-node rule against the REFERENCE_NODES-node rule, per N.
+
+    For each window of TS, both rules' sums of the window's live modes
+    (rule_sums); the largest difference over the window's times and the
+    sources, relative to each reference column's maximum.
+    """
+    table = dict.fromkeys(SELF_CONVERGENCE_NODES, 0.0)
+    for ts in solver._windows(TS):
+        live = ~dead_modes(op, ts[0], sources)[2]
+        ref = rule_sums(op, ts, sources, live, REFERENCE_NODES)
+        tops = [np.abs(r).max(axis=1) for r in ref]
+        for n in table:
+            for a, b, top in zip(rule_sums(op, ts, sources, live, n), ref, tops):
+                table[n] = max(table[n], float((np.abs(a - b).max(axis=1) / top).max()))
+    return {str(n): e for n, e in table.items()}
 
 
 def window_record(op, ts, sources, oracle, repeats: int) -> dict:
@@ -259,14 +280,10 @@ def case_record(name, op, oracle, repeats: int, failures: list) -> dict:
         rec[f"k{k}"] = {"windows": windows,
                         "pruned_time_s": sum(w["pruned"]["time_s"] for w in windows),
                         "all_modes_time_s": sum(w["all_modes"]["time_s"] for w in windows)}
-    table = {}
-    for n in SELF_CONVERGENCE_NODES:
-        with contour_nodes(n):
-            cols = solver.kernel_columns(op, TS, SOURCES)
-        table[str(n)] = max(s.meta["contour_err"] for s in cols)
+    table = self_convergence(op, SOURCES)
     rec["self_convergence"] = table
-    print(f"{name:24s} N vs 3N/2: " + "  ".join(f"{n}: {e:.1e}" for n, e in table.items()),
-          flush=True)
+    print(f"{name:24s} N vs {REFERENCE_NODES}: "
+          + "  ".join(f"{n}: {e:.1e}" for n, e in table.items()), flush=True)
     if oracle is None:
         rec["oracle_note"] = ("a = 0.5 has no closed form; contour_err stands for the time "
                               "error, and the other cases give the oracle error")
@@ -295,7 +312,8 @@ def main(argv=None) -> int:
             "scipy": scipy.__version__, "nproc": os.cpu_count(), "cpu": cpu_model(),
         },
         "repeats": args.repeats,
-        "contour": {"nodes": solver.CONTOUR_NODES, "alpha": solver.CONTOUR_ALPHA,
+        "contour": {"guard_nodes": solver.CONTOUR_NODES, "reference_nodes": REFERENCE_NODES,
+                    "alpha": solver.CONTOUR_ALPHA,
                     "span": solver.CONTOUR_SPAN, "mu_t0_per_node": solver.CONTOUR_MU,
                     "window_ratio": solver.WINDOW_RATIO, "tolerance": solver.CONTOUR_TOL},
         "gates": {"dropped_modes_exact_max_rel": DIFF_TOL, "mass_defect": MASS_TOL},

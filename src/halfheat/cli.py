@@ -39,7 +39,7 @@ from .operators import (
 )
 from .solver import GridSpec, assemble, kernel_columns, kernel_slices
 
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 
 #: config keys besides the rows A.row.1 .. A.row.N+1
 KNOWN_KEYS = {"N", "v.d", "v.c", "grid.Rx", "grid.Ry", "grid.nx", "grid.ny", "t.list", "sources"}
@@ -122,8 +122,19 @@ def operator_from_config(cfg: dict) -> GeneralOperatorSpec:
     return GeneralOperatorSpec(n=n, a_matrix=np.array(rows), drift=np.array(d + [c]))
 
 
+def _finite(obj):
+    """obj with every non-finite float replaced by None: strict JSON has no inf or NaN."""
+    if isinstance(obj, dict):
+        return {key: _finite(v) for key, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(v) for v in obj]
+    if isinstance(obj, (float, np.floating)) and not np.isfinite(obj):
+        return None
+    return obj
+
+
 def _emit(report: dict, out_dir: Path | None, name: str) -> None:
-    text = json.dumps(report, indent=2, default=float)
+    text = json.dumps(_finite(report), indent=2, default=float, allow_nan=False)
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / name).write_text(text + "\n")
@@ -199,10 +210,10 @@ def _verify_checks(probe_set: str, k_break: float = 1.0):
     """Run the deterministic verification sweep; returns (checks, all_passed).
 
     A check passes when its residual is at most its tolerance, unless it
-    passes its own verdict.  Each check carries `wall_s`, the time since
-    the previous check was recorded (so a check read off the same
-    computation as the one before it shows about 0), and each solver
-    check the `solve` stats of its evolutions.
+    passes its own verdict (then its tolerance may be None).  Each check
+    carries `wall_s`, the time since the previous check was recorded (so
+    a check read off the same computation as the one before it shows
+    about 0), and each solver check the `solve` stats of its evolutions.
     """
     checks = []
     start = time.perf_counter()
@@ -247,7 +258,7 @@ def _verify_checks(probe_set: str, k_break: float = 1.0):
     record("doubling", dbl["worst_ratio"], dbl["shape_bound"], passed=dbl["within_shape"])
 
     win = envelope_equivalence_window(2.0, 0.1)
-    record("equivalence_window", win[1], np.inf, passed=np.isfinite(win[1]))
+    record("equivalence_window", win[1], None, passed=np.isfinite(win[1]))
 
     if probe_set == "smoke":
         return checks, all(ch["passed"] for ch in checks)

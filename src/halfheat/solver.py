@@ -22,13 +22,13 @@ The evolution exp(-t W^{-1} S) is evaluated, not stepped: the trapezoid
 rule on a hyperbolic Bromwich contour (Weideman & Trefethen 2007) needs
 one shifted solve (zW + S)^{-1} per node, shared by every checkpoint of
 a window [t0, 4 t0].  An fft along x takes the data to x-modes, where
-each zW + S is tridiagonal and LAPACK's gttrf/gttrs factor and solve
+each zW + S is tridiagonal and one LAPACK gtsv call factors and solves
 it.  Only the live modes are solved: a mode whose logarithmic-norm
 bound e^{-kappa_m t0} has taken it below round-off of the column
 maximum by the window's first time is left at 0 (_live_modes).  The
 rule is normalized at lambda = 0, so constants stay and mass is
-conserved to round-off; a second rule with 3/2 as many nodes guards the
-time error.
+conserved to round-off.  The returned rule has CONTOUR_NODES + 4 nodes;
+the CONTOUR_NODES-node rule guards its time error.
 The adjoint is the same rational function of S', exact to round-off
 relative to the column maximum.
 """
@@ -41,7 +41,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg.blas import zaxpy
-from scipy.linalg.lapack import zgttrf, zgttrs
+from scipy.linalg.lapack import zgtsv
 
 from .errors import DomainError, ParameterError, StructuralError, SolveFailure, WrongOperatorError
 from .kernels import A_ZERO_TOL, KernelSlice, tensor_kernel
@@ -69,7 +69,7 @@ __all__ = [
 #: relative residual above which a linear solve is declared failed
 SOLVE_RTOL = 1e-9
 
-#: nodes of the contour rule that is checked; the returned rule has 3/2 as many
+#: nodes of the contour rule that guards the returned rule, which has 4 more
 CONTOUR_NODES = 20
 
 #: largest relative difference allowed between the two contour rules
@@ -334,44 +334,50 @@ def _contour_sum(bands, w, rhs, window, n, stats, worst):
 
     `bands` are the sub-, main and super-diagonal of S in x-modes: each
     node's matrix z W + S_m is tridiagonal over the whole index m * ny + j,
-    so it is factored once (zgttrf) and solved for all k columns of rhs,
-    shape (nx * ny, k), at once (zgttrs).  The residual is formed from the
-    three diagonals and held per column to its own |rhs|: above SOLVE_RTOL
-    times it, or non-finite, it raises SolveFailure naming the column.
-    Returns the mode sums per time, shape (k, nx * ny), each divided by the
-    rule's own value at lambda = 0, which is what makes mass exact.
+    and its factors serve only that node, so one fused LAPACK call (zgtsv)
+    factors it and solves for all k columns of rhs, shape (nx * ny, k), at
+    once; nonzero `info` (an exactly singular pivot) raises SolveFailure.
+    The residual is formed from the three diagonals; its maxima are kept
+    per node and column, and after the last node each is held to its own
+    column's |rhs|: above SOLVE_RTOL times it, or non-finite, it raises
+    SolveFailure naming the column (the first failing node's first).  The
+    coefficients c_k e^{z_k t} of all nodes and times come from one outer
+    product.  Returns the mode sums per time, shape (k, nx * ny), each
+    divided by the rule's own value at lambda = 0, which is what makes
+    mass exact.
     """
     lower, diag, upper = bands
     clock = time.perf_counter
     z, c = _contour(n, window[0])
+    coef = c[:, None] * np.exp(np.outer(z, window))  # c_k e^{z_k t}, shape (n, len(window))
     den = np.abs(rhs).max(axis=0)
+    num = np.empty((n, rhs.shape[1]))
     acc = np.zeros((len(window), rhs.shape[1], rhs.shape[0]), dtype=complex)
-    for zk, ck in zip(z, c):
+    for zk, coef_k, num_k in zip(z, coef, num):
         t0 = clock()
         d = zk * w + diag
-        factors = zgttrf(lower, d, upper)
+        *_, x, info = zgtsv(lower, d, upper, rhs)
         stats["factorizations"] += 1
         stats["factor_s"] += clock() - t0
-        if factors[-1] != 0:
+        if info != 0:
             raise SolveFailure(f"contour node z = {zk:.4g}: singular mode matrix")
         t0 = clock()
-        x, _ = zgttrs(*factors[:-1], rhs)
         res = d[:, None] * x - rhs
         res[1:] += lower[:, None] * x[:-1]
         res[:-1] += upper[:, None] * x[1:]
-        num = np.abs(res).max(axis=0)
-        # NaN or inf in the data or the solution leaves a non-finite residual
-        bad = ~np.isfinite(num) | ((den > 0.0) & (num > SOLVE_RTOL * den))
-        if np.any(bad):
-            j = int(np.argmax(bad))
-            raise SolveFailure(f"linear solve residual {num[j]:.3e} in column {j} exceeds "
-                               f"{SOLVE_RTOL:.0e} x |rhs| = {den[j]:.3e}")
-        np.maximum(worst, np.divide(num, den, out=np.zeros_like(num), where=den > 0.0),
-                   out=worst)
-        for i, t in enumerate(window):
-            zaxpy(x.T.ravel(), acc[i].ravel(), a=ck * np.exp(zk * t))  # in place
+        num_k[:] = np.abs(res).max(axis=0)
+        for acc_t, a in zip(acc, coef_k):
+            zaxpy(x.T.ravel(), acc_t.ravel(), a=a)  # in place
         stats["solve_s"] += clock() - t0
-    return [a / np.real(np.sum(c * np.exp(z * t) / z)) for a, t in zip(acc, window)]
+    # NaN or inf in the data or the solution leaves a non-finite residual
+    bad = ~np.isfinite(num) | ((den > 0.0) & (num > SOLVE_RTOL * den))
+    if np.any(bad):
+        node, j = np.argwhere(bad)[0]
+        raise SolveFailure(f"linear solve residual {num[node, j]:.3e} in column {j} exceeds "
+                           f"{SOLVE_RTOL:.0e} x |rhs| = {den[j]:.3e}")
+    np.maximum(worst, np.divide(num.max(axis=0), den, out=np.zeros_like(den), where=den > 0.0),
+               out=worst)
+    return [a / np.real(np.sum(coef[:, i] / z)) for i, a in enumerate(acc)]
 
 
 def _live_modes(bands, w, rhs, t0: float, nx: int) -> np.ndarray:
@@ -442,8 +448,11 @@ def _evolve_block(op: DiscreteOperator, u: np.ndarray, times):
     rhs are gathered, and the sums are scattered into zero mode arrays
     before the ifft, so the dropped modes move no value by more than
     machine epsilon times the column maximum.  Each window is evaluated with
-    CONTOUR_NODES and 3/2 as many nodes; the finer result is returned,
-    and a relative difference above CONTOUR_TOL raises SolveFailure.
+    CONTOUR_NODES and CONTOUR_NODES + 4 nodes; the finer result is
+    returned, and a relative difference above CONTOUR_TOL raises
+    SolveFailure.  The rule's error falls about 240-fold per 4 nodes until
+    it meets round-off near 20 nodes, so the difference of the two rules
+    bounds the coarser rule's error and the returned rule is the better.
     Both rules are normalized by their value at lambda = 0, so constants
     stay and mass is conserved to round-off: 1'S = 0 gives
     mass(t) = r(0) mass(0) for the rule's rational function r.
@@ -454,12 +463,12 @@ def _evolve_block(op: DiscreteOperator, u: np.ndarray, times):
     column the relative difference of the two rules `contour_err` and
     the worst relative solve residual `max_solve_residual`, and the wall
     time of each phase: `transform_s` (fft and ifft), `factor_s` (mode
-    diagonals, the live-mode test and factorizations) and `solve_s`
-    (solves, residuals and sums).
+    diagonals, the live-mode test and the fused factor-solves) and
+    `solve_s` (residuals and sums).
     """
     grid, k = op.grid, u.shape[1]
     nx, ny = grid.nx, grid.ny
-    coarse, fine = CONTOUR_NODES, 3 * CONTOUR_NODES // 2
+    coarse, fine = CONTOUR_NODES, CONTOUR_NODES + 4
     clock = time.perf_counter
     stats = {"windows": 0, "nodes": fine, "factorizations": 0, "live_modes": 0,
              "transform_s": 0.0, "factor_s": 0.0, "solve_s": 0.0}
@@ -483,7 +492,7 @@ def _evolve_block(op: DiscreteOperator, u: np.ndarray, times):
         # the coupling of consecutive live rows: the band entry, or the 0
         # between blocks where a live mode ends
         sub = (lower[rows[:-1]], diag[rows], upper[rows[:-1]])
-        sub_w, sub_rhs = w[rows], rhs.T[:, rows].T  # Fortran order, as zgttrs takes it
+        sub_w, sub_rhs = w[rows], rhs.T[:, rows].T  # Fortran order, as zgtsv takes it
         stats["live_modes"] += int(live.sum())
         stats["factor_s"] += clock() - t0
         sums = {n: _contour_sum(sub, sub_w, sub_rhs, window, n, stats, worst)
@@ -535,9 +544,9 @@ def kernel_columns(op: DiscreteOperator, ts, z2) -> list[KernelSlice]:
     delta 1/w at each source cell as one column of an (n, k) block, so the
     computed columns are already in the y^c dz convention.  x is periodic:
     the block is taken to x-modes once and each distinct time is evaluated
-    once, on a Bromwich contour per window of checkpoints (one tridiagonal
-    factorization of the live x-modes per node, shared by all sources, one
-    multi-right-hand-side solve, the residual checked in mode space); the
+    once, on a Bromwich contour per window of checkpoints (one fused
+    tridiagonal factor-solve of the live x-modes per node for all sources
+    at once, the residual checked in mode space); the
     modes left out move no value by more than machine epsilon times the
     column maximum, and the adjoint is exact to round-off relative to the
     column maximum.  Returns the k * len(ts) slices source-major, each
@@ -578,11 +587,12 @@ def kernel_slices(spec: GeneralOperatorSpec, ts, sources, rx: float, ry: float,
     model cell centres mapped back once.  The closed form is used when
     |a| <= A_ZERO_TOL unless `numeric`, evaluated on the tensor grid of
     cell centres by tensor_kernel (bit-identical to product_kernel at the
-    cell centres); otherwise one assembly and one kernel_columns call,
-    which evolves all sources together through all model times
-    time_scale * t.  All slices share one `points` array, so write_csv
-    formats it once per run.  Values are mapped back by map_kernel_value,
-    which is exact for the identity reduction.  A slice's `source` is the
+    cell centres) once per distinct time and source; otherwise one
+    assembly and one kernel_columns call, which evolves all sources
+    together through all model times time_scale * t.  All slices share
+    one `points` array, so write_csv formats it once per run.  Values are
+    mapped back by map_kernel_value, which is exact for the identity
+    reduction.  A slice's `source` is the
     point its column came from (for the solver, the snapped cell, mapped
     back); meta holds the method, the requested source, the snap offset in
     model cells, the reduction (`time_scale` and the model's `a` and `c`)
@@ -606,10 +616,15 @@ def kernel_slices(spec: GeneralOperatorSpec, ts, sources, rx: float, ry: float,
     reduction = {"time_scale": red.time_scale, "a": model.a.tolist(), "c": model.c}
     model_ts = [red.time_scale * t for t in ts]
     # source-major, like kernel_columns
-    cols = ([KernelSlice(t=mt, source=z2m, points=cells, c=model.c,
-                         values=tensor_kernel(model, mt, z2m, grid.x_centers, grid.y_centers))
-             for z2m in mapped for mt in model_ts]
-            if exact else kernel_columns(assemble(model, grid), model_ts, np.array(mapped)))
+    if exact:  # each distinct time once, as kernel_columns evolves it
+        times = np.unique(model_ts)
+        distinct = [[KernelSlice(t=mt, source=z2m, points=cells, c=model.c,
+                                 values=tensor_kernel(model, mt, z2m, grid.x_centers,
+                                                      grid.y_centers))
+                     for mt in times.tolist()] for z2m in mapped]
+        cols = [row[n] for row in distinct for n in np.searchsorted(times, model_ts)]
+    else:
+        cols = kernel_columns(assemble(model, grid), model_ts, np.array(mapped))
     out = []
     for i, t in enumerate(ts):
         for k, (z2, z2m) in enumerate(zip(sources, mapped)):

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from halfheat import solver
+from halfheat import cli, solver
 from halfheat import verify as V
 from halfheat.cli import (
     EXIT_CHECK_FAILED,
@@ -25,6 +25,14 @@ from halfheat.operators import (
     reduce_to_model,
 )
 from halfheat.solver import GridSpec
+
+
+def strict_json(text: str):
+    """The JSON value of text; the bare tokens Infinity, -Infinity and NaN raise."""
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+    return json.loads(text, parse_constant=refuse)
+
 
 IDENTITY_CFG = """\
 # identity operator
@@ -120,7 +128,7 @@ class TestValidateCommand:
         assert main(["validate", path]) == EXIT_PASS
         out = json.loads(capsys.readouterr().out)
         assert out["passed"] is True
-        assert out["schema_version"] == 6
+        assert out["schema_version"] == 7
 
     def test_degeneracy_failure_names_invariant(self, tmp_path, capsys):
         bad = IDENTITY_CFG.replace("v.c = 0", "v.c = -1.5")
@@ -142,7 +150,7 @@ class TestKernelCommand:
         assert main(["kernel", path, "--out", str(out_dir)]) == EXIT_PASS
         index = json.loads((out_dir / "kernel_index.json").read_text())
         assert index["outputs"][0]["method"] == "exact"
-        assert index["schema_version"] == 6
+        assert index["schema_version"] == 7
         assert all(np.isfinite(index[k]) and index[k] >= 0.0 for k in ("evaluate_s", "write_s"))
         csv_file = out_dir / index["outputs"][0]["file"].split("/")[-1]
         header = csv_file.read_text().splitlines()[0]
@@ -158,7 +166,7 @@ class TestKernelCommand:
         assert index["reduction"]["a"] == pytest.approx([0.5])
         # the evolution's stats ride along; the reduction is listed once
         assert set(solver.SOLVE_STATS) <= set(entry)
-        assert entry["windows"] == 1 and entry["nodes"] == 3 * solver.CONTOUR_NODES // 2
+        assert entry["windows"] == 1 and entry["nodes"] > solver.CONTOUR_NODES
         assert entry["factorizations"] == solver.CONTOUR_NODES + entry["nodes"]
         assert 0 < entry["live_modes"] <= 32  # one window of the 32 x-modes
         assert 0.0 < entry["contour_err"] <= solver.CONTOUR_TOL
@@ -253,13 +261,13 @@ class TestKernelCommand:
         assert not out_dir.exists()
 
     def test_contour_guard_exits_3(self, tmp_path, capsys, monkeypatch):
-        # 4 and 6 contour nodes disagree far beyond CONTOUR_TOL
+        # 4 and 8 contour nodes disagree far beyond CONTOUR_TOL
         monkeypatch.setattr(solver, "CONTOUR_NODES", 4)
         path = write(tmp_path, "op.cfg", MIXED_CFG)
         out_dir = tmp_path / "out"
         assert main(["kernel", path, "--out", str(out_dir)]) == EXIT_NUMERICAL
         detail = json.loads(capsys.readouterr().out)["detail"]
-        assert "4 and 6 nodes" in detail and "CONTOUR_TOL" in detail
+        assert "4 and 8 nodes" in detail and "CONTOUR_TOL" in detail
         assert not (out_dir / "kernel_index.json").exists()
 
     def test_force_numeric(self, tmp_path):
@@ -318,13 +326,16 @@ class TestVerifyCommand:
     def test_smoke_passes(self, tmp_path, capsys):
         out_dir = tmp_path / "v"
         assert main(["verify", "--probe-set", "smoke", "--out", str(out_dir)]) == EXIT_PASS
-        bundle = json.loads((out_dir / "verify.json").read_text())
+        bundle = strict_json((out_dir / "verify.json").read_text())
         assert bundle["passed"] is True
-        assert bundle["schema_version"] == 6
+        assert bundle["schema_version"] == 7
         assert "seed" not in bundle
         assert all(np.isfinite(c["wall_s"]) and c["wall_s"] >= 0.0 for c in bundle["checks"])
         names = {c["name"] for c in bundle["checks"]}
         assert {"conservation_exact", "scaling_exact", "envelope_exact"} <= names
+        # a check with its own verdict and no tolerance writes null, not Infinity
+        window = next(c for c in bundle["checks"] if c["name"] == "equivalence_window")
+        assert window["tolerance"] is None and window["passed"] is True
 
     def test_broken_envelope_fails(self, capsys):
         assert main(["verify", "--probe-set", "smoke", "--break-rate", "0.5"]) \
@@ -342,6 +353,16 @@ class TestVerifyCommand:
         assert main(["verify", "--probe-set", "smoke"]) == EXIT_CHECK_FAILED
         bundle = json.loads(capsys.readouterr().out)
         assert [c["name"] for c in bundle["checks"] if not c["passed"]] == ["scaling_exact"]
+
+    def test_equivalence_window_inf_fails_in_strict_json(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "envelope_equivalence_window", lambda c, eps: (0.5, np.inf, eps))
+        out_dir = tmp_path / "v"
+        assert main(["verify", "--probe-set", "smoke", "--out", str(out_dir)]) \
+            == EXIT_CHECK_FAILED
+        bundle = strict_json((out_dir / "verify.json").read_text())
+        check = next(c for c in bundle["checks"] if c["name"] == "equivalence_window")
+        assert check["passed"] is False and check["residual"] is None
+        assert check["tolerance"] is None
 
     @pytest.mark.parametrize("rate", ["nan", "inf"])
     def test_non_finite_break_rate_rejected(self, capsys, rate):
@@ -422,10 +443,17 @@ def test_divergence_form_takes_the_closed_form(tmp_path):
         assert np.max(np.abs(rows[:, 5] - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+def test_full_sweep_is_strict_json(tmp_path):
+    out_dir = tmp_path / "full"
+    assert main(["verify", "--probe-set", "full", "--out", str(out_dir)]) == EXIT_PASS
+    bundle = strict_json((out_dir / "verify.json").read_text())
+    assert bundle["passed"] is True
+
+
 def test_desk_sweep_passes(tmp_path):
     out_dir = tmp_path / "desk"
     assert main(["verify", "--probe-set", "desk", "--out", str(out_dir)]) == EXIT_PASS
-    bundle = json.loads((out_dir / "verify.json").read_text())
+    bundle = strict_json((out_dir / "verify.json").read_text())
     assert bundle["passed"] is True
     names = {c["name"] for c in bundle["checks"]}
     for kind in ("adjoint", "scaling", "translation"):

@@ -18,7 +18,7 @@ def test_import_leaves_out_scipy_integrate_optimize_and_sparse():
     # scipy.integrate pulls in scipy.optimize; together they cost a large
     # share of the CLI's start-up, and no module needs them; nor does any
     # module need scipy.sparse (the solver builds its mode bands with numpy
-    # and factors them with LAPACK's gttrf)
+    # and factors and solves them with LAPACK's gtsv)
     code = ("import sys, halfheat.cli, halfheat.verify, halfheat.sab, halfheat.quadrature\n"
             "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.sparse')"
             " if m in sys.modules))")

@@ -99,9 +99,9 @@ def deltas(grid, sources):
     return u
 
 
-def per_window():
-    """Factorizations per checkpoint window: both contour rules' nodes."""
-    return solver.CONTOUR_NODES + 3 * solver.CONTOUR_NODES // 2
+def per_window(meta):
+    """Factorizations per checkpoint window: the guard rule's nodes and the returned rule's."""
+    return solver.CONTOUR_NODES + meta["nodes"]
 
 
 def weighted_norm(f, p):
@@ -246,22 +246,23 @@ class TestEvolve:
         grid = GridSpec(rx=1.0, ry=1.0, nx=32, ny=16, c=0.5)
         op = assemble(ModelOperatorSpec(n=1, a=np.array([0.3]), c=0.5), grid)
         calls = []
-        real_zgttrf = solver.zgttrf
+        real_zgtsv = solver.zgtsv
 
-        def counting_zgttrf(lower, diag, upper):
+        def counting_zgtsv(lower, diag, upper, rhs):
             calls.append(diag.shape)
-            return real_zgttrf(lower, diag, upper)
+            return real_zgtsv(lower, diag, upper, rhs)
 
-        monkeypatch.setattr(solver, "zgttrf", counting_zgttrf)
+        monkeypatch.setattr(solver, "zgtsv", counting_zgtsv)
         cols = kernel_columns(op, (0.25, 0.5, 1.0, 2.0), np.array([[0.0, 0.5], [0.5, 0.25]]))
         assert len(cols) == 8
-        first, second = calls[:per_window()], calls[per_window():]
-        assert len(calls) == 2 * per_window() and len(set(first)) == len(set(second)) == 1
+        per = per_window(cols[0].meta)
+        first, second = calls[:per], calls[per:]
+        assert len(calls) == 2 * per and len(set(first)) == len(set(second)) == 1
         sizes = first[0][0], second[0][0]
         assert all(n % 16 == 0 and n < 32 * 16 for n in sizes)
         assert sum(sizes) == 16 * cols[0].meta["live_modes"]
         assert cols[0].meta["windows"] == 2
-        assert cols[0].meta["factorizations"] == 2 * per_window()
+        assert cols[0].meta["factorizations"] == 2 * per
 
     def test_block_residual_guard_is_per_column(self):
         _, grid, op = make(0.5, 1.0, n=16, r=2.0)
@@ -290,6 +291,20 @@ class TestEvolve:
         ref = fourier @ dense_form(grid, np.array(bmat)) @ np.linalg.inv(fourier)
         assert np.abs(modes - ref).max() <= 1e-12 * np.abs(ref).max()
 
+    def test_singular_node_guard(self):
+        # bands with no coupling and diag = -z0 w make the first node's
+        # matrix z0 W + S exactly 0
+        t0, ny = 0.5, 8
+        w = np.linspace(0.5, 1.5, 2 * ny)
+        z0 = solver._contour(solver.CONTOUR_NODES, t0)[0][0]
+        off = np.zeros(w.size - 1, dtype=complex)
+        bands = (off, -(z0 * w), off)
+        rhs = np.asfortranarray(np.ones((w.size, 2), dtype=complex))
+        stats = {"factorizations": 0, "factor_s": 0.0, "solve_s": 0.0}
+        with pytest.raises(SolveFailure, match="singular mode matrix"):
+            solver._contour_sum(bands, w, rhs, [t0], solver.CONTOUR_NODES, stats, np.zeros(2))
+        assert stats["factorizations"] == 1
+
     def test_phase_times(self):
         _, grid, op = make(0.5, 1.0, n=32, r=3.0)
         t0 = time.perf_counter()
@@ -301,12 +316,12 @@ class TestEvolve:
             assert sum(phases) <= wall
 
     def test_contour_guard(self, monkeypatch):
-        # 4 and 6 nodes cannot resolve a window; the default rules can
+        # 4 and 8 nodes cannot resolve a window; the default rules can
         _, grid, op = make(0.5, 1.0, n=16, r=2.0)
         z2 = np.array([0.0, 0.5])
         assert 0.0 < kernel_columns(op, [0.5], z2)[0].meta["contour_err"] <= solver.CONTOUR_TOL
         monkeypatch.setattr(solver, "CONTOUR_NODES", 4)
-        with pytest.raises(SolveFailure, match="rules of 4 and 6 nodes.*CONTOUR_TOL = 1e-08"):
+        with pytest.raises(SolveFailure, match="rules of 4 and 8 nodes.*CONTOUR_TOL = 1e-08"):
             kernel_columns(op, [0.5], z2)
 
     def test_time_errors(self):
@@ -328,13 +343,13 @@ class TestEvolve:
         _, grid, op = make(0.5, 1.0, n=16, r=2.0)
         z2 = np.array([0.0, 1.0])
         calls = []
-        real_zgttrf = solver.zgttrf
+        real_zgtsv = solver.zgtsv
 
-        def counting_zgttrf(*args):
+        def counting_zgtsv(*args):
             calls.append(1)
-            return real_zgttrf(*args)
+            return real_zgtsv(*args)
 
-        monkeypatch.setattr(solver, "zgttrf", counting_zgttrf)
+        monkeypatch.setattr(solver, "zgtsv", counting_zgtsv)
         once = kernel_columns(op, [0.5, 1.0], z2)
         n_once = len(calls)
         repeated = kernel_columns(op, [1.0, 0.5, 1.0], z2)
@@ -420,7 +435,7 @@ class TestKernelColumn:
             assert (b.t, b.source.tolist()) == (s.t, s.source.tolist())
             err = np.abs(b.values - s.values).max() / np.abs(s.values).max()
             assert err <= 1e-14
-            assert b.meta["factorizations"] == per_window()
+            assert b.meta["factorizations"] == per_window(b.meta)
 
     @pytest.mark.parametrize("nx", [24, 23])
     @pytest.mark.parametrize("adjoint", [False, True])
@@ -444,7 +459,7 @@ class TestKernelColumn:
     def test_kernel_slices_one_factorization_for_all_sources(self, monkeypatch):
         spec = GeneralOperatorSpec(n=1, a_matrix=np.array([[1.0, 0.5], [0.5, 1.0]]),
                                    drift=np.array([0.0, 1.0]))
-        calls = {"zgttrf": 0, "kernel_columns": 0}
+        calls = {"zgtsv": 0, "kernel_columns": 0}
         for name in calls:
             def counted(*args, _fn=getattr(solver, name), _name=name, **kwargs):
                 calls[_name] += 1
@@ -452,11 +467,11 @@ class TestKernelColumn:
             monkeypatch.setattr(solver, name, counted)
         out = kernel_slices(spec, [0.25, 0.5], [np.array([0.0, 1.0]), np.array([0.5, 1.5])],
                             rx=4.0, ry=4.0, nx=32, ny=32)
-        assert calls == {"zgttrf": per_window(), "kernel_columns": 1}
+        assert calls == {"zgtsv": per_window(out[0].meta), "kernel_columns": 1}
         # t-major over ts x sources
         assert [(s.t, s.meta["source"]) for s in out] == [
             (0.25, [0.0, 1.0]), (0.25, [0.5, 1.5]), (0.5, [0.0, 1.0]), (0.5, [0.5, 1.5])]
-        assert all(s.meta["factorizations"] == per_window() for s in out)
+        assert all(s.meta["factorizations"] == per_window(s.meta) for s in out)
 
     @pytest.mark.parametrize("a_matrix,drift", [
         ([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.5]),
@@ -519,11 +534,17 @@ class TestKernelColumn:
 
     @pytest.mark.parametrize("a_matrix", [[[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.5], [0.5, 1.0]]],
                              ids=["closed-form", "solver"])
-    def test_kernel_slices_keep_the_caller_time_order(self, a_matrix):
+    def test_kernel_slices_keep_the_caller_time_order(self, a_matrix, monkeypatch):
         spec = GeneralOperatorSpec(n=1, a_matrix=np.array(a_matrix), drift=np.array([0.0, 0.5]))
         sources = [np.array([0.0, 1.0]), np.array([0.5, 1.5])]
         ref = kernel_slices(spec, [0.25, 0.5], sources, rx=2.0, ry=2.0, nx=16, ny=16)
+        calls = []
+        real = solver.tensor_kernel
+        monkeypatch.setattr(solver, "tensor_kernel",
+                            lambda model, t, *args: calls.append(t) or real(model, t, *args))
         out = kernel_slices(spec, [0.5, 0.25, 0.5], sources, rx=2.0, ry=2.0, nx=16, ny=16)
+        # the closed form is evaluated once per distinct time and source
+        assert len(calls) == (4 if ref[0].meta["method"] == "exact" else 0)
         want = [ref[2], ref[3], ref[0], ref[1], ref[2], ref[3]]  # t-major
         assert [(s.t, s.meta["source"]) for s in out] == [(s.t, s.meta["source"]) for s in want]
         for slc, r in zip(out, want):

