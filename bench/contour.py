@@ -8,37 +8,49 @@ factor-solve (LAPACK gtsv) of the x-modes of zW + S per node, and a
 coarser guard rule of solver.CONTOUR_NODES nodes (`contour_err`).  Per
 checkpoint window [t0, 4 t0] it solves only the live x-modes: a mode
 whose logarithmic-norm bound has taken it below machine epsilon times
-the column maximum by t0 is left at 0 (solver._live_modes).  This
-script times that path (`kernel_columns`) beside the same call with
-_live_modes replaced by one that keeps every mode; the package has no
-option for the all-modes path.
+the column maximum by t0 is left at 0 (solver._live_modes).  For a
+symmetric coefficient matrix B the mode blocks are Hermitian with
+S_{nx-m} = conj(S_m), and the package solves each live pair (m, nx - m)
+once, as one real-symmetric block with 2k right-hand sides
+(solver._fused_system); any other B keeps one block per live mode.
+This script times the package path (`kernel_columns`) beside the same
+call with _live_modes replaced by one that keeps every mode; the package
+has no option for the all-modes path.
 
 Cases: the 128^2 a = 0 model and the 112^2 cross-term divergence-form
-operator of the perfbench `columns` workload, and the 224x192 a = 0.5
-operator of the acceptance fixture, each through the fixture's
-checkpoints (0.25, 0.5, 0.75, 1, 2, 4), which make the two contour
-windows [0.25, 1] and [2, 4].  For k = 1 and k = 4 sources and for each
-window, both paths record their time per call (median over --repeats),
-the live modes of the pruned path, the oracle error (max |p - p_exact| /
-max p_exact over the window's checkpoints, where a closed form exists),
-`contour_err` and the mass defect; the pair adds
-`dropped_modes_exact_max_rel`, the exact evolution of the modes the
-pruned path drops (a dense expm per mode block), the largest difference
-of their columns, and `all_modes_dead_rule_gap`, the all-modes run's
-coarse-minus-fine rule difference on the dropped modes alone, which is
-that run's own error there; all three relative to each column's maximum.
-`self_convergence` lists, at k = 4, the error of the N-node rule for
-N = 8 .. 28 against a fixed REFERENCE_NODES-node rule, both through
-solver._contour_sum on the live modes of each window, relative to each
-column's maximum (the package guards CONTOUR_NODES and returns the rule
-its `nodes` stat names, so the table shows the returned rule's own
-error).  The JSON also holds the environment.
+operator of the perfbench `columns` workload (both paired), and the
+224x192 a = 0.5 operator of the acceptance fixture (unpaired), each
+through the fixture's checkpoints (0.25, 0.5, 0.75, 1, 2, 4), which make
+the two contour windows [0.25, 1] and [2, 4].  Each case records
+`paired`.  For k = 1 and k = 4 sources and for each window, both paths
+record their time per call (median over --repeats), the live modes and
+`solve_rows` (the rows of each node's fused factor-solve, summed over
+windows: ny per live pair when paired, ny per live mode otherwise), the
+oracle error (max |p - p_exact| / max p_exact over the window's
+checkpoints, where a closed form exists), `contour_err` and the mass
+defect; the pair adds `dropped_modes_exact_max_rel`, the exact evolution
+of the modes the pruned path drops (a dense expm per mode block), the
+largest difference of their columns, `all_modes_dead_rule_gap`, the
+all-modes run's coarse-minus-fine rule difference on the dropped modes
+alone, which is that run's own error there, and, for a paired case,
+`paired_minus_unpaired_max_rel`, the package's columns against the
+unpaired solver._contour_sum sums of the same live modes; all relative
+to each column's maximum.  `self_convergence` lists, at k = 4, the error
+of the N-node rule for N = 8 .. 28 against a fixed REFERENCE_NODES-node
+rule, both through solver._contour_sum on the live modes of each window
+in the package's layout, relative to each column's maximum (the package
+guards CONTOUR_NODES and returns the rule its `nodes` stat names, so the
+table shows the returned rule's own error).  `self_convergence_floor` is
+the same difference between the REFERENCE_NODES and REFERENCE_NODES + 4
+rules, the reference's own round-off: a table entry at or below it is
+unresolved.  The JSON also holds the environment.
 
 The exit code is 1 when the dropped modes' exact values exceed DIFF_TOL
-times a column's maximum, or a pruned column's mass defect exceeds
-MASS_TOL; the JSON is written either way.  The pruned-minus-all-modes
-difference is not gated: it carries the all-modes run's own rule error
-on the dropped modes.
+times a column's maximum, a paired case's columns differ from the
+unpaired sums by more than DIFF_TOL times a column's maximum, or a
+pruned column's mass defect exceeds MASS_TOL; the JSON is written either
+way.  The pruned-minus-all-modes difference is not gated: it carries the
+all-modes run's own rule error on the dropped modes.
 """
 
 from __future__ import annotations
@@ -75,7 +87,8 @@ SELF_CONVERGENCE_NODES = (8, 12, 16, 20, 24, 28)
 #: nodes of the reference rule of the self-convergence table
 REFERENCE_NODES = 36
 
-#: largest exact value of the dropped modes, relative to the column maximum
+#: largest exact value of the dropped modes, and largest paired-minus-unpaired
+#: difference, relative to the column maximum
 DIFF_TOL = 1e-12
 #: largest mass defect of a pruned column
 MASS_TOL = 1e-12
@@ -129,8 +142,8 @@ def path_record(op, ts, sources, oracle, repeats: int):
         times.append(time.perf_counter() - t0)
     meta = cols[0].meta
     rec = {"time_s": statistics.median(times),
-           **{key: meta[key] for key in ("nodes", "live_modes", "factorizations", "factor_s",
-                                         "solve_s", "transform_s")},
+           **{key: meta[key] for key in ("nodes", "live_modes", "solve_rows", "factorizations",
+                                         "factor_s", "solve_s", "transform_s")},
            "contour_err": max(s.meta["contour_err"] for s in cols),
            "max_solve_residual": max(s.meta["max_solve_residual"] for s in cols),
            "mass_defect": max(abs(s.mass() - 1.0) for s in cols),
@@ -139,11 +152,17 @@ def path_record(op, ts, sources, oracle, repeats: int):
     return rec, cols
 
 
+def paired(op) -> bool:
+    """Whether solver._evolve_block solves op's x-modes in Hermitian pairs (a symmetric B)."""
+    return bool(op.bmat[0, 1] == op.bmat[1, 0])
+
+
 def dead_modes(op, t0, sources):
     """The sources' deltas in x-modes, shape (k, nx, ny), the bands and the modes dropped at t0.
 
     The data, the bands and the dead set are the ones solver._evolve_block
-    forms for the window starting at t0.
+    forms for the window starting at t0: for a paired operator a mode is
+    live when it or its partner nx - m is.
     """
     grid, k = op.grid, len(sources)
     u = np.zeros((op.w.size, k))
@@ -153,7 +172,10 @@ def dead_modes(op, t0, sources):
     modes = np.fft.fft(u.T.reshape(k, grid.nx, grid.ny), axis=1)
     rhs = op.w[:, None] * modes.reshape(k, -1).T
     bands = solver._mode_bands(grid, op.bmat)
-    return modes, bands, ~solver._live_modes(bands, op.w, rhs, t0, grid.nx)
+    live = solver._live_modes(bands, op.w, rhs, t0, grid.nx)
+    if paired(op):
+        live = live | live[-np.arange(grid.nx) % grid.nx]
+    return modes, bands, ~live
 
 
 def column_tops(cols, k: int, n_times: int) -> list[float]:
@@ -189,22 +211,38 @@ def dropped_modes_exact(op, ts, sources, cols) -> float:
     return float(max(v / top for v, top in zip(values, column_tops(cols, k, len(ts)))))
 
 
-def rule_sums(op, ts, sources, modes, n: int):
+def rule_sums(op, ts, sources, modes, n: int, pairs: bool):
     """The n-node contour sums of the x-modes in `modes` (a mask, shape (nx,)) in cell space.
 
-    The rows, bands, weights and right-hand sides are the ones
-    solver._evolve_block gathers for the window ts; returns one
-    (k, nx * ny) array per time, the other modes 0.
+    The fused system is the one solver._evolve_block solves for the window
+    ts (solver._fused_system), in the paired layout when `pairs` (then
+    `modes` must hold whole pairs) and one block per mode otherwise;
+    returns one (k, nx * ny) array per time, the other modes 0.
     """
     grid, k = op.grid, len(sources)
-    data, (lower, diag, upper), _ = dead_modes(op, ts[0], sources)
+    data, bands, _ = dead_modes(op, ts[0], sources)
     rhs = op.w[:, None] * data.reshape(k, -1).T
-    rows = np.flatnonzero(np.repeat(modes, grid.ny))
-    sub = (lower[rows[:-1]], diag[rows], upper[rows[:-1]])
+    *system, layout = solver._fused_system(bands, op.w, rhs, modes, grid.ny, pairs)
     stats = {"factorizations": 0, "factor_s": 0.0, "solve_s": 0.0}
-    sums = solver._contour_sum(sub, op.w[rows], np.asfortranarray(rhs[rows]), ts, n, stats,
-                               np.zeros(k))
-    return [solver._to_space(v, modes, grid.ny) for v in sums]
+    sums = solver._contour_sum(*system, ts, n, stats, np.zeros(k))
+    return [solver._to_space(v, layout, grid.nx, grid.ny) for v in sums]
+
+
+def paired_minus_unpaired(op, ts, sources, cols) -> float | None:
+    """How far the package's paired columns lie from one block per live mode.
+
+    The unpaired sums (rule_sums with pairs=False) of the returned rule on
+    the same live modes, against the columns of `cols` (source-major); the
+    largest difference relative to each column's maximum.  None for an
+    operator the package does not pair.
+    """
+    if not paired(op):
+        return None
+    live = ~dead_modes(op, ts[0], sources)[2]
+    ref = rule_sums(op, ts, sources, live, cols[0].meta["nodes"], False)
+    k, n_times = len(sources), len(ts)
+    return float(max(np.abs(cols[col * n_times + n].values - ref[n][col]).max()
+                     / np.abs(ref[n][col]).max() for n in range(n_times) for col in range(k)))
 
 
 def dead_mode_rule_gap(op, ts, sources, cols) -> float:
@@ -219,29 +257,35 @@ def dead_mode_rule_gap(op, ts, sources, cols) -> float:
     dead = dead_modes(op, ts[0], sources)[2]
     if not dead.any():
         return 0.0
-    coarse, fine = (rule_sums(op, ts, sources, dead, n)
+    coarse, fine = (rule_sums(op, ts, sources, dead, n, paired(op))
                     for n in (solver.CONTOUR_NODES, cols[0].meta["nodes"]))
     gaps = [np.abs(a - b).max(axis=1) for a, b in zip(coarse, fine)]
     return float(max(g / top for g, top in zip(np.concatenate(gaps),
                                                column_tops(cols, len(sources), len(ts)))))
 
 
-def self_convergence(op, sources) -> dict:
-    """Error of the N-node rule against the REFERENCE_NODES-node rule, per N.
+def self_convergence(op, sources):
+    """Error of the N-node rule against the REFERENCE_NODES-node rule, per N, and its floor.
 
     For each window of TS, both rules' sums of the window's live modes
-    (rule_sums); the largest difference over the window's times and the
-    sources, relative to each reference column's maximum.
+    (rule_sums, in the package's layout); the largest difference over the
+    window's times and the sources, relative to each reference column's
+    maximum.  The floor is the same difference between the
+    REFERENCE_NODES and REFERENCE_NODES + 4 rules: the reference's own
+    round-off, which grows with the largest |e^{zt}| on its contour.  A
+    table entry at or below the floor is unresolved: it bounds the N-node
+    rule's error only by the floor.
     """
-    table = dict.fromkeys(SELF_CONVERGENCE_NODES, 0.0)
+    table = dict.fromkeys((*SELF_CONVERGENCE_NODES, REFERENCE_NODES + 4), 0.0)
     for ts in solver._windows(TS):
         live = ~dead_modes(op, ts[0], sources)[2]
-        ref = rule_sums(op, ts, sources, live, REFERENCE_NODES)
+        ref = rule_sums(op, ts, sources, live, REFERENCE_NODES, paired(op))
         tops = [np.abs(r).max(axis=1) for r in ref]
         for n in table:
-            for a, b, top in zip(rule_sums(op, ts, sources, live, n), ref, tops):
+            for a, b, top in zip(rule_sums(op, ts, sources, live, n, paired(op)), ref, tops):
                 table[n] = max(table[n], float((np.abs(a - b).max(axis=1) / top).max()))
-    return {str(n): e for n, e in table.items()}
+    floor = table.pop(REFERENCE_NODES + 4)
+    return {str(n): e for n, e in table.items()}, floor
 
 
 def window_record(op, ts, sources, oracle, repeats: int) -> dict:
@@ -250,7 +294,8 @@ def window_record(op, ts, sources, oracle, repeats: int) -> dict:
         full, f_cols = path_record(op, ts, sources, oracle, repeats)
     diff = max(relative_error(p.values, f.values) for p, f in zip(p_cols, f_cols))
     return {"times": list(ts), "modes": op.grid.nx, "live_modes": pruned["live_modes"],
-            "pruned": pruned, "all_modes": full,
+            "solve_rows": pruned["solve_rows"], "pruned": pruned, "all_modes": full,
+            "paired_minus_unpaired_max_rel": paired_minus_unpaired(op, ts, sources, p_cols),
             "speedup": full["time_s"] / pruned["time_s"],
             "dropped_modes_exact_max_rel": dropped_modes_exact(op, ts, sources, p_cols),
             "pruned_minus_all_modes_max_rel": diff,
@@ -258,14 +303,16 @@ def window_record(op, ts, sources, oracle, repeats: int) -> dict:
 
 
 def case_record(name, op, oracle, repeats: int, failures: list) -> dict:
-    rec = {"unknowns": op.w.size, "column_times": list(TS)}
+    rec = {"unknowns": op.w.size, "column_times": list(TS), "paired": paired(op)}
     for k in (1, 4):
         windows = []
         for ts in solver._windows(TS):
             win = window_record(op, ts, SOURCES[:k], oracle, repeats)
             p, f = win["pruned"], win["all_modes"]
             dropped = win["dropped_modes_exact_max_rel"]
+            pair_diff = win["paired_minus_unpaired_max_rel"]
             print(f"{name:24s} k={k} t0={ts[0]:<5g} live {win['live_modes']:3d}/{win['modes']}  "
+                  f"rows {win['solve_rows']}  paired-unpaired {pair_diff}  "
                   f"time {p['time_s']:.3f} / {f['time_s']:.3f} s ({win['speedup']:.2f}x)  "
                   f"dropped {dropped:.1e}  diff {win['pruned_minus_all_modes_max_rel']:.1e} "
                   f"(dead-mode rule gap {win['all_modes_dead_rule_gap']:.1e})  "
@@ -274,16 +321,20 @@ def case_record(name, op, oracle, repeats: int, failures: list) -> dict:
                   f"oracle_err {p['oracle_err']} / {f['oracle_err']}", flush=True)
             if not dropped <= DIFF_TOL:
                 failures.append(f"{name} k={k} t0={ts[0]}: dropped modes hold {dropped:.3e}")
+            if pair_diff is not None and not pair_diff <= DIFF_TOL:
+                failures.append(f"{name} k={k} t0={ts[0]}: paired columns differ from one "
+                                f"block per mode by {pair_diff:.3e}")
             if not p["mass_defect"] <= MASS_TOL:
                 failures.append(f"{name} k={k} t0={ts[0]}: mass defect {p['mass_defect']:.3e}")
             windows.append(win)
         rec[f"k{k}"] = {"windows": windows,
                         "pruned_time_s": sum(w["pruned"]["time_s"] for w in windows),
                         "all_modes_time_s": sum(w["all_modes"]["time_s"] for w in windows)}
-    table = self_convergence(op, SOURCES)
-    rec["self_convergence"] = table
+    table, floor = self_convergence(op, SOURCES)
+    rec["self_convergence"], rec["self_convergence_floor"] = table, floor
     print(f"{name:24s} N vs {REFERENCE_NODES}: "
-          + "  ".join(f"{n}: {e:.1e}" for n, e in table.items()), flush=True)
+          + "  ".join(f"{n}: {e:.1e}" for n, e in table.items())
+          + f"  (floor {floor:.1e})", flush=True)
     if oracle is None:
         rec["oracle_note"] = ("a = 0.5 has no closed form; contour_err stands for the time "
                               "error, and the other cases give the oracle error")
@@ -316,7 +367,8 @@ def main(argv=None) -> int:
                     "alpha": solver.CONTOUR_ALPHA,
                     "span": solver.CONTOUR_SPAN, "mu_t0_per_node": solver.CONTOUR_MU,
                     "window_ratio": solver.WINDOW_RATIO, "tolerance": solver.CONTOUR_TOL},
-        "gates": {"dropped_modes_exact_max_rel": DIFF_TOL, "mass_defect": MASS_TOL},
+        "gates": {"dropped_modes_exact_max_rel": DIFF_TOL,
+                  "paired_minus_unpaired_max_rel": DIFF_TOL, "mass_defect": MASS_TOL},
         "cases": {name: case_record(name, op, oracle, args.repeats, failures)
                   for name, op, oracle in cases()},
     }

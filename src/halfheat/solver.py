@@ -25,9 +25,13 @@ a window [t0, 4 t0].  An fft along x takes the data to x-modes, where
 each zW + S is tridiagonal and one LAPACK gtsv call factors and solves
 it.  Only the live modes are solved: a mode whose logarithmic-norm
 bound e^{-kappa_m t0} has taken it below round-off of the column
-maximum by the window's first time is left at 0 (_live_modes).  The
-rule is normalized at lambda = 0, so constants stay and mass is
-conserved to round-off.  The returned rule has CONTOUR_NODES + 4 nodes;
+maximum by the window's first time is left at 0 (_live_modes).  A
+symmetric B (B01 == B10 exactly: the model at a = 0, a divergence form
+with symmetric A) makes every block Hermitian with S_{nx-m} = conj(S_m),
+so each live pair (m, nx - m) is solved once, as one real-symmetric
+block with twice the columns (_fused_system); any other B keeps one
+block per live mode.  The rule is normalized at lambda = 0, so constants
+stay and mass is conserved to round-off.  The returned rule has CONTOUR_NODES + 4 nodes;
 the CONTOUR_NODES-node rule guards its time error.
 The adjoint is the same rational function of S', exact to round-off
 relative to the column maximum.
@@ -89,7 +93,7 @@ CONTOUR_SPAN = float(np.arccosh(
 CONTOUR_MU = (4.0 * CONTOUR_ALPHA - np.pi) * np.pi / (WINDOW_RATIO * CONTOUR_SPAN)
 
 #: the evolution stats kernel_columns puts in a solver slice's meta
-SOLVE_STATS = ("windows", "nodes", "factorizations", "live_modes", "contour_err",
+SOLVE_STATS = ("windows", "nodes", "factorizations", "live_modes", "solve_rows", "contour_err",
                "max_solve_residual", "transform_s", "factor_s", "solve_s")
 
 
@@ -332,19 +336,23 @@ def _windows(times):
 def _contour_sum(bands, w, rhs, window, n, stats, worst):
     """The n-node rule in mode space for every time of one window.
 
-    `bands` are the sub-, main and super-diagonal of S in x-modes: each
-    node's matrix z W + S_m is tridiagonal over the whole index m * ny + j,
-    and its factors serve only that node, so one fused LAPACK call (zgtsv)
-    factors it and solves for all k columns of rhs, shape (nx * ny, k), at
-    once; nonzero `info` (an exactly singular pivot) raises SolveFailure.
-    The residual is formed from the three diagonals; its maxima are kept
-    per node and column, and after the last node each is held to its own
-    column's |rhs|: above SOLVE_RTOL times it, or non-finite, it raises
-    SolveFailure naming the column (the first failing node's first).  The
-    coefficients c_k e^{z_k t} of all nodes and times come from one outer
-    product.  Returns the mode sums per time, shape (k, nx * ny), each
-    divided by the rule's own value at lambda = 0, which is what makes
-    mass exact.
+    `bands` are the sub-, main and super-diagonal of a fused system
+    (_fused_system): each node's matrix z W + S is tridiagonal over all
+    of its rows, and its factors serve only that node, so one fused LAPACK
+    call (zgtsv) factors it and solves for all columns of rhs, shape
+    (rows, m k) with k = worst.size, at once; nonzero `info` (an exactly
+    singular pivot) raises SolveFailure.  The bands, the node's diagonal,
+    the right-hand side and the residual live in work arrays allocated
+    once per call, which zgtsv overwrites in place.  The residual is
+    formed from the three diagonals; its maxima are kept per node and
+    column, folded onto the caller's k columns (column j of rhs belongs to
+    caller column j mod k), and after the last node each is held to its
+    own column's |rhs|: above SOLVE_RTOL times it, or non-finite, it
+    raises SolveFailure naming the caller's column (the first failing
+    node's first).  The coefficients c_k e^{z_k t} of all nodes and times
+    come from one outer product.  Returns the sums per time, shape
+    (m k, rows), each divided by the rule's own value at lambda = 0, which
+    is what makes mass exact.
     """
     lower, diag, upper = bands
     clock = time.perf_counter
@@ -353,22 +361,35 @@ def _contour_sum(bands, w, rhs, window, n, stats, worst):
     den = np.abs(rhs).max(axis=0)
     num = np.empty((n, rhs.shape[1]))
     acc = np.zeros((len(window), rhs.shape[1], rhs.shape[0]), dtype=complex)
+    # work arrays of every node: zgtsv overwrites dl, d, du and b
+    dl, du, d, node_diag = (np.empty_like(a) for a in (lower, upper, diag, diag))
+    b, res, prod = (np.empty(rhs.shape, dtype=complex, order="F") for _ in range(3))
+    mag = np.empty(rhs.shape, order="F")
     for zk, coef_k, num_k in zip(z, coef, num):
         t0 = clock()
-        d = zk * w + diag
-        *_, x, info = zgtsv(lower, d, upper, rhs)
+        np.multiply(zk, w, out=node_diag)
+        node_diag += diag
+        dl[:], du[:], d[:], b[:] = lower, upper, node_diag, rhs
+        *_, x, info = zgtsv(dl, d, du, b, overwrite_dl=1, overwrite_d=1, overwrite_du=1,
+                            overwrite_b=1)
         stats["factorizations"] += 1
         stats["factor_s"] += clock() - t0
         if info != 0:
             raise SolveFailure(f"contour node z = {zk:.4g}: singular mode matrix")
         t0 = clock()
-        res = d[:, None] * x - rhs
-        res[1:] += lower[:, None] * x[:-1]
-        res[:-1] += upper[:, None] * x[1:]
-        num_k[:] = np.abs(res).max(axis=0)
+        np.multiply(node_diag[:, None], x, out=res)
+        res -= rhs
+        np.multiply(lower[:, None], x[:-1], out=prod[1:])
+        res[1:] += prod[1:]
+        np.multiply(upper[:, None], x[1:], out=prod[:-1])
+        res[:-1] += prod[:-1]
+        np.abs(res, out=mag)
+        mag.max(axis=0, out=num_k)
         for acc_t, a in zip(acc, coef_k):
             zaxpy(x.T.ravel(), acc_t.ravel(), a=a)  # in place
         stats["solve_s"] += clock() - t0
+    k = worst.size
+    num, den = num.reshape(n, -1, k).max(axis=1), den.reshape(-1, k).max(axis=0)
     # NaN or inf in the data or the solution leaves a non-finite residual
     bad = ~np.isfinite(num) | ((den > 0.0) & (num > SOLVE_RTOL * den))
     if np.any(bad):
@@ -425,12 +446,75 @@ def _live_modes(bands, w, rhs, t0: float, nx: int) -> np.ndarray:
     return live
 
 
-def _to_space(sums, live, ny: int) -> np.ndarray:
-    """Cell values, shape (k, nx * ny), of mode sums over the live modes' rows, the dead modes 0."""
-    k = sums.shape[0]
-    modes = np.zeros((k, live.size, ny), dtype=complex)
-    modes[:, live] = sums.reshape(k, -1, ny)
-    return np.fft.ifft(modes, axis=1).real.reshape(k, -1)
+def _fused_system(bands, w, rhs, live, ny: int, paired: bool):
+    """The tridiagonal system every node of one window solves, and its layout.
+
+    Unpaired: the rows of the live modes (`live`, a mask of shape (nx,))
+    of the bands, the weights and the k columns of rhs; the coupling of
+    consecutive rows is the band entry, or the 0 between blocks where a
+    live mode ends.
+
+    Paired (`live` closed over pairs; the caller's rule for a symmetric
+    B): S_{nx-m} = conj(S_m) and S_m is Hermitian, so the live modes
+    m <= nx/2 are solved alone, each as the real-symmetric block
+    R_m = P_m* S_m P_m with the real diagonal of S_m and |e_j| off it, for
+    e_j the super-diagonal of S_m and P_m the diagonal unitary phase
+    p_0 = 1, p_{j+1} = p_j conj(e_j) / |e_j|.  Then
+    zW + S_m = P_m (zW + R_m) P_m* and
+    zW + S_{nx-m} = conj(P_m) (zW + R_m) P_m, so the right-hand side has
+    2k columns, P_m* b_m and P_m b_{nx-m} (0 for a mode that is its own
+    partner, m = 0 and nx/2), and the partner is built from mode m's
+    block bit for bit.
+
+    Returns the system's bands, weights and rhs (Fortran order, as zgtsv
+    takes it) and the layout (solved modes, row phases or None) that
+    _to_space takes.
+    """
+    lower, diag, upper = bands
+    nx = live.size
+    if not paired:
+        rows = np.flatnonzero(np.repeat(live, ny))
+        sub = (lower[rows[:-1]], diag[rows], upper[rows[:-1]])
+        return sub, w[rows], rhs.T[:, rows].T, (np.flatnonzero(live), None)
+    modes = np.flatnonzero(live[:nx // 2 + 1])
+    cells = np.arange(ny)
+    rows = (modes[:, None] * ny + cells).ravel()
+    e = np.append(upper, 0.0).reshape(nx, ny)[modes]  # each block's super-diagonal, then 0
+    size = np.abs(e)
+    unit = np.divide(e.conj(), size, out=np.ones_like(e), where=size > 0.0)
+    phase = np.ones_like(e)
+    phase[:, 1:] = np.cumprod(unit[:, :-1], axis=1)
+    phase = phase.ravel()
+    off = size.ravel()[:-1].astype(complex)
+    sub = (off, diag[rows].real.astype(complex), off)
+    k = rhs.shape[1]
+    partner = -modes % nx
+    pair = np.repeat(partner != modes, ny)
+    sub_rhs = np.zeros((rows.size, 2 * k), dtype=complex, order="F")
+    sub_rhs[:, :k] = phase.conj()[:, None] * rhs[rows]
+    sub_rhs[pair, k:] = phase[pair, None] * rhs[(partner[:, None] * ny + cells).ravel()[pair]]
+    return sub, w[rows], sub_rhs, (modes, phase)
+
+
+def _to_space(sums, layout, nx: int, ny: int) -> np.ndarray:
+    """Cell values, shape (k, nx * ny), of the sums of a fused system, the modes not solved 0.
+
+    `layout` is _fused_system's (modes, phase).  Paired (phase not None),
+    the phases go back on here, once per time: the first k rows of `sums`
+    times P_m are the modes m, the last k times conj(P_m) their partners
+    nx - m.
+    """
+    modes, phase = layout
+    k = sums.shape[0] if phase is None else sums.shape[0] // 2
+    out = np.zeros((k, nx, ny), dtype=complex)
+    if phase is None:
+        out[:, modes] = sums.reshape(k, -1, ny)
+    else:
+        out[:, modes] = (phase * sums[:k]).reshape(k, -1, ny)
+        partner = -modes % nx
+        pair = partner != modes
+        out[:, partner[pair]] = (phase.conj() * sums[k:]).reshape(k, -1, ny)[:, pair]
+    return np.fft.ifft(out, axis=1).real.reshape(k, -1)
 
 
 def _evolve_block(op: DiscreteOperator, u: np.ndarray, times):
@@ -444,10 +528,17 @@ def _evolve_block(op: DiscreteOperator, u: np.ndarray, times):
     from the operator's bmat) is tridiagonal.  Checkpoints are
     grouped into windows [t0, WINDOW_RATIO t0]; one set of shifted solves
     serves every time of a window.  Per window only the live modes
-    (_live_modes) are solved: their rows of the bands, the weights and
-    rhs are gathered, and the sums are scattered into zero mode arrays
-    before the ifft, so the dropped modes move no value by more than
-    machine epsilon times the column maximum.  Each window is evaluated with
+    (_live_modes) are solved: _fused_system gathers their rows of the
+    bands, the weights and rhs, and _to_space scatters the sums into zero
+    mode arrays before the ifft, so the dropped modes move no value by
+    more than machine epsilon times the column maximum.  When
+    op.bmat[0, 1] == op.bmat[1, 0] exactly, the blocks are Hermitian
+    with S_{nx-m} = conj(S_m): the live mask is closed over pairs (m is
+    live when m or nx - m is), and each node solves only the modes
+    m <= nx/2, as the real-symmetric blocks R_m = P_m* S_m P_m with the
+    2k columns P_m* b_m and P_m b_{nx-m}; the phases go back on the sums
+    once per window and time.  Any other bmat keeps one block per live
+    mode.  Each window is evaluated with
     CONTOUR_NODES and CONTOUR_NODES + 4 nodes; the finer result is
     returned, and a relative difference above CONTOUR_TOL raises
     SolveFailure.  The rule's error falls about 240-fold per 4 nodes until
@@ -459,19 +550,22 @@ def _evolve_block(op: DiscreteOperator, u: np.ndarray, times):
 
     Returns the (n, k) states at `times` and the run's stats: `windows`,
     `nodes` (of the returned rule, per window), `factorizations`,
-    `live_modes` (the x-modes solved, summed over windows), per
+    `live_modes` (the x-modes solved, summed over windows), `solve_rows`
+    (the rows of each node's fused factor-solve, summed over windows: ny
+    per live pair when paired, ny per live mode otherwise), per
     column the relative difference of the two rules `contour_err` and
     the worst relative solve residual `max_solve_residual`, and the wall
     time of each phase: `transform_s` (fft and ifft), `factor_s` (mode
-    diagonals, the live-mode test and the fused factor-solves) and
-    `solve_s` (residuals and sums).
+    diagonals, the live-mode test, the fused system and the
+    factor-solves) and `solve_s` (residuals and sums).
     """
     grid, k = op.grid, u.shape[1]
     nx, ny = grid.nx, grid.ny
     coarse, fine = CONTOUR_NODES, CONTOUR_NODES + 4
+    paired = op.bmat[0, 1] == op.bmat[1, 0]  # Hermitian blocks, S_{nx-m} = conj(S_m)
     clock = time.perf_counter
     stats = {"windows": 0, "nodes": fine, "factorizations": 0, "live_modes": 0,
-             "transform_s": 0.0, "factor_s": 0.0, "solve_s": 0.0}
+             "solve_rows": 0, "transform_s": 0.0, "factor_s": 0.0, "solve_s": 0.0}
     t0 = clock()
     # column c of rhs holds the x-modes of source c, index m * ny + j
     rhs = np.fft.fft(u.T.reshape(k, nx, ny), axis=1).reshape(k, -1).T
@@ -480,7 +574,6 @@ def _evolve_block(op: DiscreteOperator, u: np.ndarray, times):
     bands = _mode_bands(grid, op.bmat)
     w = op.w  # constant along x, so the same weight for every x-mode
     rhs = w[:, None] * rhs
-    lower, diag, upper = bands
     stats["factor_s"] += clock() - t0
     worst, err = np.zeros(k), np.zeros(k)
     states = []
@@ -488,18 +581,17 @@ def _evolve_block(op: DiscreteOperator, u: np.ndarray, times):
         stats["windows"] += 1
         t0 = clock()
         live = _live_modes(bands, w, rhs, window[0], nx)
-        rows = np.flatnonzero(np.repeat(live, ny))
-        # the coupling of consecutive live rows: the band entry, or the 0
-        # between blocks where a live mode ends
-        sub = (lower[rows[:-1]], diag[rows], upper[rows[:-1]])
-        sub_w, sub_rhs = w[rows], rhs.T[:, rows].T  # Fortran order, as zgtsv takes it
+        if paired:  # whole pairs: m is solved with nx - m
+            live = live | live[-np.arange(nx) % nx]
+        sub, sub_w, sub_rhs, layout = _fused_system(bands, w, rhs, live, ny, paired)
         stats["live_modes"] += int(live.sum())
+        stats["solve_rows"] += sub_w.size
         stats["factor_s"] += clock() - t0
         sums = {n: _contour_sum(sub, sub_w, sub_rhs, window, n, stats, worst)
                 for n in (coarse, fine)}
         t0 = clock()
         for a, b in zip(sums[coarse], sums[fine]):
-            a, b = (_to_space(v, live, ny) for v in (a, b))
+            a, b = (_to_space(v, layout, nx, ny) for v in (a, b))
             top = np.abs(b).max(axis=1)
             diff = np.divide(np.abs(a - b).max(axis=1), top, out=np.zeros(k), where=top > 0.0)
             np.maximum(err, diff, out=err)
@@ -546,13 +638,15 @@ def kernel_columns(op: DiscreteOperator, ts, z2) -> list[KernelSlice]:
     the block is taken to x-modes once and each distinct time is evaluated
     once, on a Bromwich contour per window of checkpoints (one fused
     tridiagonal factor-solve of the live x-modes per node for all sources
-    at once, the residual checked in mode space); the
+    at once, the residual checked in mode space; with a symmetric bmat
+    one solve per Hermitian pair of modes, see _evolve_block); the
     modes left out move no value by more than machine epsilon times the
     column maximum, and the adjoint is exact to round-off relative to the
     column maximum.  Returns the k * len(ts) slices source-major, each
     source's times in the caller's order (a repeated time repeats its
-    column), each with the evolution's stats in `meta` (SOLVE_STATS, with
-    the phase wall times and the live modes) and its own column's
+    column), each with the evolution's stats in `meta` (SOLVE_STATS: the
+    windows, nodes, factorizations, live modes, solve rows and phase wall
+    times of the evolution) and its own column's
     `contour_err` and worst solve residual.  A contour error above
     CONTOUR_TOL raises SolveFailure.
     """

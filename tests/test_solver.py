@@ -248,9 +248,9 @@ class TestEvolve:
         calls = []
         real_zgtsv = solver.zgtsv
 
-        def counting_zgtsv(lower, diag, upper, rhs):
+        def counting_zgtsv(lower, diag, upper, rhs, **kwargs):
             calls.append(diag.shape)
-            return real_zgtsv(lower, diag, upper, rhs)
+            return real_zgtsv(lower, diag, upper, rhs, **kwargs)
 
         monkeypatch.setattr(solver, "zgtsv", counting_zgtsv)
         cols = kernel_columns(op, (0.25, 0.5, 1.0, 2.0), np.array([[0.0, 0.5], [0.5, 0.25]]))
@@ -345,9 +345,9 @@ class TestEvolve:
         calls = []
         real_zgtsv = solver.zgtsv
 
-        def counting_zgtsv(*args):
+        def counting_zgtsv(*args, **kwargs):
             calls.append(1)
-            return real_zgtsv(*args)
+            return real_zgtsv(*args, **kwargs)
 
         monkeypatch.setattr(solver, "zgtsv", counting_zgtsv)
         once = kernel_columns(op, [0.5, 1.0], z2)
@@ -441,20 +441,81 @@ class TestKernelColumn:
     @pytest.mark.parametrize("adjoint", [False, True])
     def test_matches_dense_expm(self, adjoint, nx):
         # exp(-t W^{-1} S) of the periodic cell-space form by dense expm, over two
-        # windows; an odd nx has no Nyquist mode
+        # windows; an odd nx has no Nyquist mode, an even one pairs it with itself.
+        # a = 0 and the cross term have a symmetric B and take the paired solve
         ts = (0.05, 0.2, 1.0)
         sources = np.array([[0.0, 0.2], [1.0, 1.5]])
-        for a, c in itertools.product((0.5, 0.9), (-0.5, 1.0)):
-            op = assemble(ModelOperatorSpec(n=1, a=np.array([a]), c=c),
-                          GridSpec(rx=3.0, ry=3.0, nx=nx, ny=20, c=c))
+        for b, c in itertools.product((0.5, 0.9, 0.0, "cross"), (-0.5, 1.0)):
+            grid = GridSpec(rx=3.0, ry=3.0, nx=nx, ny=20, c=c)
+            if b == "cross":
+                op = solver.DiscreteOperator(grid, np.array(CROSS_B))
+            else:
+                op = assemble(ModelOperatorSpec(n=1, a=np.array([b]), c=c), grid)
             op = op.adjoint() if adjoint else op
             cols = kernel_columns(op, ts, sources)
-            u = deltas(op.grid, sources)
+            # each t is a whole number of steps exp(-ts[0] W^{-1} S), one dense expm
+            step = expm(-ts[0] * (dense_form(op.grid, op.bmat) / op.w[:, None]))
+            ref, done = deltas(op.grid, sources), 0
             for n, t in enumerate(ts):
-                ref = expm(-t * (dense_form(op.grid, op.bmat) / op.w[:, None])) @ u
+                for _ in range(round(t / ts[0]) - done):
+                    ref = step @ ref
+                done = round(t / ts[0])
                 for k in range(len(sources)):
                     got = cols[k * len(ts) + n].values
                     assert np.abs(got - ref[:, k]).max() <= 1e-8 * np.abs(ref[:, k]).max()
+
+    def test_paired_solve_counts_and_one_ulp_off_is_unpaired(self, monkeypatch):
+        # a symmetric B solves each live pair (m, nx - m) once: ny rows per pair,
+        # 2k columns; a B one ulp off symmetric keeps one block per live mode and
+        # k columns, and the two agree to round-off
+        grid = GridSpec(rx=2.0, ry=2.0, nx=24, ny=16, c=0.5)
+        ts, sources = (0.25, 0.5, 2.0), np.array([[0.0, 0.5], [0.5, 0.25], [-1.0, 1.0]])
+        calls = []
+        real_zgtsv = solver.zgtsv
+
+        def counting_zgtsv(lower, diag, upper, rhs, **kwargs):
+            calls.append(rhs.shape)
+            return real_zgtsv(lower, diag, upper, rhs, **kwargs)
+
+        monkeypatch.setattr(solver, "zgtsv", counting_zgtsv)
+        masks = record_live_modes(monkeypatch)
+        runs = {}
+        for name, b10 in (("paired", 0.5), ("unpaired", np.nextafter(0.5, 1.0))):
+            del calls[:], masks[:]
+            runs[name] = cols = kernel_columns(
+                solver.DiscreteOperator(grid, np.array([[2.0, 0.5], [b10, 1.0]])), ts, sources)
+            per, meta = per_window(cols[0].meta), cols[0].meta
+            assert len(calls) == 2 * per and len(masks) == meta["windows"] == 2
+            for window, live in enumerate(masks):
+                if name == "paired":  # whole pairs, and the half m <= nx / 2 is solved
+                    live = live | live[-np.arange(grid.nx) % grid.nx]
+                    shape = (grid.ny * int(live[:grid.nx // 2 + 1].sum()), 2 * len(sources))
+                else:
+                    shape = (grid.ny * int(live.sum()), len(sources))
+                assert set(calls[window * per:(window + 1) * per]) == {shape}
+                assert 0 < live.sum() < grid.nx
+            assert meta["solve_rows"] == sum(rows for rows, _ in calls[::per])
+        for p, u in zip(runs["paired"], runs["unpaired"]):
+            assert p.meta["solve_rows"] < u.meta["solve_rows"]
+            assert np.abs(p.values - u.values).max() <= 1e-12 * np.abs(u.values).max()
+            assert abs(p.mass() - 1.0) <= 1e-12
+
+    def test_paired_residual_guard_names_the_column(self):
+        grid = GridSpec(rx=2.0, ry=2.0, nx=16, ny=16, c=1.0)
+        op = solver.DiscreteOperator(grid, np.array(CROSS_B))
+        u = np.ones((grid.nx * grid.ny, 3))
+        u[5, 2] = np.nan
+        with pytest.raises(SolveFailure, match="in column 2"):
+            solver._evolve_block(op, u, [0.1])
+        # column j + k of a fused right-hand side (a partner mode) is caller column j
+        w = np.linspace(0.5, 1.5, 16)
+        off = np.zeros(w.size - 1, dtype=complex)
+        rhs = np.asfortranarray(np.ones((w.size, 4), dtype=complex))
+        rhs[3, 3] = np.nan
+        stats = {"factorizations": 0, "factor_s": 0.0, "solve_s": 0.0}
+        with pytest.raises(SolveFailure, match="in column 1"):
+            solver._contour_sum((off, w.astype(complex), off), w, rhs, [0.5],
+                                solver.CONTOUR_NODES, stats, np.zeros(2))
 
     def test_kernel_slices_one_factorization_for_all_sources(self, monkeypatch):
         spec = GeneralOperatorSpec(n=1, a_matrix=np.array([[1.0, 0.5], [0.5, 1.0]]),
