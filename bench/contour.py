@@ -2,28 +2,35 @@
 
     python3 bench/contour.py [--out BENCH_contour.json] [--repeats 3]
 
-halfheat evaluates every kernel column as exp(-t W^{-1} S) u0 with the
-trapezoid rule on a hyperbolic Bromwich contour, one fused tridiagonal
-factor-solve (LAPACK gtsv) of the x-modes of zW + S per node, and a
-coarser guard rule of solver.CONTOUR_NODES nodes (`contour_err`).  Per
-checkpoint window [t0, 4 t0] it solves only the live x-modes: a mode
-whose logarithmic-norm bound has taken it below machine epsilon times
-the column maximum by t0 is left at 0 (solver._live_modes).  For a
-symmetric coefficient matrix B the mode blocks are Hermitian with
-S_{nx-m} = conj(S_m), and the package solves each live pair (m, nx - m)
-once, as one real-symmetric block with 2k right-hand sides
+halfheat evaluates every kernel column as exp(-t W^{-1} S) u0.  For a
+diagonal coefficient matrix B (B01 = B10 = 0) S is a Kronecker sum and
+the package evaluates it exactly from one y-eigendecomposition (the
+separable route, solver._separable).  Any other B takes the contour
+route: the trapezoid rule on a hyperbolic Bromwich contour, one fused
+tridiagonal factor-solve (LAPACK gtsv) of the x-modes of zW + S per
+node, and a coarser guard rule of solver.CONTOUR_NODES nodes
+(`contour_err`).  Per checkpoint window [t0, 4 t0] it solves only the
+live x-modes: a mode whose logarithmic-norm bound has taken it below
+machine epsilon times the column maximum by t0 is left at 0
+(solver._live_modes).  For a symmetric B the mode blocks are Hermitian
+with S_{nx-m} = conj(S_m), and the contour route solves each live pair
+(m, nx - m) once, as one real-symmetric block with 2k right-hand sides
 (solver._fused_system); any other B keeps one block per live mode.
 This script times the package path (`kernel_columns`) beside the same
 call with _live_modes replaced by one that keeps every mode; the package
-has no option for the all-modes path.
+has no option for the all-modes path.  For a separable case the package
+path is the "separable" record, and the contour diagnostics come from
+explicit solver._contour_sum calls in the contour route's paired layout
+("pruned" on the live modes, "all_modes" on every mode).
 
-Cases: the 128^2 a = 0 model and the 112^2 cross-term divergence-form
-operator of the perfbench `columns` workload (both paired), and the
-224x192 a = 0.5 operator of the acceptance fixture (unpaired), each
-through the fixture's checkpoints (0.25, 0.5, 0.75, 1, 2, 4), which make
-the two contour windows [0.25, 1] and [2, 4].  Each case records
-`paired`.  For k = 1 and k = 4 sources and for each window, both paths
-record their time per call (median over --repeats), the live modes and
+Cases: the 128^2 a = 0 model (separable) and the 112^2 cross-term
+divergence-form operator (paired contour) of the perfbench `columns`
+workload, and the 224x192 a = 0.5 operator of the acceptance fixture
+(unpaired contour), each through the fixture's checkpoints (0.25, 0.5,
+0.75, 1, 2, 4), which make the two contour windows [0.25, 1] and
+[2, 4].  Each case records its `route` and whether its contour is
+`paired`.  For k = 1 and k = 4 sources and for each window, each path
+records its time per call (median over --repeats), the live modes and
 `solve_rows` (the rows of each node's fused factor-solve, summed over
 windows: ny per live pair when paired, ny per live mode otherwise), the
 oracle error (max |p - p_exact| / max p_exact over the window's
@@ -33,22 +40,28 @@ of the modes the pruned path drops (a dense expm per mode block), the
 largest difference of their columns, `all_modes_dead_rule_gap`, the
 all-modes run's coarse-minus-fine rule difference on the dropped modes
 alone, which is that run's own error there, and, for a paired case,
-`paired_minus_unpaired_max_rel`, the package's columns against the
-unpaired solver._contour_sum sums of the same live modes; all relative
-to each column's maximum.  `self_convergence` lists, at k = 4, the error
+`paired_minus_unpaired_max_rel`, the paired columns against the
+unpaired solver._contour_sum sums of the same live modes; a separable
+case adds `separable_minus_contour_max_rel`, the separable columns
+against the pruned contour's returned rule; all relative to each
+column's maximum.  `self_convergence` lists, at k = 4, the error
 of the N-node rule for N = 8 .. 28 against a fixed REFERENCE_NODES-node
 rule, both through solver._contour_sum on the live modes of each window
-in the package's layout, relative to each column's maximum (the package
-guards CONTOUR_NODES and returns the rule its `nodes` stat names, so the
-table shows the returned rule's own error).  `self_convergence_floor` is
-the same difference between the REFERENCE_NODES and REFERENCE_NODES + 4
-rules, the reference's own round-off: a table entry at or below it is
-unresolved.  The JSON also holds the environment.
+in the contour route's layout, relative to each column's maximum (the
+package guards CONTOUR_NODES and returns the rule its `nodes` stat
+names, so the table shows the returned rule's own error).
+`self_convergence_floor` is the same difference between the
+REFERENCE_NODES and REFERENCE_NODES + 4 rules, the reference's own
+round-off: a table entry at or below it is unresolved.  One untimed
+kernel_columns call per case runs before the first timed one.  The JSON
+also holds the environment.
 
 The exit code is 1 when the dropped modes' exact values exceed DIFF_TOL
 times a column's maximum, a paired case's columns differ from the
-unpaired sums by more than DIFF_TOL times a column's maximum, or a
-pruned column's mass defect exceeds MASS_TOL; the JSON is written either
+unpaired sums by more than DIFF_TOL times a column's maximum, a
+pruned or separable column's mass defect exceeds MASS_TOL, or the
+separable columns differ from the contour's returned rule by more than
+that window's `contour_err` + DIFF_TOL; the JSON is written either
 way.  The pruned-minus-all-modes difference is not gated: it carries the
 all-modes run's own rule error on the dropped modes.
 """
@@ -73,7 +86,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from halfheat import solver  # noqa: E402
-from halfheat.kernels import exact_slice  # noqa: E402
+from halfheat.kernels import KernelSlice, exact_slice  # noqa: E402
 from halfheat.operators import (  # noqa: E402
     GeneralOperatorSpec,
     ModelOperatorSpec,
@@ -133,6 +146,19 @@ def relative_error(values, ref) -> float:
     return float(np.abs(values - ref).max() / np.abs(ref).max())
 
 
+def record(times, cols, oracle) -> dict:
+    """The median of `times`, the stats of `cols`, their worst mass defect and oracle error."""
+    meta = cols[0].meta
+    return {"time_s": statistics.median(times),
+            **{key: meta[key] for key in ("route", "nodes", "live_modes", "solve_rows",
+                                          "factorizations", "factor_s", "solve_s", "transform_s")},
+            "contour_err": max(s.meta["contour_err"] for s in cols),
+            "max_solve_residual": max(s.meta["max_solve_residual"] for s in cols),
+            "mass_defect": max(abs(s.mass() - 1.0) for s in cols),
+            "oracle_err": (max(relative_error(s.values, oracle(s.t, s.source, s.points))
+                               for s in cols) if oracle else None)}
+
+
 def path_record(op, ts, sources, oracle, repeats: int):
     """Median time of `repeats` kernel_columns calls and the last call's record and slices."""
     times = []
@@ -140,21 +166,53 @@ def path_record(op, ts, sources, oracle, repeats: int):
         t0 = time.perf_counter()
         cols = solver.kernel_columns(op, ts, sources)
         times.append(time.perf_counter() - t0)
-    meta = cols[0].meta
-    rec = {"time_s": statistics.median(times),
-           **{key: meta[key] for key in ("nodes", "live_modes", "solve_rows", "factorizations",
-                                         "factor_s", "solve_s", "transform_s")},
-           "contour_err": max(s.meta["contour_err"] for s in cols),
-           "max_solve_residual": max(s.meta["max_solve_residual"] for s in cols),
-           "mass_defect": max(abs(s.mass() - 1.0) for s in cols),
-           "oracle_err": (max(relative_error(s.values, oracle(s.t, s.source, s.points))
-                              for s in cols) if oracle else None)}
-    return rec, cols
+    return record(times, cols, oracle), cols
+
+
+def contour_record(op, ts, sources, oracle, repeats: int, every_mode: bool):
+    """The contour route's record and slices for an operator the package evaluates separably.
+
+    The window's guard rule (solver.CONTOUR_NODES) and returned rule (4
+    more nodes) through rule_sums in the paired layout, which is how the
+    contour route solves a symmetric B, on the window's live modes (every
+    mode when `every_mode`); `repeats` evaluations, timed as path_record
+    times kernel_columns.  The slices hold the returned rule's columns,
+    source-major, with the stats kernel_columns would put in their meta
+    (`transform_s` is not timed here and reads 0).
+    """
+    grid, k = op.grid, len(sources)
+    fine = solver.CONTOUR_NODES + 4
+    live = np.ones(grid.nx, dtype=bool) if every_mode else ~dead_modes(op, ts[0], sources)[2]
+    times = []
+    for _ in range(repeats):
+        stats = {"factorizations": 0, "factor_s": 0.0, "solve_s": 0.0, "transform_s": 0.0}
+        worst = np.zeros(k)
+        t0 = time.perf_counter()
+        coarse, sums = (rule_sums(op, ts, sources, live, n, True, stats, worst)
+                        for n in (solver.CONTOUR_NODES, fine))
+        times.append(time.perf_counter() - t0)
+    err = np.zeros(k)
+    for a, b in zip(coarse, sums):
+        np.maximum(err, np.abs(a - b).max(axis=1) / np.abs(b).max(axis=1), out=err)
+    stats.update(route="contour", nodes=fine, live_modes=int(live.sum()),
+                 solve_rows=grid.ny * int(live[:grid.nx // 2 + 1].sum()))
+    cells = [grid.locate(z) for z in sources]
+    cols = [KernelSlice(t=t, source=np.array([grid.x_centers[i], grid.y_centers[j]]),
+                        points=grid.points(), values=sums[n][col], c=grid.c, weights=op.w,
+                        meta={**stats, "contour_err": float(err[col]),
+                              "max_solve_residual": float(worst[col])})
+            for col, (i, j) in enumerate(cells) for n, t in enumerate(ts)]
+    return record(times, cols, oracle), cols
 
 
 def paired(op) -> bool:
-    """Whether solver._evolve_block solves op's x-modes in Hermitian pairs (a symmetric B)."""
+    """Whether the contour route solves op's x-modes in Hermitian pairs (a symmetric B)."""
     return bool(op.bmat[0, 1] == op.bmat[1, 0])
+
+
+def separable(op) -> bool:
+    """Whether solver._evolve_block evaluates op on the separable route (a diagonal B)."""
+    return bool(op.bmat[0, 1] == 0.0 and op.bmat[1, 0] == 0.0)
 
 
 def dead_modes(op, t0, sources):
@@ -211,20 +269,23 @@ def dropped_modes_exact(op, ts, sources, cols) -> float:
     return float(max(v / top for v, top in zip(values, column_tops(cols, k, len(ts)))))
 
 
-def rule_sums(op, ts, sources, modes, n: int, pairs: bool):
+def rule_sums(op, ts, sources, modes, n: int, pairs: bool, stats=None, worst=None):
     """The n-node contour sums of the x-modes in `modes` (a mask, shape (nx,)) in cell space.
 
-    The fused system is the one solver._evolve_block solves for the window
-    ts (solver._fused_system), in the paired layout when `pairs` (then
-    `modes` must hold whole pairs) and one block per mode otherwise;
-    returns one (k, nx * ny) array per time, the other modes 0.
+    The fused system is the one solver._evolve_block's contour route solves
+    for the window ts (solver._fused_system), in the paired layout when
+    `pairs` (then `modes` must hold whole pairs) and one block per mode
+    otherwise; returns one (k, nx * ny) array per time, the other modes 0.
+    solver._contour_sum adds its counts and phase times to `stats` and its
+    worst relative residual per column to `worst`, when given.
     """
     grid, k = op.grid, len(sources)
     data, bands, _ = dead_modes(op, ts[0], sources)
     rhs = op.w[:, None] * data.reshape(k, -1).T
     *system, layout = solver._fused_system(bands, op.w, rhs, modes, grid.ny, pairs)
-    stats = {"factorizations": 0, "factor_s": 0.0, "solve_s": 0.0}
-    sums = solver._contour_sum(*system, ts, n, stats, np.zeros(k))
+    if stats is None:
+        stats = {"factorizations": 0, "factor_s": 0.0, "solve_s": 0.0}
+    sums = solver._contour_sum(*system, ts, n, stats, np.zeros(k) if worst is None else worst)
     return [solver._to_space(v, layout, grid.nx, grid.ny) for v in sums]
 
 
@@ -289,11 +350,24 @@ def self_convergence(op, sources):
 
 
 def window_record(op, ts, sources, oracle, repeats: int) -> dict:
-    pruned, p_cols = path_record(op, ts, sources, oracle, repeats)
-    with all_modes():
-        full, f_cols = path_record(op, ts, sources, oracle, repeats)
+    """One window's record: the contour route on the live modes ("pruned") and on all modes.
+
+    For a separable operator the package's own columns are the
+    "separable" record, and both contour records come from contour_record.
+    """
+    rec = {"times": list(ts), "modes": op.grid.nx}
+    if separable(op):
+        rec["separable"], s_cols = path_record(op, ts, sources, oracle, repeats)
+        pruned, p_cols = contour_record(op, ts, sources, oracle, repeats, False)
+        full, f_cols = contour_record(op, ts, sources, oracle, repeats, True)
+        rec["separable_minus_contour_max_rel"] = max(
+            relative_error(s.values, p.values) for s, p in zip(s_cols, p_cols))
+    else:
+        pruned, p_cols = path_record(op, ts, sources, oracle, repeats)
+        with all_modes():
+            full, f_cols = path_record(op, ts, sources, oracle, repeats)
     diff = max(relative_error(p.values, f.values) for p, f in zip(p_cols, f_cols))
-    return {"times": list(ts), "modes": op.grid.nx, "live_modes": pruned["live_modes"],
+    return {**rec, "live_modes": pruned["live_modes"],
             "solve_rows": pruned["solve_rows"], "pruned": pruned, "all_modes": full,
             "paired_minus_unpaired_max_rel": paired_minus_unpaired(op, ts, sources, p_cols),
             "speedup": full["time_s"] / pruned["time_s"],
@@ -303,7 +377,8 @@ def window_record(op, ts, sources, oracle, repeats: int) -> dict:
 
 
 def case_record(name, op, oracle, repeats: int, failures: list) -> dict:
-    rec = {"unknowns": op.w.size, "column_times": list(TS), "paired": paired(op)}
+    rec = {"unknowns": op.w.size, "column_times": list(TS),
+           "route": "separable" if separable(op) else "contour", "paired": paired(op)}
     for k in (1, 4):
         windows = []
         for ts in solver._windows(TS):
@@ -326,10 +401,24 @@ def case_record(name, op, oracle, repeats: int, failures: list) -> dict:
                                 f"block per mode by {pair_diff:.3e}")
             if not p["mass_defect"] <= MASS_TOL:
                 failures.append(f"{name} k={k} t0={ts[0]}: mass defect {p['mass_defect']:.3e}")
+            if "separable" in win:
+                sep, gap = win["separable"], win["separable_minus_contour_max_rel"]
+                print(f"{name:24s} k={k} t0={ts[0]:<5g} separable time {sep['time_s']:.4f} s  "
+                      f"mass {sep['mass_defect']:.1e}  oracle_err {sep['oracle_err']}  "
+                      f"separable-contour {gap:.1e}", flush=True)
+                if not gap <= p["contour_err"] + DIFF_TOL:
+                    failures.append(f"{name} k={k} t0={ts[0]}: separable columns differ from "
+                                    f"the contour rule by {gap:.3e}, over contour_err "
+                                    f"{p['contour_err']:.3e} + {DIFF_TOL:.0e}")
+                if not sep["mass_defect"] <= MASS_TOL:
+                    failures.append(f"{name} k={k} t0={ts[0]}: separable mass defect "
+                                    f"{sep['mass_defect']:.3e}")
             windows.append(win)
         rec[f"k{k}"] = {"windows": windows,
                         "pruned_time_s": sum(w["pruned"]["time_s"] for w in windows),
                         "all_modes_time_s": sum(w["all_modes"]["time_s"] for w in windows)}
+        if separable(op):
+            rec[f"k{k}"]["separable_time_s"] = sum(w["separable"]["time_s"] for w in windows)
     table, floor = self_convergence(op, SOURCES)
     rec["self_convergence"], rec["self_convergence_floor"] = table, floor
     print(f"{name:24s} N vs {REFERENCE_NODES}: "
@@ -357,6 +446,9 @@ def main(argv=None) -> int:
     parser.add_argument("--repeats", type=int, default=3)
     args = parser.parse_args(argv)
     failures = []
+    ops = list(cases())
+    for _, op, _ in ops:  # untimed: first-use costs of each route stay out of the timings
+        solver.kernel_columns(op, TS[:1], SOURCES[:1])
     report = {
         "environment": {
             "python": platform.python_version(), "numpy": np.__version__,
@@ -368,9 +460,10 @@ def main(argv=None) -> int:
                     "span": solver.CONTOUR_SPAN, "mu_t0_per_node": solver.CONTOUR_MU,
                     "window_ratio": solver.WINDOW_RATIO, "tolerance": solver.CONTOUR_TOL},
         "gates": {"dropped_modes_exact_max_rel": DIFF_TOL,
-                  "paired_minus_unpaired_max_rel": DIFF_TOL, "mass_defect": MASS_TOL},
+                  "paired_minus_unpaired_max_rel": DIFF_TOL, "mass_defect": MASS_TOL,
+                  "separable_minus_contour_max_rel": f"contour_err + {DIFF_TOL}"},
         "cases": {name: case_record(name, op, oracle, args.repeats, failures)
-                  for name, op, oracle in cases()},
+                  for name, op, oracle in ops},
     }
     report["failures"] = failures
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")

@@ -39,7 +39,7 @@ from .operators import (
 )
 from .solver import GridSpec, assemble, kernel_columns, kernel_slices
 
-SCHEMA_VERSION = 8
+SCHEMA_VERSION = 9
 
 #: config keys besides the rows A.row.1 .. A.row.N+1
 KNOWN_KEYS = {"N", "v.d", "v.c", "grid.Rx", "grid.Ry", "grid.nx", "grid.ny", "t.list", "sources"}

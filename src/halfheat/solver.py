@@ -18,7 +18,13 @@ all modes as three bands with numpy.  Constants are annihilated by S on
 both sides (mode 0 is a pure y-difference form), so constant states are
 stationary and total mass Sum(w u) is conserved by the semi-discrete law.
 
-The evolution exp(-t W^{-1} S) is evaluated, not stepped: the trapezoid
+The evolution exp(-t W^{-1} S) is evaluated, not stepped, on one of two
+routes chosen from bmat.  A diagonal B (B01 == B10 == 0.0 exactly: the
+model at a = 0, a divergence form with diagonal A) gives mode blocks
+S_m = K + s_m W that share the eigenvectors of one y-pencil (K, W), so S
+is a Kronecker sum and one symmetric tridiagonal eigendecomposition
+evaluates the evolution exactly at every time (_separable).  Any other B
+takes the contour route: the trapezoid
 rule on a hyperbolic Bromwich contour (Weideman & Trefethen 2007) needs
 one shifted solve (zW + S)^{-1} per node, shared by every checkpoint of
 a window [t0, 4 t0].  An fft along x takes the data to x-modes, where
@@ -33,8 +39,8 @@ block with twice the columns (_fused_system); any other B keeps one
 block per live mode.  The rule is normalized at lambda = 0, so constants
 stay and mass is conserved to round-off.  The returned rule has CONTOUR_NODES + 4 nodes;
 the CONTOUR_NODES-node rule guards its time error.
-The adjoint is the same rational function of S', exact to round-off
-relative to the column maximum.
+On either route the adjoint is the same function of S', exact to
+round-off relative to the column maximum.
 """
 
 from __future__ import annotations
@@ -44,6 +50,7 @@ import time
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.blas import zaxpy
 from scipy.linalg.lapack import zgtsv
 
@@ -93,8 +100,8 @@ CONTOUR_SPAN = float(np.arccosh(
 CONTOUR_MU = (4.0 * CONTOUR_ALPHA - np.pi) * np.pi / (WINDOW_RATIO * CONTOUR_SPAN)
 
 #: the evolution stats kernel_columns puts in a solver slice's meta
-SOLVE_STATS = ("windows", "nodes", "factorizations", "live_modes", "solve_rows", "contour_err",
-               "max_solve_residual", "transform_s", "factor_s", "solve_s")
+SOLVE_STATS = ("route", "windows", "nodes", "factorizations", "live_modes", "solve_rows",
+               "contour_err", "max_solve_residual", "transform_s", "factor_s", "solve_s")
 
 
 @dataclass(frozen=True)
@@ -517,10 +524,91 @@ def _to_space(sums, layout, nx: int, ny: int) -> np.ndarray:
     return np.fft.ifft(out, axis=1).real.reshape(k, -1)
 
 
+def _separable(op: DiscreteOperator, u: np.ndarray, times):
+    """exp(-t W^{-1} S) of the k columns of u for a diagonal bmat, evaluated exactly.
+
+    With B01 = B10 = 0 every mode block of _mode_bands is S_m = K + s_m W
+    in y (K mode 0's block, W the y-cell weights, s_m the x symbol of
+    mode m times B00 / hx^2, read off the bands), so S is the Kronecker
+    sum of an x and a y operator and all modes share the eigenvectors of
+    the pencil (K, W).  One symmetric tridiagonal eigendecomposition
+    C = W^{-1/2} K W^{-1/2} = Q diag(mu) Q' (LAPACK stemr) gives
+
+        u(t) = ifft_x[W^{-1/2} Q e^{-t (s_m + mu)} Q' W^{1/2} fft_x(u0)],
+
+    for every column and time, with no contour, window or mode pruning.
+    The y-products are real, so they are taken before the rfft and after
+    the irfft, where the entries below tiny / eps (decayed through the
+    subnormal range) are set to 0: they move no value by more than ny
+    times that, and subnormal products run about 4 times slower.
+    Non-finite data raises SolveFailure naming its column, and so do a
+    non-finite C and a relative eigen-residual
+    max|C Q - Q diag(mu)| / max|mu| above SOLVE_RTOL.
+
+    Returns the (n, k) states at `times` and the stats of _evolve_block:
+    `route` "separable", no windows, nodes or factorizations, all nx
+    `live_modes`, ny `solve_rows` (the one y-block decomposed),
+    `contour_err` 0 and the eigen-residual as every column's
+    `max_solve_residual`; `factor_s` is the bands and the decomposition,
+    `transform_s` the rfft, the exponentials and the irfft, and `solve_s`
+    the y-products.
+    """
+    grid, k = op.grid, u.shape[1]
+    nx, ny = grid.nx, grid.ny
+    clock = time.perf_counter
+    bad = ~np.all(np.isfinite(u), axis=0)
+    if np.any(bad):
+        raise SolveFailure(f"non-finite data in column {int(np.argmax(bad))}")
+    t0 = clock()
+    _, diag, upper = _mode_bands(grid, op.bmat)
+    wy = op.w[:ny]  # the same weights for every mode
+    diag = diag.real.reshape(nx, ny)
+    shift = (diag - diag[0]).sum(axis=1) / wy.sum()  # s_m, 0 for mode 0
+    root = np.sqrt(wy)
+    d, e = diag[0] / wy, upper[:ny - 1].real / (root[:-1] * root[1:])
+    if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
+        raise SolveFailure("non-finite y-block of the separable operator")
+    mu, q = eigh_tridiagonal(d, e, lapack_driver="stemr")
+    cq = d[:, None] * q - q * mu
+    cq[:-1] += e[:, None] * q[1:]
+    cq[1:] += e[:, None] * q[:-1]
+    residual = np.abs(cq).max() / np.abs(mu).max()
+    if not residual <= SOLVE_RTOL:
+        raise SolveFailure(f"eigen-residual {residual:.3e} of the y-block exceeds "
+                           f"{SOLVE_RTOL:.0e} x max|mu|")
+    stats = {"route": "separable", "windows": 0, "nodes": 0, "factorizations": 0,
+             "live_modes": nx, "solve_rows": ny, "contour_err": np.zeros(k),
+             "max_solve_residual": np.full(k, residual), "factor_s": clock() - t0}
+    t0 = clock()
+    # the y-products run in einsum's own loop, not a threaded BLAS gemm, whose
+    # second thread can hold every call for a scheduler tick on a busy host
+    v = np.einsum("kij,jl->kil", u.T.reshape(k, nx, ny) * root, q, optimize=False)
+    solve_s = clock() - t0
+    t0 = clock()
+    v = np.fft.rfft(v, axis=1)
+    transform_s = clock() - t0
+    rate = shift[:nx // 2 + 1, None] + mu  # s_m + mu_j of the modes rfft keeps
+    flush = np.finfo(float).tiny / np.finfo(float).eps
+    states = []
+    for t in times:
+        t0 = clock()
+        x = np.fft.irfft(v * np.exp(-t * rate), n=nx, axis=1)
+        x[np.abs(x) < flush] = 0.0
+        t1 = clock()
+        states.append((np.einsum("kij,lj->kil", x, q, optimize=False) / root).reshape(k, -1).T)
+        transform_s += t1 - t0
+        solve_s += clock() - t1
+    stats.update(transform_s=transform_s, solve_s=solve_s)
+    return states, stats
+
+
 def _evolve_block(op: DiscreteOperator, u: np.ndarray, times):
     """exp(-t W^{-1} S) of the k columns of u, shape (n, k), at each of the increasing `times`.
 
-    The one evolution path: the trapezoid rule on a hyperbolic Bromwich
+    A diagonal bmat (B01 == B10 == 0.0 exactly: the model at a = 0, a
+    divergence form with diagonal A) makes S a Kronecker sum, evaluated
+    exactly by _separable.  Any other bmat takes the contour route: the
+    trapezoid rule on a hyperbolic Bromwich
     contour, u(t) = (1/2 pi i) int e^{zt} (zW + S)^{-1} W u0 dz (Weideman &
     Trefethen 2007; see _contour).  x is periodic and the coefficients do
     not depend on x, so one fft along x splits every zW + S into its
@@ -548,7 +636,8 @@ def _evolve_block(op: DiscreteOperator, u: np.ndarray, times):
     stay and mass is conserved to round-off: 1'S = 0 gives
     mass(t) = r(0) mass(0) for the rule's rational function r.
 
-    Returns the (n, k) states at `times` and the run's stats: `windows`,
+    Returns the (n, k) states at `times` and the run's stats: `route`
+    ("contour" here, "separable" from _separable), `windows`,
     `nodes` (of the returned rule, per window), `factorizations`,
     `live_modes` (the x-modes solved, summed over windows), `solve_rows`
     (the rows of each node's fused factor-solve, summed over windows: ny
@@ -559,13 +648,16 @@ def _evolve_block(op: DiscreteOperator, u: np.ndarray, times):
     diagonals, the live-mode test, the fused system and the
     factor-solves) and `solve_s` (residuals and sums).
     """
+    if op.bmat[0, 1] == 0.0 and op.bmat[1, 0] == 0.0:
+        return _separable(op, u, times)
     grid, k = op.grid, u.shape[1]
     nx, ny = grid.nx, grid.ny
     coarse, fine = CONTOUR_NODES, CONTOUR_NODES + 4
     paired = op.bmat[0, 1] == op.bmat[1, 0]  # Hermitian blocks, S_{nx-m} = conj(S_m)
     clock = time.perf_counter
-    stats = {"windows": 0, "nodes": fine, "factorizations": 0, "live_modes": 0,
-             "solve_rows": 0, "transform_s": 0.0, "factor_s": 0.0, "solve_s": 0.0}
+    stats = {"route": "contour", "windows": 0, "nodes": fine, "factorizations": 0,
+             "live_modes": 0, "solve_rows": 0, "transform_s": 0.0, "factor_s": 0.0,
+             "solve_s": 0.0}
     t0 = clock()
     # column c of rhs holds the x-modes of source c, index m * ny + j
     rhs = np.fft.fft(u.T.reshape(k, nx, ny), axis=1).reshape(k, -1).T
@@ -636,19 +728,22 @@ def kernel_columns(op: DiscreteOperator, ts, z2) -> list[KernelSlice]:
     delta 1/w at each source cell as one column of an (n, k) block, so the
     computed columns are already in the y^c dz convention.  x is periodic:
     the block is taken to x-modes once and each distinct time is evaluated
-    once, on a Bromwich contour per window of checkpoints (one fused
+    once.  A diagonal bmat is evaluated exactly from one
+    y-eigendecomposition for all sources and times (_separable); any
+    other bmat on a Bromwich contour per window of checkpoints (one fused
     tridiagonal factor-solve of the live x-modes per node for all sources
     at once, the residual checked in mode space; with a symmetric bmat
-    one solve per Hermitian pair of modes, see _evolve_block); the
+    one solve per Hermitian pair of modes, see _evolve_block), where the
     modes left out move no value by more than machine epsilon times the
-    column maximum, and the adjoint is exact to round-off relative to the
+    column maximum.  The adjoint is exact to round-off relative to the
     column maximum.  Returns the k * len(ts) slices source-major, each
     source's times in the caller's order (a repeated time repeats its
     column), each with the evolution's stats in `meta` (SOLVE_STATS: the
-    windows, nodes, factorizations, live modes, solve rows and phase wall
-    times of the evolution) and its own column's
-    `contour_err` and worst solve residual.  A contour error above
-    CONTOUR_TOL raises SolveFailure.
+    route, windows, nodes, factorizations, live modes, solve rows and
+    phase wall times of the evolution) and its own column's
+    `contour_err` and worst solve residual (on the separable route 0 and
+    the eigen-residual).  A contour error above CONTOUR_TOL, non-finite
+    data or a failed eigendecomposition raises SolveFailure.
     """
     grid = op.grid
     ts, sources = _request(ts, z2)

@@ -326,11 +326,13 @@ def solve_stats(slices) -> dict:
     """SOLVE_STATS of the evolutions behind solver slices, one slice each.
 
     Counts and phase times add up; `nodes`, `contour_err` and
-    `max_solve_residual` are the largest.
+    `max_solve_residual` are the largest, and `route` names the distinct
+    routes, sorted and joined by "+".
     """
     worst = ("nodes", "contour_err", "max_solve_residual")
-    return {key: (max if key in worst else sum)(s.meta[key] for s in slices)
-            for key in SOLVE_STATS}
+    stats = {key: (max if key in worst else sum)(s.meta[key] for s in slices)
+             for key in SOLVE_STATS if key != "route"}
+    return {"route": "+".join(sorted({s.meta["route"] for s in slices})), **stats}
 
 
 # ---------------------------------------------------------------------------

@@ -128,7 +128,7 @@ class TestValidateCommand:
         assert main(["validate", path]) == EXIT_PASS
         out = json.loads(capsys.readouterr().out)
         assert out["passed"] is True
-        assert out["schema_version"] == 8
+        assert out["schema_version"] == 9
 
     def test_degeneracy_failure_names_invariant(self, tmp_path, capsys):
         bad = IDENTITY_CFG.replace("v.c = 0", "v.c = -1.5")
@@ -150,7 +150,7 @@ class TestKernelCommand:
         assert main(["kernel", path, "--out", str(out_dir)]) == EXIT_PASS
         index = json.loads((out_dir / "kernel_index.json").read_text())
         assert index["outputs"][0]["method"] == "exact"
-        assert index["schema_version"] == 8
+        assert index["schema_version"] == 9
         assert all(np.isfinite(index[k]) and index[k] >= 0.0 for k in ("evaluate_s", "write_s"))
         csv_file = out_dir / index["outputs"][0]["file"].split("/")[-1]
         header = csv_file.read_text().splitlines()[0]
@@ -166,6 +166,7 @@ class TestKernelCommand:
         assert index["reduction"]["a"] == pytest.approx([0.5])
         # the evolution's stats ride along; the reduction is listed once
         assert set(solver.SOLVE_STATS) <= set(entry)
+        assert entry["route"] == "contour"
         assert entry["windows"] == 1 and entry["nodes"] > solver.CONTOUR_NODES
         assert entry["factorizations"] == solver.CONTOUR_NODES + entry["nodes"]
         assert 0 < entry["live_modes"] <= 32  # one window of the 32 x-modes
@@ -173,6 +174,21 @@ class TestKernelCommand:
         assert 0.0 < entry["contour_err"] <= solver.CONTOUR_TOL
         assert 0.0 < entry["max_solve_residual"] < solver.SOLVE_RTOL
         assert "reduction" not in entry
+
+    def test_solver_route_for_identity_is_separable(self, tmp_path):
+        # a diagonal A reduces to a diagonal bmat: one y-eigendecomposition, no contour
+        path = write(tmp_path, "op.cfg", IDENTITY_CFG)
+        out_dir = tmp_path / "out"
+        assert main(["kernel", path, "--out", str(out_dir), "--force-numeric"]) == EXIT_PASS
+        entry = json.loads((out_dir / "kernel_index.json").read_text())["outputs"][0]
+        assert entry["method"] == "solver"
+        assert set(solver.SOLVE_STATS) <= set(entry)
+        assert entry["route"] == "separable"
+        assert entry["windows"] == entry["nodes"] == entry["factorizations"] == 0
+        assert (entry["live_modes"], entry["solve_rows"]) == (32, 32)
+        assert entry["contour_err"] == 0.0
+        assert 0.0 < entry["max_solve_residual"] < solver.SOLVE_RTOL
+        assert entry["mass_defect"] <= 1e-12
 
     @pytest.mark.parametrize("flags", [[], ["--force-numeric"]])
     def test_empty_time_list_rejected(self, tmp_path, capsys, flags):
@@ -329,7 +345,7 @@ class TestVerifyCommand:
         assert main(["verify", "--probe-set", "smoke", "--out", str(out_dir)]) == EXIT_PASS
         bundle = strict_json((out_dir / "verify.json").read_text())
         assert bundle["passed"] is True
-        assert bundle["schema_version"] == 8
+        assert bundle["schema_version"] == 9
         assert "seed" not in bundle
         assert all(np.isfinite(c["wall_s"]) and c["wall_s"] >= 0.0 for c in bundle["checks"])
         names = {c["name"] for c in bundle["checks"]}
@@ -465,5 +481,6 @@ def test_desk_sweep_passes(tmp_path):
         assert ("solve" in check) == ("_solver_" in check["name"])
         if "solve" in check:
             assert set(check["solve"]) == set(solver.SOLVE_STATS)
+            assert check["solve"]["route"] == "contour"  # a = 0.5
             assert 0.0 < check["solve"]["contour_err"] <= solver.CONTOUR_TOL
             assert 0 < check["solve"]["live_modes"] <= 96 * check["solve"]["windows"]

@@ -274,6 +274,36 @@ class TestEvolve:
         with pytest.raises(SolveFailure, match="in column 1"):
             solver._evolve_block(op, u, [0.1])
 
+    def test_separable_guard_names_the_column(self):
+        _, grid, op = make(0.0, 1.0, n=16, r=2.0)
+        u = np.ones((grid.nx * grid.ny, 3))
+        states, stats = solver._evolve_block(op, u, [0.1])
+        assert stats["route"] == "separable"
+        assert np.all(stats["max_solve_residual"] < solver.SOLVE_RTOL)
+        u[5, 2] = np.nan
+        with pytest.raises(SolveFailure, match="in column 2"):
+            solver._evolve_block(op, u, [0.1])
+
+    def test_separable_eigen_residual_guard(self, monkeypatch):
+        # eigenvectors mixed by 1e-6 are no eigenvectors: the residual check fires
+        _, grid, op = make(0.0, 1.0, n=16, r=2.0)
+        real = solver.eigh_tridiagonal
+
+        def perturbed(*args, **kwargs):
+            mu, q = real(*args, **kwargs)
+            return mu, q + 1e-6 * np.roll(q, 1, axis=1)
+
+        monkeypatch.setattr(solver, "eigh_tridiagonal", perturbed)
+        with pytest.raises(SolveFailure, match="eigen-residual"):
+            solver._evolve_block(op, np.ones((grid.nx * grid.ny, 1)), [0.1])
+
+    def test_separable_non_finite_y_block_guard(self):
+        # y^(c+1) overflows on [0, 8] at c = 400, so the cell masses are NaN
+        op = solver.DiscreteOperator(GridSpec(rx=8.0, ry=8.0, nx=16, ny=16, c=400.0), np.eye(2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SolveFailure, match="non-finite y-block"):
+                solver._evolve_block(op, np.ones((16 * 16, 1)), [0.1])
+
     @pytest.mark.parametrize("nx", [12, 11])
     @pytest.mark.parametrize("bmat", [[[1.0, 1.0], [0.0, 1.0]], [[2.0, 0.5], [0.5, 1.0]]],
                              ids=["model", "cross"])
@@ -442,17 +472,24 @@ class TestKernelColumn:
     def test_matches_dense_expm(self, adjoint, nx):
         # exp(-t W^{-1} S) of the periodic cell-space form by dense expm, over two
         # windows; an odd nx has no Nyquist mode, an even one pairs it with itself.
-        # a = 0 and the cross term have a symmetric B and take the paired solve
+        # The cross term has a symmetric B and takes the paired contour solve; a = 0
+        # and the diagonal B take the separable route, exact to round-off, also with
+        # a source in the first y-cell at c = 5
         ts = (0.05, 0.2, 1.0)
-        sources = np.array([[0.0, 0.2], [1.0, 1.5]])
-        for b, c in itertools.product((0.5, 0.9, 0.0, "cross"), (-0.5, 1.0)):
+        cases = [*itertools.product((0.5, 0.9, 0.0, "cross", "diagonal"), (-0.5, 1.0)),
+                 (0.0, 5.0), ("diagonal", 5.0)]
+        for b, c in cases:
             grid = GridSpec(rx=3.0, ry=3.0, nx=nx, ny=20, c=c)
-            if b == "cross":
-                op = solver.DiscreteOperator(grid, np.array(CROSS_B))
+            if b in ("cross", "diagonal"):
+                op = solver.DiscreteOperator(grid, np.array(CROSS_B if b == "cross" else DIAG_B))
             else:
                 op = assemble(ModelOperatorSpec(n=1, a=np.array([b]), c=c), grid)
             op = op.adjoint() if adjoint else op
+            separable = op.bmat[0, 1] == op.bmat[1, 0] == 0.0
+            sources = np.array([[0.0, 0.2], [1.0, 1.5], *([[-1.0, 0.05]] if separable else [])])
             cols = kernel_columns(op, ts, sources)
+            assert cols[0].meta["route"] == ("separable" if separable else "contour")
+            tol = 1e-12 if separable else 1e-8
             # each t is a whole number of steps exp(-ts[0] W^{-1} S), one dense expm
             step = expm(-ts[0] * (dense_form(op.grid, op.bmat) / op.w[:, None]))
             ref, done = deltas(op.grid, sources), 0
@@ -462,7 +499,40 @@ class TestKernelColumn:
                 done = round(t / ts[0])
                 for k in range(len(sources)):
                     got = cols[k * len(ts) + n].values
-                    assert np.abs(got - ref[:, k]).max() <= 1e-8 * np.abs(ref[:, k]).max()
+                    assert np.abs(got - ref[:, k]).max() <= tol * np.abs(ref[:, k]).max()
+                    if separable:
+                        assert abs(cols[k * len(ts) + n].mass() - 1.0) <= 1e-12
+
+    def test_one_ulp_off_diagonal_takes_the_contour(self):
+        # B01 = 1e-300 is not 0, so the operator takes the contour route, and
+        # its columns agree with the separable ones to the contour's accuracy
+        grid = GridSpec(rx=2.0, ry=2.0, nx=24, ny=16, c=0.5)
+        ts, sources = (0.25, 0.5, 2.0), np.array([[0.0, 0.5], [0.5, 0.25]])
+        runs = {}
+        for b01, route in ((0.0, "separable"), (1e-300, "contour")):
+            runs[route] = kernel_columns(
+                solver.DiscreteOperator(grid, np.array([[2.0, b01], [0.0, 0.7]])), ts, sources)
+            assert all(s.meta["route"] == route for s in runs[route])
+        for s, c in zip(runs["separable"], runs["contour"]):
+            assert np.abs(s.values - c.values).max() <= 1e-10 * np.abs(s.values).max()
+
+    @pytest.mark.parametrize("c", [3.0, 5.0])
+    def test_large_c_source_near_the_boundary_at_a0(self, c):
+        # a delta in the first y-cell at large c: the contour's two rules differ
+        # here by 2.7e-7 (c = 3, 128^2) up to 7.2e-3 (c = 5, 256^2), over
+        # CONTOUR_TOL; the separable route is exact, and the grid error halves
+        model = ModelOperatorSpec(n=1, a=np.array([0.0]), c=c)
+        errs = []
+        for n in (128, 256):
+            grid = GridSpec(rx=8.0, ry=8.0, nx=n, ny=n, c=c)
+            cols = kernel_columns(assemble(model, grid), [0.25, 1.0], np.array([0.0, 0.02]))
+            assert all(abs(s.mass() - 1.0) <= 1e-12 for s in cols)
+            errs.append(max(
+                np.abs(s.values - kernels.tensor_kernel(model, s.t, s.source, grid.x_centers,
+                                                        grid.y_centers)).max()
+                / np.abs(s.values).max() for s in cols))
+        assert max(errs) <= 0.05
+        assert errs[0] / errs[1] >= 2.0
 
     def test_paired_solve_counts_and_one_ulp_off_is_unpaired(self, monkeypatch):
         # a symmetric B solves each live pair (m, nx - m) once: ny rows per pair,
@@ -627,6 +697,7 @@ class TestKernelColumn:
 
 MODEL_B = [[1.0, 1.0], [0.0, 1.0]]  # the model operator at a = 0.5
 CROSS_B = [[2.0, 0.5], [0.5, 1.0]]  # a symmetric cross term
+DIAG_B = [[2.0, 0.0], [0.0, 0.7]]  # a diagonal, non-identity B
 
 
 def all_modes(bands, w, rhs, t0, nx):

@@ -25,6 +25,7 @@ from halfheat.verify import (
     gaussian_normalizer,
     normalizing_alpha,
     poincare_ratio,
+    solve_stats,
 )
 
 
@@ -225,6 +226,18 @@ class TestIdentities:
         # evolutions make both contour rules' factorizations once each
         per_window = solver.CONTOUR_NODES + res["solve"]["nodes"]
         assert res["solve"]["factorizations"] == 3 * per_window
+
+    def test_solver_separable_route(self):
+        # a = 0: all three evolutions take the separable route, with no factorizations
+        op = assemble(model(1.0), GridSpec(rx=6.0, ry=6.0, nx=56, ny=56, c=1.0))
+        res = check_identities_solver(op, t=0.5, s=0.5, x0_cells=4, scale=2.0,
+                                      z1_index=(22, 12), z2_index=(30, 18))
+        assert max(res[key] for key in ("scaling", "adjoint", "translation")) <= 1e-12
+        assert res["chapman_kolmogorov"] <= 1e-3
+        assert res["solve"]["route"] == "separable" and res["solve"]["factorizations"] == 0
+        contour = assemble(model(1.0, a=0.5), op.grid)
+        cols = [kernel_columns(o, [0.5], np.array([0.0, 1.0]))[0] for o in (op, contour)]
+        assert solve_stats(cols)["route"] == "contour+separable"
 
     def test_solver_zero_shift(self):
         grid = GridSpec(rx=3.0, ry=3.0, nx=24, ny=24, c=0.0)
