@@ -4,8 +4,11 @@
 
 `halfheat kernel` is one kernel_slices call followed by one write_csv
 call.  write_csv builds the CSV text column by column (the `x1,y1`
-column once per run, `t` and `x2,y2` once per file, `p` with one `%`
-per chunk of rows).  On every tensor grid the a = 0 kernel is one
+column once per run, `t` and `x2,y2` once per file, `p` per chunk of
+rows), and formats every column with kernels._g17, which writes the
+bytes of `"%.17g" % v` from numpy arithmetic and hands the few values
+it cannot settle (zero, subnormals, inf, NaN, near-ties of the 18th
+digit) to Python's `%`.  On every tensor grid the a = 0 kernel is one
 kernels.tensor_kernel call: the outer product of nx Gaussians and ny
 Bessel values.  kernel_slices uses it on the cell centres, and
 verify.exact_quadrature_slice and the Chapman-Kolmogorov integral of
@@ -23,6 +26,14 @@ which reduces to a = 0 up to round-off: exact-reduced) and `diagonal`
     cli_s            median wall time of `halfheat kernel` in-process
     evaluate_s       median time of the kernel_slices call
     write_per_file_s write_csv over the run, per file
+    write_per_file_percent_s  the same files from percent_write_csv, the
+                     writer with one `%` per chunk of rows that write_csv
+                     replaced; files_identical says whether both wrote
+                     the same bytes
+    format_per_value_s  {"g17", "percent"}: kernels._g17 and one `%` per
+                     column, per value, on the run's x1, y1 and p values
+    fallback_values  how many of those values _g17 handed to `%`
+    format_mismatches  how many of _g17's texts differ from `"%.17g" % v`
     tensor_per_slice_s  (closed-form cases) the tensor evaluation per
                      (time, source)
     oracle_err       max |p - p_exact| / max p_exact over the files, from
@@ -41,7 +52,7 @@ check_identities_exact at the `verify` sweep's arguments.  Per entry:
 
 Times are medians over --repeats.  The JSON also holds the environment.
 The script exits 1 when a closed-form case's oracle_err exceeds
-ORACLE_TOL.
+ORACLE_TOL, or when any formatted text or file differs from `%.17g`.
 """
 
 from __future__ import annotations
@@ -64,8 +75,8 @@ import scipy
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from halfheat import cli, solver, verify  # noqa: E402
-from halfheat.kernels import tensor_kernel, write_csv  # noqa: E402
+from halfheat import cli, kernels, solver, verify  # noqa: E402
+from halfheat.kernels import WEIGHTED_CONVENTION, tensor_kernel, write_csv  # noqa: E402
 from halfheat.operators import (  # noqa: E402
     GeneralOperatorSpec,
     ModelOperatorSpec,
@@ -126,6 +137,53 @@ def median_time(fn, repeats: int):
     return statistics.median(times), result
 
 
+def percent_write_csv(slices, paths, chunk_rows: int = 2048) -> None:
+    """write_csv as it was before kernels._g17: one `%` per chunk of rows per column."""
+    def chunks(fmt, values):
+        values = np.asarray(values, dtype=float)
+        for start in range(0, len(values), chunk_rows):
+            rows = values[start:start + chunk_rows]
+            yield "\n".join([fmt] * len(rows)) % tuple(rows.ravel().tolist())
+
+    xy_chunks = {}
+    tail = "," + WEIGHTED_CONVENTION + "\n"
+    for slc, path in zip(slices, paths, strict=True):
+        xy = xy_chunks.get(id(slc.points))
+        if xy is None:
+            xy = xy_chunks[id(slc.points)] = list(chunks("%.17g,%.17g", slc.points))
+        head = "%.17g," % float(slc.t)
+        mid = ",%.17g,%.17g," % tuple(slc.source.tolist())
+        with open(path, "w", newline="") as fh:
+            fh.write("t,x1,y1,x2,y2,p,convention\n")
+            for xy_text, p_text in zip(xy, chunks("%.17g", slc.values)):
+                fh.write("".join([f"{head}{a}{mid}{b}{tail}" for a, b in
+                                  zip(xy_text.split("\n"), p_text.split("\n"))]))
+
+
+def format_record(values: np.ndarray, repeats: int) -> dict:
+    """_g17 against one `%` over the same doubles: time per value, fallbacks, mismatches."""
+    fallback = []
+    percent_path = kernels._g17_fallback
+
+    def counting(vals):
+        fallback.append(len(vals))
+        return percent_path(vals)
+    kernels._g17_fallback = counting
+    try:
+        g17_s, texts = median_time(lambda: kernels._g17(values), repeats)
+    finally:
+        kernels._g17_fallback = percent_path
+    percent_s, _ = median_time(
+        lambda: "\n".join(["%.17g"] * len(values)) % tuple(values.tolist()), repeats)
+    want = [b"%.17g" % v for v in values.tolist()]
+    return {
+        "format_values": len(values),
+        "format_per_value_s": {"g17": g17_s / len(values), "percent": percent_s / len(values)},
+        "fallback_values": sum(fallback) // repeats,
+        "format_mismatches": sum(g != w for g, w in zip(texts.tolist(), want)),
+    }
+
+
 def case_record(case, repeats: int, tmp: Path) -> dict:
     name, a, d, c, sources, ts, r, n = case
     spec = GeneralOperatorSpec(n=1, a_matrix=np.array(a), drift=np.array([d, c]))
@@ -149,6 +207,13 @@ def case_record(case, repeats: int, tmp: Path) -> dict:
     paths = [tmp / f"slice_{k}.csv" for k in range(len(slices))]
     write_s, _ = median_time(lambda: write_csv(slices, paths), repeats)
     rec["write_per_file_s"] = write_s / len(slices)
+    percent_paths = [tmp / f"percent_{k}.csv" for k in range(len(slices))]
+    percent_s, _ = median_time(lambda: percent_write_csv(slices, percent_paths), repeats)
+    rec["write_per_file_percent_s"] = percent_s / len(slices)
+    rec["files_identical"] = all(a.read_bytes() == b.read_bytes()
+                                 for a, b in zip(paths, percent_paths))
+    rec.update(format_record(
+        np.concatenate([slices[0].points.ravel()] + [s.values for s in slices]), repeats))
 
     if method.startswith("exact"):
         red = reduce_to_model(spec)
@@ -168,8 +233,12 @@ def case_record(case, repeats: int, tmp: Path) -> dict:
         rec["oracle_note"] = "a != 0 has no closed form; contour_err and mass_defect stand in"
         rec["contour_err"] = max(s.meta["contour_err"] for s in slices)
         rec["mass_defect"] = max(s.meta["mass_defect"] for s in slices)
+    fmt = rec["format_per_value_s"]
     line = (f"{name:16s} {method:15s} cli {cli_s:.3f} s  evaluate {evaluate_s:.3f} s  "
-            f"write/file {rec['write_per_file_s'] * 1e3:.1f} ms")
+            f"write/file {rec['write_per_file_s'] * 1e3:.1f} ms"
+            f" (% {rec['write_per_file_percent_s'] * 1e3:.1f} ms)"
+            f"  format {fmt['g17'] * 1e9:.0f} ns/value (% {fmt['percent'] * 1e9:.0f})"
+            f"  fallback {rec['fallback_values']}  mismatches {rec['format_mismatches']}")
     if "tensor_per_slice_s" in rec:
         line += (f"  closed form/slice {rec['tensor_per_slice_s'] * 1e3:.2f} ms"
                  f"  oracle_err {rec['oracle_err']:.1e}")
@@ -231,7 +300,8 @@ def main(argv=None) -> int:
             report["cases"][case[0]] = case_record(case, args.repeats, Path(tmp))
     report["quadrature"] = quadrature_record(args.repeats)
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
-    ok = all(rec["oracle_err"] is None or rec["oracle_err"] <= ORACLE_TOL
+    ok = all((rec["oracle_err"] is None or rec["oracle_err"] <= ORACLE_TOL)
+             and rec["files_identical"] and rec["format_mismatches"] == 0
              for rec in report["cases"].values())
     return 0 if ok else 1
 

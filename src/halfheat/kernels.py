@@ -13,12 +13,18 @@ and their outer product, bit-identical to product_kernel at every node.
 
 Slices are written by one CSV writer, write_csv, which builds the text
 column by column: the sample points once per call, the time and source
-once per file, the values once per chunk of rows.
+once per file, the values once per chunk of rows.  Its numbers are the
+bytes of `"%.17g" % v`, formatted in numpy by _g17: the 17 significant
+digits come from a double-double product with a power of ten, and the
+rare value that product cannot settle goes through Python's `%`.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,8 +46,21 @@ WEIGHTED_CONVENTION = "y^c dz"
 #: largest |a| treated as zero: reductions of a = 0 operators leave round-off
 A_ZERO_TOL = 1e-13
 
-#: rows formatted per write, so the text buffer stays small for large tables
+#: rows formatted and written at once, so the text buffers stay small for large tables
 CSV_CHUNK_ROWS = 2048
+
+# _g17: k = floor(log10|v|) of a normal double lies in [_K_MIN, _K_MAX); the
+# tables run to _K_MAX for the test v >= 10^(k+1)
+_K_MIN, _K_MAX = -308, 309
+_LOG10_2 = 0.30102999566398120
+_TINY = 2.2250738585072014e-308  # smallest normal double
+_HUGE = 1.7976931348623157e308
+_SPLIT = 134217729.0  # 2^27 + 1, Dekker's splitter for 53-bit doubles
+#: a value whose scaled fraction lies this close to 1/2 goes to `%`; its error is below 2^-45
+_TIE_GUARD = 2.0 ** -40
+#: longest `%.17g` text, "-1.2345678901234567e-308"
+_G17_WIDTH = 24
+_POW10 = 10 ** np.arange(17, dtype=np.int64)
 
 
 def _check_time(t):
@@ -187,41 +206,191 @@ class KernelSlice:
         return float(np.dot(self.weights, self.values))
 
 
-def _chunks(fmt: str, values):
-    """`fmt % row` for the rows of `values`, one `%` and one text per CSV_CHUNK_ROWS rows.
+class _G17Tables(NamedTuple):
+    """Read-only tables of _g17; the first seven are indexed by k - _K_MIN."""
 
-    Rows are joined by newlines, with none after the last.
+    hi: np.ndarray        # 10^(16-k) = (hi + lo) 2^shift, hi in [1, 2]
+    hi_head: np.ndarray   # Dekker halves of hi: hi = hi_head + hi_tail, 26 bits or fewer
+    hi_tail: np.ndarray
+    lo: np.ndarray
+    shift: np.ndarray
+    ten_k: np.ndarray     # the smallest double >= 10^k (inf above the double range)
+    exponent: np.ndarray  # b"e%+03d" % k where %g uses scientific notation, else b""
+    quad: np.ndarray      # quad[r * 10^4 + g]: b"%04d" % g as one uint32 word, its
+                          # trailing zeros after the first r digits made NUL
+    lead: np.ndarray      # lead[10 s + j]: b"00", (b"0", b"-")[s], b"%d" % j as one word
+
+
+@functools.cache
+def _g17_tables() -> _G17Tables:
+    """Build _g17's tables from exact integers, once per process (a few ms)."""
+    ks = range(_K_MIN, _K_MAX + 1)
+    ten = [1]
+    while len(ten) <= 16 - _K_MIN:
+        ten.append(ten[-1] * 10)
+    hi, lo, shift, ten_k = [], [], [], []
+    for k in ks:
+        # 10^(16-k) ~ m 2^e with m a 128-bit integer, truncated where inexact
+        if k <= 16:
+            b = ten[16 - k].bit_length()
+            m = ten[16 - k] << (128 - b) if b <= 128 else ten[16 - k] >> (b - 128)
+            e = b - 128
+        else:
+            b = ten[k - 16].bit_length()
+            m, e = (1 << (b + 127)) // ten[k - 16], -(b + 127)
+        head = (m + (1 << 74)) >> 75  # m rounded to 53 bits
+        hi.append(head / 2.0 ** 52)
+        lo.append((m - (head << 75)) / 2.0 ** 127)
+        shift.append(e + 127)
+        # the smallest double >= 10^k: the correctly rounded one, stepped up if below
+        if k > 308:
+            x = math.inf
+        elif k >= 0:
+            x = float(ten[k])
+            if int(x) < ten[k]:
+                x = math.nextafter(x, math.inf)
+        else:
+            x = 1 / ten[-k]
+            num, den = x.as_integer_ratio()
+            if num * ten[-k] < den:
+                x = math.nextafter(x, math.inf)
+        ten_k.append(x)
+    hi = np.array(hi)
+    c = _SPLIT * hi
+    hi_head = c - (c - hi)
+    g = np.arange(10000, dtype=np.int16)
+    quad = np.stack([g // 1000, g // 100 % 10, g // 10 % 10, g % 10], axis=1).astype(np.uint8)
+    significant = 4 - np.argmax(quad[:, ::-1] != 0, axis=1)  # digits up to the last nonzero
+    significant[g == 0] = 0
+    kept = np.arange(4) < np.maximum(np.arange(5)[:, None, None], significant[:, None])
+    quad = np.where(kept, quad + np.uint8(ord("0")), np.uint8(0))
+    lead = np.array([b"00" + sign + b"%d" % j for sign in (b"0", b"-") for j in range(10)], "S4")
+    tables = _G17Tables(
+        hi=hi, hi_head=hi_head, hi_tail=hi - hi_head, lo=np.array(lo),
+        shift=np.array(shift, dtype=np.int32), ten_k=np.array(ten_k),
+        exponent=np.array([b"" if -4 <= k < 17 else b"e%+03d" % k for k in ks], "S5"),
+        quad=quad.view(np.uint32).ravel(), lead=lead.view(np.uint32))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _g17_fallback(values) -> np.ndarray:
+    """`b"%.17g" % v` through Python's `%`, once per distinct bit pattern of `values`."""
+    bits, inverse = np.unique(np.asarray(values, dtype=float).view(np.int64),
+                              return_inverse=True)
+    texts = [b"%.17g" % v for v in bits.view(np.float64).tolist()]
+    return np.array(texts, dtype=f"S{_G17_WIDTH}")[inverse]
+
+
+def _g17(values) -> np.ndarray:
+    """`b"%.17g" % v` for each double v of `values` (flattened), as an S24 array.
+
+    The bytes equal Python's for every double.  For a normal finite v,
+    k = floor(log10|v|) and P = |v| 10^(16-k) lies in [10^16, 10^17); P
+    is formed as a double-double (Dekker's exact product of the mantissa
+    with the leading half of 10^(16-k), plus the trailing half), with an
+    absolute error below 2^-45, and rounded to the 17-digit integer D.
+    The digits of D come four at a time from a table, and %g's layout
+    (fixed notation for -4 <= k < 17, `e+XX` otherwise, trailing zeros
+    and a bare '.' stripped) is cut from them with np.strings.  Values
+    the product cannot settle go to _g17_fallback, Python's `%`: zero,
+    subnormals, inf and NaN, a fraction of P within 2^-40 of 1/2 (the
+    exact ties of the 18th digit among them), and D outside [10^16, 10^17).
     """
-    values = np.asarray(values, dtype=float)
-    for start in range(0, len(values), CSV_CHUNK_ROWS):
-        rows = values[start:start + CSV_CHUNK_ROWS]
-        yield "\n".join([fmt] * len(rows)) % tuple(rows.ravel().tolist())
+    v = np.asarray(values, dtype=float).ravel()
+    tab = _g17_tables()
+    a = np.abs(v)
+    fast = (a >= _TINY) & (a <= _HUGE)  # NaN fails both
+    a[~fast] = 1.0
+    m, e = np.frexp(a)  # |v| = m 2^e, m in [1/2, 1)
+    k = np.floor((e - 1) * _LOG10_2).astype(np.int32)  # floor(log10 2^(e-1)), exact here
+    k += a >= tab.ten_k[k + (1 - _K_MIN)]
+    i = k - _K_MIN
+    # P = |v| 10^(16-k) = m (hi + lo) 2^(e+shift); m hi exactly as prod + err (Dekker)
+    prod = m * tab.hi[i]
+    c = _SPLIT * m
+    m_head = c - (c - m)
+    m_tail = m - m_head
+    hi_head, hi_tail = tab.hi_head[i], tab.hi_tail[i]
+    err = ((m_head * hi_head - prod) + m_head * hi_tail + m_tail * hi_head) + m_tail * hi_tail
+    scale = e + tab.shift[i]
+    p_big = np.ldexp(prod, scale)  # an integer once P >= 2^53
+    p_whole = np.floor(p_big)
+    p_rest = (p_big - p_whole) + np.ldexp(m * tab.lo[i] + err, scale)
+    carry = np.floor(p_rest)
+    frac = p_rest - carry
+    digits = p_whole.astype(np.int64) + carry.astype(np.int64)
+    digits += frac > 0.5
+    fast &= (np.abs(frac - 0.5) > _TIE_GUARD) & (digits >= 10 ** 16) & (digits < 10 ** 17)
+    digits[~fast] = 10 ** 16
+
+    # 24 bytes per value: "00-0", "00", '-' or '0', the first digit, then 16 digits
+    # whose trailing zeros past the integer part are NUL; the text is cut from them
+    # as [-]d...d (digits 0..kk) + '.' + the rest, or as [-]0 + '.' + zeros + digits
+    fixed = (k >= -4) & (k < 17)
+    small = fixed & (k < 0)
+    kk = np.where(fixed & ~small, k, 0)
+    neg = (v < 0).astype(np.int32)
+    top, low = np.divmod(digits, 10 ** 8)
+    top, low = top.astype(np.int32), low.astype(np.int32)
+    first, mid = np.divmod(top, 10 ** 8)
+    groups = (mid // 10 ** 4, mid % 10 ** 4, low // 10 ** 4, low % 10 ** 4)
+    words = np.empty((len(v), 6), dtype=np.uint32)
+    words[:, 0] = np.frombuffer(b"00-0", dtype=np.uint32)[0]
+    words[:, 1] = tab.lead[first + 10 * (neg & ~small)]
+    last = np.ones(len(v), dtype=bool)  # the groups after this one are all zero
+    for j in (3, 2, 1, 0):
+        kept = np.where(last, np.clip(kk - 4 * j, 0, 4), 4)
+        words[:, 2 + j] = tab.quad[kept * 10 ** 4 + groups[j]]
+        last &= groups[j] == 0
+    text = words.view(f"S{_G17_WIDTH}").ravel()
+    cut = 8 + np.where(small, k, kk)  # where the digits after the point start
+    # a copy with the point (NUL when no digit follows it) just before `cut`;
+    # for k = 16 that byte is the last integer digit, which `whole` takes from text
+    pointed = words.view(np.uint8).reshape(len(v), _G17_WIDTH).copy()
+    has_point = small | (digits % _POW10[16 - kk] != 0)
+    pointed[np.arange(len(v)), cut - 1] = np.where(has_point, ord("."), 0)
+    whole = np.strings.slice(text, np.where(small, 3, 7) - neg, np.where(small, 4, cut))
+    point_on = np.strings.slice(pointed.view(f"S{_G17_WIDTH}").ravel(), cut - 1, _G17_WIDTH)
+    out = np.strings.add(whole, point_on)
+    if not fixed.all():
+        out = np.strings.add(out, tab.exponent[i])
+    out = out.astype(f"S{_G17_WIDTH}")
+    if not fast.all():
+        out[~fast] = _g17_fallback(v[~fast])
+    return out
 
 
 def write_csv(slices, paths) -> None:
     """Write slices[k] to the file paths[k] as `t,x1,y1,x2,y2,p,convention` rows.
 
-    Numbers use `%.17g`, which round-trips doubles bit-exactly.  The text
-    is built column by column: the `x1,y1` column once per distinct
-    `points` array of the call (all slices of one kernel_slices call
-    share one), `t` and `x2,y2` once per slice, and `p` with one `%` per
-    CSV_CHUNK_ROWS rows, the unit in which rows are written.
+    Every number is written as the bytes of `"%.17g" % v`, which
+    round-trips doubles bit-exactly; _g17 formats whole columns in numpy
+    and hands the values it cannot settle to Python's `%`.  The text is
+    built column by column: the `x1,y1` column once per distinct `points`
+    array of the call (all slices of one kernel_slices call share one),
+    `t` and `x2,y2` once per slice, and `p` per CSV_CHUNK_ROWS rows, the
+    unit in which rows are written.
     """
-    xy_chunks = {}  # id(points) -> its x1,y1 texts; the slices keep the arrays alive
-    tail = "," + WEIGHTED_CONVENTION + "\n"
+    xy_texts = {}  # id(points) -> its x1,y1 texts; the slices keep the arrays alive
+    tail = b"," + WEIGHTED_CONVENTION.encode() + b"\n"
     for slc, path in zip(slices, paths, strict=True):
         if slc.n != 1:
             raise DomainError("CSV slice format is defined for N = 1")
-        xy = xy_chunks.get(id(slc.points))
+        xy = xy_texts.get(id(slc.points))
         if xy is None:
-            xy = xy_chunks[id(slc.points)] = list(_chunks("%.17g,%.17g", slc.points))
-        head = "%.17g," % float(slc.t)
-        mid = ",%.17g,%.17g," % tuple(slc.source.tolist())
-        with open(path, "w", newline="") as fh:
-            fh.write("t,x1,y1,x2,y2,p,convention\n")
-            for xy_text, p_text in zip(xy, _chunks("%.17g", slc.values)):
-                fh.write("".join([f"{head}{a}{mid}{b}{tail}" for a, b in
-                                  zip(xy_text.split("\n"), p_text.split("\n"))]))
+            x, y = _g17(slc.points).reshape(-1, 2).T
+            xy = xy_texts[id(slc.points)] = np.strings.add(np.strings.add(x, b","), y)
+        head = b"%.17g," % float(slc.t)
+        mid = b",%.17g,%.17g," % tuple(slc.source.tolist())
+        with open(path, "wb") as fh:
+            fh.write(b"t,x1,y1,x2,y2,p,convention\n")
+            for start in range(0, len(slc.values), CSV_CHUNK_ROWS):
+                stop = start + CSV_CHUNK_ROWS
+                rows = np.strings.add(np.strings.add(xy[start:stop], mid),
+                                      _g17(slc.values[start:stop]))
+                fh.write(head + (tail + head).join(rows.tolist()) + tail)
 
 
 def exact_slice(model, t: float, z2, points) -> KernelSlice:

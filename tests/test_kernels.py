@@ -1,5 +1,8 @@
 """Closed-form kernel identities, conservation, and slice round-trips."""
 
+import decimal
+import math
+
 import numpy as np
 import pytest
 
@@ -249,6 +252,45 @@ class TestKernelSlice:
         with pytest.raises(ValueError):
             write_csv([slc, slc], [tmp_path / "one.csv"])
 
+    @staticmethod
+    def _count_fallback(monkeypatch):
+        """Record every value that kernels._g17 hands to Python's `%`."""
+        seen = []
+        fallback = kernels._g17_fallback
+
+        def counting(values):
+            seen.extend(np.asarray(values).tolist())
+            return fallback(values)
+        monkeypatch.setattr(kernels, "_g17_fallback", counting)
+        return seen
+
+    def test_exact_tie_goes_through_percent(self, tmp_path, monkeypatch):
+        # 2^-25 = 2.98023223876953125e-08 exactly: its 18th digit is a tie, which
+        # round-half-even settles downwards; the fast path must not decide it
+        seen = self._count_fallback(monkeypatch)
+        slc = KernelSlice(t=0.5, source=np.array([0.0, 1.0]), points=np.array([[0.5, 1.0]]),
+                          values=np.array([2.0 ** -25]), c=1.0)
+        text = self._written(slc, tmp_path / "tie.csv")
+        assert seen == [2.0 ** -25]
+        assert text.splitlines()[1] == "0.5,0.5,1,0,1,2.9802322387695312e-08," + WEIGHTED_CONVENTION
+        assert text == self._per_row(slc)
+
+    def test_non_finite_values_written_as_percent(self, tmp_path, monkeypatch):
+        seen = self._count_fallback(monkeypatch)
+        vals = np.array([np.nan, np.inf, -np.inf, 1.0])
+        slc = KernelSlice(t=0.5, source=np.array([0.0, 1.0]), values=vals, c=1.0,
+                          points=np.column_stack([np.linspace(-1, 1, 4), np.full(4, 0.5)]))
+        text = self._written(slc, tmp_path / "nonfinite.csv")
+        assert text == self._per_row(slc)
+        assert [line.split(",")[5] for line in text.splitlines()[1:]] == ["nan", "inf", "-inf", "1"]
+        assert len(seen) == 3 and seen[1:] == [np.inf, -np.inf]
+
+    def test_zero_row_slice_writes_the_header(self, tmp_path):
+        empty = KernelSlice(t=0.5, source=np.array([0.0, 1.0]), points=np.zeros((0, 2)),
+                            values=np.zeros(0), c=1.0)
+        assert self._written(empty, tmp_path / "empty.csv") == "t,x1,y1,x2,y2,p,convention\n"
+
+
     def test_invariants(self):
         with pytest.raises(DomainError):
             KernelSlice(t=-1.0, source=np.array([0.0, 1.0]),
@@ -266,3 +308,60 @@ class TestKernelSlice:
         slc = self._slice()
         slc.values[0] = -1e-12
         assert slc.clamped_values().min() >= 0.0
+
+
+class TestG17:
+    """kernels._g17 against Python's `%.17g`, byte for byte."""
+
+    @staticmethod
+    def _doubles():
+        rng = np.random.default_rng(20240901)
+        parts = []
+        # every biased exponent, 0 (zero and subnormals) to 2047 (inf and NaN), 200 each
+        exponent = np.repeat(np.arange(2048, dtype=np.uint64), 200)
+        mantissa = rng.integers(0, 1 << 52, size=exponent.size, dtype=np.uint64)
+        sign = rng.integers(0, 2, size=exponent.size, dtype=np.uint64)
+        parts.append(((sign << np.uint64(63)) | (exponent << np.uint64(52)) | mantissa)
+                     .view(np.float64))
+        # 10^q and 2^q over the double range, with both neighbours, both signs
+        tens = np.array([float(f"1e{q}") for q in range(-323, 309)])
+        twos = np.ldexp(1.0, np.arange(-1074, 1024))
+        for x in (tens, twos):
+            for y in (x, np.nextafter(x, np.inf), np.nextafter(x, -np.inf)):
+                parts += [y, -y]
+        parts.append(np.array([0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan,
+                               2.2250738585072014e-308, 1.7976931348623157e308]))
+        # large integers and n + 1/2
+        parts.append(rng.integers(-(1 << 62), 1 << 62, size=40000).astype(float))
+        parts.append(np.arange(-20000, 20000) + 0.5)
+        # the magnitudes of kernel values and coordinates
+        parts.append(rng.standard_normal(50000) * 10.0 ** rng.integers(-20, 20, size=50000))
+        return np.concatenate(parts)
+
+    def test_matches_percent_on_500k_doubles(self, monkeypatch):
+        seen = TestKernelSlice._count_fallback(monkeypatch)
+        values = self._doubles()
+        assert values.size >= 500_000
+        got = kernels._g17(values).tolist()
+        want = [b"%.17g" % v for v in values.tolist()]
+        mismatches = [(v, g, w) for v, g, w in zip(values.tolist(), got, want) if g != w]
+        assert mismatches == []
+        # the fast path formats every normal finite value except those whose 17-digit
+        # scaling |v| 10^(16-k), computed exactly here, ends within 2^-40 of a half
+        # or rounds up to 10^17
+        finite_normal = np.isfinite(values) & (np.abs(values) >= 2.2250738585072014e-308)
+        slow = [v for v in seen if math.isfinite(v) and abs(v) >= 2.2250738585072014e-308]
+        assert len(seen) - len(slow) == np.count_nonzero(~finite_normal)
+        assert len(slow) < 0.01 * values.size
+        with decimal.localcontext(decimal.Context(prec=1200)):
+            for v in slow:
+                exact = abs(decimal.Decimal(v))
+                scaled = exact.scaleb(16 - exact.adjusted())
+                near_half = abs(scaled % 1 - decimal.Decimal("0.5")) <= decimal.Decimal(2) ** -40
+                assert near_half or scaled >= 10 ** 17 - decimal.Decimal("0.5"), v
+
+    def test_shapes_and_width(self):
+        assert kernels._g17(np.zeros((0, 2))).shape == (0,)
+        out = kernels._g17(np.array([[-1.2345678901234567e-308, 1.0], [0.5, -7.0]]))
+        assert out.dtype == np.dtype("S24")
+        assert out.tolist() == [b"-1.2345678901234567e-308", b"1", b"0.5", b"-7"]
