@@ -373,23 +373,25 @@ def write_csv(slices, paths) -> None:
     `t` and `x2,y2` once per slice, and `p` per CSV_CHUNK_ROWS rows, the
     unit in which rows are written.
     """
-    xy_texts = {}  # id(points) -> its x1,y1 texts; the slices keep the arrays alive
+    xy_chunks = {}  # id(points) -> its x1,y1 texts per chunk; the slices keep the arrays alive
     tail = b"," + WEIGHTED_CONVENTION.encode() + b"\n"
     for slc, path in zip(slices, paths, strict=True):
         if slc.n != 1:
             raise DomainError("CSV slice format is defined for N = 1")
-        xy = xy_texts.get(id(slc.points))
+        starts = range(0, len(slc.values), CSV_CHUNK_ROWS)
+        xy = xy_chunks.get(id(slc.points))
         if xy is None:
-            x, y = _g17(slc.points).reshape(-1, 2).T
-            xy = xy_texts[id(slc.points)] = np.strings.add(np.strings.add(x, b","), y)
+            xy = xy_chunks[id(slc.points)] = []
+            for start in starts:
+                x, y = _g17(slc.points[start:start + CSV_CHUNK_ROWS]).reshape(-1, 2).T
+                xy.append(np.strings.add(np.strings.add(x, b","), y))
         head = b"%.17g," % float(slc.t)
         mid = b",%.17g,%.17g," % tuple(slc.source.tolist())
         with open(path, "wb") as fh:
             fh.write(b"t,x1,y1,x2,y2,p,convention\n")
-            for start in range(0, len(slc.values), CSV_CHUNK_ROWS):
-                stop = start + CSV_CHUNK_ROWS
-                rows = np.strings.add(np.strings.add(xy[start:stop], mid),
-                                      _g17(slc.values[start:stop]))
+            for start, xy_text in zip(starts, xy):
+                rows = np.strings.add(np.strings.add(xy_text, mid),
+                                      _g17(slc.values[start:start + CSV_CHUNK_ROWS]))
                 fh.write(head + (tail + head).join(rows.tolist()) + tail)
 
 
