@@ -137,12 +137,12 @@ def median_time(fn, repeats: int):
     return statistics.median(times), result
 
 
-def percent_write_csv(slices, paths, chunk_rows: int = 2048) -> None:
+def percent_write_csv(slices, paths) -> None:
     """write_csv as it was before kernels._g17: one `%` per chunk of rows per column."""
     def chunks(fmt, values):
         values = np.asarray(values, dtype=float)
-        for start in range(0, len(values), chunk_rows):
-            rows = values[start:start + chunk_rows]
+        for start in range(0, len(values), kernels.CSV_CHUNK_ROWS):
+            rows = values[start:start + kernels.CSV_CHUNK_ROWS]
             yield "\n".join([fmt] * len(rows)) % tuple(rows.ravel().tolist())
 
     xy_chunks = {}

@@ -25,6 +25,18 @@ def model(c, a=0.0, n=1):
     return ModelOperatorSpec(n=n, a=np.full(n, a), c=c)
 
 
+def count_fallback(monkeypatch):
+    """Record every value that kernels._g17 hands to Python's `%`."""
+    seen = []
+    fallback = kernels._g17_fallback
+
+    def counting(values):
+        seen.extend(np.asarray(values).tolist())
+        return fallback(values)
+    monkeypatch.setattr(kernels, "_g17_fallback", counting)
+    return seen
+
+
 class TestBesselKernel:
     def test_c0_is_reflected_gaussian(self):
         t = 0.8
@@ -252,22 +264,10 @@ class TestKernelSlice:
         with pytest.raises(ValueError):
             write_csv([slc, slc], [tmp_path / "one.csv"])
 
-    @staticmethod
-    def _count_fallback(monkeypatch):
-        """Record every value that kernels._g17 hands to Python's `%`."""
-        seen = []
-        fallback = kernels._g17_fallback
-
-        def counting(values):
-            seen.extend(np.asarray(values).tolist())
-            return fallback(values)
-        monkeypatch.setattr(kernels, "_g17_fallback", counting)
-        return seen
-
     def test_exact_tie_goes_through_percent(self, tmp_path, monkeypatch):
         # 2^-25 = 2.98023223876953125e-08 exactly: its 18th digit is a tie, which
         # round-half-even settles downwards; the fast path must not decide it
-        seen = self._count_fallback(monkeypatch)
+        seen = count_fallback(monkeypatch)
         slc = KernelSlice(t=0.5, source=np.array([0.0, 1.0]), points=np.array([[0.5, 1.0]]),
                           values=np.array([2.0 ** -25]), c=1.0)
         text = self._written(slc, tmp_path / "tie.csv")
@@ -276,7 +276,7 @@ class TestKernelSlice:
         assert text == self._per_row(slc)
 
     def test_non_finite_values_written_as_percent(self, tmp_path, monkeypatch):
-        seen = self._count_fallback(monkeypatch)
+        seen = count_fallback(monkeypatch)
         vals = np.array([np.nan, np.inf, -np.inf, 1.0])
         slc = KernelSlice(t=0.5, source=np.array([0.0, 1.0]), values=vals, c=1.0,
                           points=np.column_stack([np.linspace(-1, 1, 4), np.full(4, 0.5)]))
@@ -339,7 +339,7 @@ class TestG17:
         return np.concatenate(parts)
 
     def test_matches_percent_on_500k_doubles(self, monkeypatch):
-        seen = TestKernelSlice._count_fallback(monkeypatch)
+        seen = count_fallback(monkeypatch)
         values = self._doubles()
         assert values.size >= 500_000
         got = kernels._g17(values).tolist()
