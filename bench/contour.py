@@ -27,7 +27,8 @@ windows of WINDOWS:
                              fixture (unpaired contour), no counterpart
 
 For k = 1 and k = 4 of SOURCES and for each window, one kernel_columns
-call per side records its time per call (median over --repeats), its
+call per side records its time per call (median over --repeats, the two
+sides called in turn, so a slow episode of the host weighs on both), its
 SOLVE_STATS (contour_err and max_solve_residual the largest over the
 columns), its mass defect (largest |mass - 1|) and its oracle error
 (max |p - p_exact| / max p_exact over the columns, where a closed form
@@ -136,14 +137,18 @@ def record(times, cols, oracle) -> dict:
                                for s in cols) if oracle else None)}
 
 
-def timed_record(op, ts, sources, oracle, repeats: int):
-    """Median time of `repeats` kernel_columns calls, and the last call's record and columns."""
-    times = []
+def timed_records(ops, ts, sources, oracle, repeats: int):
+    """Per operator, the record of `repeats` kernel_columns calls and the last call's columns.
+
+    The operators are called in turn, one call each per repeat.
+    """
+    times, cols = [[] for _ in ops], [None] * len(ops)
     for _ in range(repeats):
-        t0 = time.perf_counter()
-        cols = kernel_columns(op, ts, sources)
-        times.append(time.perf_counter() - t0)
-    return record(times, cols, oracle), cols
+        for n, op in enumerate(ops):
+            t0 = time.perf_counter()
+            cols[n] = kernel_columns(op, ts, sources)
+            times[n].append(time.perf_counter() - t0)
+    return [(record(t, c, oracle), c) for t, c in zip(times, cols)]
 
 
 def window_failures(label: str, win: dict) -> list[str]:
@@ -166,9 +171,10 @@ def window_failures(label: str, win: dict) -> list[str]:
 def window_record(op, counterpart, ts, sources, oracle, repeats: int) -> dict:
     """One window's record: the package call and, given a counterpart, its call and the gap."""
     win = {"times": list(ts)}
-    win["package"], cols = timed_record(op, ts, sources, oracle, repeats)
-    if counterpart is not None:
-        win["counterpart"], other = timed_record(counterpart, ts, sources, oracle, repeats)
+    sides = [op] if counterpart is None else [op, counterpart]
+    (win["package"], cols), *rest = timed_records(sides, ts, sources, oracle, repeats)
+    if rest:
+        win["counterpart"], other = rest[0]
         win["gap_max_rel"] = max(relative_error(a.values, b.values) for a, b in zip(cols, other))
         separable = win["package"]["route"] == "separable"  # exact, so the gap is the contour's
         win["gap_bound"] = (win["counterpart"]["contour_err"] if separable else 0.0) + DIFF_TOL

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import sab as sab_mod
 from . import verify as V
-from .errors import HalfheatError, SolveFailure, StructuralError
+from .errors import HalfheatError, ParameterError, SolveFailure, StructuralError
 from .geometry import EnvelopeParams, doubling_check, envelope_equivalence_window
 from .kernels import exact_slice, write_csv
 from .operators import (
@@ -97,13 +97,23 @@ def _count(cfg: dict, key: str, default: str) -> int:
         raise StructuralError(f"{key} needs an integer, got {cfg[key]!r}") from exc
 
 
+def _is_row_key(key: str, n: int) -> bool:
+    """Whether key is A.row.i for an integer 1 <= i <= n + 1 written as str(i).
+
+    Decided from the key alone, so the cost does not grow with n;
+    A.row.0 and A.row.01 are not row keys.
+    """
+    i = key.removeprefix("A.row.")
+    return (i != key and i.isascii() and i.isdigit() and len(i) <= len(str(n + 1))
+            and i == str(int(i)) and 1 <= int(i) <= n + 1)
+
+
 def operator_from_config(cfg: dict) -> GeneralOperatorSpec:
     try:
         n = int(cfg["N"])
     except (KeyError, ValueError) as exc:
         raise StructuralError("config needs integer key N") from exc
-    known = KNOWN_KEYS | {f"A.row.{i}" for i in range(1, n + 2)}
-    unknown = sorted(set(cfg) - known)
+    unknown = sorted(key for key in cfg if key not in KNOWN_KEYS and not _is_row_key(key, n))
     if unknown:
         raise StructuralError(f"unknown config keys: {', '.join(unknown)}")
     rows = []
@@ -152,6 +162,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_kernel(args) -> int:
+    if not 0.0 <= args.mass_tol < np.inf:  # NaN fails both
+        raise ParameterError(f"--mass-tol must be finite and >= 0, got {args.mass_tol}")
     cfg = parse_config(args.config)
     spec = operator_from_config(cfg)
     report = validate_general(spec)

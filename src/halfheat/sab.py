@@ -67,6 +67,9 @@ class SabSpec:
     p: float = 2.0
 
     def __post_init__(self):
+        for name in ("alpha", "beta", "m"):
+            if not np.isfinite(getattr(self, name)):
+                raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
         if not 1.0 <= self.p < np.inf:  # NaN fails both
             raise ParameterError(f"p must lie in [1, infinity), got {self.p}")
         if not 0.0 <= self.theta < np.inf:

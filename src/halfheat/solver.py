@@ -14,7 +14,11 @@ The grid gives the vector w of weighted cell masses and with it the
 semi-discrete evolution w du/dt = -S u.
 The coefficients do not depend on x, so S is one tridiagonal y-block per
 x-Fourier mode (fast diagonalization); _mode_bands builds the blocks of
-all modes as three bands with numpy.  Constants are annihilated by S on
+all modes as three bands of shape (nx, ny), one row per mode.  The data
+of k sources is held in the same layout, as (k, nx, ny) blocks (source,
+x-cell or x-mode, y-cell), from the source deltas to the fused LAPACK
+system, the one place where modes are laid end to end; only that system
+and the public slice values are flat.  Constants are annihilated by S on
 both sides (mode 0 is a pure y-difference form), so constant states are
 stationary and total mass Sum(w u) is conserved by the semi-discrete law.
 
@@ -229,9 +233,10 @@ def _mode_bands(grid: GridSpec, bmat: np.ndarray):
     "Numerical notes"): the (u_y, v_x) pairing sits on the interior
     y-faces as the face difference of u times the face average of the
     x-gradient of v, and (u_x, v_y) is its transpose, so a symmetric B
-    gives Hermitian blocks.  The bands run over the index m * ny + j, so
-    the blocks of all modes are one tridiagonal matrix; lower and upper
-    are 0 between blocks.
+    gives Hermitian blocks.  Each band has shape (nx, ny), row m the
+    block of mode m; lower[m, j] and upper[m, j] couple cells j + 1 and
+    j, and both are 0 after each mode's last cell, so the blocks of any
+    set of modes laid end to end are one tridiagonal matrix.
     Every row and column of mode 0 sums to 0, so constants are stationary
     and mass is conserved; transposing B conjugate-transposes every block.
     """
@@ -247,13 +252,12 @@ def _mode_bands(grid: GridSpec, bmat: np.ndarray):
     yl, yr = np.append(0.0, yf), np.append(yf, 0.0)
     diag = ((bmat[0, 0] / hx) * (4.0 * np.sin(0.5 * theta) ** 2)[:, None] * grid.cell_y_masses()
             + bmat[1, 1] * (hx / hy) * (yl + yr) + 0.5 * hx * cross * (yl - yr))
-    # coupling of cell j to cell j + 1 of the same mode; none across modes
+    # coupling of cell j to cell j + 1 of the same mode, 0 after its last cell
     stiff, half_skew = -bmat[1, 1] * (hx / hy) * yf, 0.5 * hx * skew * yf
-    off = np.zeros((2, nx, ny), dtype=complex)
-    off[0, :, :-1] = stiff - half_skew
-    off[1, :, :-1] = stiff + half_skew
-    lower, upper = (band.ravel()[:-1] for band in off)
-    return lower, diag.ravel(), upper
+    lower, upper = np.zeros((2, nx, ny), dtype=complex)
+    lower[:, :-1] = stiff - half_skew
+    upper[:, :-1] = stiff + half_skew
+    return lower, diag, upper
 
 
 @dataclass
@@ -273,7 +277,7 @@ class DiscreteOperator:
 
     @property
     def w(self) -> np.ndarray:
-        """Weighted cell masses, flat over the index i * ny + j."""
+        """Weighted cell masses grid.masses(), flat in the order of grid.points()."""
         return self.grid.masses().ravel()
 
     def adjoint(self) -> "DiscreteOperator":
@@ -408,12 +412,13 @@ def _contour_sum(bands, w, rhs, window, n, stats, worst):
     return [a / np.real(np.sum(coef[:, i] / z)) for i, a in enumerate(acc)]
 
 
-def _live_modes(bands, w, rhs, t0: float, nx: int) -> np.ndarray:
+def _live_modes(bands, w, rhs, t0: float) -> np.ndarray:
     """The x-modes of rhs that can still move a value at some t >= t0, shape (nx,).
 
-    `rhs` holds W U_m(0) over the index m * ny + j, as _evolve_block
-    builds it.  Re<S_m v, v> = <H_m v, v> for H_m the Hermitian part of
-    the mode block (the block of (B + B')/2: the skew part of B gives
+    `bands` and the weights `w` have shape (nx, ny), and `rhs` holds
+    W U_m(0), shape (k, nx, ny), as _evolve_block builds it.
+    Re<S_m v, v> = <H_m v, v> for H_m the Hermitian part of the mode
+    block (the block of (B + B')/2: the skew part of B gives
     skew-Hermitian blocks), so |U_m(t)|_W <= e^{-kappa_m t} |U_m(0)|_W
     with kappa_m the least eigenvalue of the pencil (H_m, W) (the
     logarithmic norm, Soederlind 2006).  Mode m is dead when
@@ -430,36 +435,38 @@ def _live_modes(bands, w, rhs, t0: float, nx: int) -> np.ndarray:
     the residual guard still sees it.
     """
     lower, diag, upper = bands
-    ny = w.size // nx
-    wy = w[:ny]  # the same weights for every mode
-    modes = rhs.T.reshape(-1, nx, ny)
-    mass = modes[:, 0].real.sum(axis=1)
-    live = np.ones(nx, dtype=bool)
-    if not (np.all(np.isfinite(modes)) and np.all(mass != 0.0)):
+    wy = w[0]  # the same weights for every mode
+    mass = rhs[:, 0].real.sum(axis=1)
+    live = np.ones(len(w), dtype=bool)
+    if not (np.all(np.isfinite(rhs)) and np.all(mass != 0.0)):
         return live
-    norm = np.sqrt(np.abs(modes) ** 2 @ (1.0 / wy))  # |U_m(0)|_W, shape (k, nx)
+    norm = np.sqrt(np.abs(rhs) ** 2 @ (1.0 / wy))  # |U_m(0)|_W, shape (k, nx)
     ratio = (norm / np.abs(mass)[:, None]).max(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):  # K_m = -inf for a mode without data
         rate = np.log(w.sum() * ratio / (np.finfo(float).eps * np.sqrt(wy.min()))) / t0  # K_m
-        shifted = diag.real.reshape(nx, ny) - rate[:, None] * wy  # diagonal of H_m - K_m W
+        shifted = diag.real - rate[:, None] * wy  # diagonal of H_m - K_m W
         # |off-diagonal|^2 of H_m; 0 after each mode's last cell
-        off2 = np.append(np.abs(0.5 * (upper + lower.conj())) ** 2, 0.0).reshape(nx, ny)
+        off2 = np.abs(0.5 * (upper + lower.conj())) ** 2
         pivot = shifted[:, 0]
         dead = pivot > 0.0
-        for j in range(1, ny):
+        for j in range(1, wy.size):
             pivot = shifted[:, j] - off2[:, j - 1] / pivot
             dead &= pivot > 0.0
     live[1:] = ~dead[1:]
     return live
 
 
-def _fused_system(bands, w, rhs, live, ny: int, paired: bool):
+def _fused_system(bands, w, rhs, live, paired: bool):
     """The tridiagonal system every node of one window solves, and its layout.
 
-    Unpaired: the rows of the live modes (`live`, a mask of shape (nx,))
-    of the bands, the weights and the k columns of rhs; the coupling of
-    consecutive rows is the band entry, or the 0 between blocks where a
-    live mode ends.
+    The bands and weights have shape (nx, ny) and rhs (k, nx, ny); this is
+    the one place where modes are laid end to end, the solved modes'
+    blocks in mode order as the rows of one flat system.
+
+    Unpaired: the live modes (`live`, a mask of shape (nx,)) of the bands,
+    the weights and the k sources of rhs; the coupling of consecutive
+    rows is the band entry, or the 0 after a mode's last cell where the
+    next live mode begins.
 
     Paired (`live` closed over pairs; the caller's rule for a symmetric
     B): S_{nx-m} = conj(S_m) and S_m is Hermitian, so the live modes
@@ -474,58 +481,61 @@ def _fused_system(bands, w, rhs, live, ny: int, paired: bool):
     block bit for bit.
 
     Returns the system's bands, weights and rhs (Fortran order, as zgtsv
-    takes it) and the layout (solved modes, row phases or None) that
-    _to_space takes.
+    takes it) and the layout (solved modes, phases of shape (modes, ny)
+    or None) that _to_space takes.
     """
     lower, diag, upper = bands
-    nx = live.size
+    nx, k = live.size, rhs.shape[0]
     if not paired:
-        rows = np.flatnonzero(np.repeat(live, ny))
-        sub = (lower[rows[:-1]], diag[rows], upper[rows[:-1]])
-        return sub, w[rows], rhs.T[:, rows].T, (np.flatnonzero(live), None)
-    modes = np.flatnonzero(live[:nx // 2 + 1])
-    cells = np.arange(ny)
-    rows = (modes[:, None] * ny + cells).ravel()
-    e = np.append(upper, 0.0).reshape(nx, ny)[modes]  # each block's super-diagonal, then 0
-    size = np.abs(e)
-    unit = np.divide(e.conj(), size, out=np.ones_like(e), where=size > 0.0)
-    phase = np.ones_like(e)
-    phase[:, 1:] = np.cumprod(unit[:, :-1], axis=1)
-    phase = phase.ravel()
-    off = size.ravel()[:-1].astype(complex)
-    sub = (off, diag[rows].real.astype(complex), off)
-    k = rhs.shape[1]
-    partner = -modes % nx
-    pair = np.repeat(partner != modes, ny)
-    sub_rhs = np.zeros((rows.size, 2 * k), dtype=complex, order="F")
-    sub_rhs[:, :k] = phase.conj()[:, None] * rhs[rows]
-    sub_rhs[pair, k:] = phase[pair, None] * rhs[(partner[:, None] * ny + cells).ravel()[pair]]
-    return sub, w[rows], sub_rhs, (modes, phase)
-
-
-def _to_space(sums, layout, nx: int, ny: int) -> np.ndarray:
-    """Cell values, shape (k, nx * ny), of the sums of a fused system, the modes not solved 0.
-
-    `layout` is _fused_system's (modes, phase).  Paired (phase not None),
-    the phases go back on here, once per time: the first k rows of `sums`
-    times P_m are the modes m, the last k times conj(P_m) their partners
-    nx - m.
-    """
-    modes, phase = layout
-    k = sums.shape[0] if phase is None else sums.shape[0] // 2
-    out = np.zeros((k, nx, ny), dtype=complex)
-    if phase is None:
-        out[:, modes] = sums.reshape(k, -1, ny)
+        modes, phase = np.flatnonzero(live), None
+        sub = (lower[modes], diag[modes], upper[modes])
+        blocks = rhs[:, modes]
     else:
-        out[:, modes] = (phase * sums[:k]).reshape(k, -1, ny)
+        modes = np.flatnonzero(live[:nx // 2 + 1])
+        e = upper[modes]  # each block's super-diagonal, then 0
+        size = np.abs(e)
+        unit = np.divide(e.conj(), size, out=np.ones_like(e), where=size > 0.0)
+        phase = np.ones_like(e)
+        phase[:, 1:] = np.cumprod(unit[:, :-1], axis=1)
+        off = size.astype(complex)
+        sub = (off, diag[modes].real.astype(complex), off)
         partner = -modes % nx
         pair = partner != modes
-        out[:, partner[pair]] = (phase.conj() * sums[k:]).reshape(k, -1, ny)[:, pair]
-    return np.fft.ifft(out, axis=1).real.reshape(k, -1)
+        blocks = np.zeros((2 * k, *e.shape), dtype=complex)
+        blocks[:k] = phase.conj() * rhs[:, modes]
+        blocks[k:, pair] = phase[pair] * rhs[:, partner[pair]]
+    lower, diag, upper = (band.ravel() for band in sub)
+    # column c of the system is block c, its modes end to end: (rows, columns), Fortran order
+    return ((lower[:-1], diag, upper[:-1]), w[modes].ravel(),
+            blocks.reshape(len(blocks), -1).T, (modes, phase))
+
+
+def _to_space(sums, layout, shape) -> np.ndarray:
+    """Cell values, shape (k, nx, ny), of the sums of a fused system, the modes not solved 0.
+
+    `layout` is _fused_system's (modes, phase) and `shape` is (nx, ny).
+    Each row of `sums` is one column of the fused system, its solved
+    modes end to end.  Paired (phase not None), the phases go back on
+    here, once per time: the first k rows of `sums` times P_m are the
+    modes m, the last k times conj(P_m) their partners nx - m.
+    """
+    modes, phase = layout
+    nx, ny = shape
+    sums = sums.reshape(len(sums), modes.size, ny)
+    k = len(sums) if phase is None else len(sums) // 2
+    out = np.zeros((k, nx, ny), dtype=complex)
+    if phase is None:
+        out[:, modes] = sums
+    else:
+        out[:, modes] = phase * sums[:k]
+        partner = -modes % nx
+        pair = partner != modes
+        out[:, partner[pair]] = (phase.conj() * sums[k:])[:, pair]
+    return np.fft.ifft(out, axis=1).real
 
 
 def _separable(op: DiscreteOperator, u: np.ndarray, times):
-    """exp(-t W^{-1} S) of the k columns of u for a diagonal bmat, evaluated exactly.
+    """exp(-t W^{-1} S) of the k sources of u, shape (k, nx, ny), for a diagonal bmat, exactly.
 
     With B01 = B10 = 0 every mode block of _mode_bands is S_m = K + s_m W
     in y (K mode 0's block, W the y-cell weights, s_m the x symbol of
@@ -541,11 +551,11 @@ def _separable(op: DiscreteOperator, u: np.ndarray, times):
     the irfft, where the entries below tiny / eps (decayed through the
     subnormal range) are set to 0: they move no value by more than ny
     times that, and subnormal products run about 4 times slower.
-    Non-finite data raises SolveFailure naming its column, and so do a
-    non-finite C and a relative eigen-residual
+    Non-finite data raises SolveFailure naming its column (source), and so
+    do a non-finite C and a relative eigen-residual
     max|C Q - Q diag(mu)| / max|mu| above SOLVE_RTOL.
 
-    Returns the (n, k) states at `times` and the stats of _evolve_block:
+    Returns the (k, nx, ny) states at `times` and the stats of _evolve_block:
     `route` "separable", no windows, nodes or factorizations, all nx
     `live_modes`, ny `solve_rows` (the one y-block decomposed),
     `contour_err` 0 and the eigen-residual as every column's
@@ -553,19 +563,18 @@ def _separable(op: DiscreteOperator, u: np.ndarray, times):
     `transform_s` the rfft, the exponentials and the irfft, and `solve_s`
     the y-products.
     """
-    grid, k = op.grid, u.shape[1]
-    nx, ny = grid.nx, grid.ny
+    k, nx, ny = u.shape
     clock = time.perf_counter
-    bad = ~np.all(np.isfinite(u), axis=0)
+    bad = ~np.all(np.isfinite(u), axis=(1, 2))
     if np.any(bad):
         raise SolveFailure(f"non-finite data in column {int(np.argmax(bad))}")
     t0 = clock()
-    _, diag, upper = _mode_bands(grid, op.bmat)
-    wy = op.w[:ny]  # the same weights for every mode
-    diag = diag.real.reshape(nx, ny)
+    _, diag, upper = _mode_bands(op.grid, op.bmat)
+    wy = op.grid.masses()[0]  # the same weights for every mode
+    diag = diag.real
     shift = (diag - diag[0]).sum(axis=1) / wy.sum()  # s_m, 0 for mode 0
     root = np.sqrt(wy)
-    d, e = diag[0] / wy, upper[:ny - 1].real / (root[:-1] * root[1:])
+    d, e = diag[0] / wy, upper[0, :-1].real / (root[:-1] * root[1:])
     if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
         raise SolveFailure("non-finite y-block of the separable operator")
     mu, q = eigh_tridiagonal(d, e, lapack_driver="stemr")
@@ -582,7 +591,7 @@ def _separable(op: DiscreteOperator, u: np.ndarray, times):
     t0 = clock()
     # the y-products run in einsum's own loop, not a threaded BLAS gemm, whose
     # second thread can hold every call for a scheduler tick on a busy host
-    v = np.einsum("kij,jl->kil", u.T.reshape(k, nx, ny) * root, q, optimize=False)
+    v = np.einsum("kij,jl->kil", u * root, q, optimize=False)
     solve_s = clock() - t0
     t0 = clock()
     v = np.fft.rfft(v, axis=1)
@@ -595,7 +604,7 @@ def _separable(op: DiscreteOperator, u: np.ndarray, times):
         x = np.fft.irfft(v * np.exp(-t * rate), n=nx, axis=1)
         x[np.abs(x) < flush] = 0.0
         t1 = clock()
-        states.append((np.einsum("kij,lj->kil", x, q, optimize=False) / root).reshape(k, -1).T)
+        states.append(np.einsum("kij,lj->kil", x, q, optimize=False) / root)
         transform_s += t1 - t0
         solve_s += clock() - t1
     stats.update(transform_s=transform_s, solve_s=solve_s)
@@ -603,7 +612,7 @@ def _separable(op: DiscreteOperator, u: np.ndarray, times):
 
 
 def _evolve_block(op: DiscreteOperator, u: np.ndarray, times):
-    """exp(-t W^{-1} S) of the k columns of u, shape (n, k), at each of the increasing `times`.
+    """exp(-t W^{-1} S) of the k sources of u, shape (k, nx, ny), at each of the increasing `times`.
 
     A diagonal bmat (B01 == B10 == 0.0 exactly: the model at a = 0, a
     divergence form with diagonal A) makes S a Kronecker sum, evaluated
@@ -611,14 +620,15 @@ def _evolve_block(op: DiscreteOperator, u: np.ndarray, times):
     trapezoid rule on a hyperbolic Bromwich
     contour, u(t) = (1/2 pi i) int e^{zt} (zW + S)^{-1} W u0 dz (Weideman &
     Trefethen 2007; see _contour).  x is periodic and the coefficients do
-    not depend on x, so one fft along x splits every zW + S into its
-    x-modes, and the matrix of all modes (the bands _mode_bands builds
-    from the operator's bmat) is tridiagonal.  Checkpoints are
+    not depend on x, so one fft along axis 1 of u splits every zW + S into
+    its x-modes, one tridiagonal block per row of the (nx, ny) bands that
+    _mode_bands builds from the operator's bmat.  Checkpoints are
     grouped into windows [t0, WINDOW_RATIO t0]; one set of shifted solves
     serves every time of a window.  Per window only the live modes
-    (_live_modes) are solved: _fused_system gathers their rows of the
-    bands, the weights and rhs, and _to_space scatters the sums into zero
-    mode arrays before the ifft, so the dropped modes move no value by
+    (_live_modes) are solved: _fused_system lays their blocks of the
+    bands, the weights and rhs end to end as one flat system, and
+    _to_space scatters the sums back into zero (k, nx, ny) mode arrays
+    before the ifft, so the dropped modes move no value by
     more than machine epsilon times the column maximum.  When
     op.bmat[0, 1] == op.bmat[1, 0] exactly, the blocks are Hermitian
     with S_{nx-m} = conj(S_m): the live mask is closed over pairs (m is
@@ -636,7 +646,7 @@ def _evolve_block(op: DiscreteOperator, u: np.ndarray, times):
     stay and mass is conserved to round-off: 1'S = 0 gives
     mass(t) = r(0) mass(0) for the rule's rational function r.
 
-    Returns the (n, k) states at `times` and the run's stats: `route`
+    Returns the (k, nx, ny) states at `times` and the run's stats: `route`
     ("contour" here, "separable" from _separable), `windows`,
     `nodes` (of the returned rule, per window), `factorizations`,
     `live_modes` (the x-modes solved, summed over windows), `solve_rows`
@@ -650,8 +660,7 @@ def _evolve_block(op: DiscreteOperator, u: np.ndarray, times):
     """
     if op.bmat[0, 1] == 0.0 and op.bmat[1, 0] == 0.0:
         return _separable(op, u, times)
-    grid, k = op.grid, u.shape[1]
-    nx, ny = grid.nx, grid.ny
+    k, nx, ny = u.shape
     coarse, fine = CONTOUR_NODES, CONTOUR_NODES + 4
     paired = op.bmat[0, 1] == op.bmat[1, 0]  # Hermitian blocks, S_{nx-m} = conj(S_m)
     clock = time.perf_counter
@@ -659,23 +668,22 @@ def _evolve_block(op: DiscreteOperator, u: np.ndarray, times):
              "live_modes": 0, "solve_rows": 0, "transform_s": 0.0, "factor_s": 0.0,
              "solve_s": 0.0}
     t0 = clock()
-    # column c of rhs holds the x-modes of source c, index m * ny + j
-    rhs = np.fft.fft(u.T.reshape(k, nx, ny), axis=1).reshape(k, -1).T
+    rhs = np.fft.fft(u, axis=1)  # rhs[c, m] holds x-mode m of source c
     stats["transform_s"] += clock() - t0
     t0 = clock()
-    bands = _mode_bands(grid, op.bmat)
-    w = op.w  # constant along x, so the same weight for every x-mode
-    rhs = w[:, None] * rhs
+    bands = _mode_bands(op.grid, op.bmat)
+    w = op.grid.masses()  # constant along x, so the same weights for every x-mode
+    rhs = w * rhs
     stats["factor_s"] += clock() - t0
     worst, err = np.zeros(k), np.zeros(k)
     states = []
     for window in _windows(times):
         stats["windows"] += 1
         t0 = clock()
-        live = _live_modes(bands, w, rhs, window[0], nx)
+        live = _live_modes(bands, w, rhs, window[0])
         if paired:  # whole pairs: m is solved with nx - m
             live = live | live[-np.arange(nx) % nx]
-        sub, sub_w, sub_rhs, layout = _fused_system(bands, w, rhs, live, ny, paired)
+        sub, sub_w, sub_rhs, layout = _fused_system(bands, w, rhs, live, paired)
         stats["live_modes"] += int(live.sum())
         stats["solve_rows"] += sub_w.size
         stats["factor_s"] += clock() - t0
@@ -683,11 +691,12 @@ def _evolve_block(op: DiscreteOperator, u: np.ndarray, times):
                 for n in (coarse, fine)}
         t0 = clock()
         for a, b in zip(sums[coarse], sums[fine]):
-            a, b = (_to_space(v, layout, nx, ny) for v in (a, b))
-            top = np.abs(b).max(axis=1)
-            diff = np.divide(np.abs(a - b).max(axis=1), top, out=np.zeros(k), where=top > 0.0)
+            a, b = (_to_space(v, layout, (nx, ny)) for v in (a, b))
+            top = np.abs(b).max(axis=(1, 2))
+            diff = np.divide(np.abs(a - b).max(axis=(1, 2)), top, out=np.zeros(k),
+                             where=top > 0.0)
             np.maximum(err, diff, out=err)
-            states.append(b.T)
+            states.append(b)
         stats["transform_s"] += clock() - t0
     if not np.all(err <= CONTOUR_TOL):
         j = int(np.argmax(~(err <= CONTOUR_TOL)))
@@ -725,8 +734,10 @@ def kernel_columns(op: DiscreteOperator, ts, z2) -> list[KernelSlice]:
 
     `z2` is one source point (x, y) or a sequence of k of them (_request
     checks them and the times).  The initial state holds the discrete
-    delta 1/w at each source cell as one column of an (n, k) block, so the
-    computed columns are already in the y^c dz convention.  x is periodic:
+    delta 1/w at each source cell as one source of a (k, nx, ny) block,
+    so the computed columns are already in the y^c dz convention; each
+    slice's values are its source's (nx, ny) state, flat in the order of
+    grid.points().  x is periodic:
     the block is taken to x-modes once and each distinct time is evaluated
     once.  A diagonal bmat is evaluated exactly from one
     y-eigendecomposition for all sources and times (_separable); any
@@ -749,20 +760,21 @@ def kernel_columns(op: DiscreteOperator, ts, z2) -> list[KernelSlice]:
     ts, sources = _request(ts, z2)
     times = np.unique(ts)
     cells = [grid.locate(z) for z in sources]
-    w = op.w
-    flat = [i * grid.ny + j for i, j in cells]
-    init = np.zeros((w.size, len(flat)), order="F")
-    init[flat, range(len(flat))] = 1.0 / w[flat]
+    w = grid.masses()
+    init = np.zeros((len(cells), grid.nx, grid.ny))
+    for col, (i, j) in enumerate(cells):
+        init[col, i, j] = 1.0 / w[i, j]
     states, stats = _evolve_block(op, init, times.tolist())
     states = [states[n] for n in np.searchsorted(times, ts)]
-    points = grid.points()
+    points, weights = grid.points(), w.ravel()
     slices = []
     for col, (i, j) in enumerate(cells):
         source = np.array([grid.x_centers[i], grid.y_centers[j]])
         meta = {"grid": grid, **stats,
                 **{key: float(stats[key][col]) for key in ("contour_err", "max_solve_residual")}}
-        slices += [KernelSlice(t=t, source=source, points=points, values=u[:, col], c=grid.c,
-                               weights=w, meta=dict(meta)) for t, u in zip(ts, states)]
+        slices += [KernelSlice(t=t, source=source, points=points, values=u[col].reshape(-1),
+                               c=grid.c, weights=weights, meta=dict(meta))
+                   for t, u in zip(ts, states)]
     return slices
 
 

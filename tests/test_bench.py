@@ -67,6 +67,21 @@ class TestContourBench:
                 else:
                     assert win["package"]["oracle_err"] is not None
 
+    def test_sides_alternate(self, contour, small_ops, monkeypatch):
+        op, _, counterpart = small_ops["paired"]
+        called = []
+
+        def recording(o, *args):
+            called.append(o)
+            return kernel_columns(o, *args)
+
+        monkeypatch.setattr(contour, "kernel_columns", recording)
+        win = contour.window_record(op, counterpart, contour.WINDOWS[0], contour.SOURCES[:1],
+                                    None, 3)
+        assert [o is op for o in called] == [True, False] * 3  # package, counterpart, ...
+        assert called[1] is counterpart
+        assert {"package", "counterpart"} <= set(win)
+
     def test_gap_gate_fires(self, contour, small_ops):
         op = small_ops["paired"][0]
         off = contour.off_diagonal(op, op.bmat[0, 1], op.bmat[1, 0] + 1e-3)

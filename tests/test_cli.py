@@ -1,6 +1,7 @@
 """CLI: config grammar, routing, exit codes, artifact formats."""
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -116,6 +117,28 @@ class TestConfigGrammar:
         assert main(["kernel", path, "--out", str(tmp_path / "out")]) == EXIT_CONFIG_ERROR
         assert "grid.NX" in capsys.readouterr().out
 
+    def test_huge_n_refused_in_constant_memory(self, tmp_path):
+        # the known keys are decided from the keys present, not from a set of
+        # every A.row.i up to N + 1 (122 MB at this N)
+        path = write(tmp_path, "op.cfg", "N = 1000000\nA.row.1 = 1, 0\nA.row.2 = 0, 1\n")
+        cfg = parse_config(path)
+        tracemalloc.start()
+        try:
+            with pytest.raises(StructuralError, match="A.row.1 needs 1000001 entries"):
+                operator_from_config(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert main(["validate", path]) == EXIT_CONFIG_ERROR
+        assert main(["kernel", path, "--out", str(tmp_path / "out")]) == EXIT_CONFIG_ERROR
+
+    @pytest.mark.parametrize("key", ["A.row.0", "A.row.01", "A.row.3", "A.row.1.0", "A.row.x"])
+    def test_row_key_outside_the_rows_is_unknown(self, tmp_path, capsys, key):
+        path = write(tmp_path, "op.cfg", IDENTITY_CFG + f"{key} = 1, 0\n")
+        assert main(["validate", path]) == EXIT_CONFIG_ERROR
+        assert f"unknown config keys: {key}" in capsys.readouterr().out
+
     def test_malformed_matrix_row(self, tmp_path):
         cfg = parse_config(write(tmp_path, "op.cfg", "N = 1\nA.row.1 = 1, zebra\nA.row.2 = 0, 1\n"))
         with pytest.raises(StructuralError):
@@ -155,6 +178,16 @@ class TestKernelCommand:
         csv_file = out_dir / index["outputs"][0]["file"].split("/")[-1]
         header = csv_file.read_text().splitlines()[0]
         assert header == "t,x1,y1,x2,y2,p,convention"
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_mass_tol_must_be_finite_and_non_negative(self, tmp_path, capsys, tol):
+        # nan and inf once switched the check off, -1 failed every run
+        path = write(tmp_path, "op.cfg", MIXED_CFG)
+        out_dir = tmp_path / "out"
+        assert main(["kernel", path, "--out", str(out_dir), "--mass-tol", tol]) \
+            == EXIT_CONFIG_ERROR
+        assert "--mass-tol must be finite and >= 0" in json.loads(capsys.readouterr().out)["detail"]
+        assert not out_dir.exists()
 
     def test_solver_route_for_mixed_term(self, tmp_path):
         path = write(tmp_path, "op.cfg", MIXED_CFG)

@@ -54,6 +54,15 @@ def test_spec_validation():
             SabSpec(alpha=0.0, beta=0.0, **bad)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", ["alpha", "beta", "m"])
+def test_non_finite_exponent_rejected(field, value):
+    # a NaN alpha once gave sab_criterion an "unbounded" verdict, and a NaN m
+    # a ladder of zeros
+    with pytest.raises(ParameterError, match=f"^{field} must be finite"):
+        SabSpec(**{"alpha": 0.0, "beta": -1.0, "m": 1.0, field: value})
+
+
 @pytest.mark.parametrize("spec,expected", CASE_MATRIX[:2] + CASE_MATRIX[7:10])
 def test_ladder_follows_criterion(spec, expected):
     ladder = sab_norm_estimate(spec, levels=4)

@@ -85,8 +85,8 @@ def generator(op, values):
 
 def evolve(op, f, times):
     """exp(-t W^{-1} S) f at each of `times` by solver._evolve_block, as Fields."""
-    states, _ = solver._evolve_block(op, f.values.reshape(-1, 1), times)
-    return [Field(op.grid, u.reshape(op.grid.nx, op.grid.ny)) for u in states]
+    states, _ = solver._evolve_block(op, f.values[None], times)
+    return [Field(op.grid, u[0]) for u in states]
 
 
 def deltas(grid, sources):
@@ -266,21 +266,21 @@ class TestEvolve:
 
     def test_block_residual_guard_is_per_column(self):
         _, grid, op = make(0.5, 1.0, n=16, r=2.0)
-        u = np.ones((grid.nx * grid.ny, 2))
+        u = np.ones((2, grid.nx, grid.ny))
         states, stats = solver._evolve_block(op, u, [0.1])
         assert states[0].shape == u.shape
         assert np.all(stats["max_solve_residual"] < solver.SOLVE_RTOL)
-        u[5, 1] = np.nan
+        u[1, 0, 5] = np.nan
         with pytest.raises(SolveFailure, match="in column 1"):
             solver._evolve_block(op, u, [0.1])
 
     def test_separable_guard_names_the_column(self):
         _, grid, op = make(0.0, 1.0, n=16, r=2.0)
-        u = np.ones((grid.nx * grid.ny, 3))
+        u = np.ones((3, grid.nx, grid.ny))
         states, stats = solver._evolve_block(op, u, [0.1])
         assert stats["route"] == "separable"
         assert np.all(stats["max_solve_residual"] < solver.SOLVE_RTOL)
-        u[5, 2] = np.nan
+        u[2, 0, 5] = np.nan
         with pytest.raises(SolveFailure, match="in column 2"):
             solver._evolve_block(op, u, [0.1])
 
@@ -295,28 +295,30 @@ class TestEvolve:
 
         monkeypatch.setattr(solver, "eigh_tridiagonal", perturbed)
         with pytest.raises(SolveFailure, match="eigen-residual"):
-            solver._evolve_block(op, np.ones((grid.nx * grid.ny, 1)), [0.1])
+            solver._evolve_block(op, np.ones((1, grid.nx, grid.ny)), [0.1])
 
     def test_separable_non_finite_y_block_guard(self):
         # y^(c+1) overflows on [0, 8] at c = 400, so the cell masses are NaN
         op = solver.DiscreteOperator(GridSpec(rx=8.0, ry=8.0, nx=16, ny=16, c=400.0), np.eye(2))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(SolveFailure, match="non-finite y-block"):
-                solver._evolve_block(op, np.ones((16 * 16, 1)), [0.1])
+                solver._evolve_block(op, np.ones((1, 16, 16)), [0.1])
 
     @pytest.mark.parametrize("nx", [12, 11])
     @pytest.mark.parametrize("bmat", [[[1.0, 1.0], [0.0, 1.0]], [[2.0, 0.5], [0.5, 1.0]]],
                              ids=["model", "cross"])
     def test_mode_matrix_is_tridiagonal(self, bmat, nx):
-        # the model B (a = 0.5) and a symmetric cross-term B: the x-modes of the
-        # periodic form are one tridiagonal matrix over the index m * ny + j,
-        # equal to the fft along x of the cell-space form
+        # the model B (a = 0.5) and a symmetric cross-term B: the (nx, ny) bands,
+        # flat with the modes end to end, are one tridiagonal matrix equal to
+        # the fft along x of the cell-space form
         ny = 10
         grid = GridSpec(rx=3.0, ry=2.0, nx=nx, ny=ny, c=1.0)
         lower, diag, upper = solver._mode_bands(grid, np.array(bmat))
-        boundary = np.arange(1, nx) * ny - 1  # last cell of one mode to first of the next
-        assert np.all(lower[boundary] == 0.0) and np.all(upper[boundary] == 0.0)
-        modes = np.diag(lower, -1) + np.diag(diag) + np.diag(upper, 1)
+        assert lower.shape == diag.shape == upper.shape == (nx, ny)
+        # no coupling from the last cell of one mode to the first of the next
+        assert np.all(lower[:, -1] == 0.0) and np.all(upper[:, -1] == 0.0)
+        lower, diag, upper = (band.ravel() for band in (lower, diag, upper))
+        modes = np.diag(lower[:-1], -1) + np.diag(diag) + np.diag(upper[:-1], 1)
         fourier = np.kron(np.fft.fft(np.eye(nx), axis=0), np.eye(ny))
         ref = fourier @ dense_form(grid, np.array(bmat)) @ np.linalg.inv(fourier)
         assert np.abs(modes - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -573,8 +575,8 @@ class TestKernelColumn:
     def test_paired_residual_guard_names_the_column(self):
         grid = GridSpec(rx=2.0, ry=2.0, nx=16, ny=16, c=1.0)
         op = solver.DiscreteOperator(grid, np.array(CROSS_B))
-        u = np.ones((grid.nx * grid.ny, 3))
-        u[5, 2] = np.nan
+        u = np.ones((3, grid.nx, grid.ny))
+        u[2, 0, 5] = np.nan
         with pytest.raises(SolveFailure, match="in column 2"):
             solver._evolve_block(op, u, [0.1])
         # column j + k of a fused right-hand side (a partner mode) is caller column j
@@ -700,9 +702,9 @@ CROSS_B = [[2.0, 0.5], [0.5, 1.0]]  # a symmetric cross term
 DIAG_B = [[2.0, 0.0], [0.0, 0.7]]  # a diagonal, non-identity B
 
 
-def all_modes(bands, w, rhs, t0, nx):
+def all_modes(bands, w, rhs, t0):
     """Stand-in for solver._live_modes that keeps every x-mode: the all-modes run."""
-    return np.ones(nx, dtype=bool)
+    return np.ones(len(w), dtype=bool)
 
 
 def record_live_modes(monkeypatch):
@@ -748,10 +750,10 @@ class TestLiveModes:
         w = op.w
         modes = np.fft.fft(u.T.reshape(-1, nx, ny), axis=1)  # (k, nx, ny)
         bands = solver._mode_bands(grid, op.bmat)
-        live = solver._live_modes(bands, w, w[:, None] * modes.reshape(2, -1).T, t0, nx)
+        live = solver._live_modes(bands, grid.masses(), grid.masses() * modes, t0)
         assert live[0] and 0 < np.sum(~live)
-        lower, diag, upper = bands
-        s_modes = np.diag(lower, -1) + np.diag(diag) + np.diag(upper, 1)
+        lower, diag, upper = (band.ravel() for band in bands)
+        s_modes = np.diag(lower[:-1], -1) + np.diag(diag) + np.diag(upper[:-1], 1)
         cols = expm(-t0 * (dense_form(grid, op.bmat) / w[:, None])) @ u
         moved = np.zeros(2)
         for m in np.flatnonzero(~live):
@@ -776,20 +778,20 @@ class TestLiveModes:
 
     def test_mode_zero_live_and_bad_data_keeps_every_mode(self, monkeypatch):
         _, grid, op = make(0.5, 1.0, n=16, r=2.0)
-        n, nx = grid.nx * grid.ny, grid.nx
+        shape, nx = (grid.nx, grid.ny), grid.nx
         masks = record_live_modes(monkeypatch)
         # constant data: mode 0 carries all of it and is the one mode solved
-        states, stats = solver._evolve_block(op, np.ones((n, 1)), [0.5])
+        states, stats = solver._evolve_block(op, np.ones((1, *shape)), [0.5])
         assert masks[-1].tolist() == [True] + [False] * (nx - 1)
         assert stats["live_modes"] == 1
-        assert states[0] == pytest.approx(np.ones((n, 1)), abs=1e-12)
+        assert states[0] == pytest.approx(np.ones((1, *shape)), abs=1e-12)
         # zero mass: a dipole of two deltas
         dipole = deltas(grid, np.array([[0.0, 0.5], [0.5, 1.0]]))
-        solver._evolve_block(op, (dipole[:, 0] - dipole[:, 1])[:, None], [0.5])
+        solver._evolve_block(op, (dipole[:, 0] - dipole[:, 1]).reshape(1, *shape), [0.5])
         assert masks[-1].all()
         # NaN data: every mode stays, and the residual guard names the column
-        u = np.ones((n, 2))
-        u[5, 1] = np.nan
+        u = np.ones((2, *shape))
+        u[1, 0, 5] = np.nan
         with pytest.raises(SolveFailure, match="in column 1"):
             solver._evolve_block(op, u, [0.5])
         assert masks[-1].all()
