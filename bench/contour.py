@@ -186,7 +186,7 @@ def case_record(name, op, oracle, counterpart, repeats: int, failures: list) -> 
     for o in (op, counterpart):  # untimed: first-use costs stay out of the timings
         if o is not None:
             kernel_columns(o, TS[:1], SOURCES[:1])
-    rec = {"unknowns": op.w.size, "column_times": list(TS), "bmat": op.bmat.tolist()}
+    rec = {"unknowns": op.grid.nx * op.grid.ny, "column_times": list(TS), "bmat": op.bmat.tolist()}
     if counterpart is not None:
         rec["counterpart_bmat"] = counterpart.bmat.tolist()
     if oracle is None:

@@ -12,9 +12,10 @@ with an empty entry (`0,,1`) is refused:
     t.list     comma-separated kernel times, no time twice
     sources    semicolon-separated source points, each "x,y", no point twice
 
-Exit codes: 0 pass, 1 check failed, 2 config/structural error,
-3 numerical failure.  Every command is deterministic: the same config
-and options give the same output, apart from the wall times it reports.
+Exit codes: 0 pass, 1 check failed, 2 config/structural error or an
+output that cannot be written, 3 numerical failure.  Every command is
+deterministic: the same config and options give the same output, apart
+from the wall times it reports.
 """
 
 from __future__ import annotations
@@ -54,8 +55,8 @@ def parse_config(path) -> dict:
     """key = value grammar; matrix rows as comma-separated lists."""
     raw = {}
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise StructuralError(f"cannot read config {path}: {exc}") from exc
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
@@ -380,6 +381,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
     except HalfheatError as exc:
         print(json.dumps({"error": exc.__class__.__name__, "detail": str(exc)}))
+        return EXIT_CONFIG_ERROR
+    except OSError as exc:  # an --out that cannot be made or written
+        print(json.dumps({"error": "output error", "detail": str(exc)}))
         return EXIT_CONFIG_ERROR
 
 

@@ -15,8 +15,10 @@ Slices are written by one CSV writer, write_csv, which builds the text
 column by column: the sample points once per call, the time and source
 once per file, the values once per chunk of rows.  Its numbers are the
 bytes of `"%.17g" % v`, formatted in numpy by _g17: the 17 significant
-digits come from a double-double product with a power of ten, and the
-rare value that product cannot settle goes through Python's `%`.
+digits come from a double-double product with a power of ten and are
+written as plain text, their trailing zeros are stripped once, and %g's
+layout is cut from that text; the rare value that product cannot settle
+goes through Python's `%`.
 """
 
 from __future__ import annotations
@@ -60,7 +62,6 @@ _SPLIT = 134217729.0  # 2^27 + 1, Dekker's splitter for 53-bit doubles
 _TIE_GUARD = 2.0 ** -40
 #: longest `%.17g` text, "-1.2345678901234567e-308"
 _G17_WIDTH = 24
-_POW10 = 10 ** np.arange(17, dtype=np.int64)
 
 
 def _check_time(t):
@@ -207,7 +208,12 @@ class KernelSlice:
 
 
 class _G17Tables(NamedTuple):
-    """Read-only tables of _g17; the first seven are indexed by k - _K_MIN."""
+    """Read-only tables of _g17; the first seven are indexed by k - _K_MIN.
+
+    `lead` and `quad` spell the 17 digits of D as plain text, four bytes
+    at a time; `zeros` holds the pieces between the integer digits and
+    the digits after the point.
+    """
 
     hi: np.ndarray        # 10^(16-k) = (hi + lo) 2^shift, hi in [1, 2]
     hi_head: np.ndarray   # Dekker halves of hi: hi = hi_head + hi_tail, 26 bits or fewer
@@ -216,9 +222,10 @@ class _G17Tables(NamedTuple):
     shift: np.ndarray
     ten_k: np.ndarray     # the smallest double >= 10^k (inf above the double range)
     exponent: np.ndarray  # b"e%+03d" % k where %g uses scientific notation, else b""
-    quad: np.ndarray      # quad[r * 10^4 + g]: b"%04d" % g as one uint32 word, its
-                          # trailing zeros after the first r digits made NUL
-    lead: np.ndarray      # lead[10 s + j]: b"00", (b"0", b"-")[s], b"%d" % j as one word
+    lead: np.ndarray      # lead[10 s + d]: b"000%d" % d (s = 0) or b"00-%d" % d (s = 1), one word
+    quad: np.ndarray      # quad[g]: b"%04d" % g as one uint32 word
+    zeros: np.ndarray     # b"" and b"." (no digit before the point), then for -4 <= k < 0
+                          # zeros[2 + 4 s - k - 1]: the sign s, "0." and -k - 1 zeros
 
 
 @functools.cache
@@ -258,18 +265,17 @@ def _g17_tables() -> _G17Tables:
     hi = np.array(hi)
     c = _SPLIT * hi
     hi_head = c - (c - hi)
-    g = np.arange(10000, dtype=np.int16)
-    quad = np.stack([g // 1000, g // 100 % 10, g // 10 % 10, g % 10], axis=1).astype(np.uint8)
-    significant = 4 - np.argmax(quad[:, ::-1] != 0, axis=1)  # digits up to the last nonzero
-    significant[g == 0] = 0
-    kept = np.arange(4) < np.maximum(np.arange(5)[:, None, None], significant[:, None])
-    quad = np.where(kept, quad + np.uint8(ord("0")), np.uint8(0))
-    lead = np.array([b"00" + sign + b"%d" % j for sign in (b"0", b"-") for j in range(10)], "S4")
+    g = np.arange(10000)
+    quad = np.stack([g // 1000, g // 100 % 10, g // 10 % 10, g % 10], axis=1) + ord("0")
     tables = _G17Tables(
         hi=hi, hi_head=hi_head, hi_tail=hi - hi_head, lo=np.array(lo),
         shift=np.array(shift, dtype=np.int32), ten_k=np.array(ten_k),
         exponent=np.array([b"" if -4 <= k < 17 else b"e%+03d" % k for k in ks], "S5"),
-        quad=quad.view(np.uint32).ravel(), lead=lead.view(np.uint32))
+        lead=np.array([b"00" + sign + b"%d" % d for sign in (b"0", b"-") for d in range(10)],
+                      "S4").view(np.uint32),
+        quad=quad.astype(np.uint8).view(np.uint32).ravel(),
+        zeros=np.array([b"", b"."] + [sign + b"0." + b"0" * z for sign in (b"", b"-")
+                                      for z in range(4)], "S6"))
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -291,9 +297,13 @@ def _g17(values) -> np.ndarray:
     is formed as a double-double (Dekker's exact product of the mantissa
     with the leading half of 10^(16-k), plus the trailing half), with an
     absolute error below 2^-45, and rounded to the 17-digit integer D.
-    The digits of D come four at a time from a table, and %g's layout
-    (fixed notation for -4 <= k < 17, `e+XX` otherwise, trailing zeros
-    and a bare '.' stripped) is cut from them with np.strings.  Values
+    D is written as 20 bytes of text, the sign and first digit from `lead`
+    and four groups of four digits from `quad`; its trailing zeros are
+    stripped once with np.strings.rstrip.  %g's layout is cut from that
+    text: in fixed notation (-4 <= k < 17) the integer part is digits
+    0..k and, for k < 0, a `zeros` entry `[-]0.0..0`; in scientific
+    notation it is digit 0 and `e+XX` follows.  A '.' and the stripped
+    digits after the integer part follow when any remain.  Values
     the product cannot settle go to _g17_fallback, Python's `%`: zero,
     subnormals, inf and NaN, a fraction of P within 2^-40 of 1/2 (the
     exact ties of the 18th digit among them), and D outside [10^16, 10^17).
@@ -325,35 +335,26 @@ def _g17(values) -> np.ndarray:
     fast &= (np.abs(frac - 0.5) > _TIE_GUARD) & (digits >= 10 ** 16) & (digits < 10 ** 17)
     digits[~fast] = 10 ** 16
 
-    # 24 bytes per value: "00-0", "00", '-' or '0', the first digit, then 16 digits
-    # whose trailing zeros past the integer part are NUL; the text is cut from them
-    # as [-]d...d (digits 0..kk) + '.' + the rest, or as [-]0 + '.' + zeros + digits
+    # 20 bytes per value: "00", '0' or '-', then the 17 digits of D.  %g's text is
+    # text[3 - neg:cut] (sign and integer digits), then '.' and the stripped digits
+    # from cut on if any remain; for -4 <= k < 0 it is [-]0.0..0 and the stripped digits
     fixed = (k >= -4) & (k < 17)
     small = fixed & (k < 0)
-    kk = np.where(fixed & ~small, k, 0)
+    cut = 4 + np.where(fixed & ~small, k, 0)  # where the digits after the point start
     neg = (v < 0).astype(np.int32)
     top, low = np.divmod(digits, 10 ** 8)
     top, low = top.astype(np.int32), low.astype(np.int32)
     first, mid = np.divmod(top, 10 ** 8)
-    groups = (mid // 10 ** 4, mid % 10 ** 4, low // 10 ** 4, low % 10 ** 4)
-    words = np.empty((len(v), 6), dtype=np.uint32)
-    words[:, 0] = np.frombuffer(b"00-0", dtype=np.uint32)[0]
-    words[:, 1] = tab.lead[first + 10 * (neg & ~small)]
-    last = np.ones(len(v), dtype=bool)  # the groups after this one are all zero
-    for j in (3, 2, 1, 0):
-        kept = np.where(last, np.clip(kk - 4 * j, 0, 4), 4)
-        words[:, 2 + j] = tab.quad[kept * 10 ** 4 + groups[j]]
-        last &= groups[j] == 0
-    text = words.view(f"S{_G17_WIDTH}").ravel()
-    cut = 8 + np.where(small, k, kk)  # where the digits after the point start
-    # a copy with the point (NUL when no digit follows it) just before `cut`;
-    # for k = 16 that byte is the last integer digit, which `whole` takes from text
-    pointed = words.view(np.uint8).reshape(len(v), _G17_WIDTH).copy()
-    has_point = small | (digits % _POW10[16 - kk] != 0)
-    pointed[np.arange(len(v)), cut - 1] = np.where(has_point, ord("."), 0)
-    whole = np.strings.slice(text, np.where(small, 3, 7) - neg, np.where(small, 4, cut))
-    point_on = np.strings.slice(pointed.view(f"S{_G17_WIDTH}").ravel(), cut - 1, _G17_WIDTH)
-    out = np.strings.add(whole, point_on)
+    words = np.empty((len(v), 5), dtype=np.uint32)
+    words[:, 0] = tab.lead[first + 10 * neg]
+    for j, group in enumerate((mid // 10 ** 4, mid % 10 ** 4, low // 10 ** 4, low % 10 ** 4)):
+        words[:, 1 + j] = tab.quad[group]
+    text = words.view("S20").ravel()
+    stripped = np.strings.rstrip(text, b"0")
+    whole = np.strings.slice(text, np.where(small, cut, 3 - neg), cut)
+    point = np.where(small, 1 + 4 * neg - k, np.strings.str_len(stripped) > cut)
+    after = np.strings.slice(stripped, np.where(small, 3, cut), 20)
+    out = np.strings.add(np.strings.add(whole, tab.zeros[point]), after)
     if not fixed.all():
         out = np.strings.add(out, tab.exponent[i])
     out = out.astype(f"S{_G17_WIDTH}")

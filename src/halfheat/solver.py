@@ -275,11 +275,6 @@ class DiscreteOperator:
     grid: GridSpec
     bmat: np.ndarray
 
-    @property
-    def w(self) -> np.ndarray:
-        """Weighted cell masses grid.masses(), flat in the order of grid.points()."""
-        return self.grid.masses().ravel()
-
     def adjoint(self) -> "DiscreteOperator":
         return replace(self, bmat=self.bmat.T)
 

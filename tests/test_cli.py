@@ -139,6 +139,31 @@ class TestConfigGrammar:
         assert main(["validate", path]) == EXIT_CONFIG_ERROR
         assert f"unknown config keys: {key}" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("old,new,detail", [
+        ("v.c = 0", "v.c = 0, 1", "v.c needs one number"),
+        ("grid.Rx = 5", "grid.Rx = 5, 6", "grid.Rx needs one number"),
+        ("N = 1\n", "", "config needs integer key N"),
+        ("N = 1", "N = one", "config needs integer key N"),
+        ("A.row.2 = 0, 1\n", "", "config missing A.row.2"),
+        ("v.d = 0", "v.d = 0, 1", "v.d needs 1 entries, got 2"),
+    ], ids=["vc_two", "Rx_two", "N_missing", "N_word", "row_missing", "vd_count"])
+    def test_structural_error_exits_2(self, tmp_path, capsys, old, new, detail):
+        path = write(tmp_path, "op.cfg", IDENTITY_CFG.replace(old, new))
+        out_dir = tmp_path / "out"
+        assert main(["kernel", path, "--out", str(out_dir)]) == EXIT_CONFIG_ERROR
+        assert json.loads(capsys.readouterr().out)["detail"].startswith(detail)
+        assert not (out_dir / "kernel_index.json").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "kernel"])
+    def test_config_not_utf8_exits_2(self, tmp_path, capsys, command):
+        path = tmp_path / "op.cfg"
+        path.write_bytes(b"N = 1\n\xff\n")
+        with pytest.raises(StructuralError, match="cannot read config"):
+            parse_config(path)
+        assert main([command, str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG_ERROR
+        report = json.loads(capsys.readouterr().out)
+        assert report["error"] == "config error" and str(path) in report["detail"]
+
     def test_malformed_matrix_row(self, tmp_path):
         cfg = parse_config(write(tmp_path, "op.cfg", "N = 1\nA.row.1 = 1, zebra\nA.row.2 = 0, 1\n"))
         with pytest.raises(StructuralError):
@@ -423,6 +448,22 @@ class TestVerifyCommand:
     def test_unknown_probe_set_rejected(self):
         with pytest.raises(SystemExit):
             main(["verify", "--probe-set", "bogus"])
+
+
+@pytest.mark.parametrize("command,under", [
+    ("validate", True), ("kernel", False), ("kernel", True), ("verify", True),
+], ids=["validate", "kernel_file", "kernel_under", "verify"])
+def test_out_that_cannot_be_made_exits_2(tmp_path, capsys, command, under):
+    # --out names a regular file, or a directory under one
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out_dir = blocker / "out" if under else blocker
+    args = ["verify"] if command == "verify" else [command, write(tmp_path, "op.cfg", IDENTITY_CFG)]
+    assert main([*args, "--out", str(out_dir)]) == EXIT_CONFIG_ERROR
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "output error"
+    assert blocker.read_text() == ""
 
 
 GENERAL_CFG = """\

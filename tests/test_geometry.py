@@ -52,6 +52,8 @@ class TestBallVolume:
             ball_volume(-0.1, 1.0, 0.0, 1)
         with pytest.raises(DomainError):
             ball_volume(0.0, 0.0, 0.0, 1)
+        with pytest.raises(DomainError, match="dimension"):
+            unit_ball_volume(-1)
         for y0, r in ((np.nan, 1.0), (0.5, np.nan), (np.array([0.5, np.nan]), 1.0)):
             with pytest.raises(DomainError):
                 ball_volume(y0, r, 0.5, 1)

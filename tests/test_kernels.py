@@ -131,6 +131,10 @@ class TestProductKernel:
         with pytest.raises(DomainError, match="finite"):
             exact_slice(model(0.5), t, z2, z1)
 
+    def test_points_need_n_plus_one_coordinates(self):
+        with pytest.raises(DomainError, match="points must have 2 coordinates"):
+            product_kernel(model(0.5), 1.0, np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0]))
+
     def test_n2_supported(self):
         m = model(1.0, n=2)
         z1 = np.array([0.1, -0.2, 0.5])
@@ -298,6 +302,9 @@ class TestKernelSlice:
         with pytest.raises(DomainError):
             KernelSlice(t=1.0, source=np.array([0.0, -1.0]),
                         points=np.zeros((1, 2)), values=np.zeros(1), c=0.0)
+        with pytest.raises(DomainError, match="length mismatch"):
+            KernelSlice(t=1.0, source=np.array([0.0, 1.0]),
+                        points=np.zeros((2, 2)), values=np.zeros(1), c=0.0)
 
     def test_mass_requires_weights(self):
         slc = self._slice()

@@ -54,6 +54,8 @@ class TestValidation:
             spec(np.eye(3), [0.0, 0.0], n=1)
         with pytest.raises(StructuralError):
             spec(np.eye(2), [0.0, 0.0, 0.0], n=1)
+        with pytest.raises(StructuralError, match="N must be >= 1"):
+            spec(np.eye(1), [0.0], n=0)
 
 
 class TestShear:

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from halfheat.errors import ParameterError
+from halfheat import sab
+from halfheat.errors import DomainError, ParameterError
 from halfheat.sab import (
     SabSpec,
     sab_apply_bump,
@@ -61,6 +62,22 @@ def test_non_finite_exponent_rejected(field, value):
     # a ladder of zeros
     with pytest.raises(ParameterError, match=f"^{field} must be finite"):
         SabSpec(**{"alpha": 0.0, "beta": -1.0, "m": 1.0, field: value})
+
+
+@pytest.mark.parametrize("bump", [(0.0, 1.0), (-1.0, 1.0), (1.0, 1.0), (2.0, 1.0)])
+def test_bad_bump_rejected(bump):
+    with pytest.raises(DomainError, match="0 < a < b"):
+        sab_apply_bump(SabSpec(alpha=0.0, beta=0.0), 1.0, bump, np.array([1.0]))
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 4.0])
+def test_bump_norm_at_m_minus_one(p):
+    # (integral of y^-1 over the bump)^(1/p), by 40-point Gauss-Legendre
+    a, b = 0.25, 4.0
+    x, w = np.polynomial.legendre.leggauss(40)
+    y = 0.5 * (b - a) * x + 0.5 * (b + a)
+    integral = 0.5 * (b - a) * np.dot(w, 1.0 / y)
+    assert sab._bump_norm((a, b), -1.0, p) == pytest.approx(integral ** (1.0 / p), rel=1e-14)
 
 
 @pytest.mark.parametrize("spec,expected", CASE_MATRIX[:2] + CASE_MATRIX[7:10])

@@ -80,7 +80,7 @@ def generator(op, values):
     grid = op.grid
     u = values.reshape(grid.nx, grid.ny)
     su = sum(coef * (fx @ u @ fy.T) for coef, fx, fy in form_factors(grid, op.bmat))
-    return (-su.ravel() / op.w).reshape(values.shape)
+    return (-su.ravel() / op.grid.masses().ravel()).reshape(values.shape)
 
 
 def evolve(op, f, times):
@@ -149,6 +149,22 @@ class TestAssembly:
         model = ModelOperatorSpec(n=1, a=np.array([0.0]), c=1.0)
         with pytest.raises(StructuralError):
             assemble(model, grid)  # weight mismatch
+        with pytest.raises(StructuralError, match="N = 1"):
+            assemble(ModelOperatorSpec(n=2, a=np.zeros(2), c=0.0), grid)
+        with pytest.raises(StructuralError, match="does not match grid"):
+            Field(grid, np.zeros((16, 15)))
+
+    @pytest.mark.parametrize("a_matrix,drift,c,error,match", [
+        ([[1.0, 0.0], [0.0, 1.0]], [0.0, -1.5], 0.0, ParameterError, "inadmissible"),
+        (np.eye(3), [0.0, 0.0, 0.0], 0.0, StructuralError, "N = 1"),
+        ([[1.0, 0.5], [0.5, 2.0]], [0.25, 1.0], 1.0, StructuralError, "c/gamma=0.5"),
+    ], ids=["inadmissible", "n2", "grid-weight"])
+    def test_divergence_form_guards(self, a_matrix, drift, c, error, match):
+        spec = GeneralOperatorSpec(n=len(drift) - 1, a_matrix=np.array(a_matrix, dtype=float),
+                                   drift=np.array(drift))
+        grid = GridSpec(rx=2.0, ry=2.0, nx=16, ny=16, c=c)
+        with pytest.raises(error, match=match):
+            assemble_divergence_form(spec, grid)
 
     def test_consistency_second_order(self):
         x0, y0, s = 0.3, 2.0, 0.5
@@ -493,7 +509,8 @@ class TestKernelColumn:
             assert cols[0].meta["route"] == ("separable" if separable else "contour")
             tol = 1e-12 if separable else 1e-8
             # each t is a whole number of steps exp(-ts[0] W^{-1} S), one dense expm
-            step = expm(-ts[0] * (dense_form(op.grid, op.bmat) / op.w[:, None]))
+            w = op.grid.masses().ravel()
+            step = expm(-ts[0] * (dense_form(op.grid, op.bmat) / w[:, None]))
             ref, done = deltas(op.grid, sources), 0
             for n, t in enumerate(ts):
                 for _ in range(round(t / ts[0]) - done):
@@ -660,6 +677,11 @@ class TestKernelColumn:
         with pytest.raises(error, match="source"):
             kernel_columns(op, [0.5], z2)
 
+    def test_kernel_slices_need_n1(self):
+        spec = GeneralOperatorSpec(n=2, a_matrix=np.eye(3), drift=np.zeros(3))
+        with pytest.raises(StructuralError, match="kernel slices are defined for N = 1"):
+            kernel_slices(spec, [0.5], [[0.0, 1.0]], rx=2.0, ry=2.0, nx=16, ny=16)
+
     def test_ragged_sources_name_the_point(self):
         _, _, op = make(n=16, r=2.0)
         with pytest.raises(StructuralError, match=r"kernel source \[0, 1, 7\] is not one point"):
@@ -747,7 +769,7 @@ class TestLiveModes:
         op = solver.DiscreteOperator(grid, np.array(bmat))
         nx, ny, t0 = grid.nx, grid.ny, 0.3
         u = deltas(grid, np.array([[0.0, 0.4], [0.3, 1.0]]))
-        w = op.w
+        w = op.grid.masses().ravel()
         modes = np.fft.fft(u.T.reshape(-1, nx, ny), axis=1)  # (k, nx, ny)
         bands = solver._mode_bands(grid, op.bmat)
         live = solver._live_modes(bands, grid.masses(), grid.masses() * modes, t0)

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from halfheat import kernels, solver
-from halfheat.errors import DomainError, FitUnderdeterminedError, ParameterError
+from halfheat.errors import DomainError, FitUnderdeterminedError, ParameterError, StructuralError
 from halfheat.geometry import EnvelopeParams
-from halfheat.kernels import exact_slice, product_kernel
+from halfheat.kernels import KernelSlice, exact_slice, product_kernel
 from halfheat.operators import GeneralOperatorSpec, ModelOperatorSpec
 from halfheat.quadrature import halfspace_nodes, legendre_panel, y_weighted_nodes
 from halfheat.solver import Field, GridSpec, assemble, assemble_divergence_form, kernel_columns
@@ -86,6 +86,12 @@ class TestGaussianNormalizer:
         with pytest.raises(ParameterError, match="finite"):
             gaussian_normalizer(alpha, 0.5, 1)
 
+    def test_bad_weight_or_dimension_rejected(self):
+        with pytest.raises(ParameterError, match="c \\+ 1 > 0"):
+            gaussian_normalizer(1.0, -1.0, 1)
+        with pytest.raises(DomainError, match="dimension"):
+            gaussian_normalizer(1.0, 0.5, -1)
+
     def test_normalizing_alpha(self):
         # N = 1, c = 1:   pi^{1/2} alpha^{-3/2} / 2 = 1
         a = normalizing_alpha(1.0, 1)
@@ -125,6 +131,11 @@ class TestConservation:
         with pytest.raises(DomainError, match="finite"):
             exact_quadrature_slice(model(0.5), 1.0, np.array(bad))
 
+    def test_n2_rejected(self):
+        with pytest.raises(StructuralError, match="N = 1"):
+            exact_quadrature_slice(ModelOperatorSpec(n=2, a=np.zeros(2), c=0.5), 1.0,
+                                   np.array([0.0, 0.0, 1.0]))
+
     @pytest.mark.parametrize("t", [-1.0, np.inf])
     def test_bad_time_rejected_before_the_grid(self, t):
         with pytest.raises(DomainError, match="kernel time"):
@@ -158,6 +169,14 @@ class TestEnvelopeFit:
         pts = np.column_stack([np.zeros(5), np.linspace(0.5, 1.5, 5)])
         slc = exact_slice(m, 1.0, np.array([0.0, 1.0]), pts)
         with pytest.raises(FitUnderdeterminedError):
+            fit_envelope_constants([slc], "product", 1.0, 1)
+
+    def test_growing_far_field_is_underdetermined(self):
+        # values that grow with |z1 - z2|^2 / t give the log-fit a positive slope
+        pts = np.column_stack([np.linspace(3.0, 6.0, 8), np.ones(8)])
+        slc = KernelSlice(t=1.0, source=np.array([0.0, 1.0]), points=pts,
+                          values=np.exp(pts[:, 0] ** 2), c=1.0)
+        with pytest.raises(FitUnderdeterminedError, match="does not decay"):
             fit_envelope_constants([slc], "product", 1.0, 1)
 
     def test_verdict_without_samples_is_underdetermined(self):
@@ -302,8 +321,17 @@ class TestGTrace:
         assert np.all(np.isfinite(tr.values))
 
     def test_theta_range_enforced(self):
-        with pytest.raises(Exception):
+        with pytest.raises(ParameterError, match="theta"):
             GTrace(theta=0.2, ts=np.array([1.0]), values=np.array([0.0]))
+
+    def test_guards(self):
+        with pytest.raises(DomainError, match="non-finite"):
+            GTrace(theta=0.5, ts=np.array([1.0, 2.0]), values=np.array([0.0, np.nan]))
+        with pytest.raises(StructuralError, match="at least one slice"):
+            compute_G_from_slices([], 0.5, 1.0)
+        probe = exact_slice(model(0.0), 1.0, np.array([0.0, 1.0]), np.array([[0.0, 1.0]]))
+        with pytest.raises(StructuralError, match="integration weights"):
+            compute_G_from_slices([probe], 0.5, 1.0)
 
 
 class TestPoincare:
@@ -347,6 +375,19 @@ class TestPoincare:
         assert res["skipped_constant"] == 1
         with pytest.raises(DomainError):
             poincare_ratio([Field(grid, np.full((grid.nx, grid.ny), 1.0))], 1.0, c)
+
+
+    def test_guards(self):
+        grid = self._grid(1.0)
+        field = Field.from_function(grid, lambda x, y: x)
+        with pytest.raises(StructuralError, match="does not match c"):
+            poincare_ratio([field], 1.0, 0.5)
+        # sign alternating in x: every central difference is 0, and the one-sided
+        # ones at x = +-rx carry no weight, since exp(-alpha x^2) underflows there
+        sign = np.where(np.arange(grid.nx) % 2 == 0, 1.0, -1.0)
+        flip = Field(grid, np.repeat(sign[:, None], grid.ny, axis=1))
+        with pytest.raises(DomainError, match="zero discrete gradient"):
+            poincare_ratio([flip], 20.0, 1.0)
 
 
 class TestFloors:
