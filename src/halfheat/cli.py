@@ -144,10 +144,18 @@ def _finite(obj):
     return obj
 
 
+def _out_dir(out: str | None) -> Path | None:
+    """The --out directory, made before the work so that one that cannot be made fails fast."""
+    if not out:
+        return None
+    path = Path(out)
+    path.mkdir(parents=True, exist_ok=True)
+    return path
+
+
 def _emit(report: dict, out_dir: Path | None, name: str) -> None:
     text = json.dumps(_finite(report), indent=2, default=float, allow_nan=False)
     if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / name).write_text(text + "\n")
     print(text)
 
@@ -155,10 +163,11 @@ def _emit(report: dict, out_dir: Path | None, name: str) -> None:
 def cmd_validate(args) -> int:
     cfg = parse_config(args.config)
     spec = operator_from_config(cfg)
+    out_dir = _out_dir(args.out)
     report = validate_general(spec)
     bundle = {"schema_version": SCHEMA_VERSION, "command": "validate",
               "config": str(args.config), **report.as_dict()}
-    _emit(bundle, Path(args.out) if args.out else None, "validate.json")
+    _emit(bundle, out_dir, "validate.json")
     return EXIT_PASS if report.passed else EXIT_CHECK_FAILED
 
 
@@ -178,15 +187,14 @@ def cmd_kernel(args) -> int:
     sources = [_floats("sources", tok) for tok in cfg.get("sources", "0,1").split(";")]
     if len({tuple(z) for z in sources}) != len(sources):
         raise StructuralError(f"sources repeats a point: {cfg['sources']!r}")
-    out_dir = Path(args.out) if args.out else Path(".")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    grid = dict(rx=_scalar(cfg, "grid.Rx", "8"), ry=_scalar(cfg, "grid.Ry", "8"),
+                nx=_count(cfg, "grid.nx", "128"), ny=_count(cfg, "grid.ny", "128"))
+    GridSpec(**grid, c=0.0)  # the grid's own checks; the model's c comes with the reduction
+    out_dir = _out_dir(args.out) or Path(".")
 
     clock = time.perf_counter
     start = clock()
-    slices = kernel_slices(
-        spec, ts, sources, numeric=args.force_numeric,
-        rx=_scalar(cfg, "grid.Rx", "8"), ry=_scalar(cfg, "grid.Ry", "8"),
-        nx=_count(cfg, "grid.nx", "128"), ny=_count(cfg, "grid.ny", "128"))
+    slices = kernel_slices(spec, ts, sources, numeric=args.force_numeric, **grid)
     evaluate_s = clock() - start
     for slc in slices:
         defect = slc.meta.get("mass_defect", 0.0)
@@ -325,6 +333,9 @@ def _probe_slices(model, ts, y2s):
 
 
 def cmd_verify(args) -> int:
+    if not 0.0 < args.break_rate < np.inf:  # NaN fails both
+        raise ParameterError(f"--break-rate must be finite and positive, got {args.break_rate}")
+    out_dir = _out_dir(args.out)
     checks, ok = _verify_checks(args.probe_set, k_break=args.break_rate)
     bundle = {
         "schema_version": SCHEMA_VERSION,
@@ -333,7 +344,7 @@ def cmd_verify(args) -> int:
         "passed": ok,
         "checks": checks,
     }
-    _emit(bundle, Path(args.out) if args.out else None, "verify.json")
+    _emit(bundle, out_dir, "verify.json")
     return EXIT_PASS if ok else EXIT_CHECK_FAILED
 
 

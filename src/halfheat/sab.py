@@ -19,9 +19,13 @@ weight's singularity.
 Since the x-directions only contribute a Gaussian convolution that is
 uniformly bounded on every L^p, the norm ladder works in the pure
 y-variable (N = 0, M = 1) at t = 1: scale homogeneity 2 reduces every t
-to t = 1 (the test-suite checks the identity with sab_apply_bump).  Each
-ladder level builds one quadrature rule, shared by all of that level's
-bumps.
+to t = 1 (the test-suite checks the identity with sab_apply_bump).  At
+t = 1 the ladder's Gaussian depends on nothing but its depth: bump
+[2^e, 2^{e+1}] has the nodes of panel e of the output rule, and every
+level's rule and bumps are trailing blocks of the deepest level's.  So
+one read-only table exp(-(y_i - y_j)^2 / kappa) on the deepest rule,
+cached for the last depth asked for, serves every level and every spec,
+and a ladder is one contraction of it.
 
 The desk scale fixes one y-variable, M = M_DIM = 1, and the Gaussian
 rate kappa = KAPPA = 1; both are module constants, not SabSpec fields.
@@ -29,6 +33,8 @@ rate kappa = KAPPA = 1; both are module constants, not SabSpec fields.
 
 from __future__ import annotations
 
+import functools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +54,9 @@ LADDER_OCTAVES = 4
 
 #: Gauss-Legendre nodes per dyadic panel of the norm ladder
 LADDER_GAUSS = 16
+
+#: deepest ladder level, in octaves below y = 1 (its Gaussian table takes about 2.6 MB)
+LADDER_MAX_DEPTH = 30
 
 #: dimension M of the y-variable
 M_DIM = 1
@@ -106,11 +115,38 @@ def sab_apply_bump(spec: SabSpec, t: float, bump: tuple, y_out) -> np.ndarray:
     return t ** (-0.5 * M_DIM) * _in_weight(y_out, t, spec.alpha) * integral
 
 
-def _bump_norm(bump: tuple, m: float, p: float) -> float:
+def _bump_norm(bump: tuple, m: float, p: float):
+    """L^p_m norm of the indicator of [a, b]; a and b may be arrays of bumps."""
     a, b = bump
     if m == -1.0:
-        return float(np.log(b / a)) ** (1.0 / p)
+        return np.log(b / a) ** (1.0 / p)
     return ((b ** (m + 1.0) - a ** (m + 1.0)) / (m + 1.0)) ** (1.0 / p)
+
+
+@functools.lru_cache(maxsize=1)
+def _ladder_rule(depth: int):
+    """Read-only `(y, w, gauss)` of the ladder level at `depth`, built once per depth.
+
+    `(y, w)` is LADDER_GAUSS-point Gauss-Legendre on each dyadic panel
+    [2^e, 2^{e+1}], e = -depth .. 5, and `gauss[i, j] = exp(-(y_i - y_j)^2
+    / KAPPA)` for j over every panel but the last: the t = 1 kernel of
+    the bumps e <= 4, panel by panel, on the rule.
+    """
+    rule = np.concatenate([legendre_panel(2.0 ** e, 2.0 ** (e + 1), LADDER_GAUSS)
+                           for e in range(-depth, 6)], axis=1)
+    rule.flags.writeable = False
+    y, w = rule
+    gauss = y[:, None] - y[None, :-LADDER_GAUSS]
+    gauss *= gauss  # in place, so that building the table takes no second one
+    gauss /= -KAPPA
+    np.exp(gauss, out=gauss)
+    gauss.flags.writeable = False
+    return y, w, gauss
+
+
+def _count_arg(name: str, value, least: int) -> None:
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < least:
+        raise ParameterError(f"{name} must be an int >= {least}, got {value!r}")
 
 
 def sab_norm_estimate(spec: SabSpec, levels: int = 4,
@@ -120,23 +156,35 @@ def sab_norm_estimate(spec: SabSpec, levels: int = 4,
     Level l takes the adversarial family of dyadic indicator bumps with
     supports from 2^{-depth}, depth = base + LADDER_OCTAVES * l, up to
     2^5 (concentrating at the boundary and spreading outward) and
-    measures the output norm on [2^{-depth}, 2^6].  One rule per level:
-    LADDER_GAUSS Gauss-Legendre nodes on each dyadic panel of that
-    window, with the output weight folded in, serves all of the level's
-    bumps.  Criterion-true parameters give a stabilizing sequence;
-    criterion-false ones grow without bound as l increases.
+    measures the output norm on [2^{-depth}, 2^6], by LADDER_GAUSS
+    Gauss-Legendre nodes on each dyadic panel of that window with the
+    output weight folded in.  Every level reads its block of one cached
+    table, the Gaussian on the deepest level's rule (_ladder_rule): each
+    bump's output, sab_apply_bump's on the rule up to round-off, is one
+    contraction of that table, and each level one sum over its window.
+    The deepest level may reach LADDER_MAX_DEPTH.  Criterion-true
+    parameters give a stabilizing sequence; criterion-false ones grow
+    without bound as l increases.
     """
+    _count_arg("levels", levels, 1)
+    _count_arg("base_octaves", base_octaves, 0)
+    deepest = base_octaves + LADDER_OCTAVES * (levels - 1)
+    if deepest > LADDER_MAX_DEPTH:
+        raise ParameterError(f"the ladder's deepest level, base_octaves + {LADDER_OCTAVES} * "
+                             f"(levels - 1) = {deepest}, exceeds LADDER_MAX_DEPTH = "
+                             f"{LADDER_MAX_DEPTH}")
+    g = LADDER_GAUSS
+    y, w, gauss = _ladder_rule(deepest)
+    inner = (_in_weight(y[:-g], 1.0, spec.beta) * w[:-g]).reshape(-1, g)
+    f = _in_weight(y, 1.0, spec.alpha)[:, None] * np.einsum(
+        "ybg,bg->yb", gauss.reshape(len(y), -1, g), inner)
+    mass = (w * y ** (spec.m - spec.p * spec.theta))[:, None] * np.abs(f) ** spec.p
+    lower = 2.0 ** np.arange(-deepest, 5)
+    norms = _bump_norm((lower, 2.0 * lower), spec.m, spec.p)
     out = []
     for level in range(levels):
-        depth = base_octaves + LADDER_OCTAVES * level
-        y, w = np.concatenate([legendre_panel(2.0 ** e, 2.0 ** (e + 1), LADDER_GAUSS)
-                               for e in range(-depth, 6)], axis=1)
-        dens = w * y ** (spec.m - spec.p * spec.theta)
-        best = 0.0
-        for e in range(-depth, 5):
-            bump = (2.0 ** e, 2.0 ** (e + 1))
-            f = sab_apply_bump(spec, 1.0, bump, y)
-            num = float(np.dot(dens, np.abs(f) ** spec.p)) ** (1.0 / spec.p)
-            best = max(best, num / _bump_norm(bump, spec.m, spec.p))
-        out.append(best)
+        # depth + 5 bumps and depth + 6 output panels, the trailing ones of the deepest level
+        bumps = base_octaves + LADDER_OCTAVES * level + 5
+        num = mass[-(bumps + 1) * g:, -bumps:].sum(axis=0) ** (1.0 / spec.p)
+        out.append(float(np.max(num / norms[-bumps:])))
     return out

@@ -119,3 +119,23 @@ class TestKernelOutBench:
         # the last case is closed-form, so both halves of the gate can fail
         assert not kernel_out.passes({**rec, "oracle_err": 2 * kernel_out.ORACLE_TOL})
         assert not kernel_out.passes({**rec, "files_identical": False})
+
+
+class TestLadderBench:
+    def test_cases_pass_their_gates(self):
+        ladder = load("ladder")
+        for spec, expected in ((ladder.SPECS[0], "bounded"), (ladder.SPECS[7], "undecided")):
+            rec = ladder.case_record(spec, 2, 1)
+            assert ladder.passes(rec)
+            assert rec["verdict"] == rec["reference_verdict"] == expected
+            assert rec["first_s"] > 0.0 and rec["repeat_s"] > 0.0 and rec["per_bump_s"] > 0.0
+            assert len(rec["ladder"]) == 2
+        # both halves of the gate can fail
+        assert not ladder.passes({**rec, "max_rel_diff": 2 * ladder.DIFF_TOL})
+        assert not ladder.passes({**rec, "verdict": "unbounded"})
+
+    def test_verdicts(self):
+        ladder = load("ladder")
+        assert ladder.verdict([1.0, 1.2, 1.3]) == "bounded"
+        assert ladder.verdict([1.0, 1.2, 1.4]) == "undecided"  # last step >= 1.1
+        assert ladder.verdict([1.0, 4.0, 10.0]) == "unbounded"

@@ -146,13 +146,14 @@ class TestConfigGrammar:
         ("N = 1", "N = one", "config needs integer key N"),
         ("A.row.2 = 0, 1\n", "", "config missing A.row.2"),
         ("v.d = 0", "v.d = 0, 1", "v.d needs 1 entries, got 2"),
-    ], ids=["vc_two", "Rx_two", "N_missing", "N_word", "row_missing", "vd_count"])
+        ("grid.nx = 32", "grid.nx = 4", "grids need an integer count of at least 8"),
+    ], ids=["vc_two", "Rx_two", "N_missing", "N_word", "row_missing", "vd_count", "nx_few"])
     def test_structural_error_exits_2(self, tmp_path, capsys, old, new, detail):
         path = write(tmp_path, "op.cfg", IDENTITY_CFG.replace(old, new))
         out_dir = tmp_path / "out"
         assert main(["kernel", path, "--out", str(out_dir)]) == EXIT_CONFIG_ERROR
         assert json.loads(capsys.readouterr().out)["detail"].startswith(detail)
-        assert not (out_dir / "kernel_index.json").exists()
+        assert not out_dir.exists()  # a config error leaves no output directory behind
 
     @pytest.mark.parametrize("command", ["validate", "kernel"])
     def test_config_not_utf8_exits_2(self, tmp_path, capsys, command):
@@ -439,11 +440,13 @@ class TestVerifyCommand:
         assert check["passed"] is False and check["residual"] is None
         assert check["tolerance"] is None
 
-    @pytest.mark.parametrize("rate", ["nan", "inf"])
-    def test_non_finite_break_rate_rejected(self, capsys, rate):
-        assert main(["verify", "--probe-set", "smoke", "--break-rate", rate]) \
-            == EXIT_CONFIG_ERROR
+    @pytest.mark.parametrize("rate", ["nan", "inf", "-1"])
+    def test_non_finite_break_rate_rejected(self, tmp_path, capsys, rate):
+        out_dir = tmp_path / "out"
+        assert main(["verify", "--probe-set", "smoke", "--break-rate", rate,
+                     "--out", str(out_dir)]) == EXIT_CONFIG_ERROR
         assert "finite" in json.loads(capsys.readouterr().out)["detail"]
+        assert not out_dir.exists()
 
     def test_unknown_probe_set_rejected(self):
         with pytest.raises(SystemExit):
@@ -453,8 +456,11 @@ class TestVerifyCommand:
 @pytest.mark.parametrize("command,under", [
     ("validate", True), ("kernel", False), ("kernel", True), ("verify", True),
 ], ids=["validate", "kernel_file", "kernel_under", "verify"])
-def test_out_that_cannot_be_made_exits_2(tmp_path, capsys, command, under):
-    # --out names a regular file, or a directory under one
+def test_out_that_cannot_be_made_exits_2(tmp_path, capsys, monkeypatch, command, under):
+    # --out names a regular file, or a directory under one; the command fails
+    # before its work
+    work = {"validate": "validate_general", "kernel": "kernel_slices", "verify": "_verify_checks"}
+    monkeypatch.setattr(cli, work[command], lambda *a, **k: pytest.fail(f"{command} did its work"))
     blocker = tmp_path / "file"
     blocker.write_text("")
     out_dir = blocker / "out" if under else blocker

@@ -5,7 +5,11 @@ import pytest
 
 from halfheat import sab
 from halfheat.errors import DomainError, ParameterError
+from halfheat.quadrature import legendre_panel
 from halfheat.sab import (
+    LADDER_GAUSS,
+    LADDER_MAX_DEPTH,
+    LADDER_OCTAVES,
     SabSpec,
     sab_apply_bump,
     sab_criterion,
@@ -89,6 +93,72 @@ def test_ladder_follows_criterion(spec, expected):
         assert ladder[-1] / ladder[-2] < 1.1
     else:
         assert growth >= 10.0
+
+
+def per_bump_ladder(spec, levels, base_octaves=6):
+    """The norm ladder bump by bump, from the public single-bump operator."""
+    out = []
+    for level in range(levels):
+        depth = base_octaves + LADDER_OCTAVES * level
+        y, w = np.concatenate([legendre_panel(2.0 ** e, 2.0 ** (e + 1), LADDER_GAUSS)
+                               for e in range(-depth, 6)], axis=1)
+        dens = w * y ** (spec.m - spec.p * spec.theta)
+        best = 0.0
+        for e in range(-depth, 5):
+            a, b = 2.0 ** e, 2.0 ** (e + 1)
+            f = sab_apply_bump(spec, 1.0, (a, b), y)
+            num = float(np.dot(dens, np.abs(f) ** spec.p)) ** (1.0 / spec.p)
+            k = spec.m + 1.0
+            mass = np.log(b / a) if k == 0.0 else (b ** k - a ** k) / k
+            best = max(best, num / mass ** (1.0 / spec.p))
+        out.append(best)
+    return out
+
+
+@pytest.mark.parametrize("levels,base_octaves", [(3, 6), (4, 6), (1, 1)])
+def test_ladder_matches_per_bump_reference(levels, base_octaves):
+    for spec, _ in CASE_MATRIX:
+        ladder = sab_norm_estimate(spec, levels=levels, base_octaves=base_octaves)
+        assert len(ladder) == levels
+        np.testing.assert_allclose(ladder, per_bump_ladder(spec, levels, base_octaves),
+                                   rtol=1e-13, atol=0.0, err_msg=str(spec))
+
+
+def test_ladder_table_is_one_and_read_only():
+    spec = CASE_MATRIX[0][0]
+    sab_norm_estimate(spec, levels=2)
+    sab_norm_estimate(spec, levels=1, base_octaves=1)
+    assert sab._ladder_rule.cache_info().currsize == 1
+    y, w, gauss = sab._ladder_rule(1)
+    assert gauss.shape == (len(y), len(y) - LADDER_GAUSS)
+    for array in (y, w, gauss):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+
+
+@pytest.mark.parametrize("kwargs,match", [
+    ({"levels": 0}, "levels must be an int >= 1"),
+    ({"levels": -2}, "levels must be an int >= 1"),
+    ({"levels": 2.5}, "levels must be an int >= 1"),
+    ({"levels": True}, "levels must be an int >= 1"),
+    ({"base_octaves": -7}, "base_octaves must be an int >= 0"),
+    ({"base_octaves": 1.0}, "base_octaves must be an int >= 0"),
+    ({"base_octaves": False}, "base_octaves must be an int >= 0"),
+    ({"levels": 1, "base_octaves": LADDER_MAX_DEPTH + 1}, "exceeds LADDER_MAX_DEPTH"),
+    ({"levels": 8, "base_octaves": 6}, "exceeds LADDER_MAX_DEPTH"),
+], ids=["levels_0", "levels_neg", "levels_float", "levels_bool", "base_neg",
+        "base_float", "base_bool", "base_deep", "levels_deep"])
+def test_ladder_arguments_refused(kwargs, match):
+    with pytest.raises(ParameterError, match=match):
+        sab_norm_estimate(CASE_MATRIX[0][0], **kwargs)
+
+
+def test_ladder_reaches_its_depth_bound():
+    # the deepest table allowed, at depth 7 levels of the default base
+    spec = CASE_MATRIX[0][0]
+    assert 6 + LADDER_OCTAVES * 6 == LADDER_MAX_DEPTH
+    ladder = sab_norm_estimate(spec, levels=7, base_octaves=np.int64(6))
+    np.testing.assert_allclose(ladder, per_bump_ladder(spec, 7), rtol=1e-13, atol=0.0)
 
 
 def test_scale_identity():
