@@ -1,6 +1,6 @@
 """Kernel columns on each solver route, timed, with the oracle error and each route fork measured.
 
-    python3 bench/contour.py [--out BENCH_contour.json] [--repeats 3]
+    python3 bench/contour.py [--out BENCH_contour.json] [--repeats 7]
 
 halfheat evaluates every kernel column as exp(-t W^{-1} S) u0 through
 one call, `kernel_columns`, which picks its route from the operator's
@@ -27,17 +27,16 @@ windows of WINDOWS:
                              fixture (unpaired contour), no counterpart
 
 For k = 1 and k = 4 of SOURCES and for each window, one kernel_columns
-call per side records its time per call (median over --repeats, the two
-sides called in turn, so a slow episode of the host weighs on both), its
+call per side records its time per call (median and quartiles over
+--repeats, the two sides called in turn by harness.alternate), its
 SOLVE_STATS (contour_err and max_solve_residual the largest over the
 columns), its mass defect (largest |mass - 1|) and its oracle error
 (max |p - p_exact| / max p_exact over the columns, where a closed form
 exists); the window adds `gap_max_rel`, the largest difference of the
 two sides' columns relative to each counterpart column's maximum, and
-`gap_bound`, its gate.  Per case and k the JSON sums each side's times.
-One untimed call per operator, counterparts included, runs before its
-first timed one.  The JSON also holds the environment, the contour
-constants and the gates.
+`gap_bound`, its gate.  One untimed call per operator, counterparts
+included, runs before its first timed one.  The JSON also holds the
+contour constants and the gates.
 
 The exit code is 1 when a call reports more than one contour window
 (the separable route reports none), a column's mass defect exceeds
@@ -45,35 +44,23 @@ MASS_TOL, or a fork's gap exceeds its bound: the separable columns may
 differ from the contour's by the contour call's `contour_err` +
 DIFF_TOL (the separable route is exact, the contour carries its rule's
 error), the paired from the unpaired columns by DIFF_TOL (both sum the
-same rule).  The JSON is written either way.
+same rule).
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import platform
-import statistics
-import sys
-import time
-from pathlib import Path
-
 import numpy as np
-import scipy
+from harness import alternate, run  # first: it puts src/ on sys.path
 
-ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
-
-from halfheat import solver  # noqa: E402
-from halfheat.kernels import exact_slice  # noqa: E402
-from halfheat.operators import (  # noqa: E402
+from halfheat import solver
+from halfheat.kernels import exact_slice
+from halfheat.operators import (
     GeneralOperatorSpec,
     ModelOperatorSpec,
     general_kernel_exact,
     reduce_to_model,
 )
-from halfheat.solver import (  # noqa: E402
+from halfheat.solver import (
     SOLVE_STATS,
     DiscreteOperator,
     GridSpec,
@@ -86,6 +73,7 @@ from halfheat.solver import (  # noqa: E402
 WINDOWS = ((0.25, 0.5, 0.75, 1.0), (2.0, 4.0))
 TS = WINDOWS[0] + WINDOWS[1]
 SOURCES = np.array([[0.0, 0.3], [0.5, 1.0], [-1.0, 3.0], [0.0, 0.05]])
+SIDES = ("package", "counterpart")
 
 #: largest paired-minus-unpaired difference, and the separable-minus-contour
 #: difference beyond contour_err, relative to the column maximum
@@ -126,38 +114,21 @@ def relative_error(values, ref) -> float:
     return float(np.abs(values - ref).max() / np.abs(ref).max())
 
 
-def record(times, cols, oracle) -> dict:
-    """The median of `times`, the stats of `cols`, their worst mass defect and oracle error."""
+def record(cols, oracle) -> dict:
+    """The stats of `cols`, their worst mass defect and oracle error."""
     per_column = ("contour_err", "max_solve_residual")
-    return {"time_s": statistics.median(times),
-            **{key: cols[0].meta[key] for key in SOLVE_STATS if key not in per_column},
+    return {**{key: cols[0].meta[key] for key in SOLVE_STATS if key not in per_column},
             **{key: max(s.meta[key] for s in cols) for key in per_column},
             "mass_defect": max(abs(s.mass() - 1.0) for s in cols),
             "oracle_err": (max(relative_error(s.values, oracle(s.t, s.source, s.points))
                                for s in cols) if oracle else None)}
 
 
-def timed_records(ops, ts, sources, oracle, repeats: int):
-    """Per operator, the record of `repeats` kernel_columns calls and the last call's columns.
-
-    The operators are called in turn, one call each per repeat.
-    """
-    times, cols = [[] for _ in ops], [None] * len(ops)
-    for _ in range(repeats):
-        for n, op in enumerate(ops):
-            t0 = time.perf_counter()
-            cols[n] = kernel_columns(op, ts, sources)
-            times[n].append(time.perf_counter() - t0)
-    return [(record(t, c, oracle), c) for t, c in zip(times, cols)]
-
-
 def window_failures(label: str, win: dict) -> list[str]:
     """The gates of one window record: one window per call, the mass defects and the fork's gap."""
     out = []
-    for side in ("package", "counterpart"):
-        rec = win.get(side)
-        if rec is None:
-            continue
+    for side in [side for side in SIDES if side in win]:
+        rec = win[side]
         if rec["windows"] > 1:  # the separable route reports none
             out.append(f"{label} {side}: the call took {rec['windows']} windows, not 1")
         if not rec["mass_defect"] <= MASS_TOL:
@@ -168,11 +139,11 @@ def window_failures(label: str, win: dict) -> list[str]:
     return out
 
 
-def window_record(op, counterpart, ts, sources, oracle, repeats: int) -> dict:
+def window_record(sides, ts, sources, oracle, repeats: int) -> dict:
     """One window's record: the package call and, given a counterpart, its call and the gap."""
     win = {"times": list(ts)}
-    sides = [op] if counterpart is None else [op, counterpart]
-    (win["package"], cols), *rest = timed_records(sides, ts, sources, oracle, repeats)
+    timed = alternate([lambda o=o: kernel_columns(o, ts, sources) for o in sides], repeats)
+    (win["package"], cols), *rest = [({"time_s": t, **record(c, oracle)}, c) for t, c in timed]
     if rest:
         win["counterpart"], other = rest[0]
         win["gap_max_rel"] = max(relative_error(a.values, b.values) for a, b in zip(cols, other))
@@ -183,9 +154,9 @@ def window_record(op, counterpart, ts, sources, oracle, repeats: int) -> dict:
 
 def case_record(name, op, oracle, counterpart, repeats: int, failures: list) -> dict:
     """Per k and window, the window records of op and its counterpart; gate failures go to `failures`."""
-    for o in (op, counterpart):  # untimed: first-use costs stay out of the timings
-        if o is not None:
-            kernel_columns(o, TS[:1], SOURCES[:1])
+    sides = [o for o in (op, counterpart) if o is not None]
+    for o in sides:  # untimed: first-use costs stay out of the timings
+        kernel_columns(o, TS[:1], SOURCES[:1])
     rec = {"unknowns": op.grid.nx * op.grid.ny, "column_times": list(TS), "bmat": op.bmat.tolist()}
     if counterpart is not None:
         rec["counterpart_bmat"] = counterpart.bmat.tolist()
@@ -194,49 +165,22 @@ def case_record(name, op, oracle, counterpart, repeats: int, failures: list) -> 
     for k in (1, 4):
         windows = []
         for ts in WINDOWS:
-            win = window_record(op, counterpart, ts, SOURCES[:k], oracle, repeats)
-            p = win["package"]
-            line = (f"{name:24s} k={k} t0={ts[0]:<5g} {p['route']:9s} "
-                    f"{p['time_s'] * 1e3:7.1f} ms  rows {p['solve_rows']:5d}  "
-                    f"mass {p['mass_defect']:.1e}  contour_err {p['contour_err']:.1e}  "
-                    f"oracle_err {p['oracle_err']}")
-            if counterpart is not None:
-                c = win["counterpart"]
-                line += (f"  | counterpart {c['time_s'] * 1e3:7.1f} ms  rows {c['solve_rows']:5d}"
-                         f"  gap {win['gap_max_rel']:.1e} (bound {win['gap_bound']:.1e})")
-            print(line, flush=True)
+            win = window_record(sides, ts, SOURCES[:k], oracle, repeats)
+            print(f"{name} k={k} t0={ts[0]:g}", *(
+                f"{side} {r['route']} {r['time_s']['median'] * 1e3:.1f} ms rows {r['solve_rows']} "
+                f"mass {r['mass_defect']:.1e} contour_err {r['contour_err']:.1e} "
+                f"oracle_err {r['oracle_err']}" for side, r in win.items() if side in SIDES),
+                f"gap {win.get('gap_max_rel')}", sep="  |  ", flush=True)
             failures += window_failures(f"{name} k={k} t0={ts[0]}", win)
             windows.append(win)
-        rec[f"k{k}"] = {"windows": windows,
-                        "time_s": sum(w["package"]["time_s"] for w in windows)}
-        if counterpart is not None:
-            rec[f"k{k}"]["counterpart_time_s"] = sum(w["counterpart"]["time_s"]
-                                                     for w in windows)
+        rec[f"k{k}"] = windows
     return rec
 
 
-def cpu_model() -> str:
-    try:
-        for line in Path("/proc/cpuinfo").read_text().splitlines():
-            if line.startswith("model name"):
-                return line.split(":", 1)[1].strip()
-    except OSError:
-        pass
-    return platform.processor() or platform.machine()
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", default=str(ROOT / "BENCH_contour.json"))
-    parser.add_argument("--repeats", type=int, default=3)
-    args = parser.parse_args(argv)
+def build(repeats: int):
+    """Kernel columns on each solver route, timed, with the oracle error and each fork measured."""
     failures = []
     report = {
-        "environment": {
-            "python": platform.python_version(), "numpy": np.__version__,
-            "scipy": scipy.__version__, "nproc": os.cpu_count(), "cpu": cpu_model(),
-        },
-        "repeats": args.repeats,
         "windows": [list(ts) for ts in WINDOWS],
         "contour": {"guard_nodes": solver.CONTOUR_NODES, "alpha": solver.CONTOUR_ALPHA,
                     "span": solver.CONTOUR_SPAN, "mu_t0_per_node": solver.CONTOUR_MU,
@@ -244,16 +188,15 @@ def main(argv=None) -> int:
         "gates": {"mass_defect": MASS_TOL, "windows_per_call": 1,
                   "paired_minus_unpaired_max_rel": DIFF_TOL,
                   "separable_minus_contour_max_rel": f"contour_err + {DIFF_TOL}"},
-        "cases": {name: case_record(name, op, oracle, counterpart, args.repeats, failures)
+        "cases": {name: case_record(name, op, oracle, counterpart, repeats, failures)
                   for name, op, oracle, counterpart in cases()},
     }
-    report["failures"] = failures
-    Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
-    print(f"wrote {args.out}")
-    for line in failures:
-        print("FAIL", line)
-    return 1 if failures else 0
+    return report, failures
+
+
+def main(argv=None) -> int:
+    return run(build, "BENCH_contour.json", argv)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    raise SystemExit(main())

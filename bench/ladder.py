@@ -1,6 +1,6 @@
 """The S^{alpha,beta} norm ladder, timed, against the ladder built bump by bump.
 
-    python3 bench/ladder.py [--out BENCH_ladder.json] [--repeats 5]
+    python3 bench/ladder.py [--out BENCH_ladder.json] [--repeats 7]
 
 `sab_norm_estimate` evaluates every level of the ladder from one cached
 table, the t = 1 Gaussian on the deepest level's output rule, in one
@@ -14,11 +14,12 @@ test-suite's CASE_MATRIX) at levels 3 and 4, base_octaves 6, all of
 levels 3 first.  Per case the JSON records:
 
     first_s          the case's first sab_norm_estimate call in the
-                     process; the cache holds the table of one depth, so
-                     the first spec of each levels value builds it
-    repeat_s         median of --repeats later calls
-    per_bump_s       median of --repeats per_bump_ladder calls, each
-                     timed right after a repeat_s call
+                     process (one call, so its quartiles are its time);
+                     the cache holds the table of one depth, so the
+                     first spec of each levels value builds it
+    repeat_s         --repeats later calls
+    per_bump_s       --repeats per_bump_ladder calls, each made right
+                     after a repeat_s call (harness.alternate)
     ladder, max_rel_diff  the ladder, and its largest relative
                      difference from per_bump_ladder's
     criterion        sab_criterion's closed-form verdict
@@ -27,31 +28,19 @@ levels 3 first.  Per case the JSON records:
                      of the ladder and of per_bump_ladder's
     agrees           verdict is the one sab_criterion predicts
 
-The summary sums repeat_s and per_bump_s over each levels value.  The
-JSON also holds the environment.  The exit code is 1 when a case's
-max_rel_diff exceeds DIFF_TOL or its verdict differs from
-reference_verdict (`passes`); the JSON is written either way.
+Each time is the median and quartiles of its calls; the summary sums
+the medians of repeat_s and per_bump_s per levels value.  The exit code
+is 1 when a case's max_rel_diff exceeds DIFF_TOL or its verdict differs
+from reference_verdict.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import platform
-import statistics
-import sys
-import time
-from pathlib import Path
-
 import numpy as np
-import scipy
+from harness import alternate, run  # first: it puts src/ on sys.path
 
-ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
-
-from halfheat.quadrature import legendre_panel  # noqa: E402
-from halfheat.sab import (  # noqa: E402
+from halfheat.quadrature import legendre_panel
+from halfheat.sab import (
     LADDER_GAUSS,
     LADDER_OCTAVES,
     SabSpec,
@@ -109,68 +98,47 @@ def verdict(ladder) -> str:
     return "unbounded" if growth >= 10.0 else "undecided"
 
 
-def timed(fn, *args, **kwargs):
-    t0 = time.perf_counter()
-    result = fn(*args, **kwargs)
-    return time.perf_counter() - t0, result
-
-
 def case_record(spec: SabSpec, levels: int, repeats: int) -> dict:
-    first_s, ladder = timed(sab_norm_estimate, spec, levels=levels, base_octaves=BASE_OCTAVES)
-    repeat, per_bump = [], []
-    for _ in range(repeats):  # the two ladders in turn, so a slow episode weighs on both
-        repeat.append(timed(sab_norm_estimate, spec, levels=levels,
-                            base_octaves=BASE_OCTAVES)[0])
-        elapsed, reference = timed(per_bump_ladder, spec, levels)
-        per_bump.append(elapsed)
+    def ladder_call():
+        return sab_norm_estimate(spec, levels=levels, base_octaves=BASE_OCTAVES)
+    [(first_s, ladder)] = alternate([ladder_call], 1)
+    (repeat_s, _), (per_bump_s, reference) = alternate(
+        [ladder_call, lambda: per_bump_ladder(spec, levels)], repeats)
     diff = np.abs(np.subtract(ladder, reference)) / np.abs(reference)
     expected = sab_criterion(spec)
     rec = {"spec": vars(spec), "levels": levels, "first_s": first_s,
-           "repeat_s": statistics.median(repeat), "per_bump_s": statistics.median(per_bump),
+           "repeat_s": repeat_s, "per_bump_s": per_bump_s,
            "ladder": ladder, "max_rel_diff": float(diff.max()), "criterion": expected,
            "verdict": verdict(ladder), "reference_verdict": verdict(reference)}
     rec["agrees"] = rec["verdict"] == ("bounded" if expected else "unbounded")
-    print(f"levels {levels} {spec}: first {first_s * 1e3:.2f} ms  repeat "
-          f"{rec['repeat_s'] * 1e3:.2f} ms  per-bump {rec['per_bump_s'] * 1e3:.2f} ms  "
+    print(f"levels {levels} {spec}: first {first_s['median'] * 1e3:.2f} ms  repeat "
+          f"{repeat_s['median'] * 1e3:.2f} ms  per-bump {per_bump_s['median'] * 1e3:.2f} ms  "
           f"max_rel_diff {rec['max_rel_diff']:.1e}  {rec['verdict']}", flush=True)
     return rec
 
 
-def passes(rec: dict) -> bool:
+def failures(rec: dict) -> list[str]:
     """A case's gate: the per-bump ladder to DIFF_TOL, and the same verdict."""
-    return rec["max_rel_diff"] <= DIFF_TOL and rec["verdict"] == rec["reference_verdict"]
+    if rec["max_rel_diff"] <= DIFF_TOL and rec["verdict"] == rec["reference_verdict"]:
+        return []
+    return [f"levels {rec['levels']} {rec['spec']}: max_rel_diff {rec['max_rel_diff']:.3e} "
+            f"(bound {DIFF_TOL:.0e}), verdict {rec['verdict']} against {rec['reference_verdict']}"]
 
 
-def cpu_model() -> str:
-    try:
-        for line in Path("/proc/cpuinfo").read_text().splitlines():
-            if line.startswith("model name"):
-                return line.split(":", 1)[1].strip()
-    except OSError:
-        pass
-    return platform.processor() or platform.machine()
+def build(repeats: int):
+    """The S^{alpha,beta} norm ladder, timed, against the ladder built bump by bump."""
+    cases = [case_record(spec, levels, repeats) for levels in LEVELS for spec in SPECS]
+    summary = {f"levels{levels}": {
+        key: sum(rec[key]["median"] for rec in cases if rec["levels"] == levels)
+        for key in ("repeat_s", "per_bump_s")} for levels in LEVELS}
+    report = {"base_octaves": BASE_OCTAVES, "diff_tol": DIFF_TOL,
+              "summary": summary, "cases": cases}
+    return report, [line for rec in cases for line in failures(rec)]
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", default=str(ROOT / "BENCH_ladder.json"))
-    parser.add_argument("--repeats", type=int, default=5)
-    args = parser.parse_args(argv)
-    cases = [case_record(spec, levels, args.repeats) for levels in LEVELS for spec in SPECS]
-    summary = {f"levels{levels}": {
-        key: sum(rec[key] for rec in cases if rec["levels"] == levels)
-        for key in ("repeat_s", "per_bump_s")} for levels in LEVELS}
-    report = {
-        "environment": {
-            "python": platform.python_version(), "numpy": np.__version__,
-            "scipy": scipy.__version__, "nproc": os.cpu_count(), "cpu": cpu_model(),
-        },
-        "repeats": args.repeats, "base_octaves": BASE_OCTAVES, "diff_tol": DIFF_TOL,
-        "summary": summary, "cases": cases,
-    }
-    Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
-    return 0 if all(passes(rec) for rec in cases) else 1
+    return run(build, "BENCH_ladder.json", argv)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    raise SystemExit(main())

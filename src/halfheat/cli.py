@@ -36,6 +36,8 @@ from .kernels import exact_slice, write_csv
 from .operators import (
     GeneralOperatorSpec,
     ModelOperatorSpec,
+    map_point,
+    reduce_to_model,
     validate_general,
 )
 from .solver import GridSpec, assemble, kernel_columns, kernel_slices
@@ -189,7 +191,13 @@ def cmd_kernel(args) -> int:
         raise StructuralError(f"sources repeats a point: {cfg['sources']!r}")
     grid = dict(rx=_scalar(cfg, "grid.Rx", "8"), ry=_scalar(cfg, "grid.Ry", "8"),
                 nx=_count(cfg, "grid.nx", "128"), ny=_count(cfg, "grid.ny", "128"))
-    GridSpec(**grid, c=0.0)  # the grid's own checks; the model's c comes with the reduction
+    # the model grid's own checks, and kernel_slices' check that each source's
+    # model image lies on it, before --out is made
+    red = reduce_to_model(spec)
+    model_grid = GridSpec(**grid, c=red.model.c)
+    for z2 in sources:
+        if spec.n == 1 and len(z2) == 2:  # else kernel_slices names the fault
+            model_grid.locate(map_point(red, z2))
     out_dir = _out_dir(args.out) or Path(".")
 
     clock = time.perf_counter

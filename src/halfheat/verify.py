@@ -93,10 +93,10 @@ def exact_quadrature_slice(model: ModelOperatorSpec, t: float, z2) -> KernelSlic
 class FitReport:
     """Fitted two-sided envelope constants of one form and their verdict.
 
-    `verdict` says that envelope_verdict finds both bounds holding on the
-    fitting samples, where the extremal amplitudes make them tight by
-    construction.  It is False, and envelope_verdict is not called, when
-    a constant is not finite and positive or k_low >= k_up.
+    `verdict` says that the fit is well posed: both amplitudes finite and
+    positive and k_low < k_up.  Then envelope_verdict finds both bounds
+    holding on the fitting samples, since the amplitudes are the extremal
+    ratios on those samples, so the fit does not judge them again.
     """
 
     form: str
@@ -169,12 +169,9 @@ def fit_envelope_constants(slices, form: str, c: float, n: int,
     k_low = k_fit / (1.0 + RATE_MARGIN)
     c_up = float(np.max(p / (base * np.exp(-rho / k_up))))
     c_low = float(np.min(p / (base * np.exp(-rho / k_low))))
-    rep = FitReport(form=form, c=c, n=n, c_up=c_up, k_up=k_up, c_low=c_low, k_low=k_low,
-                    k_fit=k_fit, verdict=False)
-    if 0.0 < c_up < np.inf and 0.0 < c_low < np.inf and k_low < k_up:
-        v = envelope_verdict(slices, rep.params_up(), rep.params_low(), c, n, noise_floor_rel)
-        rep.verdict = v["upper_holds"] and v["lower_holds"]
-    return rep
+    verdict = bool(0.0 < c_up < np.inf and 0.0 < c_low < np.inf and k_low < k_up)
+    return FitReport(form=form, c=c, n=n, c_up=c_up, k_up=k_up, c_low=c_low, k_low=k_low,
+                     k_fit=k_fit, verdict=verdict)
 
 
 def envelope_verdict(slices, params_up: EnvelopeParams, params_low: EnvelopeParams,

@@ -1,6 +1,8 @@
 """The bench scripts run on small inputs through the public API, and their gates can fire."""
 
 import importlib.util
+import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +13,9 @@ from halfheat.operators import GeneralOperatorSpec, ModelOperatorSpec
 from halfheat.solver import GridSpec, assemble, assemble_divergence_form, kernel_columns
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+sys.path.insert(0, str(BENCH))  # the scripts import bench/harness.py as `harness`
+
+import harness  # noqa: E402
 
 
 def load(name):
@@ -18,6 +23,44 @@ def load(name):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def smoke(module, tmp_path) -> dict:
+    """The report of module.main at --repeats 1, which must exit 0 with no failures."""
+    out = tmp_path / "bench.json"
+    assert module.main(["--out", str(out), "--repeats", "1"]) == 0
+    report = json.loads(out.read_text())
+    assert report["environment"] == harness.environment()
+    assert report["repeats"] == 1 and report["failures"] == []
+    return report
+
+
+def is_timing(t) -> bool:
+    return set(t) == {"median", "q1", "q3"} and 0.0 < t["q1"] <= t["median"] <= t["q3"]
+
+
+class TestHarness:
+    def test_alternate_and_run(self, tmp_path, capsys):
+        called = []
+        timed = harness.alternate([lambda: called.append("package") or 1,
+                                   lambda: called.append("counterpart") or 2], 5)
+        assert called == ["package", "counterpart"] * 5
+        assert [result for _, result in timed] == [1, 2]
+        for timing, _ in timed:
+            assert set(timing) == {"median", "q1", "q3"}
+            assert timing["q1"] <= timing["median"] <= timing["q3"]
+        assert harness.quartiles([3.0, 1.0, 2.0, 5.0, 4.0]) == {"median": 3.0, "q1": 2.0, "q3": 4.0}
+        assert harness.quartiles([2.0]) == {"median": 2.0, "q1": 2.0, "q3": 2.0}
+
+        def build(repeats):
+            """A report with one failed gate."""
+            return {"cases": {"x": repeats}}, ["x: over its bound"]
+        out = tmp_path / "report.json"
+        assert harness.run(build, "unused.json", ["--out", str(out), "--repeats", "3"]) == 1
+        report = json.loads(out.read_text())
+        assert report == {"environment": harness.environment(), "repeats": 3,
+                          "cases": {"x": 3}, "failures": ["x: over its bound"]}
+        assert capsys.readouterr().out.splitlines()[-1] == "FAIL x: over its bound"
 
 
 @pytest.fixture(scope="module")
@@ -50,13 +93,13 @@ class TestContourBench:
         assert failures == []
         assert rec["counterpart_bmat"] == counterpart.bmat.tolist()
         for k in (1, 4):
-            windows = rec[f"k{k}"]["windows"]
+            windows = rec[f"k{k}"]
             assert [tuple(w["times"]) for w in windows] == list(contour.WINDOWS)
-            assert rec[f"k{k}"]["time_s"] > 0.0 and rec[f"k{k}"]["counterpart_time_s"] > 0.0
             for win in windows:
                 for side in ("package", "counterpart"):
                     assert set(contour.SOLVE_STATS) <= set(win[side])
-                    assert {"time_s", "mass_defect", "oracle_err"} <= set(win[side])
+                    assert {"mass_defect", "oracle_err"} <= set(win[side])
+                    assert is_timing(win[side]["time_s"])
                 assert win["gap_max_rel"] <= win["gap_bound"]
                 routes = (win["package"]["route"], win["counterpart"]["route"])
                 assert routes == (("separable", "contour") if fork == "separable"
@@ -67,39 +110,31 @@ class TestContourBench:
                 else:
                     assert win["package"]["oracle_err"] is not None
 
-    def test_sides_alternate(self, contour, small_ops, monkeypatch):
-        op, _, counterpart = small_ops["paired"]
-        called = []
-
-        def recording(o, *args):
-            called.append(o)
-            return kernel_columns(o, *args)
-
-        monkeypatch.setattr(contour, "kernel_columns", recording)
-        win = contour.window_record(op, counterpart, contour.WINDOWS[0], contour.SOURCES[:1],
-                                    None, 3)
-        assert [o is op for o in called] == [True, False] * 3  # package, counterpart, ...
-        assert called[1] is counterpart
-        assert {"package", "counterpart"} <= set(win)
-
     def test_gap_gate_fires(self, contour, small_ops):
         op = small_ops["paired"][0]
         off = contour.off_diagonal(op, op.bmat[0, 1], op.bmat[1, 0] + 1e-3)
-        win = contour.window_record(op, off, contour.WINDOWS[0], contour.SOURCES[:1], None, 1)
+        win = contour.window_record([op, off], contour.WINDOWS[0], contour.SOURCES[:1], None, 1)
         assert [f for f in contour.window_failures("x", win) if "differ" in f]
 
     def test_mass_gate_fires(self, contour, small_ops):
         op = small_ops["separable"][0]
         cols = kernel_columns(op, contour.WINDOWS[1], contour.SOURCES[:1])
         cols[0].values *= 1.0 + 1e-9
-        win = {"package": contour.record([0.0], cols, None)}
+        win = {"package": contour.record(cols, None)}
         assert [f for f in contour.window_failures("x", win) if "mass defect" in f]
 
     def test_window_gate_fires(self, contour, small_ops):
         op = small_ops["paired"][0]
-        win = contour.window_record(op, None, (0.25, 4.0), contour.SOURCES[:1], None, 1)
+        win = contour.window_record([op], (0.25, 4.0), contour.SOURCES[:1], None, 1)
         assert win["package"]["windows"] == 2
         assert contour.window_failures("x", win) == ["x package: the call took 2 windows, not 1"]
+
+    def test_main_on_the_smallest_case(self, contour, tmp_path, monkeypatch):
+        cases = [case for case in contour.cases() if case[0] == "cross_112x112_q0.5_c0.6"]
+        monkeypatch.setattr(contour, "cases", lambda: cases)
+        report = smoke(contour, tmp_path)
+        assert list(report["cases"]) == ["cross_112x112_q0.5_c0.6"]
+        assert report["gates"]["paired_minus_unpaired_max_rel"] == contour.DIFF_TOL
 
 
 class TestKernelOutBench:
@@ -108,17 +143,29 @@ class TestKernelOutBench:
         for name, a, d, c, sources in kernel_out.KERNEL_CLI[:2]:
             rec = kernel_out.case_record((f"{name}_16", a, d, c, sources, [0.25], 6.0, 16),
                                          1, tmp_path)
-            assert kernel_out.passes(rec)
+            assert kernel_out.failures(name, rec) == []
             assert rec["files"] == len(sources)
-            assert {"cli_s", "evaluate_s", "write_per_file_s",
-                    "write_per_file_percent_s"} <= set(rec)
+            for key in ("cli_s", "evaluate_s", "write_per_file_s"):
+                assert is_timing(rec[key])
             if rec["method"].startswith("exact"):
                 assert rec["oracle_err"] <= kernel_out.ORACLE_TOL
+                assert is_timing(rec["tensor_per_slice_s"])
             else:
                 assert rec["oracle_err"] is None and rec["mass_defect"] <= 1e-12
-        # the last case is closed-form, so both halves of the gate can fail
-        assert not kernel_out.passes({**rec, "oracle_err": 2 * kernel_out.ORACLE_TOL})
-        assert not kernel_out.passes({**rec, "files_identical": False})
+        # the last case is closed-form, so the gate can fail
+        assert kernel_out.failures("x", {**rec, "oracle_err": 2 * kernel_out.ORACLE_TOL})
+
+    def test_main_on_the_smallest_case(self, tmp_path, monkeypatch):
+        kernel_out = load("kernel_out")
+        cases = [case for case in kernel_out.cases() if case[0] == "divergence_96"]
+        monkeypatch.setattr(kernel_out, "cases", lambda: cases)
+        monkeypatch.setattr(kernel_out, "QUADRATURE_CS", [1.0])
+        monkeypatch.setattr(kernel_out, "QUADRATURE_TS", [0.5])
+        report = smoke(kernel_out, tmp_path)
+        assert list(report["cases"]) == ["divergence_96"]
+        assert report["cases"]["divergence_96"]["oracle_err"] <= kernel_out.ORACLE_TOL
+        assert list(report["quadrature"]["slices"]) == ["c=1.0,t=0.5"]
+        assert is_timing(report["quadrature"]["identities"]["c=1.0"]["time_s"])
 
 
 class TestLadderBench:
@@ -126,13 +173,22 @@ class TestLadderBench:
         ladder = load("ladder")
         for spec, expected in ((ladder.SPECS[0], "bounded"), (ladder.SPECS[7], "undecided")):
             rec = ladder.case_record(spec, 2, 1)
-            assert ladder.passes(rec)
+            assert ladder.failures(rec) == []
             assert rec["verdict"] == rec["reference_verdict"] == expected
-            assert rec["first_s"] > 0.0 and rec["repeat_s"] > 0.0 and rec["per_bump_s"] > 0.0
+            for key in ("first_s", "repeat_s", "per_bump_s"):
+                assert is_timing(rec[key])
             assert len(rec["ladder"]) == 2
         # both halves of the gate can fail
-        assert not ladder.passes({**rec, "max_rel_diff": 2 * ladder.DIFF_TOL})
-        assert not ladder.passes({**rec, "verdict": "unbounded"})
+        assert ladder.failures({**rec, "max_rel_diff": 2 * ladder.DIFF_TOL})
+        assert ladder.failures({**rec, "verdict": "unbounded"})
+
+    def test_main_on_the_smallest_case(self, tmp_path, monkeypatch):
+        ladder = load("ladder")
+        monkeypatch.setattr(ladder, "SPECS", ladder.SPECS[:1])
+        monkeypatch.setattr(ladder, "LEVELS", (3,))
+        report = smoke(ladder, tmp_path)
+        assert [rec["levels"] for rec in report["cases"]] == [3]
+        assert report["summary"]["levels3"]["repeat_s"] > 0.0
 
     def test_verdicts(self):
         ladder = load("ladder")

@@ -262,7 +262,7 @@ class TestKernelCommand:
         out_dir = tmp_path / "out"
         assert main(["kernel", path, "--out", str(out_dir), *flags]) == EXIT_CONFIG_ERROR
         assert json.loads(capsys.readouterr().out)["error"] == "DomainError"
-        assert not (out_dir / "kernel_index.json").exists()
+        assert not out_dir.exists()  # refused before --out is made
 
     @pytest.mark.parametrize("old,new,flags", [
         ("t.list = 0.5", "t.list = inf", []),

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from halfheat import kernels, solver
+from conftest import SOURCE_YS
+
+from halfheat import cli, kernels, solver
 from halfheat.errors import DomainError, FitUnderdeterminedError, ParameterError, StructuralError
 from halfheat.geometry import EnvelopeParams
 from halfheat.kernels import KernelSlice, exact_slice, product_kernel
@@ -163,6 +165,20 @@ class TestEnvelopeFit:
         assert all(r.verdict for r in reports.values())
         rates = {f: r.k_fit for f, r in reports.items()}
         assert max(rates.values()) / min(rates.values()) < 1.2
+
+    @pytest.mark.parametrize("form", ["product", "one-sided-1", "one-sided-2", "volume"])
+    def test_verdict_is_envelope_verdict_on_the_fitting_samples(self, solver_slices, form):
+        # the amplitudes are the extremal ratios on the fitting samples, so a
+        # well-posed fit holds there; on the probe slices of `halfheat verify`
+        # and on the c = 1 solver columns of the desk probe matrix
+        probe_sets = [(cli._probe_slices(model(0.0), ts=(0.25, 1.0), y2s=(0.1, 1.0)), 0.0, 1e-12),
+                      ([solver_slices[(1.0, y2, t)] for y2 in SOURCE_YS for t in (0.25, 1.0, 4.0)],
+                       1.0, 1e-7)]
+        for sls, c, floor in probe_sets:
+            rep = fit_envelope_constants(sls, form, c, 1, noise_floor_rel=floor)
+            v = envelope_verdict(sls, rep.params_up(), rep.params_low(), c, 1, floor)
+            assert rep.verdict
+            assert rep.verdict == (v["upper_holds"] and v["lower_holds"])
 
     def test_on_diagonal_only_is_underdetermined(self):
         m = model(1.0)
