@@ -2,7 +2,8 @@
 
     python3 bench/kernel_out.py [--out BENCH_kernel_out.json] [--repeats 7]
 
-`halfheat kernel` is one kernel_slices call followed by one write_csv
+`halfheat kernel` is one kernel_request call (every check, before
+--out is made), one kernel_slices call (the work) and one write_csv
 call, which writes every number as the bytes of `"%.17g" % v`.  The
 a = 0 kernel on a tensor grid is one kernels.tensor_kernel call, which
 kernel_slices uses on the cell centres, and verify.exact_quadrature_slice

@@ -33,14 +33,8 @@ from . import verify as V
 from .errors import HalfheatError, ParameterError, SolveFailure, StructuralError
 from .geometry import EnvelopeParams, doubling_check, envelope_equivalence_window
 from .kernels import exact_slice, write_csv
-from .operators import (
-    GeneralOperatorSpec,
-    ModelOperatorSpec,
-    map_point,
-    reduce_to_model,
-    validate_general,
-)
-from .solver import GridSpec, assemble, kernel_columns, kernel_slices
+from .operators import GeneralOperatorSpec, ModelOperatorSpec, validate_general
+from .solver import GridSpec, assemble, kernel_columns, kernel_request, kernel_slices
 
 SCHEMA_VERSION = 9
 
@@ -185,24 +179,18 @@ def cmd_kernel(args) -> int:
     ts = _floats("t.list", cfg.get("t.list", "1.0"))
     if len(set(ts)) != len(ts):
         raise StructuralError(f"t.list repeats a time: {cfg['t.list']!r}")
-    # kernel_slices checks that each is one point (x, y)
+    # kernel_request checks that each is one point (x, y)
     sources = [_floats("sources", tok) for tok in cfg.get("sources", "0,1").split(";")]
     if len({tuple(z) for z in sources}) != len(sources):
         raise StructuralError(f"sources repeats a point: {cfg['sources']!r}")
-    grid = dict(rx=_scalar(cfg, "grid.Rx", "8"), ry=_scalar(cfg, "grid.Ry", "8"),
-                nx=_count(cfg, "grid.nx", "128"), ny=_count(cfg, "grid.ny", "128"))
-    # the model grid's own checks, and kernel_slices' check that each source's
-    # model image lies on it, before --out is made
-    red = reduce_to_model(spec)
-    model_grid = GridSpec(**grid, c=red.model.c)
-    for z2 in sources:
-        if spec.n == 1 and len(z2) == 2:  # else kernel_slices names the fault
-            model_grid.locate(map_point(red, z2))
+    request = kernel_request(spec, ts, sources,
+                             rx=_scalar(cfg, "grid.Rx", "8"), ry=_scalar(cfg, "grid.Ry", "8"),
+                             nx=_count(cfg, "grid.nx", "128"), ny=_count(cfg, "grid.ny", "128"))
     out_dir = _out_dir(args.out) or Path(".")
 
     clock = time.perf_counter
     start = clock()
-    slices = kernel_slices(spec, ts, sources, numeric=args.force_numeric, **grid)
+    slices = kernel_slices(request, numeric=args.force_numeric)
     evaluate_s = clock() - start
     for slc in slices:
         defect = slc.meta.get("mass_defect", 0.0)

@@ -96,8 +96,8 @@ def envelope_eval(params: EnvelopeParams, t, z1, z2, c: float, n: int):
       volume      -- t^{(N+1)/2} / sqrt(V(z1, sqrt t) V(z2, sqrt t))
     """
     t = np.asarray(t, dtype=float)
-    if not np.all(t > 0.0):  # NaN fails too
-        raise DomainError("envelope time must be positive")
+    if not np.all((0.0 < t) & (t < np.inf)):  # NaN fails both
+        raise DomainError("envelope time must be positive and finite")
     x1, y1 = _split(z1, n)
     x2, y2 = _split(z2, n)
     if not (np.all(y1 > 0.0) and np.all(y2 > 0.0)):  # NaN fails both

@@ -253,9 +253,17 @@ def _check_half_space(*ys) -> None:
         raise DomainError("points must lie in the open half-space y > 0")
 
 
+def _point(red: ReductionResult, z) -> np.ndarray:
+    """z as floats; StructuralError unless its last axis has N + 1 coordinates."""
+    z = np.asarray(z, dtype=float)
+    if z.shape[-1:] != (red.model.n + 1,):
+        raise StructuralError(f"points need {red.model.n + 1} coordinates, got shape {z.shape}")
+    return z
+
+
 def map_point(red: ReductionResult, z) -> np.ndarray:
     """General-operator coordinates -> model coordinates (y unchanged)."""
-    z = np.asarray(z, dtype=float)
+    z = _point(red, z)
     n = red.model.n
     x, y = z[..., :n], z[..., n]
     _check_half_space(y)
@@ -266,7 +274,7 @@ def map_point(red: ReductionResult, z) -> np.ndarray:
 
 def inverse_map_point(red: ReductionResult, z) -> np.ndarray:
     """Model coordinates -> general coordinates; inverse of map_point."""
-    z = np.asarray(z, dtype=float)
+    z = _point(red, z)
     n = red.model.n
     xp, y = z[..., :n], z[..., n]
     _check_half_space(y)

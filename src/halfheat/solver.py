@@ -63,6 +63,7 @@ from .kernels import A_ZERO_TOL, KernelSlice, tensor_kernel
 from .operators import (
     GeneralOperatorSpec,
     ModelOperatorSpec,
+    ReductionResult,
     inverse_map_point,
     map_kernel_value,
     map_point,
@@ -77,6 +78,8 @@ __all__ = [
     "assemble",
     "assemble_divergence_form",
     "kernel_columns",
+    "KernelRequest",
+    "kernel_request",
     "kernel_slices",
     "discrete_gradient",
 ]
@@ -773,63 +776,83 @@ def kernel_columns(op: DiscreteOperator, ts, z2) -> list[KernelSlice]:
     return slices
 
 
-def kernel_slices(spec: GeneralOperatorSpec, ts, sources, rx: float, ry: float,
-                  nx: int, ny: int, numeric: bool = False) -> list[KernelSlice]:
-    """Kernel slices p(t, ., z2) of a general operator, t-major over ts x sources.
+@dataclass(frozen=True)
+class KernelRequest:
+    """A checked kernel request: made only by kernel_request, evaluated by kernel_slices."""
 
-    The times keep the caller's order (a repeated time repeats its
-    slices); _request checks them and the sources.  One reduction and one
-    model grid on [-rx, rx] x (0, ry] serve every slice, which samples the
-    model cell centres mapped back once.  The closed form is used when
-    |a| <= A_ZERO_TOL unless `numeric`, evaluated on the tensor grid of
-    cell centres by tensor_kernel (bit-identical to product_kernel at the
-    cell centres) once per distinct time and source; otherwise one
-    assembly and one kernel_columns call, which evolves all sources
-    together through all model times time_scale * t.  All slices share
-    one `points` array, so write_csv formats it once per run.  Values are
-    mapped back by map_kernel_value, which is exact for the identity
-    reduction.  A slice's `source` is the
-    point its column came from (for the solver, the snapped cell, mapped
-    back); meta holds the method, the requested source, the snap offset in
-    model cells, the reduction (`time_scale` and the model's `a` and `c`)
-    and, for solver columns, the mass defect and the SOLVE_STATS of the
-    evolution.  A source whose model image lies outside the model grid
-    raises DomainError on either route.
+    ts: list
+    sources: np.ndarray
+    red: ReductionResult
+    grid: GridSpec
+    mapped: np.ndarray
+
+
+def kernel_request(spec: GeneralOperatorSpec, ts, sources, rx: float, ry: float,
+                   nx: int, ny: int) -> KernelRequest:
+    """Every check of a kernel request, and no kernel work.
+
+    N = 1 is tested first, whatever the sources' shape; then _request checks
+    the times and sources, the operator is reduced once (ParameterError if
+    inadmissible), the model grid on [-rx, rx] x (0, ry] checks itself, and
+    each source's model image must lie on it (DomainError on either route).
     """
+    if spec.n != 1:
+        raise StructuralError("kernel slices are defined for N = 1")
     ts, sources = _request(ts, sources)
     red = reduce_to_model(spec)
+    grid = GridSpec(rx=rx, ry=ry, nx=nx, ny=ny, c=red.model.c)
+    mapped = map_point(red, sources)
+    for z2m in mapped:
+        grid.locate(z2m)
+    return KernelRequest(ts=ts, sources=sources, red=red, grid=grid, mapped=mapped)
+
+
+def kernel_slices(request: KernelRequest, numeric: bool = False) -> list[KernelSlice]:
+    """Kernel slices p(t, ., z2) of a checked request, t-major over ts x sources.
+
+    The times keep the caller's order (a repeated time repeats its
+    slices).  One reduction and one model grid serve every slice, which
+    samples the model cell centres mapped back once.  Each distinct model
+    time time_scale * t is evaluated once, on either route: the closed
+    form when |a| <= A_ZERO_TOL unless `numeric`, evaluated on the tensor
+    grid of cell centres by tensor_kernel (bit-identical to product_kernel
+    at the cell centres) once per distinct time and source; otherwise one
+    assembly and one kernel_columns call, which evolves all sources
+    together.  All slices share one `points` array, so write_csv formats
+    it once per run.  Values are mapped back by map_kernel_value, which is
+    exact for the identity reduction.  A slice's `source` is the point its
+    column came from (for the solver, the snapped cell, mapped back); meta
+    holds the method, the requested source, the snap offset in model
+    cells, the reduction (`time_scale` and the model's `a` and `c`) and,
+    for solver columns, the mass defect and the SOLVE_STATS of the
+    evolution.
+    """
+    ts, sources, red, grid, mapped = (request.ts, request.sources, request.red,
+                                      request.grid, request.mapped)
     model = red.model
-    if model.n != 1:
-        raise StructuralError("kernel slices are defined for N = 1")
-    grid = GridSpec(rx=rx, ry=ry, nx=nx, ny=ny, c=model.c)
     cells = grid.points()
     points = inverse_map_point(red, cells)
-    mapped = [map_point(red, z2) for z2 in sources]
-    for z2m in mapped:
-        grid.locate(z2m)  # either route rejects a source outside the model grid
     exact = model.a_norm <= A_ZERO_TOL and not numeric
     method = ("exact" if exact else "solver") + ("" if red.is_identity else "-reduced")
     reduction = {"time_scale": red.time_scale, "a": model.a.tolist(), "c": model.c}
     model_ts = [red.time_scale * t for t in ts]
-    # source-major, like kernel_columns
-    if exact:  # each distinct time once, as kernel_columns evolves it
-        times = np.unique(model_ts)
-        distinct = [[KernelSlice(t=mt, source=z2m, points=cells, c=model.c,
-                                 values=tensor_kernel(model, mt, z2m, grid.x_centers,
-                                                      grid.y_centers))
-                     for mt in times.tolist()] for z2m in mapped]
-        cols = [row[n] for row in distinct for n in np.searchsorted(times, model_ts)]
+    times = np.unique(model_ts)
+    # source-major over the distinct times, like kernel_columns
+    if exact:
+        cols = [KernelSlice(t=mt, source=z2m, points=cells, c=model.c,
+                            values=tensor_kernel(model, mt, z2m, grid.x_centers, grid.y_centers))
+                for z2m in mapped for mt in times.tolist()]
     else:
-        cols = kernel_columns(assemble(model, grid), model_ts, np.array(mapped))
+        cols = kernel_columns(assemble(model, grid), times.tolist(), mapped)
     out = []
-    for i, t in enumerate(ts):
+    for t, n in zip(ts, np.searchsorted(times, model_ts)):
         for k, (z2, z2m) in enumerate(zip(sources, mapped)):
-            col = cols[k * len(ts) + i]
+            col = cols[k * len(times) + n]
             used = inverse_map_point(red, col.source)
             snap = np.hypot(*((col.source - z2m) / (grid.hx, grid.hy)))
             meta = {"method": method, "source": [float(v) for v in z2],
                     "source_used": used.tolist(), "snap_offset_cells": float(snap),
-                    "grid_cells": [nx, ny], "reduction": reduction}
+                    "grid_cells": [grid.nx, grid.ny], "reduction": reduction}
             if col.weights is not None:
                 meta["mass_defect"] = abs(col.mass() - 1.0)
                 meta.update((key, col.meta[key]) for key in SOLVE_STATS)

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from halfheat import cli, solver
+from halfheat import cli, operators, solver
 from halfheat import verify as V
 from halfheat.cli import (
     EXIT_CHECK_FAILED,
@@ -48,6 +48,19 @@ grid.Rx = 5
 grid.Ry = 5
 t.list = 0.5
 sources = 0,1
+"""
+
+N2_CFG = """\
+N = 2
+A.row.1 = 1, 0, 0
+A.row.2 = 0, 1, 0
+A.row.3 = 0, 0, 1
+v.d = 0, 0
+v.c = 0
+grid.nx = 32
+grid.ny = 32
+t.list = 0.5
+sources = 0,0,1
 """
 
 MIXED_CFG = """\
@@ -255,6 +268,7 @@ class TestKernelCommand:
         out_dir = tmp_path / "out"
         assert main(["kernel", path, "--out", str(out_dir), *flags]) == EXIT_CONFIG_ERROR
         assert json.loads(capsys.readouterr().out)["error"] == "DomainError"
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("flags", [[], ["--force-numeric"]])
     def test_source_outside_grid_rejected_on_both_routes(self, tmp_path, capsys, flags):
@@ -326,6 +340,21 @@ class TestKernelCommand:
         assert "[0.0, 1.0, 2.0] is not one point" in json.loads(capsys.readouterr().out)["detail"]
         assert not (out_dir / "kernel_index.json").exists()
         assert not list(out_dir.glob("*.csv"))
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("flags", [[], ["--force-numeric"]])
+    @pytest.mark.parametrize("cfg,error,detail", [
+        (IDENTITY_CFG.replace("t.list = 0.5", "t.list = -1"), "DomainError", "positive"),
+        (IDENTITY_CFG.replace("t.list = 0.5", "t.list = 0"), "DomainError", "positive"),
+        (N2_CFG, "config error", "defined for N = 1"),
+    ], ids=["t_negative", "t_zero", "n2"])
+    def test_bad_request_leaves_no_out(self, tmp_path, capsys, flags, cfg, error, detail):
+        path = write(tmp_path, "op.cfg", cfg)
+        out_dir = tmp_path / "out"
+        assert main(["kernel", path, "--out", str(out_dir), *flags]) == EXIT_CONFIG_ERROR
+        report = json.loads(capsys.readouterr().out)
+        assert report["error"] == error and detail in report["detail"]
+        assert not out_dir.exists()
 
     def test_inadmissible_operator_exits_1(self, tmp_path, capsys):
         path = write(tmp_path, "op.cfg", IDENTITY_CFG.replace("v.c = 0", "v.c = -1.5"))
@@ -385,17 +414,21 @@ class TestKernelCommand:
         cfg = MIXED_CFG.replace("t.list = 0.25", "t.list = 0.25, 0.5").replace(
             "sources = 0,1", "sources = 0,1 ; 0.5,1.5")
         path = write(tmp_path, "op.cfg", cfg)
-        calls = {"assemble": 0, "kernel_columns": 0}
+        calls = {"assemble": 0, "kernel_columns": 0, "reduce_to_model": 0, "validate_general": 0}
         for name in calls:
-            def counted(*args, _fn=getattr(solver, name), _name=name, **kwargs):
-                calls[_name] += 1
-                return _fn(*args, **kwargs)
-            monkeypatch.setattr(solver, name, counted)
+            for module in (cli, operators, solver):  # wherever a caller looks the name up
+                if hasattr(module, name):
+                    def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                        calls[_name] += 1
+                        return _fn(*args, **kwargs)
+                    monkeypatch.setattr(module, name, counted)
         out_dir = tmp_path / "out"
         assert main(["kernel", path, "--out", str(out_dir)]) == EXIT_PASS
         index = json.loads((out_dir / "kernel_index.json").read_text())
         assert len(index["outputs"]) == 4
-        assert calls == {"assemble": 1, "kernel_columns": 1}
+        # validate_general: the CLI's report, then the one reduction's check
+        assert calls == {"assemble": 1, "kernel_columns": 1, "reduce_to_model": 1,
+                         "validate_general": 2}
 
 
 class TestVerifyCommand:

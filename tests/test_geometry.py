@@ -138,6 +138,13 @@ class TestEnvelope:
         with pytest.raises(DomainError):
             gradient_envelope(t, z1, z2, 0.5, 1, 1.0, 4.0)
 
+    @pytest.mark.parametrize("c", [-0.5, 1.0])
+    @pytest.mark.parametrize("t", [np.inf, [1.0, np.inf]], ids=["scalar", "array"])
+    def test_infinite_time_rejected(self, t, c):
+        # not NaN (c = -0.5) or 0 (c = 1): an infinite time has no envelope
+        with pytest.raises(DomainError, match="finite"):
+            envelope_eval(EnvelopeParams(1.0, 4.0), t, (0.0, 1.0), (0.0, 2.0), c, 1)
+
     def test_param_validation(self):
         with pytest.raises(ParameterError):
             EnvelopeParams(-1.0, 4.0)

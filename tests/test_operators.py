@@ -177,6 +177,15 @@ class TestPointMapping:
             with pytest.raises(DomainError):
                 map_kernel_value(red, t, np.array([0.0, y1]), np.array([0.0, y2]), 1.0)
 
+    @pytest.mark.parametrize("z", [[0.0, 1.0, 7.0], [1.0], [[0.0, 1.0, 7.0]], 1.0],
+                             ids=["three", "one", "k-by-3", "scalar"])
+    def test_wrong_length_rejected(self, z):
+        # N = 1: a point has 2 coordinates; a third is not dropped silently
+        red = self._red()
+        for fn in (map_point, inverse_map_point):
+            with pytest.raises(StructuralError, match="need 2 coordinates"):
+                fn(red, z)
+
 
 class TestKernelMapping:
     def test_identity_reduction_passthrough(self):

@@ -30,6 +30,7 @@ from halfheat.solver import (
     assemble_divergence_form,
     discrete_gradient,
     kernel_columns,
+    kernel_request,
     kernel_slices,
 )
 
@@ -615,8 +616,9 @@ class TestKernelColumn:
                 calls[_name] += 1
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(solver, name, counted)
-        out = kernel_slices(spec, [0.25, 0.5], [np.array([0.0, 1.0]), np.array([0.5, 1.5])],
-                            rx=4.0, ry=4.0, nx=32, ny=32)
+        out = kernel_slices(kernel_request(spec, [0.25, 0.5],
+                                           [np.array([0.0, 1.0]), np.array([0.5, 1.5])],
+                                           rx=4.0, ry=4.0, nx=32, ny=32))
         assert calls == {"zgtsv": per_window(out[0].meta), "kernel_columns": 1}
         # t-major over ts x sources
         assert [(s.t, s.meta["source"]) for s in out] == [
@@ -643,7 +645,7 @@ class TestKernelColumn:
             sizes.append(np.size(x))
             return _fn(nu, x)
         monkeypatch.setattr(kernels, "bessel_i_scaled", counted)
-        out = kernel_slices(spec, ts, sources, rx=2.0, ry=1.0, nx=nx, ny=ny)
+        out = kernel_slices(kernel_request(spec, ts, sources, rx=2.0, ry=1.0, nx=nx, ny=ny))
         assert sizes == [ny] * (len(ts) * len(sources))  # not nx * ny per slice
         cells = grid.points()
         for slc in out:
@@ -656,8 +658,8 @@ class TestKernelColumn:
     def test_kernel_slices_closed_form_rejects_non_finite_time(self, t):
         spec = GeneralOperatorSpec(n=1, a_matrix=np.eye(2), drift=np.array([0.0, 0.5]))
         with pytest.raises(DomainError, match="finite"):
-            kernel_slices(spec, [0.5, t], [np.array([0.0, 1.0])],
-                          rx=2.0, ry=2.0, nx=16, ny=16)
+            kernel_slices(kernel_request(spec, [0.5, t], [np.array([0.0, 1.0])],
+                                         rx=2.0, ry=2.0, nx=16, ny=16))
 
     def test_snap_recorded(self):
         _, grid, op = make(n=16, r=2.0)
@@ -680,7 +682,8 @@ class TestKernelColumn:
     def test_kernel_slices_need_n1(self):
         spec = GeneralOperatorSpec(n=2, a_matrix=np.eye(3), drift=np.zeros(3))
         with pytest.raises(StructuralError, match="kernel slices are defined for N = 1"):
-            kernel_slices(spec, [0.5], [[0.0, 1.0]], rx=2.0, ry=2.0, nx=16, ny=16)
+            kernel_slices(kernel_request(spec, [0.5], [[0.0, 1.0]],
+                                         rx=2.0, ry=2.0, nx=16, ny=16))
 
     def test_ragged_sources_name_the_point(self):
         _, _, op = make(n=16, r=2.0)
@@ -692,12 +695,14 @@ class TestKernelColumn:
     def test_kernel_slices_keep_the_caller_time_order(self, a_matrix, monkeypatch):
         spec = GeneralOperatorSpec(n=1, a_matrix=np.array(a_matrix), drift=np.array([0.0, 0.5]))
         sources = [np.array([0.0, 1.0]), np.array([0.5, 1.5])]
-        ref = kernel_slices(spec, [0.25, 0.5], sources, rx=2.0, ry=2.0, nx=16, ny=16)
+        ref = kernel_slices(kernel_request(spec, [0.25, 0.5], sources,
+                                           rx=2.0, ry=2.0, nx=16, ny=16))
         calls = []
         real = solver.tensor_kernel
         monkeypatch.setattr(solver, "tensor_kernel",
                             lambda model, t, *args: calls.append(t) or real(model, t, *args))
-        out = kernel_slices(spec, [0.5, 0.25, 0.5], sources, rx=2.0, ry=2.0, nx=16, ny=16)
+        out = kernel_slices(kernel_request(spec, [0.5, 0.25, 0.5], sources,
+                                           rx=2.0, ry=2.0, nx=16, ny=16))
         # the closed form is evaluated once per distinct time and source
         assert len(calls) == (4 if ref[0].meta["method"] == "exact" else 0)
         want = [ref[2], ref[3], ref[0], ref[1], ref[2], ref[3]]  # t-major
@@ -710,14 +715,39 @@ class TestKernelColumn:
     def test_kernel_slices_rejects_bad_sources(self, a_matrix):
         spec = GeneralOperatorSpec(n=1, a_matrix=np.array(a_matrix), drift=np.array([0.0, 0.5]))
         with pytest.raises(DomainError, match="no kernel sources"):
-            kernel_slices(spec, [0.5], [], rx=2.0, ry=2.0, nx=16, ny=16)
+            kernel_slices(kernel_request(spec, [0.5], [], rx=2.0, ry=2.0, nx=16, ny=16))
         with pytest.raises(StructuralError, match="one point"):
-            kernel_slices(spec, [0.5], [np.array([0.0, 1.0, 7.0])],
-                          rx=2.0, ry=2.0, nx=16, ny=16)
+            kernel_slices(kernel_request(spec, [0.5], [np.array([0.0, 1.0, 7.0])],
+                                         rx=2.0, ry=2.0, nx=16, ny=16))
         with pytest.raises(StructuralError, match=r"\[0\.0, 1\.0, 7\.0\]"):
-            kernel_slices(spec, [0.5], [[0.0, 1.0], [0.0, 1.0, 7.0]],
-                          rx=2.0, ry=2.0, nx=16, ny=16)
+            kernel_slices(kernel_request(spec, [0.5], [[0.0, 1.0], [0.0, 1.0, 7.0]],
+                                         rx=2.0, ry=2.0, nx=16, ny=16))
 
+
+    @pytest.mark.parametrize("a_matrix,drift,ts,sources,grid,error,match", [
+        (np.eye(3), [0.0, 0.0, 0.0], [0.5], [[0.0, 0.0, 1.0]], {}, StructuralError, "N = 1"),
+        (np.eye(2), [0.0, 0.5], [], [[0.0, 1.0]], {}, DomainError, "times"),
+        (np.eye(2), [0.0, 0.5], [-1.0], [[0.0, 1.0]], {}, DomainError, "times"),
+        (np.eye(2), [0.0, 0.5], [0.0], [[0.0, 1.0]], {}, DomainError, "times"),
+        (np.eye(2), [0.0, 0.5], [0.5], [], {}, DomainError, "no kernel sources"),
+        (np.eye(2), [0.0, 0.5], [0.5], [[0.0, 1.0, 7.0]], {}, StructuralError, "one point"),
+        (np.eye(2), [0.0, -1.5], [0.5], [[0.0, 1.0]], {}, ParameterError, "degeneracy"),
+        (np.eye(2), [0.0, 0.5], [0.5], [[0.0, 1.0]], {"nx": 4}, StructuralError, "8 cells"),
+        (np.eye(2), [0.0, 0.5], [0.5], [[0.0, 100.0]], {}, DomainError, "outside the grid"),
+        (np.eye(2), [0.0, 0.5], [0.5], [[0.0, -1.0]], {}, DomainError, "y > 0"),
+    ], ids=["n2", "no-time", "t-negative", "t-zero", "no-source", "three-coordinates",
+            "inadmissible", "grid", "outside", "below"])
+    def test_kernel_request_checks_before_any_work(self, monkeypatch, a_matrix, drift, ts,
+                                                   sources, grid, error, match):
+        for name in ("assemble", "tensor_kernel", "kernel_columns"):
+            monkeypatch.setattr(solver, name, lambda *a, _n=name, **k: pytest.fail(f"{_n} ran"))
+        spec = GeneralOperatorSpec(n=len(drift) - 1, a_matrix=a_matrix, drift=np.array(drift))
+        grid = {"rx": 2.0, "ry": 2.0, "nx": 16, "ny": 16, **grid}
+        with pytest.raises(error, match=match):
+            kernel_request(spec, ts, sources, **grid)
+        good = GeneralOperatorSpec(n=1, a_matrix=np.eye(2), drift=np.array([0.0, 0.5]))
+        request = kernel_request(good, [0.5], [[0.0, 1.0]], rx=2.0, ry=2.0, nx=16, ny=16)
+        assert request.mapped.tolist() == [[0.0, 1.0]]
 
 MODEL_B = [[1.0, 1.0], [0.0, 1.0]]  # the model operator at a = 0.5
 CROSS_B = [[2.0, 0.5], [0.5, 1.0]]  # a symmetric cross term
