@@ -12,10 +12,16 @@ with an empty entry (`0,,1`) is refused:
     t.list     comma-separated kernel times, no time twice
     sources    semicolon-separated source points, each "x,y", no point twice
 
-Exit codes: 0 pass, 1 check failed, 2 config/structural error or an
-output that cannot be written, 3 numerical failure.  Every command is
-deterministic: the same config and options give the same output, apart
-from the wall times it reports.
+Exit codes:
+
+    0  pass
+    1  check failed
+    2  config/structural error or an output that cannot be written
+    2  a grid too large to allocate (MemoryError), as JSON, not a traceback
+    3  numerical failure
+
+Every command is deterministic: the same config and options give the
+same output, apart from the wall times it reports.
 """
 
 from __future__ import annotations
@@ -391,6 +397,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG_ERROR
     except OSError as exc:  # an --out that cannot be made or written
         print(json.dumps({"error": "output error", "detail": str(exc)}))
+        return EXIT_CONFIG_ERROR
+    except MemoryError as exc:  # a grid whose arrays cannot be allocated
+        print(json.dumps({"error": "out of memory", "detail": str(exc)}))
         return EXIT_CONFIG_ERROR
 
 

@@ -45,6 +45,15 @@ stay and mass is conserved to round-off.  The returned rule has CONTOUR_NODES + 
 the CONTOUR_NODES-node rule guards its time error.
 On either route the adjoint is the same function of S', exact to
 round-off relative to the column maximum.
+
+Every kernel column takes one path, _evolve_cells: it deduplicates the
+caller's times once, puts the discrete delta of each located source cell
+into one (k, nx, ny) block, evolves the block once and returns each
+source's columns with its own stats and the cell centre it came from.
+kernel_columns checks its request (_request) and locates its sources
+(GridSpec.locate) once, then calls it; kernel_slices calls it with the
+cells that kernel_request located, so on either entry point a request is
+checked, placed and reordered once.
 """
 
 from __future__ import annotations
@@ -106,7 +115,7 @@ CONTOUR_SPAN = float(np.arccosh(
     / ((4.0 * CONTOUR_ALPHA - np.pi) * np.sin(CONTOUR_ALPHA))))
 CONTOUR_MU = (4.0 * CONTOUR_ALPHA - np.pi) * np.pi / (WINDOW_RATIO * CONTOUR_SPAN)
 
-#: the evolution stats kernel_columns puts in a solver slice's meta
+#: the evolution stats of a solver column, in its slice's meta
 SOLVE_STATS = ("route", "windows", "nodes", "factorizations", "live_modes", "solve_rows",
                "contour_err", "max_solve_residual", "transform_s", "factor_s", "solve_s")
 
@@ -727,64 +736,84 @@ def _request(ts, sources):
     return ts, np.array(sources, dtype=float)
 
 
-def kernel_columns(op: DiscreteOperator, ts, z2) -> list[KernelSlice]:
-    """Kernel slices p(t, ., z2) for several times and sources from one evolution.
+def _evolve_cells(op: DiscreteOperator, ts, cells):
+    """The one evolution of kernel columns: the discrete deltas of `cells` at the times `ts`.
 
-    `z2` is one source point (x, y) or a sequence of k of them (_request
-    checks them and the times).  The initial state holds the discrete
-    delta 1/w at each source cell as one source of a (k, nx, ny) block,
-    so the computed columns are already in the y^c dz convention; each
-    slice's values are its source's (nx, ny) state, flat in the order of
-    grid.points().  x is periodic:
-    the block is taken to x-modes once and each distinct time is evaluated
-    once.  A diagonal bmat is evaluated exactly from one
-    y-eigendecomposition for all sources and times (_separable); any
-    other bmat on a Bromwich contour per window of checkpoints (one fused
-    tridiagonal factor-solve of the live x-modes per node for all sources
-    at once, the residual checked in mode space; with a symmetric bmat
-    one solve per Hermitian pair of modes, see _evolve_block), where the
-    modes left out move no value by more than machine epsilon times the
-    column maximum.  The adjoint is exact to round-off relative to the
-    column maximum.  Returns the k * len(ts) slices source-major, each
-    source's times in the caller's order (a repeated time repeats its
-    column), each with the evolution's stats in `meta` (SOLVE_STATS: the
-    route, windows, nodes, factorizations, live modes, solve rows and
-    phase wall times of the evolution) and its own column's
-    `contour_err` and worst solve residual (on the separable route 0 and
-    the eigen-residual).  A contour error above CONTOUR_TOL, non-finite
-    data or a failed eigendecomposition raises SolveFailure.
+    `ts` are checked times in any order and `cells` the (i, j) cells of k
+    sources, as GridSpec.locate gives them; this is the one place where a
+    cell becomes a column and the point that column came from.  Each
+    distinct time is evaluated once: the initial state holds the discrete
+    delta 1/w at each cell as one source of a (k, nx, ny) block, so the
+    columns are already in the y^c dz convention, and one _evolve_block
+    call evolves them all.  Returns per source its flat columns at the
+    caller's times (in the order of grid.points(); a repeated time repeats
+    its column), its stats (the evolution's, with its own column's
+    `contour_err` and `max_solve_residual` as floats) and its cell's
+    centre, where the source snapped.
     """
     grid = op.grid
-    ts, sources = _request(ts, z2)
-    times = np.unique(ts)
-    cells = [grid.locate(z) for z in sources]
+    times, order = np.unique(ts, return_inverse=True)
     w = grid.masses()
     init = np.zeros((len(cells), grid.nx, grid.ny))
     for col, (i, j) in enumerate(cells):
         init[col, i, j] = 1.0 / w[i, j]
     states, stats = _evolve_block(op, init, times.tolist())
-    states = [states[n] for n in np.searchsorted(times, ts)]
-    points, weights = grid.points(), w.ravel()
-    slices = []
-    for col, (i, j) in enumerate(cells):
-        source = np.array([grid.x_centers[i], grid.y_centers[j]])
-        meta = {"grid": grid, **stats,
-                **{key: float(stats[key][col]) for key in ("contour_err", "max_solve_residual")}}
-        slices += [KernelSlice(t=t, source=source, points=points, values=u[col].reshape(-1),
-                               c=grid.c, weights=weights, meta=dict(meta))
-                   for t, u in zip(ts, states)]
-    return slices
+    own = ("contour_err", "max_solve_residual")  # per column
+    return [([states[n][col].reshape(-1) for n in order],
+             {**stats, **{key: float(stats[key][col]) for key in own}},
+             np.array([grid.x_centers[i], grid.y_centers[j]])) for col, (i, j) in enumerate(cells)]
+
+
+def kernel_columns(op: DiscreteOperator, ts, z2) -> list[KernelSlice]:
+    """Kernel slices p(t, ., z2) for several times and sources from one evolution.
+
+    `z2` is one source point (x, y) or a sequence of k of them; _request
+    checks them and the times once, grid.locate finds each source's cell
+    once, and _evolve_cells evolves the discrete deltas of all of them
+    together, each distinct time once.  Each slice's `source` is its
+    cell's centre and its values are that source's (nx, ny) state, flat in
+    the order of grid.points(), with the cell masses as `weights`.  x is
+    periodic: the block is taken to x-modes once.  A diagonal bmat is
+    evaluated exactly from one y-eigendecomposition for all sources and
+    times (_separable); any other bmat on a Bromwich contour per window of
+    checkpoints (one fused tridiagonal factor-solve of the live x-modes per
+    node for all sources at once, the residual checked in mode space; with
+    a symmetric bmat one solve per Hermitian pair of modes, see
+    _evolve_block), where the modes left out move no value by more than
+    machine epsilon times the column maximum.  The adjoint is exact to
+    round-off relative to the column maximum.  Returns the k * len(ts)
+    slices source-major, each source's times in the caller's order (a
+    repeated time repeats its column), each with the grid and the
+    evolution's stats in `meta` (SOLVE_STATS: the route, windows, nodes,
+    factorizations, live modes, solve rows and phase wall times of the
+    evolution) and its own column's `contour_err` and worst solve residual
+    (on the separable route 0 and the eigen-residual).  A contour error
+    above CONTOUR_TOL, non-finite data or a failed eigendecomposition
+    raises SolveFailure.
+    """
+    grid = op.grid
+    ts, sources = _request(ts, z2)
+    cols = _evolve_cells(op, ts, [grid.locate(z) for z in sources])
+    points, weights = grid.points(), grid.masses().ravel()
+    return [KernelSlice(t=t, source=centre, points=points, values=u, c=grid.c, weights=weights,
+                        meta={"grid": grid, **stats})
+            for values, stats, centre in cols for t, u in zip(ts, values)]
 
 
 @dataclass(frozen=True)
 class KernelRequest:
-    """A checked kernel request: made only by kernel_request, evaluated by kernel_slices."""
+    """A checked kernel request: made only by kernel_request, evaluated by kernel_slices.
+
+    `mapped` holds the sources' model images and `cells` their model-grid
+    cells, located once by kernel_request.
+    """
 
     ts: list
     sources: np.ndarray
     red: ReductionResult
     grid: GridSpec
     mapped: np.ndarray
+    cells: tuple
 
 
 def kernel_request(spec: GeneralOperatorSpec, ts, sources, rx: float, ry: float,
@@ -794,7 +823,8 @@ def kernel_request(spec: GeneralOperatorSpec, ts, sources, rx: float, ry: float,
     N = 1 is tested first, whatever the sources' shape; then _request checks
     the times and sources, the operator is reduced once (ParameterError if
     inadmissible), the model grid on [-rx, rx] x (0, ry] checks itself, and
-    each source's model image must lie on it (DomainError on either route).
+    each source's model image is located on it, once (DomainError if it lies
+    off the grid, on either route); the request keeps the cells.
     """
     if spec.n != 1:
         raise StructuralError("kernel slices are defined for N = 1")
@@ -802,9 +832,8 @@ def kernel_request(spec: GeneralOperatorSpec, ts, sources, rx: float, ry: float,
     red = reduce_to_model(spec)
     grid = GridSpec(rx=rx, ry=ry, nx=nx, ny=ny, c=red.model.c)
     mapped = map_point(red, sources)
-    for z2m in mapped:
-        grid.locate(z2m)
-    return KernelRequest(ts=ts, sources=sources, red=red, grid=grid, mapped=mapped)
+    cells = tuple(grid.locate(z2m) for z2m in mapped)
+    return KernelRequest(ts=ts, sources=sources, red=red, grid=grid, mapped=mapped, cells=cells)
 
 
 def kernel_slices(request: KernelRequest, numeric: bool = False) -> list[KernelSlice]:
@@ -814,52 +843,51 @@ def kernel_slices(request: KernelRequest, numeric: bool = False) -> list[KernelS
     slices).  One reduction and one model grid serve every slice, which
     samples the model cell centres mapped back once.  Each distinct model
     time time_scale * t is evaluated once, on either route: the closed
-    form when |a| <= A_ZERO_TOL unless `numeric`, evaluated on the tensor
-    grid of cell centres by tensor_kernel (bit-identical to product_kernel
-    at the cell centres) once per distinct time and source; otherwise one
-    assembly and one kernel_columns call, which evolves all sources
-    together.  All slices share one `points` array, so write_csv formats
-    it once per run.  Values are mapped back by map_kernel_value, which is
-    exact for the identity reduction.  A slice's `source` is the point its
-    column came from (for the solver, the snapped cell, mapped back); meta
-    holds the method, the requested source, the snap offset in model
-    cells, the reduction (`time_scale` and the model's `a` and `c`) and,
-    for solver columns, the mass defect and the SOLVE_STATS of the
-    evolution.
+    form when |a| <= A_ZERO_TOL unless `numeric`, evaluated at the
+    requested model source on the tensor grid of cell centres by
+    tensor_kernel (bit-identical to product_kernel at the cell centres)
+    once per distinct time and source; otherwise one assembly and one
+    _evolve_cells call on the cells kernel_request located, which evolves
+    all sources together (the same path as kernel_columns, without its
+    second check).  All slices share one `points` array, so write_csv
+    formats it once per run.  Values are mapped back by map_kernel_value,
+    which is exact for the identity reduction.  A slice's `source` is the
+    point its column came from (for the solver, the snapped cell centre),
+    mapped back once per source; meta holds the method, the requested
+    source, the snap offset in model cells (once per source), the
+    reduction (`time_scale` and the model's `a` and `c`) and, for solver
+    columns, the mass defect against the grid's cell masses and the
+    SOLVE_STATS of the evolution.
     """
     ts, sources, red, grid, mapped = (request.ts, request.sources, request.red,
                                       request.grid, request.mapped)
     model = red.model
-    cells = grid.points()
-    points = inverse_map_point(red, cells)
+    points = inverse_map_point(red, grid.points())
     exact = model.a_norm <= A_ZERO_TOL and not numeric
     method = ("exact" if exact else "solver") + ("" if red.is_identity else "-reduced")
     reduction = {"time_scale": red.time_scale, "a": model.a.tolist(), "c": model.c}
     model_ts = [red.time_scale * t for t in ts]
-    times = np.unique(model_ts)
-    # source-major over the distinct times, like kernel_columns
-    if exact:
-        cols = [KernelSlice(t=mt, source=z2m, points=cells, c=model.c,
-                            values=tensor_kernel(model, mt, z2m, grid.x_centers, grid.y_centers))
-                for z2m in mapped for mt in times.tolist()]
+    if exact:  # per source: its columns at the caller's times, no stats, its own point
+        times, order = np.unique(model_ts, return_inverse=True)
+        tables = [[tensor_kernel(model, mt, z2m, grid.x_centers, grid.y_centers)
+                   for mt in times.tolist()] for z2m in mapped]
+        cols = [([table[n] for n in order], None, z2m) for table, z2m in zip(tables, mapped)]
     else:
-        cols = kernel_columns(assemble(model, grid), times.tolist(), mapped)
-    out = []
-    for t, n in zip(ts, np.searchsorted(times, model_ts)):
-        for k, (z2, z2m) in enumerate(zip(sources, mapped)):
-            col = cols[k * len(times) + n]
-            used = inverse_map_point(red, col.source)
-            snap = np.hypot(*((col.source - z2m) / (grid.hx, grid.hy)))
-            meta = {"method": method, "source": [float(v) for v in z2],
-                    "source_used": used.tolist(), "snap_offset_cells": float(snap),
-                    "grid_cells": [grid.nx, grid.ny], "reduction": reduction}
-            if col.weights is not None:
-                meta["mass_defect"] = abs(col.mass() - 1.0)
-                meta.update((key, col.meta[key]) for key in SOLVE_STATS)
-            out.append(KernelSlice(t=t, source=used, points=points, c=model.c,
-                                   values=map_kernel_value(red, t, points, used, col.values),
-                                   meta=meta))
-    return out
+        cols = _evolve_cells(assemble(model, grid), model_ts, request.cells)
+        w = grid.masses().ravel()  # for the mass defects
+    rows = [[] for _ in ts]  # t-major
+    for z2, z2m, (values, stats, centre) in zip(sources, mapped, cols):
+        used = inverse_map_point(red, centre)
+        meta = {"method": method, "source": [float(v) for v in z2], "source_used": used.tolist(),
+                "snap_offset_cells": float(np.hypot(*((centre - z2m) / (grid.hx, grid.hy)))),
+                "grid_cells": [grid.nx, grid.ny], "reduction": reduction}
+        for row, t, u in zip(rows, ts, values):
+            solved = {} if stats is None else {"mass_defect": abs(float(np.dot(w, u)) - 1.0),
+                                               **{key: stats[key] for key in SOLVE_STATS}}
+            row.append(KernelSlice(t=t, source=used, points=points, c=model.c,
+                                   values=map_kernel_value(red, t, points, used, u),
+                                   meta={**meta, **solved}))
+    return [s for row in rows for s in row]
 
 
 def discrete_gradient(f: Field):

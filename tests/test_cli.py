@@ -414,7 +414,7 @@ class TestKernelCommand:
         cfg = MIXED_CFG.replace("t.list = 0.25", "t.list = 0.25, 0.5").replace(
             "sources = 0,1", "sources = 0,1 ; 0.5,1.5")
         path = write(tmp_path, "op.cfg", cfg)
-        calls = {"assemble": 0, "kernel_columns": 0, "reduce_to_model": 0, "validate_general": 0}
+        calls = {"assemble": 0, "_evolve_block": 0, "reduce_to_model": 0, "validate_general": 0}
         for name in calls:
             for module in (cli, operators, solver):  # wherever a caller looks the name up
                 if hasattr(module, name):
@@ -427,7 +427,7 @@ class TestKernelCommand:
         index = json.loads((out_dir / "kernel_index.json").read_text())
         assert len(index["outputs"]) == 4
         # validate_general: the CLI's report, then the one reduction's check
-        assert calls == {"assemble": 1, "kernel_columns": 1, "reduce_to_model": 1,
+        assert calls == {"assemble": 1, "_evolve_block": 1, "reduce_to_model": 1,
                          "validate_general": 2}
 
 
@@ -540,6 +540,18 @@ class TestGeneralOperatorRoute:
         x2, y2 = csv_lines[1].split(",")[3:5]
         assert [float(x2), float(y2)] == snapped.tolist()
         assert entry["source"] == [0.2, 1.0]
+
+    def test_grid_too_large_to_allocate_exits_2(self, tmp_path, capsys):
+        # 1e14 y-cells: the first array of that length (728 TiB, past any
+        # address space) is refused outright, before any memory is touched
+        path = write(tmp_path, "gen.cfg", GENERAL_CFG.replace("grid.nx = 32", "grid.nx = 16")
+                     .replace("grid.ny = 32", "grid.ny = 100000000000000"))
+        out_dir = tmp_path / "out"
+        assert main(["kernel", path, "--out", str(out_dir)]) == EXIT_CONFIG_ERROR
+        report = json.loads(capsys.readouterr().out)
+        assert report["error"] == "out of memory"
+        assert report["detail"].startswith("Unable to allocate")
+        assert not (out_dir / "kernel_index.json").exists()
 
 
 DIVERGENCE_CFG = """\

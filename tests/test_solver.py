@@ -610,7 +610,7 @@ class TestKernelColumn:
     def test_kernel_slices_one_factorization_for_all_sources(self, monkeypatch):
         spec = GeneralOperatorSpec(n=1, a_matrix=np.array([[1.0, 0.5], [0.5, 1.0]]),
                                    drift=np.array([0.0, 1.0]))
-        calls = {"zgtsv": 0, "kernel_columns": 0}
+        calls = {"zgtsv": 0, "_evolve_block": 0}
         for name in calls:
             def counted(*args, _fn=getattr(solver, name), _name=name, **kwargs):
                 calls[_name] += 1
@@ -619,11 +619,52 @@ class TestKernelColumn:
         out = kernel_slices(kernel_request(spec, [0.25, 0.5],
                                            [np.array([0.0, 1.0]), np.array([0.5, 1.5])],
                                            rx=4.0, ry=4.0, nx=32, ny=32))
-        assert calls == {"zgtsv": per_window(out[0].meta), "kernel_columns": 1}
+        assert calls == {"zgtsv": per_window(out[0].meta), "_evolve_block": 1}
         # t-major over ts x sources
         assert [(s.t, s.meta["source"]) for s in out] == [
             (0.25, [0.0, 1.0]), (0.25, [0.5, 1.5]), (0.5, [0.0, 1.0]), (0.5, [0.5, 1.5])]
         assert all(s.meta["factorizations"] == per_window(s.meta) for s in out)
+
+    def test_kernel_slices_checks_places_and_evolves_once(self, monkeypatch):
+        spec = GeneralOperatorSpec(n=1, a_matrix=np.array([[1.0, 0.5], [0.5, 1.0]]),
+                                   drift=np.array([0.0, 1.0]))
+        calls = {"_request": 0, "locate": 0, "_evolve_block": 0}
+
+        def counted(fn, name):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+        monkeypatch.setattr(solver, "_request", counted(solver._request, "_request"))
+        monkeypatch.setattr(solver, "_evolve_block", counted(solver._evolve_block, "_evolve_block"))
+        monkeypatch.setattr(GridSpec, "locate", counted(GridSpec.locate, "locate"))
+        out = kernel_slices(kernel_request(spec, [0.5, 0.25], [[0.0, 1.0], [0.5, 1.5]],
+                                           rx=4.0, ry=4.0, nx=32, ny=32))
+        assert len(out) == 4
+        assert calls == {"_request": 1, "locate": 2, "_evolve_block": 1}
+
+    def test_kernel_slices_solver_route_is_kernel_columns(self):
+        # identity reduction: the solver slices are kernel_columns' columns, bit for bit
+        spec = GeneralOperatorSpec(n=1, a_matrix=np.eye(2), drift=np.array([0.0, 0.5]))
+        ts, sources = [0.5, 0.25, 0.5], [[0.1, 1.03], [-0.7, 0.4]]
+        request = kernel_request(spec, ts, sources, rx=3.0, ry=3.0, nx=24, ny=16)
+        out = kernel_slices(request, numeric=True)
+        grid = request.grid
+        cols = kernel_columns(assemble(request.red.model, grid), ts, sources)
+        for n, t in enumerate(ts):
+            for k, z2 in enumerate(sources):
+                slc, col = out[n * len(sources) + k], cols[k * len(ts) + n]
+                assert slc.t == col.t == t
+                assert np.array_equal(slc.values, col.values)
+                assert np.array_equal(slc.source, col.source)
+                assert slc.meta["source_used"] == col.source.tolist()
+                assert slc.meta["snap_offset_cells"] == float(
+                    np.hypot(*((col.source - z2) / (grid.hx, grid.hy))))
+                assert slc.meta["snap_offset_cells"] > 0.0
+                assert slc.meta["mass_defect"] == abs(col.mass() - 1.0)
+                for key in solver.SOLVE_STATS:
+                    if not key.endswith("_s"):  # the phase wall times differ between runs
+                        assert slc.meta[key] == col.meta[key]
 
     @pytest.mark.parametrize("a_matrix,drift", [
         ([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.5]),
@@ -739,7 +780,7 @@ class TestKernelColumn:
             "inadmissible", "grid", "outside", "below"])
     def test_kernel_request_checks_before_any_work(self, monkeypatch, a_matrix, drift, ts,
                                                    sources, grid, error, match):
-        for name in ("assemble", "tensor_kernel", "kernel_columns"):
+        for name in ("assemble", "tensor_kernel", "kernel_columns", "_evolve_block"):
             monkeypatch.setattr(solver, name, lambda *a, _n=name, **k: pytest.fail(f"{_n} ran"))
         spec = GeneralOperatorSpec(n=len(drift) - 1, a_matrix=a_matrix, drift=np.array(drift))
         grid = {"rx": 2.0, "ry": 2.0, "nx": 16, "ny": 16, **grid}
