@@ -20,6 +20,9 @@ Exit codes:
     2  a grid too large to allocate (MemoryError), as JSON, not a traceback
     3  numerical failure
 
+A run that writes no file removes each directory it made for --out,
+if it is still empty; an --out that existed before the run is kept.
+
 Every command is deterministic: the same config and options give the
 same output, apart from the wall times it reports.
 """
@@ -27,6 +30,7 @@ same output, apart from the wall times it reports.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -381,9 +385,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _made_dirs(out: str | None) -> list[Path]:
+    """The directories, deepest first, that making --out would create."""
+    if not out:
+        return []
+    path = Path(out)
+    return [p for p in (path, *path.parents) if not p.exists()]
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    made = _made_dirs(args.out)
     try:
         return args.fn(args)
     except StructuralError as exc:
@@ -401,6 +414,11 @@ def main(argv=None) -> int:
     except MemoryError as exc:  # a grid whose arrays cannot be allocated
         print(json.dumps({"error": "out of memory", "detail": str(exc)}))
         return EXIT_CONFIG_ERROR
+    finally:
+        # a run that wrote no file leaves none of the directories it made for --out
+        for path in made:
+            with contextlib.suppress(OSError):  # not empty, or never made
+                path.rmdir()
 
 
 if __name__ == "__main__":

@@ -359,18 +359,16 @@ def _contour_sum(bands, w, rhs, window, n, stats, worst):
     of its rows, and its factors serve only that node, so one fused LAPACK
     call (zgtsv) factors it and solves for all columns of rhs, shape
     (rows, m k) with k = worst.size, at once; nonzero `info` (an exactly
-    singular pivot) raises SolveFailure.  The bands, the node's diagonal,
-    the right-hand side and the residual live in work arrays allocated
-    once per call, which zgtsv overwrites in place.  The residual is
-    formed from the three diagonals; its maxima are kept per node and
-    column, folded onto the caller's k columns (column j of rhs belongs to
-    caller column j mod k), and after the last node each is held to its
-    own column's |rhs|: above SOLVE_RTOL times it, or non-finite, it
-    raises SolveFailure naming the caller's column (the first failing
-    node's first).  The coefficients c_k e^{z_k t} of all nodes and times
-    come from one outer product.  Returns the sums per time, shape
-    (m k, rows), each divided by the rule's own value at lambda = 0, which
-    is what makes mass exact.
+    singular pivot) raises SolveFailure.  The residual is formed from the
+    three diagonals; its maxima are kept per node and column, folded onto
+    the caller's k columns (column j of rhs belongs to caller column
+    j mod k), and after the last node each is held to its own column's
+    |rhs|: above SOLVE_RTOL times it, or non-finite, it raises
+    SolveFailure naming the caller's column (the first failing node's
+    first).  The coefficients c_k e^{z_k t} of all nodes and times come
+    from one outer product.  Returns the sums per time, shape (m k, rows),
+    each divided by the rule's own value at lambda = 0, which is what
+    makes mass exact.
     """
     lower, diag, upper = bands
     clock = time.perf_counter
@@ -379,30 +377,19 @@ def _contour_sum(bands, w, rhs, window, n, stats, worst):
     den = np.abs(rhs).max(axis=0)
     num = np.empty((n, rhs.shape[1]))
     acc = np.zeros((len(window), rhs.shape[1], rhs.shape[0]), dtype=complex)
-    # work arrays of every node: zgtsv overwrites dl, d, du and b
-    dl, du, d, node_diag = (np.empty_like(a) for a in (lower, upper, diag, diag))
-    b, res, prod = (np.empty(rhs.shape, dtype=complex, order="F") for _ in range(3))
-    mag = np.empty(rhs.shape, order="F")
     for zk, coef_k, num_k in zip(z, coef, num):
         t0 = clock()
-        np.multiply(zk, w, out=node_diag)
-        node_diag += diag
-        dl[:], du[:], d[:], b[:] = lower, upper, node_diag, rhs
-        *_, x, info = zgtsv(dl, d, du, b, overwrite_dl=1, overwrite_d=1, overwrite_du=1,
-                            overwrite_b=1)
+        node_diag = diag + zk * w
+        *_, x, info = zgtsv(lower, node_diag, upper, rhs)
         stats["factorizations"] += 1
         stats["factor_s"] += clock() - t0
         if info != 0:
             raise SolveFailure(f"contour node z = {zk:.4g}: singular mode matrix")
         t0 = clock()
-        np.multiply(node_diag[:, None], x, out=res)
-        res -= rhs
-        np.multiply(lower[:, None], x[:-1], out=prod[1:])
-        res[1:] += prod[1:]
-        np.multiply(upper[:, None], x[1:], out=prod[:-1])
-        res[:-1] += prod[:-1]
-        np.abs(res, out=mag)
-        mag.max(axis=0, out=num_k)
+        res = node_diag[:, None] * x - rhs
+        res[1:] += lower[:, None] * x[:-1]
+        res[:-1] += upper[:, None] * x[1:]
+        num_k[:] = np.abs(res).max(axis=0)
         for acc_t, a in zip(acc, coef_k):
             zaxpy(x.T.ravel(), acc_t.ravel(), a=a)  # in place
         stats["solve_s"] += clock() - t0

@@ -373,7 +373,22 @@ class TestKernelCommand:
         assert main(["kernel", path, "--out", str(out_dir)]) == EXIT_NUMERICAL
         detail = json.loads(capsys.readouterr().out)["detail"]
         assert "4 and 8 nodes" in detail and "CONTOUR_TOL" in detail
-        assert not (out_dir / "kernel_index.json").exists()
+        assert not out_dir.exists()  # a failed run removes the --out it made
+
+    def test_failed_run_keeps_a_pre_existing_out(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(solver, "CONTOUR_NODES", 4)
+        path = write(tmp_path, "op.cfg", MIXED_CFG)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        assert main(["kernel", path, "--out", str(out_dir)]) == EXIT_NUMERICAL
+        assert out_dir.is_dir() and not any(out_dir.iterdir())
+
+    def test_failed_run_removes_every_directory_it_made(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(solver, "CONTOUR_NODES", 4)
+        path = write(tmp_path, "op.cfg", MIXED_CFG)
+        out_dir = tmp_path / "a" / "b"
+        assert main(["kernel", path, "--out", str(out_dir)]) == EXIT_NUMERICAL
+        assert not (tmp_path / "a").exists()
 
     def test_force_numeric(self, tmp_path):
         path = write(tmp_path, "op.cfg", IDENTITY_CFG)
@@ -551,7 +566,7 @@ class TestGeneralOperatorRoute:
         report = json.loads(capsys.readouterr().out)
         assert report["error"] == "out of memory"
         assert report["detail"].startswith("Unable to allocate")
-        assert not (out_dir / "kernel_index.json").exists()
+        assert not out_dir.exists()  # a failed run removes the --out it made
 
 
 DIVERGENCE_CFG = """\

@@ -266,8 +266,14 @@ class TestEvolve:
         real_zgtsv = solver.zgtsv
 
         def counting_zgtsv(lower, diag, upper, rhs, **kwargs):
+            # no overwrite_* flag: zgtsv works on copies and leaves its operands as they were
+            assert not kwargs
+            operands = (lower, diag, upper, rhs)
+            before = [a.copy() for a in operands]
             calls.append(diag.shape)
-            return real_zgtsv(lower, diag, upper, rhs, **kwargs)
+            result = real_zgtsv(*operands)
+            assert all(np.array_equal(a, b) for a, b in zip(operands, before))
+            return result
 
         monkeypatch.setattr(solver, "zgtsv", counting_zgtsv)
         cols = kernel_columns(op, (0.25, 0.5, 1.0, 2.0), np.array([[0.0, 0.5], [0.5, 0.25]]))
