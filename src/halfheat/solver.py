@@ -27,8 +27,10 @@ routes chosen from bmat.  A diagonal B (B01 == B10 == 0.0 exactly: the
 model at a = 0, a divergence form with diagonal A) gives mode blocks
 S_m = K + s_m W that share the eigenvectors of one y-pencil (K, W), so S
 is a Kronecker sum and one symmetric tridiagonal eigendecomposition
-evaluates the evolution exactly at every time (_separable).  Any other B
-takes the contour route: the trapezoid
+evaluates the evolution exactly at every time (_separable), as an
+x-circulant column times y-products on the source rows: O(nx log nx +
+k r ny (ny + nx)) per time for r x-rows holding data (r <= k for kernel
+columns).  Any other B takes the contour route: the trapezoid
 rule on a hyperbolic Bromwich contour (Weideman & Trefethen 2007) needs
 one shifted solve (zW + S)^{-1} per node, shared by every checkpoint of
 a window [t0, 4 t0].  An fft along x takes the data to x-modes, where
@@ -535,16 +537,24 @@ def _separable(op: DiscreteOperator, u: np.ndarray, times):
     in y (K mode 0's block, W the y-cell weights, s_m the x symbol of
     mode m times B00 / hx^2, read off the bands), so S is the Kronecker
     sum of an x and a y operator and all modes share the eigenvectors of
-    the pencil (K, W).  One symmetric tridiagonal eigendecomposition
+    the pencil (K, W).  So e^{-t W^{-1} S} is the x-circulant e^{-t A_x},
+    A_x the circulant of symbol s_m, times the y-evolution, and one
+    symmetric tridiagonal eigendecomposition
     C = W^{-1/2} K W^{-1/2} = Q diag(mu) Q' (LAPACK stemr) gives
 
-        u(t) = ifft_x[W^{-1/2} Q e^{-t (s_m + mu)} Q' W^{1/2} fft_x(u0)],
+        u(t)[i] = sum_r g_t[(i - i_r) mod nx] W^{-1/2} Q e^{-t mu} Q' W^{1/2} u0[i_r]
 
-    for every column and time, with no contour, window or mode pruning.
-    The y-products are real, so they are taken before the rfft and after
-    the irfft, where the entries below tiny / eps (decayed through the
-    subnormal range) are set to 0: they move no value by more than ny
-    times that, and subnormal products run about 4 times slower.
+    for every column and time, with no contour, window or mode pruning:
+    i_r runs over the x-rows where some source of u is nonzero (one row
+    per delta source, r of them) and g_t = irfft(e^{-t s_m}) is column 0
+    of e^{-t A_x}.  The y-products run on those r rows only, so a time
+    costs O(nx log nx + k r ny (ny + nx)) instead of the
+    O(k nx ny (ny + log nx)) of evolving all nx rows in x-modes.  The
+    entries of g_t and of the y-factor below tiny / eps (decayed through
+    the subnormal range) are set to 0: they move no value by more than r
+    times that times the other factor's largest entry (g_t <= 1, since
+    e^{-t A_x} is doubly stochastic), and subnormal products run about 4
+    times slower.
     Non-finite data raises SolveFailure naming its column (source), and so
     do a non-finite C and a relative eigen-residual
     max|C Q - Q diag(mu)| / max|mu| above SOLVE_RTOL.
@@ -554,8 +564,8 @@ def _separable(op: DiscreteOperator, u: np.ndarray, times):
     `live_modes`, ny `solve_rows` (the one y-block decomposed),
     `contour_err` 0 and the eigen-residual as every column's
     `max_solve_residual`; `factor_s` is the bands and the decomposition,
-    `transform_s` the rfft, the exponentials and the irfft, and `solve_s`
-    the y-products.
+    `transform_s` the x-factor (g_t and its circulant entries), and
+    `solve_s` the y-products and the product of the two factors.
     """
     k, nx, ny = u.shape
     clock = time.perf_counter
@@ -583,22 +593,24 @@ def _separable(op: DiscreteOperator, u: np.ndarray, times):
              "live_modes": nx, "solve_rows": ny, "contour_err": np.zeros(k),
              "max_solve_residual": np.full(k, residual), "factor_s": clock() - t0}
     t0 = clock()
+    rows = np.flatnonzero(np.any(u != 0.0, axis=(0, 2)))  # x-rows holding data
     # the y-products run in einsum's own loop, not a threaded BLAS gemm, whose
     # second thread can hold every call for a scheduler tick on a busy host
-    v = np.einsum("kij,jl->kil", u * root, q, optimize=False)
+    v = np.einsum("krj,jl->krl", u[:, rows] * root, q, optimize=False)
     solve_s = clock() - t0
-    t0 = clock()
-    v = np.fft.rfft(v, axis=1)
-    transform_s = clock() - t0
-    rate = shift[:nx // 2 + 1, None] + mu  # s_m + mu_j of the modes rfft keeps
+    offset = (np.arange(nx)[:, None] - rows) % nx  # circulant entry (i, rows[r])
+    rate = shift[:nx // 2 + 1]  # s_m of the modes rfft keeps
     flush = np.finfo(float).tiny / np.finfo(float).eps
-    states = []
+    transform_s, states = 0.0, []
     for t in times:
         t0 = clock()
-        x = np.fft.irfft(v * np.exp(-t * rate), n=nx, axis=1)
-        x[np.abs(x) < flush] = 0.0
+        gx = np.fft.irfft(np.exp(-t * rate), n=nx)  # column 0 of e^{-t A_x}
+        gx[np.abs(gx) < flush] = 0.0
+        ex = gx[offset]
         t1 = clock()
-        states.append(np.einsum("kij,lj->kil", x, q, optimize=False) / root)
+        y = np.einsum("krj,lj->krl", v * np.exp(-t * mu), q, optimize=False) / root
+        y[np.abs(y) < flush] = 0.0
+        states.append(np.einsum("ir,krj->kij", ex, y, optimize=False))
         transform_s += t1 - t0
         solve_s += clock() - t1
     stats.update(transform_s=transform_s, solve_s=solve_s)
@@ -760,13 +772,14 @@ def kernel_columns(op: DiscreteOperator, ts, z2) -> list[KernelSlice]:
     together, each distinct time once.  Each slice's `source` is its
     cell's centre and its values are that source's (nx, ny) state, flat in
     the order of grid.points(), with the cell masses as `weights`.  x is
-    periodic: the block is taken to x-modes once.  A diagonal bmat is
-    evaluated exactly from one y-eigendecomposition for all sources and
-    times (_separable); any other bmat on a Bromwich contour per window of
-    checkpoints (one fused tridiagonal factor-solve of the live x-modes per
-    node for all sources at once, the residual checked in mode space; with
-    a symmetric bmat one solve per Hermitian pair of modes, see
-    _evolve_block), where the modes left out move no value by more than
+    periodic.  A diagonal bmat is evaluated exactly from one
+    y-eigendecomposition for all sources and times, as an x-circulant
+    column times y-products on the source rows (_separable); any other
+    bmat takes the block to x-modes once and is evaluated on a Bromwich
+    contour per window of checkpoints (one fused tridiagonal factor-solve
+    of the live x-modes per node for all sources at once, the residual
+    checked in mode space; with a symmetric bmat one solve per Hermitian
+    pair of modes, see _evolve_block), where the modes left out move no value by more than
     machine epsilon times the column maximum.  The adjoint is exact to
     round-off relative to the column maximum.  Returns the k * len(ts)
     slices source-major, each source's times in the caller's order (a

@@ -306,6 +306,9 @@ class TestEvolve:
         u[2, 0, 5] = np.nan
         with pytest.raises(SolveFailure, match="in column 2"):
             solver._evolve_block(op, u, [0.1])
+        # all-zero data has no source row and stays 0
+        states, _ = solver._evolve_block(op, np.zeros_like(u), [0.1, 1.0])
+        assert all(s.shape == u.shape and not np.any(s) for s in states)
 
     def test_separable_eigen_residual_guard(self, monkeypatch):
         # eigenvectors mixed by 1e-6 are no eigenvectors: the residual check fires
@@ -499,7 +502,8 @@ class TestKernelColumn:
         # windows; an odd nx has no Nyquist mode, an even one pairs it with itself.
         # The cross term has a symmetric B and takes the paired contour solve; a = 0
         # and the diagonal B take the separable route, exact to round-off, also with
-        # a source in the first y-cell at c = 5
+        # a source in the first y-cell at c = 5, sources in the first and the last
+        # x-cell (the circulant wraps around) and two sources in one x-cell
         ts = (0.05, 0.2, 1.0)
         cases = [*itertools.product((0.5, 0.9, 0.0, "cross", "diagonal"), (-0.5, 1.0)),
                  (0.0, 5.0), ("diagonal", 5.0)]
@@ -511,7 +515,8 @@ class TestKernelColumn:
                 op = assemble(ModelOperatorSpec(n=1, a=np.array([b]), c=c), grid)
             op = op.adjoint() if adjoint else op
             separable = op.bmat[0, 1] == op.bmat[1, 0] == 0.0
-            sources = np.array([[0.0, 0.2], [1.0, 1.5], *([[-1.0, 0.05]] if separable else [])])
+            extra = [[-1.0, 0.05], [-2.95, 1.0], [2.95, 2.5], [0.0, 1.0]] if separable else []
+            sources = np.array([[0.0, 0.2], [1.0, 1.5], *extra])
             cols = kernel_columns(op, ts, sources)
             assert cols[0].meta["route"] == ("separable" if separable else "contour")
             tol = 1e-12 if separable else 1e-8
