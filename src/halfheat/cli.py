@@ -200,7 +200,7 @@ def cmd_kernel(args) -> int:
 
     clock = time.perf_counter
     start = clock()
-    slices = kernel_slices(request, numeric=args.force_numeric)
+    slices = kernel_slices(request)
     evaluate_s = clock() - start
     for slc in slices:
         defect = slc.meta.get("mass_defect", 0.0)
@@ -370,8 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ker = sub.add_parser("kernel", help="compute kernel slices to CSV")
     p_ker.add_argument("config")
     p_ker.add_argument("--out", default=None, help="output directory")
-    p_ker.add_argument("--force-numeric", action="store_true",
-                       help="use the solver even when a = 0")
     p_ker.add_argument("--mass-tol", type=float, default=1e-3)
     p_ker.set_defaults(fn=cmd_kernel)
 

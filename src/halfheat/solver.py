@@ -836,15 +836,15 @@ def kernel_request(spec: GeneralOperatorSpec, ts, sources, rx: float, ry: float,
     return KernelRequest(ts=ts, sources=sources, red=red, grid=grid, mapped=mapped, cells=cells)
 
 
-def kernel_slices(request: KernelRequest, numeric: bool = False) -> list[KernelSlice]:
+def kernel_slices(request: KernelRequest) -> list[KernelSlice]:
     """Kernel slices p(t, ., z2) of a checked request, t-major over ts x sources.
 
     The times keep the caller's order (a repeated time repeats its
     slices).  One reduction and one model grid serve every slice, which
     samples the model cell centres mapped back once.  Each distinct model
-    time time_scale * t is evaluated once, on either route: the closed
-    form when |a| <= A_ZERO_TOL unless `numeric`, evaluated at the
-    requested model source on the tensor grid of cell centres by
+    time time_scale * t is evaluated once, on the route the reduced
+    operator fixes: the closed form when |a| <= A_ZERO_TOL, evaluated at
+    the requested model source on the tensor grid of cell centres by
     tensor_kernel (bit-identical to product_kernel at the cell centres)
     once per distinct time and source; otherwise one assembly and one
     _evolve_cells call on the cells kernel_request located, which evolves
@@ -852,18 +852,18 @@ def kernel_slices(request: KernelRequest, numeric: bool = False) -> list[KernelS
     second check).  All slices share one `points` array, so write_csv
     formats it once per run.  Values are mapped back by map_kernel_value,
     which is exact for the identity reduction.  A slice's `source` is the
-    point its column came from (for the solver, the snapped cell centre),
-    mapped back once per source; meta holds the method, the requested
-    source, the snap offset in model cells (once per source), the
-    reduction (`time_scale` and the model's `a` and `c`) and, for solver
-    columns, the mass defect against the grid's cell masses and the
-    SOLVE_STATS of the evolution.
+    point its column came from: the requested source for the closed form,
+    the snapped cell centre mapped back once for the solver; meta holds the
+    method, the requested source, the snap offset in model cells (0 for the
+    closed form), the reduction (`time_scale` and the model's `a` and
+    `c`) and, for solver columns, the mass defect against the grid's cell
+    masses and the SOLVE_STATS of the evolution.
     """
     ts, sources, red, grid, mapped = (request.ts, request.sources, request.red,
                                       request.grid, request.mapped)
     model = red.model
     points = inverse_map_point(red, grid.points())
-    exact = model.a_norm <= A_ZERO_TOL and not numeric
+    exact = model.a_norm <= A_ZERO_TOL
     method = ("exact" if exact else "solver") + ("" if red.is_identity else "-reduced")
     reduction = {"time_scale": red.time_scale, "a": model.a.tolist(), "c": model.c}
     model_ts = [red.time_scale * t for t in ts]
@@ -877,7 +877,7 @@ def kernel_slices(request: KernelRequest, numeric: bool = False) -> list[KernelS
         w = grid.masses().ravel()  # for the mass defects
     rows = [[] for _ in ts]  # t-major
     for z2, z2m, (values, stats, centre) in zip(sources, mapped, cols):
-        used = inverse_map_point(red, centre)
+        used = z2 if exact else inverse_map_point(red, centre)
         meta = {"method": method, "source": [float(v) for v in z2], "source_used": used.tolist(),
                 "snap_offset_cells": float(np.hypot(*((centre - z2m) / (grid.hx, grid.hy)))),
                 "grid_cells": [grid.nx, grid.ny], "reduction": reduction}

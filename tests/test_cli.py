@@ -218,6 +218,24 @@ class TestKernelCommand:
         header = csv_file.read_text().splitlines()[0]
         assert header == "t,x1,y1,x2,y2,p,convention"
 
+    def test_exact_reduced_route_writes_the_requested_source(self, tmp_path):
+        # a sheared a = 0 operator: the closed form is evaluated at each source's exact
+        # image, so the index and the CSV x2,y2 keep the requested doubles, not a round trip
+        cfg = IDENTITY_CFG.replace("A.row.1 = 1, 0\nA.row.2 = 0, 1",
+                                   "A.row.1 = 2, 0.7\nA.row.2 = 0.7, 1.2").replace(
+            "v.d = 0\nv.c = 0", "v.d = 0.35\nv.c = 0.6").replace(
+            "sources = 0,1", "sources = 0.1,1.0 ; -0.3,0.7")
+        path = write(tmp_path, "op.cfg", cfg)
+        out_dir = tmp_path / "out"
+        assert main(["kernel", path, "--out", str(out_dir)]) == EXIT_PASS
+        outputs = json.loads((out_dir / "kernel_index.json").read_text())["outputs"]
+        for entry, source in zip(outputs, [[0.1, 1.0], [-0.3, 0.7]], strict=True):
+            assert entry["method"] == "exact-reduced"
+            assert entry["source"] == entry["source_used"] == source
+            assert entry["snap_offset_cells"] == 0.0
+            rows = Path(entry["file"]).read_text().splitlines()[1:]
+            assert {tuple(float(v) for v in row.split(",")[3:5]) for row in rows} == {tuple(source)}
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
     def test_mass_tol_must_be_finite_and_non_negative(self, tmp_path, capsys, tol):
         # nan and inf once switched the check off, -1 failed every run
@@ -247,48 +265,38 @@ class TestKernelCommand:
         assert 0.0 < entry["max_solve_residual"] < solver.SOLVE_RTOL
         assert "reduction" not in entry
 
-    def test_solver_route_for_identity_is_separable(self, tmp_path):
-        # a diagonal A reduces to a diagonal bmat: one y-eigendecomposition, no contour
-        path = write(tmp_path, "op.cfg", IDENTITY_CFG)
+    @pytest.mark.parametrize("cfg", [IDENTITY_CFG.replace("t.list = 0.5", "t.list ="),
+                                     MIXED_CFG.replace("t.list = 0.25", "t.list =")],
+                             ids=["exact", "solver"])
+    def test_empty_time_list_rejected(self, tmp_path, capsys, cfg):
+        path = write(tmp_path, "op.cfg", cfg)
         out_dir = tmp_path / "out"
-        assert main(["kernel", path, "--out", str(out_dir), "--force-numeric"]) == EXIT_PASS
-        entry = json.loads((out_dir / "kernel_index.json").read_text())["outputs"][0]
-        assert entry["method"] == "solver"
-        assert set(solver.SOLVE_STATS) <= set(entry)
-        assert entry["route"] == "separable"
-        assert entry["windows"] == entry["nodes"] == entry["factorizations"] == 0
-        assert (entry["live_modes"], entry["solve_rows"]) == (32, 32)
-        assert entry["contour_err"] == 0.0
-        assert 0.0 < entry["max_solve_residual"] < solver.SOLVE_RTOL
-        assert entry["mass_defect"] <= 1e-12
-
-    @pytest.mark.parametrize("flags", [[], ["--force-numeric"]])
-    def test_empty_time_list_rejected(self, tmp_path, capsys, flags):
-        path = write(tmp_path, "op.cfg", IDENTITY_CFG.replace("t.list = 0.5", "t.list ="))
-        out_dir = tmp_path / "out"
-        assert main(["kernel", path, "--out", str(out_dir), *flags]) == EXIT_CONFIG_ERROR
+        assert main(["kernel", path, "--out", str(out_dir)]) == EXIT_CONFIG_ERROR
         assert json.loads(capsys.readouterr().out)["error"] == "DomainError"
         assert not out_dir.exists()
 
-    @pytest.mark.parametrize("flags", [[], ["--force-numeric"]])
-    def test_source_outside_grid_rejected_on_both_routes(self, tmp_path, capsys, flags):
-        path = write(tmp_path, "op.cfg", OUTSIDE_CFG)
+    @pytest.mark.parametrize("cfg", [
+        OUTSIDE_CFG,
+        OUTSIDE_CFG.replace("A.row.1 = 1, 0\nA.row.2 = 0, 1", "A.row.1 = 1, 0.5\nA.row.2 = 0.5, 1"),
+    ], ids=["exact", "solver"])
+    def test_source_outside_grid_rejected_on_both_routes(self, tmp_path, capsys, cfg):
+        path = write(tmp_path, "op.cfg", cfg)
         out_dir = tmp_path / "out"
-        assert main(["kernel", path, "--out", str(out_dir), *flags]) == EXIT_CONFIG_ERROR
+        assert main(["kernel", path, "--out", str(out_dir)]) == EXIT_CONFIG_ERROR
         assert json.loads(capsys.readouterr().out)["error"] == "DomainError"
         assert not out_dir.exists()  # refused before --out is made
 
-    @pytest.mark.parametrize("old,new,flags", [
-        ("t.list = 0.5", "t.list = inf", []),
-        ("t.list = 0.5", "t.list = nan", ["--force-numeric"]),
-        ("grid.Rx = 5", "grid.Rx = inf", []),
-        ("v.c = 0", "v.c = inf", []),
-        ("grid.nx = 32", "grid.nx = inf", []),
+    @pytest.mark.parametrize("old,new", [
+        ("t.list = 0.5", "t.list = inf"),
+        ("t.list = 0.5", "t.list = nan"),
+        ("grid.Rx = 5", "grid.Rx = inf"),
+        ("v.c = 0", "v.c = inf"),
+        ("grid.nx = 32", "grid.nx = inf"),
     ], ids=["t_inf", "t_nan_numeric", "Rx_inf", "vc_inf", "nx_inf"])
-    def test_non_finite_numbers_rejected(self, tmp_path, capsys, old, new, flags):
+    def test_non_finite_numbers_rejected(self, tmp_path, capsys, old, new):
         path = write(tmp_path, "op.cfg", IDENTITY_CFG.replace(old, new))
         out_dir = tmp_path / "out"
-        assert main(["kernel", path, "--out", str(out_dir), *flags]) == EXIT_CONFIG_ERROR
+        assert main(["kernel", path, "--out", str(out_dir)]) == EXIT_CONFIG_ERROR
         assert json.loads(capsys.readouterr().out)["error"] == "config error"
         assert not (out_dir / "kernel_index.json").exists()
 
@@ -342,16 +350,17 @@ class TestKernelCommand:
         assert not list(out_dir.glob("*.csv"))
         assert not out_dir.exists()
 
-    @pytest.mark.parametrize("flags", [[], ["--force-numeric"]])
     @pytest.mark.parametrize("cfg,error,detail", [
         (IDENTITY_CFG.replace("t.list = 0.5", "t.list = -1"), "DomainError", "positive"),
+        (MIXED_CFG.replace("t.list = 0.25", "t.list = -1"), "DomainError", "positive"),
         (IDENTITY_CFG.replace("t.list = 0.5", "t.list = 0"), "DomainError", "positive"),
-        (N2_CFG, "config error", "defined for N = 1"),
-    ], ids=["t_negative", "t_zero", "n2"])
-    def test_bad_request_leaves_no_out(self, tmp_path, capsys, flags, cfg, error, detail):
+        (MIXED_CFG.replace("t.list = 0.25", "t.list = 0"), "DomainError", "positive"),
+        (N2_CFG, "config error", "defined for N = 1"),  # refused before either route
+    ], ids=["t_negative-exact", "t_negative-solver", "t_zero-exact", "t_zero-solver", "n2"])
+    def test_bad_request_leaves_no_out(self, tmp_path, capsys, cfg, error, detail):
         path = write(tmp_path, "op.cfg", cfg)
         out_dir = tmp_path / "out"
-        assert main(["kernel", path, "--out", str(out_dir), *flags]) == EXIT_CONFIG_ERROR
+        assert main(["kernel", path, "--out", str(out_dir)]) == EXIT_CONFIG_ERROR
         report = json.loads(capsys.readouterr().out)
         assert report["error"] == error and detail in report["detail"]
         assert not out_dir.exists()
@@ -390,13 +399,6 @@ class TestKernelCommand:
         assert main(["kernel", path, "--out", str(out_dir)]) == EXIT_NUMERICAL
         assert not (tmp_path / "a").exists()
 
-    def test_force_numeric(self, tmp_path):
-        path = write(tmp_path, "op.cfg", IDENTITY_CFG)
-        out_dir = tmp_path / "out"
-        assert main(["kernel", path, "--out", str(out_dir), "--force-numeric"]) == EXIT_PASS
-        index = json.loads((out_dir / "kernel_index.json").read_text())
-        assert index["outputs"][0]["method"] == "solver"
-
     def test_full_precision_csv(self, tmp_path):
         path = write(tmp_path, "op.cfg", IDENTITY_CFG)
         out_dir = tmp_path / "out"
@@ -412,18 +414,6 @@ class TestKernelCommand:
         z1 = np.array([float(row[1]), float(row[2])])
         z2 = np.array([float(row[3]), float(row[4])])
         assert float(row[5]) == product_kernel(m, float(row[0]), z1, z2)
-
-    def test_exact_and_numeric_share_sample_points(self, tmp_path):
-        path = write(tmp_path, "op.cfg", IDENTITY_CFG)
-        columns = []
-        for extra in ([], ["--force-numeric"]):
-            out_dir = tmp_path / ("numeric" if extra else "exact")
-            assert main(["kernel", path, "--out", str(out_dir), *extra]) == EXIT_PASS
-            index = json.loads((out_dir / "kernel_index.json").read_text())
-            lines = Path(index["outputs"][0]["file"]).read_text().splitlines()[1:]
-            columns.append([line.split(",")[1:3] for line in lines])
-        assert len(columns[0]) == 32 * 32
-        assert columns[0] == columns[1]
 
     def test_one_assembly_and_one_evolution_per_run(self, tmp_path, monkeypatch):
         cfg = MIXED_CFG.replace("t.list = 0.25", "t.list = 0.25, 0.5").replace(

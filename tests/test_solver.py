@@ -654,12 +654,26 @@ class TestKernelColumn:
         assert len(out) == 4
         assert calls == {"_request": 1, "locate": 2, "_evolve_block": 1}
 
+    def test_separable_route_stats(self):
+        # a = 0: one y-eigendecomposition, no contour, every x-mode evaluated
+        _, _, op = make(n=32, r=5.0)
+        for col in kernel_columns(op, [0.5, 1.0], [[0.0, 1.0], [0.5, 1.5]]):
+            assert col.meta["route"] == "separable"
+            assert col.meta["windows"] == col.meta["nodes"] == col.meta["factorizations"] == 0
+            assert (col.meta["live_modes"], col.meta["solve_rows"]) == (32, 32)
+            assert col.meta["contour_err"] == 0.0
+            assert 0.0 < col.meta["max_solve_residual"] < solver.SOLVE_RTOL
+            assert abs(col.mass() - 1.0) <= 1e-12
+
     def test_kernel_slices_solver_route_is_kernel_columns(self):
-        # identity reduction: the solver slices are kernel_columns' columns, bit for bit
-        spec = GeneralOperatorSpec(n=1, a_matrix=np.eye(2), drift=np.array([0.0, 0.5]))
+        # identity reduction with a != 0: the solver slices are kernel_columns' columns,
+        # bit for bit
+        spec = GeneralOperatorSpec(n=1, a_matrix=np.array([[1.0, 0.5], [0.5, 1.0]]),
+                                   drift=np.array([0.0, 0.5]))
         ts, sources = [0.5, 0.25, 0.5], [[0.1, 1.03], [-0.7, 0.4]]
         request = kernel_request(spec, ts, sources, rx=3.0, ry=3.0, nx=24, ny=16)
-        out = kernel_slices(request, numeric=True)
+        assert request.red.is_identity and request.red.model.a_norm > solver.A_ZERO_TOL
+        out = kernel_slices(request)
         grid = request.grid
         cols = kernel_columns(assemble(request.red.model, grid), ts, sources)
         for n, t in enumerate(ts):
