@@ -356,7 +356,12 @@ class TestKernelCommand:
         (IDENTITY_CFG.replace("t.list = 0.5", "t.list = 0"), "DomainError", "positive"),
         (MIXED_CFG.replace("t.list = 0.25", "t.list = 0"), "DomainError", "positive"),
         (N2_CFG, "config error", "defined for N = 1"),  # refused before either route
-    ], ids=["t_negative-exact", "t_negative-solver", "t_zero-exact", "t_zero-solver", "n2"])
+        (N2_CFG.replace("A.row.1 = 1, 0", "A.row.1 = 1, 0.5").replace("A.row.2 = 0, 1", "A.row.2 = 0.5, 1"),
+         "config error", "defined for N = 1"),
+    ], ids=[  # flags0: an a = 0 operator (exact route); flags1: a mixed one (solver route)
+        "t_negative-flags0", "t_negative-flags1", "t_zero-flags0", "t_zero-flags1",
+        "n2-flags0", "n2-flags1",
+    ])
     def test_bad_request_leaves_no_out(self, tmp_path, capsys, cfg, error, detail):
         path = write(tmp_path, "op.cfg", cfg)
         out_dir = tmp_path / "out"
