@@ -2,12 +2,11 @@
 
     python3 bench/kernel_out.py [--out BENCH_kernel_out.json] [--repeats 7]
 
-`halfheat kernel` is one kernel_request call (every check, before
---out is made; it locates each source's model cell once), one
-kernel_slices call (the work: on the solver route one evolution of
-those cells, on the path kernel_columns also takes, without a second
-check) and one write_csv call, which writes every number as the bytes
-of `"%.17g" % v`.  The
+`halfheat kernel` is one kernel_slices call (every check first,
+locating each source's model cell once, then the work: on the solver
+route one evolution of those cells, on the path kernel_columns also
+takes, without a second check) and one write_csv call, which writes
+every number as the bytes of `"%.17g" % v`.  The
 a = 0 kernel on a tensor grid is one kernels.tensor_kernel call, which
 kernel_slices uses on the cell centres, and verify.exact_quadrature_slice
 and verify.check_identities_exact on the 1-D rules of halfspace_nodes.

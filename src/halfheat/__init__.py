@@ -53,12 +53,10 @@ from .solver import (
     DiscreteOperator,
     Field,
     GridSpec,
-    KernelRequest,
     assemble,
     assemble_divergence_form,
     discrete_gradient,
     kernel_columns,
-    kernel_request,
     kernel_slices,
 )
 from .special import bessel_i_scaled, log_gamma

@@ -52,10 +52,9 @@ Every kernel column takes one path, _evolve_cells: it deduplicates the
 caller's times once, puts the discrete delta of each located source cell
 into one (k, nx, ny) block, evolves the block once and returns each
 source's columns with its own stats and the cell centre it came from.
-kernel_columns checks its request (_request) and locates its sources
-(GridSpec.locate) once, then calls it; kernel_slices calls it with the
-cells that kernel_request located, so on either entry point a request is
-checked, placed and reordered once.
+kernel_columns and kernel_slices each check their request (_request) and
+locate its sources (GridSpec.locate) once, then call it, so on either
+entry point a request is checked, placed and reordered once.
 """
 
 from __future__ import annotations
@@ -74,7 +73,6 @@ from .kernels import A_ZERO_TOL, KernelSlice, tensor_kernel
 from .operators import (
     GeneralOperatorSpec,
     ModelOperatorSpec,
-    ReductionResult,
     inverse_map_point,
     map_kernel_value,
     map_point,
@@ -89,8 +87,6 @@ __all__ = [
     "assemble",
     "assemble_divergence_form",
     "kernel_columns",
-    "KernelRequest",
-    "kernel_request",
     "kernel_slices",
     "discrete_gradient",
 ]
@@ -800,44 +796,17 @@ def kernel_columns(op: DiscreteOperator, ts, z2) -> list[KernelSlice]:
             for values, stats, centre in cols for t, u in zip(ts, values)]
 
 
-@dataclass(frozen=True)
-class KernelRequest:
-    """A checked kernel request: made only by kernel_request, evaluated by kernel_slices.
+def kernel_slices(spec: GeneralOperatorSpec, ts, sources, rx: float, ry: float,
+                  nx: int, ny: int) -> list[KernelSlice]:
+    """Kernel slices p(t, ., z2) of a general operator, t-major over ts x sources.
 
-    `mapped` holds the sources' model images and `cells` their model-grid
-    cells, located once by kernel_request.
-    """
-
-    ts: list
-    sources: np.ndarray
-    red: ReductionResult
-    grid: GridSpec
-    mapped: np.ndarray
-    cells: tuple
-
-
-def kernel_request(spec: GeneralOperatorSpec, ts, sources, rx: float, ry: float,
-                   nx: int, ny: int) -> KernelRequest:
-    """Every check of a kernel request, and no kernel work.
-
-    N = 1 is tested first, whatever the sources' shape; then _request checks
-    the times and sources, the operator is reduced once (ParameterError if
-    inadmissible), the model grid on [-rx, rx] x (0, ry] checks itself, and
-    each source's model image is located on it, once (DomainError if it lies
-    off the grid, on either route); the request keeps the cells.
-    """
-    if spec.n != 1:
-        raise StructuralError("kernel slices are defined for N = 1")
-    ts, sources = _request(ts, sources)
-    red = reduce_to_model(spec)
-    grid = GridSpec(rx=rx, ry=ry, nx=nx, ny=ny, c=red.model.c)
-    mapped = map_point(red, sources)
-    cells = tuple(grid.locate(z2m) for z2m in mapped)
-    return KernelRequest(ts=ts, sources=sources, red=red, grid=grid, mapped=mapped, cells=cells)
-
-
-def kernel_slices(request: KernelRequest) -> list[KernelSlice]:
-    """Kernel slices p(t, ., z2) of a checked request, t-major over ts x sources.
+    Every check comes first, before any kernel work: N = 1 whatever the
+    sources' shape (StructuralError), then _request checks the times and
+    sources, the operator is reduced once (ParameterError if
+    inadmissible), a model time time_scale * t that underflows to 0 or
+    overflows raises DomainError, the model grid on [-rx, rx] x (0, ry]
+    checks itself, and each source's model image is located on it, once
+    (DomainError if it lies off the grid, on either route).
 
     The times keep the caller's order (a repeated time repeats its
     slices).  One reduction and one model grid serve every slice, which
@@ -847,33 +816,41 @@ def kernel_slices(request: KernelRequest) -> list[KernelSlice]:
     the requested model source on the tensor grid of cell centres by
     tensor_kernel (bit-identical to product_kernel at the cell centres)
     once per distinct time and source; otherwise one assembly and one
-    _evolve_cells call on the cells kernel_request located, which evolves
-    all sources together (the same path as kernel_columns, without its
-    second check).  All slices share one `points` array, so write_csv
-    formats it once per run.  Values are mapped back by map_kernel_value,
-    which is exact for the identity reduction.  A slice's `source` is the
-    point its column came from: the requested source for the closed form,
-    the snapped cell centre mapped back once for the solver; meta holds the
-    method, the requested source, the snap offset in model cells (0 for the
-    closed form), the reduction (`time_scale` and the model's `a` and
-    `c`) and, for solver columns, the mass defect against the grid's cell
-    masses and the SOLVE_STATS of the evolution.
+    _evolve_cells call on the located cells, which evolves all sources
+    together (the same path as kernel_columns, without its second check).
+    All slices share one `points` array, so write_csv formats it once per
+    run.  Values are mapped back by map_kernel_value, which is exact for
+    the identity reduction.  A slice's `source` is the point its column
+    came from: the requested source for the closed form, the snapped cell
+    centre mapped back once for the solver; meta holds the method, the
+    requested source, the snap offset in model cells (0 for the closed
+    form), the reduction (`time_scale` and the model's `a` and `c`) and,
+    for solver columns, the mass defect against the grid's cell masses and
+    the SOLVE_STATS of the evolution.
     """
-    ts, sources, red, grid, mapped = (request.ts, request.sources, request.red,
-                                      request.grid, request.mapped)
+    if spec.n != 1:
+        raise StructuralError("kernel slices are defined for N = 1")
+    ts, sources = _request(ts, sources)
+    red = reduce_to_model(spec)
+    model_ts = [red.time_scale * t for t in ts]
+    if not all(0.0 < mt < np.inf for mt in model_ts):
+        raise DomainError(f"kernel times must give a positive, finite model time "
+                          f"time_scale * t (time_scale = {red.time_scale:g})")
+    grid = GridSpec(rx=rx, ry=ry, nx=nx, ny=ny, c=red.model.c)
+    mapped = map_point(red, sources)
+    cells = [grid.locate(z2m) for z2m in mapped]
     model = red.model
     points = inverse_map_point(red, grid.points())
     exact = model.a_norm <= A_ZERO_TOL
     method = ("exact" if exact else "solver") + ("" if red.is_identity else "-reduced")
     reduction = {"time_scale": red.time_scale, "a": model.a.tolist(), "c": model.c}
-    model_ts = [red.time_scale * t for t in ts]
     if exact:  # per source: its columns at the caller's times, no stats, its own point
         times, order = np.unique(model_ts, return_inverse=True)
         tables = [[tensor_kernel(model, mt, z2m, grid.x_centers, grid.y_centers)
                    for mt in times.tolist()] for z2m in mapped]
         cols = [([table[n] for n in order], None, z2m) for table, z2m in zip(tables, mapped)]
     else:
-        cols = _evolve_cells(assemble(model, grid), model_ts, request.cells)
+        cols = _evolve_cells(assemble(model, grid), model_ts, cells)
         w = grid.masses().ravel()  # for the mass defects
     rows = [[] for _ in ts]  # t-major
     for z2, z2m, (values, stats, centre) in zip(sources, mapped, cols):

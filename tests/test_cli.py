@@ -218,6 +218,18 @@ class TestKernelCommand:
         header = csv_file.read_text().splitlines()[0]
         assert header == "t,x1,y1,x2,y2,p,convention"
 
+    def test_exact_route_at_a_tiny_time_is_finite(self, tmp_path):
+        # y1 y2 / (2t) reaches 2^30 on most rows, where scipy's ive is NaN
+        cfg = (IDENTITY_CFG.replace("v.c = 0", "v.c = 0.5").replace("grid.Ry = 5", "grid.Ry = 8")
+               .replace("t.list = 0.5", "t.list = 1e-9"))
+        path = write(tmp_path, "op.cfg", cfg)
+        out_dir = tmp_path / "out"
+        assert main(["kernel", path, "--out", str(out_dir)]) == EXIT_PASS
+        index = json.loads((out_dir / "kernel_index.json").read_text())
+        rows = Path(index["outputs"][0]["file"]).read_text().splitlines()[1:]
+        assert len(rows) == 32 * 32
+        assert all(np.isfinite(float(row.split(",")[5])) for row in rows)
+
     def test_exact_reduced_route_writes_the_requested_source(self, tmp_path):
         # a sheared a = 0 operator: the closed form is evaluated at each source's exact
         # image, so the index and the CSV x2,y2 keep the requested doubles, not a round trip
@@ -284,7 +296,7 @@ class TestKernelCommand:
         out_dir = tmp_path / "out"
         assert main(["kernel", path, "--out", str(out_dir)]) == EXIT_CONFIG_ERROR
         assert json.loads(capsys.readouterr().out)["error"] == "DomainError"
-        assert not out_dir.exists()  # refused before --out is made
+        assert not out_dir.exists()  # a failed run removes the --out it made
 
     @pytest.mark.parametrize("old,new", [
         ("t.list = 0.5", "t.list = inf"),
@@ -363,12 +375,14 @@ class TestKernelCommand:
         "n2-flags0", "n2-flags1",
     ])
     def test_bad_request_leaves_no_out(self, tmp_path, capsys, cfg, error, detail):
+        # --out is made before the request's checks; the failed run removes all of it
         path = write(tmp_path, "op.cfg", cfg)
-        out_dir = tmp_path / "out"
+        out_dir = tmp_path / "a" / "b"
         assert main(["kernel", path, "--out", str(out_dir)]) == EXIT_CONFIG_ERROR
         report = json.loads(capsys.readouterr().out)
         assert report["error"] == error and detail in report["detail"]
         assert not out_dir.exists()
+        assert not (tmp_path / "a").exists()
 
     def test_inadmissible_operator_exits_1(self, tmp_path, capsys):
         path = write(tmp_path, "op.cfg", IDENTITY_CFG.replace("v.c = 0", "v.c = -1.5"))

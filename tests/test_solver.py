@@ -30,7 +30,6 @@ from halfheat.solver import (
     assemble_divergence_form,
     discrete_gradient,
     kernel_columns,
-    kernel_request,
     kernel_slices,
 )
 
@@ -627,9 +626,9 @@ class TestKernelColumn:
                 calls[_name] += 1
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(solver, name, counted)
-        out = kernel_slices(kernel_request(spec, [0.25, 0.5],
-                                           [np.array([0.0, 1.0]), np.array([0.5, 1.5])],
-                                           rx=4.0, ry=4.0, nx=32, ny=32))
+        out = kernel_slices(spec, [0.25, 0.5],
+                            [np.array([0.0, 1.0]), np.array([0.5, 1.5])],
+                            rx=4.0, ry=4.0, nx=32, ny=32)
         assert calls == {"zgtsv": per_window(out[0].meta), "_evolve_block": 1}
         # t-major over ts x sources
         assert [(s.t, s.meta["source"]) for s in out] == [
@@ -649,8 +648,8 @@ class TestKernelColumn:
         monkeypatch.setattr(solver, "_request", counted(solver._request, "_request"))
         monkeypatch.setattr(solver, "_evolve_block", counted(solver._evolve_block, "_evolve_block"))
         monkeypatch.setattr(GridSpec, "locate", counted(GridSpec.locate, "locate"))
-        out = kernel_slices(kernel_request(spec, [0.5, 0.25], [[0.0, 1.0], [0.5, 1.5]],
-                                           rx=4.0, ry=4.0, nx=32, ny=32))
+        out = kernel_slices(spec, [0.5, 0.25], [[0.0, 1.0], [0.5, 1.5]],
+                            rx=4.0, ry=4.0, nx=32, ny=32)
         assert len(out) == 4
         assert calls == {"_request": 1, "locate": 2, "_evolve_block": 1}
 
@@ -671,11 +670,11 @@ class TestKernelColumn:
         spec = GeneralOperatorSpec(n=1, a_matrix=np.array([[1.0, 0.5], [0.5, 1.0]]),
                                    drift=np.array([0.0, 0.5]))
         ts, sources = [0.5, 0.25, 0.5], [[0.1, 1.03], [-0.7, 0.4]]
-        request = kernel_request(spec, ts, sources, rx=3.0, ry=3.0, nx=24, ny=16)
-        assert request.red.is_identity and request.red.model.a_norm > solver.A_ZERO_TOL
-        out = kernel_slices(request)
-        grid = request.grid
-        cols = kernel_columns(assemble(request.red.model, grid), ts, sources)
+        red = reduce_to_model(spec)
+        assert red.is_identity and red.model.a_norm > solver.A_ZERO_TOL
+        out = kernel_slices(spec, ts, sources, rx=3.0, ry=3.0, nx=24, ny=16)
+        grid = GridSpec(rx=3.0, ry=3.0, nx=24, ny=16, c=red.model.c)
+        cols = kernel_columns(assemble(red.model, grid), ts, sources)
         for n, t in enumerate(ts):
             for k, z2 in enumerate(sources):
                 slc, col = out[n * len(sources) + k], cols[k * len(ts) + n]
@@ -711,7 +710,7 @@ class TestKernelColumn:
             sizes.append(np.size(x))
             return _fn(nu, x)
         monkeypatch.setattr(kernels, "bessel_i_scaled", counted)
-        out = kernel_slices(kernel_request(spec, ts, sources, rx=2.0, ry=1.0, nx=nx, ny=ny))
+        out = kernel_slices(spec, ts, sources, rx=2.0, ry=1.0, nx=nx, ny=ny)
         assert sizes == [ny] * (len(ts) * len(sources))  # not nx * ny per slice
         cells = grid.points()
         for slc in out:
@@ -724,8 +723,7 @@ class TestKernelColumn:
     def test_kernel_slices_closed_form_rejects_non_finite_time(self, t):
         spec = GeneralOperatorSpec(n=1, a_matrix=np.eye(2), drift=np.array([0.0, 0.5]))
         with pytest.raises(DomainError, match="finite"):
-            kernel_slices(kernel_request(spec, [0.5, t], [np.array([0.0, 1.0])],
-                                         rx=2.0, ry=2.0, nx=16, ny=16))
+            kernel_slices(spec, [0.5, t], [np.array([0.0, 1.0])], rx=2.0, ry=2.0, nx=16, ny=16)
 
     def test_snap_recorded(self):
         _, grid, op = make(n=16, r=2.0)
@@ -748,8 +746,7 @@ class TestKernelColumn:
     def test_kernel_slices_need_n1(self):
         spec = GeneralOperatorSpec(n=2, a_matrix=np.eye(3), drift=np.zeros(3))
         with pytest.raises(StructuralError, match="kernel slices are defined for N = 1"):
-            kernel_slices(kernel_request(spec, [0.5], [[0.0, 1.0]],
-                                         rx=2.0, ry=2.0, nx=16, ny=16))
+            kernel_slices(spec, [0.5], [[0.0, 1.0]], rx=2.0, ry=2.0, nx=16, ny=16)
 
     def test_ragged_sources_name_the_point(self):
         _, _, op = make(n=16, r=2.0)
@@ -761,14 +758,12 @@ class TestKernelColumn:
     def test_kernel_slices_keep_the_caller_time_order(self, a_matrix, monkeypatch):
         spec = GeneralOperatorSpec(n=1, a_matrix=np.array(a_matrix), drift=np.array([0.0, 0.5]))
         sources = [np.array([0.0, 1.0]), np.array([0.5, 1.5])]
-        ref = kernel_slices(kernel_request(spec, [0.25, 0.5], sources,
-                                           rx=2.0, ry=2.0, nx=16, ny=16))
+        ref = kernel_slices(spec, [0.25, 0.5], sources, rx=2.0, ry=2.0, nx=16, ny=16)
         calls = []
         real = solver.tensor_kernel
         monkeypatch.setattr(solver, "tensor_kernel",
                             lambda model, t, *args: calls.append(t) or real(model, t, *args))
-        out = kernel_slices(kernel_request(spec, [0.5, 0.25, 0.5], sources,
-                                           rx=2.0, ry=2.0, nx=16, ny=16))
+        out = kernel_slices(spec, [0.5, 0.25, 0.5], sources, rx=2.0, ry=2.0, nx=16, ny=16)
         # the closed form is evaluated once per distinct time and source
         assert len(calls) == (4 if ref[0].meta["method"] == "exact" else 0)
         want = [ref[2], ref[3], ref[0], ref[1], ref[2], ref[3]]  # t-major
@@ -781,13 +776,12 @@ class TestKernelColumn:
     def test_kernel_slices_rejects_bad_sources(self, a_matrix):
         spec = GeneralOperatorSpec(n=1, a_matrix=np.array(a_matrix), drift=np.array([0.0, 0.5]))
         with pytest.raises(DomainError, match="no kernel sources"):
-            kernel_slices(kernel_request(spec, [0.5], [], rx=2.0, ry=2.0, nx=16, ny=16))
+            kernel_slices(spec, [0.5], [], rx=2.0, ry=2.0, nx=16, ny=16)
         with pytest.raises(StructuralError, match="one point"):
-            kernel_slices(kernel_request(spec, [0.5], [np.array([0.0, 1.0, 7.0])],
-                                         rx=2.0, ry=2.0, nx=16, ny=16))
+            kernel_slices(spec, [0.5], [np.array([0.0, 1.0, 7.0])], rx=2.0, ry=2.0, nx=16, ny=16)
         with pytest.raises(StructuralError, match=r"\[0\.0, 1\.0, 7\.0\]"):
-            kernel_slices(kernel_request(spec, [0.5], [[0.0, 1.0], [0.0, 1.0, 7.0]],
-                                         rx=2.0, ry=2.0, nx=16, ny=16))
+            kernel_slices(spec, [0.5], [[0.0, 1.0], [0.0, 1.0, 7.0]],
+                          rx=2.0, ry=2.0, nx=16, ny=16)
 
 
     @pytest.mark.parametrize("a_matrix,drift,ts,sources,grid,error,match", [
@@ -801,19 +795,28 @@ class TestKernelColumn:
         (np.eye(2), [0.0, 0.5], [0.5], [[0.0, 1.0]], {"nx": 4}, StructuralError, "8 cells"),
         (np.eye(2), [0.0, 0.5], [0.5], [[0.0, 100.0]], {}, DomainError, "outside the grid"),
         (np.eye(2), [0.0, 0.5], [0.5], [[0.0, -1.0]], {}, DomainError, "y > 0"),
+        # time scale 2: the model time 2 * 1e308 overflows, on either route
+        ([[1.0, 0.5], [0.5, 2.0]], [0.0, 0.5], [1e308], [[0.0, 1.0]], {}, DomainError, "finite"),
+        ([[1.0, 0.0], [0.0, 2.0]], [0.0, 0.5], [1e308], [[0.0, 1.0]], {}, DomainError, "finite"),
+        # time scale 0.5: the model time 0.5 * 5e-324 underflows to 0
+        ([[0.5, 0.2], [0.2, 0.5]], [0.0, 0.5], [5e-324], [[0.0, 1.0]], {}, DomainError,
+         "positive"),
     ], ids=["n2", "no-time", "t-negative", "t-zero", "no-source", "three-coordinates",
-            "inadmissible", "grid", "outside", "below"])
+            "inadmissible", "grid", "outside", "below", "overflow-solver", "overflow-exact",
+            "underflow"])
     def test_kernel_request_checks_before_any_work(self, monkeypatch, a_matrix, drift, ts,
                                                    sources, grid, error, match):
         for name in ("assemble", "tensor_kernel", "kernel_columns", "_evolve_block"):
             monkeypatch.setattr(solver, name, lambda *a, _n=name, **k: pytest.fail(f"{_n} ran"))
-        spec = GeneralOperatorSpec(n=len(drift) - 1, a_matrix=a_matrix, drift=np.array(drift))
+        spec = GeneralOperatorSpec(n=len(drift) - 1, a_matrix=np.array(a_matrix),
+                                   drift=np.array(drift))
         grid = {"rx": 2.0, "ry": 2.0, "nx": 16, "ny": 16, **grid}
         with pytest.raises(error, match=match):
-            kernel_request(spec, ts, sources, **grid)
+            kernel_slices(spec, ts, sources, **grid)
+        # a good request passes every check and reaches the patched work
         good = GeneralOperatorSpec(n=1, a_matrix=np.eye(2), drift=np.array([0.0, 0.5]))
-        request = kernel_request(good, [0.5], [[0.0, 1.0]], rx=2.0, ry=2.0, nx=16, ny=16)
-        assert request.mapped.tolist() == [[0.0, 1.0]]
+        with pytest.raises(pytest.fail.Exception, match="tensor_kernel ran"):
+            kernel_slices(good, [0.5], [[0.0, 1.0]], rx=2.0, ry=2.0, nx=16, ny=16)
 
 MODEL_B = [[1.0, 1.0], [0.0, 1.0]]  # the model operator at a = 0.5
 CROSS_B = [[2.0, 0.5], [0.5, 1.0]]  # a symmetric cross term

@@ -77,6 +77,18 @@ def test_half_integer_closed_form():
         assert bessel_i_scaled(0.5, x) == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("nu", [-0.9, -0.5, 0.0, 0.5, 7.3, 19.5])
+def test_large_argument(nu):
+    # scipy's ive is NaN from x = 2^30 on; the large-argument series takes over
+    mp.mp.dps = 30
+    x = np.array([2.0 ** 30 - 1, 2.0 ** 30, 3e9, 1e12, 1e100, 1e300])
+    got = bessel_i_scaled(nu, x)
+    want = np.array([float(mp.besseli(nu, v) * mp.exp(-mp.mpf(v))) for v in x])
+    assert np.all(np.abs(got - want) <= 1e-15 * want), (got, want)
+    if abs(nu) == 0.5:  # I_{+-1/2}(x) e^{-x} = (1 -+ e^{-2x}) / sqrt(2 pi x)
+        assert np.array_equal(got[1:], 1.0 / np.sqrt(2.0 * np.pi * x[1:]))
+
+
 def test_values_at_zero():
     assert bessel_i_scaled(0.0, 0.0) == 1.0
     assert bessel_i_scaled(0.5, 0.0) == 0.0
