@@ -64,9 +64,10 @@ def exact_quadrature_slice(model: ModelOperatorSpec, t: float, z2) -> KernelSlic
     12 sqrt(t) above it in y, with 160 x-nodes and 32-point y-panels.
     The values come from tensor_kernel on the two 1-D rules of
     halfspace_nodes (one Bessel value per y-node); points and weights are
-    the same rules flattened x-major.  The returned slice carries the
-    y^c dz quadrature weights, so its mass() is the conservation integral
-    to quadrature accuracy.
+    the same rules flattened x-major, the points filled in one
+    (nx ny, 2) array from np.repeat(xs, ny) and np.tile(ys, nx).  The
+    returned slice carries the y^c dz quadrature weights, so its mass()
+    is the conservation integral to quadrature accuracy.
     """
     z2 = np.asarray(z2, dtype=float)
     if model.n != 1:
@@ -79,8 +80,10 @@ def exact_quadrature_slice(model: ModelOperatorSpec, t: float, z2) -> KernelSlic
         y_extent=float(z2[1]) + 12.0 * st,
         n_x=160, n_panel=32, x_center=float(z2[0]),
     )
-    x, y = np.meshgrid(xs, ys, indexing="ij")
-    return KernelSlice(t=t, source=z2, points=np.column_stack([x.ravel(), y.ravel()]),
+    points = np.empty((len(xs) * len(ys), 2))
+    points[:, 0] = np.repeat(xs, len(ys))
+    points[:, 1] = np.tile(ys, len(xs))
+    return KernelSlice(t=t, source=z2, points=points,
                        values=tensor_kernel(model, t, z2, xs, ys), c=model.c,
                        weights=np.outer(wx, wy).ravel())
 
@@ -336,6 +339,12 @@ def solve_stats(slices) -> dict:
 # Gaussian normalizer and the Nash G-trace
 
 
+def _check_alpha(alpha: float) -> None:
+    """The Gaussian rate alpha of exp(-alpha |z|^2) must be positive and finite."""
+    if not 0.0 < alpha < np.inf:  # NaN fails both
+        raise ParameterError(f"alpha must be positive and finite, got {alpha}")
+
+
 def gaussian_normalizer(alpha: float, c: float, n: int) -> float:
     """Closed form of the weighted Gaussian mass over the half-space:
 
@@ -345,8 +354,7 @@ def gaussian_normalizer(alpha: float, c: float, n: int) -> float:
     The half-line y-factor carries the 1/2; the value is quadrature-
     verified in the test-suite.
     """
-    if not 0.0 < alpha < np.inf:  # NaN fails both
-        raise ParameterError(f"alpha must be positive and finite, got {alpha}")
+    _check_alpha(alpha)
     if not c + 1.0 > 0.0:
         raise ParameterError("weight requires c + 1 > 0")
     if n < 0:
@@ -393,8 +401,10 @@ def compute_G_from_slices(slices, theta: float, alpha: float) -> GTrace:
     """G(t) from integration-capable kernel slices at increasing times.
 
     The log argument is bounded below by 1 - theta > 0, so slices with
-    (clamped) zero values in the far field stay integrable.
+    (clamped) zero values in the far field stay integrable.  An alpha
+    that is not positive and finite raises ParameterError first.
     """
+    _check_alpha(alpha)
     if not slices:
         raise StructuralError("need at least one slice")
     ts, vals = [], []
@@ -410,6 +420,7 @@ def compute_G_from_slices(slices, theta: float, alpha: float) -> GTrace:
 
 def compute_G(model: ModelOperatorSpec, z2, theta: float, alpha: float, t_grid) -> GTrace:
     """Trace G on closed-form quadrature slices at the times t_grid."""
+    _check_alpha(alpha)  # before the slices are built
     slices = [exact_quadrature_slice(model, float(t), z2) for t in np.atleast_1d(t_grid)]
     return compute_G_from_slices(slices, theta, alpha)
 
@@ -430,11 +441,15 @@ def poincare_ratio(fields, alpha: float, c: float) -> dict:
     """sup over probe fields of ||u - mean(u)||^2_nu / ||grad u||^2_nu.
 
     nu is the weighted Gaussian y^c e^{-alpha |z|^2} dz realized through
-    the fields' cell masses; gradients are the discrete ones.  Constant
-    fields are excluded (0/0).
+    the fields' cell masses, computed once per distinct GridSpec of the
+    call (fields on one grid share it); gradients are the discrete ones.
+    Constant fields are excluded (0/0).  An alpha that is not positive
+    and finite raises ParameterError before any field is read.
     """
+    _check_alpha(alpha)
     ratios = []
     skipped = 0
+    nus = {}  # GridSpec -> nu on its cells, for this call only
     for f in fields:
         if np.ptp(f.values) == 0.0:
             skipped += 1
@@ -442,8 +457,10 @@ def poincare_ratio(fields, alpha: float, c: float) -> dict:
         grid = f.grid
         if grid.c != c:
             raise StructuralError("field grid weight does not match c")
-        pts = grid.points()
-        nu = grid.masses().ravel() * np.exp(-alpha * np.sum(pts ** 2, axis=-1))
+        nu = nus.get(grid)
+        if nu is None:
+            pts = grid.points()
+            nu = nus[grid] = grid.masses().ravel() * np.exp(-alpha * np.sum(pts ** 2, axis=-1))
         u = f.values.ravel()
         mean = float(np.dot(nu, u) / np.sum(nu))
         num = float(np.dot(nu, (u - mean) ** 2))

@@ -164,8 +164,29 @@ class TestKernelOutBench:
         report = smoke(kernel_out, tmp_path)
         assert list(report["cases"]) == ["divergence_96"]
         assert report["cases"]["divergence_96"]["oracle_err"] <= kernel_out.ORACLE_TOL
-        assert list(report["quadrature"]["slices"]) == ["c=1.0,t=0.5"]
-        assert is_timing(report["quadrature"]["identities"]["c=1.0"]["time_s"])
+        quad = report["quadrature"]
+        assert list(quad["slices"]) == ["c=1.0,t=0.5"]
+        assert quad["slices"]["c=1.0,t=0.5"]["first_s"] > 0.0
+        for entry in (quad["identities"]["c=1.0"], quad["g_trace"], quad["poincare"]):
+            assert is_timing(entry["time_s"])
+        assert len(quad["g_trace"]["values"]) == 3 and len(quad["poincare"]["ratios"]) == 7
+
+    def test_quadrature_gates_fire(self, monkeypatch):
+        kernel_out = load("kernel_out")
+        monkeypatch.setattr(kernel_out, "QUADRATURE_CS", [0.0])
+        monkeypatch.setattr(kernel_out, "QUADRATURE_TS", [1.0])
+        rec = kernel_out.quadrature_record(1)
+        assert kernel_out.quadrature_failures(rec) == []
+        for section, key, figure in (("slices", "c=0.0,t=1.0", "mass_defect"),
+                                     ("identities", "c=0.0", "chapman_kolmogorov"),
+                                     ("g_trace", None, "max_G"),
+                                     ("poincare", None, "u_x_dev")):
+            for bad in (2.0 * kernel_out.QUADRATURE_TOLS[figure], np.nan):
+                crafted = json.loads(json.dumps(rec))  # a deep copy
+                entry = crafted[section] if key is None else crafted[section][key]
+                entry[figure] = bad
+                [line] = kernel_out.quadrature_failures(crafted)
+                assert figure in line
 
 
 class TestLadderBench:

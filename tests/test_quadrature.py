@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import special
 
 from halfheat import quadrature
 from halfheat.errors import DomainError, ParameterError
@@ -53,6 +54,36 @@ def test_legendre_reference_cached_read_only():
     y, _ = legendre_panel(0.0, 2.0, n=16)
     y[0] = -1.0
     assert np.array_equal(quadrature._legendre_reference(16)[0], x2)
+
+
+@pytest.mark.parametrize("c", [-0.9, -0.5, 0.0, 0.6, 3.0])
+def test_jacobi_reference_cached_read_only(c):
+    x1, w1 = quadrature._jacobi_reference(32, c)
+    x2, w2 = quadrature._jacobi_reference(32, c)
+    assert x1 is x2 and w1 is w2
+    x_ref, w_ref = special.roots_jacobi(32, 0.0, c)
+    assert np.array_equal(x1, x_ref) and np.array_equal(w1, w_ref)
+    for arr in (x1, w1):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    # panels are fresh arrays: writing one leaves the cached rule and the next panel intact
+    y, wy = jacobi_panel(2.0, c)
+    y_ref, wy_ref = y.copy(), wy.copy()
+    y[0], wy[:] = -1.0, 0.0
+    y_next, wy_next = jacobi_panel(2.0, c)
+    assert np.array_equal(y_next, y_ref) and np.array_equal(wy_next, wy_ref)
+    assert np.array_equal(quadrature._jacobi_reference(32, c)[0], x_ref)
+
+
+@pytest.mark.parametrize("upper,c,error", [
+    (1.0, -1.0, ParameterError), (1.0, np.nan, ParameterError),
+    (0.0, 0.5, DomainError), (np.nan, 0.5, DomainError), (np.inf, 0.5, DomainError),
+], ids=["c=-1", "c=nan", "upper=0", "upper=nan", "upper=inf"])
+def test_jacobi_panel_rejects_before_building_a_rule(upper, c, error):
+    before = quadrature._jacobi_reference.cache_info()
+    with pytest.raises(error):
+        jacobi_panel(upper, c)
+    assert quadrature._jacobi_reference.cache_info() == before  # no lookup, no rule
 
 
 def test_composite_gaussian_moment():

@@ -127,6 +127,15 @@ class TestConservation:
         assert np.array_equal(slc.weights, np.outer(wx, wy).ravel())
         assert np.array_equal(slc.values, product_kernel(model(c), t, pts, z2[None, :]))
 
+    def test_points_are_the_x_major_meshgrid(self):
+        z2 = np.array([0.2, 0.7])
+        slc = exact_quadrature_slice(model(0.5), 1.0, z2)
+        (xs, _), (ys, _) = halfspace_nodes(0.5, x_extent=12.0, y_extent=z2[1] + 12.0,
+                                           n_x=160, n_panel=32, x_center=z2[0])
+        x, y = np.meshgrid(xs, ys, indexing="ij")
+        assert np.array_equal(slc.points, np.column_stack([x.ravel(), y.ravel()]))
+        assert slc.points.dtype == np.float64 and slc.points.flags.c_contiguous
+
     @pytest.mark.parametrize("bad", [[np.nan, 1.0], [0.0, np.nan], [0.0, np.inf]],
                              ids=["x-nan", "y-nan", "y-inf"])
     def test_non_finite_source_rejected(self, bad):
@@ -404,6 +413,40 @@ class TestPoincare:
         flip = Field(grid, np.repeat(sign[:, None], grid.ny, axis=1))
         with pytest.raises(DomainError, match="zero discrete gradient"):
             poincare_ratio([flip], 20.0, 1.0)
+        # a mismatch on a later grid, after the first grid's nu is made
+        other = Field.from_function(GridSpec(rx=8.0, ry=8.0, nx=96, ny=96, c=0.5),
+                                    lambda x, y: x)
+        with pytest.raises(StructuralError, match="does not match c"):
+            poincare_ratio([field, other], 1.0, 1.0)
+
+    def test_fields_on_two_grids_are_the_per_grid_calls_joined(self):
+        # same c and cell counts, different extents: a nu reused across the
+        # grids would have the right shape and the wrong values
+        c = 1.0
+        alpha = normalizing_alpha(c, 1)
+        fns = (lambda x, y: x, lambda x, y: x * y + y)
+        near, far = ([Field.from_function(GridSpec(rx=r, ry=r, nx=48, ny=48, c=c), fn)
+                      for fn in fns] for r in (5.0, 8.0))
+        joint = poincare_ratio([near[0], far[0], near[1], far[1]], alpha, c)
+        r_near = poincare_ratio(near, alpha, c)["ratios"]
+        r_far = poincare_ratio(far, alpha, c)["ratios"]
+        assert joint["ratios"] == [r_near[0], r_far[0], r_near[1], r_far[1]]
+        assert joint["sup_ratio"] == max(r_near + r_far)
+        assert r_near != r_far
+
+
+@pytest.mark.parametrize("alpha", [np.nan, np.inf, 0.0, -1.0])
+@pytest.mark.parametrize("fn", [poincare_ratio, compute_G_from_slices],
+                         ids=["poincare_ratio", "compute_G_from_slices"])
+def test_bad_alpha_rejected_before_any_work(fn, alpha):
+    # none of these alpha gives the Gaussian measure e^{-alpha |z|^2}
+    if fn is poincare_ratio:
+        grid = GridSpec(rx=4.0, ry=4.0, nx=16, ny=16, c=1.0)
+        args = ([Field.from_function(grid, lambda x, y: x)], alpha, 1.0)
+    else:
+        args = ([exact_quadrature_slice(model(0.0), 1.0, np.array([0.0, 0.5]))], 0.5, alpha)
+    with pytest.raises(ParameterError, match="finite"):
+        fn(*args)
 
 
 class TestFloors:
