@@ -23,6 +23,18 @@ Exit codes:
 A run that writes no file removes each directory it made for --out,
 if it is still empty; an --out that existed before the run is kept.
 
+`verify` runs the table of acceptance criteria (halfheat.verify.CRITERIA)
+at one --probe-set and writes verify.json with one record per check:
+
+    smoke  the closed form only: criteria 2, 3, 4 and 7 without solver
+           columns, and the doubling and equivalence-window rows
+    desk   the whole table, with a 96 x 96 solver session and smaller
+           grids for criteria 1 and 10
+    full   the whole table at the inputs of the tier-1 acceptance tests
+
+A check passes when its residual is finite and at most its tolerance,
+or finite and its own verdict holds; the run exits 1 if any fails.
+
 Every command is deterministic: the same config and options give the
 same output, apart from the wall times it reports.
 """
@@ -38,15 +50,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import sab as sab_mod
-from . import verify as V
 from .errors import HalfheatError, ParameterError, SolveFailure, StructuralError
-from .geometry import EnvelopeParams, doubling_check, envelope_equivalence_window
-from .kernels import exact_slice, write_csv
-from .operators import GeneralOperatorSpec, ModelOperatorSpec, validate_general
-from .solver import GridSpec, assemble, kernel_columns, kernel_slices
+from .kernels import write_csv
+from .operators import GeneralOperatorSpec, validate_general
+from .solver import kernel_slices
+from .verify import PROBE_SETS, run_criteria
 
-SCHEMA_VERSION = 9
+SCHEMA_VERSION = 10
 
 #: config keys besides the rows A.row.1 .. A.row.N+1
 KNOWN_KEYS = {"N", "v.d", "v.c", "grid.Rx", "grid.Ry", "grid.nx", "grid.ny", "t.list", "sources"}
@@ -229,127 +239,14 @@ def cmd_kernel(args) -> int:
     return EXIT_PASS
 
 
-PROBE_SETS = ("smoke", "desk", "full")
-
-
-def _verify_checks(probe_set: str, k_break: float = 1.0):
-    """Run the deterministic verification sweep; returns (checks, all_passed).
-
-    A check passes when its residual is at most its tolerance, unless it
-    passes its own verdict (then its tolerance may be None).  Each check
-    carries `wall_s`, the time since the previous check was recorded (so
-    a check read off the same computation as the one before it shows
-    about 0), and each solver check the `solve` stats of its evolutions.
-    """
-    checks = []
-    start = time.perf_counter()
-
-    def record(name, residual, tol, passed=None, solve=None, **params):
-        nonlocal start
-        now = time.perf_counter()
-        passed = residual <= tol if passed is None else passed
-        check = {"name": name, "residual": residual, "tolerance": tol,
-                 "passed": bool(passed), "params": params, "wall_s": now - start}
-        if solve is not None:
-            check["solve"] = solve
-        checks.append(check)
-        start = now
-
-    # --- closed-form layer (always) ---
-    model0 = hh_model(0.0, 0.0)
-    slc = V.exact_quadrature_slice(model0, 1.0, np.array([0.0, 1.0]))
-    defect = V.check_conservation(slc)
-    record("conservation_exact", defect, 1e-8, c=0.0, t=1.0)
-
-    ids = V.check_identities_exact(model0, t=0.5, s=0.5, x0=1.3, scale=2.0,
-                                   z1=np.array([0.2, 1.1]), z2=np.array([-0.3, 0.6]))
-    record("scaling_exact", ids["scaling"], 1e-12)
-    record("chapman_exact", ids["chapman_kolmogorov"], 1e-6)
-
-    sls = _probe_slices(model0, ts=(0.25, 1.0), y2s=(0.1, 1.0))
-    rep = V.fit_envelope_constants(sls, "product", 0.0, 1)
-    params_up = EnvelopeParams(rep.c_up, rep.k_up * k_break, form=rep.form)
-    verdict = V.envelope_verdict(sls, params_up, rep.params_low(), 0.0, 1)
-    env_ok = rep.verdict and verdict["upper_holds"] and verdict["lower_holds"]
-    record("envelope_exact", 1.0 - min(verdict["worst_upper_ratio"], 1.0), 0.0,
-           passed=env_ok, k_up=params_up.rate, k_low=rep.k_low)
-
-    alpha0 = V.normalizing_alpha(0.0, 1)
-    tr = V.compute_G(model0, np.array([0.0, 0.5]), 0.5, alpha0, [0.5, 1.0])
-    mono = V.check_G_monotone(tr)
-    record("g_trace_exact", float(np.max(tr.values)), 1e-6,
-           passed=np.max(tr.values) <= 1e-6 and mono["finite"], G1=tr.final)
-
-    dbl = doubling_check(0.0, 1)
-    record("doubling", dbl["worst_ratio"], dbl["shape_bound"], passed=dbl["within_shape"])
-
-    win = envelope_equivalence_window(2.0, 0.1)
-    record("equivalence_window", win[1], None, passed=np.isfinite(win[1]))
-
-    if probe_set == "smoke":
-        return checks, all(ch["passed"] for ch in checks)
-
-    # --- solver layer (desk / full) ---
-    heavy = probe_set == "full"
-    n_cells = 128 if heavy else 96
-    for (a, c) in ((0.5, -0.5), (0.5, 1.0)):
-        model = hh_model(a, c)
-        grid = GridSpec(rx=6.0, ry=6.0, nx=n_cells, ny=n_cells, c=c)
-        op = assemble(model, grid)
-        col = kernel_columns(op, [1.0], np.array([0.0, 1.0]))[0]
-        defect = V.check_conservation(col)
-        record(f"conservation_solver_a{a}_c{c}", defect, 1e-3, solve=V.solve_stats([col]))
-
-        ids = V.check_identities_solver(op, t=0.5, s=0.5, x0_cells=4, scale=2.0,
-                                        z1_index=(n_cells // 2, n_cells // 4),
-                                        z2_index=(n_cells // 2 + 6, n_cells // 3))
-        for name, key, tol in (("scaling", "scaling", 1e-10),
-                               ("translation", "translation", 1e-12),
-                               ("adjoint", "adjoint", 1e-12),
-                               ("chapman", "chapman_kolmogorov", 1e-3)):
-            record(f"{name}_solver_a{a}_c{c}", ids[key], tol, solve=ids["solve"])
-
-    sab_spec = sab_mod.SabSpec(alpha=0.0, beta=-1.0, m=1.0, p=2.0)
-    ladder = sab_mod.sab_norm_estimate(sab_spec, levels=3)
-    stab = ladder[-1] / ladder[0]
-    record("sab_sec6_stable", stab, 1.5, passed=stab < 1.5)
-    bad = sab_mod.SabSpec(alpha=1.0, beta=0.0, m=0.0, p=2.0)
-    ladder_bad = sab_mod.sab_norm_estimate(bad, levels=3)
-    growth = ladder_bad[-1] / ladder_bad[0]
-    record("sab_false_diverges", growth, 10.0, passed=growth >= 10.0)
-    return checks, all(ch["passed"] for ch in checks)
-
-
-def hh_model(a: float, c: float) -> ModelOperatorSpec:
-    return ModelOperatorSpec(n=1, a=np.array([a]), c=c)
-
-
-def _probe_slices(model, ts, y2s):
-    slices = []
-    for t in ts:
-        st = np.sqrt(t)
-        for y2 in y2s:
-            y1 = np.geomspace(0.02, 8.0, 16)
-            dx = np.linspace(0.0, 6.0 * st, 10)
-            yy, xx = np.meshgrid(y1, dx, indexing="ij")
-            pts = np.column_stack([xx.ravel(), yy.ravel()])
-            slices.append(exact_slice(model, t, np.array([0.0, y2]), pts))
-    return slices
-
-
 def cmd_verify(args) -> int:
     if not 0.0 < args.break_rate < np.inf:  # NaN fails both
         raise ParameterError(f"--break-rate must be finite and positive, got {args.break_rate}")
     out_dir = _out_dir(args.out)
-    checks, ok = _verify_checks(args.probe_set, k_break=args.break_rate)
-    bundle = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "verify",
-        "probe_set": args.probe_set,
-        "passed": ok,
-        "checks": checks,
-    }
-    _emit(bundle, out_dir, "verify.json")
+    checks = run_criteria(args.probe_set, k_break=args.break_rate)
+    ok = all(check["passed"] for check in checks)
+    _emit({"schema_version": SCHEMA_VERSION, "command": "verify", "probe_set": args.probe_set,
+           "passed": ok, "checks": checks}, out_dir, "verify.json")
     return EXIT_PASS if ok else EXIT_CHECK_FAILED
 
 
@@ -373,11 +270,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_ker.set_defaults(fn=cmd_kernel)
 
     p_ver = sub.add_parser("verify", help="run the verification sweep")
-    p_ver.add_argument("--probe-set", default="smoke", choices=PROBE_SETS)
+    p_ver.add_argument("--probe-set", default="smoke", choices=tuple(PROBE_SETS))
     p_ver.add_argument("--out", default=None)
     p_ver.add_argument("--break-rate", type=float, default=1.0,
-                       help="multiply the fitted upper Gaussian rate "
-                            "(values < 1 deliberately break the envelope check)")
+                       help="multiply the fitted upper Gaussian rates "
+                            "(values < 1 deliberately break the envelope checks)")
     p_ver.set_defaults(fn=cmd_verify)
     return parser
 

@@ -190,7 +190,7 @@ class TestValidateCommand:
         assert main(["validate", path]) == EXIT_PASS
         out = json.loads(capsys.readouterr().out)
         assert out["passed"] is True
-        assert out["schema_version"] == 9
+        assert out["schema_version"] == 10
 
     def test_degeneracy_failure_names_invariant(self, tmp_path, capsys):
         bad = IDENTITY_CFG.replace("v.c = 0", "v.c = -1.5")
@@ -212,7 +212,7 @@ class TestKernelCommand:
         assert main(["kernel", path, "--out", str(out_dir)]) == EXIT_PASS
         index = json.loads((out_dir / "kernel_index.json").read_text())
         assert index["outputs"][0]["method"] == "exact"
-        assert index["schema_version"] == 9
+        assert index["schema_version"] == 10
         assert all(np.isfinite(index[k]) and index[k] >= 0.0 for k in ("evaluate_s", "write_s"))
         csv_file = out_dir / index["outputs"][0]["file"].split("/")[-1]
         header = csv_file.read_text().splitlines()[0]
@@ -461,11 +461,15 @@ class TestVerifyCommand:
         assert main(["verify", "--probe-set", "smoke", "--out", str(out_dir)]) == EXIT_PASS
         bundle = strict_json((out_dir / "verify.json").read_text())
         assert bundle["passed"] is True
-        assert bundle["schema_version"] == 9
+        assert bundle["schema_version"] == 10
         assert "seed" not in bundle
         assert all(np.isfinite(c["wall_s"]) and c["wall_s"] >= 0.0 for c in bundle["checks"])
-        names = {c["name"] for c in bundle["checks"]}
-        assert {"conservation_exact", "scaling_exact", "envelope_exact"} <= names
+        # the closed form only: no check reads a solver column
+        names = [c["name"] for c in bundle["checks"]]
+        assert names == ["conservation_exact", "scaling_exact", "chapman_exact",
+                         "envelope_exact_c-0.5", "envelope_exact_c1.0", "g_trace_exact",
+                         "doubling", "equivalence_window"]
+        assert not any("solve" in c for c in bundle["checks"])
         # a check with its own verdict and no tolerance writes null, not Infinity
         window = next(c for c in bundle["checks"] if c["name"] == "equivalence_window")
         assert window["tolerance"] is None and window["passed"] is True
@@ -475,7 +479,7 @@ class TestVerifyCommand:
             == EXIT_CHECK_FAILED
         bundle = json.loads(capsys.readouterr().out)
         failed = [c["name"] for c in bundle["checks"] if not c["passed"]]
-        assert "envelope_exact" in failed
+        assert failed == ["envelope_exact_c-0.5", "envelope_exact_c1.0"]
 
     @pytest.mark.parametrize("residual", [1.0, np.nan])
     def test_residual_over_tolerance_fails(self, capsys, monkeypatch, residual):
@@ -488,7 +492,7 @@ class TestVerifyCommand:
         assert [c["name"] for c in bundle["checks"] if not c["passed"]] == ["scaling_exact"]
 
     def test_equivalence_window_inf_fails_in_strict_json(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "envelope_equivalence_window", lambda c, eps: (0.5, np.inf, eps))
+        monkeypatch.setattr(V, "envelope_equivalence_window", lambda c, eps: (0.5, np.inf, eps))
         out_dir = tmp_path / "v"
         assert main(["verify", "--probe-set", "smoke", "--out", str(out_dir)]) \
             == EXIT_CHECK_FAILED
@@ -516,7 +520,7 @@ class TestVerifyCommand:
 def test_out_that_cannot_be_made_exits_2(tmp_path, capsys, monkeypatch, command, under):
     # --out names a regular file, or a directory under one; the command fails
     # before its work
-    work = {"validate": "validate_general", "kernel": "kernel_slices", "verify": "_verify_checks"}
+    work = {"validate": "validate_general", "kernel": "kernel_slices", "verify": "run_criteria"}
     monkeypatch.setattr(cli, work[command], lambda *a, **k: pytest.fail(f"{command} did its work"))
     blocker = tmp_path / "file"
     blocker.write_text("")
@@ -621,15 +625,23 @@ def test_desk_sweep_passes(tmp_path):
     assert main(["verify", "--probe-set", "desk", "--out", str(out_dir)]) == EXIT_PASS
     bundle = strict_json((out_dir / "verify.json").read_text())
     assert bundle["passed"] is True
+    # every row of the table, at the desk grids
     names = {c["name"] for c in bundle["checks"]}
-    for kind in ("adjoint", "scaling", "translation"):
-        assert {f"{kind}_solver_a0.5_c-0.5", f"{kind}_solver_a0.5_c1.0"} <= names
-    assert "sab_sec6_stable" in names
+    assert {"oracle_solver_c2.0", "conservation_solver_c1.0", "adjoint_solver_c1.0",
+            "envelope_solver_c-0.5", "gradient_solver_c1.0", "floors_solver_c1.0",
+            "g_trace_solver_c1.0", "poincare_c2.0", "sab_family_c1.0_p4.0",
+            "round_trip_solver", "doubling"} <= names
+    round_trip = next(c for c in bundle["checks"] if c["name"] == "round_trip_solver")
+    assert round_trip["params"]["n"] == 64
     # solver checks carry the stats of their evolutions, the others none
     for check in bundle["checks"]:
-        assert ("solve" in check) == ("_solver_" in check["name"])
+        assert ("solve" in check) == ("_solver" in check["name"])
         if "solve" in check:
             assert set(check["solve"]) == set(solver.SOLVE_STATS)
-            assert check["solve"]["route"] == "contour"  # a = 0.5
-            assert 0.0 < check["solve"]["contour_err"] <= solver.CONTOUR_TOL
-            assert 0 < check["solve"]["live_modes"] <= 96 * check["solve"]["windows"]
+            assert check["solve"]["contour_err"] <= solver.CONTOUR_TOL
+            if check["solve"]["route"] == "contour":  # a != 0
+                assert 0.0 < check["solve"]["contour_err"]
+                assert 0 < check["solve"]["live_modes"] <= 96 * check["solve"]["windows"]
+            else:  # criterion 1 at a = 0
+                assert check["name"].startswith("oracle_solver")
+                assert check["solve"]["route"] == "separable"

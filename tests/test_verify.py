@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from conftest import SOURCE_YS
-
-from halfheat import cli, kernels, solver
+from halfheat import kernels, solver
+from halfheat import verify as V
 from halfheat.errors import DomainError, FitUnderdeterminedError, ParameterError, StructuralError
 from halfheat.geometry import EnvelopeParams
 from halfheat.kernels import KernelSlice, exact_slice, product_kernel
@@ -20,6 +19,7 @@ from halfheat.verify import (
     check_identities_solver,
     compute_G,
     compute_G_from_slices,
+    criterion_conservation,
     envelope_verdict,
     exact_quadrature_slice,
     far_field_floor,
@@ -48,16 +48,7 @@ def bessel_sizes(monkeypatch):
 
 
 def probe_slices(m, ts=(0.25, 1.0), y2s=(0.1, 1.0), n_y=14, n_x=8):
-    out = []
-    for t in ts:
-        st = np.sqrt(t)
-        for y2 in y2s:
-            y1 = np.geomspace(0.02, 8.0, n_y)
-            dx = np.linspace(0.0, 6 * st, n_x)
-            yy, xx = np.meshgrid(y1, dx, indexing="ij")
-            pts = np.column_stack([xx.ravel(), yy.ravel()])
-            out.append(exact_slice(m, t, np.array([0.0, y2]), pts))
-    return out
+    return V._probe_slices(m, ts, y2s, n_y, n_x)
 
 
 class TestGaussianNormalizer:
@@ -178,11 +169,11 @@ class TestEnvelopeFit:
     @pytest.mark.parametrize("form", ["product", "one-sided-1", "one-sided-2", "volume"])
     def test_verdict_is_envelope_verdict_on_the_fitting_samples(self, solver_slices, form):
         # the amplitudes are the extremal ratios on the fitting samples, so a
-        # well-posed fit holds there; on the probe slices of `halfheat verify`
-        # and on the c = 1 solver columns of the desk probe matrix
-        probe_sets = [(cli._probe_slices(model(0.0), ts=(0.25, 1.0), y2s=(0.1, 1.0)), 0.0, 1e-12),
-                      ([solver_slices[(1.0, y2, t)] for y2 in SOURCE_YS for t in (0.25, 1.0, 4.0)],
-                       1.0, 1e-7)]
+        # well-posed fit holds there; on closed-form probe slices and on the
+        # c = 1 solver columns of the acceptance session
+        probe_sets = [(probe_slices(model(0.0), n_y=16, n_x=10), 0.0, 1e-12),
+                      ([slc for (c, _, t), slc in solver_slices.items()
+                        if c == 1.0 and t in (0.25, 1.0, 4.0)], 1.0, 1e-7)]
         for sls, c, floor in probe_sets:
             rep = fit_envelope_constants(sls, form, c, 1, noise_floor_rel=floor)
             v = envelope_verdict(sls, rep.params_up(), rep.params_low(), c, 1, floor)
@@ -489,3 +480,25 @@ class TestFloors:
             ))
         assert res["far_floor"] == pytest.approx(min(direct), rel=1e-12)
 
+
+class TestCriteria:
+    def test_nan_mass_defect_fails_conservation(self):
+        # one NaN value makes that slice's defect NaN; folded with max(worst, r)
+        # after a finite defect it read 4.0e-15 and passed <= 1e-3
+        stats = {"route": "separable", **dict.fromkeys(solver.SOLVE_STATS[1:], 0)}
+        session = {(1.0, y2, t): exact_quadrature_slice(model(1.0), t, np.array([0.0, y2]))
+                   for y2 in (0.3, 1.0) for t in (0.5, 1.0)}
+        for slc in session.values():
+            slc.meta = dict(stats)
+        session[(1.0, 1.0, 1.0)].values[7] = np.nan
+        checks = {check["name"]: check for check in criterion_conservation(session=session)}
+        assert checks["conservation_exact"]["passed"]
+        assert np.isnan(checks["conservation_solver_c1.0"]["residual"])
+        assert not checks["conservation_solver_c1.0"]["passed"]
+
+    def test_solve_stats_keep_a_nan(self):
+        op = assemble(model(1.0, a=0.5), GridSpec(rx=6.0, ry=6.0, nx=24, ny=24, c=1.0))
+        cols = kernel_columns(op, [0.5], [[0.0, 1.0], [0.0, 2.0]])
+        cols[1].meta["contour_err"] = np.nan
+        assert np.isnan(solve_stats(cols)["contour_err"])
+        assert np.isnan(solve_stats(cols[:1], columns=cols)["contour_err"])
