@@ -28,8 +28,8 @@ at one --probe-set and writes verify.json with one record per check:
 
     smoke  the closed form only: criteria 2, 3, 4 and 7 without solver
            columns, and the doubling and equivalence-window rows
-    desk   the whole table, with a 96 x 96 solver session and smaller
-           grids for criteria 1 and 10
+    desk   the whole table, with 96 x 96 grids for the solver session and
+           criterion 3 and smaller grids for criteria 1 and 10
     full   the whole table at the inputs of the tier-1 acceptance tests
 
 A check passes when its residual is finite and at most its tolerance,

@@ -627,10 +627,11 @@ def test_desk_sweep_passes(tmp_path):
     assert bundle["passed"] is True
     # every row of the table, at the desk grids
     names = {c["name"] for c in bundle["checks"]}
-    assert {"oracle_solver_c2.0", "conservation_solver_c1.0", "adjoint_solver_c1.0",
-            "envelope_solver_c-0.5", "gradient_solver_c1.0", "floors_solver_c1.0",
-            "g_trace_solver_c1.0", "poincare_c2.0", "sab_family_c1.0_p4.0",
-            "round_trip_solver", "doubling"} <= names
+    for kind in ("adjoint", "scaling", "translation"):
+        assert {f"{kind}_solver_a0.5_c-0.5", f"{kind}_solver_a0.5_c1.0"} <= names
+    assert {"oracle_solver_c2.0", "conservation_solver_c1.0", "envelope_solver_c-0.5",
+            "gradient_solver_c1.0", "floors_solver_c1.0", "g_trace_solver_c1.0",
+            "poincare_c2.0", "sab_family_c1.0_p4.0", "round_trip_solver", "doubling"} <= names
     round_trip = next(c for c in bundle["checks"] if c["name"] == "round_trip_solver")
     assert round_trip["params"]["n"] == 64
     # solver checks carry the stats of their evolutions, the others none

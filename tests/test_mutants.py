@@ -23,6 +23,6 @@ def clock(op, ts, z2):
 @pytest.mark.parametrize("probe_set", ["full", "desk"])
 @pytest.mark.parametrize("wrong,criterion", [(clock, "round_trip")], ids=["clock"])
 def test_wrong_kernel_is_rejected(wrong, criterion, probe_set):
-    run, inputs = dict(V.CRITERIA)[criterion], V.PROBE_SETS[probe_set][criterion]
+    run, inputs = {n: f for n, f, _ in V.CRITERIA}[criterion], V.PROBE_SETS[probe_set][criterion]
     assert all(check["passed"] for check in run(**inputs))
     assert not all(check["passed"] for check in run(**inputs, columns=wrong))
