@@ -212,8 +212,18 @@ class Field:
 
     @classmethod
     def from_function(cls, grid: GridSpec, fn) -> "Field":
-        x, y = np.meshgrid(grid.x_centers, grid.y_centers, indexing="ij")
-        return cls(grid, fn(x, y))
+        """The field fn(x, y) on the cell centres, fn called on the open mesh:
+        x of shape (nx, 1) and y of shape (1, ny).  Its result must broadcast
+        to (nx, ny) (a scalar gives a constant field); it is copied into fresh
+        values, so a probe in y alone is evaluated ny times, not nx * ny.
+        """
+        x, y = np.meshgrid(grid.x_centers, grid.y_centers, indexing="ij", sparse=True)
+        values = np.asarray(fn(x, y), dtype=float)
+        try:
+            values = np.broadcast_to(values, (grid.nx, grid.ny)).copy()
+        except ValueError:
+            pass  # __post_init__ names the shape that does not match
+        return cls(grid, values)
 
     def mass(self) -> float:
         return float(np.sum(self.grid.masses() * self.values))

@@ -68,6 +68,18 @@ NOISE_FLOOR_REL = 1e-12
 RATE_MARGIN = 0.15
 
 
+def _sq_norm(d):
+    """Squared norm along the last axis, summed one column at a time.
+
+    Bit-equal to np.sum(d ** 2, axis=-1) for fewer than eight columns, which
+    numpy adds in sequence, without its reduction over a short strided axis.
+    """
+    out = d[..., 0] ** 2
+    for j in range(1, d.shape[-1]):
+        out += d[..., j] ** 2
+    return out
+
+
 # ---------------------------------------------------------------------------
 # slices on quadrature grids (integration-capable closed-form slices)
 
@@ -166,8 +178,7 @@ def fit_envelope_constants(slices, form: str, c: float, n: int,
     """
     t, z1, z2, p = _gather_samples(slices, noise_floor_rel)
 
-    dist2 = np.sum((z1 - z2) ** 2, axis=-1)
-    rho = dist2 / t
+    rho = _sq_norm(z1 - z2) / t
     far = rho >= 4.0  # |z1 - z2| >= 2 sqrt(t)
     if np.count_nonzero(far) < 2 or np.ptp(rho[far]) == 0.0:
         raise FitUnderdeterminedError(
@@ -426,7 +437,7 @@ def compute_G_from_slices(slices, theta: float, alpha: float) -> GTrace:
         if s.weights is None:
             raise StructuralError("G-trace needs slices with integration weights")
         u = theta * s.clamped_values() + (1.0 - theta)
-        envn = np.exp(-alpha * np.sum(s.points ** 2, axis=-1))
+        envn = np.exp(-alpha * _sq_norm(s.points))
         ts.append(s.t)
         vals.append(float(np.dot(s.weights, envn * np.log(u))))
     return GTrace(theta=theta, ts=np.array(ts), values=np.array(vals))
@@ -458,9 +469,13 @@ def poincare_ratio(fields, alpha: float, c: float) -> dict:
     the fields' cell masses, computed once per distinct GridSpec of the
     call (fields on one grid share it); gradients are the discrete ones.
     Constant fields are excluded (0/0).  An alpha that is not positive
-    and finite raises ParameterError before any field is read.
+    and finite raises ParameterError before any field is read, and a
+    field with a non-finite value raises DomainError before any ratio.
     """
     _check_alpha(alpha)
+    fields = list(fields)
+    if not all(np.isfinite(f.values).all() for f in fields):
+        raise DomainError("Poincaré probe field has non-finite values")
     ratios = []
     skipped = 0
     nus = {}  # GridSpec -> nu on its cells, for this call only
@@ -473,8 +488,8 @@ def poincare_ratio(fields, alpha: float, c: float) -> dict:
             raise StructuralError("field grid weight does not match c")
         nu = nus.get(grid)
         if nu is None:
-            pts = grid.points()
-            nu = nus[grid] = grid.masses().ravel() * np.exp(-alpha * np.sum(pts ** 2, axis=-1))
+            r2 = (grid.x_centers ** 2)[:, None] + (grid.y_centers ** 2)[None, :]
+            nu = nus[grid] = (grid.masses() * np.exp(-alpha * r2)).ravel()
         u = f.values.ravel()
         mean = float(np.dot(nu, u) / np.sum(nu))
         num = float(np.dot(nu, (u - mean) ** 2))
@@ -514,7 +529,7 @@ def far_field_floor(slices, r: float, rate: float,
         st = np.sqrt(s.t)
         y1 = s.points[:, -1]
         y2 = float(s.source[-1])
-        d2 = np.sum((s.points - s.source) ** 2, axis=-1)
+        d2 = _sq_norm(s.points - s.source)
         n = s.n
         v2 = ball_volume(y2, st, s.c, n)
         p = s.clamped_values()
@@ -738,11 +753,10 @@ def criterion_gradient(session=None):
     checks = _Checks()
     for c, slices in _session_slices(session, (0.25, 1.0, 4.0)):
         grid, m = slices[0].meta["grid"], _model(c)
-        fitted = []
+        pts, fitted = grid.points(), []
         for t in (0.25, 1.0):
             for z2 in ([0.0, y2] for y2 in (0.3, 1.0, 3.0)):
-                fld = Field.from_function(grid, lambda x, y: exact_slice(
-                    m, t, z2, np.column_stack([x.ravel(), y.ravel()])).values.reshape(x.shape))
+                fld = Field(grid, exact_slice(m, t, z2, pts).values.reshape(grid.nx, grid.ny))
                 fitted.append(_max_gradient_ratio(fld, z2, t, 1e-12))
         worst = np.max([_max_gradient_ratio(Field(grid, s.values.reshape(grid.nx, grid.ny)),
                                             s.source, s.t, 1e-7) for s in slices])

@@ -32,6 +32,7 @@ from halfheat.solver import (
     kernel_columns,
     kernel_slices,
 )
+from halfheat.verify import _POINCARE_FIELDS
 
 
 def make(a=0.0, c=0.0, n=48, r=5.0):
@@ -956,6 +957,41 @@ class TestGradient:
         gx, gy = discrete_gradient(Field.from_function(grid, lambda x, y: x))
         assert gx.values == pytest.approx(np.ones_like(gx.values), rel=1e-12)
         assert np.max(np.abs(gy.values)) < 1e-13
+
+
+class TestFromFunction:
+    """fn is called on the open mesh and its result broadcast to (nx, ny); a
+    non-square grid makes a transposed axis show as a shape or value change."""
+
+    grid = GridSpec(rx=4.0, ry=3.0, nx=48, ny=32, c=0.5)
+
+    @pytest.mark.parametrize("k", range(len(_POINCARE_FIELDS)))
+    def test_dense_mesh_values_bit_for_bit(self, k):
+        fn = _POINCARE_FIELDS[k]
+        x, y = np.meshgrid(self.grid.x_centers, self.grid.y_centers, indexing="ij")
+        values = Field.from_function(self.grid, fn).values
+        assert values.shape == (48, 32)
+        assert values.tobytes() == np.asarray(fn(x, y), dtype=float).tobytes()
+        assert values.flags.writeable and values.flags.owndata
+
+    def test_y_only_probe_sees_the_open_mesh(self):
+        seen = []
+
+        def probe(x, y):
+            seen.append((x.shape, y.shape))
+            return np.exp(-((y - 0.01) / 0.05) ** 2)
+        values = Field.from_function(self.grid, probe).values
+        assert seen == [((48, 1), (1, 32))]
+        assert np.all(values == values[:1])
+
+    def test_scalar_is_a_constant_field(self):
+        values = Field.from_function(self.grid, lambda x, y: 2.5).values
+        assert values.shape == (48, 32) and np.all(values == 2.5)
+        values[0, 0] = 1.0  # a fresh array, not a read-only broadcast view
+
+    def test_result_that_does_not_broadcast_is_structural(self):
+        with pytest.raises(StructuralError, match=r"values shape \(32, 48\) does not match grid \(48,32\)"):
+            Field.from_function(self.grid, lambda x, y: np.zeros((32, 48)))
 
 
 def test_grid_invariants():

@@ -1,5 +1,7 @@
 """Harness layer: fits, identities, G-trace, Poincare, floors."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,8 @@ from halfheat.geometry import EnvelopeParams
 from halfheat.kernels import KernelSlice, exact_slice, product_kernel
 from halfheat.operators import GeneralOperatorSpec, ModelOperatorSpec
 from halfheat.quadrature import halfspace_nodes, legendre_panel, y_weighted_nodes
-from halfheat.solver import Field, GridSpec, assemble, assemble_divergence_form, kernel_columns
+from halfheat.solver import (Field, GridSpec, assemble, assemble_divergence_form, discrete_gradient,
+                             kernel_columns)
 from halfheat.verify import (
     GTrace,
     check_conservation,
@@ -424,6 +427,62 @@ class TestPoincare:
         assert joint["ratios"] == [r_near[0], r_far[0], r_near[1], r_far[1]]
         assert joint["sup_ratio"] == max(r_near + r_far)
         assert r_near != r_far
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_field_rejected_before_any_work(self, bad, monkeypatch):
+        grid = GridSpec(rx=4.0, ry=4.0, nx=16, ny=16, c=1.0)
+        good = Field.from_function(grid, lambda x, y: x)
+        values = good.values.copy()
+        values[3, 5] = bad
+
+        def no_work(f):
+            raise AssertionError("a gradient was taken")
+        monkeypatch.setattr(V, "discrete_gradient", no_work)
+        with pytest.raises(DomainError, match="non-finite"):
+            poincare_ratio([good, Field(grid, values)], 1.0, 1.0)
+
+
+class TestPerCoordinateForms:
+    """The per-column squared norms and the per-axis Poincare weight give the
+    bits of the axis-sum formulas they replace."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_sq_norm_is_the_axis_sum(self, k):
+        rng = np.random.default_rng(k)
+        d = rng.standard_normal((64, k)) * 10.0 ** rng.integers(-200, 200, (64, k))
+        special = list(itertools.product([-0.0, 1.5, np.inf, -np.inf, np.nan], repeat=k))
+        d = np.vstack([d, special])
+        with np.errstate(over="ignore", under="ignore"):
+            want = np.sum(d ** 2, axis=-1)
+            got = V._sq_norm(d)
+        assert got.tobytes() == want.tobytes()
+
+    def test_compute_G_on_criterion_7_inputs(self):
+        m, z2, theta, ts = model(0.0), np.array([0.0, 0.5]), 0.5, (0.5, 0.75, 1.0)
+        alpha = normalizing_alpha(0.0, 1)
+        want = []
+        for t in ts:
+            s = exact_quadrature_slice(m, t, z2)
+            envn = np.exp(-alpha * np.sum(s.points ** 2, axis=-1))
+            u = theta * s.clamped_values() + (1.0 - theta)
+            want.append(float(np.dot(s.weights, envn * np.log(u))))
+        assert compute_G(m, z2, theta, alpha, ts).values.tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("c", [-0.5, 1.0, 2.0])
+    def test_poincare_ratio_on_criterion_8_fields(self, c):
+        alpha = normalizing_alpha(c, 1)
+        grid = GridSpec(rx=8.0, ry=8.0, nx=128, ny=128, c=c)
+        x, y = np.meshgrid(grid.x_centers, grid.y_centers, indexing="ij")
+        fields = [Field(grid, fn(x, y)) for fn in V._POINCARE_FIELDS]
+        nu = grid.masses().ravel() * np.exp(-alpha * np.sum(grid.points() ** 2, axis=-1))
+        want = []
+        for f in fields:
+            u = f.values.ravel()
+            mean = float(np.dot(nu, u) / np.sum(nu))
+            gx, gy = discrete_gradient(f)
+            den = float(np.dot(nu, gx.values.ravel() ** 2 + gy.values.ravel() ** 2))
+            want.append(float(np.dot(nu, (u - mean) ** 2)) / den)
+        assert poincare_ratio(fields, alpha, c)["ratios"] == want
 
 
 @pytest.mark.parametrize("alpha", [np.nan, np.inf, 0.0, -1.0])
