@@ -403,7 +403,7 @@ def normalizing_alpha(c: float, n: int) -> float:
 
 @dataclass
 class GTrace:
-    """Samples of G(t) = integral log(theta p + 1 - theta) d(nu)."""
+    """Samples of G(t) = integral log(theta p + 1 - theta) d(nu) at strictly increasing times."""
 
     theta: float
     ts: np.ndarray
@@ -416,6 +416,8 @@ class GTrace:
         self.values = np.asarray(self.values, dtype=float)
         if not np.all(np.isfinite(self.values)):
             raise DomainError("G-trace contains non-finite samples")
+        if not np.all(np.diff(self.ts) > 0.0):  # NaN fails too
+            raise DomainError("G-trace times must strictly increase")
 
     @property
     def final(self) -> float:
@@ -454,7 +456,7 @@ def check_G_monotone(trace: GTrace) -> dict:
     """Smallest A making G(t) + A t nondecreasing on the sample grid."""
     dg = np.diff(trace.values)
     dt = np.diff(trace.ts)
-    a_req = float(max(0.0, np.max(-dg / dt))) if len(dg) else 0.0
+    a_req = float(np.max(-dg / dt, initial=0.0))  # a NaN slope is the result
     return {"A_required": a_req, "finite": bool(np.isfinite(a_req))}
 
 
@@ -561,7 +563,7 @@ def far_field_floor(slices, r: float, rate: float,
 # tolerances; the grid sizes that the desk probe set shrinks are arguments whose
 # defaults are the `full` (tier-1) ones.  A criterion that evolves kernels takes a
 # provider `columns`, called as kernel_columns is; criteria 2 and 4-7 also read a
-# `session` of solver slices, and without one check the closed form alone.
+# `session` of solver slices.
 
 
 class _Checks(list):
@@ -602,12 +604,15 @@ def solver_session(nx=224, ny=192, columns=kernel_columns) -> dict:
 
 
 def _session_slices(session, ts, ys=None):
-    """(c, slices) per c of a session (none for None): its slices at the times ts
-    from the sources at the heights ys (all by default), source-major."""
+    """(c, slices) per c of a session: its slices at the times ts from the sources at
+    the heights ys (all by default), source-major.  None such raises StructuralError,
+    so that a criterion never passes on no solver slices."""
     groups = {}
-    for (c, y2, t), slc in (session or {}).items():
+    for (c, y2, t), slc in session.items():
         if t in ts and (ys is None or y2 in ys):
             groups.setdefault(c, []).append(slc)
+    if not groups:
+        raise StructuralError(f"the session holds no slice at t in {ts}")
     return groups.items()
 
 
@@ -662,7 +667,7 @@ def criterion_oracle_equivalence(cs=(-0.5, 0.0, 1.0, 2.0), ns=(128, 256), column
     return checks
 
 
-def criterion_conservation(session=None):
+def criterion_conservation(session):
     """Criterion 2: the weighted mass is 1, to 1e-8 on the closed-form quadrature
     slices (a = 0) from (0.1, 0.7) at c in (-0.5, 0, 1, 2) and t in (0.5, 1, 2),
     and to 1e-3 on the session's slices at those times."""
@@ -682,13 +687,13 @@ def criterion_identities(n=64, columns=kernel_columns):
     to 1e-6.  check_identities_solver per c in (-0.5, 1) on the model with a = 0.5 on
     [-6, 6] x (0, 6] at n x n cells, from the cell (9/16, 11/32) n to (13/32, 7/32) n,
     shifted 4 cells: scaling to 1e-10, translation and adjoint to 1e-12,
-    Chapman-Kolmogorov to 1e-3; n None leaves these out."""
+    Chapman-Kolmogorov to 1e-3."""
     checks = _Checks()
     ids = check_identities_exact(_model(1.0), t=0.5, s=0.5, x0=1.5, scale=2.0, z1=(0.2, 1.0),
                                  z2=(-0.4, 0.5))
     checks.record("scaling_exact", ids["scaling"], 1e-12, c=1.0)
     checks.record("chapman_exact", ids["chapman_kolmogorov"], 1e-6, c=1.0)
-    for c in () if n is None else (-0.5, 1.0):
+    for c in (-0.5, 1.0):
         op = assemble(_model(c, 0.5), GridSpec(rx=6.0, ry=6.0, nx=n, ny=n, c=c))
         ids = check_identities_solver(op, t=0.5, s=0.5, x0_cells=4, scale=2.0,
                                       z1_index=(13 * n // 32, 7 * n // 32),
@@ -700,23 +705,22 @@ def criterion_identities(n=64, columns=kernel_columns):
     return checks
 
 
-def criterion_envelope(session=None, k_break=1.0):
+def criterion_envelope(session):
     """Criterion 4: two-sided product envelopes are fitted and hold at t in (0.25, 1, 4),
     within 900 s: per c in (-0.5, 1) on the closed form (a = 0) on _probe_slices from
     (0, y2), y2 in (0.05, 0.3, 1, 3), and per c of the session in _probe_window (its
     tails bottom out near 1e-9 of the peak, so the fit keeps samples above 1e-7 of it).
-    The fit is well posed and holds under envelope_verdict with its upper rate times
-    k_break (below 1 breaks it); the residual is 1 - min(worst upper ratio, 1)."""
+    The fit is well posed and holds under envelope_verdict; the residual is
+    1 - min(worst upper ratio, 1)."""
     start, checks, ts = time.perf_counter(), _Checks(), (0.25, 1.0, 4.0)
 
     def judge(name, slices, c, floor, solve=None):
         rep = fit_envelope_constants(slices, "product", c, 1, noise_floor_rel=floor)
-        up = EnvelopeParams(rep.c_up, rep.k_up * k_break, form=rep.form)
-        v = envelope_verdict(slices, up, rep.params_low(), c, 1, floor)
+        v = envelope_verdict(slices, rep.params_up(), rep.params_low(), c, 1, floor)
         checks.record(name, 1.0 - min(v["worst_upper_ratio"], 1.0), 0.0,
                       verdict=(rep.verdict and v["upper_holds"] and v["lower_holds"]
                                and time.perf_counter() - start <= 900.0),
-                      solve=solve, k_up=up.rate, k_low=rep.k_low, c_up=rep.c_up, c_low=rep.c_low)
+                      solve=solve, k_up=rep.k_up, k_low=rep.k_low, c_up=rep.c_up, c_low=rep.c_low)
 
     for c in (-0.5, 1.0):
         judge(f"envelope_exact_c{c}", _probe_slices(_model(c), ts, (0.05, 0.3, 1.0, 3.0)), c,
@@ -742,7 +746,7 @@ def _max_gradient_ratio(fld, source, t, floor_rel):
     return np.max(np.hypot(gx.values, gy.values).ravel()[keep] / shape)
 
 
-def criterion_gradient(session=None):
+def criterion_gradient(session):
     """Criterion 5: discrete gradients respect the gradient envelope.  Per c of the
     session, C_fit is the largest gradient ratio of the closed form (a = 0) from
     (0, y2), y2 in (0.3, 1, 3), at t in (0.25, 1) on the session's grid; its slices
@@ -765,7 +769,7 @@ def criterion_gradient(session=None):
     return checks
 
 
-def criterion_floors(session=None):
+def criterion_floors(session):
     """Criterion 6: per c of the session, on its slices at t in (0.25, 1, 4) in
     _probe_window, far_field_floor's (r = 1, rate 5) on-diagonal and far floors
     are positive and the near-diagonal one at least half the on-diagonal one:
@@ -783,7 +787,7 @@ def criterion_floors(session=None):
     return checks
 
 
-def criterion_g_function(session=None):
+def criterion_g_function(session):
     """Criterion 7: the Nash G-function (theta = 1/2) is at most 1e-8 at t in
     (0.5, 0.75, 1), with a finite monotonizing slope (check_G_monotone) and a finite
     G(1): from (0, 0.5) on closed-form quadrature slices (a = 0, c = 0), and per c
@@ -896,23 +900,19 @@ def geometry_rows():
 
 
 #: The acceptance criteria 1-10 in order, then the geometry rows: (name, check
-#: function, the run values it reads: the solver "session", the envelope "k_break").
+#: function, whether it reads the solver session).
 CRITERIA = (
-    ("oracle_equivalence", criterion_oracle_equivalence, ()),
-    ("conservation", criterion_conservation, ("session",)),
-    ("identities", criterion_identities, ()),
-    ("envelope", criterion_envelope, ("session", "k_break")),
-    ("gradient", criterion_gradient, ("session",)), ("floors", criterion_floors, ("session",)),
-    ("g_function", criterion_g_function, ("session",)), ("poincare", criterion_poincare, ()),
-    ("sab", criterion_sab, ()), ("round_trip", criterion_round_trip, ()),
-    ("geometry", geometry_rows, ()),
+    ("oracle_equivalence", criterion_oracle_equivalence, False),
+    ("conservation", criterion_conservation, True), ("identities", criterion_identities, False),
+    ("envelope", criterion_envelope, True), ("gradient", criterion_gradient, True),
+    ("floors", criterion_floors, True), ("g_function", criterion_g_function, True),
+    ("poincare", criterion_poincare, False), ("sab", criterion_sab, False),
+    ("round_trip", criterion_round_trip, False), ("geometry", geometry_rows, False),
 )
 
 #: Per probe set of `halfheat verify`: the rows it runs, each with the inputs
-#: that differ from its defaults, and the solver_session's; smoke has no session.
+#: that differ from its defaults, and the solver_session's.
 PROBE_SETS = {
-    "smoke": {"conservation": {}, "identities": {"n": None}, "envelope": {}, "g_function": {},
-              "geometry": {}},
     "desk": {**{name: {} for name, *_ in CRITERIA}, "session": {"nx": 96, "ny": 96},
              "oracle_equivalence": {"ns": (64, 128)}, "identities": {"n": 96},
              "round_trip": {"n": 64}},
@@ -920,15 +920,13 @@ PROBE_SETS = {
 }
 
 
-def run_criteria(probe_set: str, k_break: float = 1.0) -> list[dict]:
+def run_criteria(probe_set: str) -> list[dict]:
     """The check records of the CRITERIA rows of one probe set, in table order: one
-    solver_session serves every row that reads one, and k_break multiplies the
-    fitted upper envelope rates of criterion 4."""
+    solver_session serves every row that reads one."""
     probes = PROBE_SETS[probe_set]
-    run = {"session": solver_session(**probes["session"]) if "session" in probes else None,
-           "k_break": k_break}
+    run = {"session": solver_session(**probes["session"])} if "session" in probes else {}
     checks = []
-    for name, criterion, reads in CRITERIA:
+    for name, criterion, reads_session in CRITERIA:
         if name in probes:
-            checks += criterion(**probes[name], **{key: run[key] for key in reads})
+            checks += criterion(**probes[name], **(run if reads_session else {}))
     return checks

@@ -2,6 +2,7 @@
 
 import json
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -248,15 +249,17 @@ class TestKernelCommand:
             rows = Path(entry["file"]).read_text().splitlines()[1:]
             assert {tuple(float(v) for v in row.split(",")[3:5]) for row in rows} == {tuple(source)}
 
-    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
-    def test_mass_tol_must_be_finite_and_non_negative(self, tmp_path, capsys, tol):
-        # nan and inf once switched the check off, -1 failed every run
+    def test_lost_mass_fails_and_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        real = cli.kernel_slices
+        monkeypatch.setattr(cli, "kernel_slices", lambda *args, **kw: [
+            replace(slc, meta={**slc.meta, "mass_defect": 2e-3}) for slc in real(*args, **kw)])
         path = write(tmp_path, "op.cfg", MIXED_CFG)
         out_dir = tmp_path / "out"
-        assert main(["kernel", path, "--out", str(out_dir), "--mass-tol", tol]) \
-            == EXIT_CONFIG_ERROR
-        assert "--mass-tol must be finite and >= 0" in json.loads(capsys.readouterr().out)["detail"]
-        assert not out_dir.exists()
+        assert main(["kernel", path, "--out", str(out_dir)]) == EXIT_CHECK_FAILED
+        error = strict_json(capsys.readouterr().out)
+        assert error["error"] == "mass not conserved"
+        assert error["mass_defect"] == 2e-3 and error["tolerance"] == cli.MASS_TOL == 1e-3
+        assert not out_dir.exists()  # no CSV, no index, and the --out it made is gone
 
     def test_solver_route_for_mixed_term(self, tmp_path):
         path = write(tmp_path, "op.cfg", MIXED_CFG)
@@ -455,31 +458,28 @@ class TestKernelCommand:
                          "validate_general": 2}
 
 
-class TestVerifyCommand:
-    def test_smoke_passes(self, tmp_path, capsys):
-        out_dir = tmp_path / "v"
-        assert main(["verify", "--probe-set", "smoke", "--out", str(out_dir)]) == EXIT_PASS
-        bundle = strict_json((out_dir / "verify.json").read_text())
-        assert bundle["passed"] is True
-        assert bundle["schema_version"] == 10
-        assert "seed" not in bundle
-        assert all(np.isfinite(c["wall_s"]) and c["wall_s"] >= 0.0 for c in bundle["checks"])
-        # the closed form only: no check reads a solver column
-        names = [c["name"] for c in bundle["checks"]]
-        assert names == ["conservation_exact", "scaling_exact", "chapman_exact",
-                         "envelope_exact_c-0.5", "envelope_exact_c1.0", "g_trace_exact",
-                         "doubling", "equivalence_window"]
-        assert not any("solve" in c for c in bundle["checks"])
-        # a check with its own verdict and no tolerance writes null, not Infinity
-        window = next(c for c in bundle["checks"] if c["name"] == "equivalence_window")
-        assert window["tolerance"] is None and window["passed"] is True
+def desk_rows(monkeypatch, *rows):
+    """Cut PROBE_SETS["desk"] to the named rows (or "session"), each at its desk inputs."""
+    desk = V.PROBE_SETS["desk"]
+    monkeypatch.setitem(V.PROBE_SETS, "desk", {row: desk[row] for row in rows})
 
-    def test_broken_envelope_fails(self, capsys):
-        assert main(["verify", "--probe-set", "smoke", "--break-rate", "0.5"]) \
-            == EXIT_CHECK_FAILED
+
+class TestVerifyCommand:
+    def test_broken_envelope_fails(self, capsys, monkeypatch):
+        # fit_envelope_constants serves criterion 4 alone, so only its checks fail
+        real = V.fit_envelope_constants
+
+        def halved(*args, **kw):
+            rep = real(*args, **kw)
+            return replace(rep, k_up=rep.k_up / 2.0)
+
+        monkeypatch.setattr(V, "fit_envelope_constants", halved)
+        desk_rows(monkeypatch, "envelope", "session")
+        assert main(["verify"]) == EXIT_CHECK_FAILED
         bundle = json.loads(capsys.readouterr().out)
         failed = [c["name"] for c in bundle["checks"] if not c["passed"]]
-        assert failed == ["envelope_exact_c-0.5", "envelope_exact_c1.0"]
+        assert failed == ["envelope_exact_c-0.5", "envelope_exact_c1.0",
+                          "envelope_solver_c-0.5", "envelope_solver_c1.0"]
 
     @pytest.mark.parametrize("residual", [1.0, np.nan])
     def test_residual_over_tolerance_fails(self, capsys, monkeypatch, residual):
@@ -487,31 +487,34 @@ class TestVerifyCommand:
         real = V.check_identities_exact
         monkeypatch.setattr(V, "check_identities_exact",
                             lambda *args, **kw: {**real(*args, **kw), "scaling": residual})
-        assert main(["verify", "--probe-set", "smoke"]) == EXIT_CHECK_FAILED
+        desk_rows(monkeypatch, "identities")
+        assert main(["verify"]) == EXIT_CHECK_FAILED
         bundle = json.loads(capsys.readouterr().out)
         assert [c["name"] for c in bundle["checks"] if not c["passed"]] == ["scaling_exact"]
 
     def test_equivalence_window_inf_fails_in_strict_json(self, tmp_path, monkeypatch):
         monkeypatch.setattr(V, "envelope_equivalence_window", lambda c, eps: (0.5, np.inf, eps))
+        desk_rows(monkeypatch, "geometry")
         out_dir = tmp_path / "v"
-        assert main(["verify", "--probe-set", "smoke", "--out", str(out_dir)]) \
-            == EXIT_CHECK_FAILED
+        assert main(["verify", "--out", str(out_dir)]) == EXIT_CHECK_FAILED
         bundle = strict_json((out_dir / "verify.json").read_text())
         check = next(c for c in bundle["checks"] if c["name"] == "equivalence_window")
         assert check["passed"] is False and check["residual"] is None
         assert check["tolerance"] is None
 
-    @pytest.mark.parametrize("rate", ["nan", "inf", "-1"])
-    def test_non_finite_break_rate_rejected(self, tmp_path, capsys, rate):
-        out_dir = tmp_path / "out"
-        assert main(["verify", "--probe-set", "smoke", "--break-rate", rate,
-                     "--out", str(out_dir)]) == EXIT_CONFIG_ERROR
-        assert "finite" in json.loads(capsys.readouterr().out)["detail"]
-        assert not out_dir.exists()
-
     def test_unknown_probe_set_rejected(self):
         with pytest.raises(SystemExit):
             main(["verify", "--probe-set", "bogus"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernel", "op.cfg", "--mass-tol", "1e-3"], ["verify", "--break-rate", "0.5"],
+    ["verify", "--probe-set", "smoke"],
+], ids=["kernel_mass_tol", "verify_break_rate", "verify_smoke"])
+def test_retired_setting_exits_2(argv):
+    with pytest.raises(SystemExit) as exc:  # argparse refuses it before any work
+        main(argv)
+    assert exc.value.code == EXIT_CONFIG_ERROR
 
 
 @pytest.mark.parametrize("command,under", [
@@ -625,6 +628,12 @@ def test_desk_sweep_passes(tmp_path):
     assert main(["verify", "--probe-set", "desk", "--out", str(out_dir)]) == EXIT_PASS
     bundle = strict_json((out_dir / "verify.json").read_text())
     assert bundle["passed"] is True
+    assert bundle["schema_version"] == 10 and bundle["probe_set"] == "desk"
+    assert "seed" not in bundle
+    assert all(np.isfinite(c["wall_s"]) and c["wall_s"] >= 0.0 for c in bundle["checks"])
+    # a check with its own verdict and no tolerance writes null, not Infinity
+    window = next(c for c in bundle["checks"] if c["name"] == "equivalence_window")
+    assert window["tolerance"] is None and window["passed"] is True
     # every row of the table, at the desk grids
     names = {c["name"] for c in bundle["checks"]}
     for kind in ("adjoint", "scaling", "translation"):

@@ -346,6 +346,16 @@ class TestGTrace:
     def test_guards(self):
         with pytest.raises(DomainError, match="non-finite"):
             GTrace(theta=0.5, ts=np.array([1.0, 2.0]), values=np.array([0.0, np.nan]))
+        # a repeated time once made check_G_monotone fold 0/0 into A_required = 0
+        with pytest.raises(DomainError, match="strictly increase"):
+            compute_G(model(0.0), (0.0, 0.5), 0.5, normalizing_alpha(0.0, 1), [0.5, 0.5, 1.0])
+        for ts in ([2.0, 1.0], [1.0, np.nan]):
+            with pytest.raises(DomainError, match="strictly increase"):
+                GTrace(theta=0.5, ts=np.array(ts), values=np.zeros(2))
+        tr = GTrace(theta=0.5, ts=np.array([0.5, 1.0]), values=np.zeros(2))
+        tr.ts[1] = 0.5  # past the guard, the slope is 0/0: the NaN is the result
+        with np.errstate(invalid="ignore"):
+            assert not check_G_monotone(tr)["finite"]
         with pytest.raises(StructuralError, match="at least one slice"):
             compute_G_from_slices([], 0.5, 1.0)
         probe = exact_slice(model(0.0), 1.0, np.array([0.0, 1.0]), np.array([[0.0, 1.0]]))
@@ -541,6 +551,14 @@ class TestFloors:
 
 
 class TestCriteria:
+    @pytest.mark.parametrize("criterion", [
+        V.criterion_conservation, V.criterion_envelope, V.criterion_gradient,
+        V.criterion_floors, V.criterion_g_function])
+    def test_session_without_slices_is_refused(self, criterion):
+        # all() of no solver checks once passed criteria 5 and 6 on an empty session
+        with pytest.raises(StructuralError, match="no slice"):
+            criterion({})
+
     def test_nan_mass_defect_fails_conservation(self):
         # one NaN value makes that slice's defect NaN; folded with max(worst, r)
         # after a finite defect it read 4.0e-15 and passed <= 1e-3
