@@ -261,6 +261,18 @@ class TestKernelCommand:
         assert error["mass_defect"] == 2e-3 and error["tolerance"] == cli.MASS_TOL == 1e-3
         assert not out_dir.exists()  # no CSV, no index, and the --out it made is gone
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_mass_tol_must_be_finite_and_non_negative(self, tmp_path, tol):
+        # nan and inf once switched the check off, -1 failed every run: the
+        # tolerance is fixed now, and argparse refuses the retired option
+        assert np.isfinite(cli.MASS_TOL) and cli.MASS_TOL >= 0.0
+        path = write(tmp_path, "op.cfg", MIXED_CFG)
+        out_dir = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["kernel", path, "--out", str(out_dir), "--mass-tol", tol])
+        assert exc.value.code == EXIT_CONFIG_ERROR
+        assert not out_dir.exists()
+
     def test_solver_route_for_mixed_term(self, tmp_path):
         path = write(tmp_path, "op.cfg", MIXED_CFG)
         out_dir = tmp_path / "out"
@@ -502,19 +514,26 @@ class TestVerifyCommand:
         assert check["passed"] is False and check["residual"] is None
         assert check["tolerance"] is None
 
+    @pytest.mark.parametrize("rate", ["nan", "inf", "-1"])
+    def test_non_finite_break_rate_rejected(self, tmp_path, rate):
+        # the envelope can no longer be broken from the command line
+        out_dir = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:  # argparse refuses it before any work
+            main(["verify", "--break-rate", rate, "--out", str(out_dir)])
+        assert exc.value.code == EXIT_CONFIG_ERROR
+        assert not out_dir.exists()
+
     def test_unknown_probe_set_rejected(self):
         with pytest.raises(SystemExit):
             main(["verify", "--probe-set", "bogus"])
 
-
-@pytest.mark.parametrize("argv", [
-    ["kernel", "op.cfg", "--mass-tol", "1e-3"], ["verify", "--break-rate", "0.5"],
-    ["verify", "--probe-set", "smoke"],
-], ids=["kernel_mass_tol", "verify_break_rate", "verify_smoke"])
-def test_retired_setting_exits_2(argv):
-    with pytest.raises(SystemExit) as exc:  # argparse refuses it before any work
-        main(argv)
-    assert exc.value.code == EXIT_CONFIG_ERROR
+    def test_smoke_probe_set_retired(self, tmp_path):
+        # its closed-form-only rows read no solver session, a mode the criteria no longer have
+        out_dir = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--probe-set", "smoke", "--out", str(out_dir)])
+        assert exc.value.code == EXIT_CONFIG_ERROR
+        assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("command,under", [
