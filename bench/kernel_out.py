@@ -1,4 +1,4 @@
-"""`halfheat kernel` and the closed-form quadrature paths, timed, with the oracle error.
+"""`halfheat kernel`, timed, with the oracle error.
 
     python3 bench/kernel_out.py [--out BENCH_kernel_out.json] [--repeats 7]
 
@@ -8,10 +8,9 @@ route one evolution of those cells, on the path kernel_columns also
 takes, without a second check) and one write_csv call, which writes
 every number as the bytes of `"%.17g" % v`.  The
 a = 0 kernel on a tensor grid is one kernels.tensor_kernel call, which
-kernel_slices uses on the cell centres, and verify.exact_quadrature_slice
-and verify.check_identities_exact on the 1-D rules of halfspace_nodes.
-The test-suite pins each of these bit for bit against the path it
-replaced, so this script times them and measures their error only.
+kernel_slices uses on the cell centres.  The test-suite pins each of
+these bit for bit against the path it replaced, so this script times
+them and measures their error only.
 
 Cases: the README example (128^2, solver-reduced route) and the three
 configs of the perfbench `kernel_cli` workload at their nominal values,
@@ -31,26 +30,8 @@ which reduces to a = 0 up to round-off: exact-reduced) and `diagonal`
     contour_err, mass_defect  (solver cases, which have no closed form)
                      the largest over its files, from kernel_index.json
 
-The `quadrature` section covers the closed-form verdicts: the acceptance
-criterion-2 set (c in {-0.5, 0, 1, 2} x t in {0.5, 1, 2}, source
-(0.1, 0.7)) and, per c, check_identities_exact at the `verify` sweep's
-arguments; compute_G at the G-trace test's arguments (G_TRACE); and
-poincare_ratio on the seven field shapes of the perfbench `verdicts`
-workload at their nominal values on a 128^2 grid (POINCARE).  Per entry:
-
-    time_s           exact_quadrature_slice, check_identities_exact,
-                     compute_G or poincare_ratio
-    first_s          (slices) the slice's first call in the process; the
-                     first t of each c also builds the c's Gauss-Jacobi
-                     reference rule, which later calls take from the cache
-    mass_defect      |mass - 1| of the slice (slices)
-    chapman_kolmogorov  the CK residual (identities)
-    max_G            the largest G(t) of the trace (g_trace)
-    u_x_dev          |ratio(u = x) - 1/(2 alpha)| / (1/(2 alpha)) (poincare)
-
-Every time_s is the median and quartiles over --repeats calls.  The exit
-code is 1 when a closed-form case's oracle_err exceeds ORACLE_TOL or a
-quadrature entry's accuracy figure exceeds its bound in QUADRATURE_TOLS.
+Every time is the median and quartiles over --repeats calls.  The exit
+code is 1 when a closed-form case's oracle_err exceeds ORACLE_TOL.
 """
 
 from __future__ import annotations
@@ -59,22 +40,20 @@ import contextlib
 import io
 import json
 import tempfile
-import time
 from pathlib import Path
 
 import numpy as np
 from harness import alternate, quartiles, run  # first: it puts src/ on sys.path
 
-from halfheat import cli, verify
+from halfheat import cli
 from halfheat.kernels import tensor_kernel
 from halfheat.operators import (
     GeneralOperatorSpec,
-    ModelOperatorSpec,
     general_kernel_exact,
     map_point,
     reduce_to_model,
 )
-from halfheat.solver import Field, GridSpec
+from halfheat.solver import GridSpec
 
 #: (name, A, d, c, sources, t.list, grid.Rx = grid.Ry, cells per direction)
 README_CASE = ("readme_128", [[2.0, 0.7], [0.7, 1.0]], 0.3, 0.6,
@@ -85,19 +64,6 @@ KERNEL_CLI = [  # perfbench kernel_cli at its nominal values
     ("diagonal", [[2.0, 0.0], [0.0, 1.0]], 0.0, 0.6, [(0.0, 1.0), (0.0, 0.5)]),
 ]
 KERNEL_CLI_TS = [0.25, 0.5]
-#: acceptance criterion 2 (conservation of closed-form quadrature slices)
-QUADRATURE_CS = [-0.5, 0.0, 1.0, 2.0]
-QUADRATURE_TS = [0.5, 1.0, 2.0]
-QUADRATURE_SOURCE = (0.1, 0.7)
-#: the arguments of the closed-form identities check in `halfheat verify`
-IDENTITY_ARGS = dict(t=0.5, s=0.5, x0=1.3, scale=2.0, z1=(0.2, 1.1), z2=(-0.3, 0.6))
-#: the closed-form G-trace of the tests (criterion 7): c, z2, theta, times
-G_TRACE = dict(c=0.0, z2=(0.0, 0.5), theta=0.5, ts=(0.5, 0.75, 1.0))
-#: the perfbench `verdicts` Poincare probe at its nominal values (criterion 8)
-POINCARE = dict(c=1.0, centre=(4.0, 4.0), width=0.05, cells=128)
-#: bound of each quadrature entry's accuracy figure (criteria 2, 3, 7 and 8)
-QUADRATURE_TOLS = {"mass_defect": 1e-8, "chapman_kolmogorov": 1e-6, "max_G": 1e-8,
-                   "u_x_dev": 1e-6}
 #: largest oracle_err of a closed-form case; round-off, about 4e-16, is expected
 ORACLE_TOL = 1e-12
 
@@ -179,90 +145,13 @@ def failures(name: str, rec: dict) -> list[str]:
     return [f"{name}: oracle_err {rec['oracle_err']:.3e}, over {ORACLE_TOL:.0e}"]
 
 
-def poincare_fields() -> list:
-    """The seven probe fields of the perfbench `verdicts` Poincare check, on POINCARE's grid."""
-    n, (x0, y0), width = POINCARE["cells"], POINCARE["centre"], POINCARE["width"]
-    grid = GridSpec(rx=8.0, ry=8.0, nx=n, ny=n, c=POINCARE["c"])
-    fns = (
-        lambda x, y: x,
-        lambda x, y: y,
-        lambda x, y: x * y,
-        lambda x, y: x ** 2 - y ** 2,
-        lambda x, y: x ** 3,
-        lambda x, y: np.exp(-((y - 0.01) / width) ** 2),
-        lambda x, y: np.exp(-((x - x0) ** 2 + (y - y0) ** 2)),
-    )
-    return [Field.from_function(grid, fn) for fn in fns]
-
-
-def quadrature_record(repeats: int) -> dict:
-    """Closed-form verdicts: times beside mass defects, CK residuals, G and the Poincare ratio."""
-    out = {"slices": {}, "identities": {}, "identity_args": IDENTITY_ARGS,
-           "source": QUADRATURE_SOURCE}
-    for c in QUADRATURE_CS:  # per c, the slices and the identities called in turn
-        m = ModelOperatorSpec(n=1, a=np.array([0.0]), c=c)
-        slice_calls = [lambda t=t: verify.exact_quadrature_slice(m, t, QUADRATURE_SOURCE)
-                       for t in QUADRATURE_TS]
-        first_s = []
-        for call in slice_calls:
-            t0 = time.perf_counter()
-            call()
-            first_s.append(time.perf_counter() - t0)
-        *slices, (ids_s, ids) = alternate(
-            slice_calls + [lambda: verify.check_identities_exact(m, **IDENTITY_ARGS)], repeats)
-        for t, first, (time_s, slc) in zip(QUADRATURE_TS, first_s, slices):
-            rec = out["slices"][f"c={c!r},t={t!r}"] = {
-                "nodes": len(slc.values), "first_s": first, "time_s": time_s,
-                "mass_defect": verify.check_conservation(slc)}
-            print(f"quadrature slice c={c:<5} t={t:<4} {time_s['median'] * 1e3:6.2f} ms"
-                  f" (first {first * 1e3:6.2f} ms)  mass_defect {rec['mass_defect']:.1e}",
-                  flush=True)
-        out["identities"][f"c={c!r}"] = {"time_s": ids_s,
-                                         "chapman_kolmogorov": ids["chapman_kolmogorov"]}
-        print(f"identities_exact c={c:<5}        {ids_s['median'] * 1e3:6.2f} ms"
-              f"  chapman_kolmogorov {ids['chapman_kolmogorov']:.1e}", flush=True)
-
-    g = G_TRACE
-    model = ModelOperatorSpec(n=1, a=np.array([0.0]), c=g["c"])
-    alpha = verify.normalizing_alpha(g["c"], 1)
-    [(g_s, trace)] = alternate([lambda: verify.compute_G(
-        model, np.array(g["z2"]), g["theta"], alpha, g["ts"])], repeats)
-    out["g_trace"] = {**g, "alpha": alpha, "time_s": g_s, "values": trace.values.tolist(),
-                      "max_G": float(np.max(trace.values))}
-    print(f"g_trace c={g['c']:<5}               {g_s['median'] * 1e3:6.2f} ms"
-          f"  max_G {out['g_trace']['max_G']:.3f}", flush=True)
-
-    fields = poincare_fields()
-    alpha = verify.normalizing_alpha(POINCARE["c"], 1)
-    [(p_s, res)] = alternate([lambda: verify.poincare_ratio(fields, alpha, POINCARE["c"])],
-                             repeats)
-    exact = 1.0 / (2.0 * alpha)
-    out["poincare"] = {**POINCARE, "fields": len(fields), "alpha": alpha, "time_s": p_s,
-                       "ratios": res["ratios"], "u_x_dev": abs(res["ratios"][0] - exact) / exact}
-    print(f"poincare c={POINCARE['c']:<5} {len(fields)} fields   {p_s['median'] * 1e3:6.2f} ms"
-          f"  u_x_dev {out['poincare']['u_x_dev']:.1e}", flush=True)
-    return out
-
-
-def quadrature_failures(rec: dict) -> list[str]:
-    """The quadrature section's gates: every accuracy figure within QUADRATURE_TOLS (NaN fails)."""
-    entries = [(f"slice {key}", e) for key, e in rec["slices"].items()]
-    entries += [(f"identities {key}", e) for key, e in rec["identities"].items()]
-    entries += [("g_trace", rec["g_trace"]), ("poincare", rec["poincare"])]
-    return [f"quadrature {name}: {figure} {entry[figure]:.3e}, over {tol:.0e}"
-            for name, entry in entries for figure, tol in QUADRATURE_TOLS.items()
-            if figure in entry and not entry[figure] <= tol]
-
-
 def build(repeats: int):
-    """`halfheat kernel` and the closed-form quadrature paths, timed, with the oracle error."""
+    """`halfheat kernel`, timed, with the oracle error."""
     report = {"cases": {}}
     with tempfile.TemporaryDirectory() as tmp:
         for case in cases():
             report["cases"][case[0]] = case_record(case, repeats, Path(tmp))
-    report["quadrature"] = quadrature_record(repeats)
-    return report, ([line for name, rec in report["cases"].items() for line in failures(name, rec)]
-                    + quadrature_failures(report["quadrature"]))
+    return report, [line for name, rec in report["cases"].items() for line in failures(name, rec)]
 
 
 def main(argv=None) -> int:

@@ -568,9 +568,9 @@ def far_field_floor(slices, r: float, rate: float,
 
 class _Checks(list):
     """Check records (name, residual, tolerance, passed, params, wall_s; `solve`
-    on solver columns).  A check passes when its residual is finite and at most
-    its tolerance, or finite and its own verdict true (its tolerance may then be
-    None).  `wall_s` is the time since the record before, or since the list was made."""
+    on solver columns).  Every check has a numeric tolerance.  A check passes when
+    its residual is finite and at most its tolerance, or finite and its own verdict
+    true.  `wall_s` is the time since the record before, or since the list was made."""
 
     def __init__(self):
         super().__init__()
@@ -579,7 +579,7 @@ class _Checks(list):
     def record(self, name, residual, tolerance, verdict=None, solve=None, **params):
         now, residual = time.perf_counter(), float(residual)
         holds = residual <= tolerance if verdict is None else verdict
-        check = {"name": name, "residual": residual, "tolerance": tolerance,
+        check = {"name": name, "residual": residual, "tolerance": float(tolerance),
                  "passed": bool(np.isfinite(residual) and holds), "params": params,
                  "wall_s": now - self._since}
         self.append(check if solve is None else {**check, "solve": solve})
@@ -891,11 +891,17 @@ def criterion_round_trip(n=96, columns=kernel_columns):
 
 def geometry_rows():
     """The rows besides the criteria: the weighted measure is doubling (c = 0),
-    and the one-sided boundary weights swap within a finite window (c = 2)."""
+    and the one-sided boundary weights swap within a finite window (c = 2, eps =
+    0.1): the largest ratio on the grid is at most its supremum over all y1, y2,
+    (1 + d)^{|c|/2} e^{-eps d^2}, taken at y1 = 1 and y2 = 1 + d (or swapped for
+    c < 0) with d = (sqrt(1 + |c|/eps) - 1)/2."""
     checks = _Checks()
     dbl = doubling_check(0.0, 1)
     checks.record("doubling", dbl["worst_ratio"], dbl["shape_bound"], verdict=dbl["within_shape"])
-    checks.record("equivalence_window", envelope_equivalence_window(2.0, 0.1)[1], None, verdict=True)
+    c, eps = 2.0, 0.1
+    d = (np.sqrt(1.0 + abs(c) / eps) - 1.0) / 2.0
+    checks.record("equivalence_window", envelope_equivalence_window(c, eps)[1],
+                  (1.0 + d) ** (abs(c) / 2.0) * np.exp(-eps * d * d))
     return checks
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from halfheat import verify as V
 from halfheat.kernels import exact_slice
 from halfheat.operators import GeneralOperatorSpec, ModelOperatorSpec
 from halfheat.solver import GridSpec, assemble, assemble_divergence_form, kernel_columns
@@ -159,60 +160,44 @@ class TestKernelOutBench:
         kernel_out = load("kernel_out")
         cases = [case for case in kernel_out.cases() if case[0] == "divergence_96"]
         monkeypatch.setattr(kernel_out, "cases", lambda: cases)
-        monkeypatch.setattr(kernel_out, "QUADRATURE_CS", [1.0])
-        monkeypatch.setattr(kernel_out, "QUADRATURE_TS", [0.5])
         report = smoke(kernel_out, tmp_path)
         assert list(report["cases"]) == ["divergence_96"]
         assert report["cases"]["divergence_96"]["oracle_err"] <= kernel_out.ORACLE_TOL
-        quad = report["quadrature"]
-        assert list(quad["slices"]) == ["c=1.0,t=0.5"]
-        assert quad["slices"]["c=1.0,t=0.5"]["first_s"] > 0.0
-        for entry in (quad["identities"]["c=1.0"], quad["g_trace"], quad["poincare"]):
-            assert is_timing(entry["time_s"])
-        assert len(quad["g_trace"]["values"]) == 3 and len(quad["poincare"]["ratios"]) == 7
-
-    def test_quadrature_gates_fire(self, monkeypatch):
-        kernel_out = load("kernel_out")
-        monkeypatch.setattr(kernel_out, "QUADRATURE_CS", [0.0])
-        monkeypatch.setattr(kernel_out, "QUADRATURE_TS", [1.0])
-        rec = kernel_out.quadrature_record(1)
-        assert kernel_out.quadrature_failures(rec) == []
-        for section, key, figure in (("slices", "c=0.0,t=1.0", "mass_defect"),
-                                     ("identities", "c=0.0", "chapman_kolmogorov"),
-                                     ("g_trace", None, "max_G"),
-                                     ("poincare", None, "u_x_dev")):
-            for bad in (2.0 * kernel_out.QUADRATURE_TOLS[figure], np.nan):
-                crafted = json.loads(json.dumps(rec))  # a deep copy
-                entry = crafted[section] if key is None else crafted[section][key]
-                entry[figure] = bad
-                [line] = kernel_out.quadrature_failures(crafted)
-                assert figure in line
 
 
-class TestLadderBench:
-    def test_cases_pass_their_gates(self):
-        ladder = load("ladder")
-        for spec, expected in ((ladder.SPECS[0], "bounded"), (ladder.SPECS[7], "undecided")):
-            rec = ladder.case_record(spec, 2, 1)
-            assert ladder.failures(rec) == []
-            assert rec["verdict"] == rec["reference_verdict"] == expected
-            for key in ("first_s", "repeat_s", "per_bump_s"):
-                assert is_timing(rec[key])
-            assert len(rec["ladder"]) == 2
-        # both halves of the gate can fail
-        assert ladder.failures({**rec, "max_rel_diff": 2 * ladder.DIFF_TOL})
-        assert ladder.failures({**rec, "verdict": "unbounded"})
+class TestCriteriaBench:
+    @staticmethod
+    def cheap_rows(monkeypatch):
+        """Cut both probe sets to criterion 2 and the geometry rows, on a 32 x 32 session."""
+        for name in ("desk", "full"):
+            monkeypatch.setitem(V.PROBE_SETS, name, {"conservation": {}, "geometry": {},
+                                                     "session": {"nx": 32, "ny": 32}})
 
-    def test_main_on_the_smallest_case(self, tmp_path, monkeypatch):
-        ladder = load("ladder")
-        monkeypatch.setattr(ladder, "SPECS", ladder.SPECS[:1])
-        monkeypatch.setattr(ladder, "LEVELS", (3,))
-        report = smoke(ladder, tmp_path)
-        assert [rec["levels"] for rec in report["cases"]] == [3]
-        assert report["summary"]["levels3"]["repeat_s"] > 0.0
+    def test_main_on_cheap_rows(self, tmp_path, monkeypatch):
+        self.cheap_rows(monkeypatch)
+        out = tmp_path / "bench.json"
+        assert load("criteria").main(["--out", str(out), "--repeats", "3"]) == 0
+        report = json.loads(out.read_text())
+        assert report["repeats"] == 3 and report["failures"] == []
+        assert list(report["probe_sets"]) == ["desk", "full"]
+        for rec in report["probe_sets"].values():
+            assert is_timing(rec["total_s"]) and is_timing(rec["session_s"])
+            assert [check["name"] for check in rec["checks"]] == [
+                "conservation_exact", "conservation_solver_c-0.5", "conservation_solver_c1.0",
+                "doubling", "equivalence_window"]
+            for check in rec["checks"]:
+                assert set(check) == {"name", "residual", "tolerance", "passed", "wall_s"}
+                assert check["passed"]
+                wall_s = check["wall_s"]
+                assert set(wall_s) == {"median", "q1", "q3"}
+                assert 0.0 <= wall_s["q1"] <= wall_s["median"] <= wall_s["q3"]
 
-    def test_verdicts(self):
-        ladder = load("ladder")
-        assert ladder.verdict([1.0, 1.2, 1.3]) == "bounded"
-        assert ladder.verdict([1.0, 1.2, 1.4]) == "undecided"  # last step >= 1.1
-        assert ladder.verdict([1.0, 4.0, 10.0]) == "unbounded"
+    def test_failed_check_fails_the_run(self, tmp_path, monkeypatch):
+        self.cheap_rows(monkeypatch)
+        monkeypatch.setattr(V, "doubling_check", lambda c, n: {
+            "worst_ratio": 5.0, "shape_bound": 4.0, "within_shape": False})
+        out = tmp_path / "bench.json"
+        assert load("criteria").main(["--out", str(out), "--repeats", "1"]) == 1
+        report = json.loads(out.read_text())
+        assert report["failures"] == ["desk doubling: residual 5.000e+00, tolerance 4.000e+00",
+                                      "full doubling: residual 5.000e+00, tolerance 4.000e+00"]

@@ -512,7 +512,17 @@ class TestVerifyCommand:
         bundle = strict_json((out_dir / "verify.json").read_text())
         check = next(c for c in bundle["checks"] if c["name"] == "equivalence_window")
         assert check["passed"] is False and check["residual"] is None
-        assert check["tolerance"] is None
+        assert check["tolerance"] == pytest.approx(2.0251, abs=1e-4)
+
+    def test_equivalence_window_wrong_weight_exponent_fails(self, capsys, monkeypatch):
+        # the weight y^{-c} (1 ^ y)^c in place of y^{-c/2} (1 ^ y)^{c/2} overshoots
+        # the closed-form supremum of the window
+        real = V.envelope_equivalence_window
+        monkeypatch.setattr(V, "envelope_equivalence_window", lambda c, eps: real(2.0 * c, eps))
+        desk_rows(monkeypatch, "geometry")
+        assert main(["verify"]) == EXIT_CHECK_FAILED
+        bundle = json.loads(capsys.readouterr().out)
+        assert [c["name"] for c in bundle["checks"] if not c["passed"]] == ["equivalence_window"]
 
     @pytest.mark.parametrize("rate", ["nan", "inf", "-1"])
     def test_non_finite_break_rate_rejected(self, tmp_path, rate):
@@ -650,9 +660,10 @@ def test_desk_sweep_passes(tmp_path):
     assert bundle["schema_version"] == 10 and bundle["probe_set"] == "desk"
     assert "seed" not in bundle
     assert all(np.isfinite(c["wall_s"]) and c["wall_s"] >= 0.0 for c in bundle["checks"])
-    # a check with its own verdict and no tolerance writes null, not Infinity
+    # every check has a finite tolerance; the window's is its closed-form supremum
+    assert all(np.isfinite(c["tolerance"]) for c in bundle["checks"])
     window = next(c for c in bundle["checks"] if c["name"] == "equivalence_window")
-    assert window["tolerance"] is None and window["passed"] is True
+    assert window["residual"] <= window["tolerance"] == pytest.approx(2.0251, abs=1e-4)
     # every row of the table, at the desk grids
     names = {c["name"] for c in bundle["checks"]}
     for kind in ("adjoint", "scaling", "translation"):

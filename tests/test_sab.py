@@ -15,28 +15,15 @@ from halfheat.sab import (
     sab_criterion,
     sab_norm_estimate,
 )
+from halfheat.verify import SAB_MATRIX
 
-# the 12-case matrix: both sides of each inequality of the criterion,
-# p in {1, 2, 4}, failures driven by alpha, beta, theta and m
-CASE_MATRIX = [
-    # (spec, criterion expected)
-    (SabSpec(alpha=0.0, beta=-1.0, m=1.0, p=2.0), True),    # family case c=1
-    (SabSpec(alpha=0.0, beta=-1.0, m=1.0, p=1.0), True),    # p=1 right equality
-    (SabSpec(alpha=0.0, beta=-1.0, m=1.0, p=4.0), True),
-    (SabSpec(alpha=0.0, beta=0.5, m=-0.5, p=2.0), True),    # family case c=-0.5
-    (SabSpec(alpha=0.25, beta=0.25, m=0.0, p=2.0), True),
-    (SabSpec(alpha=0.0, beta=0.0, theta=0.3, m=0.0, p=2.0), True),
-    (SabSpec(alpha=0.0, beta=-0.5, m=0.2, p=1.0), True),    # p=1 strict
-    (SabSpec(alpha=1.0, beta=0.0, m=0.0, p=2.0), False),    # left fail via alpha
-    (SabSpec(alpha=0.0, beta=0.0, theta=1.2, m=0.0, p=2.0), False),  # via theta
-    (SabSpec(alpha=0.0, beta=0.9, m=0.0, p=2.0), False),    # right fail via beta
-    (SabSpec(alpha=0.0, beta=0.0, m=2.5, p=2.0), False),    # right fail via m
-    (SabSpec(alpha=0.0, beta=0.5, m=0.0, p=1.0), False),    # p=1 fail
-]
+# SAB_MATRIX, criterion 9's 12 cases with their expected verdicts: both sides of
+# each inequality of the criterion, p in {1, 2, 4}, failures driven by alpha,
+# beta, theta and m
 
 
 def test_criterion_matrix():
-    for spec, expected in CASE_MATRIX:
+    for spec, expected in SAB_MATRIX:
         assert sab_criterion(spec) is expected, spec
 
 
@@ -84,7 +71,7 @@ def test_bump_norm_at_m_minus_one(p):
     assert sab._bump_norm((a, b), -1.0, p) == pytest.approx(integral ** (1.0 / p), rel=1e-14)
 
 
-@pytest.mark.parametrize("spec,expected", CASE_MATRIX[:2] + CASE_MATRIX[7:10])
+@pytest.mark.parametrize("spec,expected", SAB_MATRIX[:2] + SAB_MATRIX[7:10])
 def test_ladder_follows_criterion(spec, expected):
     ladder = sab_norm_estimate(spec, levels=4)
     growth = ladder[-1] / ladder[0]
@@ -117,7 +104,7 @@ def per_bump_ladder(spec, levels, base_octaves=6):
 
 @pytest.mark.parametrize("levels,base_octaves", [(3, 6), (4, 6), (1, 1)])
 def test_ladder_matches_per_bump_reference(levels, base_octaves):
-    for spec, _ in CASE_MATRIX:
+    for spec, _ in SAB_MATRIX:
         ladder = sab_norm_estimate(spec, levels=levels, base_octaves=base_octaves)
         assert len(ladder) == levels
         np.testing.assert_allclose(ladder, per_bump_ladder(spec, levels, base_octaves),
@@ -125,7 +112,7 @@ def test_ladder_matches_per_bump_reference(levels, base_octaves):
 
 
 def test_ladder_table_is_one_and_read_only():
-    spec = CASE_MATRIX[0][0]
+    spec = SAB_MATRIX[0][0]
     sab_norm_estimate(spec, levels=2)
     sab_norm_estimate(spec, levels=1, base_octaves=1)
     assert sab._ladder_rule.cache_info().currsize == 1
@@ -150,12 +137,12 @@ def test_ladder_table_is_one_and_read_only():
         "base_float", "base_bool", "base_deep", "levels_deep"])
 def test_ladder_arguments_refused(kwargs, match):
     with pytest.raises(ParameterError, match=match):
-        sab_norm_estimate(CASE_MATRIX[0][0], **kwargs)
+        sab_norm_estimate(SAB_MATRIX[0][0], **kwargs)
 
 
 def test_ladder_reaches_its_depth_bound():
     # the deepest table allowed, at depth 7 levels of the default base
-    spec = CASE_MATRIX[0][0]
+    spec = SAB_MATRIX[0][0]
     assert 6 + LADDER_OCTAVES * 6 == LADDER_MAX_DEPTH
     ladder = sab_norm_estimate(spec, levels=7, base_octaves=np.int64(6))
     np.testing.assert_allclose(ladder, per_bump_ladder(spec, 7), rtol=1e-13, atol=0.0)

@@ -231,12 +231,14 @@ class TestEnvelopeFit:
 
 class TestIdentities:
     def test_exact(self):
-        res = check_identities_exact(model(1.0), t=0.5, s=0.5, x0=2.0, scale=2.0,
-                                     z1=np.array([0.1, 0.9]), z2=np.array([-0.5, 0.4]))
-        assert res["scaling"] <= 1e-12
-        assert res["translation"] <= 1e-12
-        assert res["adjoint"] <= 1e-12
-        assert res["chapman_kolmogorov"] <= 1e-6
+        # criterion 3's closed-form arguments, at c = 1 as there and at the other c of criterion 2
+        for c in (-0.5, 0.0, 1.0, 2.0):
+            res = check_identities_exact(model(c), t=0.5, s=0.5, x0=1.5, scale=2.0,
+                                         z1=np.array([0.2, 1.0]), z2=np.array([-0.4, 0.5]))
+            assert res["scaling"] <= 1e-12, c
+            assert res["translation"] <= 1e-12, c
+            assert res["adjoint"] <= 1e-12, c
+            assert res["chapman_kolmogorov"] <= 1e-6, c
 
     @staticmethod
     def identity_operator(kind):
