@@ -30,7 +30,8 @@ For k = 1 and k = 4 of SOURCES and for each window, one kernel_columns
 call per side records its time per call (median and quartiles over
 --repeats, the two sides called in turn by harness.alternate), its
 SOLVE_STATS (contour_err and max_solve_residual the largest over the
-columns), its mass defect (largest |mass - 1|) and its oracle error
+columns), the distinct y-rows of its sources (`source_rows`), its mass
+defect (largest |mass - 1|) and its oracle error
 (max |p - p_exact| / max p_exact over the columns, where a closed form
 exists); the window adds `gap_max_rel`, the largest difference of the
 two sides' columns relative to each counterpart column's maximum, and
@@ -39,8 +40,10 @@ included, runs before its first timed one.  The JSON also holds the
 contour constants and the gates.
 
 The exit code is 1 when a call reports more than one contour window
-(the separable route reports none), a column's mass defect exceeds
-MASS_TOL, or a fork's gap exceeds its bound: the separable columns may
+(the separable route reports none), a contour call's `solve_columns`
+is not its `source_rows` (one unit column per source row; the separable
+route reports 0), a column's mass defect exceeds MASS_TOL, or a fork's
+gap exceeds its bound: the separable columns may
 differ from the contour's by the contour call's `contour_err` +
 DIFF_TOL (the separable route is exact, the contour carries its rule's
 error), the paired from the unpaired columns by DIFF_TOL (both sum the
@@ -115,22 +118,28 @@ def relative_error(values, ref) -> float:
 
 
 def record(cols, oracle) -> dict:
-    """The stats of `cols`, their worst mass defect and oracle error."""
+    """The stats of `cols`, their distinct source rows, worst mass defect and oracle error."""
     per_column = ("contour_err", "max_solve_residual")
     return {**{key: cols[0].meta[key] for key in SOLVE_STATS if key not in per_column},
             **{key: max(s.meta[key] for s in cols) for key in per_column},
+            "source_rows": len({float(s.source[1]) for s in cols}),  # snapped to cell centres
             "mass_defect": max(abs(s.mass() - 1.0) for s in cols),
             "oracle_err": (max(relative_error(s.values, oracle(s.t, s.source, s.points))
                                for s in cols) if oracle else None)}
 
 
 def window_failures(label: str, win: dict) -> list[str]:
-    """The gates of one window record: one window per call, the mass defects and the fork's gap."""
+    """The gates of one window record: one window and one column per source row per call,
+    the mass defects and the fork's gap."""
     out = []
     for side in [side for side in SIDES if side in win]:
         rec = win[side]
         if rec["windows"] > 1:  # the separable route reports none
             out.append(f"{label} {side}: the call took {rec['windows']} windows, not 1")
+        columns = rec["source_rows"] if rec["route"] == "contour" else 0
+        if rec["solve_columns"] != columns:
+            out.append(f"{label} {side}: each node solved {rec['solve_columns']} columns, "
+                       f"not {columns}")
         if not rec["mass_defect"] <= MASS_TOL:
             out.append(f"{label} {side}: mass defect {rec['mass_defect']:.3e}")
     if "gap_max_rel" in win and not win["gap_max_rel"] <= win["gap_bound"]:
@@ -168,6 +177,7 @@ def case_record(name, op, oracle, counterpart, repeats: int, failures: list) -> 
             win = window_record(sides, ts, SOURCES[:k], oracle, repeats)
             print(f"{name} k={k} t0={ts[0]:g}", *(
                 f"{side} {r['route']} {r['time_s']['median'] * 1e3:.1f} ms rows {r['solve_rows']} "
+                f"cols {r['solve_columns']} "
                 f"mass {r['mass_defect']:.1e} contour_err {r['contour_err']:.1e} "
                 f"oracle_err {r['oracle_err']}" for side, r in win.items() if side in SIDES),
                 f"gap {win.get('gap_max_rel')}", sep="  |  ", flush=True)
@@ -186,6 +196,7 @@ def build(repeats: int):
                     "span": solver.CONTOUR_SPAN, "mu_t0_per_node": solver.CONTOUR_MU,
                     "window_ratio": solver.WINDOW_RATIO, "tolerance": solver.CONTOUR_TOL},
         "gates": {"mass_defect": MASS_TOL, "windows_per_call": 1,
+                  "solve_columns": "source_rows on the contour route, 0 on the separable",
                   "paired_minus_unpaired_max_rel": DIFF_TOL,
                   "separable_minus_contour_max_rel": f"contour_err + {DIFF_TOL}"},
         "cases": {name: case_record(name, op, oracle, counterpart, repeats, failures)

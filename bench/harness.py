@@ -35,9 +35,12 @@ def cpu_model() -> str:
 
 
 def environment() -> dict:
-    """The host record: interpreter, numpy, scipy, cores and CPU model."""
+    """The host record: interpreter, numpy, scipy, cores, CPU model and the BLAS and OpenMP
+    thread caps (None when unset), against which a spread in times can be read."""
     return {"python": platform.python_version(), "numpy": np.__version__,
-            "scipy": scipy.__version__, "nproc": os.cpu_count(), "cpu": cpu_model()}
+            "scipy": scipy.__version__, "nproc": os.cpu_count(), "cpu": cpu_model(),
+            **{name: os.environ.get(name)
+               for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}}
 
 
 def quartiles(times) -> dict:

@@ -57,7 +57,7 @@ from .operators import GeneralOperatorSpec, validate_general
 from .solver import kernel_slices
 from .verify import PROBE_SETS, run_criteria
 
-SCHEMA_VERSION = 10
+SCHEMA_VERSION = 11
 
 #: config keys besides the rows A.row.1 .. A.row.N+1
 KNOWN_KEYS = {"N", "v.d", "v.c", "grid.Rx", "grid.Ry", "grid.nx", "grid.ny", "t.list", "sources"}

@@ -41,8 +41,12 @@ maximum by the window's first time is left at 0 (_live_modes).  A
 symmetric B (B01 == B10 exactly: the model at a = 0, a divergence form
 with symmetric A) makes every block Hermitian with S_{nx-m} = conj(S_m),
 so each live pair (m, nx - m) is solved once, as one real-symmetric
-block with twice the columns (_fused_system); any other B keeps one
-block per live mode.  The rule is normalized at lambda = 0, so constants
+block (_fused_system); any other B keeps one block per live mode.  On
+either layout each node solves one unit column e_j per y-row j that
+holds data, not one column per source: a kernel column is a delta, so
+all of its x-modes sit on its source's y-row, sources on one row share
+a column, and each source's modes are its weighted sums of the unit
+solutions (_to_space).  The rule is normalized at lambda = 0, so constants
 stay and mass is conserved to round-off.  The returned rule has CONTOUR_NODES + 4 nodes;
 the CONTOUR_NODES-node rule guards its time error.
 On either route the adjoint is the same function of S', exact to
@@ -115,7 +119,8 @@ CONTOUR_MU = (4.0 * CONTOUR_ALPHA - np.pi) * np.pi / (WINDOW_RATIO * CONTOUR_SPA
 
 #: the evolution stats of a solver column, in its slice's meta
 SOLVE_STATS = ("route", "windows", "nodes", "factorizations", "live_modes", "solve_rows",
-               "contour_err", "max_solve_residual", "transform_s", "factor_s", "solve_s")
+               "solve_columns", "contour_err", "max_solve_residual", "transform_s", "factor_s",
+               "solve_s")
 
 
 @dataclass(frozen=True)
@@ -359,24 +364,24 @@ def _windows(times):
     return out
 
 
-def _contour_sum(bands, w, rhs, window, n, stats, worst):
+def _contour_sum(bands, w, rhs, window, n, stats, worst, owners=None):
     """The n-node rule in mode space for every time of one window.
 
     `bands` are the sub-, main and super-diagonal of a fused system
     (_fused_system): each node's matrix z W + S is tridiagonal over all
     of its rows, and its factors serve only that node, so one fused LAPACK
-    call (zgtsv) factors it and solves for all columns of rhs, shape
-    (rows, m k) with k = worst.size, at once; nonzero `info` (an exactly
-    singular pivot) raises SolveFailure.  The residual is formed from the
-    three diagonals; its maxima are kept per node and column, folded onto
-    the caller's k columns (column j of rhs belongs to caller column
-    j mod k), and after the last node each is held to its own column's
-    |rhs|: above SOLVE_RTOL times it, or non-finite, it raises
-    SolveFailure naming the caller's column (the first failing node's
-    first).  The coefficients c_k e^{z_k t} of all nodes and times come
-    from one outer product.  Returns the sums per time, shape (m k, rows),
-    each divided by the rule's own value at lambda = 0, which is what
-    makes mass exact.
+    call (zgtsv) factors it and solves for all r = worst.size columns of
+    rhs, shape (rows, r), at once; nonzero `info` (an exactly singular
+    pivot) raises SolveFailure.  The residual is formed from the three
+    diagonals; its maxima are kept per node and column, and after the
+    last node each is held to its own column's |rhs|: above SOLVE_RTOL
+    times it, or non-finite, it raises SolveFailure naming the caller's
+    column owners[j] of rhs column j (j itself without `owners`; the
+    first failing node's first), and otherwise the worst relative
+    residual of each column goes into `worst`.  The coefficients
+    c_k e^{z_k t} of all nodes and times come from one outer product.
+    Returns the sums per time, shape (r, rows), each divided by the
+    rule's own value at lambda = 0, which is what makes mass exact.
     """
     lower, diag, upper = bands
     clock = time.perf_counter
@@ -401,13 +406,12 @@ def _contour_sum(bands, w, rhs, window, n, stats, worst):
         for acc_t, a in zip(acc, coef_k):
             zaxpy(x.T.ravel(), acc_t.ravel(), a=a)  # in place
         stats["solve_s"] += clock() - t0
-    k = worst.size
-    num, den = num.reshape(n, -1, k).max(axis=1), den.reshape(-1, k).max(axis=0)
     # NaN or inf in the data or the solution leaves a non-finite residual
     bad = ~np.isfinite(num) | ((den > 0.0) & (num > SOLVE_RTOL * den))
     if np.any(bad):
         node, j = np.argwhere(bad)[0]
-        raise SolveFailure(f"linear solve residual {num[node, j]:.3e} in column {j} exceeds "
+        raise SolveFailure(f"linear solve residual {num[node, j]:.3e} in column "
+                           f"{j if owners is None else owners[j]} exceeds "
                            f"{SOLVE_RTOL:.0e} x |rhs| = {den[j]:.3e}")
     np.maximum(worst, np.divide(num.max(axis=0), den, out=np.zeros_like(den), where=den > 0.0),
                out=worst)
@@ -433,8 +437,8 @@ def _live_modes(bands, w, rhs, t0: float) -> np.ndarray:
     eps |mass| / (nx sum(w)) (the ifft divides by nx), the at most nx
     dead modes together by eps |mass| / sum(w), and mass conservation
     makes that at most eps times the column maximum.  Mode 0 (the mass)
-    is always live; zero-mass or non-finite data keeps every mode, so
-    the residual guard still sees it.
+    is always live; zero-mass or non-finite data keeps every mode
+    (_evolve_block refuses non-finite data before it gets here).
     """
     lower, diag, upper = bands
     wy = w[0]  # the same weights for every mode
@@ -458,17 +462,22 @@ def _live_modes(bands, w, rhs, t0: float) -> np.ndarray:
     return live
 
 
-def _fused_system(bands, w, rhs, live, paired: bool):
+def _fused_system(bands, w, rhs, rows, live, paired: bool):
     """The tridiagonal system every node of one window solves, and its layout.
 
-    The bands and weights have shape (nx, ny) and rhs (k, nx, ny); this is
-    the one place where modes are laid end to end, the solved modes'
-    blocks in mode order as the rows of one flat system.
+    The bands and weights have shape (nx, ny), rhs (k, nx, ny) and `rows`
+    lists the r y-rows where some source holds data; this is the one
+    place where modes are laid end to end, the solved modes' blocks in
+    mode order as the rows of one flat system.  Its right-hand side has
+    one unit column per row j of `rows`, e_j in every solved block, so
+    sources that share a y-row share a column: source s puts
+    rhs[s, m, :] = sum_j beta[s, m, j] e_j on mode m, and the solution is
+    the same sum of the unit solutions, which _to_space forms from the
+    weights beta[s, m, j] after the contour sum.
 
-    Unpaired: the live modes (`live`, a mask of shape (nx,)) of the bands,
-    the weights and the k sources of rhs; the coupling of consecutive
-    rows is the band entry, or the 0 after a mode's last cell where the
-    next live mode begins.
+    Unpaired: the live modes (`live`, a mask of shape (nx,)) of the bands
+    and the weights; the coupling of consecutive rows is the band entry,
+    or the 0 after a mode's last cell where the next live mode begins.
 
     Paired (`live` closed over pairs; the caller's rule for a symmetric
     B): S_{nx-m} = conj(S_m) and S_m is Hermitian, so the live modes
@@ -477,21 +486,26 @@ def _fused_system(bands, w, rhs, live, paired: bool):
     e_j the super-diagonal of S_m and P_m the diagonal unitary phase
     p_0 = 1, p_{j+1} = p_j conj(e_j) / |e_j|.  Then
     zW + S_m = P_m (zW + R_m) P_m* and
-    zW + S_{nx-m} = conj(P_m) (zW + R_m) P_m, so the right-hand side has
-    2k columns, P_m* b_m and P_m b_{nx-m} (0 for a mode that is its own
-    partner, m = 0 and nx/2), and the partner is built from mode m's
-    block bit for bit.
+    zW + S_{nx-m} = conj(P_m) (zW + R_m) P_m, and P_m* e_j = conj(p_j) e_j,
+    so one unit column serves mode m and its partner nx - m: with
+    y_j = (zW + R_m)^{-1} e_j, mode m's solution is
+    P_m sum_j beta[s, m, j] conj(p_j) y_j and its partner's
+    conj(P_m) sum_j beta[s, nx-m, j] p_j y_j (m = 0 and nx/2 are their
+    own partners).  The partner is built from mode m's block bit for bit.
 
-    Returns the system's bands, weights and rhs (Fortran order, as zgtsv
-    takes it) and the layout (solved modes, phases of shape (modes, ny)
-    or None) that _to_space takes.
+    Returns the system's bands, weights and unit columns (Fortran order,
+    as zgtsv takes them) and the layout (solved modes, phases of shape
+    (modes, ny) or None, and the weights of shape (sides, modes, k, r),
+    sides 2 when paired: mode m's, then its partner's) that _to_space
+    takes.
     """
     lower, diag, upper = bands
-    nx, k = live.size, rhs.shape[0]
+    nx, ny = w.shape
+    beta = np.moveaxis(rhs[:, :, rows], 1, 0)  # (nx, k, r)
     if not paired:
         modes, phase = np.flatnonzero(live), None
         sub = (lower[modes], diag[modes], upper[modes])
-        blocks = rhs[:, modes]
+        weights = beta[None, modes]
     else:
         modes = np.flatnonzero(live[:nx // 2 + 1])
         e = upper[modes]  # each block's super-diagonal, then 0
@@ -501,38 +515,39 @@ def _fused_system(bands, w, rhs, live, paired: bool):
         phase[:, 1:] = np.cumprod(unit[:, :-1], axis=1)
         off = size.astype(complex)
         sub = (off, diag[modes].real.astype(complex), off)
-        partner = -modes % nx
-        pair = partner != modes
-        blocks = np.zeros((2 * k, *e.shape), dtype=complex)
-        blocks[:k] = phase.conj() * rhs[:, modes]
-        blocks[k:, pair] = phase[pair] * rhs[:, partner[pair]]
+        p = phase[:, None, rows]
+        weights = np.stack([p.conj() * beta[modes], p * beta[-modes % nx]])
+    units = np.zeros((rows.size, modes.size, ny), dtype=complex)
+    units[np.arange(rows.size), :, rows] = 1.0
     lower, diag, upper = (band.ravel() for band in sub)
-    # column c of the system is block c, its modes end to end: (rows, columns), Fortran order
+    # column c of the system is unit column c, its modes end to end: (rows, columns), Fortran order
     return ((lower[:-1], diag, upper[:-1]), w[modes].ravel(),
-            blocks.reshape(len(blocks), -1).T, (modes, phase))
+            units.reshape(rows.size, -1).T, (modes, phase, weights))
 
 
 def _to_space(sums, layout, shape) -> np.ndarray:
     """Cell values, shape (k, nx, ny), of the sums of a fused system, the modes not solved 0.
 
-    `layout` is _fused_system's (modes, phase) and `shape` is (nx, ny).
-    Each row of `sums` is one column of the fused system, its solved
-    modes end to end.  Paired (phase not None), the phases go back on
-    here, once per time: the first k rows of `sums` times P_m are the
-    modes m, the last k times conj(P_m) their partners nx - m.
+    `layout` is _fused_system's (modes, phase, weights) and `shape` is
+    (nx, ny).  Each row of `sums` is the sum of one unit column, its
+    solved modes end to end; each source's modes are the weighted sums
+    of these rows, formed here once per time.  Paired (phase not None),
+    the phases go back on as well: the first weighted sums times P_m are
+    the modes m, the second times conj(P_m) their partners nx - m.
     """
-    modes, phase = layout
+    modes, phase, weights = layout
     nx, ny = shape
     sums = sums.reshape(len(sums), modes.size, ny)
-    k = len(sums) if phase is None else len(sums) // 2
-    out = np.zeros((k, nx, ny), dtype=complex)
+    # per solved mode, the (k, r) weights times the (r, ny) unit sums: (sides, k, modes, ny)
+    mixed = np.swapaxes(weights @ sums.swapaxes(0, 1), 1, 2)
+    out = np.zeros((weights.shape[2], nx, ny), dtype=complex)
     if phase is None:
-        out[:, modes] = sums
+        out[:, modes] = mixed[0]
     else:
-        out[:, modes] = phase * sums[:k]
+        out[:, modes] = phase * mixed[0]
         partner = -modes % nx
         pair = partner != modes
-        out[:, partner[pair]] = (phase.conj() * sums[k:])[:, pair]
+        out[:, partner[pair]] = (phase.conj() * mixed[1])[:, pair]
     return np.fft.ifft(out, axis=1).real
 
 
@@ -561,23 +576,20 @@ def _separable(op: DiscreteOperator, u: np.ndarray, times):
     times that times the other factor's largest entry (g_t <= 1, since
     e^{-t A_x} is doubly stochastic), and subnormal products run about 4
     times slower.
-    Non-finite data raises SolveFailure naming its column (source), and so
-    do a non-finite C and a relative eigen-residual
-    max|C Q - Q diag(mu)| / max|mu| above SOLVE_RTOL.
+    A non-finite C and a relative eigen-residual
+    max|C Q - Q diag(mu)| / max|mu| above SOLVE_RTOL raise SolveFailure
+    (_evolve_block has refused non-finite data).
 
     Returns the (k, nx, ny) states at `times` and the stats of _evolve_block:
     `route` "separable", no windows, nodes or factorizations, all nx
-    `live_modes`, ny `solve_rows` (the one y-block decomposed),
-    `contour_err` 0 and the eigen-residual as every column's
+    `live_modes`, ny `solve_rows` (the one y-block decomposed), 0
+    `solve_columns` (there is no fused solve), `contour_err` 0 and the eigen-residual as every column's
     `max_solve_residual`; `factor_s` is the bands and the decomposition,
     `transform_s` the x-factor (g_t and its circulant entries), and
     `solve_s` the y-products and the product of the two factors.
     """
     k, nx, ny = u.shape
     clock = time.perf_counter
-    bad = ~np.all(np.isfinite(u), axis=(1, 2))
-    if np.any(bad):
-        raise SolveFailure(f"non-finite data in column {int(np.argmax(bad))}")
     t0 = clock()
     _, diag, upper = _mode_bands(op.grid, op.bmat)
     wy = op.grid.masses()[0]  # the same weights for every mode
@@ -596,7 +608,7 @@ def _separable(op: DiscreteOperator, u: np.ndarray, times):
         raise SolveFailure(f"eigen-residual {residual:.3e} of the y-block exceeds "
                            f"{SOLVE_RTOL:.0e} x max|mu|")
     stats = {"route": "separable", "windows": 0, "nodes": 0, "factorizations": 0,
-             "live_modes": nx, "solve_rows": ny, "contour_err": np.zeros(k),
+             "live_modes": nx, "solve_rows": ny, "solve_columns": 0, "contour_err": np.zeros(k),
              "max_solve_residual": np.full(k, residual), "factor_s": clock() - t0}
     t0 = clock()
     rows = np.flatnonzero(np.any(u != 0.0, axis=(0, 2)))  # x-rows holding data
@@ -626,9 +638,11 @@ def _separable(op: DiscreteOperator, u: np.ndarray, times):
 def _evolve_block(op: DiscreteOperator, u: np.ndarray, times):
     """exp(-t W^{-1} S) of the k sources of u, shape (k, nx, ny), at each of the increasing `times`.
 
-    A diagonal bmat (B01 == B10 == 0.0 exactly: the model at a = 0, a
-    divergence form with diagonal A) makes S a Kronecker sum, evaluated
-    exactly by _separable.  Any other bmat takes the contour route: the
+    Non-finite data raises SolveFailure naming its column (source) first,
+    on either route.  A diagonal bmat (B01 == B10 == 0.0 exactly: the
+    model at a = 0, a divergence form with diagonal A) makes S a
+    Kronecker sum, evaluated exactly by _separable.  Any other bmat takes
+    the contour route: the
     trapezoid rule on a hyperbolic Bromwich
     contour, u(t) = (1/2 pi i) int e^{zt} (zW + S)^{-1} W u0 dz (Weideman &
     Trefethen 2007; see _contour).  x is periodic and the coefficients do
@@ -638,17 +652,21 @@ def _evolve_block(op: DiscreteOperator, u: np.ndarray, times):
     grouped into windows [t0, WINDOW_RATIO t0]; one set of shifted solves
     serves every time of a window.  Per window only the live modes
     (_live_modes) are solved: _fused_system lays their blocks of the
-    bands, the weights and rhs end to end as one flat system, and
-    _to_space scatters the sums back into zero (k, nx, ny) mode arrays
-    before the ifft, so the dropped modes move no value by
-    more than machine epsilon times the column maximum.  When
-    op.bmat[0, 1] == op.bmat[1, 0] exactly, the blocks are Hermitian
-    with S_{nx-m} = conj(S_m): the live mask is closed over pairs (m is
-    live when m or nx - m is), and each node solves only the modes
-    m <= nx/2, as the real-symmetric blocks R_m = P_m* S_m P_m with the
-    2k columns P_m* b_m and P_m b_{nx-m}; the phases go back on the sums
-    once per window and time.  Any other bmat keeps one block per live
-    mode.  Each window is evaluated with
+    bands and the weights end to end as one flat system, whose
+    right-hand side is one unit column e_j per y-row j that holds data
+    (r columns for r distinct rows, so r <= k for kernel columns, and
+    all-zero data solves one column of zero weight), and _to_space
+    weights the unit sums by each source's x-mode data on those rows and
+    scatters them into zero (k, nx, ny) mode arrays before the ifft, so
+    the dropped modes move no value by more than machine epsilon times
+    the column maximum.  When op.bmat[0, 1] == op.bmat[1, 0] exactly, the
+    blocks are Hermitian with S_{nx-m} = conj(S_m): the live mask is
+    closed over pairs (m is live when m or nx - m is), and each node
+    solves only the modes m <= nx/2, as the real-symmetric blocks
+    R_m = P_m* S_m P_m, whose unit solutions serve mode m and its
+    partner nx - m; the phases go back on the sums once per window and
+    time.  Any other bmat keeps one block per live mode.  Each window is
+    evaluated with
     CONTOUR_NODES and CONTOUR_NODES + 4 nodes; the finer result is
     returned, and a relative difference above CONTOUR_TOL raises
     SolveFailure.  The rule's error falls about 240-fold per 4 nodes until
@@ -663,22 +681,33 @@ def _evolve_block(op: DiscreteOperator, u: np.ndarray, times):
     `nodes` (of the returned rule, per window), `factorizations`,
     `live_modes` (the x-modes solved, summed over windows), `solve_rows`
     (the rows of each node's fused factor-solve, summed over windows: ny
-    per live pair when paired, ny per live mode otherwise), per
-    column the relative difference of the two rules `contour_err` and
-    the worst relative solve residual `max_solve_residual`, and the wall
+    per live pair when paired, ny per live mode otherwise),
+    `solve_columns` (the unit columns of each node's solve), per column
+    the relative difference of the two rules `contour_err` and the worst
+    relative solve residual `max_solve_residual` over the unit columns of
+    its rows (a residual above SOLVE_RTOL names the first source whose
+    data use the failing column's row), and the wall
     time of each phase: `transform_s` (fft and ifft), `factor_s` (mode
     diagonals, the live-mode test, the fused system and the
     factor-solves) and `solve_s` (residuals and sums).
     """
+    bad = ~np.all(np.isfinite(u), axis=(1, 2))
+    if np.any(bad):
+        raise SolveFailure(f"non-finite data in column {int(np.argmax(bad))}")
     if op.bmat[0, 1] == 0.0 and op.bmat[1, 0] == 0.0:
         return _separable(op, u, times)
     k, nx, ny = u.shape
     coarse, fine = CONTOUR_NODES, CONTOUR_NODES + 4
     paired = op.bmat[0, 1] == op.bmat[1, 0]  # Hermitian blocks, S_{nx-m} = conj(S_m)
+    used = np.any(u != 0.0, axis=1)  # (k, ny): the y-rows of each source's data
+    rows = np.flatnonzero(used.any(axis=0))
+    if rows.size == 0:  # all-zero data: one unit column of zero weight keeps the shapes
+        rows = np.zeros(1, dtype=int)
+    owners = used[:, rows].argmax(axis=0)  # the first source that uses each row
     clock = time.perf_counter
     stats = {"route": "contour", "windows": 0, "nodes": fine, "factorizations": 0,
-             "live_modes": 0, "solve_rows": 0, "transform_s": 0.0, "factor_s": 0.0,
-             "solve_s": 0.0}
+             "live_modes": 0, "solve_rows": 0, "solve_columns": rows.size, "transform_s": 0.0,
+             "factor_s": 0.0, "solve_s": 0.0}
     t0 = clock()
     rhs = np.fft.fft(u, axis=1)  # rhs[c, m] holds x-mode m of source c
     stats["transform_s"] += clock() - t0
@@ -687,7 +716,7 @@ def _evolve_block(op: DiscreteOperator, u: np.ndarray, times):
     w = op.grid.masses()  # constant along x, so the same weights for every x-mode
     rhs = w * rhs
     stats["factor_s"] += clock() - t0
-    worst, err = np.zeros(k), np.zeros(k)
+    worst, err = np.zeros(rows.size), np.zeros(k)
     states = []
     for window in _windows(times):
         stats["windows"] += 1
@@ -695,11 +724,11 @@ def _evolve_block(op: DiscreteOperator, u: np.ndarray, times):
         live = _live_modes(bands, w, rhs, window[0])
         if paired:  # whole pairs: m is solved with nx - m
             live = live | live[-np.arange(nx) % nx]
-        sub, sub_w, sub_rhs, layout = _fused_system(bands, w, rhs, live, paired)
+        sub, sub_w, units, layout = _fused_system(bands, w, rhs, rows, live, paired)
         stats["live_modes"] += int(live.sum())
         stats["solve_rows"] += sub_w.size
         stats["factor_s"] += clock() - t0
-        sums = {n: _contour_sum(sub, sub_w, sub_rhs, window, n, stats, worst)
+        sums = {n: _contour_sum(sub, sub_w, units, window, n, stats, worst, owners)
                 for n in (coarse, fine)}
         t0 = clock()
         for a, b in zip(sums[coarse], sums[fine]):
@@ -715,7 +744,7 @@ def _evolve_block(op: DiscreteOperator, u: np.ndarray, times):
         raise SolveFailure(f"contour rules of {coarse} and {fine} nodes differ by {err[j]:.3e} "
                            f"in column {j}, over CONTOUR_TOL = {CONTOUR_TOL:.0e}")
     stats["contour_err"] = err
-    stats["max_solve_residual"] = worst
+    stats["max_solve_residual"] = np.where(used[:, rows], worst, 0.0).max(axis=1)
     return states, stats
 
 
@@ -783,15 +812,16 @@ def kernel_columns(op: DiscreteOperator, ts, z2) -> list[KernelSlice]:
     column times y-products on the source rows (_separable); any other
     bmat takes the block to x-modes once and is evaluated on a Bromwich
     contour per window of checkpoints (one fused tridiagonal factor-solve
-    of the live x-modes per node for all sources at once, the residual
-    checked in mode space; with a symmetric bmat one solve per Hermitian
-    pair of modes, see _evolve_block), where the modes left out move no value by more than
+    of the live x-modes per node for all sources at once, with one unit
+    column per distinct source y-row, so sources on one row share a
+    column; the residual checked in mode space; with a symmetric bmat one
+    solve per Hermitian pair of modes, see _evolve_block), where the modes left out move no value by more than
     machine epsilon times the column maximum.  The adjoint is exact to
     round-off relative to the column maximum.  Returns the k * len(ts)
     slices source-major, each source's times in the caller's order (a
     repeated time repeats its column), each with the grid and the
     evolution's stats in `meta` (SOLVE_STATS: the route, windows, nodes,
-    factorizations, live modes, solve rows and phase wall times of the
+    factorizations, live modes, solve rows and columns and phase wall times of the
     evolution) and its own column's `contour_err` and worst solve residual
     (on the separable route 0 and the eigen-residual).  A contour error
     above CONTOUR_TOL, non-finite data or a failed eigendecomposition

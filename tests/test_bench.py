@@ -41,6 +41,14 @@ def is_timing(t) -> bool:
 
 
 class TestHarness:
+    def test_environment_records_thread_caps(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        env = harness.environment()
+        assert (env["OPENBLAS_NUM_THREADS"], env["OMP_NUM_THREADS"], env["MKL_NUM_THREADS"]) == (
+            "1", None, None)
+
     def test_alternate_and_run(self, tmp_path, capsys):
         called = []
         timed = harness.alternate([lambda: called.append("package") or 1,
@@ -107,6 +115,9 @@ class TestContourBench:
                                   else ("contour", "contour"))
                 if fork == "paired":  # one block per pair against one per mode
                     assert win["package"]["solve_rows"] < win["counterpart"]["solve_rows"]
+                    # one unit column per source row on either side
+                    assert (win["package"]["solve_columns"] == win["counterpart"]["solve_columns"]
+                            == win["package"]["source_rows"] == k)
                     assert win["gap_bound"] == contour.DIFF_TOL
                 else:
                     assert win["package"]["oracle_err"] is not None
@@ -123,6 +134,15 @@ class TestContourBench:
         cols[0].values *= 1.0 + 1e-9
         win = {"package": contour.record(cols, None)}
         assert [f for f in contour.window_failures("x", win) if "mass defect" in f]
+
+    def test_columns_gate_fires(self, contour, small_ops):
+        # two columns per source, as the paired route solved before unit columns
+        cols = kernel_columns(small_ops["paired"][0], contour.WINDOWS[0], contour.SOURCES[:1])
+        win = {"package": contour.record(cols, None)}
+        assert contour.window_failures("x", win) == []
+        win["package"]["solve_columns"] = 2
+        assert contour.window_failures("x", win) == [
+            "x package: each node solved 2 columns, not 1"]
 
     def test_window_gate_fires(self, contour, small_ops):
         op = small_ops["paired"][0]

@@ -191,7 +191,7 @@ class TestValidateCommand:
         assert main(["validate", path]) == EXIT_PASS
         out = json.loads(capsys.readouterr().out)
         assert out["passed"] is True
-        assert out["schema_version"] == 10
+        assert out["schema_version"] == 11
 
     def test_degeneracy_failure_names_invariant(self, tmp_path, capsys):
         bad = IDENTITY_CFG.replace("v.c = 0", "v.c = -1.5")
@@ -213,7 +213,7 @@ class TestKernelCommand:
         assert main(["kernel", path, "--out", str(out_dir)]) == EXIT_PASS
         index = json.loads((out_dir / "kernel_index.json").read_text())
         assert index["outputs"][0]["method"] == "exact"
-        assert index["schema_version"] == 10
+        assert index["schema_version"] == 11
         assert all(np.isfinite(index[k]) and index[k] >= 0.0 for k in ("evaluate_s", "write_s"))
         csv_file = out_dir / index["outputs"][0]["file"].split("/")[-1]
         header = csv_file.read_text().splitlines()[0]
@@ -288,6 +288,7 @@ class TestKernelCommand:
         assert entry["factorizations"] == solver.CONTOUR_NODES + entry["nodes"]
         assert 0 < entry["live_modes"] <= 32  # one window of the 32 x-modes
         assert entry["solve_rows"] == 32 * entry["live_modes"]  # a != 0: ny rows per live mode
+        assert entry["solve_columns"] == 1  # one source, one unit column
         assert 0.0 < entry["contour_err"] <= solver.CONTOUR_TOL
         assert 0.0 < entry["max_solve_residual"] < solver.SOLVE_RTOL
         assert "reduction" not in entry
@@ -657,7 +658,7 @@ def test_desk_sweep_passes(tmp_path):
     assert main(["verify", "--probe-set", "desk", "--out", str(out_dir)]) == EXIT_PASS
     bundle = strict_json((out_dir / "verify.json").read_text())
     assert bundle["passed"] is True
-    assert bundle["schema_version"] == 10 and bundle["probe_set"] == "desk"
+    assert bundle["schema_version"] == 11 and bundle["probe_set"] == "desk"
     assert "seed" not in bundle
     assert all(np.isfinite(c["wall_s"]) and c["wall_s"] >= 0.0 for c in bundle["checks"])
     # every check has a finite tolerance; the window's is its closed-form supremum

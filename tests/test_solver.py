@@ -306,9 +306,25 @@ class TestEvolve:
         u[2, 0, 5] = np.nan
         with pytest.raises(SolveFailure, match="in column 2"):
             solver._evolve_block(op, u, [0.1])
-        # all-zero data has no source row and stays 0
-        states, _ = solver._evolve_block(op, np.zeros_like(u), [0.1, 1.0])
-        assert all(s.shape == u.shape and not np.any(s) for s in states)
+        # all-zero data has no source row and stays 0, on either route
+        for bmat in (op.bmat, np.array(CROSS_B), np.array(MODEL_B)):
+            states, _ = solver._evolve_block(solver.DiscreteOperator(grid, bmat),
+                                             np.zeros_like(u), [0.1, 1.0])
+            assert all(s.shape == u.shape and not np.any(s) for s in states)
+
+    def test_non_finite_data_is_refused_before_either_route(self, monkeypatch):
+        # one check at the top of _evolve_block names the column; no route starts
+        def never(*args, **kwargs):
+            raise AssertionError("a route ran on non-finite data")
+
+        monkeypatch.setattr(solver, "zgtsv", never)
+        monkeypatch.setattr(solver, "eigh_tridiagonal", never)
+        grid = GridSpec(rx=2.0, ry=2.0, nx=16, ny=16, c=1.0)
+        u = np.zeros((3, grid.nx, grid.ny))
+        u[1, 4, 6] = np.inf
+        for bmat in (np.eye(2), np.array(CROSS_B), np.array(MODEL_B)):
+            with pytest.raises(SolveFailure, match="non-finite data in column 1"):
+                solver._evolve_block(solver.DiscreteOperator(grid, bmat), u, [0.1])
 
     def test_separable_eigen_residual_guard(self, monkeypatch):
         # eigenvectors mixed by 1e-6 are no eigenvectors: the residual check fires
@@ -566,9 +582,9 @@ class TestKernelColumn:
         assert errs[0] / errs[1] >= 2.0
 
     def test_paired_solve_counts_and_one_ulp_off_is_unpaired(self, monkeypatch):
-        # a symmetric B solves each live pair (m, nx - m) once: ny rows per pair,
-        # 2k columns; a B one ulp off symmetric keeps one block per live mode and
-        # k columns, and the two agree to round-off
+        # a symmetric B solves each live pair (m, nx - m) once: ny rows per pair;
+        # a B one ulp off symmetric keeps one block per live mode; both solve one
+        # unit column per distinct source row (3 here), and the two agree to round-off
         grid = GridSpec(rx=2.0, ry=2.0, nx=24, ny=16, c=0.5)
         ts, sources = (0.25, 0.5, 2.0), np.array([[0.0, 0.5], [0.5, 0.25], [-1.0, 1.0]])
         calls = []
@@ -590,12 +606,13 @@ class TestKernelColumn:
             for window, live in enumerate(masks):
                 if name == "paired":  # whole pairs, and the half m <= nx / 2 is solved
                     live = live | live[-np.arange(grid.nx) % grid.nx]
-                    shape = (grid.ny * int(live[:grid.nx // 2 + 1].sum()), 2 * len(sources))
+                    shape = (grid.ny * int(live[:grid.nx // 2 + 1].sum()), 3)
                 else:
-                    shape = (grid.ny * int(live.sum()), len(sources))
+                    shape = (grid.ny * int(live.sum()), 3)
                 assert set(calls[window * per:(window + 1) * per]) == {shape}
                 assert 0 < live.sum() < grid.nx
             assert meta["solve_rows"] == sum(rows for rows, _ in calls[::per])
+            assert meta["solve_columns"] == 3
         for p, u in zip(runs["paired"], runs["unpaired"]):
             assert p.meta["solve_rows"] < u.meta["solve_rows"]
             assert np.abs(p.values - u.values).max() <= 1e-12 * np.abs(u.values).max()
@@ -608,7 +625,7 @@ class TestKernelColumn:
         u[2, 0, 5] = np.nan
         with pytest.raises(SolveFailure, match="in column 2"):
             solver._evolve_block(op, u, [0.1])
-        # column j + k of a fused right-hand side (a partner mode) is caller column j
+        # column j of a fused right-hand side is named as the caller's column owners[j]
         w = np.linspace(0.5, 1.5, 16)
         off = np.zeros(w.size - 1, dtype=complex)
         rhs = np.asfortranarray(np.ones((w.size, 4), dtype=complex))
@@ -616,7 +633,63 @@ class TestKernelColumn:
         stats = {"factorizations": 0, "factor_s": 0.0, "solve_s": 0.0}
         with pytest.raises(SolveFailure, match="in column 1"):
             solver._contour_sum((off, w.astype(complex), off), w, rhs, [0.5],
-                                solver.CONTOUR_NODES, stats, np.zeros(2))
+                                solver.CONTOUR_NODES, stats, np.zeros(4), np.array([0, 1, 0, 1]))
+
+    @pytest.mark.parametrize("b10", [0.5, np.nextafter(0.5, 1.0)], ids=["paired", "unpaired"])
+    def test_sources_on_one_row_share_a_column(self, monkeypatch, b10):
+        # two sources on one y-row at different x: one unit column on either
+        # route, and each column is its single-source call's to round-off
+        grid = GridSpec(rx=2.0, ry=2.0, nx=24, ny=16, c=0.5)
+        op = solver.DiscreteOperator(grid, np.array([[2.0, 0.5], [b10, 1.0]]))
+        ts, sources = (0.25, 0.5, 2.0), np.array([[0.0, 0.5], [1.0, 0.5]])
+        assert grid.locate(sources[0])[1] == grid.locate(sources[1])[1]
+        columns = record_columns(monkeypatch)
+        both = kernel_columns(op, ts, sources)
+        assert set(columns) == {1} and both[0].meta["solve_columns"] == 1
+        for n, z2 in enumerate(sources):
+            for col, solo in zip(both[n * len(ts):(n + 1) * len(ts)], kernel_columns(op, ts, z2)):
+                assert np.abs(col.values - solo.values).max() <= 1e-13 * np.abs(solo.values).max()
+
+    def test_dense_field_solves_one_column_per_row(self, monkeypatch):
+        # a dense field on the contour route: one unit column per y-row that holds
+        # data (rows 3 and 7 left empty), and the state matches dense expm
+        grid = GridSpec(rx=1.0, ry=1.5, nx=12, ny=10, c=0.5)
+        op = solver.DiscreteOperator(grid, np.array(CROSS_B))
+        f = Field.from_function(grid, lambda x, y: np.exp(-(x ** 2 + (y - 0.7) ** 2)))
+        f.values[:, [3, 7]] = 0.0
+        columns = record_columns(monkeypatch)
+        states, stats = solver._evolve_block(op, f.values[None], [0.4])
+        assert set(columns) == {grid.ny - 2} and stats["solve_columns"] == grid.ny - 2
+        w = grid.masses().ravel()
+        want = expm(-0.4 * (dense_form(grid, op.bmat) / w[:, None])) @ f.values.ravel()
+        assert np.abs(states[0][0].ravel() - want).max() <= 1e-10 * np.abs(want).max()
+
+    def test_residual_guard_names_the_first_source_of_the_row(self, monkeypatch):
+        # sources 0 and 2 share row 5 and source 1 has row 2; the unit columns are
+        # rows (2, 5), so a failure in unit column 1 names source 0, in column 0
+        # source 1; each source's residual is the worst of its rows' columns
+        grid = GridSpec(rx=2.0, ry=2.0, nx=16, ny=16, c=1.0)
+        op = solver.DiscreteOperator(grid, np.array(CROSS_B))
+        u = np.zeros((3, grid.nx, grid.ny))
+        u[0, 3, 5], u[1, 8, 2], u[2, 12, 5] = 1.0, 2.0, 3.0
+        real_zgtsv = solver.zgtsv
+
+        def perturbed(unit, size):
+            def zgtsv(*args, **kwargs):
+                *rest, x, info = real_zgtsv(*args, **kwargs)
+                x[:, unit] *= 1.0 + size
+                return (*rest, x, info)
+            return zgtsv
+
+        for unit, named in ((1, 0), (0, 1)):
+            monkeypatch.setattr(solver, "zgtsv", perturbed(unit, 1e-6))
+            with pytest.raises(SolveFailure, match=f"in column {named} exceeds"):
+                solver._evolve_block(op, u, [0.5])
+        monkeypatch.setattr(solver, "zgtsv", perturbed(1, 1e-12))
+        _, stats = solver._evolve_block(op, u, [0.5])
+        residual = stats["max_solve_residual"]
+        assert stats["solve_columns"] == 2
+        assert residual[0] == residual[2] > 1e-13 > residual[1] > 0.0
 
     def test_kernel_slices_one_factorization_for_all_sources(self, monkeypatch):
         spec = GeneralOperatorSpec(n=1, a_matrix=np.array([[1.0, 0.5], [0.5, 1.0]]),
@@ -829,6 +902,18 @@ def all_modes(bands, w, rhs, t0):
     return np.ones(len(w), dtype=bool)
 
 
+def record_columns(monkeypatch):
+    """Patch solver.zgtsv to record the right-hand sides of each call; returns the list."""
+    columns = []
+    real = solver.zgtsv
+
+    def recording(lower, diag, upper, rhs, **kwargs):
+        columns.append(rhs.shape[1])
+        return real(lower, diag, upper, rhs, **kwargs)
+    monkeypatch.setattr(solver, "zgtsv", recording)
+    return columns
+
+
 def record_live_modes(monkeypatch):
     """Patch solver._live_modes to record each window's live mask; returns the list."""
     masks = []
@@ -911,12 +996,17 @@ class TestLiveModes:
         dipole = deltas(grid, np.array([[0.0, 0.5], [0.5, 1.0]]))
         solver._evolve_block(op, (dipole[:, 0] - dipole[:, 1]).reshape(1, *shape), [0.5])
         assert masks[-1].all()
-        # NaN data: every mode stays, and the residual guard names the column
+        # NaN data: every mode stays, and _evolve_block names the column before
+        # any mode test
         u = np.ones((2, *shape))
         u[1, 0, 5] = np.nan
+        tested = len(masks)
         with pytest.raises(SolveFailure, match="in column 1"):
             solver._evolve_block(op, u, [0.5])
-        assert masks[-1].all()
+        assert len(masks) == tested
+        w = grid.masses()
+        assert solver._live_modes(solver._mode_bands(grid, op.bmat), w,
+                                  w * np.fft.fft(u, axis=1), 0.5).all()
 
 
 class TestDivergenceForm:
