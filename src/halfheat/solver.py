@@ -24,7 +24,7 @@ stationary and total mass Sum(w u) is conserved by the semi-discrete law.
 
 The evolution exp(-t W^{-1} S) is evaluated, not stepped, on one of two
 routes chosen from bmat.  A diagonal B (B01 == B10 == 0.0 exactly: the
-model at a = 0, a divergence form with diagonal A) gives mode blocks
+model at a = 0, a general operator with q = d = 0) gives mode blocks
 S_m = K + s_m W that share the eigenvectors of one y-pencil (K, W), so S
 is a Kronecker sum and one symmetric tridiagonal eigendecomposition
 evaluates the evolution exactly at every time (_separable), as an
@@ -38,10 +38,11 @@ each zW + S is tridiagonal and one LAPACK gtsv call factors and solves
 it.  Only the live modes are solved: a mode whose logarithmic-norm
 bound e^{-kappa_m t0} has taken it below round-off of the column
 maximum by the window's first time is left at 0 (_live_modes).  A
-symmetric B (B01 == B10 exactly: the model at a = 0, a divergence form
-with symmetric A) makes every block Hermitian with S_{nx-m} = conj(S_m),
-so each live pair (m, nx - m) is solved once, as one real-symmetric
-block (_fused_system); any other B keeps one block per live mode.  On
+symmetric B (B01 == B10 exactly: the model at a = 0, a general operator
+with d = (c/gamma) q and c != 0, where B = A) makes every block
+Hermitian with S_{nx-m} = conj(S_m), so each live pair (m, nx - m) is
+solved once, as one real-symmetric block (_fused_system); any other B
+(an oblique one, B01 != B10) keeps one block per live mode.  On
 either layout each node solves one unit column e_j per y-row j that
 holds data, not one column per source: a kernel column is a delta, so
 all of its x-modes sit on its source's y-row, sources on one row share
@@ -72,7 +73,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.blas import zaxpy
 from scipy.linalg.lapack import zgtsv
 
-from .errors import DomainError, ParameterError, StructuralError, SolveFailure, WrongOperatorError
+from .errors import DomainError, ParameterError, StructuralError, SolveFailure
 from .kernels import A_ZERO_TOL, KernelSlice, tensor_kernel
 from .operators import (
     GeneralOperatorSpec,
@@ -304,38 +305,59 @@ class DiscreteOperator:
         return replace(self, bmat=self.bmat.T)
 
 
+def _oblique_form(grid: GridSpec, m: float, a_matrix, beta: float) -> DiscreteOperator:
+    """The one assembly formula: B = [[Q, 2q - beta], [beta, gamma]] on a grid of weight m.
+
+    With A = [[Q, q], [q, gamma]] and m = c/gamma, the form int <B grad u,
+    grad v> y^m is y^{-m} div(y^m B grad u) = Tr(A D^2 u) + m (beta u_x +
+    gamma u_y)/y, since the symmetric part of B is A; the drift is
+    v = (d, c) when m beta = d.  The natural condition of the form is
+    y^m (beta u_x + gamma u_y) -> 0: for m != 0 that is y^m <v, grad u>
+    -> 0, the oblique-derivative condition along v, and for beta = 0
+    (d = 0) the Neumann condition u_y -> 0.
+    """
+    if grid.c != m:
+        raise StructuralError(f"grid weight c={grid.c} does not match the operator's c/gamma={m}")
+    (qq, q), (_, gamma) = a_matrix
+    return DiscreteOperator(grid, np.array([[qq, 2.0 * q - beta], [beta, gamma]]))
+
+
 def assemble(model: ModelOperatorSpec, grid: GridSpec) -> DiscreteOperator:
-    """Discrete generator for the model operator on the given grid."""
+    """Discrete generator for the model operator on the given grid.
+
+    The model is the general operator with Q = gamma = 1, q = a and d = 0,
+    so beta = 0 and _oblique_form gives B = [[1, 2a], [0, 1]], whose
+    natural condition is y^c u_y -> 0 (u_y -> 0 at c = 0).
+    """
     if model.n != 1:
         raise StructuralError("the desk-scale solver supports N = 1 only")
-    if grid.c != model.c:
-        raise StructuralError(
-            f"grid weight c={grid.c} does not match operator c={model.c}"
-        )
-    return DiscreteOperator(grid, np.array([[1.0, 2.0 * float(model.a[0])], [0.0, 1.0]]))
+    a = float(model.a[0])
+    return _oblique_form(grid, model.c, [[1.0, a], [a, 1.0]], 0.0)
 
 
 def assemble_divergence_form(spec: GeneralOperatorSpec, grid: GridSpec) -> DiscreteOperator:
-    """Direct discretization of a general operator in divergence form.
+    """Direct discretization of any admissible N = 1 general operator, in weighted divergence form.
 
-    Only the subfamily with d = (c/gamma) q is a pure weighted divergence
-    y^{-m} div(y^m A grad u) with m = c/gamma; those are the general
-    operators this desk-scale path can solve without reduction, which is
-    exactly what the reduction round-trip check needs.
+    Tr(A D^2 u) + (d u_x + c u_y)/y is y^{-m} div(y^m B grad u) with m =
+    c/gamma and B = [[Q, 2q - beta], [beta, gamma]] (_oblique_form), whose
+    natural condition at y = 0 is the oblique one, y^m <v, grad u> -> 0:
+    - beta = q on the divergence subfamily |d - m q| <= 1e-13 (m != 0),
+      so that B is A bit for bit and symmetric;
+    - beta = 0 at c = 0, where admissibility forces d = 0: the condition
+      is then Neumann, u_y -> 0, the one the reduction route of
+      kernel_slices solves;
+    - beta = d/m otherwise (0 when d = 0).
+    The grid's weight must be m.  An inadmissible spec raises
+    ParameterError, N != 1 or a grid of another weight StructuralError.
     """
     report = validate_general(spec)
     if not report.passed:
         raise ParameterError("inadmissible spec: " + ", ".join(report.failures()))
     if spec.n != 1:
         raise StructuralError("the desk-scale solver supports N = 1 only")
-    m = spec.c / spec.gamma
-    if not np.allclose(spec.d, m * spec.q_vec, rtol=0.0, atol=1e-13):
-        raise WrongOperatorError(
-            "direct general solve requires the divergence-form drift d = (c/gamma) q"
-        )
-    if grid.c != m:
-        raise StructuralError(f"grid weight c={grid.c} must equal c/gamma={m}")
-    return DiscreteOperator(grid, np.asarray(spec.a_matrix, dtype=float))
+    m, q, d = spec.c / spec.gamma, float(spec.q_vec[0]), float(spec.d[0])
+    beta = 0.0 if m == 0.0 else q if abs(d - m * q) <= 1e-13 else d / m
+    return _oblique_form(grid, m, spec.a_matrix, beta)
 
 
 def _contour(n: int, t0: float):
@@ -640,7 +662,7 @@ def _evolve_block(op: DiscreteOperator, u: np.ndarray, times):
 
     Non-finite data raises SolveFailure naming its column (source) first,
     on either route.  A diagonal bmat (B01 == B10 == 0.0 exactly: the
-    model at a = 0, a divergence form with diagonal A) makes S a
+    model at a = 0, a general operator with q = d = 0) makes S a
     Kronecker sum, evaluated exactly by _separable.  Any other bmat takes
     the contour route: the
     trapezoid rule on a hyperbolic Bromwich

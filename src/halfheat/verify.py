@@ -31,7 +31,7 @@ from .geometry import (EnvelopeParams, ball_volume, doubling_check, envelope_equ
                        envelope_eval, gradient_envelope)
 from .kernels import KernelSlice, _check_time, exact_slice, product_kernel, tensor_kernel
 from .operators import (GeneralOperatorSpec, ModelOperatorSpec, general_kernel_exact,
-                        reduce_to_model)
+                        inverse_map_point, map_kernel_value, map_point, reduce_to_model)
 from .quadrature import halfspace_nodes
 from .sab import SabSpec, sab_criterion, sab_norm_estimate
 from .solver import (SOLVE_STATS, DiscreteOperator, Field, GridSpec, assemble,
@@ -870,14 +870,68 @@ def criterion_sab():
     return checks
 
 
-def criterion_round_trip(n=96, columns=kernel_columns):
-    """Criterion 10: the general operator A = [[2, 0.5], [0.5, 1]], v = (0.25, 0.5),
-    which has a shear and c != 0, evolved in divergence form on [-6, 6] x (0, 6]
-    at n x n cells from (0, 1) to t = 1, is within 5% of its maximum of its
-    reduced model's closed form mapped back (general_kernel_exact)."""
+def _cubic_at(grid: GridSpec, values, pts):
+    """`values`, shape (nx, ny) on the cell centres of `grid`, at the points `pts`
+    (inside the grid) by the 4-point Lagrange rule along each axis, exact on cubics."""
+    stencils = []
+    for pos, n in (((pts[:, 0] + grid.rx) / grid.hx - 0.5, grid.nx),
+                   (pts[:, 1] / grid.hy - 0.5, grid.ny)):
+        i = np.clip(np.floor(pos).astype(int) - 1, 0, n - 4)
+        s = pos - i
+        stencils.append((i[:, None] + np.arange(4), np.stack(
+            [-(s - 1) * (s - 2) * (s - 3) / 6, s * (s - 2) * (s - 3) / 2,
+             -s * (s - 1) * (s - 3) / 2, s * (s - 1) * (s - 2) / 6], axis=-1)))
+    (ix, wx), (iy, wy) = stencils
+    return np.einsum("pi,pj,pij->p", wx, wy, values[ix[:, :, None], iy[:, None, :]])
+
+
+def _oblique_gap(spec: GeneralOperatorSpec, n: int, columns):
+    """The direct solve of `spec` against its reduction route, at t = 1 from (0, 1).
+
+    Direct: assemble_divergence_form on [-18, 18] x (0, 6] at 3n x n cells.
+    Reduction route (that of kernel_slices): the reduced model on [-10, 10] x
+    (0, 6] at 3n x 3n model cells, from the model cell centre nearest the image
+    of (0, 1), mapped back by map_kernel_value.  Both columns start at cell
+    centres, so the model column is read, by _cubic_at, at map_point of the direct
+    cells shifted by the offset of its source; the largest gap over |x - x2| < 4,
+    y < 4, relative to the model column's largest value there.  Returns the gap
+    and the two slices."""
+    red = reduce_to_model(spec)
+    wide = GridSpec(rx=18.0, ry=6.0, nx=3 * n, ny=n, c=spec.c / spec.gamma)
+    direct = columns(assemble_divergence_form(spec, wide), [1.0], [0.0, 1.0])[0]
+    grid = GridSpec(rx=10.0, ry=6.0, nx=3 * n, ny=3 * n, c=red.model.c)
+    model = columns(assemble(red.model, grid), [red.time_scale], map_point(red, direct.source))[0]
+    pts = direct.points
+    near = (np.abs(pts[:, 0] - direct.source[0]) < 4.0) & (pts[:, 1] < 4.0)
+    at = pts[near] - direct.source + inverse_map_point(red, model.source)
+    values = _cubic_at(grid, model.values.reshape(grid.nx, grid.ny), map_point(red, at))
+    ref = map_kernel_value(red, 1.0, at, model.source, values)
+    return np.max(np.abs(direct.values[near] - ref)) / np.max(ref), (direct, model)
+
+
+def criterion_round_trip(n=96, ns=(63, 189), columns=kernel_columns):
+    """Criterion 10: the direct solve of a general operator matches its reduction.
+
+    The operator is A = [[2, 0.5], [0.5, 1]] with a drift v = (d, c), assembled
+    directly by assemble_divergence_form.
+    - `round_trip_solver`: v = (0.25, 0.5), which has a shear, c != 0 and d =
+      (c/gamma) q, so B = A, evolved on [-6, 6] x (0, 6] at n x n cells from
+      (0, 1) to t = 1, is within 5% of its maximum of its reduced model's closed
+      form mapped back (general_kernel_exact).
+    - `oblique_solver_*`: the oblique round trip, where the reduced model has
+      a != 0 and both routes solve: for v in ((0.75, 0.5), (-0.5, 0.5), (1.25,
+      1.5)), which have B != A and the oblique condition y^m <v, grad u> -> 0,
+      and v = (0, 0) at c = 0, the Neumann condition, _oblique_gap at each n of
+      ns is at most 5% at the last and at least 2x smaller than at the one before
+      (ns = (n/3, n), each n = 3 mod 6, so that (0, 1) is a cell centre of both
+      grids).  Every column passes through `columns`, the model's too, so a
+      provider that is wrong on the reduction side alone is seen.
+    """
+    if any(k % 6 != 3 for k in ns):
+        raise StructuralError(f"the oblique round trip needs n = 3 mod 6, got ns = {tuple(ns)}")
     checks = _Checks()
-    spec = GeneralOperatorSpec(n=1, a_matrix=np.array([[2.0, 0.5], [0.5, 1.0]]),
-                               drift=np.array([0.25, 0.5]))
+    a_matrix = np.array([[2.0, 0.5], [0.5, 1.0]])
+    spec = GeneralOperatorSpec(n=1, a_matrix=a_matrix, drift=np.array([0.25, 0.5]))
     red = reduce_to_model(spec)
     grid = GridSpec(rx=6.0, ry=6.0, nx=n, ny=n, c=spec.c / spec.gamma)
     slc = columns(assemble_divergence_form(spec, grid), [1.0], [0.0, 1.0])[0]
@@ -886,6 +940,14 @@ def criterion_round_trip(n=96, columns=kernel_columns):
     checks.record("round_trip_solver", err, 0.05,
                   verdict=err <= 0.05 and red.shear.any() and spec.c != 0.0,
                   solve=solve_stats([slc]), n=n)
+    for d, c in ((0.75, 0.5), (-0.5, 0.5), (1.25, 1.5), (0.0, 0.0)):
+        spec = GeneralOperatorSpec(n=1, a_matrix=a_matrix, drift=np.array([d, c]))
+        gaps = [_oblique_gap(spec, k, columns) for k in ns]
+        err, ratio = gaps[-1][0], gaps[-2][0] / gaps[-1][0]
+        checks.record(f"oblique_solver_d{d}_c{c}", err, 0.05,
+                      verdict=err <= 0.05 and ratio >= 2.0,
+                      solve=solve_stats(gaps[-1][1]), n=ns[-1], ratio=ratio,
+                      model_a=float(reduce_to_model(spec).model.a[0]))
     return checks
 
 
@@ -921,7 +983,7 @@ CRITERIA = (
 PROBE_SETS = {
     "desk": {**{name: {} for name, *_ in CRITERIA}, "session": {"nx": 96, "ny": 96},
              "oracle_equivalence": {"ns": (64, 128)}, "identities": {"n": 96},
-             "round_trip": {"n": 64}},
+             "round_trip": {"n": 64, "ns": (21, 63)}},
     "full": {**{name: {} for name, *_ in CRITERIA}, "session": {}},
 }
 

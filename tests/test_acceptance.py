@@ -2,7 +2,7 @@
 
 Each test runs one criterion of halfheat.verify.CRITERIA at its default
 inputs, which `halfheat verify --probe-set full` runs too, and prints one
-PASS/FAIL line (visible with `pytest -s`).  Desk scale: N = 1, grids <= 512 x 512.
+PASS/FAIL line (visible with `pytest -s`).  Desk scale: N = 1, grids <= 567 x 567.
 """
 
 import pytest
@@ -62,5 +62,6 @@ def test_criterion_9_sab_criterion(acceptance_log):
     report(acceptance_log, "criterion 9 (weighted operator criterion)", V.criterion_sab())
 
 
-def test_criterion_10_reduction_round_trip(acceptance_log):
-    report(acceptance_log, "criterion 10 (reduction round-trip)", V.criterion_round_trip())
+def test_criterion_10_reduction_round_trip(right_checks, acceptance_log):
+    report(acceptance_log, "criterion 10 (reduction round-trip)",
+           right_checks("round_trip", "full"))

@@ -671,7 +671,8 @@ def test_desk_sweep_passes(tmp_path):
         assert {f"{kind}_solver_a0.5_c-0.5", f"{kind}_solver_a0.5_c1.0"} <= names
     assert {"oracle_solver_c2.0", "conservation_solver_c1.0", "envelope_solver_c-0.5",
             "gradient_solver_c1.0", "floors_solver_c1.0", "g_trace_solver_c1.0",
-            "poincare_c2.0", "sab_family_c1.0_p4.0", "round_trip_solver", "doubling"} <= names
+            "poincare_c2.0", "sab_family_c1.0_p4.0", "round_trip_solver",
+            "oblique_solver_d0.0_c0.0", "oblique_solver_d0.75_c0.5", "doubling"} <= names
     round_trip = next(c for c in bundle["checks"] if c["name"] == "round_trip_solver")
     assert round_trip["params"]["n"] == 64
     # solver checks carry the stats of their evolutions, the others none

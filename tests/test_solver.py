@@ -13,7 +13,6 @@ from halfheat.errors import (
     ParameterError,
     SolveFailure,
     StructuralError,
-    WrongOperatorError,
 )
 from halfheat.kernels import exact_slice, product_kernel
 from halfheat.operators import (
@@ -1010,14 +1009,40 @@ class TestLiveModes:
 
 
 class TestDivergenceForm:
+    @staticmethod
+    def bmat(a_matrix, drift):
+        spec = GeneralOperatorSpec(n=1, a_matrix=np.array(a_matrix, dtype=float),
+                                   drift=np.array(drift, dtype=float))
+        grid = GridSpec(rx=3.0, ry=3.0, nx=16, ny=16, c=spec.c / spec.gamma)
+        return assemble_divergence_form(spec, grid).bmat
+
     def test_requires_divergence_drift(self):
-        spec = GeneralOperatorSpec(
-            n=1, a_matrix=np.array([[2.0, 0.5], [0.5, 1.0]]),
-            drift=np.array([0.1, 0.5]),
-        )
-        grid = GridSpec(rx=3.0, ry=3.0, nx=16, ny=16, c=0.5)
-        with pytest.raises(WrongOperatorError):
-            assemble_divergence_form(spec, grid)
+        """A drift off d = (c/gamma) q assembles the oblique B: beta = d/m =
+        0.1/0.5, so B = [[2, 2 q - beta], [beta, 1]]."""
+        assert self.bmat([[2.0, 0.5], [0.5, 1.0]], [0.1, 0.5]).tolist() == [[2.0, 0.8], [0.2, 1.0]]
+
+    @pytest.mark.parametrize("a", [0.0, 0.3, -0.55])
+    @pytest.mark.parametrize("c", [-0.5, 0.0, 1.0])
+    def test_model_b_is_literal(self, a, c):
+        """The model's B, pinned apart from the shared formula: [[1, 2a], [0, 1]]."""
+        grid = GridSpec(rx=3.0, ry=3.0, nx=16, ny=16, c=c)
+        op = assemble(ModelOperatorSpec(n=1, a=np.array([a]), c=c), grid)
+        assert op.bmat.tolist() == [[1.0, 2.0 * a], [0.0, 1.0]]
+
+    @pytest.mark.parametrize("q,gamma,cg", [(0.7, 1.2, 0.6), (0.5, 1.0, 0.6), (0.49, 1.0, 0.58),
+                                            (0.51, 1.0, 0.63)])
+    def test_divergence_subfamily_keeps_b_equal_to_a(self, q, gamma, cg):
+        """d = (c/gamma) q (test_verify's spec; perfbench's and bench/contour.py's
+        cross specs at and around their jitter) gives B == A, so the symmetric
+        paired route."""
+        a_matrix = [[2.0, q], [q, gamma]]
+        b = self.bmat(a_matrix, [cg * q / gamma, cg])
+        assert b.tolist() == a_matrix and b[0, 1] == b[1, 0]
+
+    def test_c0_is_neumann(self):
+        """At c = 0 admissibility forces d = 0, and beta = 0: B = [[Q, 2q], [0, gamma]],
+        whose natural condition is u_y -> 0, as on the reduction route."""
+        assert self.bmat([[2.0, 0.5], [0.5, 1.0]], [0.0, 0.0]).tolist() == [[2.0, 1.0], [0.0, 1.0]]
 
     def test_constant_stationary_and_conservative(self):
         m = 0.5

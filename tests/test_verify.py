@@ -581,3 +581,20 @@ class TestCriteria:
         cols[1].meta["contour_err"] = np.nan
         assert np.isnan(solve_stats(cols)["contour_err"])
         assert np.isnan(solve_stats(cols[:1], columns=cols)["contour_err"])
+
+    def test_oblique_round_trip_needs_centred_sources(self):
+        # at n = 64 the source (0, 1) is no cell centre of the direct grid: refused first
+        with pytest.raises(StructuralError, match="n = 3 mod 6"):
+            V.criterion_round_trip(ns=(21, 64), columns=None)
+
+    def test_cubic_read_is_exact_on_cubics(self):
+        grid = GridSpec(rx=3.0, ry=2.0, nx=30, ny=20, c=0.5)
+
+        def f(x, y):
+            return 1.0 + x - 2.0 * y + x ** 3 * y ** 2 - 0.5 * x * y ** 3
+
+        x, y = np.meshgrid(grid.x_centers, grid.y_centers, indexing="ij")
+        rng = np.random.default_rng(5)
+        pts = np.column_stack([rng.uniform(-2.9, 2.9, 200), rng.uniform(0.01, 1.99, 200)])
+        got = V._cubic_at(grid, f(x, y), pts)
+        assert got == pytest.approx(f(pts[:, 0], pts[:, 1]), rel=1e-11, abs=1e-11)
