@@ -6,9 +6,11 @@ halfheat evaluates every kernel column as exp(-t W^{-1} S) u0 through
 one call, `kernel_columns`, which picks its route from the operator's
 coefficient matrix B: a diagonal B is evaluated exactly from one
 y-eigendecomposition (route "separable"); any other B takes the
-Bromwich contour (route "contour"), which solves only the live x-modes
-of each checkpoint window [t0, WINDOW_RATIO t0], and for a symmetric B
-solves them in Hermitian pairs.  This script measures those routes
+Bromwich contour (route "contour"), which holds the data as the half
+spectrum m <= nx/2 of an rfft along x and solves only the live x-modes
+of each checkpoint window [t0, WINDOW_RATIO t0]: for a symmetric B one
+real-symmetric block per live pair (m, nx - m), so only the modes
+m <= nx/2, and for any other B one block per live mode.  This script measures those routes
 through the public API only, the way the test-suite checks them: each
 fork is measured against its other side, an operator that differs from
 the package's in the last bits of one coefficient and so takes the

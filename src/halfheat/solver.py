@@ -13,12 +13,16 @@ coefficient matrix of the form a(u, v) = int <B grad u, grad v> y^c.
 The grid gives the vector w of weighted cell masses and with it the
 semi-discrete evolution w du/dt = -S u.
 The coefficients do not depend on x, so S is one tridiagonal y-block per
-x-Fourier mode (fast diagonalization); _mode_bands builds the blocks of
-all modes as three bands of shape (nx, ny), one row per mode.  The data
-of k sources is held in the same layout, as (k, nx, ny) blocks (source,
-x-cell or x-mode, y-cell), from the source deltas to the fused LAPACK
-system, the one place where modes are laid end to end; only that system
-and the public slice values are flat.  Constants are annihilated by S on
+x-Fourier mode (fast diagonalization); _mode_bands builds the real and
+imaginary parts of the bands of any set of modes, one row per mode.  B,
+the data and the kernel are real, so S_{nx-m} = conj(S_m) and mode
+nx - m of the data is the conjugate of mode m: the solver holds the
+half spectrum m <= nx/2 of the rfft and returns by the irfft, and
+builds complex bands only for the modes it solves.  The data of k
+sources is held as (k, nx, ny) cells or (k, nx/2 + 1, ny) modes
+(source, x-cell or x-mode, y-cell), from the source deltas to the fused
+LAPACK system, the one place where modes are laid end to end; only that
+system and the public slice values are flat.  Constants are annihilated by S on
 both sides (mode 0 is a pure y-difference form), so constant states are
 stationary and total mass Sum(w u) is conserved by the semi-discrete law.
 
@@ -33,16 +37,19 @@ k r ny (ny + nx)) per time for r x-rows holding data (r <= k for kernel
 columns).  Any other B takes the contour route: the trapezoid
 rule on a hyperbolic Bromwich contour (Weideman & Trefethen 2007) needs
 one shifted solve (zW + S)^{-1} per node, shared by every checkpoint of
-a window [t0, 4 t0].  An fft along x takes the data to x-modes, where
+a window [t0, 4 t0].  An rfft along x takes the data to x-modes, where
 each zW + S is tridiagonal and one LAPACK gtsv call factors and solves
 it.  Only the live modes are solved: a mode whose logarithmic-norm
 bound e^{-kappa_m t0} has taken it below round-off of the column
-maximum by the window's first time is left at 0 (_live_modes).  A
-symmetric B (B01 == B10 exactly: the model at a = 0, a general operator
-with d = (c/gamma) q and c != 0, where B = A) makes every block
-Hermitian with S_{nx-m} = conj(S_m), so each live pair (m, nx - m) is
-solved once, as one real-symmetric block (_fused_system); any other B
-(an oblique one, B01 != B10) keeps one block per live mode.  On
+maximum by the window's first time is left at 0 (_live_modes, which
+tests the modes m <= nx/2 and gives nx - m the verdict of m).  A
+symmetric B (B01 == B10 exactly: a general operator with
+d = (c/gamma) q and c != 0, where B = A) makes every block Hermitian,
+so each live pair (m, nx - m) is solved once, as one real-symmetric
+block (_fused_system); any other B (an oblique one, B01 != B10) keeps
+one block per live mode.  Either way only the Hermitian part
+(X_m + conj X_{nx-m}) / 2 of the mode solutions reaches the cells, and
+_to_space forms it for m <= nx/2 before the irfft.  On
 either layout each node solves one unit column e_j per y-row j that
 holds data, not one column per source: a kernel column is a delta, so
 all of its x-modes sit on its source's y-row, sources on one row share
@@ -235,55 +242,54 @@ class Field:
         return float(np.sum(self.grid.masses() * self.values))
 
 
-def _mode_bands(grid: GridSpec, bmat: np.ndarray):
-    """The discrete form in x-Fourier modes: (lower, diag, upper) bands.
+def _mode_bands(grid: GridSpec, bmat: np.ndarray, modes: np.ndarray):
+    """The discrete form in the x-Fourier modes `modes`: the real and imaginary parts of its bands.
 
-    For a(u,v) = int <B grad u, grad v> y^c, B the 2x2 constant coefficient
-    matrix in the (x, y) gradient pairing (B[0,1] pairs u_y with v_x), x
-    closed periodically and y on the staggered grid, mode m of the fft
-    along x (theta = 2 pi m / nx) is one tridiagonal ny x ny block
-    (fast diagonalization, Lynch, Rice & Thomas 1964).  The x symbols are
-    2 - 2 cos theta for the circulant Dx'Dx and g = i sin(theta) / hx for
-    the centred gradient; sin(theta) is set to 0 at the Nyquist mode,
-    where the centred gradient of (-1)^i vanishes exactly.  With yf the
-    weight y^c on the interior y-faces, yl / yr the face weight below /
-    above each cell (0 at the ends), Z the cell integrals of y^c,
-    cross = B01 conj(g) + B10 g and skew = B01 conj(g) - B10 g:
+    For a(u,v) = int <B grad u, grad v> y^c, B the real 2x2 constant
+    coefficient matrix in the (x, y) gradient pairing (B[0,1] pairs u_y
+    with v_x), x closed periodically and y on the staggered grid, mode m
+    of the fft along x (theta = 2 pi m / nx) is one tridiagonal ny x ny
+    block (fast diagonalization, Lynch, Rice & Thomas 1964).  The x
+    symbols are 2 - 2 cos theta for the circulant Dx'Dx and g = i s for
+    the centred gradient, s = sin(theta) / hx; sin(theta) is set to 0 at
+    the Nyquist mode, where the centred gradient of (-1)^i vanishes
+    exactly.  With yf the weight y^c on the interior y-faces, yl / yr the
+    face weight below / above each cell (0 at the ends) and Z the cell
+    integrals of y^c, the block's diagonal is even + i odd and its
+    super-diagonal stiff + i skew, the sub-diagonal the conjugate of it:
 
-        diag  = (B00/hx)(2 - 2 cos theta) Z + B11 (hx/hy)(yl + yr)
-                + hx/2 cross (yl - yr)
-        upper = -B11 (hx/hy) yf + hx/2 skew yf
-        lower = -B11 (hx/hy) yf - hx/2 skew yf
+        even  = (B00/hx)(2 - 2 cos theta) Z + B11 (hx/hy)(yl + yr)
+        odd   = hx/2 (B10 - B01) s (yl - yr)
+        stiff = -B11 (hx/hy) yf
+        skew  = -hx/2 (B01 + B10) s yf
 
     These are the fft along x of the cell-space Kronecker sum (README,
     "Numerical notes"): the (u_y, v_x) pairing sits on the interior
     y-faces as the face difference of u times the face average of the
-    x-gradient of v, and (u_x, v_y) is its transpose, so a symmetric B
-    gives Hermitian blocks.  Each band has shape (nx, ny), row m the
-    block of mode m; lower[m, j] and upper[m, j] couple cells j + 1 and
-    j, and both are 0 after each mode's last cell, so the blocks of any
-    set of modes laid end to end are one tridiagonal matrix.
-    Every row and column of mode 0 sums to 0, so constants are stationary
-    and mass is conserved; transposing B conjugate-transposes every block.
+    x-gradient of v, and (u_x, v_y) is its transpose.  The Hermitian part
+    of a block (the block of (B + B')/2) has the diagonal `even` and the
+    super-diagonal stiff + i skew, so a symmetric B (odd = 0) gives
+    Hermitian blocks; s is odd in m, so S_{nx-m} = conj(S_m) for every
+    real B.  Returns the real arrays `even` and `odd` of shape
+    (modes, ny), `stiff` of shape (ny - 1,), the same for every mode, and
+    `skew` of shape (modes, ny - 1), where entry j couples cells j and
+    j + 1.  Each term is evaluated in the order of the complex product
+    (hx/2) (B01 conj(g) + B10 g) (yl - yr), with s formed as
+    sin(theta) (1 / hx) the way numpy divides i sin(theta) by hx, so the
+    bands agree bit for bit with that complex formula.  Every row and
+    column of mode 0 sums to 0, so constants are stationary and mass is
+    conserved; transposing B conjugate-transposes every block.
     """
-    nx, ny, hx, hy = grid.nx, grid.ny, grid.hx, grid.hy
-    theta = 2.0 * np.pi * np.arange(nx) / nx
-    sin = np.sin(theta)
-    if nx % 2 == 0:
-        sin[nx // 2] = 0.0
-    g = (1j * sin / hx)[:, None]
-    cross = bmat[0, 1] * g.conj() + bmat[1, 0] * g
-    skew = bmat[0, 1] * g.conj() - bmat[1, 0] * g
+    hx, hy = grid.hx, grid.hy
+    theta = 2.0 * np.pi * modes / grid.nx
+    s = np.where(2 * modes == grid.nx, 0.0, np.sin(theta))[:, None] * (1.0 / hx)
     yf = grid.y_faces[1:-1] ** grid.c
     yl, yr = np.append(0.0, yf), np.append(yf, 0.0)
-    diag = ((bmat[0, 0] / hx) * (4.0 * np.sin(0.5 * theta) ** 2)[:, None] * grid.cell_y_masses()
-            + bmat[1, 1] * (hx / hy) * (yl + yr) + 0.5 * hx * cross * (yl - yr))
-    # coupling of cell j to cell j + 1 of the same mode, 0 after its last cell
-    stiff, half_skew = -bmat[1, 1] * (hx / hy) * yf, 0.5 * hx * skew * yf
-    lower, upper = np.zeros((2, nx, ny), dtype=complex)
-    lower[:, :-1] = stiff - half_skew
-    upper[:, :-1] = stiff + half_skew
-    return lower, diag, upper
+    even = ((bmat[0, 0] / hx) * (4.0 * np.sin(0.5 * theta) ** 2)[:, None] * grid.cell_y_masses()
+            + bmat[1, 1] * (hx / hy) * (yl + yr))
+    odd = 0.5 * hx * (bmat[1, 0] * s - bmat[0, 1] * s) * (yl - yr)
+    skew = 0.5 * hx * (-bmat[0, 1] * s - bmat[1, 0] * s) * yf
+    return even, odd, -bmat[1, 1] * (hx / hy) * yf, skew
 
 
 @dataclass
@@ -440,145 +446,148 @@ def _contour_sum(bands, w, rhs, window, n, stats, worst, owners=None):
     return [a / np.real(np.sum(coef[:, i] / z)) for i, a in enumerate(acc)]
 
 
-def _live_modes(bands, w, rhs, t0: float) -> np.ndarray:
-    """The x-modes of rhs that can still move a value at some t >= t0, shape (nx,).
+def _live_modes(parts, w, rhs, t0: float) -> np.ndarray:
+    """The x-modes of rhs that can still move a value at some t >= t0, a mask of shape (nx,).
 
-    `bands` and the weights `w` have shape (nx, ny), and `rhs` holds
-    W U_m(0), shape (k, nx, ny), as _evolve_block builds it.
+    `parts` are _mode_bands' real parts of the modes 0..nx/2, the weights
+    `w` have shape (nx, ny), and `rhs` holds W U_m(0) of those modes,
+    shape (k, nx/2 + 1, ny), as _evolve_block builds it from the rfft.
     Re<S_m v, v> = <H_m v, v> for H_m the Hermitian part of the mode
     block (the block of (B + B')/2: the skew part of B gives
-    skew-Hermitian blocks), so |U_m(t)|_W <= e^{-kappa_m t} |U_m(0)|_W
-    with kappa_m the least eigenvalue of the pencil (H_m, W) (the
-    logarithmic norm, Soederlind 2006).  Mode m is dead when
-    H_m - K_m W is positive definite, tested by the signs of the LDL'
-    pivots of that Hermitian tridiagonal for all modes at once, with
+    skew-Hermitian blocks), whose diagonal is `even` and whose
+    off-diagonal has the modulus |stiff + i skew|.  So
+    |U_m(t)|_W <= e^{-kappa_m t} |U_m(0)|_W with kappa_m the least
+    eigenvalue of the pencil (H_m, W) (the logarithmic norm, Soederlind
+    2006).  Mode m is dead when H_m - K_m W is positive definite, tested
+    by the signs of the LDL' pivots of that Hermitian tridiagonal for the
+    modes 0..nx/2 at once, in real arithmetic, one contiguous row of
+    modes per y-cell, with
 
         K_m = log(sum(w) max_col(|U_m(0)|_W / |mass|) / (eps sqrt(min w))) / t0.
 
     Then one dead mode moves no value at t >= t0 by more than
-    eps |mass| / (nx sum(w)) (the ifft divides by nx), the at most nx
-    dead modes together by eps |mass| / sum(w), and mass conservation
-    makes that at most eps times the column maximum.  Mode 0 (the mass)
+    eps |mass| / (nx sum(w)) (the inverse transform divides by nx), the
+    at most nx dead modes together by eps |mass| / sum(w), and mass
+    conservation makes that at most eps times the column maximum.  Mode
+    nx - m has the conjugate block and data of mode m (real B, real
+    data), so the same H_m spectrum and norm, and takes mode m's verdict:
+    the mask is symmetric, live[m] == live[-m % nx].  Mode 0 (the mass)
     is always live; zero-mass or non-finite data keeps every mode
     (_evolve_block refuses non-finite data before it gets here).
     """
-    lower, diag, upper = bands
-    wy = w[0]  # the same weights for every mode
+    even, _, stiff, skew = parts
+    nx, wy = len(w), w[0]  # the same weights for every mode
     mass = rhs[:, 0].real.sum(axis=1)
-    live = np.ones(len(w), dtype=bool)
     if not (np.all(np.isfinite(rhs)) and np.all(mass != 0.0)):
-        return live
-    norm = np.sqrt(np.abs(rhs) ** 2 @ (1.0 / wy))  # |U_m(0)|_W, shape (k, nx)
+        return np.ones(nx, dtype=bool)
+    norm = np.sqrt(np.abs(rhs) ** 2 @ (1.0 / wy))  # |U_m(0)|_W, shape (k, nx/2 + 1)
     ratio = (norm / np.abs(mass)[:, None]).max(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):  # K_m = -inf for a mode without data
         rate = np.log(w.sum() * ratio / (np.finfo(float).eps * np.sqrt(wy.min()))) / t0  # K_m
-        shifted = diag.real - rate[:, None] * wy  # diagonal of H_m - K_m W
-        # |off-diagonal|^2 of H_m; 0 after each mode's last cell
-        off2 = np.abs(0.5 * (upper + lower.conj())) ** 2
-        pivot = shifted[:, 0]
-        dead = pivot > 0.0
+        # the diagonal of H_m - K_m W, row j the y-cell j of every mode, turned
+        # into the pivots in place, and the |off-diagonal|^2 of H_m
+        pivot = np.ascontiguousarray(even.T) - wy[:, None] * rate
+        off2 = np.ascontiguousarray(np.hypot(stiff, skew).T) ** 2
         for j in range(1, wy.size):
-            pivot = shifted[:, j] - off2[:, j - 1] / pivot
-            dead &= pivot > 0.0
-    live[1:] = ~dead[1:]
-    return live
+            pivot[j] -= off2[j - 1] / pivot[j - 1]
+    dead = np.all(pivot > 0.0, axis=0)
+    dead[0] = False
+    return ~dead[np.minimum(np.arange(nx), nx - np.arange(nx))]
 
 
-def _fused_system(bands, w, rhs, rows, live, paired: bool):
+def _fused_system(op: DiscreteOperator, w, rhs, rows, live):
     """The tridiagonal system every node of one window solves, and its layout.
 
-    The bands and weights have shape (nx, ny), rhs (k, nx, ny) and `rows`
-    lists the r y-rows where some source holds data; this is the one
-    place where modes are laid end to end, the solved modes' blocks in
-    mode order as the rows of one flat system.  Its right-hand side has
-    one unit column per row j of `rows`, e_j in every solved block, so
+    The weights have shape (nx, ny), rhs (k, nx/2 + 1, ny) (the rfft
+    modes) and `rows` lists the r y-rows where some source holds data;
+    this is the one place where modes are laid end to end, the solved
+    modes' blocks (_mode_bands, built here for those modes only) in mode
+    order as the rows of one flat system.  Its right-hand side has one
+    unit column per row j of `rows`, e_j in every solved block, so
     sources that share a y-row share a column: source s puts
     rhs[s, m, :] = sum_j beta[s, m, j] e_j on mode m, and the solution is
-    the same sum of the unit solutions, which _to_space forms from the
-    weights beta[s, m, j] after the contour sum.
+    the same sum of the unit solutions.  The data are real, so only the
+    Hermitian part 1/2(X_m + conj X_{nx-m}) of the mode solutions X
+    reaches the cells, and with beta[s, nx-m] = conj(beta[s, m]) it is
+    sum_j beta[s, m, j] 1/2(Y_{m,j} + conj Y_{nx-m,j}) for Y_{m,j} the unit
+    solutions of mode m: _to_space forms that for the modes m <= nx/2
+    from the weights of those modes alone.
 
-    Unpaired: the live modes (`live`, a mask of shape (nx,)) of the bands
-    and the weights; the coupling of consecutive rows is the band entry,
-    or the 0 after a mode's last cell where the next live mode begins.
+    Unpaired (an oblique op.bmat, B01 != B10): every live mode of the
+    symmetric mask `live`, shape (nx,), is one block, and the Hermitian
+    part of mode m pairs the unit sums of the blocks m and nx - m.
 
-    Paired (`live` closed over pairs; the caller's rule for a symmetric
-    B): S_{nx-m} = conj(S_m) and S_m is Hermitian, so the live modes
-    m <= nx/2 are solved alone, each as the real-symmetric block
-    R_m = P_m* S_m P_m with the real diagonal of S_m and |e_j| off it, for
-    e_j the super-diagonal of S_m and P_m the diagonal unitary phase
-    p_0 = 1, p_{j+1} = p_j conj(e_j) / |e_j|.  Then
-    zW + S_m = P_m (zW + R_m) P_m* and
-    zW + S_{nx-m} = conj(P_m) (zW + R_m) P_m, and P_m* e_j = conj(p_j) e_j,
-    so one unit column serves mode m and its partner nx - m: with
-    y_j = (zW + R_m)^{-1} e_j, mode m's solution is
-    P_m sum_j beta[s, m, j] conj(p_j) y_j and its partner's
-    conj(P_m) sum_j beta[s, nx-m, j] p_j y_j (m = 0 and nx/2 are their
-    own partners).  The partner is built from mode m's block bit for bit.
+    Paired (B01 == B10): S_{nx-m} = conj(S_m) and S_m is Hermitian, so
+    the live modes m <= nx/2 are solved alone, each as the real-symmetric
+    block R_m = P_m* S_m P_m with the real diagonal of S_m and |e_j| off
+    it, for e_j the super-diagonal of S_m and P_m the diagonal unitary
+    phase p_0 = 1, p_{j+1} = p_j conj(e_j) / |e_j|.  Then
+    zW + S_m = P_m (zW + R_m) P_m* and zW + S_{nx-m} = conj(P_m) (zW + R_m) P_m,
+    and P_m* e_j = conj(p_j) e_j, so with y_j = (zW + R_m)^{-1} e_j the
+    Hermitian part of mode m is P_m sum_j beta[s, m, j] conj(p_j) Re y_j:
+    block m's unit sums are their own partner's.
 
     Returns the system's bands, weights and unit columns (Fortran order,
-    as zgtsv takes them) and the layout (solved modes, phases of shape
-    (modes, ny) or None, and the weights of shape (sides, modes, k, r),
-    sides 2 when paired: mode m's, then its partner's) that _to_space
-    takes.
+    as zgtsv takes them) and the layout that _to_space takes: the modes
+    m <= nx/2 solved (the first ones of the system), the position in the
+    system of each one's partner nx - m, the phases (P_m of shape
+    (modes, ny), 1 unpaired) and the weights of shape (modes, k, r), with
+    conj(p_j) in them when paired.
     """
-    lower, diag, upper = bands
     nx, ny = w.shape
-    beta = np.moveaxis(rhs[:, :, rows], 1, 0)  # (nx, k, r)
+    paired = op.bmat[0, 1] == op.bmat[1, 0]  # Hermitian blocks, S_{nx-m} = conj(S_m)
+    modes = np.flatnonzero(live[:nx // 2 + 1] if paired else live)
+    even, odd, stiff, skew = _mode_bands(op.grid, op.bmat, modes)
+    upper = np.zeros((modes.size, ny), dtype=complex)  # each block's super-diagonal, then 0
+    upper[:, :-1] = stiff + 1j * skew
+    half = modes[:np.searchsorted(modes, nx // 2, side="right")]
+    beta = np.moveaxis(rhs[:, half[:, None], rows], 1, 0)  # (half modes, k, r)
     if not paired:
-        modes, phase = np.flatnonzero(live), None
-        sub = (lower[modes], diag[modes], upper[modes])
-        weights = beta[None, modes]
+        sub, phase = (upper.conj(), even + 1j * odd, upper), 1.0
+        partner = np.searchsorted(modes, -half % nx)
     else:
-        modes = np.flatnonzero(live[:nx // 2 + 1])
-        e = upper[modes]  # each block's super-diagonal, then 0
-        size = np.abs(e)
-        unit = np.divide(e.conj(), size, out=np.ones_like(e), where=size > 0.0)
-        phase = np.ones_like(e)
+        size = np.abs(upper)
+        unit = np.divide(upper.conj(), size, out=np.ones_like(upper), where=size > 0.0)
+        phase = np.ones_like(upper)
         phase[:, 1:] = np.cumprod(unit[:, :-1], axis=1)
         off = size.astype(complex)
-        sub = (off, diag[modes].real.astype(complex), off)
-        p = phase[:, None, rows]
-        weights = np.stack([p.conj() * beta[modes], p * beta[-modes % nx]])
+        sub, partner = (off, even.astype(complex), off), np.arange(modes.size)
+        beta = phase[:, None, rows].conj() * beta
     units = np.zeros((rows.size, modes.size, ny), dtype=complex)
     units[np.arange(rows.size), :, rows] = 1.0
     lower, diag, upper = (band.ravel() for band in sub)
     # column c of the system is unit column c, its modes end to end: (rows, columns), Fortran order
     return ((lower[:-1], diag, upper[:-1]), w[modes].ravel(),
-            units.reshape(rows.size, -1).T, (modes, phase, weights))
+            units.reshape(rows.size, -1).T, (half, partner, phase, beta))
 
 
 def _to_space(sums, layout, shape) -> np.ndarray:
     """Cell values, shape (k, nx, ny), of the sums of a fused system, the modes not solved 0.
 
-    `layout` is _fused_system's (modes, phase, weights) and `shape` is
-    (nx, ny).  Each row of `sums` is the sum of one unit column, its
-    solved modes end to end; each source's modes are the weighted sums
-    of these rows, formed here once per time.  Paired (phase not None),
-    the phases go back on as well: the first weighted sums times P_m are
-    the modes m, the second times conj(P_m) their partners nx - m.
+    `layout` is _fused_system's (half, partner, phase, weights) and
+    `shape` is (nx, ny).  Each row of `sums` is the sum of one unit
+    column, its solved modes end to end.  For each mode m <= nx/2 solved
+    this forms the Hermitian part H = 1/2(Y_m + conj Y_{nx-m}) of the unit
+    sums (Re Y_m when paired, where the phases P_m go back on), each
+    source's weighted sum of it over the rows, and returns the irfft of
+    the half spectrum, once per time.
     """
-    modes, phase, weights = layout
+    half, partner, phase, weights = layout
     nx, ny = shape
-    sums = sums.reshape(len(sums), modes.size, ny)
-    # per solved mode, the (k, r) weights times the (r, ny) unit sums: (sides, k, modes, ny)
-    mixed = np.swapaxes(weights @ sums.swapaxes(0, 1), 1, 2)
-    out = np.zeros((weights.shape[2], nx, ny), dtype=complex)
-    if phase is None:
-        out[:, modes] = mixed[0]
-    else:
-        out[:, modes] = phase * mixed[0]
-        partner = -modes % nx
-        pair = partner != modes
-        out[:, partner[pair]] = (phase.conj() * mixed[1])[:, pair]
-    return np.fft.ifft(out, axis=1).real
+    sums = sums.reshape(len(sums), -1, ny)
+    herm = phase * (0.5 * (sums[:, :half.size] + sums[:, partner].conj()))  # (r, modes, ny)
+    out = np.zeros((weights.shape[1], nx // 2 + 1, ny), dtype=complex)
+    # per solved mode, the (k, r) weights times the (r, ny) Hermitian parts
+    out[:, half] = np.swapaxes(weights @ herm.swapaxes(0, 1), 0, 1)
+    return np.fft.irfft(out, n=nx, axis=1)
 
 
 def _separable(op: DiscreteOperator, u: np.ndarray, times):
     """exp(-t W^{-1} S) of the k sources of u, shape (k, nx, ny), for a diagonal bmat, exactly.
 
-    With B01 = B10 = 0 every mode block of _mode_bands is S_m = K + s_m W
-    in y (K mode 0's block, W the y-cell weights, s_m the x symbol of
-    mode m times B00 / hx^2, read off the bands), so S is the Kronecker
+    With B01 = B10 = 0 every mode block of _mode_bands is real,
+    S_m = K + s_m W in y (K mode 0's block, W the y-cell weights, s_m the
+    x symbol of mode m times B00 / hx^2), so S is the Kronecker
     sum of an x and a y operator and all modes share the eigenvectors of
     the pencil (K, W).  So e^{-t W^{-1} S} is the x-circulant e^{-t A_x},
     A_x the circulant of symbol s_m, times the y-evolution, and one
@@ -597,7 +606,9 @@ def _separable(op: DiscreteOperator, u: np.ndarray, times):
     the subnormal range) are set to 0: they move no value by more than r
     times that times the other factor's largest entry (g_t <= 1, since
     e^{-t A_x} is doubly stochastic), and subnormal products run about 4
-    times slower.
+    times slower.  The pencil (mode 0's `even` and `stiff`) and the
+    symbols s_m of the modes m <= nx/2 that the irfft reads are taken from
+    _mode_bands' real parts, in real arithmetic; no complex band is built.
     A non-finite C and a relative eigen-residual
     max|C Q - Q diag(mu)| / max|mu| above SOLVE_RTOL raise SolveFailure
     (_evolve_block has refused non-finite data).
@@ -606,19 +617,18 @@ def _separable(op: DiscreteOperator, u: np.ndarray, times):
     `route` "separable", no windows, nodes or factorizations, all nx
     `live_modes`, ny `solve_rows` (the one y-block decomposed), 0
     `solve_columns` (there is no fused solve), `contour_err` 0 and the eigen-residual as every column's
-    `max_solve_residual`; `factor_s` is the bands and the decomposition,
+    `max_solve_residual`; `factor_s` is the real bands and the decomposition,
     `transform_s` the x-factor (g_t and its circulant entries), and
     `solve_s` the y-products and the product of the two factors.
     """
     k, nx, ny = u.shape
     clock = time.perf_counter
     t0 = clock()
-    _, diag, upper = _mode_bands(op.grid, op.bmat)
+    even, _, stiff, _ = _mode_bands(op.grid, op.bmat, np.arange(nx // 2 + 1))  # the modes rfft keeps
     wy = op.grid.masses()[0]  # the same weights for every mode
-    diag = diag.real
-    shift = (diag - diag[0]).sum(axis=1) / wy.sum()  # s_m, 0 for mode 0
+    rate = (even - even[0]).sum(axis=1) / wy.sum()  # s_m, 0 for mode 0
     root = np.sqrt(wy)
-    d, e = diag[0] / wy, upper[0, :-1].real / (root[:-1] * root[1:])
+    d, e = even[0] / wy, stiff / (root[:-1] * root[1:])
     if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
         raise SolveFailure("non-finite y-block of the separable operator")
     mu, q = eigh_tridiagonal(d, e, lapack_driver="stemr")
@@ -639,7 +649,6 @@ def _separable(op: DiscreteOperator, u: np.ndarray, times):
     v = np.einsum("krj,jl->krl", u[:, rows] * root, q, optimize=False)
     solve_s = clock() - t0
     offset = (np.arange(nx)[:, None] - rows) % nx  # circulant entry (i, rows[r])
-    rate = shift[:nx // 2 + 1]  # s_m of the modes rfft keeps
     flush = np.finfo(float).tiny / np.finfo(float).eps
     transform_s, states = 0.0, []
     for t in times:
@@ -664,31 +673,32 @@ def _evolve_block(op: DiscreteOperator, u: np.ndarray, times):
     on either route.  A diagonal bmat (B01 == B10 == 0.0 exactly: the
     model at a = 0, a general operator with q = d = 0) makes S a
     Kronecker sum, evaluated exactly by _separable.  Any other bmat takes
-    the contour route: the
-    trapezoid rule on a hyperbolic Bromwich
+    the contour route: the trapezoid rule on a hyperbolic Bromwich
     contour, u(t) = (1/2 pi i) int e^{zt} (zW + S)^{-1} W u0 dz (Weideman &
     Trefethen 2007; see _contour).  x is periodic and the coefficients do
-    not depend on x, so one fft along axis 1 of u splits every zW + S into
-    its x-modes, one tridiagonal block per row of the (nx, ny) bands that
-    _mode_bands builds from the operator's bmat.  Checkpoints are
-    grouped into windows [t0, WINDOW_RATIO t0]; one set of shifted solves
-    serves every time of a window.  Per window only the live modes
-    (_live_modes) are solved: _fused_system lays their blocks of the
-    bands and the weights end to end as one flat system, whose
-    right-hand side is one unit column e_j per y-row j that holds data
-    (r columns for r distinct rows, so r <= k for kernel columns, and
-    all-zero data solves one column of zero weight), and _to_space
-    weights the unit sums by each source's x-mode data on those rows and
-    scatters them into zero (k, nx, ny) mode arrays before the ifft, so
-    the dropped modes move no value by more than machine epsilon times
-    the column maximum.  When op.bmat[0, 1] == op.bmat[1, 0] exactly, the
-    blocks are Hermitian with S_{nx-m} = conj(S_m): the live mask is
-    closed over pairs (m is live when m or nx - m is), and each node
-    solves only the modes m <= nx/2, as the real-symmetric blocks
-    R_m = P_m* S_m P_m, whose unit solutions serve mode m and its
-    partner nx - m; the phases go back on the sums once per window and
-    time.  Any other bmat keeps one block per live mode.  Each window is
-    evaluated with
+    not depend on x, so the x-modes split every zW + S into one
+    tridiagonal block per mode (_mode_bands).  The data and the kernel
+    are real and B is real, so S_{nx-m} = conj(S_m) and mode nx - m of
+    the data is the conjugate of mode m: one rfft along axis 1 of u
+    holds the data of the modes m <= nx/2, and nothing is built, tested
+    or transformed for the others.  Checkpoints are grouped into windows
+    [t0, WINDOW_RATIO t0]; one set of shifted solves serves every time of
+    a window.  Per window only the live modes (_live_modes, tested on
+    the half spectrum from _mode_bands' real parts and mirrored, so the
+    mask is symmetric) are solved: _fused_system builds the complex
+    blocks of the modes it solves and lays them and the weights end to
+    end as one flat system, whose right-hand side is one unit column e_j
+    per y-row j that holds data (r columns for r distinct rows, so
+    r <= k for kernel columns, and all-zero data solves one column of
+    zero weight), and _to_space forms the Hermitian part of the unit
+    sums for the modes m <= nx/2, weights it by each source's data on
+    those rows and takes the irfft, so the dropped modes move no value
+    by more than machine epsilon times the column maximum.  When
+    op.bmat[0, 1] == op.bmat[1, 0] exactly, the blocks are Hermitian and
+    each node solves only the live modes m <= nx/2, as the
+    real-symmetric blocks R_m = P_m* S_m P_m, whose unit solutions serve
+    mode m and its partner nx - m.  Any other bmat keeps one block per
+    live mode over 0..nx-1.  Each window is evaluated with
     CONTOUR_NODES and CONTOUR_NODES + 4 nodes; the finer result is
     returned, and a relative difference above CONTOUR_TOL raises
     SolveFailure.  The rule's error falls about 240-fold per 4 nodes until
@@ -701,16 +711,16 @@ def _evolve_block(op: DiscreteOperator, u: np.ndarray, times):
     Returns the (k, nx, ny) states at `times` and the run's stats: `route`
     ("contour" here, "separable" from _separable), `windows`,
     `nodes` (of the returned rule, per window), `factorizations`,
-    `live_modes` (the x-modes solved, summed over windows), `solve_rows`
+    `live_modes` (the live x-modes over 0..nx-1, summed over windows), `solve_rows`
     (the rows of each node's fused factor-solve, summed over windows: ny
-    per live pair when paired, ny per live mode otherwise),
+    per live mode m <= nx/2 when paired, ny per live mode otherwise),
     `solve_columns` (the unit columns of each node's solve), per column
     the relative difference of the two rules `contour_err` and the worst
     relative solve residual `max_solve_residual` over the unit columns of
     its rows (a residual above SOLVE_RTOL names the first source whose
     data use the failing column's row), and the wall
-    time of each phase: `transform_s` (fft and ifft), `factor_s` (mode
-    diagonals, the live-mode test, the fused system and the
+    time of each phase: `transform_s` (rfft and irfft), `factor_s` (mode
+    bands, the live-mode test, the fused system and the
     factor-solves) and `solve_s` (residuals and sums).
     """
     bad = ~np.all(np.isfinite(u), axis=(1, 2))
@@ -720,7 +730,6 @@ def _evolve_block(op: DiscreteOperator, u: np.ndarray, times):
         return _separable(op, u, times)
     k, nx, ny = u.shape
     coarse, fine = CONTOUR_NODES, CONTOUR_NODES + 4
-    paired = op.bmat[0, 1] == op.bmat[1, 0]  # Hermitian blocks, S_{nx-m} = conj(S_m)
     used = np.any(u != 0.0, axis=1)  # (k, ny): the y-rows of each source's data
     rows = np.flatnonzero(used.any(axis=0))
     if rows.size == 0:  # all-zero data: one unit column of zero weight keeps the shapes
@@ -731,22 +740,20 @@ def _evolve_block(op: DiscreteOperator, u: np.ndarray, times):
              "live_modes": 0, "solve_rows": 0, "solve_columns": rows.size, "transform_s": 0.0,
              "factor_s": 0.0, "solve_s": 0.0}
     t0 = clock()
-    rhs = np.fft.fft(u, axis=1)  # rhs[c, m] holds x-mode m of source c
+    rhs = np.fft.rfft(u, axis=1)  # rhs[c, m] holds x-mode m <= nx/2 of source c
     stats["transform_s"] += clock() - t0
     t0 = clock()
-    bands = _mode_bands(op.grid, op.bmat)
+    parts = _mode_bands(op.grid, op.bmat, np.arange(nx // 2 + 1))  # for the live-mode test
     w = op.grid.masses()  # constant along x, so the same weights for every x-mode
-    rhs = w * rhs
+    rhs = w[0] * rhs
     stats["factor_s"] += clock() - t0
     worst, err = np.zeros(rows.size), np.zeros(k)
     states = []
     for window in _windows(times):
         stats["windows"] += 1
         t0 = clock()
-        live = _live_modes(bands, w, rhs, window[0])
-        if paired:  # whole pairs: m is solved with nx - m
-            live = live | live[-np.arange(nx) % nx]
-        sub, sub_w, units, layout = _fused_system(bands, w, rhs, rows, live, paired)
+        live = _live_modes(parts, w, rhs, window[0])
+        sub, sub_w, units, layout = _fused_system(op, w, rhs, rows, live)
         stats["live_modes"] += int(live.sum())
         stats["solve_rows"] += sub_w.size
         stats["factor_s"] += clock() - t0
@@ -836,8 +843,9 @@ def kernel_columns(op: DiscreteOperator, ts, z2) -> list[KernelSlice]:
     contour per window of checkpoints (one fused tridiagonal factor-solve
     of the live x-modes per node for all sources at once, with one unit
     column per distinct source y-row, so sources on one row share a
-    column; the residual checked in mode space; with a symmetric bmat one
-    solve per Hermitian pair of modes, see _evolve_block), where the modes left out move no value by more than
+    column; the residual checked in mode space; the half spectrum of the
+    rfft; with a symmetric bmat one solve per Hermitian pair of modes, see
+    _evolve_block), where the modes left out move no value by more than
     machine epsilon times the column maximum.  The adjoint is exact to
     round-off relative to the column maximum.  Returns the k * len(ts)
     slices source-major, each source's times in the caller's order (a

@@ -5,7 +5,7 @@ import time
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import block_diag, expm
 
 from halfheat import kernels, solver
 from halfheat.errors import (
@@ -69,6 +69,17 @@ def form_factors(grid, bmat):
 def dense_form(grid, bmat):
     """The cell-space form matrix S, dense: the np.kron sum of form_factors."""
     return sum(coef * np.kron(fx, fy) for coef, fx, fy in form_factors(grid, bmat))
+
+
+def mode_blocks(grid, bmat):
+    """Every x-mode's block of solver._mode_bands, dense and block diagonal in mode order.
+
+    Block m has the diagonal even + i odd, the super-diagonal stiff + i skew
+    and the sub-diagonal its conjugate.
+    """
+    even, odd, stiff, skew = solver._mode_bands(grid, np.asarray(bmat), np.arange(grid.nx))
+    return block_diag(*(np.diag(d) + np.diag(stiff + 1j * k, 1) + np.diag(stiff - 1j * k, -1)
+                        for d, k in zip(even + 1j * odd, skew)))
 
 
 def generator(op, values):
@@ -349,17 +360,15 @@ class TestEvolve:
     @pytest.mark.parametrize("bmat", [[[1.0, 1.0], [0.0, 1.0]], [[2.0, 0.5], [0.5, 1.0]]],
                              ids=["model", "cross"])
     def test_mode_matrix_is_tridiagonal(self, bmat, nx):
-        # the model B (a = 0.5) and a symmetric cross-term B: the (nx, ny) bands,
-        # flat with the modes end to end, are one tridiagonal matrix equal to
-        # the fft along x of the cell-space form
+        # the model B (a = 0.5) and a symmetric cross-term B: the real and
+        # imaginary parts of the bands give tridiagonal mode blocks whose block
+        # diagonal is the fft along x of the cell-space form
         ny = 10
         grid = GridSpec(rx=3.0, ry=2.0, nx=nx, ny=ny, c=1.0)
-        lower, diag, upper = solver._mode_bands(grid, np.array(bmat))
-        assert lower.shape == diag.shape == upper.shape == (nx, ny)
-        # no coupling from the last cell of one mode to the first of the next
-        assert np.all(lower[:, -1] == 0.0) and np.all(upper[:, -1] == 0.0)
-        lower, diag, upper = (band.ravel() for band in (lower, diag, upper))
-        modes = np.diag(lower[:-1], -1) + np.diag(diag) + np.diag(upper[:-1], 1)
+        even, odd, stiff, skew = solver._mode_bands(grid, np.array(bmat), np.arange(nx))
+        assert even.shape == odd.shape == (nx, ny)
+        assert stiff.shape == (ny - 1,) and skew.shape == (nx, ny - 1)
+        modes = mode_blocks(grid, bmat)
         fourier = np.kron(np.fft.fft(np.eye(nx), axis=0), np.eye(ny))
         ref = fourier @ dense_form(grid, np.array(bmat)) @ np.linalg.inv(fourier)
         assert np.abs(modes - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -603,8 +612,7 @@ class TestKernelColumn:
             per, meta = per_window(cols[0].meta), cols[0].meta
             assert len(calls) == 2 * per and len(masks) == meta["windows"] == 2
             for window, live in enumerate(masks):
-                if name == "paired":  # whole pairs, and the half m <= nx / 2 is solved
-                    live = live | live[-np.arange(grid.nx) % grid.nx]
+                if name == "paired":  # the mask is symmetric; the half m <= nx / 2 is solved
                     shape = (grid.ny * int(live[:grid.nx // 2 + 1].sum()), 3)
                 else:
                     shape = (grid.ny * int(live.sum()), 3)
@@ -914,12 +922,18 @@ def record_columns(monkeypatch):
 
 
 def record_live_modes(monkeypatch):
-    """Patch solver._live_modes to record each window's live mask; returns the list."""
+    """Patch solver._live_modes to record each window's live mask; returns the list.
+
+    Every mask is checked to be symmetric, live[m] == live[-m % nx], as it
+    is recorded.
+    """
     masks = []
     real = solver._live_modes
 
     def recording(*args):
         masks.append(real(*args))
+        nx = len(masks[-1])
+        assert np.array_equal(masks[-1], masks[-1][-np.arange(nx) % nx])
         return masks[-1]
     monkeypatch.setattr(solver, "_live_modes", recording)
     return masks
@@ -955,11 +969,11 @@ class TestLiveModes:
         u = deltas(grid, np.array([[0.0, 0.4], [0.3, 1.0]]))
         w = op.grid.masses().ravel()
         modes = np.fft.fft(u.T.reshape(-1, nx, ny), axis=1)  # (k, nx, ny)
-        bands = solver._mode_bands(grid, op.bmat)
-        live = solver._live_modes(bands, grid.masses(), grid.masses() * modes, t0)
+        half = np.arange(nx // 2 + 1)
+        live = solver._live_modes(solver._mode_bands(grid, op.bmat, half), grid.masses(),
+                                  grid.masses()[0] * modes[:, half], t0)
         assert live[0] and 0 < np.sum(~live)
-        lower, diag, upper = (band.ravel() for band in bands)
-        s_modes = np.diag(lower[:-1], -1) + np.diag(diag) + np.diag(upper[:-1], 1)
+        s_modes = mode_blocks(grid, op.bmat)
         cols = expm(-t0 * (dense_form(grid, op.bmat) / w[:, None])) @ u
         moved = np.zeros(2)
         for m in np.flatnonzero(~live):
@@ -1004,8 +1018,121 @@ class TestLiveModes:
             solver._evolve_block(op, u, [0.5])
         assert len(masks) == tested
         w = grid.masses()
-        assert solver._live_modes(solver._mode_bands(grid, op.bmat), w,
-                                  w * np.fft.fft(u, axis=1), 0.5).all()
+        assert solver._live_modes(solver._mode_bands(grid, op.bmat, np.arange(nx // 2 + 1)), w,
+                                  w[0] * np.fft.rfft(u, axis=1), 0.5).all()
+
+
+def complex_bands(grid, bmat):
+    """(lower, diag, upper) of every x-mode by the complex formula, shape (nx, ny) each.
+
+    The formula of README "Numerical notes" in complex arithmetic: cross =
+    B01 conj(g) + B10 g and skew = B01 conj(g) - B10 g with g = i sin(theta) / hx,
+    sin(theta) 0 at the Nyquist mode; lower and upper are 0 after each
+    mode's last cell.
+    """
+    nx, ny, hx, hy = grid.nx, grid.ny, grid.hx, grid.hy
+    theta = 2.0 * np.pi * np.arange(nx) / nx
+    sin = np.sin(theta)
+    if nx % 2 == 0:
+        sin[nx // 2] = 0.0
+    g = (1j * sin / hx)[:, None]
+    cross = bmat[0, 1] * g.conj() + bmat[1, 0] * g
+    skew = bmat[0, 1] * g.conj() - bmat[1, 0] * g
+    yf = grid.y_faces[1:-1] ** grid.c
+    yl, yr = np.append(0.0, yf), np.append(yf, 0.0)
+    diag = ((bmat[0, 0] / hx) * (4.0 * np.sin(0.5 * theta) ** 2)[:, None] * grid.cell_y_masses()
+            + bmat[1, 1] * (hx / hy) * (yl + yr) + 0.5 * hx * cross * (yl - yr))
+    stiff, half_skew = -bmat[1, 1] * (hx / hy) * yf, 0.5 * hx * skew * yf
+    lower, upper = np.zeros((2, nx, ny), dtype=complex)
+    lower[:, :-1] = stiff - half_skew
+    upper[:, :-1] = stiff + half_skew
+    return lower, diag, upper
+
+
+class TestHalfSpectrum:
+    @pytest.mark.parametrize("nx", [16, 15])
+    @pytest.mark.parametrize("bmat", [MODEL_B, CROSS_B, DIAG_B, [[1.5, -0.3], [0.8, 0.9]]],
+                             ids=["model", "cross", "diagonal", "oblique"])
+    def test_real_parts_are_the_complex_bands(self, bmat, nx):
+        # every mode's real and imaginary parts, for all modes or any subset,
+        # are those of the complex formula bit for bit, and the sub-diagonal
+        # is the conjugate of the super-diagonal
+        grid = GridSpec(rx=3.0, ry=1.5, nx=nx, ny=12, c=0.6)  # s / hx would differ in 3-5 modes
+        lower, diag, upper = complex_bands(grid, np.array(bmat))
+        for modes in (np.arange(nx), np.array([0, 3, nx // 2, nx - 3])):
+            even, odd, stiff, skew = solver._mode_bands(grid, np.array(bmat), modes)
+            assert np.array_equal(even, diag[modes].real) and np.array_equal(odd, diag[modes].imag)
+            assert np.array_equal(np.broadcast_to(stiff, skew.shape), upper[modes, :-1].real)
+            assert np.array_equal(skew, upper[modes, :-1].imag)
+            assert np.array_equal(-skew, lower[modes, :-1].imag)
+            assert np.array_equal(lower[modes, :-1].real, upper[modes, :-1].real)
+
+    @pytest.mark.parametrize("adjoint", [False, True])
+    @pytest.mark.parametrize("nx", [16, 15])
+    @pytest.mark.parametrize("bmat", [CROSS_B, MODEL_B], ids=["paired", "unpaired"])
+    def test_columns_match_dense_expm(self, bmat, nx, adjoint):
+        # an even nx has a Nyquist mode, an odd one none: both halves of the
+        # spectrum come back from the rfft modes m <= nx / 2
+        grid = GridSpec(rx=1.5, ry=1.5, nx=nx, ny=12, c=0.5)
+        op = solver.DiscreteOperator(grid, np.array(bmat))
+        op = op.adjoint() if adjoint else op
+        ts, sources = (0.1, 0.3), np.array([[0.0, 0.2], [0.7, 0.9]])
+        cols = kernel_columns(op, ts, sources)
+        assert cols[0].meta["route"] == "contour" and cols[0].meta["windows"] == 1
+        w = grid.masses().ravel()
+        ref = deltas(grid, sources)
+        for n, t in enumerate(ts):
+            want = expm(-t * (dense_form(grid, op.bmat) / w[:, None])) @ ref
+            for k in range(len(sources)):
+                got = cols[k * len(ts) + n].values
+                assert np.abs(got - want[:, k]).max() <= 1e-12 * np.abs(want[:, k]).max()
+
+    def test_columns_cross_case_solve_work(self, monkeypatch):
+        # the cross operator of the perfbench `columns` workload: the solve
+        # work of one paired call, one source and one window
+        spec = GeneralOperatorSpec(n=1, a_matrix=np.array([[2.0, 0.5], [0.5, 1.0]]),
+                                   drift=np.array([0.3, 0.6]))
+        op = assemble_divergence_form(spec, GridSpec(rx=8.0, ry=8.0, nx=112, ny=112, c=0.6))
+        masks = record_live_modes(monkeypatch)
+        cols = kernel_columns(op, (0.25, 0.5, 1.0), np.array([0.0, 0.7]))
+        stats = {key: cols[0].meta[key]
+                 for key in ("live_modes", "solve_rows", "factorizations", "solve_columns")}
+        assert stats == {"live_modes": 57, "solve_rows": 3248, "factorizations": 44,
+                         "solve_columns": 1}
+        assert len(masks) == 1 and masks[0].sum() == 57
+        assert all(abs(col.mass() - 1.0) <= 1e-12 for col in cols)
+
+    def test_separable_pencil_and_symbols_are_the_complex_bands(self, monkeypatch):
+        # the y-pencil that _separable decomposes is Re of mode 0's complex
+        # diagonal and super-diagonal, and the x-symbols of the modes the irfft
+        # reads are (diag - diag[0]).sum(axis=1) / wy.sum(), bit for bit
+        model = ModelOperatorSpec(n=1, a=np.array([0.0]), c=0.5)
+        grid = GridSpec(rx=8.0, ry=8.0, nx=128, ny=128, c=0.5)
+        op = assemble(model, grid)
+        _, diag, upper = complex_bands(grid, op.bmat)
+        wy = grid.masses()[0]
+        root = np.sqrt(wy)
+        pencils, spectra = [], []
+        real_eigh, real_irfft = solver.eigh_tridiagonal, np.fft.irfft
+
+        def eigh(d, e, **kwargs):
+            pencils.append((d, e))
+            return real_eigh(d, e, **kwargs)
+
+        def irfft(a, *args, **kwargs):
+            spectra.append(a)
+            return real_irfft(a, *args, **kwargs)
+        monkeypatch.setattr(solver, "eigh_tridiagonal", eigh)
+        monkeypatch.setattr(np.fft, "irfft", irfft)
+        ts = (0.25, 0.5, 1.0)
+        kernel_columns(op, ts, np.array([0.0, 0.7]))
+        (d, e), = pencils
+        assert np.array_equal(d, diag[0].real / wy)
+        assert np.array_equal(e, upper[0, :-1].real / (root[:-1] * root[1:]))
+        rate = ((diag.real - diag.real[0]).sum(axis=1) / wy.sum())[:grid.nx // 2 + 1]
+        assert len(spectra) == len(ts)
+        for t, spectrum in zip(ts, spectra):
+            assert np.array_equal(spectrum, np.exp(-t * rate))
 
 
 class TestDivergenceForm:
